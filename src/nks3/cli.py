@@ -71,17 +71,17 @@ def _family_params(args) -> dict:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
+
+    def samples(default: int) -> int:
+        return default if args.samples is None else args.samples
+
     reports = []
     if args.suite in ("structure", "all"):
-        reports.append(
-            verify.run_structure_suite(seed, args.samples or 1000)
-        )
+        reports.append(verify.run_structure_suite(seed, samples(1000)))
     if args.suite in ("isometry", "all"):
-        reports.append(verify.run_isometry_suite(seed, args.samples or 100))
+        reports.append(verify.run_isometry_suite(seed, samples(100)))
     if args.suite in ("hypersurface", "all"):
-        reports.append(
-            verify.run_default_hypersurface_suites(seed, args.samples or 5)
-        )
+        reports.append(verify.run_default_hypersurface_suites(seed, samples(5)))
 
     payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
@@ -145,6 +145,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_rows(args, seed: int):
+    if args.samples < 1:
+        raise DomainError("--samples must be at least 1")
     rng = np.random.default_rng(seed)
     rows = []
     worst_spread = 0.0
@@ -240,9 +242,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        return [float(x) for x in text.split(",") if x]
+        vals = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"values must be finite: {text!r}")
+    return vals
 
 
 def _at_list(text: str):
@@ -299,7 +304,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, PreconditionError, DegenerateImmersionError) as exc:
+    except (DomainError, PreconditionError, DegenerateImmersionError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

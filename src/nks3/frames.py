@@ -164,17 +164,19 @@ def frame_vector(at: AmbientPoint, x) -> TangentVector:
 
 
 def frame_to_r8(at: AmbientPoint, x) -> np.ndarray:
-    """Flat R^8 representation (U, V) of a frame coefficient vector."""
+    """Flat R^8 representation (U, V) of frame coefficient vectors (..., 6);
+    broadcasts over the leading axes of x and of the point (batch)."""
     x = np.asarray(x, dtype=float)
-    u = qt.mul(at.p, qt.pure(x[:3]))
-    v = qt.mul(at.q, qt.pure(x[3:]))
-    return np.concatenate([u, v])
+    u = qt.mul(at.p, qt.pure(x[..., :3]))
+    v = qt.mul(at.q, qt.pure(x[..., 3:]))
+    return np.concatenate([u, v], axis=-1)
 
 
 def r8_to_frame(at: AmbientPoint, w) -> np.ndarray:
-    """Tangent-project a flat R^8 vector at a point, in frame coefficients."""
+    """Tangent-project flat R^8 vectors (..., 8) at a point (or a batch of
+    points), in frame coefficients."""
     w = np.asarray(w, dtype=float)
-    u, v = project_components(at.p, at.q, w[:4], w[4:])
+    u, v = project_components(at.p, at.q, w[..., :4], w[..., 4:])
     return frame_coords_components(at.p, at.q, u, v)
 
 

@@ -12,7 +12,9 @@ Six families of parametrized immersions of a 5-dimensional chart:
 Chart layout: u[0:3] move x through the one-parameter subgroups
 exp(u0 i) exp(u1 j) exp(u2 k); u[3:5] are latitude/longitude on the
 2-sphere factor of m1 (kept away from the poles), or the two torus angles
-of m4.  All pushforwards are closed form.
+of m4.  All pushforwards are closed form, and the chart layer takes whole
+arrays of chart points (`Immersion.pushforward`), so each
+finite-difference stencil below is evaluated in one chart call.
 
 `analyze_point` produces the pointwise apparatus of a hypersurface: the
 metric normal xi, the structure vector U = -J xi, the induced almost
@@ -39,15 +41,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
-from .frames import frame_coords, frame_to_r8, get_tables, r8_to_frame, tensor_G
+from .frames import (
+    frame_coords_components,
+    frame_to_r8,
+    g_inner,
+    get_tables,
+    r8_to_frame,
+    tensor_G,
+)
 from .isometries import IsometryMap, conjugation_twist, factor_swap
-from .pointwise import AmbientPoint, TangentVector
+from .pointwise import AmbientPoint
 
 SQRT3 = math.sqrt(3.0)
 
@@ -57,6 +66,8 @@ DIM_TOL = 1e-6
 CLASS_TOL = 1e-6
 HOPF_TOL = 1e-6
 ORTHO_TOL = 1e-8
+
+NORMAL_H = 1e-5  # central-difference step for the normal and structure vector
 
 FAMILIES = ("m1", "m2", "m3", "m4", "m5", "m6")
 THREE_CURVATURE_FAMILIES = ("m1", "m2", "m3")
@@ -73,102 +84,106 @@ OTHER = "OTHER"
 # ---------------------------------------------------------------------------
 
 class Immersion:
-    """A parametrized immersion of a 5-parameter chart, with pushforward."""
+    """A parametrized immersion of a 5-parameter chart, with pushforward.
 
-    def __init__(self, family: str, params: tuple,
-                 point_fn: Callable, push_fn: Callable):
+    Every method takes chart points as an array u of shape (..., 5) and
+    broadcasts over its leading axes, so a whole finite-difference stencil
+    is one call.  The chart maps u to component arrays (p, q, U, V): the
+    point (..., 4) on each factor and the raw chart velocities (..., 5, 4)
+    of each factor.  A composed family pushes these through an ambient
+    isometry.
+    """
+
+    def __init__(self, family: str, params: tuple, chart: Callable,
+                 isometry: Optional[IsometryMap] = None):
         self.family = family
         self.params = params
-        self._point = point_fn
-        self._push = push_fn
+        self._chart = chart
+        self._isometry = isometry
+
+    def _components(self, u):
+        p, q, U, V = self._chart(np.asarray(u, dtype=float))
+        if self._isometry is not None:
+            U, V = self._isometry.differential_components(
+                p[..., None, :], q[..., None, :], U, V)
+            p, q = self._isometry.apply_components(p, q)
+        return p, q, U, V
 
     def point(self, u) -> AmbientPoint:
-        return self._point(np.asarray(u, dtype=float))
+        """The ambient point (a batch of them for u of shape (..., 5))."""
+        p, q, _, _ = self._components(u)
+        return AmbientPoint(p, q)
 
-    def pushforward(self, u) -> list:
-        """The five chart-direction tangent vectors at u."""
-        return self._push(np.asarray(u, dtype=float))
+    def pushforward(self, u) -> tuple:
+        """Points and chart pushforwards at the chart points u (..., 5).
+
+        Returns (p, q, T) of shapes (..., 4), (..., 4) and (..., 5, 6):
+        T[..., a, :] holds the frame coefficients of the a-th chart direction.
+        """
+        p, q, U, V = self._components(u)
+        return p, q, frame_coords_components(p[..., None, :], q[..., None, :], U, V)
 
 
-def _sphere_factor(u3):
-    """x and its three partials; each partial is (imaginary) * x."""
-    g1 = qt.exp_pure(np.array([u3[0], 0.0, 0.0]))
-    g2 = qt.exp_pure(np.array([0.0, u3[1], 0.0]))
-    g3 = qt.exp_pure(np.array([0.0, 0.0, u3[2]]))
-    x = qt.mul(qt.mul(g1, g2), g3)
+def _sphere_factor(u):
+    """x and its three partials (..., 3, 4) at the chart coordinates
+    u[..., 0:3]; each partial is (imaginary) * x."""
+    g1, g2, g3 = np.moveaxis(qt.exp_pure(u[..., :3, None] * np.eye(3)), -2, 0)
+    g12 = qt.mul(g1, g2)
+    x = qt.mul(g12, g3)
     d0 = qt.mul(qt.E1, x)
     d1 = qt.mul(qt.mul(qt.mul(g1, qt.E2), g2), g3)
-    d2 = qt.mul(qt.mul(qt.mul(g1, g2), qt.E3), g3)
-    return x, (d0, d1, d2)
+    d2 = qt.mul(qt.mul(g12, qt.E3), g3)
+    return x, np.stack([d0, d1, d2], axis=-2)
 
 
-def _round_sphere_chart(r: float):
+def _round_sphere(r: float) -> Callable:
+    """Second factor sqrt(1 - r^2) + r y of m1, with y on the unit sphere of
+    imaginaries at latitude psi and longitude chi; returns q and its two
+    partials (..., 2, 4)."""
     c = math.sqrt(max(1.0 - r * r, 0.0))
 
-    def second_factor(u):
-        psi, chi = u[3], u[4]
-        y = qt.quat(0.0, math.cos(psi) * math.cos(chi),
-                    math.cos(psi) * math.sin(chi), math.sin(psi))
-        dpsi = qt.quat(0.0, -math.sin(psi) * math.cos(chi),
-                       -math.sin(psi) * math.sin(chi), math.cos(psi))
-        dchi = qt.quat(0.0, -math.cos(psi) * math.sin(chi),
-                       math.cos(psi) * math.cos(chi), 0.0)
-        return c * qt.ONE + r * y, r * dpsi, r * dchi
+    def second_factor(psi, chi):
+        cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
+        zero = np.zeros_like(psi)
+        y = np.stack([zero, cp * cc, cp * sc, sp], axis=-1)
+        dpsi = np.stack([zero, -sp * cc, -sp * sc, cp], axis=-1)
+        dchi = np.stack([zero, -cp * sc, cp * cc, zero], axis=-1)
+        return c * qt.ONE + r * y, r * np.stack([dpsi, dchi], axis=-2)
 
-    def point_fn(u):
-        x, _ = _sphere_factor(u[:3])
-        q, _, _ = second_factor(u)
-        return AmbientPoint(x, q)
-
-    def push_fn(u):
-        x, dx = _sphere_factor(u[:3])
-        q, d3, d4 = second_factor(u)
-        pt = AmbientPoint(x, q)
-        zero = np.zeros(4)
-        return [TangentVector(pt, d, zero) for d in dx] + [
-            TangentVector(pt, zero, d3),
-            TangentVector(pt, zero, d4),
-        ]
-
-    return point_fn, push_fn
+    return second_factor
 
 
-def _torus_chart(k: float, l: float):
-    def second_factor(u):
-        e1 = qt.exp_pure(np.array([u[3], 0.0, 0.0]))
-        e2 = qt.exp_pure(np.array([u[4], 0.0, 0.0]))
-        q = k * e1 + l * qt.mul(e2, qt.E2)
-        d3 = k * qt.mul(qt.E1, e1)
-        d4 = l * qt.mul(qt.E1, qt.mul(e2, qt.E2))
-        return q, d3, d4
+def _torus(k: float, l: float) -> Callable:
+    """Second factor k e^{i phi1} + l e^{i phi2} j of m4; returns q and its
+    two partials (..., 2, 4)."""
 
-    def point_fn(u):
-        x, _ = _sphere_factor(u[:3])
-        q, _, _ = second_factor(u)
-        return AmbientPoint(x, q)
+    def second_factor(phi1, phi2):
+        angles = np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1)
+        e1, e2 = np.moveaxis(qt.exp_pure(angles), -2, 0)
+        e2j = qt.mul(e2, qt.E2)
+        dq = np.stack([k * qt.mul(qt.E1, e1), l * qt.mul(qt.E1, e2j)], axis=-2)
+        return k * e1 + l * e2j, dq
 
-    def push_fn(u):
-        x, dx = _sphere_factor(u[:3])
-        q, d3, d4 = second_factor(u)
-        pt = AmbientPoint(x, q)
-        zero = np.zeros(4)
-        return [TangentVector(pt, d, zero) for d in dx] + [
-            TangentVector(pt, zero, d3),
-            TangentVector(pt, zero, d4),
-        ]
-
-    return point_fn, push_fn
+    return second_factor
 
 
-def _composed(family: str, params: tuple, base: Immersion,
-              isom: IsometryMap) -> Immersion:
-    def point_fn(u):
-        return isom.apply(base.point(u))
+def _product_chart(second_factor: Callable) -> Callable:
+    """Chart u -> (p, q, U, V) of (x(u0, u1, u2), second_factor(u3, u4))."""
 
-    def push_fn(u):
-        return [isom.differential(z) for z in base.pushforward(u)]
+    def chart(u):
+        x, dx = _sphere_factor(u)
+        q, dq = second_factor(u[..., 3], u[..., 4])
+        U = np.zeros(u.shape[:-1] + (5, 4))
+        V = np.zeros_like(U)
+        U[..., :3, :] = dx
+        V[..., 3:, :] = dq
+        return x, q, U, V
 
-    return Immersion(family, params, point_fn, push_fn)
+    return chart
+
+
+_ISOMETRY = {"m2": factor_swap, "m3": conjugation_twist,
+             "m5": factor_swap, "m6": conjugation_twist}
 
 
 def make_example(family: str, r: Optional[float] = None,
@@ -181,25 +196,19 @@ def make_example(family: str, r: Optional[float] = None,
             raise DomainError(f"family {family} takes the single parameter r")
         if not 0.0 < r <= 1.0:
             raise DomainError("r must lie in (0, 1]")
-        point_fn, push_fn = _round_sphere_chart(float(r))
-        base = Immersion("m1", (float(r),), point_fn, push_fn)
-        if family == "m1":
-            return base
-        isom = factor_swap() if family == "m2" else conjugation_twist()
-        return _composed(family, (float(r),), base, isom)
-
-    if r is not None or k is None or l is None:
-        raise DomainError(f"family {family} takes the parameter pair (k, l)")
-    if not (0.0 < k < 1.0 and 0.0 < l < 1.0):
-        raise DomainError("k and l must lie in (0, 1)")
-    if abs(k * k + l * l - 1.0) > 1e-12:
-        raise DomainError("k and l must satisfy k^2 + l^2 = 1")
-    point_fn, push_fn = _torus_chart(float(k), float(l))
-    base = Immersion("m4", (float(k), float(l)), point_fn, push_fn)
-    if family == "m4":
-        return base
-    isom = factor_swap() if family == "m5" else conjugation_twist()
-    return _composed(family, (float(k), float(l)), base, isom)
+        params = (float(r),)
+        second_factor = _round_sphere(float(r))
+    else:
+        if r is not None or k is None or l is None:
+            raise DomainError(f"family {family} takes the parameter pair (k, l)")
+        if not (0.0 < k < 1.0 and 0.0 < l < 1.0):
+            raise DomainError("k and l must lie in (0, 1)")
+        if abs(k * k + l * l - 1.0) > 1e-12:
+            raise DomainError("k and l must satisfy k^2 + l^2 = 1")
+        params = (float(k), float(l))
+        second_factor = _torus(float(k), float(l))
+    isometry = _ISOMETRY[family]() if family in _ISOMETRY else None
+    return Immersion(family, params, _product_chart(second_factor), isometry)
 
 
 def random_chart_point(rng: np.random.Generator) -> np.ndarray:
@@ -290,69 +299,90 @@ class HypersurfacePointData:
         return jw - float(jw @ t.g @ self.xi) * self.xi
 
 
-def _chart_data(M: Immersion, u):
-    pt = M.point(u)
-    push = M.pushforward(u)
-    T = np.stack([frame_coords(z) for z in push])
+def _gram(T: np.ndarray) -> np.ndarray:
     t = get_tables()
-    gram = T @ t.g @ T.T
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= RANK_TOL:
-        raise DegenerateImmersionError(
-            f"pushforward rank below 5 at u={np.asarray(u).tolist()}"
-        )
-    L = np.linalg.cholesky(gram)
-    W = np.linalg.solve(L, np.eye(5))
-    frame = W @ T
-    return pt, T, frame, W
+    return T @ t.g @ np.swapaxes(T, -1, -2)
 
 
-def _unit_normal(pt: AmbientPoint, T: np.ndarray) -> np.ndarray:
+def _chart_data(M: Immersion, u) -> tuple:
+    """Points p, q (..., 4) and pushforwards T (..., 5, 6) at the chart
+    points u (..., 5), from one pushforward call; raises where the
+    pushforward loses rank."""
+    p, q, T = M.pushforward(u)
+    low = np.linalg.eigvalsh(_gram(T))[..., 0] <= RANK_TOL
+    if np.any(low):
+        bad = np.asarray(u, dtype=float)[low][0]
+        raise DegenerateImmersionError(f"pushforward rank below 5 at u={bad.tolist()}")
+    return p, q, T
+
+
+def _orthonormal_frame(T: np.ndarray) -> tuple:
+    """g-orthonormal tangent frames W T and chart weights W (..., 5, 5)."""
+    L = np.linalg.cholesky(_gram(T))
+    W = np.linalg.solve(L, np.broadcast_to(np.eye(5), L.shape))
+    return W @ T, W
+
+
+def _unit_normal(T: np.ndarray) -> np.ndarray:
+    """Unit normals (..., 6) of the pushforwards T (..., 5, 6)."""
     t = get_tables()
-    _, _, vt = np.linalg.svd(T @ t.g)
-    xi = vt[-1]
-    return xi / math.sqrt(float(xi @ t.g @ xi))
+    xi = np.linalg.svd(T @ t.g)[2][..., -1, :]
+    return xi / np.sqrt(xi[..., None, :] @ t.g @ xi[..., :, None])[..., 0]
 
 
-def _normal_r8(M: Immersion, u, ref_r8: np.ndarray) -> np.ndarray:
-    """Normal at a neighbouring chart point, sign-aligned to a reference."""
-    pt, T, _, _ = _chart_data(M, u)
-    xi = _unit_normal(pt, T)
-    xi8 = frame_to_r8(pt, xi)
-    if float(xi8 @ ref_r8) < 0.0:
-        xi8 = -xi8
-    return xi8
+def _aligned(x, x8, ref8):
+    """x and its flat form x8 (..., 8), negated where x8 points away from ref8."""
+    sign = np.where(np.sum(x8 * ref8, axis=-1) < 0.0, -1.0, 1.0)[..., None]
+    return x * sign, x8 * sign
 
 
-def analyze_point(M: Immersion, u, h: float = 1e-5,
+class _Weingarten(NamedTuple):
+    """Chart data, normal and unsymmetrized shape operator at m chart points."""
+
+    p: np.ndarray      # (m, 4)
+    q: np.ndarray      # (m, 4)
+    T: np.ndarray      # (m, 5, 6)
+    frame: np.ndarray  # (m, 5, 6)
+    W: np.ndarray      # (m, 5, 5)
+    xi: np.ndarray     # (m, 6)
+    xi_r8: np.ndarray  # (m, 8)
+    A: np.ndarray      # (m, 5, 5)
+
+
+def _weingarten(M: Immersion, centres, h: float, ref_normal_r8=None) -> _Weingarten:
+    """The Weingarten data at the chart points centres (m, 5), from one
+    chart call on their stencils of 11 points each.
+
+    The normal at each centre is aligned with ref_normal_r8 when given; the
+    normals of its ten neighbours are aligned with it and differenced.
+    """
+    t = get_tables()
+    c = centres[:, None, :]
+    steps = h * np.eye(5)
+    p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=1))
+    xi = _unit_normal(T)
+    xi8 = frame_to_r8(AmbientPoint(p, q), xi)
+    xi0, xi80 = xi[:, 0], xi8[:, 0]
+    if ref_normal_r8 is not None:
+        xi0, xi80 = _aligned(xi0, xi80, ref_normal_r8)
+    _, nb8 = _aligned(xi[:, 1:], xi8[:, 1:], xi80[:, None, :])
+
+    # product-round-metric derivative of the normal along each chart line
+    nablaE_chart = r8_to_frame(AmbientPoint(p[:, :1], q[:, :1]),
+                               (nb8[:, :5] - nb8[:, 5:]) / (2.0 * h))
+    frame0, W0 = _orthonormal_frame(T[:, 0])
+    nabla_xi = W0 @ nablaE_chart - _ambient_correction(t, frame0, xi0[:, None, :])
+    A = -(nabla_xi @ t.g @ np.swapaxes(frame0, -1, -2))
+    return _Weingarten(p[:, 0], q[:, 0], T[:, 0], frame0, W0, xi0, xi80, A)
+
+
+def analyze_point(M: Immersion, u, h: float = NORMAL_H,
                   ref_normal_r8: Optional[np.ndarray] = None) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at chart point u."""
     u = np.asarray(u, dtype=float)
     t = get_tables()
-    pt, T, frame, W = _chart_data(M, u)
-    xi = _unit_normal(pt, T)
-    xi8 = frame_to_r8(pt, xi)
-    if ref_normal_r8 is not None and float(xi8 @ ref_normal_r8) < 0.0:
-        xi = -xi
-        xi8 = -xi8
-
-    # product-round-metric derivative of the normal along each chart line
-    nablaE_chart = np.empty((5, 6))
-    for a_idx in range(5):
-        step = np.zeros(5)
-        step[a_idx] = h
-        plus = _normal_r8(M, u + step, xi8)
-        minus = _normal_r8(M, u - step, xi8)
-        nablaE_chart[a_idx] = r8_to_frame(pt, (plus - minus) / (2.0 * h))
-    nablaE_frame = W @ nablaE_chart
-
-    pxi = t.P @ xi
-    corr = 0.5 * (
-        tensor_G(t, frame, pxi[None, :]) @ t.J.T
-        + tensor_G(t, xi[None, :], frame @ t.P.T) @ t.J.T
-    )
-    nabla_xi = nablaE_frame - corr
-    A = -(nabla_xi @ t.g @ frame.T)
+    p, q, T, frame, W, xi, xi8, A = (
+        a[0] for a in _weingarten(M, u[None], h, ref_normal_r8))
 
     if ref_normal_r8 is None:
         tr = float(np.trace(A))
@@ -373,10 +403,8 @@ def analyze_point(M: Immersion, u, h: float = 1e-5,
 
     uvec = -(t.J @ xi)
     eta = frame @ t.g @ uvec
-    phi_rows = np.empty((5, 5))
-    for i in range(5):
-        jt = t.J @ frame[i]
-        phi_rows[i] = frame @ t.g @ (jt - float(jt @ t.g @ xi) * xi)
+    jt = frame @ t.J.T
+    phi_rows = (jt - np.outer(jt @ t.g @ xi, xi)) @ t.g @ frame.T
 
     au = eta @ A
     alpha = float(au @ eta)
@@ -389,7 +417,7 @@ def analyze_point(M: Immersion, u, h: float = 1e-5,
     c_coef = math.sqrt(max(float(rem @ t.g @ rem), 0.0))
 
     return HypersurfacePointData(
-        point=pt,
+        point=AmbientPoint(p, q),
         push_coords=T,
         tangent_frame=frame,
         chart_weights=W,
@@ -523,9 +551,10 @@ def _gnorm(w6) -> float:
 
 
 def _ambient_correction(t, x6, w6):
-    """(J G(X, P W) + J G(W, P X)) / 2, the flat-vs-frame connection gap."""
+    """(J G(X, P W) + J G(W, P X)) / 2, the flat-vs-frame connection gap;
+    broadcasts over leading axes."""
     return 0.5 * (
-        t.J @ tensor_G(t, x6, t.P @ w6) + t.J @ tensor_G(t, w6, t.P @ x6)
+        tensor_G(t, x6, w6 @ t.P.T) @ t.J.T + tensor_G(t, w6, x6 @ t.P.T) @ t.J.T
     )
 
 
@@ -537,7 +566,7 @@ def _induced_derivative(data: HypersurfacePointData, x6, field_center,
     return data.tangential(nablaE - _ambient_correction(t, x6, field_center))
 
 
-def reeb_transport_residual(M: Immersion, u, x5, h: float = 1e-5,
+def reeb_transport_residual(M: Immersion, u, x5, h: float = NORMAL_H,
                             data: Optional[HypersurfacePointData] = None) -> float:
     """Residual of the structure-vector transport law D_X U = phi A X - G(X, xi)."""
     t = get_tables()
@@ -548,14 +577,12 @@ def reeb_transport_residual(M: Immersion, u, x5, h: float = 1e-5,
     X = data.from_components(x5)
     chart_vel = x5 @ data.chart_weights
 
-    def reeb_r8(u_prime):
-        pt_p, T_p, _, _ = _chart_data(M, u_prime)
-        xi_p = _unit_normal(pt_p, T_p)
-        if float(frame_to_r8(pt_p, xi_p) @ data.xi_r8) < 0.0:
-            xi_p = -xi_p
-        return frame_to_r8(pt_p, -(t.J @ xi_p))
-
-    du8 = (reeb_r8(u + h * chart_vel) - reeb_r8(u - h * chart_vel)) / (2.0 * h)
+    p, q, T = _chart_data(M, np.stack([u + h * chart_vel, u - h * chart_vel]))
+    pts = AmbientPoint(p, q)
+    xi = _unit_normal(T)
+    xi, _ = _aligned(xi, frame_to_r8(pts, xi), data.xi_r8)
+    reeb8 = frame_to_r8(pts, -(xi @ t.J.T))
+    du8 = (reeb8[0] - reeb8[1]) / (2.0 * h)
     lhs = _induced_derivative(data, X, data.structure_vector, du8)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
     return _gnorm(lhs - rhs)
@@ -575,19 +602,20 @@ def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
     xchart = x5 @ data.chart_weights
     ychart = y5 @ data.chart_weights
 
-    def shaped_r8(u_prime, arg_chart):
-        d2 = analyze_point(M, u_prime, ref_normal_r8=data.xi_r8)
-        return frame_to_r8(d2.point, d2.apply_shape(arg_chart @ d2.push_coords))
-
-    def deriv_of_shaped(vel_chart, vel6, arg_chart, center6):
-        dfield = (
-            shaped_r8(u + h * vel_chart, arg_chart)
-            - shaped_r8(u - h * vel_chart, arg_chart)
-        ) / (2.0 * h)
-        return _induced_derivative(data, vel6, center6, dfield)
-
-    lhs = deriv_of_shaped(xchart, X, ychart, data.apply_shape(Y)) - deriv_of_shaped(
-        ychart, Y, xchart, data.apply_shape(X)
+    # the shape operator along both chart lines, from the stencils of the
+    # four neighbouring points in one chart call
+    centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart])
+    w = _weingarten(M, centres, NORMAL_H, data.xi_r8)
+    A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
+    args = np.stack([ychart, ychart, xchart, xchart])
+    w6 = np.einsum("ma,mac->mc", args, w.T)
+    comps = np.einsum("mic,cd,md->mi", w.frame, t.g, w6)
+    shaped8 = frame_to_r8(AmbientPoint(w.p, w.q),
+                          np.einsum("mi,mij,mjc->mc", comps, A, w.frame))
+    lhs = _induced_derivative(
+        data, X, data.apply_shape(Y), (shaped8[0] - shaped8[1]) / (2.0 * h)
+    ) - _induced_derivative(
+        data, Y, data.apply_shape(X), (shaped8[2] - shaped8[3]) / (2.0 * h)
     )
 
     g = t.g
@@ -607,49 +635,48 @@ def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
     return _gnorm(lhs - rhs)
 
 
-def _covariant_field_r8(M: Immersion, u_prime, vel_chart, arg_chart,
-                        h: float) -> np.ndarray:
-    """(induced derivative of the arg field along vel)(u_prime), flat layout.
+def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
+                         h: float) -> np.ndarray:
+    """(induced derivative of the arg field along vel) at each chart point of
+    primes (m, 5), with its own velocity vels (m, 5); flat layout (m, 8).
 
     Both the velocity and the argument are chart-coefficient-constant
-    combinations of the coordinate pushforwards.
+    combinations of the coordinate pushforwards.  One chart call covers
+    each point and its two neighbours along its velocity.
     """
     t = get_tables()
-    pt_p, T_p, _, _ = _chart_data(M, u_prime)
-    xi_p = _unit_normal(pt_p, T_p)
-
-    def field_r8(u_second):
-        pt_s, T_s, _, _ = _chart_data(M, u_second)
-        return frame_to_r8(pt_s, arg_chart @ T_s)
-
-    dfield = (field_r8(u_prime + h * vel_chart)
-              - field_r8(u_prime - h * vel_chart)) / (2.0 * h)
-    nablaE = r8_to_frame(pt_p, dfield)
-    v6 = vel_chart @ T_p
-    a6 = arg_chart @ T_p
-    nabla_amb = nablaE - _ambient_correction(t, v6, a6)
-    nabla_ind = nabla_amb - float(nabla_amb @ t.g @ xi_p) * xi_p
-    return frame_to_r8(pt_p, nabla_ind)
+    stencil = np.stack([primes, primes + h * vels, primes - h * vels], axis=1)
+    p, q, T = _chart_data(M, stencil)
+    T_p = T[:, 0]
+    xi_p = _unit_normal(T_p)
+    fields = frame_to_r8(AmbientPoint(p[:, 1:], q[:, 1:]), arg_chart @ T[:, 1:])
+    at = AmbientPoint(p[:, 0], q[:, 0])
+    nablaE = r8_to_frame(at, (fields[:, 0] - fields[:, 1]) / (2.0 * h))
+    v6 = np.einsum("ma,mac->mc", vels, T_p)
+    nabla_amb = nablaE - _ambient_correction(t, v6, arg_chart @ T_p)
+    nabla_ind = nabla_amb - g_inner(t, nabla_amb, xi_p)[:, None] * xi_p
+    return frame_to_r8(at, nabla_ind)
 
 
 def _induced_curvature(M: Immersion, u, data: HypersurfacePointData,
                        xchart, ychart, zchart, X, Y,
                        h: float) -> np.ndarray:
-    """R(X, Y) Z of the induced connection, two stacked central differences."""
+    """R(X, Y) Z of the induced connection, two stacked central differences.
 
-    def second_derivative(outer_chart, inner_chart, outer6):
-        dfield = (
-            _covariant_field_r8(M, u + h * outer_chart, inner_chart, zchart, h)
-            - _covariant_field_r8(M, u - h * outer_chart, inner_chart, zchart, h)
-        ) / (2.0 * h)
-        center = r8_to_frame(
-            data.point, _covariant_field_r8(M, u, inner_chart, zchart, h)
-        )
-        return _induced_derivative(data, outer6, center, dfield)
+    The inner derivatives along Y (and X) are taken at u and at its two
+    neighbours along X (and Y): six points with three chart points each,
+    evaluated in one chart call.
+    """
+    primes = np.stack([u + h * xchart, u - h * xchart, u,
+                       u + h * ychart, u - h * ychart, u])
+    vels = np.stack([ychart] * 3 + [xchart] * 3)
+    fields = _covariant_fields_r8(M, primes, vels, zchart, h).reshape(2, 3, 8)
 
-    return second_derivative(xchart, ychart, X) - second_derivative(
-        ychart, xchart, Y
-    )
+    def second_derivative(f, outer6):
+        center = r8_to_frame(data.point, f[2])
+        return _induced_derivative(data, outer6, center, (f[0] - f[1]) / (2.0 * h))
+
+    return second_derivative(fields[0], X) - second_derivative(fields[1], Y)
 
 
 def gauss_residual(M: Immersion, u, x5, y5, z5, h: float = 1e-4,
@@ -743,7 +770,8 @@ class ThetaConsistency:
     product_residual: float
 
 
-def theta_r_consistency(M: Immersion, u) -> ThetaConsistency:
+def theta_r_consistency(M: Immersion, u,
+                        data: Optional[HypersurfacePointData] = None) -> ThetaConsistency:
     """Consistency of the eigenspace invariant theta with the modulus r.
 
     Checks r = sqrt(3) theta / sqrt(1 + 2 theta^2), the closed forms
@@ -753,7 +781,9 @@ def theta_r_consistency(M: Immersion, u) -> ThetaConsistency:
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    rep = spectral_report(analyze_point(M, u))
+    if data is None:
+        data = analyze_point(M, u)
+    rep = spectral_report(data)
     if rep.theta is None or rep.multiplicities.count(2) != 2:
         raise DegenerateImmersionError("no two-dimensional principal eigenspaces")
     theta = rep.theta
@@ -778,8 +808,8 @@ class LeafGeometry:
     sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
-def leaf_geometry(M: Immersion, u,
-                  theta: Optional[float] = None) -> LeafGeometry:
+def leaf_geometry(M: Immersion, u, theta: Optional[float] = None,
+                  data: Optional[HypersurfacePointData] = None) -> LeafGeometry:
     """Geometry of the two product-factor leaves through a chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
@@ -794,13 +824,14 @@ def leaf_geometry(M: Immersion, u,
     t = get_tables()
     r = M.params[0]
     u = np.asarray(u, dtype=float)
-    data = analyze_point(M, u)
+    if data is None:
+        data = analyze_point(M, u)
     gram = data.push_coords @ t.g @ data.push_coords.T
 
     # round-metric reference grams come from the base chart; the induced
     # gram is unchanged under the ambient isometries of m2 and m3
-    _, dx = _sphere_factor(u[:3])
-    round3 = np.array([[qt.dot(a, b) for b in dx] for a in dx])
+    _, dx = _sphere_factor(u)
+    round3 = dx @ dx.T
     res3 = float(np.max(np.abs(gram[:3, :3] - (4.0 / 3.0) * round3)))
     round2 = np.diag([1.0, math.cos(float(u[3])) ** 2])
     res2 = float(np.max(np.abs(gram[3:, 3:] - (4.0 / 3.0) * r * r * round2)))

@@ -11,6 +11,11 @@ The twist differential uses conj(U) = -pbar U pbar, valid for U tangent at
 p.  Since that is a hand derivation, `differential_fd` recomputes any
 differential by central differences of the point map and the test suite
 requires agreement.
+
+The point maps and differentials act on component arrays
+(`apply_components`, `differential_components`), broadcasting over leading
+axes, so the chart layer can push whole stencils through them; `apply` and
+`differential` wrap them for single points.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import quat as qt
 from .errors import DomainError
-from .pointwise import AmbientPoint, TangentVector, project_tangent
+from .pointwise import AmbientPoint, TangentVector, project_components, project_tangent
 
 SWAP = "swap"
 TWIST = "twist"
@@ -35,32 +40,37 @@ class IsometryMap:
     b: np.ndarray = field(default_factory=lambda: qt.ONE.copy())
     c: np.ndarray = field(default_factory=lambda: qt.ONE.copy())
 
-    def apply(self, pt: AmbientPoint) -> AmbientPoint:
-        p, q = pt.p, pt.q
+    def apply_components(self, p, q):
+        """Image (p', q') of points given as component arrays (..., 4)."""
         if self.tag == SWAP:
-            return AmbientPoint(q, p)
+            return q, p
         if self.tag == TWIST:
             pbar = qt.conj(p)
-            return AmbientPoint(pbar, qt.mul(q, pbar))
+            return pbar, qt.mul(q, pbar)
         cbar = qt.conj(self.c)
-        return AmbientPoint(
-            qt.mul(qt.mul(self.a, p), cbar), qt.mul(qt.mul(self.b, q), cbar)
-        )
+        return qt.mul(qt.mul(self.a, p), cbar), qt.mul(qt.mul(self.b, q), cbar)
+
+    def differential_components(self, p, q, u, v):
+        """Image (U', V') of tangent pairs (U, V) at (p, q), as component
+        arrays; broadcasts over leading axes."""
+        if self.tag == SWAP:
+            return v, u
+        if self.tag == TWIST:
+            pbar = qt.conj(p)
+            qpbar = qt.mul(q, pbar)
+            du = -qt.mul(qt.mul(pbar, u), pbar)
+            dv = qt.mul(v, pbar) - qt.mul(qpbar, qt.mul(u, pbar))
+            return project_components(pbar, qpbar, du, dv)
+        cbar = qt.conj(self.c)
+        return qt.mul(qt.mul(self.a, u), cbar), qt.mul(qt.mul(self.b, v), cbar)
+
+    def apply(self, pt: AmbientPoint) -> AmbientPoint:
+        return AmbientPoint(*self.apply_components(pt.p, pt.q))
 
     def differential(self, z: TangentVector) -> TangentVector:
-        pt = self.apply(z.at)
-        p, q = z.at.p, z.at.q
-        u, v = z.u, z.v
-        if self.tag == SWAP:
-            return TangentVector(pt, v, u)
-        if self.tag == TWIST:
-            pbar = qt.conj(p)
-            du = -qt.mul(qt.mul(pbar, u), pbar)
-            dv = qt.mul(v, pbar) - qt.mul(qt.mul(q, pbar), qt.mul(u, pbar))
-            return project_tangent(pt, du, dv)
-        cbar = qt.conj(self.c)
+        at = z.at
         return TangentVector(
-            pt, qt.mul(qt.mul(self.a, u), cbar), qt.mul(qt.mul(self.b, v), cbar)
+            self.apply(at), *self.differential_components(at.p, at.q, z.u, z.v)
         )
 
 
@@ -82,15 +92,6 @@ def two_sided_translation(a, b, c) -> IsometryMap:
         np.asarray(b, dtype=float),
         np.asarray(c, dtype=float),
     )
-
-
-def compose(outer: IsometryMap, inner: IsometryMap):
-    """Point map of the composition, as a plain function."""
-
-    def apply(pt: AmbientPoint) -> AmbientPoint:
-        return outer.apply(inner.apply(pt))
-
-    return apply
 
 
 def differential_fd(m: IsometryMap, z: TangentVector, h: float = 1e-6) -> TangentVector:

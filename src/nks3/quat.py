@@ -68,14 +68,6 @@ def inverse(q) -> np.ndarray:
     return conj(q) / n2
 
 
-def normalize(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = norm(q)
-    if np.any(n < np.finfo(float).tiny):
-        raise DomainError("cannot normalize the zero quaternion")
-    return q / n[..., None]
-
-
 def dot(q1, q2) -> np.ndarray:
     """Euclidean inner product of R^4."""
     return np.sum(np.asarray(q1, dtype=float) * np.asarray(q2, dtype=float), axis=-1)

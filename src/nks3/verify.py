@@ -497,10 +497,10 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             data = hs.analyze_point(M, u)
             rep = hs.spectral_report(data)
             worst_cls = max(worst_cls, hs.normal_action_residual(rep, cls_expect))
-            tc = hs.theta_r_consistency(M, u)
+            tc = hs.theta_r_consistency(M, u, data=data)
             worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
             worst_prod = max(worst_prod, tc.product_residual)
-            lg = hs.leaf_geometry(M, u, theta=rep.theta)
+            lg = hs.leaf_geometry(M, u, theta=rep.theta, data=data)
             worst_leaf = max(
                 worst_leaf,
                 lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance

@@ -179,3 +179,46 @@ def test_sweep_nonconstant_spectrum_exits_one(capsys, monkeypatch):
     code, _, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5"])
     assert code == 1
     assert "spread" in err
+
+
+def test_verify_zero_samples_usage_error(capsys):
+    code, out, err = _run(capsys, ["verify", "--suite", "structure", "--samples", "0"])
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_sweep_nonpositive_samples_usage_error(capsys, samples):
+    code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5",
+                                   "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_non_finite_at_usage_error(capsys, value):
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.5",
+                                   "--at", f"{value},0,0,0,0"])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_sweep_non_finite_grid_usage_error(capsys):
+    code, _, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5,nan"])
+    assert code == 2
+    assert "finite" in err
+
+
+def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
+    def failing_analysis(M, u):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(cli.hs, "analyze_point", failing_analysis)
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.5",
+                                   "--at", "0,0,0,0,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

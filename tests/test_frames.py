@@ -88,6 +88,22 @@ class TestFrameCoordinates:
                 frames.r8_to_frame(at, frames.frame_to_r8(at, x)), x, atol=1e-12
             )
 
+    def test_flat_conversions_broadcast_over_batches(self):
+        rng = _rng(4)
+        pts = [pw.random_point(rng) for _ in range(6)]
+        batch = pw.AmbientPoint(np.stack([a.p for a in pts]), np.stack([a.q for a in pts]))
+        x = rng.standard_normal((6, 6))
+        w = rng.standard_normal((6, 8))
+        flat = frames.frame_to_r8(batch, x)
+        back = frames.r8_to_frame(batch, w)
+        assert flat.shape == (6, 8) and back.shape == (6, 6)
+        for i, at in enumerate(pts):
+            npt.assert_array_equal(flat[i], frames.frame_to_r8(at, x[i]))
+            npt.assert_array_equal(back[i], frames.r8_to_frame(at, w[i]))
+        # one point against a stack of vectors
+        npt.assert_array_equal(frames.frame_to_r8(pts[0], x)[2],
+                               frames.frame_to_r8(pts[0], x[2]))
+
     def test_agreement_with_pointwise(self):
         rng = _rng(3)
         for _ in range(100):

@@ -16,6 +16,13 @@ SQRT3 = math.sqrt(3.0)
 ORIGIN5 = np.zeros(5)
 
 
+ALL_FAMILIES = [
+    ("m1", dict(r=0.6)), ("m2", dict(r=0.6)), ("m3", dict(r=1.0)),
+    ("m4", dict(k=0.6, l=0.8)), ("m5", dict(k=0.6, l=0.8)),
+    ("m6", dict(k=0.8, l=0.6)),
+]
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
 
@@ -68,11 +75,51 @@ class TestMakeExample:
                            ("m3", dict(r=1.0))]:
             M = hs.make_example(family, **kw)
             u = hs.random_chart_point(rng)
-            push = M.pushforward(u)
-            assert len(push) == 5
-            coords = np.stack([frames.frame_coords(z) for z in push])
+            p, q, coords = M.pushforward(u)
+            assert p.shape == q.shape == (4,)
+            assert coords.shape == (5, 6)
             gram = coords @ t.g @ coords.T
             assert np.linalg.eigvalsh(gram)[0] > 1e-6
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_pushforward_matches_central_differences(self, family, kw):
+        # the closed-form pushforward against differences of the point map,
+        # converted to frame coefficients the way differential_fd checks the
+        # isometry differentials
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(22)
+        h = 1e-6
+        for _ in range(3):
+            u = hs.random_chart_point(rng)
+            pt = M.point(u)
+            _, _, T = M.pushforward(u)
+            for a in range(5):
+                step = np.zeros(5)
+                step[a] = h
+                plus, minus = M.point(u + step), M.point(u - step)
+                d8 = np.concatenate([plus.p - minus.p, plus.q - minus.q]) / (2.0 * h)
+                npt.assert_allclose(frames.r8_to_frame(pt, d8), T[a], atol=1e-8)
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_batched_pushforward_equals_single_points(self, family, kw):
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(23)
+        us = np.stack([hs.random_chart_point(rng) for _ in range(4)])
+        p, q, T = M.pushforward(us)
+        assert p.shape == q.shape == (4, 4)
+        assert T.shape == (4, 5, 6)
+        for i, u in enumerate(us):
+            p1, q1, T1 = M.pushforward(u)
+            npt.assert_array_equal(p[i], p1)
+            npt.assert_array_equal(q[i], q1)
+            npt.assert_array_equal(T[i], T1)
+            pt = M.point(u)
+            npt.assert_array_equal(pt.p, p1)
+            npt.assert_array_equal(pt.q, q1)
+        # a stencil with two leading axes
+        p2, _, T2 = M.pushforward(us.reshape(2, 2, 5))
+        npt.assert_array_equal(p2.reshape(4, 4), p)
+        npt.assert_array_equal(T2.reshape(4, 5, 6), T)
 
     def test_chart_lock_raises(self):
         M = hs.make_example("m1", r=0.6)
@@ -339,6 +386,16 @@ class TestModuliRelations:
             M = hs.make_example(family, r=0.6)
             rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
             assert abs(rep.trace) >= 0.1
+
+    def test_precomputed_analysis_gives_same_result(self):
+        rng = np.random.default_rng(24)
+        for family in ("m1", "m2"):
+            M = hs.make_example(family, r=0.7)
+            u = hs.random_chart_point(rng)
+            data = hs.analyze_point(M, u)
+            assert hs.theta_r_consistency(M, u, data=data) == hs.theta_r_consistency(M, u)
+            theta = hs.spectral_report(data).theta
+            assert hs.leaf_geometry(M, u, theta=theta, data=data) == hs.leaf_geometry(M, u)
 
     def test_leaf_geometry(self):
         rng = np.random.default_rng(20)

@@ -76,6 +76,22 @@ def test_differential_against_central_differences():
             npt.assert_allclose(closed.v, fd.v, atol=1e-6)
 
 
+def test_component_maps_broadcast_and_match_single_points():
+    rng = np.random.default_rng(5)
+    zs = [pw.random_tangent(rng, pw.random_point(rng)) for _ in range(5)]
+    p, q = np.stack([z.at.p for z in zs]), np.stack([z.at.q for z in zs])
+    u, v = np.stack([z.u for z in zs]), np.stack([z.v for z in zs])
+    for m in _all_maps(rng):
+        p2, q2 = m.apply_components(p, q)
+        du, dv = m.differential_components(p, q, u, v)
+        for i, z in enumerate(zs):
+            d = m.differential(z)
+            npt.assert_array_equal(d.at.p, p2[i])
+            npt.assert_array_equal(d.at.q, q2[i])
+            npt.assert_array_equal(d.u, du[i])
+            npt.assert_array_equal(d.v, dv[i])
+
+
 def _max_component_diff(z1, z2):
     return max(float(np.max(np.abs(z1.u - z2.u))), float(np.max(np.abs(z1.v - z2.v))))
 

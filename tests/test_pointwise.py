@@ -23,6 +23,14 @@ def test_ambient_point_validates_norm():
         pw.AmbientPoint(2.0 * qt.ONE, qt.ONE)
 
 
+def test_ambient_point_batch_validates_every_member():
+    good = np.stack([qt.ONE, qt.E1])
+    pts = pw.AmbientPoint(good, good[::-1])
+    assert pts.p.shape == (2, 4)
+    with pytest.raises(DomainError):
+        pw.AmbientPoint(np.stack([qt.ONE, 2.0 * qt.E1]), good)
+
+
 def test_tangent_vector_validates_tangency():
     with pytest.raises(DomainError):
         pw.TangentVector(ORIGIN, qt.ONE, np.zeros(4))
