@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -295,10 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value such as "-0.1,0,0,0,0" as an option name, because
+# it is not a plain negative number; these options take such values
+_SIGNED_OPTIONS = ("--at", "--r", "--k")
+_SIGNED_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
+def _join_signed_values(argv: list) -> list:
+    """Rewrite "--at -0.1,..." as "--at=-0.1,..." for the signed options."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv)
+                and _SIGNED_VALUE.match(argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help
         return int(exc.code or 0)

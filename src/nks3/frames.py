@@ -238,18 +238,6 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
     return term1 + term2 + term3
 
 
-def nabla_P_residual(tables: StructureTables, x, y) -> float:
-    """Residual of 2 (D_X P) Y = J G(X, PY) + J P G(X, Y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    py = y @ tables.P.T
-    lhs = 2.0 * (nabla(tables, x, py) - nabla(tables, x, y) @ tables.P.T)
-    rhs = tensor_G(tables, x, py) @ tables.J.T + tensor_G(tables, x, y) @ (
-        tables.J @ tables.P
-    ).T
-    return float(np.max(g_norm(tables, lhs - rhs)))
-
-
 def euclidean_connection(at: AmbientPoint, x, y) -> np.ndarray:
     """Product-round-metric connection of a constant-frame-coefficient field.
 

@@ -470,6 +470,10 @@ class SpectralReport:
     b: float
     c: float
     theta: Optional[float]
+    # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
+    # eigenvectors; well conditioned at theta = 1 where the square root of
+    # 1 - theta^2 is not
+    theta_sine: Optional[float]
 
 
 def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
@@ -481,7 +485,7 @@ def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
     means = tuple(float(np.mean(c)) for c in clusters)
 
     # invariant |g(J X1, X2)| of the top two-dimensional eigenspace
-    theta = None
+    theta = theta_sine = None
     offsets = np.concatenate([[0], np.cumsum(mult)])
     for idx in range(len(mult) - 1, -1, -1):
         if mult[idx] == 2:
@@ -489,6 +493,8 @@ def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
             x1 = cols[:, 0] @ data.tangent_frame
             x2 = cols[:, 1] @ data.tangent_frame
             theta = float(abs(x1 @ t.g @ (t.J @ x2)))
+            jx1 = t.J @ x1
+            theta_sine = _gnorm(jx1 - float(jx1 @ t.g @ x2) * x2)
             break
 
     trace = float(np.sum(evals))
@@ -505,6 +511,7 @@ def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
         b=data.b,
         c=data.c,
         theta=theta,
+        theta_sine=theta_sine,
     )
 
 
@@ -777,6 +784,8 @@ def theta_r_consistency(M: Immersion, u,
     Checks r = sqrt(3) theta / sqrt(1 + 2 theta^2), the closed forms
     (1 +/- sqrt(1 - theta^2)) / (2 sqrt(3) theta) for the absolute values
     of the double principal curvatures, and their exact product -1/12.
+    sqrt(1 - theta^2) is the spectral report's `theta_sine`, so the closed
+    forms keep full accuracy at r = 1, where theta = 1.
     """
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
@@ -789,7 +798,7 @@ def theta_r_consistency(M: Immersion, u,
     theta = rep.theta
     r_res = abs(r - SQRT3 * theta / math.sqrt(1.0 + 2.0 * theta * theta))
 
-    s = math.sqrt(max(1.0 - theta * theta, 0.0))
+    s = rep.theta_sine
     closed = np.sort(np.array([(1.0 + s) / (2.0 * SQRT3 * theta),
                                (1.0 - s) / (2.0 * SQRT3 * theta)]))
     doubles = [m for m, n in zip(rep.cluster_means, rep.multiplicities) if n == 2]

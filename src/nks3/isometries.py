@@ -13,9 +13,11 @@ differential by central differences of the point map and the test suite
 requires agreement.
 
 The point maps and differentials act on component arrays
-(`apply_components`, `differential_components`), broadcasting over leading
-axes, so the chart layer can push whole stencils through them; `apply` and
-`differential` wrap them for single points.
+(`apply_components`, `differential_components`,
+`differential_fd_components`), broadcasting over leading axes, so the
+chart layer and the isometry suite push whole batches through them; the
+translation parameters may be batches too.  `apply`, `differential` and
+`differential_fd` wrap them for single points.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import quat as qt
 from .errors import DomainError
-from .pointwise import AmbientPoint, TangentVector, project_components, project_tangent
+from .pointwise import AmbientPoint, TangentVector, project_components
 
 SWAP = "swap"
 TWIST = "twist"
@@ -83,37 +85,40 @@ def conjugation_twist() -> IsometryMap:
 
 
 def two_sided_translation(a, b, c) -> IsometryMap:
+    """Translation (p, q) |-> (a p cbar, b q cbar); the parameters may be
+    batches (..., 4) that broadcast against the points."""
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     for x in (a, b, c):
-        if abs(qt.norm(x) - 1.0) > 1e-10:
+        if qt.unit_defect(x) > 1e-10:
             raise DomainError("translation parameters must be unit quaternions")
-    return IsometryMap(
-        TRANSLATION,
-        np.asarray(a, dtype=float),
-        np.asarray(b, dtype=float),
-        np.asarray(c, dtype=float),
+    return IsometryMap(TRANSLATION, a, b, c)
+
+
+def differential_fd_components(m: IsometryMap, p, q, u, v, h: float = 1e-6):
+    """Differential by central differences of the point map, on component
+    arrays; broadcasts over leading axes.
+
+    Moves along the great-circle curves p exp(t pbar U), q exp(t qbar V),
+    which stay on the spheres and have velocity (U, V) at t = 0; both
+    stencil points go through the point map in one call.
+    """
+    wu = qt.vec(qt.mul(qt.conj(p), u))
+    wv = qt.vec(qt.mul(qt.conj(q), v))
+    t = np.array([h, -h]).reshape((2,) + (1,) * wu.ndim)
+    ends_p, ends_q = m.apply_components(
+        qt.mul(p, qt.exp_pure(t * wu)), qt.mul(q, qt.exp_pure(t * wv))
     )
+    du = (ends_p[0] - ends_p[1]) / (2.0 * h)
+    dv = (ends_q[0] - ends_q[1]) / (2.0 * h)
+    return project_components(*m.apply_components(p, q), du, dv)
 
 
 def differential_fd(m: IsometryMap, z: TangentVector, h: float = 1e-6) -> TangentVector:
-    """Differential by central differences of the point map.
-
-    Moves along the great-circle curves p exp(t pbar U), q exp(t qbar V),
-    which stay on the spheres and have velocity (U, V) at t = 0.
-    """
+    """Single-point form of `differential_fd_components`."""
     at = z.at
-    wu = qt.vec(qt.mul(qt.conj(at.p), z.u))
-    wv = qt.vec(qt.mul(qt.conj(at.q), z.v))
-
-    def curve(t: float) -> AmbientPoint:
-        return AmbientPoint(
-            qt.mul(at.p, qt.exp_pure(t * wu)), qt.mul(at.q, qt.exp_pure(t * wv))
-        )
-
-    plus = m.apply(curve(h))
-    minus = m.apply(curve(-h))
-    du = (plus.p - minus.p) / (2.0 * h)
-    dv = (plus.q - minus.q) / (2.0 * h)
-    return project_tangent(m.apply(at), du, dv)
+    return TangentVector(
+        m.apply(at), *differential_fd_components(m, at.p, at.q, z.u, z.v, h)
+    )
 
 
 def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
@@ -122,40 +127,24 @@ def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
     Checked: both involutions square to the identity, and a two-sided
     translation slides through either involution with its parameters
     permuted (a, b swapped through the factor swap; a, c reversed through
-    the conjugation twist).
+    the conjugation twist).  Each sample draws p, q, a, b, c in turn; the
+    identities are evaluated on the whole batch at once.
     """
-    swap = factor_swap()
-    twist = conjugation_twist()
-    worst = {
-        "swap-involution": 0.0,
-        "twist-involution": 0.0,
-        "translation-through-swap": 0.0,
-        "translation-through-twist": 0.0,
+    draws = [[qt.sample_unit(rng) for _ in range(5)] for _ in range(samples)]
+    p, q, a, b, c = (np.stack(col) for col in zip(*draws))
+    pt = (p, q)
+    swap = factor_swap().apply_components
+    twist = conjugation_twist().apply_components
+    t_abc = two_sided_translation(a, b, c).apply_components
+    t_bac = two_sided_translation(b, a, c).apply_components
+    t_cba = two_sided_translation(c, b, a).apply_components
+
+    def dist(x, y) -> float:
+        return float(max(np.max(np.abs(x[0] - y[0])), np.max(np.abs(x[1] - y[1]))))
+
+    return {
+        "swap-involution": dist(swap(*swap(*pt)), pt),
+        "twist-involution": dist(twist(*twist(*pt)), pt),
+        "translation-through-swap": dist(t_abc(*swap(*pt)), swap(*t_bac(*pt))),
+        "translation-through-twist": dist(t_abc(*twist(*pt)), twist(*t_cba(*pt))),
     }
-    for _ in range(samples):
-        p = qt.sample_unit(rng)
-        q = qt.sample_unit(rng)
-        pt = AmbientPoint(p, q)
-        a, b, c = (qt.sample_unit(rng) for _ in range(3))
-
-        def dist(x: AmbientPoint, y: AmbientPoint) -> float:
-            return float(max(np.max(np.abs(x.p - y.p)), np.max(np.abs(x.q - y.q))))
-
-        worst["swap-involution"] = max(
-            worst["swap-involution"], dist(swap.apply(swap.apply(pt)), pt)
-        )
-        worst["twist-involution"] = max(
-            worst["twist-involution"], dist(twist.apply(twist.apply(pt)), pt)
-        )
-        t_abc = two_sided_translation(a, b, c)
-        t_bac = two_sided_translation(b, a, c)
-        t_cba = two_sided_translation(c, b, a)
-        worst["translation-through-swap"] = max(
-            worst["translation-through-swap"],
-            dist(t_abc.apply(swap.apply(pt)), swap.apply(t_bac.apply(pt))),
-        )
-        worst["translation-through-twist"] = max(
-            worst["translation-through-twist"],
-            dist(t_abc.apply(twist.apply(pt)), twist.apply(t_cba.apply(pt))),
-        )
-    return worst

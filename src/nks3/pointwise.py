@@ -46,10 +46,7 @@ class AmbientPoint:
 
     def __post_init__(self):
         for comp in (self.p, self.q):
-            err = abs(qt.norm(comp) - 1.0)
-            # a single point skips the reduction: the scalar paths make
-            # thousands of points per suite
-            if (err.max() if err.ndim else err) > UNIT_TOL:
+            if qt.unit_defect(comp) > UNIT_TOL:
                 raise DomainError("ambient point components must be unit quaternions")
 
 
@@ -149,8 +146,14 @@ def metric_g_hermitian_form(z1: TangentVector, z2: TangentVector) -> float:
     return float(0.5 * (flat + jflat))
 
 
+def g_norm_components(p, q, u, v):
+    """g-norm of tangent pairs given as component arrays; broadcasts."""
+    return np.sqrt(np.maximum(metric_components(p, q, u, v, u, v), 0.0))
+
+
 def g_norm(z: TangentVector) -> float:
-    return float(np.sqrt(max(metric_g(z, z), 0.0)))
+    at = z.at
+    return float(g_norm_components(at.p, at.q, z.u, z.v))
 
 
 def random_point(rng: np.random.Generator) -> AmbientPoint:

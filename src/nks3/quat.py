@@ -16,6 +16,7 @@ ONE = np.array([1.0, 0.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
@@ -36,28 +37,44 @@ def vec(q) -> np.ndarray:
 
 
 def mul(q1, q2) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
+    """Hamilton product, broadcasting over leading axes; the result is
+    C-contiguous."""
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
+    if q1.ndim != q2.ndim and min(q1.ndim, q2.ndim) > 1:
+        # unpacking through .T reverses the leading axes, which broadcast
+        # correctly only when both operands have as many of them
+        nd = max(q1.ndim, q2.ndim)
+        q1 = q1.reshape((1,) * (nd - q1.ndim) + q1.shape)
+        q2 = q2.reshape((1,) * (nd - q2.ndim) + q2.shape)
+    w1, x1, y1, z1 = q1.T
+    w2, x2, y2, z2 = q2.T
+    return np.ascontiguousarray(
+        np.array(
+            [
+                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            ]
+        ).T
     )
 
 
 def conj(q) -> np.ndarray:
-    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+    return np.asarray(q, dtype=float) * _CONJ_SIGNS
 
 
 def norm(q) -> np.ndarray:
     return np.linalg.norm(np.asarray(q, dtype=float), axis=-1)
+
+
+def unit_defect(q):
+    """Largest deviation | |q| - 1 | over a quaternion or a batch of them."""
+    err = abs(norm(q) - 1.0)
+    # a single quaternion skips the reduction: the scalar paths make
+    # thousands of points per suite
+    return err.max() if err.ndim else err
 
 
 def inverse(q) -> np.ndarray:

@@ -241,75 +241,71 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
 def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     """Metric pullback, differential relations with J and P, closed-form
     differentials against central differences, and composition identities
-    for the three isometry families."""
+    for the three isometry families.
+
+    Each sample draws a point, two tangent vectors and the parameters of a
+    two-sided translation; every identity is then evaluated once over the
+    whole batch.
+    """
     if samples < 1:
         raise DomainError("samples must be at least 1")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
 
+    # per sample: p, q, the raw (U, V) of two tangent vectors, then a, b, c
+    draws = []
+    for _ in range(samples):
+        point = [qt.sample_unit(rng), qt.sample_unit(rng)]
+        raw = [rng.standard_normal(4) for _ in range(4)]
+        draws.append(point + raw + [qt.sample_unit(rng) for _ in range(3)])
+    p, q, u1, v1, u2, v2, a, b, c = (np.stack(col) for col in zip(*draws))
+    pt = (p, q)
+    z = pw.project_components(p, q, u1, v1)
+    z2 = pw.project_components(p, q, u2, v2)
+
     swap = iso.factor_swap()
     twist = iso.conjugation_twist()
+    trans = iso.two_sided_translation(a, b, c)
 
-    res = {
-        "pullback-swap": 0.0,
-        "pullback-twist": 0.0,
-        "pullback-translation": 0.0,
-        "swap-J-anticommute": 0.0,
-        "swap-P-commute": 0.0,
-        "twist-J-anticommute": 0.0,
-        "twist-P-twist": 0.0,
-        "differential-vs-fd": 0.0,
-    }
+    def J(at, w):
+        return pw.project_components(*at, *pw.j_components(*at, *w))
 
-    def gdiff(z1: pw.TangentVector, z2: pw.TangentVector) -> float:
-        d = pw.TangentVector(z1.at, z1.u - z2.u, z1.v - z2.v)
-        return pw.g_norm(d)
+    def P(at, w):
+        return pw.project_components(*at, *pw.p_components(*at, *w))
 
-    for _ in range(samples):
-        at = pw.random_point(rng)
-        z = pw.random_tangent(rng, at)
-        z2 = pw.random_tangent(rng, at)
-        trans = iso.two_sided_translation(
-            qt.sample_unit(rng), qt.sample_unit(rng), qt.sample_unit(rng)
+    def g_dist(at, w1, w2) -> float:
+        return float(np.max(pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])))
+
+    res = {"differential-vs-fd": 0.0}
+    image, dz = {}, {}
+    for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
+        image[name] = m.apply_components(*pt)
+        dz[name] = m.differential_components(*pt, *z)
+        dz2 = m.differential_components(*pt, *z2)
+        res["pullback-" + name] = float(np.max(np.abs(
+            pw.metric_components(*image[name], *dz[name], *dz2)
+            - pw.metric_components(*pt, *z, *z2)
+        )))
+        fd = iso.differential_fd_components(m, *pt, *z)
+        res["differential-vs-fd"] = max(
+            res["differential-vs-fd"],
+            float(np.max(np.abs(fd[0] - dz[name][0]))),
+            float(np.max(np.abs(fd[1] - dz[name][1]))),
         )
 
-        for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
-            d1, d2 = m.differential(z), m.differential(z2)
-            res["pullback-" + name] = max(
-                res["pullback-" + name],
-                abs(pw.metric_g(d1, d2) - pw.metric_g(z, z2)),
-            )
-            fd = iso.differential_fd(m, z)
-            res["differential-vs-fd"] = max(
-                res["differential-vs-fd"],
-                float(np.max(np.abs(fd.u - d1.u))),
-                float(np.max(np.abs(fd.v - d1.v))),
-            )
-
-        res["swap-J-anticommute"] = max(
-            res["swap-J-anticommute"],
-            gdiff(swap.differential(pw.apply_J(z)),
-                  pw.TangentVector(*_negate(pw.apply_J(swap.differential(z))))),
-        )
-        res["swap-P-commute"] = max(
-            res["swap-P-commute"],
-            gdiff(swap.differential(pw.apply_P(z)), pw.apply_P(swap.differential(z))),
-        )
-        res["twist-J-anticommute"] = max(
-            res["twist-J-anticommute"],
-            gdiff(twist.differential(pw.apply_J(z)),
-                  pw.TangentVector(*_negate(pw.apply_J(twist.differential(z))))),
-        )
-        dz = twist.differential(z)
-        pdz = pw.apply_P(dz)
-        jpdz = pw.apply_J(pdz)
-        target = pw.TangentVector(
-            dz.at, -0.5 * pdz.u + (SQRT3 / 2.0) * jpdz.u,
-            -0.5 * pdz.v + (SQRT3 / 2.0) * jpdz.v
-        )
-        res["twist-P-twist"] = max(
-            res["twist-P-twist"], gdiff(twist.differential(pw.apply_P(z)), target)
-        )
+    jz, pz = J(pt, z), P(pt, z)
+    for name, m in (("swap", swap), ("twist", twist)):
+        minus_jdz = [-x for x in J(image[name], dz[name])]
+        res[name + "-J-anticommute"] = g_dist(
+            image[name], m.differential_components(*pt, *jz), minus_jdz)
+    res["swap-P-commute"] = g_dist(
+        image["swap"], swap.differential_components(*pt, *pz),
+        P(image["swap"], dz["swap"]))
+    pdz = P(image["twist"], dz["twist"])
+    jpdz = J(image["twist"], pdz)
+    target = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
+    res["twist-P-twist"] = g_dist(
+        image["twist"], twist.differential_components(*pt, *pz), target)
 
     comp = iso.composition_checks(rng, samples)
 
@@ -324,9 +320,9 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
         "differential-vs-fd": "closed-form differentials match central differences",
     }
     checks = []
-    for cid, val in res.items():
+    for cid, anchor in anchors.items():
         tol = 1e-6 if cid == "differential-vs-fd" else 1e-10
-        checks.append(CheckResult(cid, anchors[cid], samples, _sanitize(val), tol))
+        checks.append(CheckResult(cid, anchor, samples, _sanitize(res[cid]), tol))
     comp_anchors = {
         "swap-involution": "swap o swap = id",
         "twist-involution": "twist o twist = id",
@@ -337,10 +333,6 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
         checks.append(CheckResult(cid, comp_anchors[cid], samples, _sanitize(val), 1e-10))
 
     return _finalize("isometry", seed, checks, started)
-
-
-def _negate(z: pw.TangentVector):
-    return z.at, -z.u, -z.v
 
 
 # ---------------------------------------------------------------------------

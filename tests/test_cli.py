@@ -84,6 +84,27 @@ def test_analyze_out_of_domain_r(capsys):
     assert "r must lie" in err
 
 
+def test_analyze_negative_first_coordinate_both_spellings(capsys):
+    argv = ["analyze", "--family", "m1", "--r", "0.6"]
+    code, out, err = _run(capsys, argv + ["--at", "-0.1,0,0,0,0"])
+    assert code == 0, err
+    assert json.loads(out)["at"] == [-0.1, 0.0, 0.0, 0.0, 0.0]
+    code2, out2, _ = _run(capsys, argv + ["--at=-0.1,0,0,0,0"])
+    assert (code2, out2) == (code, out)
+
+
+def test_negative_r_and_k_values_reach_the_domain_check(capsys):
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "-0.6"])
+    assert (code, out) == (2, "")
+    assert "r must lie" in err
+    code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "-0.3,0.6"])
+    assert (code, out) == (2, "")
+    assert "r must lie" in err
+    code, out, err = _run(capsys, ["sweep", "--family", "m4", "--k", "-0.5,0.6"])
+    assert (code, out) == (2, "")
+    assert "k must lie" in err
+
+
 def test_analyze_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("NKS3_SEED", "5")
     code, out_env, _ = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6"])

@@ -363,11 +363,25 @@ class TestModuliRelations:
         assert tc.r_residual <= 1e-6
         assert tc.product_residual <= 1e-8
 
+    def test_theta_r_well_conditioned_at_r1(self):
+        # theta = 1 here; sqrt(1 - theta^2) of a rounded theta would turn its
+        # last bit into a residual near 1e-8
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for family in ("m1", "m2", "m3"):
+                M = hs.make_example(family, r=1.0)
+                u = hs.random_chart_point(rng)
+                tc = hs.theta_r_consistency(M, u)
+                assert max(tc.r_residual, tc.spectrum_residual) < 1e-10, (seed, family)
+
     def test_theta_at_r06(self):
         # inverting r = sqrt(3) theta / sqrt(1 + 2 theta^2) at r = 0.6
         M = hs.make_example("m1", r=0.6)
         tc = hs.theta_r_consistency(M, hs.random_chart_point(np.random.default_rng(18)))
         assert tc.theta == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
+        rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(
+            np.random.default_rng(18))))
+        assert rep.theta_sine == pytest.approx(math.sqrt(1.0 - rep.theta ** 2), abs=1e-12)
         assert tc.r_residual <= 1e-6
         assert tc.spectrum_residual <= 1e-6
         assert tc.product_residual <= 1e-8

@@ -43,6 +43,17 @@ def test_translation_requires_unit_parameters():
         iso.two_sided_translation(2.0 * qt.ONE, qt.ONE, qt.ONE)
 
 
+def test_translation_batch_rejects_one_non_unit_row():
+    rng = np.random.default_rng(6)
+    a = np.stack([qt.sample_unit(rng) for _ in range(5)])
+    m = iso.two_sided_translation(a, a, a)
+    assert m.a.shape == (5, 4)
+    a[3] *= 1.0 + 1e-8
+    for params in ((a, qt.ONE, qt.ONE), (qt.ONE, a, qt.ONE), (qt.ONE, qt.ONE, a)):
+        with pytest.raises(DomainError):
+            iso.two_sided_translation(*params)
+
+
 def _all_maps(rng):
     return [
         iso.factor_swap(),
@@ -90,6 +101,24 @@ def test_component_maps_broadcast_and_match_single_points():
             npt.assert_array_equal(d.at.q, q2[i])
             npt.assert_array_equal(d.u, du[i])
             npt.assert_array_equal(d.v, dv[i])
+
+
+def test_batched_differential_fd_matches_single_points_bitwise():
+    rng = np.random.default_rng(7)
+    zs = [pw.random_tangent(rng, pw.random_point(rng)) for _ in range(6)]
+    p, q = np.stack([z.at.p for z in zs]), np.stack([z.at.q for z in zs])
+    u, v = np.stack([z.u for z in zs]), np.stack([z.v for z in zs])
+    a, b, c = (np.stack([qt.sample_unit(rng) for _ in zs]) for _ in range(3))
+    batched_translation = iso.two_sided_translation(a, b, c)
+    for m in _all_maps(rng) + [batched_translation]:
+        du, dv = iso.differential_fd_components(m, p, q, u, v)
+        for i, z in enumerate(zs):
+            single = m
+            if m is batched_translation:
+                single = iso.two_sided_translation(a[i], b[i], c[i])
+            fd = iso.differential_fd(single, z)
+            npt.assert_array_equal(fd.u, du[i])
+            npt.assert_array_equal(fd.v, dv[i])
 
 
 def _max_component_diff(z1, z2):

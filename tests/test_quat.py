@@ -42,6 +42,42 @@ def test_associativity_and_distributivity():
         )
 
 
+def _hamilton(q1, q2):
+    # the Hamilton product written out per component, stacked on the last axis
+    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
+    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
+    return np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1)
+
+
+@pytest.mark.parametrize("shape1, shape2", [
+    ((4,), (4,)), ((500, 4), (4,)), ((4,), (7, 3, 4)), ((70, 3, 4), (70, 3, 4)),
+    ((5, 1, 4), (1, 6, 4)), ((7, 3, 4), (3, 4)), ((3, 4), (7, 1, 4)),
+    ((3, 3, 4), (3, 4)),
+])
+def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(shape1)
+    b = rng.standard_normal(shape2)
+    out = qt.mul(a, b)
+    npt.assert_array_equal(out, _hamilton(a, b))
+    assert out.shape == np.broadcast_shapes(shape1, shape2)
+    assert out.flags.c_contiguous
+
+
+def test_mul_accepts_non_contiguous_operands():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 6)).T     # (6, 4), Fortran-ordered
+    b = rng.standard_normal((6, 8))[:, ::2]
+    out = qt.mul(a, b)
+    npt.assert_array_equal(out, _hamilton(a, b))
+    assert out.flags.c_contiguous
+
+
 def test_norm_multiplicative():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((200, 4))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from nks3 import verify
+from nks3 import isometries as iso, pointwise as pw, quat as qt, verify
 from nks3.errors import DomainError
+
+SQRT3 = math.sqrt(3.0)
 
 
 def test_structure_suite_passes():
@@ -35,6 +37,89 @@ def test_structure_suite_deterministic():
 def test_isometry_suite_passes():
     rep = verify.run_isometry_suite(seed=42, samples=50)
     assert rep.all_pass
+
+
+def _isometry_residuals_per_sample(seed, samples):
+    """The isometry suite's residuals, one sample at a time through the
+    single-point TangentVector API, with the suite's draw order."""
+    rng = np.random.default_rng(seed)
+    swap, twist = iso.factor_swap(), iso.conjugation_twist()
+    res = {}
+
+    def worst(cid, value):
+        res[cid] = max(res.get(cid, 0.0), float(value))
+
+    def gdist(z1, z2):
+        return pw.g_norm(pw.TangentVector(z1.at, z1.u - z2.u, z1.v - z2.v))
+
+    def negated(z):
+        return pw.TangentVector(z.at, -z.u, -z.v)
+
+    for _ in range(samples):
+        at = pw.random_point(rng)
+        z = pw.random_tangent(rng, at)
+        z2 = pw.random_tangent(rng, at)
+        trans = iso.two_sided_translation(*(qt.sample_unit(rng) for _ in range(3)))
+        for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
+            d1, d2 = m.differential(z), m.differential(z2)
+            worst("pullback-" + name, abs(pw.metric_g(d1, d2) - pw.metric_g(z, z2)))
+            fd = iso.differential_fd(m, z)
+            worst("differential-vs-fd", np.max(np.abs(fd.u - d1.u)))
+            worst("differential-vs-fd", np.max(np.abs(fd.v - d1.v)))
+        for name, m in (("swap", swap), ("twist", twist)):
+            worst(name + "-J-anticommute", gdist(
+                m.differential(pw.apply_J(z)), negated(pw.apply_J(m.differential(z)))))
+        worst("swap-P-commute", gdist(swap.differential(pw.apply_P(z)),
+                                      pw.apply_P(swap.differential(z))))
+        dz = twist.differential(z)
+        pdz = pw.apply_P(dz)
+        jpdz = pw.apply_J(pdz)
+        target = pw.TangentVector(dz.at, -0.5 * pdz.u + (SQRT3 / 2.0) * jpdz.u,
+                                  -0.5 * pdz.v + (SQRT3 / 2.0) * jpdz.v)
+        worst("twist-P-twist", gdist(twist.differential(pw.apply_P(z)), target))
+
+    for _ in range(samples):
+        pt = pw.AmbientPoint(qt.sample_unit(rng), qt.sample_unit(rng))
+        a, b, c = (qt.sample_unit(rng) for _ in range(3))
+
+        def dist(x, y):
+            return max(np.max(np.abs(x.p - y.p)), np.max(np.abs(x.q - y.q)))
+
+        worst("swap-involution", dist(swap.apply(swap.apply(pt)), pt))
+        worst("twist-involution", dist(twist.apply(twist.apply(pt)), pt))
+        t_abc = iso.two_sided_translation(a, b, c)
+        worst("translation-through-swap", dist(
+            t_abc.apply(swap.apply(pt)),
+            swap.apply(iso.two_sided_translation(b, a, c).apply(pt))))
+        worst("translation-through-twist", dist(
+            t_abc.apply(twist.apply(pt)),
+            twist.apply(iso.two_sided_translation(c, b, a).apply(pt))))
+    return res
+
+
+def test_isometry_suite_matches_per_sample_recomputation_bitwise():
+    rep = verify.run_isometry_suite(seed=11, samples=30)
+    expected = _isometry_residuals_per_sample(11, 30)
+    assert {c.check_id: c.max_residual for c in rep.checks} == expected
+
+
+def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
+    # the suite evaluates each identity once over the batch, so the number
+    # of quaternion products does not grow with the sample count
+    calls = []
+    mul = qt.mul
+
+    def counting_mul(q1, q2):
+        calls.append(1)
+        return mul(q1, q2)
+
+    monkeypatch.setattr(qt, "mul", counting_mul)
+    counts = []
+    for samples in (10, 40):
+        calls.clear()
+        verify.run_isometry_suite(seed=3, samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_hypersurface_suite_single_family():
