@@ -53,17 +53,23 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _family_params(args) -> dict:
-    if args.family in hs.THREE_CURVATURE_FAMILIES:
-        if args.r is None:
-            raise DomainError(f"family {args.family} requires --r")
-        if args.r < MIN_SWEEP_R or args.r > 1.0:
+def _family_params(family: str, r=None, k=None, l=None) -> dict:
+    """The `hs.make_example` parameters from the values given on the command
+    line.  Every given value is kept, so `make_example` rejects one that the
+    family does not take; for m4..m6 an omitted l is sqrt(1 - k^2)."""
+    if family in hs.THREE_CURVATURE_FAMILIES:
+        if r is None:
+            raise DomainError(f"family {family} requires --r")
+        if not MIN_SWEEP_R <= r <= 1.0:
             raise DomainError(f"r must lie in [{MIN_SWEEP_R}, 1]")
-        return {"r": args.r}
-    if args.k is None:
-        raise DomainError(f"family {args.family} requires --k (and optionally --l)")
-    l = args.l if args.l is not None else math.sqrt(max(0.0, 1.0 - args.k ** 2))
-    return {"k": args.k, "l": l}
+    else:
+        if k is None:
+            raise DomainError(f"family {family} requires --k (and optionally --l)")
+        if not 0.0 < k < 1.0:
+            raise DomainError("k must lie in (0, 1)")
+        if l is None:
+            l = math.sqrt(1.0 - k * k)
+    return {name: v for name, v in (("r", r), ("k", k), ("l", l)) if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +110,24 @@ def cmd_verify(args) -> int:
 def _report_dict(family: str, params: dict, u, rep: hs.SpectralReport,
                  data: hs.HypersurfacePointData) -> dict:
     try:
-        pxi_class = hs.classify_normal_action(rep)
+        pxi_class = hs.classify_normal_action(data)
     except PreconditionError:
         pxi_class = None
     return {
         "family": family,
         **params,
         "at": [float(x) for x in u],
-        "alpha": rep.alpha,
+        "alpha": data.alpha,
         "eigenvalues": [float(v) for v in rep.eigenvalues],
         "multiplicities": list(rep.multiplicities),
         "trace_A": rep.trace,
         "mean_curvature": rep.mean_curvature,
-        "hopf_residual": rep.hopf_residual,
+        "hopf_residual": data.hopf_residual,
         "shape_symmetry_residual": data.symmetry_residual,
         "dim_distribution": rep.dim_distribution,
-        "a": rep.a,
-        "b": rep.b,
-        "c": rep.c,
+        "a": data.a,
+        "b": data.b,
+        "c": data.c,
         "theta": rep.theta,
         "pxi_class": pxi_class,
     }
@@ -129,7 +135,7 @@ def _report_dict(family: str, params: dict, u, rep: hs.SpectralReport,
 
 def cmd_analyze(args) -> int:
     seed = _resolve_seed(args)
-    params = _family_params(args)
+    params = _family_params(args.family, args.r, args.k, args.l)
     M = hs.make_example(args.family, **params)
     if args.at is not None:
         u = np.asarray(args.at, dtype=float)
@@ -151,33 +157,26 @@ def _sweep_rows(args, seed: int):
     rng = np.random.default_rng(seed)
     rows = []
     worst_spread = 0.0
-    if args.family in hs.THREE_CURVATURE_FAMILIES:
-        if not args.r_values:
-            raise DomainError("sweep over m1..m3 requires --r with a comma list")
-        grid = [{"r": r} for r in args.r_values]
-    else:
-        if not args.k_values:
-            raise DomainError("sweep over m4..m6 requires --k with a comma list")
-        grid = [
-            {"k": k, "l": math.sqrt(max(0.0, 1.0 - k * k))} for k in args.k_values
-        ]
+    if args.family in hs.THREE_CURVATURE_FAMILIES and not args.r_values:
+        raise DomainError("sweep over m1..m3 requires --r with a comma list")
+    if args.family in hs.FIVE_CURVATURE_FAMILIES and not args.k_values:
+        raise DomainError("sweep over m4..m6 requires --k with a comma list")
+    grid = [_family_params(args.family, r, k)
+            for r in args.r_values or [None] for k in args.k_values or [None]]
     for params in grid:
-        if "r" in params and not MIN_SWEEP_R <= params["r"] <= 1.0:
-            raise DomainError(f"r must lie in [{MIN_SWEEP_R}, 1]")
-        if "k" in params and not 0.0 < params["k"] < 1.0:
-            raise DomainError("k must lie in (0, 1)")
         M = hs.make_example(args.family, **params)
         spectra = []
         thetas = []
         classes = set()
         for _ in range(args.samples):
             u = hs.random_chart_point(rng)
-            rep = hs.spectral_report(hs.analyze_point(M, u))
+            data = hs.analyze_point(M, u)
+            rep = hs.spectral_report(data)
             spectra.append(rep.eigenvalues)
             if rep.theta is not None:
                 thetas.append(rep.theta)
             try:
-                classes.add(hs.classify_normal_action(rep))
+                classes.add(hs.classify_normal_action(data))
             except PreconditionError:
                 classes.add("UNDEFINED")
         spectra = np.stack(spectra)

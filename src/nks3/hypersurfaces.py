@@ -48,9 +48,11 @@ import numpy as np
 from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
 from .frames import (
+    curvature_closed_form,
     frame_coords_components,
     frame_to_r8,
     g_inner,
+    g_norm,
     get_tables,
     r8_to_frame,
     tensor_G,
@@ -294,9 +296,7 @@ class HypersurfacePointData:
         return (self.tangent_components(w6) @ self.shape) @ self.tangent_frame
 
     def apply_phi(self, w6: np.ndarray) -> np.ndarray:
-        t = get_tables()
-        jw = t.J @ w6
-        return jw - float(jw @ t.g @ self.xi) * self.xi
+        return self.tangential(get_tables().J @ w6)
 
 
 def _gram(T: np.ndarray) -> np.ndarray:
@@ -463,12 +463,7 @@ class SpectralReport:
     cluster_means: tuple
     trace: float
     mean_curvature: float
-    alpha: float
-    hopf_residual: float
     dim_distribution: int          # 2 or 4
-    a: float
-    b: float
-    c: float
     theta: Optional[float]
     # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
     # eigenvectors; well conditioned at theta = 1 where the square root of
@@ -494,7 +489,7 @@ def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
             x2 = cols[:, 1] @ data.tangent_frame
             theta = float(abs(x1 @ t.g @ (t.J @ x2)))
             jx1 = t.J @ x1
-            theta_sine = _gnorm(jx1 - float(jx1 @ t.g @ x2) * x2)
+            theta_sine = float(g_norm(t, jx1 - float(jx1 @ t.g @ x2) * x2))
             break
 
     trace = float(np.sum(evals))
@@ -504,12 +499,7 @@ def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
         cluster_means=means,
         trace=trace,
         mean_curvature=trace / 5.0,
-        alpha=data.alpha,
-        hopf_residual=data.hopf_residual,
         dim_distribution=2 if data.c <= DIM_TOL else 4,
-        a=data.a,
-        b=data.b,
-        c=data.c,
         theta=theta,
         theta_sine=theta_sine,
     )
@@ -522,40 +512,35 @@ _CLASS_TABLE = (
 )
 
 
-def classify_normal_action(report) -> str:
+def classify_normal_action(data: HypersurfacePointData) -> str:
     """Which of the three product-structure actions the normal realizes.
 
-    Accepts any object with attributes a, b, c (a point analysis or a
-    spectral report).  Defined only when P xi lies in span(xi, U), that
-    is when the canonical distribution spanned by xi, U and their images
-    under P is 2-dimensional.
+    Reads the coefficients a, b, c of P xi from the point data.  Defined
+    only when P xi lies in span(xi, U), that is when the canonical
+    distribution spanned by xi, U and their images under P is
+    2-dimensional.
     """
-    if report.c > DIM_TOL:
+    if data.c > DIM_TOL:
         raise PreconditionError(
             "normal-action classes are defined only when P xi lies in span(xi, U)"
         )
     for name, a0, b0 in _CLASS_TABLE:
-        if abs(report.a - a0) <= CLASS_TOL and abs(report.b - b0) <= CLASS_TOL:
+        if abs(data.a - a0) <= CLASS_TOL and abs(data.b - b0) <= CLASS_TOL:
             return name
     return OTHER
 
 
-def normal_action_residual(report, name: str) -> float:
-    """Distance of (a, b) from the named class."""
+def normal_action_residual(data: HypersurfacePointData, name: str) -> float:
+    """Distance of the point data's (a, b) from the named class."""
     for cname, a0, b0 in _CLASS_TABLE:
         if cname == name:
-            return max(abs(report.a - a0), abs(report.b - b0))
+            return max(abs(data.a - a0), abs(data.b - b0))
     raise DomainError(f"unknown class {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
-
-def _gnorm(w6) -> float:
-    t = get_tables()
-    return math.sqrt(max(float(w6 @ t.g @ w6), 0.0))
-
 
 def _ambient_correction(t, x6, w6):
     """(J G(X, P W) + J G(W, P X)) / 2, the flat-vs-frame connection gap;
@@ -565,12 +550,16 @@ def _ambient_correction(t, x6, w6):
     )
 
 
-def _induced_derivative(data: HypersurfacePointData, x6, field_center,
+def _induced_derivative(at: AmbientPoint, xi, x6, field_center,
                         d_field_r8) -> np.ndarray:
-    """Induced covariant derivative at the center from a flat field derivative."""
+    """Induced covariant derivative along x6 of a field, from its flat
+    derivative d_field_r8 (..., 8) and its value field_center at the point
+    at with unit normal xi: tangent projection to frame coefficients, minus
+    the flat-vs-frame connection gap, minus the normal component.
+    Broadcasts over a batch of points."""
     t = get_tables()
-    nablaE = r8_to_frame(data.point, d_field_r8)
-    return data.tangential(nablaE - _ambient_correction(t, x6, field_center))
+    nabla = r8_to_frame(at, d_field_r8) - _ambient_correction(t, x6, field_center)
+    return nabla - g_inner(t, nabla, xi)[..., None] * xi
 
 
 def reeb_transport_residual(M: Immersion, u, x5, h: float = NORMAL_H,
@@ -590,14 +579,15 @@ def reeb_transport_residual(M: Immersion, u, x5, h: float = NORMAL_H,
     xi, _ = _aligned(xi, frame_to_r8(pts, xi), data.xi_r8)
     reeb8 = frame_to_r8(pts, -(xi @ t.J.T))
     du8 = (reeb8[0] - reeb8[1]) / (2.0 * h)
-    lhs = _induced_derivative(data, X, data.structure_vector, du8)
+    lhs = _induced_derivative(data.point, data.xi, X, data.structure_vector, du8)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
-    return _gnorm(lhs - rhs)
+    return float(g_norm(t, lhs - rhs))
 
 
 def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
                      data: Optional[HypersurfacePointData] = None) -> float:
-    """Residual of the Codazzi relation for the shape operator."""
+    """Residual of the Codazzi relation (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T,
+    with the ambient curvature R from `frames.curvature_closed_form`."""
     t = get_tables()
     if data is None:
         data = analyze_point(M, u)
@@ -619,27 +609,11 @@ def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
     comps = np.einsum("mic,cd,md->mi", w.frame, t.g, w6)
     shaped8 = frame_to_r8(AmbientPoint(w.p, w.q),
                           np.einsum("mi,mij,mjc->mc", comps, A, w.frame))
-    lhs = _induced_derivative(
-        data, X, data.apply_shape(Y), (shaped8[0] - shaped8[1]) / (2.0 * h)
-    ) - _induced_derivative(
-        data, Y, data.apply_shape(X), (shaped8[2] - shaped8[3]) / (2.0 * h)
-    )
-
-    g = t.g
-    xi, uvec = data.xi, data.structure_vector
-    px, py = t.P @ X, t.P @ Y
-    jpx, jpy = t.J @ px, t.J @ py
-    rhs = (1.0 / 12.0) * (
-        float(X @ g @ uvec) * data.apply_phi(Y)
-        - float(Y @ g @ uvec) * data.apply_phi(X)
-        - 2.0 * float((t.J @ X) @ g @ Y) * uvec
-    ) + (1.0 / 3.0) * (
-        float(px @ g @ xi) * data.tangential(py)
-        - float(py @ g @ xi) * data.tangential(px)
-        + float(px @ g @ uvec) * data.tangential(jpy)
-        - float(py @ g @ uvec) * data.tangential(jpx)
-    )
-    return _gnorm(lhs - rhs)
+    d8 = (shaped8[0::2] - shaped8[1::2]) / (2.0 * h)
+    lhs = (_induced_derivative(data.point, data.xi, X, data.apply_shape(Y), d8[0])
+           - _induced_derivative(data.point, data.xi, Y, data.apply_shape(X), d8[1]))
+    rhs = -data.tangential(curvature_closed_form(t, X, Y, data.xi))
+    return float(g_norm(t, lhs - rhs))
 
 
 def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
@@ -651,18 +625,15 @@ def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
     combinations of the coordinate pushforwards.  One chart call covers
     each point and its two neighbours along its velocity.
     """
-    t = get_tables()
     stencil = np.stack([primes, primes + h * vels, primes - h * vels], axis=1)
     p, q, T = _chart_data(M, stencil)
     T_p = T[:, 0]
-    xi_p = _unit_normal(T_p)
     fields = frame_to_r8(AmbientPoint(p[:, 1:], q[:, 1:]), arg_chart @ T[:, 1:])
     at = AmbientPoint(p[:, 0], q[:, 0])
-    nablaE = r8_to_frame(at, (fields[:, 0] - fields[:, 1]) / (2.0 * h))
     v6 = np.einsum("ma,mac->mc", vels, T_p)
-    nabla_amb = nablaE - _ambient_correction(t, v6, arg_chart @ T_p)
-    nabla_ind = nabla_amb - g_inner(t, nabla_amb, xi_p)[:, None] * xi_p
-    return frame_to_r8(at, nabla_ind)
+    d8 = (fields[:, 0] - fields[:, 1]) / (2.0 * h)
+    return frame_to_r8(at, _induced_derivative(at, _unit_normal(T_p), v6,
+                                               arg_chart @ T_p, d8))
 
 
 def _induced_curvature(M: Immersion, u, data: HypersurfacePointData,
@@ -681,14 +652,17 @@ def _induced_curvature(M: Immersion, u, data: HypersurfacePointData,
 
     def second_derivative(f, outer6):
         center = r8_to_frame(data.point, f[2])
-        return _induced_derivative(data, outer6, center, (f[0] - f[1]) / (2.0 * h))
+        return _induced_derivative(data.point, data.xi, outer6, center,
+                                   (f[0] - f[1]) / (2.0 * h))
 
     return second_derivative(fields[0], X) - second_derivative(fields[1], Y)
 
 
 def gauss_residual(M: Immersion, u, x5, y5, z5, h: float = 1e-4,
                    data: Optional[HypersurfacePointData] = None) -> float:
-    """Residual of the Gauss relation between induced and ambient curvature."""
+    """Residual of the Gauss relation between induced and ambient curvature,
+    R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y, with the
+    ambient curvature R from `frames.curvature_closed_form`."""
     t = get_tables()
     if data is None:
         data = analyze_point(M, u)
@@ -704,29 +678,11 @@ def gauss_residual(M: Immersion, u, x5, y5, z5, h: float = 1e-4,
     zchart = z5 @ data.chart_weights
 
     lhs = _induced_curvature(M, u, data, xchart, ychart, zchart, X, Y, h)
-
-    g = t.g
-    jx, jy = t.J @ X, t.J @ Y
-    px, py = t.P @ X, t.P @ Y
-    jpx, jpy = t.J @ px, t.J @ py
     az = data.apply_shape(Z)
-    rhs = (
-        (5.0 / 12.0) * (float(Y @ g @ Z) * X - float(X @ g @ Z) * Y)
-        + (1.0 / 12.0) * (
-            float(jy @ g @ Z) * data.apply_phi(X)
-            - float(jx @ g @ Z) * data.apply_phi(Y)
-            - 2.0 * float(jx @ g @ Y) * data.apply_phi(Z)
-        )
-        + (1.0 / 3.0) * (
-            float(py @ g @ Z) * data.tangential(px)
-            - float(px @ g @ Z) * data.tangential(py)
-            + float(jpy @ g @ Z) * data.tangential(jpx)
-            - float(jpx @ g @ Z) * data.tangential(jpy)
-        )
-        + float(az @ g @ Y) * data.apply_shape(X)
-        - float(az @ g @ X) * data.apply_shape(Y)
-    )
-    return _gnorm(lhs - rhs)
+    rhs = (data.tangential(curvature_closed_form(t, X, Y, Z))
+           + float(az @ t.g @ Y) * data.apply_shape(X)
+           - float(az @ t.g @ X) * data.apply_shape(Y))
+    return float(g_norm(t, lhs - rhs))
 
 
 def hopf_identity_residual(M: Immersion, u, x5, y5,

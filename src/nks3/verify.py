@@ -28,12 +28,10 @@ from .frames import (
     curvature,
     curvature_closed_form,
     frame_coords_components,
-    frame_to_r8,
     g_inner,
     g_norm,
     get_tables,
     nabla,
-    r8_to_frame,
     tensor_G,
 )
 
@@ -476,31 +474,34 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     add("eigenvalue-constancy",
         "principal curvatures constant across sample points", spread, 1e-6)
 
+    # normal action, and for the round-sphere families the moduli relations
+    # and leaf geometry, at up to three further points
+    worst_cls = worst_theta = worst_prod = worst_leaf = 0.0
+    classes = set()
+    rng2 = np.random.default_rng(seed + 1)
+    for _ in range(min(samples, 3)):
+        u = hs.random_chart_point(rng2)
+        data = hs.analyze_point(M, u)
+        if not three_family:
+            classes.add(hs.classify_normal_action(data))
+            continue
+        worst_cls = max(worst_cls, hs.normal_action_residual(data, EXPECTED_CLASS[family]))
+        tc = hs.theta_r_consistency(M, u, data=data)
+        worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
+        worst_prod = max(worst_prod, tc.product_residual)
+        lg = hs.leaf_geometry(M, u, theta=tc.theta, data=data)
+        worst_leaf = max(
+            worst_leaf,
+            lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
+            abs(lg.sphere3_sectional - 0.75),
+            lg.sphere2_metric_residual * 1e3,
+            lg.sphere2_curvature_residual * 1e3,
+        )
+
     if three_family:
         r = params["r"]
-        cls_expect = EXPECTED_CLASS[family]
-        worst_cls = 0.0
-        worst_theta = 0.0
-        worst_prod = 0.0
-        worst_leaf = 0.0
-        rng2 = np.random.default_rng(seed + 1)
-        for _ in range(min(samples, 3)):
-            u = hs.random_chart_point(rng2)
-            data = hs.analyze_point(M, u)
-            rep = hs.spectral_report(data)
-            worst_cls = max(worst_cls, hs.normal_action_residual(rep, cls_expect))
-            tc = hs.theta_r_consistency(M, u, data=data)
-            worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
-            worst_prod = max(worst_prod, tc.product_residual)
-            lg = hs.leaf_geometry(M, u, theta=rep.theta, data=data)
-            worst_leaf = max(
-                worst_leaf,
-                lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
-                abs(lg.sphere3_sectional - 0.75),
-                lg.sphere2_metric_residual * 1e3,
-                lg.sphere2_curvature_residual * 1e3,
-            )
-        add("normal-action", f"normal-action class {cls_expect}", worst_cls, 1e-6)
+        add("normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
+            worst_cls, 1e-6)
         add("theta-r",
             "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
             worst_theta, 1e-6)
@@ -515,13 +516,6 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             add("nonminimal-below-r1", "trace A bounded away from 0 for r < 1",
                 max(0.0, 0.1 - abs(trace)), 0.0)
     else:
-        worst_cls = 0.0
-        rng2 = np.random.default_rng(seed + 1)
-        classes = set()
-        for _ in range(min(samples, 3)):
-            u = hs.random_chart_point(rng2)
-            rep = hs.spectral_report(hs.analyze_point(M, u))
-            classes.add(hs.classify_normal_action(rep))
         add("normal-action-defined",
             "normal action falls in one consistent class",
             0.0 if len(classes) == 1 and hs.OTHER not in classes else 1.0, 0.0)

@@ -105,6 +105,20 @@ def test_negative_r_and_k_values_reach_the_domain_check(capsys):
     assert "k must lie" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--family", "m1", "--r", "0.6", "--k", "0.3", "--at", "0,0,0,0,0"],
+     "family m1 takes the single parameter r"),
+    (["analyze", "--family", "m4", "--k", "0.6", "--r", "0.5"],
+     "family m4 takes the parameter pair (k, l)"),
+    (["sweep", "--family", "m1", "--r", "0.5", "--k", "0.3"],
+     "family m1 takes the single parameter r"),
+])
+def test_parameter_the_family_does_not_take_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_analyze_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("NKS3_SEED", "5")
     code, out_env, _ = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6"])
