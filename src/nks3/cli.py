@@ -42,15 +42,16 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NKS3_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("NKS3_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise DomainError(f"NKS3_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _family_params(family: str, r=None, k=None, l=None) -> dict:
@@ -107,7 +108,7 @@ def cmd_verify(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _report_dict(family: str, params: dict, u, rep: hs.SpectralReport,
+def _report_dict(family: str, params: dict, rep: hs.SpectralReport,
                  data: hs.HypersurfacePointData) -> dict:
     try:
         pxi_class = hs.classify_normal_action(data)
@@ -116,7 +117,7 @@ def _report_dict(family: str, params: dict, u, rep: hs.SpectralReport,
     return {
         "family": family,
         **params,
-        "at": [float(x) for x in u],
+        "at": [float(x) for x in data.u],
         "alpha": data.alpha,
         "eigenvalues": [float(v) for v in rep.eigenvalues],
         "multiplicities": list(rep.multiplicities),
@@ -141,9 +142,13 @@ def cmd_analyze(args) -> int:
         u = np.asarray(args.at, dtype=float)
     else:
         u = hs.random_chart_point(np.random.default_rng(seed))
-    data = hs.analyze_point(M, u)
-    rep = hs.spectral_report(data)
-    print(json.dumps(_report_dict(args.family, params, u, rep, data), indent=2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            data = hs.analyze_point(M, u)
+            rep = hs.spectral_report(data)
+    except FloatingPointError as exc:
+        raise DomainError(f"chart point {u.tolist()} is out of range: {exc}") from exc
+    print(json.dumps(_report_dict(args.family, params, rep, data), indent=2))
     return EXIT_OK
 
 

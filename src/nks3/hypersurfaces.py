@@ -262,8 +262,11 @@ def spectra_match(computed, reference) -> float:
 
 @dataclass
 class HypersurfacePointData:
-    """Frame-coordinate hypersurface apparatus at one chart point."""
+    """Frame-coordinate hypersurface apparatus at one chart point; the one
+    handle every identity residual below takes."""
 
+    immersion: Immersion
+    u: np.ndarray                # (5,) chart point, read-only copy
     point: AmbientPoint
     push_coords: np.ndarray      # (5, 6) chart pushforwards
     tangent_frame: np.ndarray    # (5, 6) rows g-orthonormal
@@ -379,7 +382,8 @@ def _weingarten(M: Immersion, centres, h: float, ref_normal_r8=None) -> _Weingar
 def analyze_point(M: Immersion, u, h: float = NORMAL_H,
                   ref_normal_r8: Optional[np.ndarray] = None) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at chart point u."""
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
+    u.flags.writeable = False
     t = get_tables()
     p, q, T, frame, W, xi, xi8, A = (
         a[0] for a in _weingarten(M, u[None], h, ref_normal_r8))
@@ -417,6 +421,8 @@ def analyze_point(M: Immersion, u, h: float = NORMAL_H,
     c_coef = math.sqrt(max(float(rem @ t.g @ rem), 0.0))
 
     return HypersurfacePointData(
+        immersion=M,
+        u=u,
         point=AmbientPoint(p, q),
         push_coords=T,
         tangent_frame=frame,
@@ -562,18 +568,17 @@ def _induced_derivative(at: AmbientPoint, xi, x6, field_center,
     return nabla - g_inner(t, nabla, xi)[..., None] * xi
 
 
-def reeb_transport_residual(M: Immersion, u, x5, h: float = NORMAL_H,
-                            data: Optional[HypersurfacePointData] = None) -> float:
+def reeb_transport_residual(data: HypersurfacePointData, x5,
+                            h: float = NORMAL_H) -> float:
     """Residual of the structure-vector transport law D_X U = phi A X - G(X, xi)."""
     t = get_tables()
-    if data is None:
-        data = analyze_point(M, u)
-    u = np.asarray(u, dtype=float)
     x5 = np.asarray(x5, dtype=float)
     X = data.from_components(x5)
     chart_vel = x5 @ data.chart_weights
+    u = data.u
 
-    p, q, T = _chart_data(M, np.stack([u + h * chart_vel, u - h * chart_vel]))
+    p, q, T = _chart_data(data.immersion,
+                          np.stack([u + h * chart_vel, u - h * chart_vel]))
     pts = AmbientPoint(p, q)
     xi = _unit_normal(T)
     xi, _ = _aligned(xi, frame_to_r8(pts, xi), data.xi_r8)
@@ -584,14 +589,11 @@ def reeb_transport_residual(M: Immersion, u, x5, h: float = NORMAL_H,
     return float(g_norm(t, lhs - rhs))
 
 
-def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
-                     data: Optional[HypersurfacePointData] = None) -> float:
+def codazzi_residual(data: HypersurfacePointData, x5, y5,
+                     h: float = 1e-4) -> float:
     """Residual of the Codazzi relation (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T,
     with the ambient curvature R from `frames.curvature_closed_form`."""
     t = get_tables()
-    if data is None:
-        data = analyze_point(M, u)
-    u = np.asarray(u, dtype=float)
     x5 = np.asarray(x5, dtype=float)
     y5 = np.asarray(y5, dtype=float)
     X = data.from_components(x5)
@@ -601,8 +603,9 @@ def codazzi_residual(M: Immersion, u, x5, y5, h: float = 1e-4,
 
     # the shape operator along both chart lines, from the stencils of the
     # four neighbouring points in one chart call
+    u = data.u
     centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart])
-    w = _weingarten(M, centres, NORMAL_H, data.xi_r8)
+    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi_r8)
     A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
     args = np.stack([ychart, ychart, xchart, xchart])
     w6 = np.einsum("ma,mac->mc", args, w.T)
@@ -636,48 +639,46 @@ def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
                                                arg_chart @ T_p, d8))
 
 
-def _induced_curvature(M: Immersion, u, data: HypersurfacePointData,
-                       xchart, ychart, zchart, X, Y,
+def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
                        h: float) -> np.ndarray:
-    """R(X, Y) Z of the induced connection, two stacked central differences.
+    """R(X, Y) Z of the induced connection, two stacked central differences,
+    for X, Y, Z given by their tangent-frame components x5, y5, z5.
 
-    The inner derivatives along Y (and X) are taken at u and at its two
-    neighbours along X (and Y): six points with three chart points each,
-    evaluated in one chart call.
+    The inner derivatives along Y (and X) are taken at the point and at its
+    two neighbours along X (and Y): six points with three chart points
+    each, evaluated in one chart call.
     """
+    xchart, ychart, zchart = (v @ data.chart_weights for v in (x5, y5, z5))
+    u = data.u
     primes = np.stack([u + h * xchart, u - h * xchart, u,
                        u + h * ychart, u - h * ychart, u])
     vels = np.stack([ychart] * 3 + [xchart] * 3)
-    fields = _covariant_fields_r8(M, primes, vels, zchart, h).reshape(2, 3, 8)
+    fields = _covariant_fields_r8(data.immersion, primes, vels, zchart,
+                                  h).reshape(2, 3, 8)
 
     def second_derivative(f, outer6):
         center = r8_to_frame(data.point, f[2])
         return _induced_derivative(data.point, data.xi, outer6, center,
                                    (f[0] - f[1]) / (2.0 * h))
 
-    return second_derivative(fields[0], X) - second_derivative(fields[1], Y)
+    return (second_derivative(fields[0], data.from_components(x5))
+            - second_derivative(fields[1], data.from_components(y5)))
 
 
-def gauss_residual(M: Immersion, u, x5, y5, z5, h: float = 1e-4,
-                   data: Optional[HypersurfacePointData] = None) -> float:
+def gauss_residual(data: HypersurfacePointData, x5, y5, z5,
+                   h: float = 1e-4) -> float:
     """Residual of the Gauss relation between induced and ambient curvature,
     R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y, with the
     ambient curvature R from `frames.curvature_closed_form`."""
     t = get_tables()
-    if data is None:
-        data = analyze_point(M, u)
-    u = np.asarray(u, dtype=float)
     x5 = np.asarray(x5, dtype=float)
     y5 = np.asarray(y5, dtype=float)
     z5 = np.asarray(z5, dtype=float)
     X = data.from_components(x5)
     Y = data.from_components(y5)
     Z = data.from_components(z5)
-    xchart = x5 @ data.chart_weights
-    ychart = y5 @ data.chart_weights
-    zchart = z5 @ data.chart_weights
 
-    lhs = _induced_curvature(M, u, data, xchart, ychart, zchart, X, Y, h)
+    lhs = _induced_curvature(data, x5, y5, z5, h)
     az = data.apply_shape(Z)
     rhs = (data.tangential(curvature_closed_form(t, X, Y, Z))
            + float(az @ t.g @ Y) * data.apply_shape(X)
@@ -685,13 +686,10 @@ def gauss_residual(M: Immersion, u, x5, y5, z5, h: float = 1e-4,
     return float(g_norm(t, lhs - rhs))
 
 
-def hopf_identity_residual(M: Immersion, u, x5, y5,
-                           data: Optional[HypersurfacePointData] = None) -> float:
+def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> float:
     """Residual of the pointwise identity tying A, phi and G on the
     structure-vector complement of a Hopf hypersurface."""
     t = get_tables()
-    if data is None:
-        data = analyze_point(M, u)
     if data.hopf_residual > HOPF_TOL:
         raise PreconditionError("point fails the Hopf condition")
     x5 = np.asarray(x5, dtype=float)
@@ -733,8 +731,7 @@ class ThetaConsistency:
     product_residual: float
 
 
-def theta_r_consistency(M: Immersion, u,
-                        data: Optional[HypersurfacePointData] = None) -> ThetaConsistency:
+def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     """Consistency of the eigenspace invariant theta with the modulus r.
 
     Checks r = sqrt(3) theta / sqrt(1 + 2 theta^2), the closed forms
@@ -743,11 +740,10 @@ def theta_r_consistency(M: Immersion, u,
     sqrt(1 - theta^2) is the spectral report's `theta_sine`, so the closed
     forms keep full accuracy at r = 1, where theta = 1.
     """
+    M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    if data is None:
-        data = analyze_point(M, u)
     rep = spectral_report(data)
     if rep.theta is None or rep.multiplicities.count(2) != 2:
         raise DegenerateImmersionError("no two-dimensional principal eigenspaces")
@@ -773,8 +769,7 @@ class LeafGeometry:
     sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
-def leaf_geometry(M: Immersion, u, theta: Optional[float] = None,
-                  data: Optional[HypersurfacePointData] = None) -> LeafGeometry:
+def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     """Geometry of the two product-factor leaves through a chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
@@ -784,13 +779,11 @@ def leaf_geometry(M: Immersion, u, theta: Optional[float] = None,
     3 / (4 r^2), which in terms of the eigenspace invariant theta reads
     (1 + 2 theta^2) / (4 theta^2).
     """
+    M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("leaf geometry applies to m1, m2, m3")
     t = get_tables()
     r = M.params[0]
-    u = np.asarray(u, dtype=float)
-    if data is None:
-        data = analyze_point(M, u)
     gram = data.push_coords @ t.g @ data.push_coords.T
 
     # round-metric reference grams come from the base chart; the induced
@@ -806,15 +799,10 @@ def leaf_geometry(M: Immersion, u, theta: Optional[float] = None,
     x5 = comp[:, 0] / np.linalg.norm(comp[:, 0])
     y5 = comp[:, 1] - float(comp[:, 1] @ x5) * x5
     y5 = y5 / np.linalg.norm(y5)
-    X = data.from_components(x5)
-    Y = data.from_components(y5)
-    xchart = x5 @ data.chart_weights
-    ychart = y5 @ data.chart_weights
-    riem = _induced_curvature(M, u, data, xchart, ychart, ychart, X, Y, 1e-4)
-    sec3 = float(riem @ t.g @ X)
+    riem = _induced_curvature(data, x5, y5, y5, 1e-4)
+    sec3 = float(riem @ t.g @ data.from_components(x5))
 
-    if theta is None:
-        theta = spectral_report(data).theta
+    theta = spectral_report(data).theta
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = abs(k2 - 3.0 / (4.0 * r * r))
     return LeafGeometry(res3, res2, sec3, res_k2)

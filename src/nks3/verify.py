@@ -348,6 +348,27 @@ DEFAULT_BATTERY = (
     ("m6", {"k": 0.6, "l": 0.8}),
 )
 
+# (check id, anchor, tolerance) of the hypersurface checks whose residual is
+# the worst over the samples, in report order; {pattern} in an anchor is the
+# family's expected multiplicity pattern
+_SAMPLE_CHECKS = (
+    ("hopf", "A U = alpha U (Hopf condition)", 1e-6),
+    ("alpha-zero", "alpha = 0 on the example families", 1e-6),
+    ("shape-symmetric", "shape operator symmetric in an orthonormal frame", 1e-6),
+    ("almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew", 1e-8),
+    ("spectrum-closed-form",
+     "principal curvatures match their closed forms up to one global sign", 1e-6),
+    ("multiplicity-pattern", "multiplicity pattern {pattern}", 0.0),
+    ("distribution-dim", "P xi lies in span(xi, U)", 1e-6),
+    ("P-preserves-complement",
+     "P maps the structure-vector complement to itself", 1e-8),
+    ("reeb-transport", "D_X U = phi A X - G(X, xi)", 1e-5),
+    ("gauss", "induced curvature matches the Gauss relation", 1e-3),
+    ("codazzi", "shape-operator derivative matches the Codazzi relation", 1e-3),
+    ("hopf-identity",
+     "pointwise identity tying A, phi, G on the structure-vector complement", 1e-5),
+)
+
 
 def run_hypersurface_suite(family: str, params: dict, seed: int,
                            samples: int) -> SuiteReport:
@@ -374,12 +395,11 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     three_family = family in hs.THREE_CURVATURE_FAMILIES
     expected_mult = (2, 1, 2) if three_family else (1, 1, 1, 1, 1)
 
-    worst = {
-        "hopf": 0.0, "alpha": 0.0, "symmetry": 0.0, "contact": 0.0,
-        "spectrum": 0.0, "multiplicity": 0.0, "distribution-dim": 0.0,
-        "reeb-orthogonal-P": 0.0, "reeb-transport": 0.0,
-        "codazzi": 0.0, "gauss": 0.0, "hopf-identity": 0.0,
-    }
+    worst = {cid: 0.0 for cid, _, _ in _SAMPLE_CHECKS}
+
+    def note(cid, residual):
+        worst[cid] = max(worst[cid], residual)
+
     spectra = []
     t = get_tables()
 
@@ -389,51 +409,36 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         rep = hs.spectral_report(data)
         spectra.append(rep.eigenvalues)
 
-        worst["hopf"] = max(worst["hopf"], data.hopf_residual)
-        worst["alpha"] = max(worst["alpha"], abs(data.alpha))
-        worst["symmetry"] = max(worst["symmetry"], data.symmetry_residual)
-        worst["spectrum"] = max(
-            worst["spectrum"], hs.spectra_match(rep.eigenvalues, expected)
-        )
-        if rep.multiplicities != expected_mult:
-            worst["multiplicity"] = 1.0
-        worst["distribution-dim"] = max(worst["distribution-dim"], data.c)
+        note("hopf", data.hopf_residual)
+        note("alpha-zero", abs(data.alpha))
+        note("shape-symmetric", data.symmetry_residual)
+        note("spectrum-closed-form", hs.spectra_match(rep.eigenvalues, expected))
+        note("multiplicity-pattern", float(rep.multiplicities != expected_mult))
+        note("distribution-dim", data.c)
 
         # almost contact relations in the orthonormal tangent frame
         phi, eta = data.phi, data.eta
-        contact = max(
+        note("almost-contact", max(
             float(np.max(np.abs(phi @ phi + np.eye(5) - np.outer(eta, eta)))),
             float(np.max(np.abs(eta @ phi))),
             float(np.max(np.abs(phi + phi.T))),
-        )
-        worst["contact"] = max(worst["contact"], contact)
+        ))
 
         # P maps the structure-vector complement into itself
         basis = _structure_complement(data)
         for x5 in basis:
             px = t.P @ data.from_components(x5)
-            worst["reeb-orthogonal-P"] = max(
-                worst["reeb-orthogonal-P"],
-                abs(float(px @ t.g @ data.structure_vector)),
-            )
+            note("P-preserves-complement", abs(float(px @ t.g @ data.structure_vector)))
 
         x5 = _unit(rng.standard_normal(5))
         y5 = _unit(rng.standard_normal(5))
         z5 = _unit(rng.standard_normal(5))
-        worst["reeb-transport"] = max(
-            worst["reeb-transport"], hs.reeb_transport_residual(M, u, x5, data=data)
-        )
-        worst["codazzi"] = max(
-            worst["codazzi"], hs.codazzi_residual(M, u, x5, y5, data=data)
-        )
-        worst["gauss"] = max(
-            worst["gauss"], hs.gauss_residual(M, u, x5, y5, z5, data=data)
-        )
+        note("reeb-transport", hs.reeb_transport_residual(data, x5))
+        note("codazzi", hs.codazzi_residual(data, x5, y5))
+        note("gauss", hs.gauss_residual(data, x5, y5, z5))
         xp = _unit(basis[0] + 0.3 * basis[2])
         yp = _unit(basis[1] - 0.5 * basis[3])
-        worst["hopf-identity"] = max(
-            worst["hopf-identity"], hs.hopf_identity_residual(M, u, xp, yp, data=data)
-        )
+        note("hopf-identity", hs.hopf_identity_residual(data, xp, yp))
 
     spectra = np.stack(spectra)
     spread = float(np.max(np.ptp(spectra, axis=0)))
@@ -446,31 +451,8 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             CheckResult(label + ":" + cid, anchor, samples, _sanitize(residual), tol)
         )
 
-    add("hopf", "A U = alpha U (Hopf condition)", worst["hopf"], 1e-6)
-    add("alpha-zero", "alpha = 0 on the example families", worst["alpha"], 1e-6)
-    add("shape-symmetric", "shape operator symmetric in an orthonormal frame",
-        worst["symmetry"], 1e-6)
-    add("almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew",
-        worst["contact"], 1e-8)
-    add("spectrum-closed-form",
-        "principal curvatures match their closed forms up to one global sign",
-        worst["spectrum"], 1e-6)
-    add("multiplicity-pattern",
-        f"multiplicity pattern {expected_mult}", worst["multiplicity"], 0.0)
-    add("distribution-dim", "P xi lies in span(xi, U)",
-        worst["distribution-dim"], 1e-6)
-    add("P-preserves-complement",
-        "P maps the structure-vector complement to itself",
-        worst["reeb-orthogonal-P"], 1e-8)
-    add("reeb-transport", "D_X U = phi A X - G(X, xi)",
-        worst["reeb-transport"], 1e-5)
-    add("gauss", "induced curvature matches the Gauss relation",
-        worst["gauss"], 1e-3)
-    add("codazzi", "shape-operator derivative matches the Codazzi relation",
-        worst["codazzi"], 1e-3)
-    add("hopf-identity",
-        "pointwise identity tying A, phi, G on the structure-vector complement",
-        worst["hopf-identity"], 1e-5)
+    for cid, anchor, tol in _SAMPLE_CHECKS:
+        add(cid, anchor.format(pattern=expected_mult), worst[cid], tol)
     add("eigenvalue-constancy",
         "principal curvatures constant across sample points", spread, 1e-6)
 
@@ -486,10 +468,10 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             classes.add(hs.classify_normal_action(data))
             continue
         worst_cls = max(worst_cls, hs.normal_action_residual(data, EXPECTED_CLASS[family]))
-        tc = hs.theta_r_consistency(M, u, data=data)
+        tc = hs.theta_r_consistency(data)
         worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
         worst_prod = max(worst_prod, tc.product_residual)
-        lg = hs.leaf_geometry(M, u, theta=tc.theta, data=data)
+        lg = hs.leaf_geometry(data)
         worst_leaf = max(
             worst_leaf,
             lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance

@@ -177,19 +177,19 @@ def test_c09_hypersurface_identity_residuals():
             y5 = _unit(rng.standard_normal(5))
             z5 = _unit(rng.standard_normal(5))
             worst_reeb = max(
-                worst_reeb, hs.reeb_transport_residual(M, u, x5, data=d)
+                worst_reeb, hs.reeb_transport_residual(d, x5)
             )
             worst_codazzi = max(
-                worst_codazzi, hs.codazzi_residual(M, u, x5, y5, data=d)
+                worst_codazzi, hs.codazzi_residual(d, x5, y5)
             )
             worst_gauss = max(
-                worst_gauss, hs.gauss_residual(M, u, x5, y5, z5, data=d)
+                worst_gauss, hs.gauss_residual(d, x5, y5, z5)
             )
             eta = d.eta / np.linalg.norm(d.eta)
             xp = _unit(x5 - float(x5 @ eta) * eta)
             yp = _unit(y5 - float(y5 @ eta) * eta)
             worst_hopfid = max(
-                worst_hopfid, hs.hopf_identity_residual(M, u, xp, yp, data=d)
+                worst_hopfid, hs.hopf_identity_residual(d, xp, yp)
             )
     _report("C09a reeb-transport", worst_reeb, 1e-5)
     _report("C09b codazzi", worst_codazzi, 1e-3)
@@ -202,7 +202,7 @@ def test_c10_theta_r_relation():
     worst_theta = worst_prod = 0.0
     for r in (0.3, 0.6, 0.9, 1.0):
         M = hs.make_example("m1", r=r)
-        tc = hs.theta_r_consistency(M, hs.random_chart_point(rng))
+        tc = hs.theta_r_consistency(hs.analyze_point(M, hs.random_chart_point(rng)))
         worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
         worst_prod = max(worst_prod, tc.product_residual)
     _report("C10a theta-r-relation", worst_theta, 1e-6)

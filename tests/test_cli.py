@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,34 @@ def test_linear_algebra_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "structure", "--seed", "-1"],
+    ["analyze", "--family", "m1", "--r", "0.6", "--seed", "-3"],
+    ["sweep", "--family", "m3", "--r", "0.5", "--samples", "1", "--seed", "-2"],
+])
+def test_negative_seed_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: seed must be non-negative, got {argv[-1]}\n"
+
+
+def test_negative_seed_env_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NKS3_SEED", "-4")
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -4\n"
+
+
+def test_overflowing_chart_point_one_line_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
+                                       "--at", "1e300,0,0,0,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: chart point [1e+300, ")
+    assert err.count("\n") == 1

@@ -286,6 +286,21 @@ class TestNormalAction:
 
 
 class TestIdentityResiduals:
+    def test_point_data_keeps_its_own_chart_point(self):
+        M = hs.make_example("m1", r=0.6)
+        rng = np.random.default_rng(25)
+        u = hs.random_chart_point(rng)
+        x5 = _unit(rng.standard_normal(5))
+        y5 = _unit(rng.standard_normal(5))
+        d = hs.analyze_point(M, u)
+        before = hs.codazzi_residual(d, x5, y5)
+        kept = u.copy()
+        u += 0.3  # the caller reuses its array
+        assert d.immersion is M
+        npt.assert_array_equal(d.u, kept)
+        assert not d.u.flags.writeable
+        assert hs.codazzi_residual(d, x5, y5) == before
+
     def test_reeb_transport(self):
         rng = np.random.default_rng(12)
         for family, kw in [("m1", dict(r=0.6)), ("m4", dict(k=0.6, l=0.8))]:
@@ -293,9 +308,7 @@ class TestIdentityResiduals:
             u = hs.random_chart_point(rng)
             d = hs.analyze_point(M, u)
             for _ in range(3):
-                assert hs.reeb_transport_residual(
-                    M, u, _unit(rng.standard_normal(5)), data=d
-                ) <= 1e-5
+                assert hs.reeb_transport_residual(d, _unit(rng.standard_normal(5))) <= 1e-5
 
     def test_codazzi(self):
         rng = np.random.default_rng(13)
@@ -305,9 +318,9 @@ class TestIdentityResiduals:
             d = hs.analyze_point(M, u)
             x5 = _unit(rng.standard_normal(5))
             y5 = _unit(rng.standard_normal(5))
-            assert hs.codazzi_residual(M, u, x5, y5, data=d) <= 1e-3
+            assert hs.codazzi_residual(d, x5, y5) <= 1e-3
             # both sides are antisymmetric, so equal arguments give zero
-            assert hs.codazzi_residual(M, u, x5, x5, data=d) <= 1e-12
+            assert hs.codazzi_residual(d, x5, x5) <= 1e-12
 
     def test_gauss(self):
         rng = np.random.default_rng(14)
@@ -317,8 +330,8 @@ class TestIdentityResiduals:
         x5 = _unit(rng.standard_normal(5))
         y5 = _unit(rng.standard_normal(5))
         z5 = _unit(rng.standard_normal(5))
-        assert hs.gauss_residual(M, u, x5, y5, z5, data=d) <= 1e-3
-        assert hs.gauss_residual(M, u, x5, x5, z5, data=d) <= 1e-12
+        assert hs.gauss_residual(d, x5, y5, z5) <= 1e-3
+        assert hs.gauss_residual(d, x5, x5, z5) <= 1e-12
 
     def test_hopf_identity(self):
         rng = np.random.default_rng(15)
@@ -332,7 +345,7 @@ class TestIdentityResiduals:
                 x5 = _unit(v - (v @ eta) * eta)
                 w = rng.standard_normal(5)
                 y5 = _unit(w - (w @ eta) * eta)
-                assert hs.hopf_identity_residual(M, u, x5, y5, data=d) <= 1e-5
+                assert hs.hopf_identity_residual(d, x5, y5) <= 1e-5
 
     def test_hopf_identity_on_principal_directions(self):
         # equal eigenvector arguments reduce to the single-branch identity
@@ -344,7 +357,7 @@ class TestIdentityResiduals:
             x5 = evecs[:, idx]
             if abs(float(x5 @ d.eta)) > 1e-8:
                 continue
-            assert hs.hopf_identity_residual(M, u, x5, x5, data=d) <= 1e-5
+            assert hs.hopf_identity_residual(d, x5, x5) <= 1e-5
 
     def test_hopf_identity_rejects_non_orthogonal_arguments(self):
         M = hs.make_example("m1", r=0.6)
@@ -352,13 +365,14 @@ class TestIdentityResiduals:
         d = hs.analyze_point(M, u)
         x5 = d.eta / np.linalg.norm(d.eta)
         with pytest.raises(PreconditionError):
-            hs.hopf_identity_residual(M, u, x5, x5, data=d)
+            hs.hopf_identity_residual(d, x5, x5)
 
 
 class TestModuliRelations:
     def test_theta_at_r1(self):
         M = hs.make_example("m1", r=1.0)
-        tc = hs.theta_r_consistency(M, hs.random_chart_point(np.random.default_rng(17)))
+        tc = hs.theta_r_consistency(
+            hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(17))))
         assert tc.theta == pytest.approx(1.0, abs=1e-6)
         assert tc.r_residual <= 1e-6
         assert tc.product_residual <= 1e-8
@@ -371,16 +385,16 @@ class TestModuliRelations:
             for family in ("m1", "m2", "m3"):
                 M = hs.make_example(family, r=1.0)
                 u = hs.random_chart_point(rng)
-                tc = hs.theta_r_consistency(M, u)
+                tc = hs.theta_r_consistency(hs.analyze_point(M, u))
                 assert max(tc.r_residual, tc.spectrum_residual) < 1e-10, (seed, family)
 
     def test_theta_at_r06(self):
         # inverting r = sqrt(3) theta / sqrt(1 + 2 theta^2) at r = 0.6
         M = hs.make_example("m1", r=0.6)
-        tc = hs.theta_r_consistency(M, hs.random_chart_point(np.random.default_rng(18)))
+        data = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(18)))
+        tc = hs.theta_r_consistency(data)
         assert tc.theta == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
-        rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(
-            np.random.default_rng(18))))
+        rep = hs.spectral_report(data)
         assert rep.theta_sine == pytest.approx(math.sqrt(1.0 - rep.theta ** 2), abs=1e-12)
         assert tc.r_residual <= 1e-6
         assert tc.spectrum_residual <= 1e-6
@@ -389,7 +403,7 @@ class TestModuliRelations:
     def test_rejects_torus_families(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
         with pytest.raises(PreconditionError):
-            hs.theta_r_consistency(M, ORIGIN5)
+            hs.theta_r_consistency(hs.analyze_point(M, ORIGIN5))
 
     def test_minimality_exactly_at_r1(self):
         rng = np.random.default_rng(19)
@@ -401,21 +415,11 @@ class TestModuliRelations:
             rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
             assert abs(rep.trace) >= 0.1
 
-    def test_precomputed_analysis_gives_same_result(self):
-        rng = np.random.default_rng(24)
-        for family in ("m1", "m2"):
-            M = hs.make_example(family, r=0.7)
-            u = hs.random_chart_point(rng)
-            data = hs.analyze_point(M, u)
-            assert hs.theta_r_consistency(M, u, data=data) == hs.theta_r_consistency(M, u)
-            theta = hs.spectral_report(data).theta
-            assert hs.leaf_geometry(M, u, theta=theta, data=data) == hs.leaf_geometry(M, u)
-
     def test_leaf_geometry(self):
         rng = np.random.default_rng(20)
         for family in ("m1", "m3"):
             M = hs.make_example(family, r=0.6)
-            lg = hs.leaf_geometry(M, hs.random_chart_point(rng))
+            lg = hs.leaf_geometry(hs.analyze_point(M, hs.random_chart_point(rng)))
             assert lg.sphere3_metric_residual <= 1e-9
             assert lg.sphere2_metric_residual <= 1e-9
             assert lg.sphere3_sectional == pytest.approx(0.75, abs=1e-3)
