@@ -1,9 +1,9 @@
 """Command-line interface: verification suites, point analyses, sweeps.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 I/O
-failure.  The seed resolves as flag > NKS3_SEED environment variable >
-default 0.  Reals in CSV output use 12 significant digits and a '.'
-decimal point.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (an input
+too large to allocate included), 3 I/O failure.  The seed resolves as
+flag > NKS3_SEED environment variable > default 0.  Reals in CSV output
+use 12 significant digits and a '.' decimal point.
 """
 
 from __future__ import annotations
@@ -334,6 +334,10 @@ def main(argv=None) -> int:
     except (DomainError, PreconditionError, DegenerateImmersionError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a sample count too large to allocate is a usage error
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,9 @@ It provides an independent oracle for the relation
 
     nablaE_X Y = D_X Y + (J G(X, PY) + J G(Y, PX)) / 2
 
-between the two connections.
+between the two connections.  `connection_gap` is the one copy of that
+gap: the structure suite checks it here, and the hypersurface apparatus
+subtracts it from its flat finite differences.
 """
 
 from __future__ import annotations
@@ -255,17 +257,23 @@ def euclidean_connection(at: AmbientPoint, x, y) -> np.ndarray:
     return r8_to_frame(at, np.concatenate([du, dv]))
 
 
+def connection_gap(tables: StructureTables, x, y):
+    """(J G(X, P Y) + J G(Y, P X)) / 2, the gap nablaE_X Y - D_X Y between
+    the product-round-metric and nearly Kaehler connections; broadcasts
+    over rows of x and y."""
+    px = np.asarray(x) @ tables.P.T
+    py = np.asarray(y) @ tables.P.T
+    return 0.5 * (
+        tensor_G(tables, x, py) @ tables.J.T + tensor_G(tables, y, px) @ tables.J.T
+    )
+
+
 def connection_relation_residual(
     tables: StructureTables, at: AmbientPoint, x, y
 ) -> float:
     """Residual of the flat-vs-frame connection relation at one point."""
-    px = np.asarray(x) @ tables.P.T
-    py = np.asarray(y) @ tables.P.T
-    corr = 0.5 * (
-        tensor_G(tables, x, py) @ tables.J.T + tensor_G(tables, y, px) @ tables.J.T
-    )
     lhs = euclidean_connection(at, x, y)
-    rhs = nabla(tables, x, y) + corr
+    rhs = nabla(tables, x, y) + connection_gap(tables, x, y)
     return float(g_norm(tables, lhs - rhs))
 
 

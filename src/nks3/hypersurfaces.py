@@ -24,11 +24,18 @@ from the product-round-metric derivative (central differences of the
 normal field along chart lines, projected to the tangent space) corrected
 by the exact frame tensors:
 
-    D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2.
+    D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
+
+the correction being `frames.connection_gap`, the same function the
+structure suite checks against the flat derivative.  The induced
+derivatives of the Gauss, Codazzi and transport residuals subtract it
+the same way.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
-the structure tensors are constant matrices.
+the structure tensors are constant matrices.  Normals are held and
+sign-aligned in frame coefficients; the flat R^8 form appears only inside
+the finite differences.
 
 Orientation convention: the normal sign is chosen so that trace(A) >= 0,
 with a lexicographic tie-break on the frame coefficients of xi when the
@@ -48,6 +55,7 @@ import numpy as np
 from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
 from .frames import (
+    connection_gap,
     curvature_closed_form,
     frame_coords_components,
     frame_to_r8,
@@ -272,7 +280,6 @@ class HypersurfacePointData:
     tangent_frame: np.ndarray    # (5, 6) rows g-orthonormal
     chart_weights: np.ndarray    # (5, 5): frame_i = sum_a W[i, a] push_a
     xi: np.ndarray               # (6,) unit normal
-    xi_r8: np.ndarray            # (8,) flat representation, for sign alignment
     structure_vector: np.ndarray  # (6,) U = -J xi
     alpha: float                 # g(A U, U)
     shape: np.ndarray            # (5, 5) symmetrized shape operator
@@ -285,8 +292,7 @@ class HypersurfacePointData:
     c: float                     # |P xi - a xi - b U|_g
 
     def tangential(self, w6: np.ndarray) -> np.ndarray:
-        t = get_tables()
-        return w6 - float(w6 @ t.g @ self.xi) * self.xi
+        return _tangential(w6, self.xi)
 
     def tangent_components(self, w6: np.ndarray) -> np.ndarray:
         t = get_tables()
@@ -300,6 +306,11 @@ class HypersurfacePointData:
 
     def apply_phi(self, w6: np.ndarray) -> np.ndarray:
         return self.tangential(get_tables().J @ w6)
+
+
+def _tangential(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Tangent part of frame vectors w (..., 6) at unit normals xi."""
+    return w - g_inner(get_tables(), w, xi)[..., None] * xi
 
 
 def _gram(T: np.ndarray) -> np.ndarray:
@@ -333,10 +344,9 @@ def _unit_normal(T: np.ndarray) -> np.ndarray:
     return xi / np.sqrt(xi[..., None, :] @ t.g @ xi[..., :, None])[..., 0]
 
 
-def _aligned(x, x8, ref8):
-    """x and its flat form x8 (..., 8), negated where x8 points away from ref8."""
-    sign = np.where(np.sum(x8 * ref8, axis=-1) < 0.0, -1.0, 1.0)[..., None]
-    return x * sign, x8 * sign
+def _aligned(x, ref):
+    """Frame vectors x (..., 6), negated where they point away from ref."""
+    return np.where(np.sum(x * ref, axis=-1, keepdims=True) < 0.0, -x, x)
 
 
 class _Weingarten(NamedTuple):
@@ -348,15 +358,14 @@ class _Weingarten(NamedTuple):
     frame: np.ndarray  # (m, 5, 6)
     W: np.ndarray      # (m, 5, 5)
     xi: np.ndarray     # (m, 6)
-    xi_r8: np.ndarray  # (m, 8)
     A: np.ndarray      # (m, 5, 5)
 
 
-def _weingarten(M: Immersion, centres, h: float, ref_normal_r8=None) -> _Weingarten:
+def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten:
     """The Weingarten data at the chart points centres (m, 5), from one
     chart call on their stencils of 11 points each.
 
-    The normal at each centre is aligned with ref_normal_r8 when given; the
+    The normal at each centre is aligned with ref_normal when given; the
     normals of its ten neighbours are aligned with it and differenced.
     """
     t = get_tables()
@@ -364,31 +373,29 @@ def _weingarten(M: Immersion, centres, h: float, ref_normal_r8=None) -> _Weingar
     steps = h * np.eye(5)
     p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=1))
     xi = _unit_normal(T)
-    xi8 = frame_to_r8(AmbientPoint(p, q), xi)
-    xi0, xi80 = xi[:, 0], xi8[:, 0]
-    if ref_normal_r8 is not None:
-        xi0, xi80 = _aligned(xi0, xi80, ref_normal_r8)
-    _, nb8 = _aligned(xi[:, 1:], xi8[:, 1:], xi80[:, None, :])
+    xi0 = xi[:, 0] if ref_normal is None else _aligned(xi[:, 0], ref_normal)
+    nb8 = frame_to_r8(AmbientPoint(p[:, 1:], q[:, 1:]),
+                      _aligned(xi[:, 1:], xi0[:, None, :]))
 
     # product-round-metric derivative of the normal along each chart line
     nablaE_chart = r8_to_frame(AmbientPoint(p[:, :1], q[:, :1]),
                                (nb8[:, :5] - nb8[:, 5:]) / (2.0 * h))
     frame0, W0 = _orthonormal_frame(T[:, 0])
-    nabla_xi = W0 @ nablaE_chart - _ambient_correction(t, frame0, xi0[:, None, :])
+    nabla_xi = W0 @ nablaE_chart - connection_gap(t, frame0, xi0[:, None, :])
     A = -(nabla_xi @ t.g @ np.swapaxes(frame0, -1, -2))
-    return _Weingarten(p[:, 0], q[:, 0], T[:, 0], frame0, W0, xi0, xi80, A)
+    return _Weingarten(p[:, 0], q[:, 0], T[:, 0], frame0, W0, xi0, A)
 
 
 def analyze_point(M: Immersion, u, h: float = NORMAL_H,
-                  ref_normal_r8: Optional[np.ndarray] = None) -> HypersurfacePointData:
-    """Full pointwise apparatus of the hypersurface at chart point u."""
+                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+    """Full pointwise apparatus of the hypersurface at chart point u; the
+    normal is aligned with the frame vector ref_normal (6,) when given."""
     u = np.array(u, dtype=float)
     u.flags.writeable = False
     t = get_tables()
-    p, q, T, frame, W, xi, xi8, A = (
-        a[0] for a in _weingarten(M, u[None], h, ref_normal_r8))
+    p, q, T, frame, W, xi, A = (a[0] for a in _weingarten(M, u[None], h, ref_normal))
 
-    if ref_normal_r8 is None:
+    if ref_normal is None:
         tr = float(np.trace(A))
         if tr < -TRACE_TIE_TOL:
             flip = True
@@ -399,7 +406,6 @@ def analyze_point(M: Immersion, u, h: float = NORMAL_H,
             flip = lead < 0.0
         if flip:
             xi = -xi
-            xi8 = -xi8
             A = -A
 
     symmetry_residual = float(np.max(np.abs(A - A.T)))
@@ -407,8 +413,7 @@ def analyze_point(M: Immersion, u, h: float = NORMAL_H,
 
     uvec = -(t.J @ xi)
     eta = frame @ t.g @ uvec
-    jt = frame @ t.J.T
-    phi_rows = (jt - np.outer(jt @ t.g @ xi, xi)) @ t.g @ frame.T
+    phi_rows = _tangential(frame @ t.J.T, xi) @ t.g @ frame.T
 
     au = eta @ A
     alpha = float(au @ eta)
@@ -428,7 +433,6 @@ def analyze_point(M: Immersion, u, h: float = NORMAL_H,
         tangent_frame=frame,
         chart_weights=W,
         xi=xi,
-        xi_r8=xi8,
         structure_vector=uvec,
         alpha=alpha,
         shape=A,
@@ -548,14 +552,6 @@ def normal_action_residual(data: HypersurfacePointData, name: str) -> float:
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def _ambient_correction(t, x6, w6):
-    """(J G(X, P W) + J G(W, P X)) / 2, the flat-vs-frame connection gap;
-    broadcasts over leading axes."""
-    return 0.5 * (
-        tensor_G(t, x6, w6 @ t.P.T) @ t.J.T + tensor_G(t, w6, x6 @ t.P.T) @ t.J.T
-    )
-
-
 def _induced_derivative(at: AmbientPoint, xi, x6, field_center,
                         d_field_r8) -> np.ndarray:
     """Induced covariant derivative along x6 of a field, from its flat
@@ -563,9 +559,8 @@ def _induced_derivative(at: AmbientPoint, xi, x6, field_center,
     at with unit normal xi: tangent projection to frame coefficients, minus
     the flat-vs-frame connection gap, minus the normal component.
     Broadcasts over a batch of points."""
-    t = get_tables()
-    nabla = r8_to_frame(at, d_field_r8) - _ambient_correction(t, x6, field_center)
-    return nabla - g_inner(t, nabla, xi)[..., None] * xi
+    nabla = r8_to_frame(at, d_field_r8) - connection_gap(get_tables(), x6, field_center)
+    return _tangential(nabla, xi)
 
 
 def reeb_transport_residual(data: HypersurfacePointData, x5,
@@ -579,10 +574,8 @@ def reeb_transport_residual(data: HypersurfacePointData, x5,
 
     p, q, T = _chart_data(data.immersion,
                           np.stack([u + h * chart_vel, u - h * chart_vel]))
-    pts = AmbientPoint(p, q)
-    xi = _unit_normal(T)
-    xi, _ = _aligned(xi, frame_to_r8(pts, xi), data.xi_r8)
-    reeb8 = frame_to_r8(pts, -(xi @ t.J.T))
+    xi = _aligned(_unit_normal(T), data.xi)
+    reeb8 = frame_to_r8(AmbientPoint(p, q), -(xi @ t.J.T))
     du8 = (reeb8[0] - reeb8[1]) / (2.0 * h)
     lhs = _induced_derivative(data.point, data.xi, X, data.structure_vector, du8)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
@@ -605,7 +598,7 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5,
     # four neighbouring points in one chart call
     u = data.u
     centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart])
-    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi_r8)
+    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi)
     A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
     args = np.stack([ychart, ychart, xchart, xchart])
     w6 = np.einsum("ma,mac->mc", args, w.T)
@@ -784,7 +777,7 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
         raise PreconditionError("leaf geometry applies to m1, m2, m3")
     t = get_tables()
     r = M.params[0]
-    gram = data.push_coords @ t.g @ data.push_coords.T
+    gram = _gram(data.push_coords)
 
     # round-metric reference grams come from the base chart; the induced
     # gram is unchanged under the ambient isometries of m2 and m3

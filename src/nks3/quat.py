@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
-    return np.array([w, x, y, z], dtype=float)
 
 
 def pure(v) -> np.ndarray:
@@ -77,22 +71,9 @@ def unit_defect(q):
     return err.max() if err.ndim else err
 
 
-def inverse(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n2 = np.sum(q * q, axis=-1, keepdims=True)
-    if np.any(n2 < np.finfo(float).tiny):
-        raise DomainError("zero quaternion has no inverse")
-    return conj(q) / n2
-
-
 def dot(q1, q2) -> np.ndarray:
     """Euclidean inner product of R^4."""
     return np.sum(np.asarray(q1, dtype=float) * np.asarray(q2, dtype=float), axis=-1)
-
-
-def bracket(u, v) -> np.ndarray:
-    """Commutator (uv - vu) / 2; equals the cross product on imaginaries."""
-    return 0.5 * (mul(u, v) - mul(v, u))
 
 
 def exp_pure(v) -> np.ndarray:

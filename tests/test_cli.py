@@ -224,6 +224,16 @@ def test_verify_zero_samples_usage_error(capsys):
     assert "samples" in err
 
 
+def test_verify_unallocatable_samples_usage_error(capsys):
+    # the structure suite draws all samples in one array, so the allocation
+    # fails at once and nothing is allocated
+    code, out, err = _run(capsys, ["verify", "--suite", "structure",
+                                   "--samples", "100000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_sweep_nonpositive_samples_usage_error(capsys, samples):
     code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5",

@@ -200,6 +200,25 @@ class TestFlatConnectionRelation:
             )
         assert worst <= 1e-10
 
+    def test_connection_gap_batches_rowwise(self):
+        # the hypersurface code subtracts the gap from stacks of frame rows
+        # against one field value, the structure suite one row at a time.
+        # The G contraction is bitwise per row; the final product with J
+        # goes through BLAS, whose batched and single-row kernels may round
+        # the last bit differently.
+        rng = _rng(8)
+        X = rng.standard_normal((4, 5, 6))
+        Y = rng.standard_normal((4, 1, 6))
+        batched = frames.connection_gap(T, X, Y)
+        assert batched.shape == (4, 5, 6)
+        rows = np.array([[frames.connection_gap(T, X[m, i], Y[m, 0]) for i in range(5)]
+                         for m in range(4)])
+        npt.assert_allclose(batched, rows, rtol=0.0,
+                            atol=4.0 * np.finfo(float).eps * np.max(np.abs(rows)))
+        npt.assert_array_equal(frames.tensor_G(T, X, Y @ T.P.T),
+                               [[frames.tensor_G(T, X[m, i], Y[m, 0] @ T.P.T)
+                                 for i in range(5)] for m in range(4)])
+
 
 class TestCurvature:
     def test_antisymmetry(self):

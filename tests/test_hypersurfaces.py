@@ -38,7 +38,7 @@ class TestMakeExample:
         M = hs.make_example("m1", r=0.6)
         pt = M.point(ORIGIN5)
         npt.assert_allclose(pt.p, qt.ONE, atol=1e-15)
-        npt.assert_allclose(pt.q, qt.quat(0.8, 0.6, 0.0, 0.0), atol=1e-15)
+        npt.assert_allclose(pt.q, np.array([0.8, 0.6, 0.0, 0.0]), atol=1e-15)
 
     def test_m4_second_factor_constraints(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
@@ -170,7 +170,7 @@ class TestAnalyzePoint:
         M = hs.make_example("m1", r=0.6)
         u = hs.random_chart_point(np.random.default_rng(6))
         d = hs.analyze_point(M, u)
-        flipped = hs.analyze_point(M, u, ref_normal_r8=-d.xi_r8)
+        flipped = hs.analyze_point(M, u, ref_normal=-d.xi)
         npt.assert_allclose(flipped.shape, -d.shape, atol=1e-8)
         npt.assert_allclose(
             np.sort(np.abs(np.linalg.eigvalsh(flipped.shape))),

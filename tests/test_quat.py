@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from nks3 import quat as qt
-from nks3.errors import DomainError
 
 
 def test_multiplication_table():
@@ -25,9 +24,9 @@ def test_identity_element():
 
 def test_hand_expanded_product():
     # (1 + i)(1 + j) = 1 + i + j + k, expanded term by term
-    a = qt.quat(1.0, 1.0, 0.0, 0.0)
-    b = qt.quat(1.0, 0.0, 1.0, 0.0)
-    npt.assert_array_equal(qt.mul(a, b), qt.quat(1.0, 1.0, 1.0, 1.0))
+    a = np.array([1.0, 1.0, 0.0, 0.0])
+    b = np.array([1.0, 0.0, 1.0, 0.0])
+    npt.assert_array_equal(qt.mul(a, b), np.array([1.0, 1.0, 1.0, 1.0]))
 
 
 def test_associativity_and_distributivity():
@@ -95,39 +94,15 @@ def test_conjugation():
     )
 
 
-def test_inverse():
-    npt.assert_allclose(qt.inverse(qt.E1), -qt.E1, atol=1e-15)
-    npt.assert_allclose(qt.inverse(2.0 * qt.ONE), 0.5 * qt.ONE, atol=1e-15)
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        q = qt.sample_unit(rng)
-        npt.assert_allclose(qt.mul(q, qt.inverse(q)), qt.ONE, atol=1e-12)
-        npt.assert_allclose(qt.inverse(q), qt.conj(q), atol=1e-12)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(DomainError):
-        qt.inverse(np.zeros(4))
-
-
 def test_conjugation_preserves_imaginaries():
-    # p u p^-1 stays imaginary with the same length, for unit p
+    # p u p^-1 = p u conj(p) stays imaginary with the same length, for unit p
     rng = np.random.default_rng(5)
     for _ in range(100):
         p = qt.sample_unit(rng)
         u = qt.pure(rng.standard_normal(3))
-        w = qt.mul(qt.mul(p, u), qt.inverse(p))
+        w = qt.mul(qt.mul(p, u), qt.conj(p))
         assert abs(w[0]) <= 1e-12
         npt.assert_allclose(qt.norm(w), qt.norm(u), atol=1e-12)
-
-
-def test_bracket_is_cross_product():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        u3, v3 = rng.standard_normal((2, 3))
-        lhs = qt.bracket(qt.pure(u3), qt.pure(v3))
-        npt.assert_allclose(qt.vec(lhs), np.cross(u3, v3), atol=1e-12)
-        assert abs(lhs[0]) <= 1e-12
 
 
 def test_exp_pure():
