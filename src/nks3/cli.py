@@ -170,12 +170,15 @@ def _sweep_rows(args, seed: int):
             for r in args.r_values or [None] for k in args.k_values or [None]]
     for params in grid:
         M = hs.make_example(args.family, **params)
+        # allocated before the first draw, so a sample count too large to
+        # hold fails at once
+        U = np.empty((args.samples, 5))
+        for i in range(args.samples):
+            U[i] = hs.random_chart_point(rng)
         spectra = []
         thetas = []
         classes = set()
-        for _ in range(args.samples):
-            u = hs.random_chart_point(rng)
-            data = hs.analyze_point(M, u)
+        for data in hs.analyze_points(M, U):
             rep = hs.spectral_report(data)
             spectra.append(rep.eigenvalues)
             if rep.theta is not None:

@@ -16,11 +16,12 @@ of m4.  All pushforwards are closed form, and the chart layer takes whole
 arrays of chart points (`Immersion.pushforward`), so each
 finite-difference stencil below is evaluated in one chart call.
 
-`analyze_point` produces the pointwise apparatus of a hypersurface: the
-metric normal xi, the structure vector U = -J xi, the induced almost
-contact tensors, and the shape operator via the Weingarten relation
-A X = -(D_X xi)^T.  The ambient covariant derivative of xi is assembled
-from the product-round-metric derivative (central differences of the
+`analyze_points` produces the pointwise apparatus of a hypersurface at a
+batch of chart points (`analyze_point` at one): the metric normal xi, the
+structure vector U = -J xi, the induced almost contact tensors, and the
+shape operator via the Weingarten relation A X = -(D_X xi)^T.  The
+ambient covariant derivative of xi is assembled from the
+product-round-metric derivative (central differences of the
 normal field along chart lines, projected to the tangent space) corrected
 by the exact frame tensors:
 
@@ -386,31 +387,47 @@ def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten
     return _Weingarten(p[:, 0], q[:, 0], T[:, 0], frame0, W0, xi0, A)
 
 
-def analyze_point(M: Immersion, u, h: float = NORMAL_H,
-                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
-    """Full pointwise apparatus of the hypersurface at chart point u; the
-    normal is aligned with the frame vector ref_normal (6,) when given."""
-    u = np.array(u, dtype=float)
-    u.flags.writeable = False
-    t = get_tables()
-    p, q, T, frame, W, xi, A = (a[0] for a in _weingarten(M, u[None], h, ref_normal))
+def analyze_points(M: Immersion, U, h: float = NORMAL_H,
+                   ref_normal: Optional[np.ndarray] = None) -> list:
+    """Full pointwise apparatus of the hypersurface at each chart point of
+    U (m, 5), from one `_weingarten` call on all their stencils.
+
+    The normals are aligned with the frame vectors ref_normal ((6,) or
+    (m, 6)) when given, and otherwise oriented by the trace rule.  Each
+    `HypersurfacePointData.u` is a row of a read-only copy of U.
+    """
+    U = np.array(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != 5:
+        raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
+    U.flags.writeable = False
+    w = _weingarten(M, U, h, ref_normal)
+    xi, A = w.xi, w.A
 
     if ref_normal is None:
-        tr = float(np.trace(A))
-        if tr < -TRACE_TIE_TOL:
-            flip = True
-        elif tr > TRACE_TIE_TOL:
-            flip = False
-        else:
-            lead = xi[int(np.argmax(np.abs(xi) > TRACE_TIE_TOL))]
-            flip = lead < 0.0
-        if flip:
-            xi = -xi
-            A = -A
+        tr = np.trace(A, axis1=-2, axis2=-1)
+        lead_idx = np.argmax(np.abs(xi) > TRACE_TIE_TOL, axis=-1)
+        lead = np.take_along_axis(xi, lead_idx[:, None], axis=-1)[:, 0]
+        flip = np.where(np.abs(tr) > TRACE_TIE_TOL, tr < 0.0, lead < 0.0)
+        xi = np.where(flip[:, None], -xi, xi)
+        A = np.where(flip[:, None, None], -A, A)
 
-    symmetry_residual = float(np.max(np.abs(A - A.T)))
-    A = 0.5 * (A + A.T)
+    At = np.swapaxes(A, -1, -2)
+    symmetry = np.max(np.abs(A - At), axis=(-2, -1))
+    A = 0.5 * (A + At)
+    return [_point_data(M, *row)
+            for row in zip(U, w.p, w.q, w.T, w.frame, w.W, xi, A, symmetry)]
 
+
+def analyze_point(M: Immersion, u, h: float = NORMAL_H,
+                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+    """`analyze_points` at the one chart point u (5,)."""
+    return analyze_points(M, np.asarray(u, dtype=float)[None], h, ref_normal)[0]
+
+
+def _point_data(M, u, p, q, T, frame, W, xi, A, symmetry) -> HypersurfacePointData:
+    """The point data from the oriented normal xi and the symmetrized shape
+    operator A at one chart point."""
+    t = get_tables()
     uvec = -(t.J @ xi)
     eta = frame @ t.g @ uvec
     phi_rows = _tangential(frame @ t.J.T, xi) @ t.g @ frame.T
@@ -436,7 +453,7 @@ def analyze_point(M: Immersion, u, h: float = NORMAL_H,
         structure_vector=uvec,
         alpha=alpha,
         shape=A,
-        symmetry_residual=symmetry_residual,
+        symmetry_residual=float(symmetry),
         phi=phi_rows,
         eta=eta,
         hopf_residual=hopf_residual,

@@ -403,9 +403,14 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     spectra = []
     t = get_tables()
 
-    for _ in range(samples):
-        u = hs.random_chart_point(rng)
-        data = hs.analyze_point(M, u)
+    # per sample: the chart point, then the three directions of the
+    # transport, Codazzi and Gauss residuals; all points analysed in one call
+    U, X5, Y5, Z5 = (np.empty((samples, 5)) for _ in range(4))
+    for i in range(samples):
+        U[i] = hs.random_chart_point(rng)
+        X5[i], Y5[i], Z5[i] = (_unit(rng.standard_normal(5)) for _ in range(3))
+
+    for data, x5, y5, z5 in zip(hs.analyze_points(M, U), X5, Y5, Z5):
         rep = hs.spectral_report(data)
         spectra.append(rep.eigenvalues)
 
@@ -426,13 +431,10 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
 
         # P maps the structure-vector complement into itself
         basis = _structure_complement(data)
-        for x5 in basis:
-            px = t.P @ data.from_components(x5)
-            note("P-preserves-complement", abs(float(px @ t.g @ data.structure_vector)))
+        for b5 in basis:
+            pb = t.P @ data.from_components(b5)
+            note("P-preserves-complement", abs(float(pb @ t.g @ data.structure_vector)))
 
-        x5 = _unit(rng.standard_normal(5))
-        y5 = _unit(rng.standard_normal(5))
-        z5 = _unit(rng.standard_normal(5))
         note("reeb-transport", hs.reeb_transport_residual(data, x5))
         note("codazzi", hs.codazzi_residual(data, x5, y5))
         note("gauss", hs.gauss_residual(data, x5, y5, z5))
@@ -461,9 +463,10 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     worst_cls = worst_theta = worst_prod = worst_leaf = 0.0
     classes = set()
     rng2 = np.random.default_rng(seed + 1)
-    for _ in range(min(samples, 3)):
-        u = hs.random_chart_point(rng2)
-        data = hs.analyze_point(M, u)
+    U2 = np.empty((min(samples, 3), 5))
+    for i in range(len(U2)):
+        U2[i] = hs.random_chart_point(rng2)
+    for data in hs.analyze_points(M, U2):
         if not three_family:
             classes.add(hs.classify_normal_action(data))
             continue

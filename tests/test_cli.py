@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nks3 import cli
+from nks3 import hypersurfaces as hs
 
 
 def _run(capsys, argv):
@@ -232,6 +233,64 @@ def test_verify_unallocatable_samples_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_unallocatable_samples_usage_error(capsys):
+    # the sweep draws each grid value's samples into one array allocated
+    # before the first draw, so the allocation fails at once
+    code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5",
+                                   "--samples", "100000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_hypersurface_unallocatable_samples_usage_error(capsys):
+    # each hypersurface suite draws its samples into arrays allocated
+    # before the first draw
+    code, out, err = _run(capsys, ["verify", "--suite", "hypersurface",
+                                   "--samples", "100000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_BENCHMARK_GRIDS = (["--family", "m3", "--r", "0.3,0.6,1"],
+                    ["--family", "m4", "--k", "0.5,0.6,0.8"])
+
+
+@pytest.mark.parametrize("grid", _BENCHMARK_GRIDS)
+def test_sweep_batch_matches_point_by_point_analysis(capsys, monkeypatch, grid):
+    def sweeps():
+        runs = [_run(capsys, ["sweep", *grid, "--samples", "10", "--seed", str(seed)])
+                for seed in range(4)]
+        assert all(code == 0 for code, _, _ in runs)
+        return [out for _, out, _ in runs]
+
+    batched = sweeps()
+    original = hs.analyze_points
+    monkeypatch.setattr(hs, "analyze_points", lambda M, U, *args, **kwargs: [
+        original(M, u[None], *args, **kwargs)[0] for u in U])
+    assert sweeps() == batched
+
+
+def test_sweep_chart_calls_do_not_grow_with_samples(capsys, monkeypatch):
+    calls = []
+    pushforward = hs.Immersion.pushforward
+
+    def counting_pushforward(self, u):
+        calls.append(1)
+        return pushforward(self, u)
+
+    monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
+    counts = []
+    for samples in ("2", "9"):
+        calls.clear()
+        code, _, _ = _run(capsys, ["sweep", "--family", "m3", "--r", "0.6",
+                                   "--samples", samples, "--seed", "0"])
+        assert code == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -2,6 +2,7 @@
 against closed forms, the normal-action trichotomy, identity residuals,
 moduli relations and leaf geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,66 @@ class TestAnalyzePoint:
         # the product-structure coefficients do not depend on the sign
         assert flipped.a == pytest.approx(d.a, abs=1e-12)
         assert flipped.b == pytest.approx(d.b, abs=1e-12)
+
+
+def _assert_same_point_data(d, e):
+    """Every field of two point data bitwise equal."""
+    for field in dataclasses.fields(hs.HypersurfacePointData):
+        a, b = getattr(d, field.name), getattr(e, field.name)
+        if field.name == "immersion":
+            assert a is b
+        elif field.name == "point":
+            npt.assert_array_equal(a.p, b.p)
+            npt.assert_array_equal(a.q, b.q)
+        elif isinstance(a, np.ndarray):
+            npt.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+class TestAnalyzePoints:
+    @staticmethod
+    def _batch(family, kw, n=6):
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(24)
+        return M, np.stack([hs.random_chart_point(rng) for _ in range(n)])
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_batch_equals_single_points_bitwise(self, family, kw):
+        M, U = self._batch(family, kw)
+        batch = hs.analyze_points(M, U)
+        assert len(batch) == len(U)
+        for d, u in zip(batch, U):
+            _assert_same_point_data(d, hs.analyze_point(M, u))
+        # the batch mixes normals the orientation rule flips with normals
+        # it keeps, so the rule is applied row by row
+        raw = hs._weingarten(M, U, hs.NORMAL_H).xi
+        flipped = [bool(np.array_equal(d.xi, -x)) for d, x in zip(batch, raw)]
+        assert any(flipped) and not all(flipped)
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_batch_reference_normals(self, family, kw):
+        M, U = self._batch(family, kw)
+        ref = np.stack([-d.xi for d in hs.analyze_points(M, U)])
+        ref[::2] *= -1.0
+        batch = hs.analyze_points(M, U, ref_normal=ref)
+        for d, u, r in zip(batch, U, ref):
+            _assert_same_point_data(d, hs.analyze_point(M, u, ref_normal=r))
+            assert float(d.xi @ r) > 0.0
+
+    def test_point_data_keep_their_own_chart_points(self):
+        M, U = self._batch("m4", dict(k=0.6, l=0.8))
+        kept = U.copy()
+        batch = hs.analyze_points(M, U)
+        U += 0.3  # the caller reuses its array
+        for d, u in zip(batch, kept):
+            npt.assert_array_equal(d.u, u)
+            assert not d.u.flags.writeable
+
+    def test_rejects_a_single_point(self):
+        M = hs.make_example("m1", r=0.6)
+        with pytest.raises(DomainError):
+            hs.analyze_points(M, ORIGIN5)
 
 
 class TestSpectra:
