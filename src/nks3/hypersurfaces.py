@@ -17,13 +17,14 @@ arrays of chart points (`Immersion.pushforward`), so each
 finite-difference stencil below is evaluated in one chart call.
 
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
-batch of chart points (`analyze_point` at one): the metric normal xi, the
-structure vector U = -J xi, the induced almost contact tensors, and the
-shape operator via the Weingarten relation A X = -(D_X xi)^T.  The
-ambient covariant derivative of xi is assembled from the
-product-round-metric derivative (central differences of the
-normal field along chart lines, projected to the tangent space) corrected
-by the exact frame tensors:
+batch of chart points, as one `HypersurfacePointData` whose fields carry
+the batch axis (`analyze_point` returns the one-point view of a batch of
+one): the metric normal xi, the structure vector U = -J xi, the induced
+almost contact tensors, and the shape operator via the Weingarten
+relation A X = -(D_X xi)^T.  The ambient covariant derivative of xi is
+assembled from the product-round-metric derivative (central differences
+of the normal field along chart lines, projected to the tangent space)
+corrected by the exact frame tensors:
 
     D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
 
@@ -34,7 +35,12 @@ the same way.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
-the structure tensors are constant matrices.  Normals are held and
+the structure tensors are constant matrices.  The residuals broadcast over
+the batch axis of the point data: each evaluates its finite-difference
+stencils for all rows in one chart call, and its products keep each row's
+vectors one-row matrices (`_vm`, `_mv`, `_rowwise`), so a batched row
+equals the residual of that row's one-point view bitwise.  The spectral
+report and the theta-r relation take one row.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
 the finite differences.
 
@@ -48,7 +54,7 @@ is how spectra are compared throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -271,8 +277,15 @@ def spectra_match(computed, reference) -> float:
 
 @dataclass
 class HypersurfacePointData:
-    """Frame-coordinate hypersurface apparatus at one chart point; the one
-    handle every identity residual below takes."""
+    """Frame-coordinate hypersurface apparatus at a batch of m chart points;
+    the one handle every identity residual below takes.
+
+    Every field but `immersion` carries the batch axis first: array fields
+    are (m, ...) and the scalar fields (m,).  `data[i]` is the one-point
+    view of row i, with the batch axis dropped and the scalar fields as
+    floats; the residuals take a batch (one value per row) or a view (a
+    float).  The shapes below are those of a view.
+    """
 
     immersion: Immersion
     u: np.ndarray                # (5,) chart point, read-only copy
@@ -292,21 +305,84 @@ class HypersurfacePointData:
     b: float                     # g(P xi, U)
     c: float                     # |P xi - a xi - b U|_g
 
+    def __len__(self) -> int:
+        if self.u.ndim != 2:
+            raise TypeError("a one-point view has no rows")
+        return len(self.u)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index) -> "HypersurfacePointData":
+        """Row `index` as a one-point view (a batch for a slice)."""
+        len(self)  # a one-point view has no rows to index
+
+        def row(v):
+            v = v[index]
+            return float(v) if v.ndim == 0 else v
+
+        return HypersurfacePointData(
+            self.immersion, row(self.u),
+            AmbientPoint(self.point.p[index], self.point.q[index]),
+            *(row(getattr(self, f.name)) for f in fields(self)[3:]))
+
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
 
     def tangent_components(self, w6: np.ndarray) -> np.ndarray:
-        t = get_tables()
-        return self.tangent_frame @ t.g @ w6
+        return _mv(self.tangent_frame @ get_tables().g, w6)
 
     def from_components(self, x5) -> np.ndarray:
-        return np.asarray(x5, dtype=float) @ self.tangent_frame
+        return _vm(np.asarray(x5, dtype=float), self.tangent_frame)
 
     def apply_shape(self, w6: np.ndarray) -> np.ndarray:
-        return (self.tangent_components(w6) @ self.shape) @ self.tangent_frame
+        return _vm(_vm(self.tangent_components(w6), self.shape), self.tangent_frame)
 
     def apply_phi(self, w6: np.ndarray) -> np.ndarray:
-        return self.tangential(get_tables().J @ w6)
+        return self.tangential(_mv(get_tables().J, w6))
+
+
+# Row-wise products of a batch.  Each keeps the vector a one-row (or
+# one-column) matrix, so numpy's matmul makes the same BLAS call for every
+# row of a batch as for a single vector, and a batched row equals the
+# single-point result bitwise; an (m, 6) @ (6, 6) product would instead be
+# one matrix-matrix call that rounds differently.
+
+def _vm(x, A):
+    """Row vectors x (..., k) times matrices A (..., k, n)."""
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def _mv(A, x):
+    """Matrices A (..., n, k) times column vectors x (..., k)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """Inner products of the rows of x and y (..., k)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _g(x, y):
+    """g(x, y) of frame vectors (..., 6), as the products x @ g @ y."""
+    return _dot(_vm(x, get_tables().g), y)
+
+
+def _rowwise(f, *vectors):
+    """f(tables, *vectors) with each frame vector (..., 6) passed as a
+    one-row matrix, for the frame functions that multiply their arguments
+    by constant matrices."""
+    return f(get_tables(), *(v[..., None, :] for v in vectors))[..., 0, :]
+
+
+def _out(x):
+    """A residual of a one-point view as a float; a batch's as its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first_row(u, bad) -> list:
+    """The first chart point of u (..., 5) where the mask bad (...) holds."""
+    return np.asarray(u, dtype=float)[bad][0].tolist()
 
 
 def _tangential(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -326,8 +402,7 @@ def _chart_data(M: Immersion, u) -> tuple:
     p, q, T = M.pushforward(u)
     low = np.linalg.eigvalsh(_gram(T))[..., 0] <= RANK_TOL
     if np.any(low):
-        bad = np.asarray(u, dtype=float)[low][0]
-        raise DegenerateImmersionError(f"pushforward rank below 5 at u={bad.tolist()}")
+        raise DegenerateImmersionError(f"pushforward rank below 5 at u={_first_row(u, low)}")
     return p, q, T
 
 
@@ -351,50 +426,53 @@ def _aligned(x, ref):
 
 
 class _Weingarten(NamedTuple):
-    """Chart data, normal and unsymmetrized shape operator at m chart points."""
+    """Chart data, normal and unsymmetrized shape operator at chart points
+    of leading shape (...)."""
 
-    p: np.ndarray      # (m, 4)
-    q: np.ndarray      # (m, 4)
-    T: np.ndarray      # (m, 5, 6)
-    frame: np.ndarray  # (m, 5, 6)
-    W: np.ndarray      # (m, 5, 5)
-    xi: np.ndarray     # (m, 6)
-    A: np.ndarray      # (m, 5, 5)
+    p: np.ndarray      # (..., 4)
+    q: np.ndarray      # (..., 4)
+    T: np.ndarray      # (..., 5, 6)
+    frame: np.ndarray  # (..., 5, 6)
+    W: np.ndarray      # (..., 5, 5)
+    xi: np.ndarray     # (..., 6)
+    A: np.ndarray      # (..., 5, 5)
 
 
 def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten:
-    """The Weingarten data at the chart points centres (m, 5), from one
+    """The Weingarten data at the chart points centres (..., 5), from one
     chart call on their stencils of 11 points each.
 
-    The normal at each centre is aligned with ref_normal when given; the
-    normals of its ten neighbours are aligned with it and differenced.
+    The normal at each centre is aligned with ref_normal (broadcasting
+    against (..., 6)) when given; the normals of its ten neighbours are
+    aligned with it and differenced.
     """
     t = get_tables()
-    c = centres[:, None, :]
+    c = centres[..., None, :]
     steps = h * np.eye(5)
-    p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=1))
+    p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=-2))
     xi = _unit_normal(T)
-    xi0 = xi[:, 0] if ref_normal is None else _aligned(xi[:, 0], ref_normal)
-    nb8 = frame_to_r8(AmbientPoint(p[:, 1:], q[:, 1:]),
-                      _aligned(xi[:, 1:], xi0[:, None, :]))
+    xi0 = xi[..., 0, :] if ref_normal is None else _aligned(xi[..., 0, :], ref_normal)
+    nb8 = frame_to_r8(AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
+                      _aligned(xi[..., 1:, :], xi0[..., None, :]))
 
     # product-round-metric derivative of the normal along each chart line
-    nablaE_chart = r8_to_frame(AmbientPoint(p[:, :1], q[:, :1]),
-                               (nb8[:, :5] - nb8[:, 5:]) / (2.0 * h))
-    frame0, W0 = _orthonormal_frame(T[:, 0])
-    nabla_xi = W0 @ nablaE_chart - connection_gap(t, frame0, xi0[:, None, :])
+    nablaE_chart = r8_to_frame(AmbientPoint(p[..., :1, :], q[..., :1, :]),
+                               (nb8[..., :5, :] - nb8[..., 5:, :]) / (2.0 * h))
+    frame0, W0 = _orthonormal_frame(T[..., 0, :, :])
+    nabla_xi = W0 @ nablaE_chart - connection_gap(t, frame0, xi0[..., None, :])
     A = -(nabla_xi @ t.g @ np.swapaxes(frame0, -1, -2))
-    return _Weingarten(p[:, 0], q[:, 0], T[:, 0], frame0, W0, xi0, A)
+    return _Weingarten(p[..., 0, :], q[..., 0, :], T[..., 0, :, :], frame0, W0, xi0, A)
 
 
 def analyze_points(M: Immersion, U, h: float = NORMAL_H,
-                   ref_normal: Optional[np.ndarray] = None) -> list:
-    """Full pointwise apparatus of the hypersurface at each chart point of
-    U (m, 5), from one `_weingarten` call on all their stencils.
+                   ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+    """Full pointwise apparatus of the hypersurface at the chart points U
+    (m, 5), as one batch of point data, from one `_weingarten` call on all
+    their stencils.
 
     The normals are aligned with the frame vectors ref_normal ((6,) or
-    (m, 6)) when given, and otherwise oriented by the trace rule.  Each
-    `HypersurfacePointData.u` is a row of a read-only copy of U.
+    (m, 6)) when given, and otherwise oriented by the trace rule.  The
+    data's `u` is a read-only copy of U.
     """
     U = np.array(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != 5:
@@ -413,47 +491,48 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
 
     At = np.swapaxes(A, -1, -2)
     symmetry = np.max(np.abs(A - At), axis=(-2, -1))
-    A = 0.5 * (A + At)
-    return [_point_data(M, *row)
-            for row in zip(U, w.p, w.q, w.T, w.frame, w.W, xi, A, symmetry)]
+    return _point_data(M, U, w, xi, 0.5 * (A + At), symmetry)
 
 
 def analyze_point(M: Immersion, u, h: float = NORMAL_H,
                   ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
-    """`analyze_points` at the one chart point u (5,)."""
+    """`analyze_points` at the one chart point u (5,), as a one-point view."""
     return analyze_points(M, np.asarray(u, dtype=float)[None], h, ref_normal)[0]
 
 
-def _point_data(M, u, p, q, T, frame, W, xi, A, symmetry) -> HypersurfacePointData:
-    """The point data from the oriented normal xi and the symmetrized shape
-    operator A at one chart point."""
+def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
+    """The point data from the oriented normals xi and the symmetrized shape
+    operators A at the chart points U."""
     t = get_tables()
-    uvec = -(t.J @ xi)
-    eta = frame @ t.g @ uvec
-    phi_rows = _tangential(frame @ t.J.T, xi) @ t.g @ frame.T
+    frame = w.frame
+    uvec = -_mv(t.J, xi)
+    eta = _mv(frame @ t.g, uvec)
+    phi_rows = (_tangential(frame @ t.J.T, xi[:, None, :]) @ t.g
+                @ np.swapaxes(frame, -1, -2))
 
-    au = eta @ A
-    alpha = float(au @ eta)
-    hopf_residual = float(np.linalg.norm(au - alpha * eta))
+    au = _vm(eta, A)
+    alpha = _dot(au, eta)
+    off = au - alpha[:, None] * eta
+    hopf_residual = np.sqrt(_dot(off, off))
 
-    pxi = t.P @ xi
-    a_coef = float(pxi @ t.g @ xi)
-    b_coef = float(pxi @ t.g @ uvec)
-    rem = pxi - a_coef * xi - b_coef * uvec
-    c_coef = math.sqrt(max(float(rem @ t.g @ rem), 0.0))
+    pxi = _mv(t.P, xi)
+    a_coef = _g(pxi, xi)
+    b_coef = _g(pxi, uvec)
+    rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
+    c_coef = np.sqrt(np.maximum(_g(rem, rem), 0.0))
 
     return HypersurfacePointData(
         immersion=M,
-        u=u,
-        point=AmbientPoint(p, q),
-        push_coords=T,
+        u=U,
+        point=AmbientPoint(w.p, w.q),
+        push_coords=w.T,
         tangent_frame=frame,
-        chart_weights=W,
+        chart_weights=w.W,
         xi=xi,
         structure_vector=uvec,
         alpha=alpha,
         shape=A,
-        symmetry_residual=float(symmetry),
+        symmetry_residual=symmetry,
         phi=phi_rows,
         eta=eta,
         hopf_residual=hopf_residual,
@@ -557,11 +636,11 @@ def classify_normal_action(data: HypersurfacePointData) -> str:
     return OTHER
 
 
-def normal_action_residual(data: HypersurfacePointData, name: str) -> float:
-    """Distance of the point data's (a, b) from the named class."""
+def normal_action_residual(data: HypersurfacePointData, name: str):
+    """Distance of the point data's (a, b) from the named class, per row."""
     for cname, a0, b0 in _CLASS_TABLE:
         if cname == name:
-            return max(abs(data.a - a0), abs(data.b - b0))
+            return _out(np.maximum(np.abs(data.a - a0), np.abs(data.b - b0)))
     raise DomainError(f"unknown class {name!r}")
 
 
@@ -569,117 +648,131 @@ def normal_action_residual(data: HypersurfacePointData, name: str) -> float:
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def _induced_derivative(at: AmbientPoint, xi, x6, field_center,
-                        d_field_r8) -> np.ndarray:
-    """Induced covariant derivative along x6 of a field, from its flat
-    derivative d_field_r8 (..., 8) and its value field_center at the point
-    at with unit normal xi: tangent projection to frame coefficients, minus
-    the flat-vs-frame connection gap, minus the normal component.
-    Broadcasts over a batch of points."""
-    nabla = r8_to_frame(at, d_field_r8) - connection_gap(get_tables(), x6, field_center)
-    return _tangential(nabla, xi)
+def _induced_derivative(at: AmbientPoint, xi, gap, d_field_r8) -> np.ndarray:
+    """Induced covariant derivative of a field, from its flat derivative
+    d_field_r8 (..., 8) at the point at with unit normal xi: tangent
+    projection to frame coefficients, minus the flat-vs-frame connection
+    gap (`frames.connection_gap` of the direction and the field's value),
+    minus the normal component.  Broadcasts over a batch of points."""
+    return _tangential(r8_to_frame(at, d_field_r8) - gap, xi)
+
+
+def _induced_derivative_at(data: HypersurfacePointData, x6, field_center,
+                           d_field_r8) -> np.ndarray:
+    """`_induced_derivative` at the analysed points, along one direction x6
+    (..., 6) per point, of a field with value field_center there."""
+    return _induced_derivative(data.point, data.xi,
+                               _rowwise(connection_gap, x6, field_center),
+                               d_field_r8)
 
 
 def reeb_transport_residual(data: HypersurfacePointData, x5,
-                            h: float = NORMAL_H) -> float:
-    """Residual of the structure-vector transport law D_X U = phi A X - G(X, xi)."""
+                            h: float = NORMAL_H):
+    """Residual of the structure-vector transport law D_X U = phi A X - G(X, xi),
+    per row of the directions x5 (..., 5), from one chart call on the 2
+    points of each row's stencil."""
     t = get_tables()
     x5 = np.asarray(x5, dtype=float)
     X = data.from_components(x5)
-    chart_vel = x5 @ data.chart_weights
+    chart_vel = _vm(x5, data.chart_weights)
     u = data.u
 
     p, q, T = _chart_data(data.immersion,
-                          np.stack([u + h * chart_vel, u - h * chart_vel]))
-    xi = _aligned(_unit_normal(T), data.xi)
+                          np.stack([u + h * chart_vel, u - h * chart_vel], axis=-2))
+    xi = _aligned(_unit_normal(T), data.xi[..., None, :])
     reeb8 = frame_to_r8(AmbientPoint(p, q), -(xi @ t.J.T))
-    du8 = (reeb8[0] - reeb8[1]) / (2.0 * h)
-    lhs = _induced_derivative(data.point, data.xi, X, data.structure_vector, du8)
+    du8 = (reeb8[..., 0, :] - reeb8[..., 1, :]) / (2.0 * h)
+    lhs = _induced_derivative_at(data, X, data.structure_vector, du8)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
-    return float(g_norm(t, lhs - rhs))
+    return _out(g_norm(t, lhs - rhs))
 
 
-def codazzi_residual(data: HypersurfacePointData, x5, y5,
-                     h: float = 1e-4) -> float:
+def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
     """Residual of the Codazzi relation (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T,
-    with the ambient curvature R from `frames.curvature_closed_form`."""
+    with the ambient curvature R from `frames.curvature_closed_form`, per
+    row of the directions x5, y5 (..., 5)."""
     t = get_tables()
     x5 = np.asarray(x5, dtype=float)
     y5 = np.asarray(y5, dtype=float)
     X = data.from_components(x5)
     Y = data.from_components(y5)
-    xchart = x5 @ data.chart_weights
-    ychart = y5 @ data.chart_weights
+    xchart = _vm(x5, data.chart_weights)
+    ychart = _vm(y5, data.chart_weights)
 
     # the shape operator along both chart lines, from the stencils of the
-    # four neighbouring points in one chart call
+    # four neighbouring points of every row in one chart call
     u = data.u
-    centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart])
-    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi)
+    centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart],
+                       axis=-2)
+    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi[..., None, :])
     A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
-    args = np.stack([ychart, ychart, xchart, xchart])
-    w6 = np.einsum("ma,mac->mc", args, w.T)
-    comps = np.einsum("mic,cd,md->mi", w.frame, t.g, w6)
+    args = np.stack([ychart, ychart, xchart, xchart], axis=-2)
+    w6 = np.einsum("...a,...ac->...c", args, w.T)
+    comps = np.einsum("...ic,cd,...d->...i", w.frame, t.g, w6)
     shaped8 = frame_to_r8(AmbientPoint(w.p, w.q),
-                          np.einsum("mi,mij,mjc->mc", comps, A, w.frame))
-    d8 = (shaped8[0::2] - shaped8[1::2]) / (2.0 * h)
-    lhs = (_induced_derivative(data.point, data.xi, X, data.apply_shape(Y), d8[0])
-           - _induced_derivative(data.point, data.xi, Y, data.apply_shape(X), d8[1]))
-    rhs = -data.tangential(curvature_closed_form(t, X, Y, data.xi))
-    return float(g_norm(t, lhs - rhs))
+                          np.einsum("...i,...ij,...jc->...c", comps, A, w.frame))
+    d8 = (shaped8[..., 0::2, :] - shaped8[..., 1::2, :]) / (2.0 * h)
+    lhs = (_induced_derivative_at(data, X, data.apply_shape(Y), d8[..., 0, :])
+           - _induced_derivative_at(data, Y, data.apply_shape(X), d8[..., 1, :]))
+    rhs = -data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
+    return _out(g_norm(t, lhs - rhs))
 
 
 def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
                          h: float) -> np.ndarray:
     """(induced derivative of the arg field along vel) at each chart point of
-    primes (m, 5), with its own velocity vels (m, 5); flat layout (m, 8).
+    primes (..., n, 5), with its own velocity vels (..., n, 5); flat layout
+    (..., n, 8).
 
-    Both the velocity and the argument are chart-coefficient-constant
-    combinations of the coordinate pushforwards.  One chart call covers
-    each point and its two neighbours along its velocity.
+    Both the velocity and the argument arg_chart (..., 1, 5) are
+    chart-coefficient-constant combinations of the coordinate pushforwards.
+    One chart call covers each point and its two neighbours along its
+    velocity.
     """
-    stencil = np.stack([primes, primes + h * vels, primes - h * vels], axis=1)
+    stencil = np.stack([primes, primes + h * vels, primes - h * vels], axis=-2)
     p, q, T = _chart_data(M, stencil)
-    T_p = T[:, 0]
-    fields = frame_to_r8(AmbientPoint(p[:, 1:], q[:, 1:]), arg_chart @ T[:, 1:])
-    at = AmbientPoint(p[:, 0], q[:, 0])
-    v6 = np.einsum("ma,mac->mc", vels, T_p)
-    d8 = (fields[:, 0] - fields[:, 1]) / (2.0 * h)
-    return frame_to_r8(at, _induced_derivative(at, _unit_normal(T_p), v6,
-                                               arg_chart @ T_p, d8))
+    T_p = T[..., 0, :, :]
+    fields8 = frame_to_r8(AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
+                          _vm(arg_chart[..., None, :], T[..., 1:, :, :]))
+    at = AmbientPoint(p[..., 0, :], q[..., 0, :])
+    v6 = np.einsum("...a,...ac->...c", vels, T_p)
+    d8 = (fields8[..., 0, :] - fields8[..., 1, :]) / (2.0 * h)
+    gap = connection_gap(get_tables(), v6, _vm(arg_chart, T_p))
+    return frame_to_r8(at, _induced_derivative(at, _unit_normal(T_p), gap, d8))
 
 
 def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
                        h: float) -> np.ndarray:
     """R(X, Y) Z of the induced connection, two stacked central differences,
-    for X, Y, Z given by their tangent-frame components x5, y5, z5.
+    for X, Y, Z given by their tangent-frame components x5, y5, z5 (..., 5).
 
     The inner derivatives along Y (and X) are taken at the point and at its
     two neighbours along X (and Y): six points with three chart points
-    each, evaluated in one chart call.
+    each per row, all rows evaluated in one chart call.
     """
-    xchart, ychart, zchart = (v @ data.chart_weights for v in (x5, y5, z5))
+    xchart, ychart, zchart = (_vm(v, data.chart_weights) for v in (x5, y5, z5))
     u = data.u
     primes = np.stack([u + h * xchart, u - h * xchart, u,
-                       u + h * ychart, u - h * ychart, u])
-    vels = np.stack([ychart] * 3 + [xchart] * 3)
-    fields = _covariant_fields_r8(data.immersion, primes, vels, zchart,
-                                  h).reshape(2, 3, 8)
+                       u + h * ychart, u - h * ychart, u], axis=-2)
+    vels = np.stack([ychart] * 3 + [xchart] * 3, axis=-2)
+    fields8 = _covariant_fields_r8(data.immersion, primes, vels,
+                                   zchart[..., None, :], h)
+    fields8 = fields8.reshape(fields8.shape[:-2] + (2, 3, 8))
 
     def second_derivative(f, outer6):
-        center = r8_to_frame(data.point, f[2])
-        return _induced_derivative(data.point, data.xi, outer6, center,
-                                   (f[0] - f[1]) / (2.0 * h))
+        center = r8_to_frame(data.point, f[..., 2, :])
+        return _induced_derivative_at(data, outer6, center,
+                                      (f[..., 0, :] - f[..., 1, :]) / (2.0 * h))
 
-    return (second_derivative(fields[0], data.from_components(x5))
-            - second_derivative(fields[1], data.from_components(y5)))
+    return (second_derivative(fields8[..., 0, :, :], data.from_components(x5))
+            - second_derivative(fields8[..., 1, :, :], data.from_components(y5)))
 
 
-def gauss_residual(data: HypersurfacePointData, x5, y5, z5,
-                   h: float = 1e-4) -> float:
+def gauss_residual(data: HypersurfacePointData, x5, y5, z5, h: float = 1e-4):
     """Residual of the Gauss relation between induced and ambient curvature,
     R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y, with the
-    ambient curvature R from `frames.curvature_closed_form`."""
+    ambient curvature R from `frames.curvature_closed_form`, per row of the
+    directions x5, y5, z5 (..., 5)."""
     t = get_tables()
     x5 = np.asarray(x5, dtype=float)
     y5 = np.asarray(y5, dtype=float)
@@ -690,32 +783,37 @@ def gauss_residual(data: HypersurfacePointData, x5, y5, z5,
 
     lhs = _induced_curvature(data, x5, y5, z5, h)
     az = data.apply_shape(Z)
-    rhs = (data.tangential(curvature_closed_form(t, X, Y, Z))
-           + float(az @ t.g @ Y) * data.apply_shape(X)
-           - float(az @ t.g @ X) * data.apply_shape(Y))
-    return float(g_norm(t, lhs - rhs))
+    rhs = (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
+           + _g(az, Y)[..., None] * data.apply_shape(X)
+           - _g(az, X)[..., None] * data.apply_shape(Y))
+    return _out(g_norm(t, lhs - rhs))
 
 
-def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> float:
+def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
     """Residual of the pointwise identity tying A, phi and G on the
-    structure-vector complement of a Hopf hypersurface."""
+    structure-vector complement of a Hopf hypersurface, per row of the
+    directions x5, y5 (..., 5)."""
     t = get_tables()
-    if data.hopf_residual > HOPF_TOL:
-        raise PreconditionError("point fails the Hopf condition")
+    bad = np.asarray(data.hopf_residual) > HOPF_TOL
+    if np.any(bad):
+        raise PreconditionError(
+            f"point fails the Hopf condition at u={_first_row(data.u, bad)}")
     x5 = np.asarray(x5, dtype=float)
     y5 = np.asarray(y5, dtype=float)
-    if abs(float(x5 @ data.eta)) > ORTHO_TOL or abs(float(y5 @ data.eta)) > ORTHO_TOL:
-        raise PreconditionError("arguments must be orthogonal to the structure vector")
+    bad = ((np.abs(_dot(x5, data.eta)) > ORTHO_TOL)
+           | (np.abs(_dot(y5, data.eta)) > ORTHO_TOL))
+    if np.any(bad):
+        raise PreconditionError("arguments must be orthogonal to the structure "
+                                f"vector at u={_first_row(data.u, bad)}")
 
     X = data.from_components(x5)
     Y = data.from_components(y5)
-    g = t.g
-    xi, uvec, alpha = data.xi, data.structure_vector, data.alpha
-    px, py = t.P @ X, t.P @ Y
+    xi, uvec = data.xi, data.structure_vector
+    alpha = np.asarray(data.alpha)[..., None]
+    px, py = _mv(t.P, X), _mv(t.P, Y)
 
-    lhs = (1.0 / 6.0) * float(data.apply_phi(X) @ g @ Y) - (2.0 / 3.0) * (
-        float(px @ g @ xi) * float(py @ g @ uvec)
-        - float(px @ g @ uvec) * float(py @ g @ xi)
+    lhs = (1.0 / 6.0) * _g(data.apply_phi(X), Y) - (2.0 / 3.0) * (
+        _g(px, xi) * _g(py, uvec) - _g(px, uvec) * _g(py, xi)
     )
 
     gxxi = tensor_G(t, X, xi)
@@ -726,7 +824,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> float:
         - alpha * (data.apply_shape(data.apply_phi(X)) + data.apply_phi(ax))
         + 2.0 * data.apply_shape(data.apply_phi(ax))
     )
-    return abs(lhs - float(rhs_vec @ g @ Y))
+    return _out(np.abs(lhs - _g(rhs_vec, Y)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +854,8 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     r = M.params[0]
     rep = spectral_report(data)
     if rep.theta is None or rep.multiplicities.count(2) != 2:
-        raise DegenerateImmersionError("no two-dimensional principal eigenspaces")
+        raise DegenerateImmersionError(
+            f"no two-dimensional principal eigenspaces at u={data.u.tolist()}")
     theta = rep.theta
     r_res = abs(r - SQRT3 * theta / math.sqrt(1.0 + 2.0 * theta * theta))
 
@@ -779,15 +878,25 @@ class LeafGeometry:
     sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
+def _theta(data: HypersurfacePointData) -> float:
+    """The eigenspace invariant theta of a one-point view."""
+    theta = spectral_report(data).theta
+    if theta is None:
+        raise DegenerateImmersionError(
+            f"no two-dimensional principal eigenspace at u={data.u.tolist()}")
+    return theta
+
+
 def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
-    """Geometry of the two product-factor leaves through a chart point.
+    """Geometry of the two product-factor leaves through each chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
     sectional curvature is 3/4; the value is also recomputed from the
     induced curvature by finite differences.  The 2-sphere factor leaf
     carries 4 r^2 / 3 times the round metric, so its curvature is
     3 / (4 r^2), which in terms of the eigenspace invariant theta reads
-    (1 + 2 theta^2) / (4 theta^2).
+    (1 + 2 theta^2) / (4 theta^2).  Each field holds one value per row of
+    the data (a float for a one-point view).
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -799,20 +908,26 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     # round-metric reference grams come from the base chart; the induced
     # gram is unchanged under the ambient isometries of m2 and m3
     _, dx = _sphere_factor(u)
-    round3 = dx @ dx.T
-    res3 = float(np.max(np.abs(gram[:3, :3] - (4.0 / 3.0) * round3)))
-    round2 = np.diag([1.0, math.cos(float(u[3])) ** 2])
-    res2 = float(np.max(np.abs(gram[3:, 3:] - (4.0 / 3.0) * r * r * round2)))
+    round3 = dx @ np.swapaxes(dx, -1, -2)
+    res3 = np.max(np.abs(gram[..., :3, :3] - (4.0 / 3.0) * round3), axis=(-2, -1))
+    round2 = np.zeros(u.shape[:-1] + (2, 2))
+    round2[..., 0, 0] = 1.0
+    round2[..., 1, 1] = np.cos(u[..., 3]) ** 2
+    res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r * r * round2),
+                  axis=(-2, -1))
 
     # orthonormal pair spanning two 3-sphere-factor directions
-    comp = data.tangent_frame @ t.g @ data.push_coords.T
-    x5 = comp[:, 0] / np.linalg.norm(comp[:, 0])
-    y5 = comp[:, 1] - float(comp[:, 1] @ x5) * x5
-    y5 = y5 / np.linalg.norm(y5)
+    comp = data.tangent_frame @ t.g @ np.swapaxes(data.push_coords, -1, -2)
+    # a contiguous copy: BLAS sums a strided vector in another order
+    c0 = np.ascontiguousarray(comp[..., :, 0])
+    x5 = c0 / np.sqrt(_dot(c0, c0))[..., None]
+    y5 = comp[..., :, 1] - _dot(comp[..., :, 1], x5)[..., None] * x5
+    y5 = y5 / np.sqrt(_dot(y5, y5))[..., None]
     riem = _induced_curvature(data, x5, y5, y5, 1e-4)
-    sec3 = float(riem @ t.g @ data.from_components(x5))
+    sec3 = _g(riem, data.from_components(x5))
 
-    theta = spectral_report(data).theta
+    rows = data if u.ndim == 2 else [data]
+    theta = np.array([_theta(row) for row in rows]).reshape(u.shape[:-1])
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
-    res_k2 = abs(k2 - 3.0 / (4.0 * r * r))
-    return LeafGeometry(res3, res2, sec3, res_k2)
+    res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
+    return LeafGeometry(_out(res3), _out(res2), _out(sec3), _out(res_k2))

@@ -112,6 +112,15 @@ def _sanitize(value: float) -> float:
     return v if math.isfinite(v) else math.inf
 
 
+def _worst(*residuals) -> float:
+    """The largest of the residuals (floats or arrays), and at least 0.0.
+
+    NaN if any residual is NaN, so that `_sanitize` fails its check; the
+    builtin max would drop a NaN that is not its first argument.
+    """
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # structure suite
 # ---------------------------------------------------------------------------
@@ -199,15 +208,11 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     res_q = float(np.max(np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))))
     add("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", res_q, 1e-10)
 
-    worst_conn = 0.0
-    for i in range(n):
-        at = pw.AmbientPoint(p[i], q[i])
-        worst_conn = max(
-            worst_conn, connection_relation_residual(t, at, X[i], Y[i])
-        )
+    conn = [connection_relation_residual(t, pw.AmbientPoint(p[i], q[i]), X[i], Y[i])
+            for i in range(n)]
     add("flat-connection-relation",
         "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2",
-        worst_conn, 1e-10)
+        _worst(conn), 1e-10)
 
     add("curvature-two-routes",
         "R(X,Y)Z from connection coefficients = closed form in g, J, P",
@@ -217,14 +222,10 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
                                    rng.standard_normal((n, 4)))
     yf = frame_coords_components(p, q, u2, v2)
-    res_frame = max(
-        float(np.max(np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T))),
-        float(np.max(np.abs(
-            frame_coords_components(p, q, *pw.p_components(p, q, u, v)) - xf @ t.P.T
-        ))),
-        float(np.max(np.abs(
-            pw.metric_components(p, q, u, v, u2, v2) - g_inner(t, xf, yf)
-        ))),
+    res_frame = _worst(
+        np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
+        np.abs(frame_coords_components(p, q, *pw.p_components(p, q, u, v)) - xf @ t.P.T),
+        np.abs(pw.metric_components(p, q, u, v, u2, v2) - g_inner(t, xf, yf)),
     )
     add("frame-vs-pointwise", "frame tables reproduce the pointwise J, P, g",
         res_frame, 1e-10)
@@ -285,10 +286,10 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
             - pw.metric_components(*pt, *z, *z2)
         )))
         fd = iso.differential_fd_components(m, *pt, *z)
-        res["differential-vs-fd"] = max(
+        res["differential-vs-fd"] = _worst(
             res["differential-vs-fd"],
-            float(np.max(np.abs(fd[0] - dz[name][0]))),
-            float(np.max(np.abs(fd[1] - dz[name][1]))),
+            np.abs(fd[0] - dz[name][0]),
+            np.abs(fd[1] - dz[name][1]),
         )
 
     jz, pz = J(pt, z), P(pt, z)
@@ -395,54 +396,59 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     three_family = family in hs.THREE_CURVATURE_FAMILIES
     expected_mult = (2, 1, 2) if three_family else (1, 1, 1, 1, 1)
 
-    worst = {cid: 0.0 for cid, _, _ in _SAMPLE_CHECKS}
-
-    def note(cid, residual):
-        worst[cid] = max(worst[cid], residual)
-
-    spectra = []
     t = get_tables()
 
     # per sample: the chart point, then the three directions of the
-    # transport, Codazzi and Gauss residuals; all points analysed in one call
+    # transport, Codazzi and Gauss residuals; then up to three further
+    # points for the normal action, the moduli relations and the leaf
+    # geometry, from their own generator
     U, X5, Y5, Z5 = (np.empty((samples, 5)) for _ in range(4))
     for i in range(samples):
         U[i] = hs.random_chart_point(rng)
         X5[i], Y5[i], Z5[i] = (_unit(rng.standard_normal(5)) for _ in range(3))
+    rng2 = np.random.default_rng(seed + 1)
+    U2 = np.empty((min(samples, 3), 5))
+    for i in range(len(U2)):
+        U2[i] = hs.random_chart_point(rng2)
 
-    for data, x5, y5, z5 in zip(hs.analyze_points(M, U), X5, Y5, Z5):
-        rep = hs.spectral_report(data)
-        spectra.append(rep.eigenvalues)
+    # both point sets in one analysis; each identity below is then
+    # evaluated once over its batch
+    analysed = hs.analyze_points(M, np.concatenate([U, U2]))
+    data, extra = analysed[:samples], analysed[samples:]
 
-        note("hopf", data.hopf_residual)
-        note("alpha-zero", abs(data.alpha))
-        note("shape-symmetric", data.symmetry_residual)
-        note("spectrum-closed-form", hs.spectra_match(rep.eigenvalues, expected))
-        note("multiplicity-pattern", float(rep.multiplicities != expected_mult))
-        note("distribution-dim", data.c)
-
-        # almost contact relations in the orthonormal tangent frame
-        phi, eta = data.phi, data.eta
-        note("almost-contact", max(
-            float(np.max(np.abs(phi @ phi + np.eye(5) - np.outer(eta, eta)))),
-            float(np.max(np.abs(eta @ phi))),
-            float(np.max(np.abs(phi + phi.T))),
-        ))
-
+    reports, pres, XP, YP = [], [], [], []
+    for row in data:
+        reports.append(hs.spectral_report(row))
         # P maps the structure-vector complement into itself
-        basis = _structure_complement(data)
+        basis = _structure_complement(row)
         for b5 in basis:
-            pb = t.P @ data.from_components(b5)
-            note("P-preserves-complement", abs(float(pb @ t.g @ data.structure_vector)))
+            pb = t.P @ row.from_components(b5)
+            pres.append(abs(float(pb @ t.g @ row.structure_vector)))
+        XP.append(_unit(basis[0] + 0.3 * basis[2]))
+        YP.append(_unit(basis[1] - 0.5 * basis[3]))
+    spectra = np.stack([rep.eigenvalues for rep in reports])
 
-        note("reeb-transport", hs.reeb_transport_residual(data, x5))
-        note("codazzi", hs.codazzi_residual(data, x5, y5))
-        note("gauss", hs.gauss_residual(data, x5, y5, z5))
-        xp = _unit(basis[0] + 0.3 * basis[2])
-        yp = _unit(basis[1] - 0.5 * basis[3])
-        note("hopf-identity", hs.hopf_identity_residual(data, xp, yp))
+    # almost contact relations in the orthonormal tangent frame
+    phi, eta = data.phi, data.eta
+    almost = (np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
+              np.abs((eta[:, None, :] @ phi)[:, 0]),
+              np.abs(phi + np.swapaxes(phi, 1, 2)))
 
-    spectra = np.stack(spectra)
+    worst = {
+        "hopf": _worst(data.hopf_residual),
+        "alpha-zero": _worst(np.abs(data.alpha)),
+        "shape-symmetric": _worst(data.symmetry_residual),
+        "almost-contact": _worst(*almost),
+        "spectrum-closed-form": _worst([hs.spectra_match(s, expected) for s in spectra]),
+        "multiplicity-pattern": _worst(
+            [float(rep.multiplicities != expected_mult) for rep in reports]),
+        "distribution-dim": _worst(data.c),
+        "P-preserves-complement": _worst(pres),
+        "reeb-transport": _worst(hs.reeb_transport_residual(data, X5)),
+        "codazzi": _worst(hs.codazzi_residual(data, X5, Y5)),
+        "gauss": _worst(hs.gauss_residual(data, X5, Y5, Z5)),
+        "hopf-identity": _worst(hs.hopf_identity_residual(data, np.stack(XP), np.stack(YP))),
+    }
     spread = float(np.max(np.ptp(spectra, axis=0)))
     trace = float(np.mean([np.sum(s) for s in spectra]))
 
@@ -459,48 +465,32 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         "principal curvatures constant across sample points", spread, 1e-6)
 
     # normal action, and for the round-sphere families the moduli relations
-    # and leaf geometry, at up to three further points
-    worst_cls = worst_theta = worst_prod = worst_leaf = 0.0
-    classes = set()
-    rng2 = np.random.default_rng(seed + 1)
-    U2 = np.empty((min(samples, 3), 5))
-    for i in range(len(U2)):
-        U2[i] = hs.random_chart_point(rng2)
-    for data in hs.analyze_points(M, U2):
-        if not three_family:
-            classes.add(hs.classify_normal_action(data))
-            continue
-        worst_cls = max(worst_cls, hs.normal_action_residual(data, EXPECTED_CLASS[family]))
-        tc = hs.theta_r_consistency(data)
-        worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
-        worst_prod = max(worst_prod, tc.product_residual)
-        lg = hs.leaf_geometry(data)
-        worst_leaf = max(
-            worst_leaf,
-            lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
-            abs(lg.sphere3_sectional - 0.75),
-            lg.sphere2_metric_residual * 1e3,
-            lg.sphere2_curvature_residual * 1e3,
-        )
-
+    # and leaf geometry, at the further points
     if three_family:
         r = params["r"]
+        tcs = [hs.theta_r_consistency(row) for row in extra]
+        lg = hs.leaf_geometry(extra)
         add("normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
-            worst_cls, 1e-6)
+            _worst(hs.normal_action_residual(extra, EXPECTED_CLASS[family])), 1e-6)
         add("theta-r",
             "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
-            worst_theta, 1e-6)
+            _worst([tc.r_residual for tc in tcs], [tc.spectrum_residual for tc in tcs]),
+            1e-6)
         add("double-eigenvalue-product", "product of double curvatures = -1/12",
-            worst_prod, 1e-8)
+            _worst([tc.product_residual for tc in tcs]), 1e-8)
         add("leaf-geometry",
             "factor leaves carry 4/3 and 4r^2/3 round metrics; curvatures 3/4 and (1+2 theta^2)/(4 theta^2)",
-            worst_leaf, 1e-3)
+            _worst(lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
+                   np.abs(lg.sphere3_sectional - 0.75),
+                   lg.sphere2_metric_residual * 1e3,
+                   lg.sphere2_curvature_residual * 1e3), 1e-3)
         if abs(r - 1.0) < 1e-12:
             add("minimal-at-r1", "trace A = 0 exactly at r = 1", abs(trace), 1e-6)
         else:
             add("nonminimal-below-r1", "trace A bounded away from 0 for r < 1",
-                max(0.0, 0.1 - abs(trace)), 0.0)
+                _worst(0.1 - abs(trace)), 0.0)
     else:
+        classes = {hs.classify_normal_action(row) for row in extra}
         add("normal-action-defined",
             "normal action falls in one consistent class",
             0.0 if len(classes) == 1 and hs.OTHER not in classes else 1.0, 0.0)

@@ -4,6 +4,7 @@ moduli relations and leaf geometry."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -210,8 +211,12 @@ class TestAnalyzePoints:
         M, U = self._batch(family, kw)
         batch = hs.analyze_points(M, U)
         assert len(batch) == len(U)
+        assert batch.shape.shape == (6, 5, 5) and batch.alpha.shape == (6,)
         for d, u in zip(batch, U):
             _assert_same_point_data(d, hs.analyze_point(M, u))
+            assert isinstance(d.alpha, float) and isinstance(d.c, float)
+        with pytest.raises(TypeError):
+            len(batch[0])
         # the batch mixes normals the orientation rule flips with normals
         # it keeps, so the rule is applied row by row
         raw = hs._weingarten(M, U, hs.NORMAL_H).xi
@@ -429,6 +434,62 @@ class TestIdentityResiduals:
             hs.hopf_identity_residual(d, x5, x5)
 
 
+def _hopf_directions(data, rng):
+    """Unit directions orthogonal to the structure vector, one per row."""
+    eta = data.eta / np.linalg.norm(data.eta, axis=-1, keepdims=True)
+    v = rng.standard_normal(eta.shape)
+    v -= np.sum(v * eta, axis=-1, keepdims=True) * eta
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+class TestBatchedResiduals:
+    """Each residual on a batch of point data against the same residual on
+    the batch's one-point views; all of them agree bitwise."""
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_batch_rows_equal_single_rows_bitwise(self, family, kw):
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(31)
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
+        X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
+                      for v in rng.standard_normal((3, 4, 5)))
+        XP, YP = _hopf_directions(data, rng), _hopf_directions(data, rng)
+        cases = [
+            (hs.reeb_transport_residual, (X5,)),
+            (hs.codazzi_residual, (X5, Y5)),
+            (hs.gauss_residual, (X5, Y5, Z5)),
+            (hs.hopf_identity_residual, (XP, YP)),
+        ]
+        for f, args in cases:
+            batched = f(data, *args)
+            assert batched.shape == (4,), f.__name__
+            for i, row in enumerate(data):
+                single = f(row, *(a[i] for a in args))
+                assert isinstance(single, float), f.__name__
+                assert batched[i] == single, (f.__name__, i)
+        if family in hs.THREE_CURVATURE_FAMILIES:
+            batched = dataclasses.astuple(hs.leaf_geometry(data))
+            for i, row in enumerate(data):
+                assert dataclasses.astuple(hs.leaf_geometry(row)) == tuple(
+                    field[i] for field in batched)
+
+    def test_hopf_error_names_the_failing_row(self):
+        M = hs.make_example("m1", r=0.6)
+        rng = np.random.default_rng(32)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
+        data = hs.analyze_points(M, U)
+        XP, YP = _hopf_directions(data, rng), _hopf_directions(data, rng)
+        hopf = data.hopf_residual.copy()
+        hopf[2] = 1.0
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"Hopf condition at u={U[2].tolist()}")):
+            hs.hopf_identity_residual(dataclasses.replace(data, hopf_residual=hopf), XP, YP)
+        XP[1] = data.eta[1] / np.linalg.norm(data.eta[1])
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"structure vector at u={U[1].tolist()}")):
+            hs.hopf_identity_residual(data, XP, YP)
+
+
 class TestModuliRelations:
     def test_theta_at_r1(self):
         M = hs.make_example("m1", r=1.0)
@@ -460,6 +521,17 @@ class TestModuliRelations:
         assert tc.r_residual <= 1e-6
         assert tc.spectrum_residual <= 1e-6
         assert tc.product_residual <= 1e-8
+
+    def test_degenerate_spectrum_error_names_the_chart_point(self):
+        M = hs.make_example("m1", r=0.6)
+        d = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(33)))
+        simple = dataclasses.replace(d, shape=np.diag([0.0, 1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(DegenerateImmersionError,
+                           match=re.escape(f"eigenspaces at u={d.u.tolist()}")):
+            hs.theta_r_consistency(simple)
+        with pytest.raises(DegenerateImmersionError,
+                           match=re.escape(f"eigenspace at u={d.u.tolist()}")):
+            hs.leaf_geometry(simple)
 
     def test_rejects_torus_families(self):
         M = hs.make_example("m4", k=0.6, l=0.8)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nks3 import isometries as iso, pointwise as pw, quat as qt, verify
+from nks3 import hypersurfaces as hs, isometries as iso, pointwise as pw, quat as qt, verify
 from nks3.errors import DomainError
 
 SQRT3 = math.sqrt(3.0)
@@ -122,6 +122,33 @@ def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("family,params", [("m3", {"r": 0.6}),
+                                           ("m6", {"k": 0.6, "l": 0.8})])
+def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family, params):
+    # every identity is evaluated once over the suite's samples, so neither
+    # the quaternion products nor the chart calls grow with the sample count
+    calls = {"mul": 0, "pushforward": 0}
+    mul, pushforward = qt.mul, hs.Immersion.pushforward
+
+    def counting_mul(q1, q2):
+        calls["mul"] += 1
+        return mul(q1, q2)
+
+    def counting_pushforward(self, u):
+        calls["pushforward"] += 1
+        return pushforward(self, u)
+
+    monkeypatch.setattr(qt, "mul", counting_mul)
+    monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
+    counts = []
+    for samples in (2, 5):
+        calls.update(mul=0, pushforward=0)
+        verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["pushforward"] > 0 and counts[0]["mul"] > 0
+
+
 def test_hypersurface_suite_single_family():
     rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
     assert rep.all_pass
@@ -156,6 +183,37 @@ def test_nan_residual_fails_closed():
     check = verify.CheckResult("x", "y", 1, math.inf, 1.0)
     assert not check.passed
     assert verify._sanitize(math.nan) == math.inf
+
+
+def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
+    # a NaN in any row, not only the first, reaches the report as inf
+    codazzi = hs.codazzi_residual
+
+    def nan_in_row_1(data, x5, y5):
+        res = codazzi(data, x5, y5).copy()
+        res[1] = math.nan
+        return res
+
+    monkeypatch.setattr(hs, "codazzi_residual", nan_in_row_1)
+    rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["m1(r=0.6):codazzi"]
+    assert failed[0].max_residual == math.inf
+
+
+def test_structure_nan_residual_fails_its_check(monkeypatch):
+    calls = []
+    conn = verify.connection_relation_residual
+
+    def nan_at_sample_1(*args):
+        calls.append(1)
+        return math.nan if len(calls) == 2 else conn(*args)
+
+    monkeypatch.setattr(verify, "connection_relation_residual", nan_at_sample_1)
+    rep = verify.run_structure_suite(seed=7, samples=5)
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["flat-connection-relation"]
+    assert failed[0].max_residual == math.inf
 
 
 def test_environment_fingerprint_keys():
