@@ -40,7 +40,8 @@ the batch axis of the point data: each evaluates its finite-difference
 stencils for all rows in one chart call, and its products keep each row's
 vectors one-row matrices (`_vm`, `_mv`, `_rowwise`), so a batched row
 equals the residual of that row's one-point view bitwise.  The spectral
-report and the theta-r relation take one row.  Normals are held and
+report, the theta-r relation and the normal-action class take a batch the
+same way, with one `eigh` call for all rows.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
 the finite differences.
 
@@ -94,6 +95,7 @@ PLUS = "PLUS"
 MINUS = "MINUS"
 REFLECT = "REFLECT"
 OTHER = "OTHER"
+UNDEFINED = "UNDEFINED"
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +265,13 @@ def expected_spectrum(family: str, r: Optional[float] = None,
     return np.sort(np.array(vals))
 
 
-def spectra_match(computed, reference) -> float:
-    """Multiset distance up to one global sign; the better of the two signs."""
-    a = np.sort(np.asarray(computed, dtype=float))
-    b = np.sort(np.asarray(reference, dtype=float))
-    return min(float(np.max(np.abs(a - b))),
-               float(np.max(np.abs(np.sort(-a) - b))))
+def spectra_match(computed, reference):
+    """Multiset distance up to one global sign; the better of the two signs.
+    Broadcasts over the leading axes of both spectra (..., n)."""
+    a = np.sort(np.asarray(computed, dtype=float), axis=-1)
+    b = np.sort(np.asarray(reference, dtype=float), axis=-1)
+    return _out(np.minimum(np.max(np.abs(a - b), axis=-1),
+                           np.max(np.abs(np.sort(-a, axis=-1) - b), axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +549,39 @@ def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
 # spectra and classification
 # ---------------------------------------------------------------------------
 
+def _cluster_starts(values: np.ndarray, rel_tol: float,
+                    abs_floor: float) -> np.ndarray:
+    """Where each of the ascending values (..., n) opens a new cluster.
+
+    A value joins its predecessor's cluster when their gap is at most
+    max(rel_tol * max |value|, abs_floor), taken over its row; a NaN gap or
+    threshold opens a new cluster.
+    """
+    threshold = np.maximum(rel_tol * np.max(np.abs(values), axis=-1), abs_floor)
+    joins = np.diff(values, axis=-1) <= threshold[..., None]
+    return np.concatenate([np.ones(values.shape[:-1] + (1,), dtype=bool), ~joins],
+                          axis=-1)
+
+
 def cluster_eigenvalues(values, rel_tol: float = 1e-6,
                         abs_floor: float = 1e-9) -> list:
     """Group ascending eigenvalues into clusters of nearly equal values."""
     values = np.sort(np.asarray(values, dtype=float))
-    threshold = max(rel_tol * float(np.max(np.abs(values))), abs_floor)
-    clusters = [[values[0]]]
-    for v in values[1:]:
-        if v - clusters[-1][-1] <= threshold:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
+    starts = _cluster_starts(values, rel_tol, abs_floor)
+    return [list(c) for c in np.split(values, np.flatnonzero(starts)[1:])]
 
 
 @dataclass
 class SpectralReport:
-    """Shape-operator spectrum and distribution diagnostics at one point."""
+    """Shape-operator spectrum and distribution diagnostics.
+
+    The report of a batch of point data carries the batch axis first, and
+    `rep[i]` is the one-point report of row i (a batch for a slice).  The
+    shapes and types below are those of a one-point report; in a batch the
+    cluster sizes and means are (m, 5) arrays in cluster order, padded with
+    zeros, and theta and theta_sine (m,) arrays, NaN where the row has no
+    two-dimensional eigenspace.
+    """
 
     eigenvalues: np.ndarray        # (5,) ascending
     multiplicities: tuple
@@ -576,38 +595,90 @@ class SpectralReport:
     # 1 - theta^2 is not
     theta_sine: Optional[float]
 
+    def __getitem__(self, index) -> "SpectralReport":
+        """Row `index` as a one-point report (a batch for a slice)."""
+        rep = SpectralReport(*(getattr(self, f.name)[index] for f in fields(self)))
+        if np.ndim(rep.trace):
+            return rep
+        mult = tuple(int(n) for n in rep.multiplicities if n)
+        double = 2 in mult
+        return SpectralReport(
+            eigenvalues=rep.eigenvalues,
+            multiplicities=mult,
+            cluster_means=tuple(float(v) for v in rep.cluster_means[:len(mult)]),
+            trace=float(rep.trace),
+            mean_curvature=float(rep.mean_curvature),
+            dim_distribution=int(rep.dim_distribution),
+            theta=float(rep.theta) if double else None,
+            theta_sine=float(rep.theta_sine) if double else None,
+        )
+
 
 def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
                     abs_floor: float = 1e-9) -> SpectralReport:
+    """The spectral report of the point data: one report with a batch axis
+    for a batch, the one-point report for a one-point view."""
+    rep = _spectra(data, rel_tol, abs_floor)
+    return rep if np.ndim(rep.trace) else rep[()]
+
+
+def _spectra(data: HypersurfacePointData, rel_tol: float = 1e-6,
+             abs_floor: float = 1e-9) -> SpectralReport:
+    """The spectral report in its array form, over the leading shape of the
+    point data (() for a one-point view), from one `eigh` call.
+
+    Cluster sums run left to right from 0.0, the order in which numpy sums
+    a short row, and every product keeps each row's vectors one-row
+    matrices, so each row equals the report of its one-point view bitwise.
+    """
     t = get_tables()
-    evals, evecs = np.linalg.eigh(data.shape)
-    clusters = cluster_eigenvalues(evals, rel_tol, abs_floor)
-    mult = tuple(len(c) for c in clusters)
-    means = tuple(float(np.mean(c)) for c in clusters)
+    lead = data.shape.shape[:-2]  # the batch axis, () for a one-point view
+    evals, evecs = np.linalg.eigh(data.shape.reshape(-1, 5, 5))
+    rows, pos = np.arange(len(evals)), np.arange(5)
+    starts = _cluster_starts(evals, rel_tol, abs_floor)
+    ends = np.append(starts[:, 1:], np.ones((len(evals), 1), dtype=bool), axis=-1)
 
-    # invariant |g(J X1, X2)| of the top two-dimensional eigenspace
-    theta = theta_sine = None
-    offsets = np.concatenate([[0], np.cumsum(mult)])
-    for idx in range(len(mult) - 1, -1, -1):
-        if mult[idx] == 2:
-            cols = evecs[:, offsets[idx]:offsets[idx] + 2]
-            x1 = cols[:, 0] @ data.tangent_frame
-            x2 = cols[:, 1] @ data.tangent_frame
-            theta = float(abs(x1 @ t.g @ (t.J @ x2)))
-            jx1 = t.J @ x1
-            theta_sine = float(g_norm(t, jx1 - float(jx1 @ t.g @ x2) * x2))
-            break
+    # each value's cluster, and the size and running sum of that cluster up
+    # to and including the value
+    cluster = np.cumsum(starts, axis=-1) - 1
+    sizes = pos + 1 - np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    sums = np.empty_like(evals)
+    total = np.zeros(len(evals))
+    for j in pos:
+        total = np.where(starts[:, j], 0.0, total) + evals[:, j]
+        sums[:, j] = total
 
-    trace = float(np.sum(evals))
+    # sizes and means in cluster order, read at each cluster's last value
+    r, j = np.nonzero(ends)
+    mult = np.zeros(evals.shape, dtype=int)
+    means = np.zeros_like(evals)
+    last = np.zeros(evals.shape, dtype=int)
+    mult[r, cluster[r, j]] = sizes[r, j]
+    means[r, cluster[r, j]] = sums[r, j] / sizes[r, j]
+    last[r, cluster[r, j]] = j
+
+    # invariant |g(J X1, X2)| of the top two-dimensional eigenspace, from
+    # the pair of eigenvector columns it ends at
+    double = mult == 2
+    first = last[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 1
+    frame = data.tangent_frame.reshape(-1, 5, 6)
+    X = np.stack([_vm(evecs[:, :, k], frame) for k in pos], axis=1)
+    x1, x2 = X[rows, first], X[rows, first + 1]
+    theta = np.abs(_dot(_vm(x1, t.g), _mv(t.J, x2)))
+    jx1 = _mv(t.J, x1)
+    theta_sine = g_norm(t, jx1 - _dot(_vm(jx1, t.g), x2)[:, None] * x2)
+    no_double = ~np.any(double, axis=-1)
+
+    trace = np.sum(evals, axis=-1).reshape(lead)
     return SpectralReport(
-        eigenvalues=evals,
-        multiplicities=mult,
-        cluster_means=means,
+        eigenvalues=evals.reshape(lead + (5,)),
+        multiplicities=mult.reshape(lead + (5,)),
+        cluster_means=means.reshape(lead + (5,)),
         trace=trace,
         mean_curvature=trace / 5.0,
-        dim_distribution=2 if data.c <= DIM_TOL else 4,
-        theta=theta,
-        theta_sine=theta_sine,
+        dim_distribution=np.where(np.asarray(data.c) <= DIM_TOL, 2, 4),
+        theta=np.where(no_double, np.nan, theta).reshape(lead),
+        theta_sine=np.where(no_double, np.nan, theta_sine).reshape(lead),
     )
 
 
@@ -618,22 +689,27 @@ _CLASS_TABLE = (
 )
 
 
-def classify_normal_action(data: HypersurfacePointData) -> str:
+def classify_normal_action(data: HypersurfacePointData):
     """Which of the three product-structure actions the normal realizes.
 
     Reads the coefficients a, b, c of P xi from the point data.  Defined
     only when P xi lies in span(xi, U), that is when the canonical
     distribution spanned by xi, U and their images under P is
-    2-dimensional.
+    2-dimensional.  A batch gives an (m,) array of class names, UNDEFINED
+    on the rows where the class is not defined; a one-point view gives the
+    name, and raises PreconditionError where it is not defined.
     """
-    if data.c > DIM_TOL:
+    a, b, c = (np.asarray(v) for v in (data.a, data.b, data.c))
+    conditions = [c > DIM_TOL] + [(np.abs(a - a0) <= CLASS_TOL) & (np.abs(b - b0) <= CLASS_TOL)
+                                  for _, a0, b0 in _CLASS_TABLE]
+    names = np.select(conditions, [UNDEFINED] + [name for name, _, _ in _CLASS_TABLE], OTHER)
+    if names.ndim:
+        return names
+    if names == UNDEFINED:
         raise PreconditionError(
             "normal-action classes are defined only when P xi lies in span(xi, U)"
         )
-    for name, a0, b0 in _CLASS_TABLE:
-        if abs(data.a - a0) <= CLASS_TOL and abs(data.b - b0) <= CLASS_TOL:
-            return name
-    return OTHER
+    return str(names)
 
 
 def normal_action_residual(data: HypersurfacePointData, name: str):
@@ -846,28 +922,31 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     (1 +/- sqrt(1 - theta^2)) / (2 sqrt(3) theta) for the absolute values
     of the double principal curvatures, and their exact product -1/12.
     sqrt(1 - theta^2) is the spectral report's `theta_sine`, so the closed
-    forms keep full accuracy at r = 1, where theta = 1.
+    forms keep full accuracy at r = 1, where theta = 1.  Each field holds
+    one value per row of the data (a float for a one-point view).
     """
     M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    rep = spectral_report(data)
-    if rep.theta is None or rep.multiplicities.count(2) != 2:
+    rep = _spectra(data)
+    double = rep.multiplicities == 2
+    bad = np.count_nonzero(double, axis=-1) != 2
+    if np.any(bad):
         raise DegenerateImmersionError(
-            f"no two-dimensional principal eigenspaces at u={data.u.tolist()}")
+            f"no two-dimensional principal eigenspaces at u={_first_row(data.u, bad)}")
     theta = rep.theta
-    r_res = abs(r - SQRT3 * theta / math.sqrt(1.0 + 2.0 * theta * theta))
+    r_res = np.abs(r - SQRT3 * theta / np.sqrt(1.0 + 2.0 * theta * theta))
 
     s = rep.theta_sine
-    closed = np.sort(np.array([(1.0 + s) / (2.0 * SQRT3 * theta),
-                               (1.0 - s) / (2.0 * SQRT3 * theta)]))
-    doubles = [m for m, n in zip(rep.cluster_means, rep.multiplicities) if n == 2]
-    observed = np.sort(np.abs(np.array(doubles)))
-    spec_res = float(np.max(np.abs(observed - closed)))
+    scale = 2.0 * SQRT3 * theta
+    closed = np.sort(np.stack([(1.0 + s) / scale, (1.0 - s) / scale], axis=-1), axis=-1)
+    doubles = rep.cluster_means[double].reshape(double.shape[:-1] + (2,))
+    observed = np.sort(np.abs(doubles), axis=-1)
+    spec_res = np.max(np.abs(observed - closed), axis=-1)
 
-    prod_res = abs(doubles[0] * doubles[1] + 1.0 / 12.0)
-    return ThetaConsistency(theta, r_res, spec_res, prod_res)
+    prod_res = np.abs(doubles[..., 0] * doubles[..., 1] + 1.0 / 12.0)
+    return ThetaConsistency(_out(theta), _out(r_res), _out(spec_res), _out(prod_res))
 
 
 @dataclass
@@ -876,15 +955,6 @@ class LeafGeometry:
     sphere2_metric_residual: float     # factor pullback vs 4 r^2 / 3 of round
     sphere3_sectional: float           # finite-difference sectional curvature
     sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
-
-
-def _theta(data: HypersurfacePointData) -> float:
-    """The eigenspace invariant theta of a one-point view."""
-    theta = spectral_report(data).theta
-    if theta is None:
-        raise DegenerateImmersionError(
-            f"no two-dimensional principal eigenspace at u={data.u.tolist()}")
-    return theta
 
 
 def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
@@ -926,8 +996,11 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     riem = _induced_curvature(data, x5, y5, y5, 1e-4)
     sec3 = _g(riem, data.from_components(x5))
 
-    rows = data if u.ndim == 2 else [data]
-    theta = np.array([_theta(row) for row in rows]).reshape(u.shape[:-1])
+    theta = _spectra(data).theta
+    bad = np.isnan(theta)
+    if np.any(bad):
+        raise DegenerateImmersionError(
+            f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
     return LeafGeometry(_out(res3), _out(res2), _out(sec3), _out(res_k2))

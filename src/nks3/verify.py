@@ -23,6 +23,7 @@ from . import isometries as iso
 from . import pointwise as pw
 from . import quat as qt
 from .errors import DomainError
+from .hypersurfaces import _dot, _g, _mv
 from .frames import (
     connection_relation_residual,
     curvature,
@@ -416,17 +417,14 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     analysed = hs.analyze_points(M, np.concatenate([U, U2]))
     data, extra = analysed[:samples], analysed[samples:]
 
-    reports, pres, XP, YP = [], [], [], []
-    for row in data:
-        reports.append(hs.spectral_report(row))
-        # P maps the structure-vector complement into itself
-        basis = _structure_complement(row)
-        for b5 in basis:
-            pb = t.P @ row.from_components(b5)
-            pres.append(abs(float(pb @ t.g @ row.structure_vector)))
-        XP.append(_unit(basis[0] + 0.3 * basis[2]))
-        YP.append(_unit(basis[1] - 0.5 * basis[3]))
-    spectra = np.stack([rep.eigenvalues for rep in reports])
+    rep = hs.spectral_report(data)
+    spectra = rep.eigenvalues
+    # P maps the structure-vector complement into itself
+    basis = _structure_complement(data)
+    pres = [np.abs(_g(_mv(t.P, data.from_components(basis[:, j])), data.structure_vector))
+            for j in range(4)]
+    XP = _unit(basis[:, 0] + 0.3 * basis[:, 2])
+    YP = _unit(basis[:, 1] - 0.5 * basis[:, 3])
 
     # almost contact relations in the orthonormal tangent frame
     phi, eta = data.phi, data.eta
@@ -439,18 +437,19 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         "alpha-zero": _worst(np.abs(data.alpha)),
         "shape-symmetric": _worst(data.symmetry_residual),
         "almost-contact": _worst(*almost),
-        "spectrum-closed-form": _worst([hs.spectra_match(s, expected) for s in spectra]),
+        "spectrum-closed-form": _worst(hs.spectra_match(spectra, expected)),
         "multiplicity-pattern": _worst(
-            [float(rep.multiplicities != expected_mult) for rep in reports]),
+            np.any(rep.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
+                   axis=-1).astype(float)),
         "distribution-dim": _worst(data.c),
-        "P-preserves-complement": _worst(pres),
+        "P-preserves-complement": _worst(*pres),
         "reeb-transport": _worst(hs.reeb_transport_residual(data, X5)),
         "codazzi": _worst(hs.codazzi_residual(data, X5, Y5)),
         "gauss": _worst(hs.gauss_residual(data, X5, Y5, Z5)),
-        "hopf-identity": _worst(hs.hopf_identity_residual(data, np.stack(XP), np.stack(YP))),
+        "hopf-identity": _worst(hs.hopf_identity_residual(data, XP, YP)),
     }
     spread = float(np.max(np.ptp(spectra, axis=0)))
-    trace = float(np.mean([np.sum(s) for s in spectra]))
+    trace = float(np.mean(rep.trace))
 
     checks = []
 
@@ -468,16 +467,16 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     # and leaf geometry, at the further points
     if three_family:
         r = params["r"]
-        tcs = [hs.theta_r_consistency(row) for row in extra]
+        tc = hs.theta_r_consistency(extra)
         lg = hs.leaf_geometry(extra)
         add("normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
             _worst(hs.normal_action_residual(extra, EXPECTED_CLASS[family])), 1e-6)
         add("theta-r",
             "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
-            _worst([tc.r_residual for tc in tcs], [tc.spectrum_residual for tc in tcs]),
+            _worst(tc.r_residual, tc.spectrum_residual),
             1e-6)
         add("double-eigenvalue-product", "product of double curvatures = -1/12",
-            _worst([tc.product_residual for tc in tcs]), 1e-8)
+            _worst(tc.product_residual), 1e-8)
         add("leaf-geometry",
             "factor leaves carry 4/3 and 4r^2/3 round metrics; curvatures 3/4 and (1+2 theta^2)/(4 theta^2)",
             _worst(lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
@@ -490,32 +489,46 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             add("nonminimal-below-r1", "trace A bounded away from 0 for r < 1",
                 _worst(0.1 - abs(trace)), 0.0)
     else:
-        classes = {hs.classify_normal_action(row) for row in extra}
+        classes = set(hs.classify_normal_action(extra).tolist())
+        consistent = len(classes) == 1 and not classes & {hs.OTHER, hs.UNDEFINED}
         add("normal-action-defined",
             "normal action falls in one consistent class",
-            0.0 if len(classes) == 1 and hs.OTHER not in classes else 1.0, 0.0)
+            0.0 if consistent else 1.0, 0.0)
 
     return _finalize("hypersurface", seed, checks, started)
 
 
-def _structure_complement(data: hs.HypersurfacePointData) -> list:
-    """Orthonormal basis of the tangent directions orthogonal to U."""
+def _structure_complement(data: hs.HypersurfacePointData) -> np.ndarray:
+    """Orthonormal bases (m, 4, 5) of the tangent directions orthogonal to U.
+
+    Gram-Schmidt on the coordinate vectors with U projected out, row by row
+    in the same order: a vector of norm at most 1e-8 after the projections
+    is skipped in its row, and a row left with fewer than four vectors has
+    NaN in their place.
+    """
     eta = data.eta
-    basis = []
+    rows = np.arange(len(eta))
+    basis = np.full((len(eta), 4, 5), np.nan)
+    found = np.zeros(len(eta), dtype=int)
     for i in range(5):
-        v = np.zeros(5)
-        v[i] = 1.0
-        v = v - float(v @ eta) * eta / float(eta @ eta)
-        for b in basis:
-            v = v - float(v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-    return basis[:4]
+        v = np.zeros_like(eta)
+        v[:, i] = 1.0
+        v = v - _dot(v, eta)[:, None] * eta / _dot(eta, eta)[:, None]
+        for j in range(i):
+            b = basis[:, j]
+            v = np.where((found > j)[:, None], v - _dot(v, b)[:, None] * b, v)
+        n = np.sqrt(_dot(v, v))
+        keep = (n > 1e-8) & (found < 4)
+        slot = np.minimum(found, 3)
+        scale = np.where(keep, n, 1.0)[:, None]  # a skipped vector may be 0
+        basis[rows, slot] = np.where(keep[:, None], v / scale, basis[rows, slot])
+        found += keep
+    return basis
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    """The rows of v (..., n) scaled to unit length."""
+    return v / np.sqrt(_dot(v, v))[..., None]
 
 
 def run_default_hypersurface_suites(seed: int, samples: int) -> SuiteReport:

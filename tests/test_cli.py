@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON and CSV contracts, seeding."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from nks3 import cli
 from nks3 import hypersurfaces as hs
+from nks3.pointwise import AmbientPoint
 
 
 def _run(capsys, argv):
@@ -269,9 +271,52 @@ def test_sweep_batch_matches_point_by_point_analysis(capsys, monkeypatch, grid):
 
     batched = sweeps()
     original = hs.analyze_points
-    monkeypatch.setattr(hs, "analyze_points", lambda M, U, *args, **kwargs: [
-        original(M, u[None], *args, **kwargs)[0] for u in U])
+
+    def point_by_point(M, U, *args, **kwargs):
+        # each point analysed as its own batch of one, then stacked row by row
+        rows = [original(M, u[None], *args, **kwargs) for u in U]
+        stacked = {f.name: np.concatenate([getattr(row, f.name) for row in rows])
+                   for f in dataclasses.fields(rows[0])[3:]}
+        point = AmbientPoint(np.concatenate([row.point.p for row in rows]),
+                             np.concatenate([row.point.q for row in rows]))
+        return dataclasses.replace(rows[0], u=np.asarray(U, dtype=float), point=point,
+                                   **stacked)
+
+    monkeypatch.setattr(hs, "analyze_points", point_by_point)
     assert sweeps() == batched
+
+
+def test_sweep_nan_principal_curvature_fails(capsys, monkeypatch):
+    original = hs.spectral_report
+
+    def nan_in_one_row(data):
+        rep = original(data)
+        rep.eigenvalues[1, 2] = math.nan
+        return rep
+
+    monkeypatch.setattr(hs, "spectral_report", nan_in_one_row)
+    code, out, err = _run(capsys, ["sweep", "--family", "m3", "--r", "0.6,1",
+                                   "--samples", "3", "--seed", "0"])
+    assert code == 1
+    assert "nan" in out
+    assert "spread nan" in err
+
+
+def test_sweep_one_spectral_report_per_grid_value(capsys, monkeypatch):
+    calls = []
+    original = hs.spectral_report
+
+    def counting(data):
+        calls.append(len(data))
+        return original(data)
+
+    monkeypatch.setattr(hs, "spectral_report", counting)
+    for samples in (2, 9):
+        calls.clear()
+        code, _, _ = _run(capsys, ["sweep", "--family", "m3", "--r", "0.3,0.6,1",
+                                   "--samples", str(samples), "--seed", "0"])
+        assert code == 0
+        assert calls == [samples] * 3
 
 
 def test_sweep_chart_calls_do_not_grow_with_samples(capsys, monkeypatch):

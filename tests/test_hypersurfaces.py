@@ -319,6 +319,147 @@ class TestSpectra:
         assert [len(c) for c in clusters] == [2, 2, 1]
 
 
+def _cluster_loop(values, rel_tol, abs_floor):
+    """Clusters of the sorted values, one value at a time: a value joins the
+    current cluster when its gap to the cluster's last value is at most the
+    threshold (so a NaN gap or threshold opens a new cluster)."""
+    values = np.sort(np.asarray(values, dtype=float))
+    threshold = max(rel_tol * float(np.max(np.abs(values))), abs_floor)
+    clusters = [[values[0]]]
+    for v in values[1:]:
+        if v - clusters[-1][-1] <= threshold:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    return clusters
+
+
+def _spectral_report_loop(data):
+    """The spectral report of a one-point view, cluster by cluster."""
+    t = frames.get_tables()
+    evals, evecs = np.linalg.eigh(data.shape)
+    clusters = _cluster_loop(evals, 1e-6, 1e-9)
+    mult = tuple(len(c) for c in clusters)
+    means = tuple(float(np.mean(c)) for c in clusters)
+    theta = theta_sine = None
+    offsets = np.concatenate([[0], np.cumsum(mult)])
+    for idx in range(len(mult) - 1, -1, -1):
+        if mult[idx] == 2:
+            cols = evecs[:, offsets[idx]:offsets[idx] + 2]
+            x1 = cols[:, 0] @ data.tangent_frame
+            x2 = cols[:, 1] @ data.tangent_frame
+            theta = float(abs(x1 @ t.g @ (t.J @ x2)))
+            jx1 = t.J @ x1
+            theta_sine = float(frames.g_norm(t, jx1 - float(jx1 @ t.g @ x2) * x2))
+            break
+    trace = float(np.sum(evals))
+    return hs.SpectralReport(evals, mult, means, trace, trace / 5.0,
+                             2 if data.c <= hs.DIM_TOL else 4, theta, theta_sine)
+
+
+# (values, rel_tol, abs_floor) that probe the edges of the clustering rule
+CRAFTED_SPECTRA = [
+    ([1.0, 1.0, 1.0, 2.0, 2.0], 1e-6, 1e-9),            # exact ties
+    ([0.0, 0.5, 1.0, 2.0, 4.0], 0.125, 1e-9),           # gaps equal to the threshold 0.5
+    ([-0.5, 0.0, 1.0, 2.0, 4.0], 0.125, 1e-9),
+    ([1e-12, 2e-12, 3e-12, 5e-10, 2e-9], 1e-6, 1e-9),   # below the absolute floor
+    ([0.0, 0.0, 0.0, 0.0, 0.0], 1e-6, 0.0),
+    ([0.0, math.nan, 1.0, 1.0, 2.0], 1e-6, 1e-9),       # a NaN entry
+    ([-3.0, -1.0, -1.0 + 1e-9, 2.0, 2.0 + 1e-8], 1e-6, 1e-9),
+]
+
+
+class TestBatchedSpectra:
+    """The spectral report of a batch against the reports of its one-point
+    views, and the vectorised clustering against the one-value-at-a-time
+    rule."""
+
+    @pytest.mark.parametrize("values,rel_tol,abs_floor", CRAFTED_SPECTRA)
+    def test_clustering_matches_loop(self, values, rel_tol, abs_floor):
+        expected = _cluster_loop(values, rel_tol, abs_floor)
+        got = hs.cluster_eigenvalues(values, rel_tol, abs_floor)
+        assert [len(c) for c in got] == [len(c) for c in expected]
+        npt.assert_array_equal(np.concatenate(got), np.concatenate(expected))
+        starts = hs._cluster_starts(np.sort(np.asarray(values)), rel_tol, abs_floor)
+        assert np.count_nonzero(starts) == len(expected)
+
+    def test_clustering_rows_are_independent(self):
+        rows = np.sort(np.array([v for v, rel, floor in CRAFTED_SPECTRA if rel == 1e-6]),
+                       axis=-1)
+        starts = hs._cluster_starts(rows, 1e-6, 1e-9)
+        for row, row_starts in zip(rows, starts):
+            sizes = [len(c) for c in _cluster_loop(row, 1e-6, 1e-9)]
+            assert np.diff(np.flatnonzero(np.append(row_starts, True))).tolist() == sizes
+
+    @pytest.mark.parametrize("family,kw", [
+        ("m1", dict(r=0.6)), ("m1", dict(r=1.0)), ("m2", dict(r=0.6)), ("m2", dict(r=1.0)),
+        ("m3", dict(r=0.6)), ("m3", dict(r=1.0)),
+        ("m4", dict(k=0.6, l=0.8)), ("m5", dict(k=0.6, l=0.8)), ("m6", dict(k=0.8, l=0.6)),
+    ])
+    def test_batch_rows_equal_single_points_bitwise(self, family, kw):
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(41)
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(6)]))
+        rep = hs.spectral_report(data)
+        assert rep.eigenvalues.shape == (6, 5)
+        three = family in hs.THREE_CURVATURE_FAMILIES
+        names = hs.classify_normal_action(data)
+        for i, row in enumerate(data):
+            single = hs.spectral_report(row)
+            assert single.multiplicities == ((2, 1, 2) if three else (1, 1, 1, 1, 1))
+            assert (single.theta is None) == (not three)
+            for want in (single, _spectral_report_loop(row)):
+                for f in dataclasses.fields(hs.SpectralReport):
+                    got, expected = getattr(rep[i], f.name), getattr(want, f.name)
+                    assert type(got) is type(expected), f.name
+                    if f.name == "eigenvalues":
+                        assert got.tobytes() == expected.tobytes()
+                    else:
+                        assert got == expected, f.name
+            assert names[i] == hs.classify_normal_action(row)
+        if three:
+            batched = dataclasses.astuple(hs.theta_r_consistency(data))
+            for i, row in enumerate(data):
+                assert dataclasses.astuple(hs.theta_r_consistency(row)) == tuple(
+                    field[i] for field in batched)
+
+    def test_slice_is_a_batch(self):
+        M = hs.make_example("m2", r=0.6)
+        rng = np.random.default_rng(42)
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
+        rep = hs.spectral_report(data)
+        part = rep[1:3]
+        assert part.eigenvalues.shape == (2, 5)
+        assert part[1].eigenvalues.tobytes() == rep[2].eigenvalues.tobytes()
+        assert part[1].cluster_means == rep[2].cluster_means
+
+    def test_degenerate_row_is_named(self):
+        M = hs.make_example("m1", r=0.6)
+        rng = np.random.default_rng(43)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(3)])
+        data = hs.analyze_points(M, U)
+        shape = data.shape.copy()
+        shape[1] = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
+        rep = hs.spectral_report(dataclasses.replace(data, shape=shape))
+        assert rep[1].multiplicities == (1, 1, 1, 1, 1)
+        assert rep[1].theta is None and math.isnan(rep.theta[1])
+        assert rep[0].multiplicities == rep[2].multiplicities == (2, 1, 2)
+        with pytest.raises(DegenerateImmersionError,
+                           match=re.escape(f"eigenspaces at u={U[1].tolist()}")):
+            hs.theta_r_consistency(dataclasses.replace(data, shape=shape))
+
+    def test_normal_action_batch_marks_undefined_rows(self):
+        M = hs.make_example("m3", r=0.6)
+        rng = np.random.default_rng(44)
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(3)]))
+        c = data.c.copy()
+        c[2] = 0.5
+        names = hs.classify_normal_action(dataclasses.replace(data, c=c))
+        assert names.tolist() == [hs.REFLECT, hs.REFLECT, hs.UNDEFINED]
+        with pytest.raises(PreconditionError):
+            hs.classify_normal_action(dataclasses.replace(data, c=c)[2])
+
+
 class TestNormalAction:
     @pytest.mark.parametrize("family,expected", [
         ("m1", hs.PLUS), ("m2", hs.MINUS), ("m3", hs.REFLECT),

@@ -1,5 +1,6 @@
 """Verification suites: pass status, determinism, report schema, NaN policy."""
 
+import dataclasses
 import json
 import math
 
@@ -147,6 +148,59 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["pushforward"] > 0 and counts[0]["mul"] > 0
+
+
+def _structure_complement_loop(row):
+    """Gram-Schmidt of one point's coordinate vectors with U projected out."""
+    eta = row.eta
+    basis = []
+    for i in range(5):
+        v = np.zeros(5)
+        v[i] = 1.0
+        v = v - float(v @ eta) * eta / float(eta @ eta)
+        for b in basis:
+            v = v - float(v @ b) * b
+        n = np.linalg.norm(v)
+        if n > 1e-8:
+            basis.append(v / n)
+    return basis[:4]
+
+
+def test_structure_complement_rows_equal_per_point_loop_bitwise():
+    M = hs.make_example("m2", r=0.6)
+    rng = np.random.default_rng(12)
+    data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(6)]))
+    eta = data.eta.copy()
+    eta[5] = [1.0, 0.0, 0.0, 0.0, 0.0]  # the first coordinate vector is skipped
+    data = dataclasses.replace(data, eta=eta)
+    basis = verify._structure_complement(data)
+    for i, row in enumerate(data):
+        assert basis[i].tobytes() == np.stack(_structure_complement_loop(row)).tobytes()
+
+
+@pytest.mark.parametrize("family,params,spectra", [("m3", {"r": 0.6}, 3),
+                                                   ("m6", {"k": 0.6, "l": 0.8}, 1)])
+def test_hypersurface_suite_makes_no_per_sample_spectral_reports(monkeypatch, family,
+                                                                 params, spectra):
+    # one spectral report for the samples, and for m1-m3 one each inside
+    # the theta-r relation and the leaf geometry, whatever the sample count
+    calls = {"spectral_report": 0, "_spectra": 0}
+    report, arrays = hs.spectral_report, hs._spectra
+
+    def counting_report(data):
+        calls["spectral_report"] += 1
+        return report(data)
+
+    def counting_arrays(*args):
+        calls["_spectra"] += 1
+        return arrays(*args)
+
+    monkeypatch.setattr(hs, "spectral_report", counting_report)
+    monkeypatch.setattr(hs, "_spectra", counting_arrays)
+    for samples in (2, 5):
+        calls.update(spectral_report=0, _spectra=0)
+        verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
+        assert calls == {"spectral_report": 1, "_spectra": spectra}, samples
 
 
 def test_hypersurface_suite_single_family():
