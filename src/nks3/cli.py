@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -242,7 +243,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str):
     try:
-        vals = [float(x) for x in text.split(",") if x]
+        vals = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
     if not all(math.isfinite(v) for v in vals):
@@ -295,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of `main`, built on its first call and kept for the process
+_parser = functools.cache(build_parser)
+
+
 # argparse reads a value such as "-0.1,0,0,0,0" as an option name, because
 # it is not a plain negative number; these options take such values
 _SIGNED_OPTIONS = ("--at", "--r", "--k")
@@ -317,10 +322,9 @@ def _join_signed_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_signed_values(argv))
+        args = _parser().parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help
         return int(exc.code or 0)

@@ -29,9 +29,11 @@ corrected by the exact frame tensors:
     D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
 
 the correction being `frames.connection_gap`, the same function the
-structure suite checks against the flat derivative.  The induced
-derivatives of the Gauss, Codazzi and transport residuals subtract it
-the same way.
+structure suite checks against the flat derivative.  The transport,
+Codazzi and Gauss residuals take every induced derivative through one
+step, `_covariant_fd`: the central difference of a field's flat R^8 form
+along a chart segment, in frame coefficients, minus the same gap of the
+direction and the field's value, minus the normal part.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -43,7 +45,7 @@ equals the residual of that row's one-point view bitwise.  The spectral
 report, the theta-r relation and the normal-action class take a batch the
 same way, with one `eigh` call for all rows.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
-the finite differences.
+the finite differences of `_weingarten` and `_covariant_fd`.
 
 Orientation convention: the normal sign is chosen so that trace(A) >= 0,
 with a lexicographic tie-break on the frame coefficients of xi when the
@@ -724,22 +726,22 @@ def normal_action_residual(data: HypersurfacePointData, name: str):
 # identity residuals
 # ---------------------------------------------------------------------------
 
-def _induced_derivative(at: AmbientPoint, xi, gap, d_field_r8) -> np.ndarray:
-    """Induced covariant derivative of a field, from its flat derivative
-    d_field_r8 (..., 8) at the point at with unit normal xi: tangent
-    projection to frame coefficients, minus the flat-vs-frame connection
-    gap (`frames.connection_gap` of the direction and the field's value),
-    minus the normal component.  Broadcasts over a batch of points."""
-    return _tangential(r8_to_frame(at, d_field_r8) - gap, xi)
+def _segments(u, vels, h: float) -> np.ndarray:
+    """The ends u + h vel and u - h vel (..., 2, 5) of the chart segments
+    through the chart points u along the chart velocities vels (..., 5)."""
+    return np.stack([u + h * vels, u - h * vels], axis=-2)
 
 
-def _induced_derivative_at(data: HypersurfacePointData, x6, field_center,
-                           d_field_r8) -> np.ndarray:
-    """`_induced_derivative` at the analysed points, along one direction x6
-    (..., 6) per point, of a field with value field_center there."""
-    return _induced_derivative(data.point, data.xi,
-                               _rowwise(connection_gap, x6, field_center),
-                               d_field_r8)
+def _covariant_fd(at: AmbientPoint, xi, ends: AmbientPoint, values, x6, value,
+                  h: float) -> np.ndarray:
+    """Induced derivative D_X F (..., 6) at the points at with unit normals
+    xi of a field F, from its frame values (..., 2, 6) at the ends of the
+    chart segments of half-length h along X = x6 and its value there: the
+    flat R^8 central difference in frame coefficients, minus the connection
+    gap of X and that value, minus the normal part.  Broadcasts."""
+    f8 = frame_to_r8(ends, values)
+    d8 = (f8[..., 0, :] - f8[..., 1, :]) / (2.0 * h)
+    return _tangential(r8_to_frame(at, d8) - _rowwise(connection_gap, x6, value), xi)
 
 
 def reeb_transport_residual(data: HypersurfacePointData, x5,
@@ -751,14 +753,11 @@ def reeb_transport_residual(data: HypersurfacePointData, x5,
     x5 = np.asarray(x5, dtype=float)
     X = data.from_components(x5)
     chart_vel = _vm(x5, data.chart_weights)
-    u = data.u
 
-    p, q, T = _chart_data(data.immersion,
-                          np.stack([u + h * chart_vel, u - h * chart_vel], axis=-2))
+    p, q, T = _chart_data(data.immersion, _segments(data.u, chart_vel, h))
     xi = _aligned(_unit_normal(T), data.xi[..., None, :])
-    reeb8 = frame_to_r8(AmbientPoint(p, q), -(xi @ t.J.T))
-    du8 = (reeb8[..., 0, :] - reeb8[..., 1, :]) / (2.0 * h)
-    lhs = _induced_derivative_at(data, X, data.structure_vector, du8)
+    lhs = _covariant_fd(data.point, data.xi, AmbientPoint(p, q), -(xi @ t.J.T),
+                        X, data.structure_vector, h)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
     return _out(g_norm(t, lhs - rhs))
 
@@ -772,49 +771,23 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
     y5 = np.asarray(y5, dtype=float)
     X = data.from_components(x5)
     Y = data.from_components(y5)
-    xchart = _vm(x5, data.chart_weights)
-    ychart = _vm(y5, data.chart_weights)
+    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
 
     # the shape operator along both chart lines, from the stencils of the
-    # four neighbouring points of every row in one chart call
-    u = data.u
-    centres = np.stack([u + h * xchart, u - h * xchart, u + h * ychart, u - h * ychart],
-                       axis=-2)
-    w = _weingarten(data.immersion, centres, NORMAL_H, data.xi[..., None, :])
+    # four neighbouring points of every row in one chart call; A Y is
+    # differenced along X and A X along Y
+    w = _weingarten(data.immersion, _segments(data.u[..., None, :], vels, h),
+                    NORMAL_H, data.xi[..., None, None, :])
     A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
-    args = np.stack([ychart, ychart, xchart, xchart], axis=-2)
-    w6 = np.einsum("...a,...ac->...c", args, w.T)
+    w6 = np.einsum("...a,...ac->...c", vels[..., ::-1, None, :], w.T)
     comps = np.einsum("...ic,cd,...d->...i", w.frame, t.g, w6)
-    shaped8 = frame_to_r8(AmbientPoint(w.p, w.q),
-                          np.einsum("...i,...ij,...jc->...c", comps, A, w.frame))
-    d8 = (shaped8[..., 0::2, :] - shaped8[..., 1::2, :]) / (2.0 * h)
-    lhs = (_induced_derivative_at(data, X, data.apply_shape(Y), d8[..., 0, :])
-           - _induced_derivative_at(data, Y, data.apply_shape(X), d8[..., 1, :]))
+    shaped = np.einsum("...i,...ij,...jc->...c", comps, A, w.frame)
+    at = AmbientPoint(data.point.p[..., None, :], data.point.q[..., None, :])
+    d = _covariant_fd(at, data.xi[..., None, :],
+                      AmbientPoint(w.p, w.q), shaped, np.stack([X, Y], axis=-2),
+                      np.stack([data.apply_shape(Y), data.apply_shape(X)], axis=-2), h)
     rhs = -data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return _out(g_norm(t, lhs - rhs))
-
-
-def _covariant_fields_r8(M: Immersion, primes, vels, arg_chart,
-                         h: float) -> np.ndarray:
-    """(induced derivative of the arg field along vel) at each chart point of
-    primes (..., n, 5), with its own velocity vels (..., n, 5); flat layout
-    (..., n, 8).
-
-    Both the velocity and the argument arg_chart (..., 1, 5) are
-    chart-coefficient-constant combinations of the coordinate pushforwards.
-    One chart call covers each point and its two neighbours along its
-    velocity.
-    """
-    stencil = np.stack([primes, primes + h * vels, primes - h * vels], axis=-2)
-    p, q, T = _chart_data(M, stencil)
-    T_p = T[..., 0, :, :]
-    fields8 = frame_to_r8(AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
-                          _vm(arg_chart[..., None, :], T[..., 1:, :, :]))
-    at = AmbientPoint(p[..., 0, :], q[..., 0, :])
-    v6 = np.einsum("...a,...ac->...c", vels, T_p)
-    d8 = (fields8[..., 0, :] - fields8[..., 1, :]) / (2.0 * h)
-    gap = connection_gap(get_tables(), v6, _vm(arg_chart, T_p))
-    return frame_to_r8(at, _induced_derivative(at, _unit_normal(T_p), gap, d8))
+    return _out(g_norm(t, d[..., 0, :] - d[..., 1, :] - rhs))
 
 
 def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
@@ -822,26 +795,30 @@ def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
     """R(X, Y) Z of the induced connection, two stacked central differences,
     for X, Y, Z given by their tangent-frame components x5, y5, z5 (..., 5).
 
-    The inner derivatives along Y (and X) are taken at the point and at its
-    two neighbours along X (and Y): six points with three chart points
-    each per row, all rows evaluated in one chart call.
+    The inner derivatives along Y (and X) are taken in frame coefficients at
+    the point and at its two neighbours along X (and Y): six points with
+    three chart points each per row, all rows evaluated in one chart call.
     """
-    xchart, ychart, zchart = (_vm(v, data.chart_weights) for v in (x5, y5, z5))
-    u = data.u
-    primes = np.stack([u + h * xchart, u - h * xchart, u,
-                       u + h * ychart, u - h * ychart, u], axis=-2)
-    vels = np.stack([ychart] * 3 + [xchart] * 3, axis=-2)
-    fields8 = _covariant_fields_r8(data.immersion, primes, vels,
-                                   zchart[..., None, :], h)
-    fields8 = fields8.reshape(fields8.shape[:-2] + (2, 3, 8))
-
-    def second_derivative(f, outer6):
-        center = r8_to_frame(data.point, f[..., 2, :])
-        return _induced_derivative_at(data, outer6, center,
-                                      (f[..., 0, :] - f[..., 1, :]) / (2.0 * h))
-
-    return (second_derivative(fields8[..., 0, :, :], data.from_components(x5))
-            - second_derivative(fields8[..., 1, :, :], data.from_components(y5)))
+    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
+    zchart = _vm(z5, data.chart_weights)[..., None, None, :]
+    u = data.u[..., None, None, :]
+    primes = np.concatenate([_segments(u[..., 0, :], vels, h),
+                             np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
+    inner_vels = vels[..., ::-1, None, :]
+    p, q, T = _chart_data(data.immersion, np.concatenate(
+        [primes[..., None, :], _segments(primes, inner_vels, h)], axis=-2))
+    T_p = T[..., 0, :, :]
+    inner = _covariant_fd(AmbientPoint(p[..., 0, :], q[..., 0, :]), _unit_normal(T_p),
+                          AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
+                          _vm(zchart[..., None, :], T[..., 1:, :, :]),
+                          _vm(inner_vels, T_p), _vm(zchart, T_p), h)
+    # the outer differences along X and Y, centred at prime 2, the point itself
+    XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
+    outer = _covariant_fd(AmbientPoint(p[..., 2, 0, :], q[..., 2, 0, :]),
+                          data.xi[..., None, :],
+                          AmbientPoint(p[..., :2, 0, :], q[..., :2, 0, :]),
+                          inner[..., :2, :], XY, inner[..., 2, :], h)
+    return outer[..., 0, :] - outer[..., 1, :]
 
 
 def gauss_residual(data: HypersurfacePointData, x5, y5, z5, h: float = 1e-4):

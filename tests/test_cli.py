@@ -80,6 +80,12 @@ def test_analyze_malformed_at(capsys):
     code, _, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.5",
                                  "--at", "0,0"])
     assert code == 2
+    # an empty field is an error, not a dropped value
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
+                                   "--at", "0.1,,0.2,0.3,0.4,0.5"])
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: argument --at: not a comma-separated float list: '0.1,,0.2,0.3,0.4,0.5'"]
 
 
 def test_analyze_out_of_domain_r(capsys):
@@ -360,6 +366,11 @@ def test_sweep_non_finite_grid_usage_error(capsys):
     code, _, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5,nan"])
     assert code == 2
     assert "finite" in err
+    # an empty field (here two) is an error, not a dropped grid value
+    code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.6,,0.8,"])
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: argument --r: not a comma-separated float list: '0.6,,0.8,'"]
 
 
 def test_linear_algebra_failure_exits_two(capsys, monkeypatch):

@@ -540,6 +540,28 @@ class TestIdentityResiduals:
         assert hs.gauss_residual(d, x5, y5, z5) <= 1e-3
         assert hs.gauss_residual(d, x5, x5, z5) <= 1e-12
 
+    @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
+                                           ("m6", dict(k=0.8, l=0.6))])
+    def test_covariant_fd_converges_at_second_order(self, family, kw):
+        # a field Z with constant frame coefficients z has the exact ambient
+        # derivative D_X Z = frames.nabla(X, z), so the step's error is its
+        # central-difference error alone and quarters when h halves
+        t = frames.get_tables()
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(17)
+        d = hs.analyze_point(M, hs.random_chart_point(rng))
+        vel, z = rng.standard_normal(5), rng.standard_normal(6)
+        X = vel @ d.push_coords
+        exact = hs._tangential(frames.nabla(t, X, z), d.xi)
+        errors = []
+        for h in (1e-3, 5e-4, 2.5e-4):
+            ends = M.point(hs._segments(d.u, vel, h))
+            step = hs._covariant_fd(d.point, d.xi, ends, np.stack([z, z]), X, z, h)
+            errors.append(frames.g_norm(t, step - exact))
+        assert errors[0] > 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(coarse / fine - 4.0) <= 0.01
+
     def test_hopf_identity(self):
         rng = np.random.default_rng(15)
         for family, kw in [("m1", dict(r=0.6)), ("m3", dict(r=0.8))]:

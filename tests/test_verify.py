@@ -127,9 +127,10 @@ def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
                                            ("m6", {"k": 0.6, "l": 0.8})])
 def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family, params):
     # every identity is evaluated once over the suite's samples, so neither
-    # the quaternion products nor the chart calls grow with the sample count
-    calls = {"mul": 0, "pushforward": 0}
-    mul, pushforward = qt.mul, hs.Immersion.pushforward
+    # the quaternion products, the chart calls nor the finite-difference
+    # derivative steps grow with the sample count
+    calls = {"mul": 0, "pushforward": 0, "covariant_fd": 0}
+    mul, pushforward, covariant_fd = qt.mul, hs.Immersion.pushforward, hs._covariant_fd
 
     def counting_mul(q1, q2):
         calls["mul"] += 1
@@ -139,15 +140,20 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         calls["pushforward"] += 1
         return pushforward(self, u)
 
+    def counting_covariant_fd(*args):
+        calls["covariant_fd"] += 1
+        return covariant_fd(*args)
+
     monkeypatch.setattr(qt, "mul", counting_mul)
     monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
+    monkeypatch.setattr(hs, "_covariant_fd", counting_covariant_fd)
     counts = []
     for samples in (2, 5):
-        calls.update(mul=0, pushforward=0)
+        calls.update(mul=0, pushforward=0, covariant_fd=0)
         verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["pushforward"] > 0 and counts[0]["mul"] > 0
+    assert all(n > 0 for n in counts[0].values())
 
 
 def _structure_complement_loop(row):
