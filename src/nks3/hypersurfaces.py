@@ -790,6 +790,12 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
     return _out(g_norm(t, d[..., 0, :] - d[..., 1, :] - rhs))
 
 
+# the chart points (direction, prime, stencil slot) of `_induced_curvature`
+# that its chart call evaluates: all but the point itself, slot [d, 2, 0]
+_FRESH = np.ones((2, 3, 3), dtype=bool)
+_FRESH[:, 2, 0] = False
+
+
 def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
                        h: float) -> np.ndarray:
     """R(X, Y) Z of the induced connection, two stacked central differences,
@@ -797,7 +803,9 @@ def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
 
     The inner derivatives along Y (and X) are taken in frame coefficients at
     the point and at its two neighbours along X (and Y): six points with
-    three chart points each per row, all rows evaluated in one chart call.
+    three chart points each per row.  The point itself (prime 2 of either
+    direction) takes its chart data and normal from the point data; the
+    other 16 chart points of all rows are evaluated in one chart call.
     """
     vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
     zchart = _vm(z5, data.chart_weights)[..., None, None, :]
@@ -805,10 +813,22 @@ def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
     primes = np.concatenate([_segments(u[..., 0, :], vels, h),
                              np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
     inner_vels = vels[..., ::-1, None, :]
-    p, q, T = _chart_data(data.immersion, np.concatenate(
-        [primes[..., None, :], _segments(primes, inner_vels, h)], axis=-2))
+    points = np.concatenate([primes[..., None, :], _segments(primes, inner_vels, h)],
+                            axis=-2)
+    p = np.empty(points.shape[:-1] + (4,))
+    q = np.empty_like(p)
+    T = np.empty(points.shape[:-1] + (5, 6))
+    p[..., _FRESH, :], q[..., _FRESH, :], T[..., _FRESH, :, :] = _chart_data(
+        data.immersion, points[..., _FRESH, :])
+    p[..., 2, 0, :] = data.point.p[..., None, :]
+    q[..., 2, 0, :] = data.point.q[..., None, :]
+    T[..., 2, 0, :, :] = data.push_coords[..., None, :, :]
     T_p = T[..., 0, :, :]
-    inner = _covariant_fd(AmbientPoint(p[..., 0, :], q[..., 0, :]), _unit_normal(T_p),
+    # the normal at the point is data.xi up to sign, which _tangential ignores
+    xi_p = np.empty(T_p.shape[:-2] + (6,))
+    xi_p[..., :2, :] = _unit_normal(T_p[..., :2, :, :])
+    xi_p[..., 2, :] = data.xi[..., None, :]
+    inner = _covariant_fd(AmbientPoint(p[..., 0, :], q[..., 0, :]), xi_p,
                           AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
                           _vm(zchart[..., None, :], T[..., 1:, :, :]),
                           _vm(inner_vels, T_p), _vm(zchart, T_p), h)

@@ -4,6 +4,14 @@ A quaternion w + x i + y j + z k is stored as ``array([w, x, y, z])``.
 Every function broadcasts over leading axes, so batches are handled as
 arrays of shape (..., 4).  Imaginary quaternions (w == 0) double as
 3-vectors; `pure` and `vec` convert between the two layouts.
+
+`mul` has two routes, chosen by the rank of its operands.  Single
+quaternions and flat ``(n, 4)`` batches (both operands of ndim <= 2) take
+the component-column formula, which on single quaternions works on numpy
+scalars.  Stacked batches (either operand of ndim >= 3, as in the chart
+layer) form all sixteen products in one array through a signed
+permutation of q2.  Both routes form the same products and add them in
+the same order, so they agree bitwise.
 """
 
 from __future__ import annotations
@@ -15,6 +23,15 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# Row j lists, for each output component, the component of q2 that
+# multiplies component j of q1 in the Hamilton product, and its sign.
+_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_SIGNS = np.array([
+    [1.0, 1.0, 1.0, 1.0],
+    [-1.0, 1.0, -1.0, 1.0],
+    [-1.0, 1.0, 1.0, -1.0],
+    [-1.0, -1.0, 1.0, 1.0],
+])
 
 
 def pure(v) -> np.ndarray:
@@ -32,15 +49,21 @@ def vec(q) -> np.ndarray:
 
 def mul(q1, q2) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes; the result is
-    C-contiguous."""
+    C-contiguous.
+
+    On both routes output component i is the sum of q1_j * (±q2_k) over
+    j = 0, 1, 2, 3, added in that order.  x * (-y) equals -(x * y) and
+    a + (-b) equals a - b bitwise, so the routes agree bitwise, signed
+    zeros included.
+    """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    if q1.ndim != q2.ndim and min(q1.ndim, q2.ndim) > 1:
-        # unpacking through .T reverses the leading axes, which broadcast
-        # correctly only when both operands have as many of them
-        nd = max(q1.ndim, q2.ndim)
-        q1 = q1.reshape((1,) * (nd - q1.ndim) + q1.shape)
-        q2 = q2.reshape((1,) * (nd - q2.ndim) + q2.shape)
+    if q1.ndim >= 3 or q2.ndim >= 3:
+        # stacked batches: all sixteen products in one (..., 4, 4) array
+        t = np.multiply(q1[..., :, None], q2[..., _PERM] * _SIGNS, order="C")
+        return t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
+    # at most one batch axis: the component columns, numpy scalars for a
+    # single quaternion
     w1, x1, y1, z1 = q1.T
     w2, x2, y2, z2 = q2.T
     return np.ascontiguousarray(

@@ -636,6 +636,34 @@ class TestBatchedResiduals:
                 assert dataclasses.astuple(hs.leaf_geometry(row)) == tuple(
                     field[i] for field in batched)
 
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_induced_curvature_reuses_the_point_data(self, monkeypatch, family, kw):
+        # the Gauss stencil takes the chart data and normal of the point itself
+        # from the point data, which must equal a fresh chart call bitwise (the
+        # normal up to its orientation); the chart call then has 16 points a row
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(32)
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
+        p, q, T = M.pushforward(data.u)
+        npt.assert_array_equal(p, data.point.p)
+        npt.assert_array_equal(q, data.point.q)
+        npt.assert_array_equal(T, data.push_coords)
+        xi = hs._unit_normal(T)
+        assert all((n == x).all() or (n == -x).all() for n, x in zip(xi, data.xi))
+
+        shapes = []
+        pushforward = hs.Immersion.pushforward
+
+        def recording_pushforward(self, u):
+            shapes.append(np.shape(u))
+            return pushforward(self, u)
+
+        monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
+        X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
+                      for v in rng.standard_normal((3, 4, 5)))
+        hs.gauss_residual(data, X5, Y5, Z5)
+        assert shapes == [(4, 16, 5)]
+
     def test_hopf_error_names_the_failing_row(self):
         M = hs.make_example("m1", r=0.6)
         rng = np.random.default_rng(32)

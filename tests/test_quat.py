@@ -57,6 +57,9 @@ def _hamilton(q1, q2):
     ((4,), (4,)), ((500, 4), (4,)), ((4,), (7, 3, 4)), ((70, 3, 4), (70, 3, 4)),
     ((5, 1, 4), (1, 6, 4)), ((7, 3, 4), (3, 4)), ((3, 4), (7, 1, 4)),
     ((3, 3, 4), (3, 4)),
+    # the stacked shapes of a hypersurface battery pass
+    ((2, 2, 3, 3, 1, 4), (2, 2, 3, 3, 5, 4)), ((4,), (2, 2, 3, 3, 4)),
+    ((2, 2, 3, 3, 4), (4,)), ((10, 11, 4), (10, 11, 4)),
 ])
 def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
     rng = np.random.default_rng(10)
@@ -68,12 +71,35 @@ def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
     assert out.flags.c_contiguous
 
 
+def test_mul_routes_agree_bitwise_on_special_values():
+    # (n, 4) takes the component-column route, (n, 1, 1, 4) the stacked one
+    rng = np.random.default_rng(12)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e-300, -1e300])
+    n = 5000
+    a = rng.choice(values, (n, 4))
+    b = rng.choice(values, (n, 4))
+    with np.errstate(all="ignore"):
+        flat = qt.mul(a, b)
+        stacked = qt.mul(a.reshape(n, 1, 1, 4), b.reshape(n, 1, 1, 4)).reshape(n, 4)
+    assert np.isnan(flat).any() and (flat == 0).any() and np.isinf(flat).any()
+    assert flat.tobytes() == stacked.tobytes()
+    # assert_array_equal counts -0 equal to 0, so the signs are held apart
+    npt.assert_array_equal(flat, stacked)
+    npt.assert_array_equal(np.signbit(flat), np.signbit(stacked))
+
+
 def test_mul_accepts_non_contiguous_operands():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((4, 6)).T     # (6, 4), Fortran-ordered
     b = rng.standard_normal((6, 8))[:, ::2]
     out = qt.mul(a, b)
     npt.assert_array_equal(out, _hamilton(a, b))
+    assert out.flags.c_contiguous
+    # the same operands through the stacked route
+    a3 = rng.standard_normal((4, 3, 6)).T   # (6, 3, 4), Fortran-ordered
+    b3 = rng.standard_normal((6, 3, 8))[..., ::2]
+    out = qt.mul(a3, b3)
+    npt.assert_array_equal(out, _hamilton(a3, b3))
     assert out.flags.c_contiguous
 
 
