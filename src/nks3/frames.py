@@ -165,21 +165,22 @@ def frame_vector(at: AmbientPoint, x) -> TangentVector:
     return TangentVector(at, qt.mul(at.p, qt.pure(x[:3])), qt.mul(at.q, qt.pure(x[3:])))
 
 
-def frame_to_r8(at: AmbientPoint, x) -> np.ndarray:
-    """Flat R^8 representation (U, V) of frame coefficient vectors (..., 6);
-    broadcasts over the leading axes of x and of the point (batch)."""
+def frame_to_r8(p, q, x) -> np.ndarray:
+    """Flat R^8 representation (U, V) of frame coefficient vectors (..., 6)
+    at the points (p, q) (..., 4); broadcasts over the leading axes of x and
+    of the points."""
     x = np.asarray(x, dtype=float)
-    u = qt.mul(at.p, qt.pure(x[..., :3]))
-    v = qt.mul(at.q, qt.pure(x[..., 3:]))
+    u = qt.mul(p, qt.pure(x[..., :3]))
+    v = qt.mul(q, qt.pure(x[..., 3:]))
     return np.concatenate([u, v], axis=-1)
 
 
-def r8_to_frame(at: AmbientPoint, w) -> np.ndarray:
-    """Tangent-project flat R^8 vectors (..., 8) at a point (or a batch of
-    points), in frame coefficients."""
+def r8_to_frame(p, q, w) -> np.ndarray:
+    """Tangent-project flat R^8 vectors (..., 8) at the points (p, q)
+    (..., 4), in frame coefficients; broadcasts."""
     w = np.asarray(w, dtype=float)
-    u, v = project_components(at.p, at.q, w[..., :4], w[..., 4:])
-    return frame_coords_components(at.p, at.q, u, v)
+    u, v = project_components(p, q, w[..., :4], w[..., 4:])
+    return frame_coords_components(p, q, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,9 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
     return term1 + term2 + term3
 
 
-def euclidean_connection(at: AmbientPoint, x, y) -> np.ndarray:
-    """Product-round-metric connection of a constant-frame-coefficient field.
+def euclidean_connection(p, q, x, y) -> np.ndarray:
+    """Product-round-metric connection of a constant-frame-coefficient field
+    at the point (p, q).
 
     The field Y(p, q) = (p u, q v) with fixed imaginary u, v is linear in the
     point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly;
@@ -250,11 +252,11 @@ def euclidean_connection(at: AmbientPoint, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xu = qt.mul(at.p, qt.pure(x[:3]))
-    xv = qt.mul(at.q, qt.pure(x[3:]))
+    xu = qt.mul(p, qt.pure(x[:3]))
+    xv = qt.mul(q, qt.pure(x[3:]))
     du = qt.mul(xu, qt.pure(y[:3]))
     dv = qt.mul(xv, qt.pure(y[3:]))
-    return r8_to_frame(at, np.concatenate([du, dv]))
+    return r8_to_frame(p, q, np.concatenate([du, dv]))
 
 
 def connection_gap(tables: StructureTables, x, y):
@@ -268,11 +270,10 @@ def connection_gap(tables: StructureTables, x, y):
     )
 
 
-def connection_relation_residual(
-    tables: StructureTables, at: AmbientPoint, x, y
-) -> float:
-    """Residual of the flat-vs-frame connection relation at one point."""
-    lhs = euclidean_connection(at, x, y)
+def connection_relation_residual(tables: StructureTables, p, q, x, y) -> float:
+    """Residual of the flat-vs-frame connection relation at the one point
+    (p, q)."""
+    lhs = euclidean_connection(p, q, x, y)
     rhs = nabla(tables, x, y) + connection_gap(tables, x, y)
     return float(g_norm(tables, lhs - rhs))
 

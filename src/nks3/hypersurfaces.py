@@ -294,7 +294,8 @@ class HypersurfacePointData:
 
     immersion: Immersion
     u: np.ndarray                # (5,) chart point, read-only copy
-    point: AmbientPoint
+    p: np.ndarray                # (4,) ambient point, first factor
+    q: np.ndarray                # (4,) ambient point, second factor
     push_coords: np.ndarray      # (5, 6) chart pushforwards
     tangent_frame: np.ndarray    # (5, 6) rows g-orthonormal
     chart_weights: np.ndarray    # (5, 5): frame_i = sum_a W[i, a] push_a
@@ -327,9 +328,7 @@ class HypersurfacePointData:
             return float(v) if v.ndim == 0 else v
 
         return HypersurfacePointData(
-            self.immersion, row(self.u),
-            AmbientPoint(self.point.p[index], self.point.q[index]),
-            *(row(getattr(self, f.name)) for f in fields(self)[3:]))
+            self.immersion, *(row(getattr(self, f.name)) for f in fields(self)[1:]))
 
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
@@ -457,11 +456,11 @@ def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten
     p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=-2))
     xi = _unit_normal(T)
     xi0 = xi[..., 0, :] if ref_normal is None else _aligned(xi[..., 0, :], ref_normal)
-    nb8 = frame_to_r8(AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
+    nb8 = frame_to_r8(p[..., 1:, :], q[..., 1:, :],
                       _aligned(xi[..., 1:, :], xi0[..., None, :]))
 
     # product-round-metric derivative of the normal along each chart line
-    nablaE_chart = r8_to_frame(AmbientPoint(p[..., :1, :], q[..., :1, :]),
+    nablaE_chart = r8_to_frame(p[..., :1, :], q[..., :1, :],
                                (nb8[..., :5, :] - nb8[..., 5:, :]) / (2.0 * h))
     frame0, W0 = _orthonormal_frame(T[..., 0, :, :])
     nabla_xi = W0 @ nablaE_chart - connection_gap(t, frame0, xi0[..., None, :])
@@ -529,7 +528,8 @@ def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
     return HypersurfacePointData(
         immersion=M,
         u=U,
-        point=AmbientPoint(w.p, w.q),
+        p=w.p,
+        q=w.q,
         push_coords=w.T,
         tangent_frame=frame,
         chart_weights=w.W,
@@ -732,16 +732,17 @@ def _segments(u, vels, h: float) -> np.ndarray:
     return np.stack([u + h * vels, u - h * vels], axis=-2)
 
 
-def _covariant_fd(at: AmbientPoint, xi, ends: AmbientPoint, values, x6, value,
+def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
                   h: float) -> np.ndarray:
-    """Induced derivative D_X F (..., 6) at the points at with unit normals
-    xi of a field F, from its frame values (..., 2, 6) at the ends of the
-    chart segments of half-length h along X = x6 and its value there: the
-    flat R^8 central difference in frame coefficients, minus the connection
-    gap of X and that value, minus the normal part.  Broadcasts."""
-    f8 = frame_to_r8(ends, values)
+    """Induced derivative D_X F (..., 6) at the points at = (p, q) (..., 4)
+    with unit normals xi of a field F, from its frame values (..., 2, 6) at
+    the ends = (p, q) (..., 2, 4) of the chart segments of half-length h
+    along X = x6 and its value there: the flat R^8 central difference in
+    frame coefficients, minus the connection gap of X and that value, minus
+    the normal part.  Broadcasts."""
+    f8 = frame_to_r8(*ends, values)
     d8 = (f8[..., 0, :] - f8[..., 1, :]) / (2.0 * h)
-    return _tangential(r8_to_frame(at, d8) - _rowwise(connection_gap, x6, value), xi)
+    return _tangential(r8_to_frame(*at, d8) - _rowwise(connection_gap, x6, value), xi)
 
 
 def reeb_transport_residual(data: HypersurfacePointData, x5,
@@ -756,7 +757,7 @@ def reeb_transport_residual(data: HypersurfacePointData, x5,
 
     p, q, T = _chart_data(data.immersion, _segments(data.u, chart_vel, h))
     xi = _aligned(_unit_normal(T), data.xi[..., None, :])
-    lhs = _covariant_fd(data.point, data.xi, AmbientPoint(p, q), -(xi @ t.J.T),
+    lhs = _covariant_fd((data.p, data.q), data.xi, (p, q), -(xi @ t.J.T),
                         X, data.structure_vector, h)
     rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
     return _out(g_norm(t, lhs - rhs))
@@ -782,9 +783,8 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
     w6 = np.einsum("...a,...ac->...c", vels[..., ::-1, None, :], w.T)
     comps = np.einsum("...ic,cd,...d->...i", w.frame, t.g, w6)
     shaped = np.einsum("...i,...ij,...jc->...c", comps, A, w.frame)
-    at = AmbientPoint(data.point.p[..., None, :], data.point.q[..., None, :])
-    d = _covariant_fd(at, data.xi[..., None, :],
-                      AmbientPoint(w.p, w.q), shaped, np.stack([X, Y], axis=-2),
+    d = _covariant_fd((data.p[..., None, :], data.q[..., None, :]),
+                      data.xi[..., None, :], (w.p, w.q), shaped, np.stack([X, Y], axis=-2),
                       np.stack([data.apply_shape(Y), data.apply_shape(X)], axis=-2), h)
     rhs = -data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
     return _out(g_norm(t, d[..., 0, :] - d[..., 1, :] - rhs))
@@ -820,23 +820,22 @@ def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
     T = np.empty(points.shape[:-1] + (5, 6))
     p[..., _FRESH, :], q[..., _FRESH, :], T[..., _FRESH, :, :] = _chart_data(
         data.immersion, points[..., _FRESH, :])
-    p[..., 2, 0, :] = data.point.p[..., None, :]
-    q[..., 2, 0, :] = data.point.q[..., None, :]
+    p[..., 2, 0, :] = data.p[..., None, :]
+    q[..., 2, 0, :] = data.q[..., None, :]
     T[..., 2, 0, :, :] = data.push_coords[..., None, :, :]
     T_p = T[..., 0, :, :]
     # the normal at the point is data.xi up to sign, which _tangential ignores
     xi_p = np.empty(T_p.shape[:-2] + (6,))
     xi_p[..., :2, :] = _unit_normal(T_p[..., :2, :, :])
     xi_p[..., 2, :] = data.xi[..., None, :]
-    inner = _covariant_fd(AmbientPoint(p[..., 0, :], q[..., 0, :]), xi_p,
-                          AmbientPoint(p[..., 1:, :], q[..., 1:, :]),
+    inner = _covariant_fd((p[..., 0, :], q[..., 0, :]), xi_p,
+                          (p[..., 1:, :], q[..., 1:, :]),
                           _vm(zchart[..., None, :], T[..., 1:, :, :]),
                           _vm(inner_vels, T_p), _vm(zchart, T_p), h)
     # the outer differences along X and Y, centred at prime 2, the point itself
     XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
-    outer = _covariant_fd(AmbientPoint(p[..., 2, 0, :], q[..., 2, 0, :]),
-                          data.xi[..., None, :],
-                          AmbientPoint(p[..., :2, 0, :], q[..., :2, 0, :]),
+    outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), data.xi[..., None, :],
+                          (p[..., :2, 0, :], q[..., :2, 0, :]),
                           inner[..., :2, :], XY, inner[..., 2, :], h)
     return outer[..., 0, :] - outer[..., 1, :]
 

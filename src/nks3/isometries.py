@@ -130,8 +130,12 @@ def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
     the conjugation twist).  Each sample draws p, q, a, b, c in turn; the
     identities are evaluated on the whole batch at once.
     """
-    draws = [[qt.sample_unit(rng) for _ in range(5)] for _ in range(samples)]
-    p, q, a, b, c = (np.stack(col) for col in zip(*draws))
+    # allocated before the first draw, so a sample count too large to hold
+    # fails at once
+    p, q, a, b, c = draws = np.empty((5, samples, 4))
+    for i in range(samples):
+        for col in draws:
+            col[i] = qt.sample_unit(rng)
     pt = (p, q)
     swap = factor_swap().apply_components
     twist = conjugation_twist().apply_components
@@ -140,7 +144,8 @@ def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
     t_cba = two_sided_translation(c, b, a).apply_components
 
     def dist(x, y) -> float:
-        return float(max(np.max(np.abs(x[0] - y[0])), np.max(np.abs(x[1] - y[1]))))
+        # NaN in either factor gives NaN
+        return float(np.max(np.abs(np.concatenate([x[0] - y[0], x[1] - y[1]], axis=-1))))
 
     return {
         "swap-involution": dist(swap(*swap(*pt)), pt),

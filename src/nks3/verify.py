@@ -122,6 +122,13 @@ def _worst(*residuals) -> float:
     return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
 
 
+def _check(check_id: str, anchor: str, samples: int, tol: float,
+           *residuals) -> CheckResult:
+    """The check over `samples` samples whose residual is the worst of the
+    residuals (floats or per-sample arrays)."""
+    return CheckResult(check_id, anchor, samples, _sanitize(_worst(*residuals)), tol)
+
+
 # ---------------------------------------------------------------------------
 # structure suite
 # ---------------------------------------------------------------------------
@@ -157,24 +164,6 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     Z = rng.standard_normal((n, 6))
     W = rng.standard_normal((n, 6))
 
-    checks = []
-
-    def add(check_id, anchor, residual, tol, count=n):
-        checks.append(CheckResult(check_id, anchor, count, _sanitize(residual), tol))
-
-    gn = lambda v: float(np.max(g_norm(t, v)))
-
-    add("G-antisymmetry", "G(X,Y) + G(Y,X) = 0",
-        gn(tensor_G(t, X, Y) + tensor_G(t, Y, X)), 1e-12)
-
-    add("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0",
-        gn(tensor_G(t, X, Y @ t.J.T) + tensor_G(t, X, Y) @ t.J.T), 1e-10)
-
-    add("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0",
-        float(np.max(np.abs(
-            g_inner(t, tensor_G(t, X, Y), Z) + g_inner(t, tensor_G(t, X, Z), Y)
-        ))), 1e-10)
-
     jx = X @ t.J.T
     lhs26 = g_inner(t, tensor_G(t, X, Y), tensor_G(t, Z, W))
     rhs26 = (1.0 / 3.0) * (
@@ -183,18 +172,9 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         + g_inner(t, jx, Z) * g_inner(t, W @ t.J.T, Y)
         - g_inner(t, jx, W) * g_inner(t, Z @ t.J.T, Y)
     )
-    add("G-inner-product",
-        "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
-        float(np.max(np.abs(lhs26 - rhs26))), 1e-10)
-
     py = Y @ t.P.T
     lhs28 = 2.0 * (nabla(t, X, py) - nabla(t, X, Y) @ t.P.T)
     rhs28 = tensor_G(t, X, py) @ t.J.T + tensor_G(t, X, Y) @ (t.J @ t.P).T
-    add("P-derivative", "2 (D_X P) Y = J G(X,PY) + J P G(X,Y)",
-        gn(lhs28 - rhs28), 1e-10)
-
-    add("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0",
-        gn(tensor_G(t, X, Y) @ t.P.T + tensor_G(t, X @ t.P.T, Y @ t.P.T)), 1e-10)
 
     # pointwise factor involution against its P, J expression
     p, q = _random_points(rng, n)
@@ -206,31 +186,42 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     pju, pjv = pw.p_components(p, q, ju, jv)
     ru = (2.0 * pju - ju) / SQRT3 - qu
     rv = (2.0 * pjv - jv) / SQRT3 - qv
-    res_q = float(np.max(np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))))
-    add("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", res_q, 1e-10)
 
-    conn = [connection_relation_residual(t, pw.AmbientPoint(p[i], q[i]), X[i], Y[i])
-            for i in range(n)]
-    add("flat-connection-relation",
-        "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2",
-        _worst(conn), 1e-10)
-
-    add("curvature-two-routes",
-        "R(X,Y)Z from connection coefficients = closed form in g, J, P",
-        gn(curvature(t, X, Y, Z) - curvature_closed_form(t, X, Y, Z)), 1e-10)
+    conn = [connection_relation_residual(t, p[i], q[i], X[i], Y[i]) for i in range(n)]
 
     xf = frame_coords_components(p, q, u, v)
     u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
                                    rng.standard_normal((n, 4)))
     yf = frame_coords_components(p, q, u2, v2)
-    res_frame = _worst(
-        np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
-        np.abs(frame_coords_components(p, q, *pw.p_components(p, q, u, v)) - xf @ t.P.T),
-        np.abs(pw.metric_components(p, q, u, v, u2, v2) - g_inner(t, xf, yf)),
-    )
-    add("frame-vs-pointwise", "frame tables reproduce the pointwise J, P, g",
-        res_frame, 1e-10)
 
+    checks = [
+        _check("G-antisymmetry", "G(X,Y) + G(Y,X) = 0", n, 1e-12,
+               g_norm(t, tensor_G(t, X, Y) + tensor_G(t, Y, X))),
+        _check("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0", n, 1e-10,
+               g_norm(t, tensor_G(t, X, Y @ t.J.T) + tensor_G(t, X, Y) @ t.J.T)),
+        _check("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0", n, 1e-10,
+               np.abs(g_inner(t, tensor_G(t, X, Y), Z) + g_inner(t, tensor_G(t, X, Z), Y))),
+        _check("G-inner-product",
+               "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
+               n, 1e-10, np.abs(lhs26 - rhs26)),
+        _check("P-derivative", "2 (D_X P) Y = J G(X,PY) + J P G(X,Y)", n, 1e-10,
+               g_norm(t, lhs28 - rhs28)),
+        _check("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0", n, 1e-10,
+               g_norm(t, tensor_G(t, X, Y) @ t.P.T + tensor_G(t, X @ t.P.T, Y @ t.P.T))),
+        _check("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", n, 1e-10,
+               np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))),
+        _check("flat-connection-relation",
+               "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2", n, 1e-10, conn),
+        _check("curvature-two-routes",
+               "R(X,Y)Z from connection coefficients = closed form in g, J, P", n, 1e-10,
+               g_norm(t, curvature(t, X, Y, Z) - curvature_closed_form(t, X, Y, Z))),
+        _check("frame-vs-pointwise", "frame tables reproduce the pointwise J, P, g",
+               n, 1e-10,
+               np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
+               np.abs(frame_coords_components(p, q, *pw.p_components(p, q, u, v))
+                      - xf @ t.P.T),
+               np.abs(pw.metric_components(p, q, u, v, u2, v2) - g_inner(t, xf, yf))),
+    ]
     return _finalize("structure", seed, checks, started)
 
 
@@ -252,20 +243,24 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
 
-    # per sample: p, q, the raw (U, V) of two tangent vectors, then a, b, c
-    draws = []
-    for _ in range(samples):
-        point = [qt.sample_unit(rng), qt.sample_unit(rng)]
-        raw = [rng.standard_normal(4) for _ in range(4)]
-        draws.append(point + raw + [qt.sample_unit(rng) for _ in range(3)])
-    p, q, u1, v1, u2, v2, a, b, c = (np.stack(col) for col in zip(*draws))
+    # per sample: p, q, the raw (U, V) of two tangent vectors, then a, b, c;
+    # allocated before the first draw, so a sample count too large to hold
+    # fails at once
+    p, q, u1, v1, u2, v2, a, b, c = np.empty((9, samples, 4))
+    for i in range(samples):
+        p[i], q[i] = qt.sample_unit(rng), qt.sample_unit(rng)
+        for col in (u1, v1, u2, v2):
+            col[i] = rng.standard_normal(4)
+        for col in (a, b, c):
+            col[i] = qt.sample_unit(rng)
     pt = (p, q)
     z = pw.project_components(p, q, u1, v1)
     z2 = pw.project_components(p, q, u2, v2)
 
-    swap = iso.factor_swap()
-    twist = iso.conjugation_twist()
-    trans = iso.two_sided_translation(a, b, c)
+    maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
+            "translation": iso.two_sided_translation(a, b, c)}
+    image = {name: m.apply_components(*pt) for name, m in maps.items()}
+    dz = {name: m.differential_components(*pt, *z) for name, m in maps.items()}
 
     def J(at, w):
         return pw.project_components(*at, *pw.j_components(*at, *w))
@@ -273,65 +268,58 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     def P(at, w):
         return pw.project_components(*at, *pw.p_components(*at, *w))
 
-    def g_dist(at, w1, w2) -> float:
-        return float(np.max(pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])))
+    def g_dist(at, w1, w2):
+        return pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])
 
-    res = {"differential-vs-fd": 0.0}
-    image, dz = {}, {}
-    for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
-        image[name] = m.apply_components(*pt)
-        dz[name] = m.differential_components(*pt, *z)
-        dz2 = m.differential_components(*pt, *z2)
-        res["pullback-" + name] = float(np.max(np.abs(
-            pw.metric_components(*image[name], *dz[name], *dz2)
-            - pw.metric_components(*pt, *z, *z2)
-        )))
-        fd = iso.differential_fd_components(m, *pt, *z)
-        res["differential-vs-fd"] = _worst(
-            res["differential-vs-fd"],
-            np.abs(fd[0] - dz[name][0]),
-            np.abs(fd[1] - dz[name][1]),
-        )
+    def pullback(name):
+        dz2 = maps[name].differential_components(*pt, *z2)
+        return np.abs(pw.metric_components(*image[name], *dz[name], *dz2)
+                      - pw.metric_components(*pt, *z, *z2))
+
+    def fd_gap(name):
+        fd = iso.differential_fd_components(maps[name], *pt, *z)
+        return np.abs(fd[0] - dz[name][0]), np.abs(fd[1] - dz[name][1])
 
     jz, pz = J(pt, z), P(pt, z)
-    for name, m in (("swap", swap), ("twist", twist)):
-        minus_jdz = [-x for x in J(image[name], dz[name])]
-        res[name + "-J-anticommute"] = g_dist(
-            image[name], m.differential_components(*pt, *jz), minus_jdz)
-    res["swap-P-commute"] = g_dist(
-        image["swap"], swap.differential_components(*pt, *pz),
-        P(image["swap"], dz["swap"]))
+
+    def anticommute(name):
+        return g_dist(image[name], maps[name].differential_components(*pt, *jz),
+                      [-x for x in J(image[name], dz[name])])
+
     pdz = P(image["twist"], dz["twist"])
     jpdz = J(image["twist"], pdz)
-    target = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
-    res["twist-P-twist"] = g_dist(
-        image["twist"], twist.differential_components(*pt, *pz), target)
-
+    twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
     comp = iso.composition_checks(rng, samples)
 
-    anchors = {
-        "pullback-swap": "g(d(swap) Z, d(swap) Z') = g(Z, Z')",
-        "pullback-twist": "g(d(twist) Z, d(twist) Z') = g(Z, Z')",
-        "pullback-translation": "g(d(translation) Z, d(translation) Z') = g(Z, Z')",
-        "swap-J-anticommute": "d(swap) J = -J d(swap)",
-        "swap-P-commute": "d(swap) P = P d(swap)",
-        "twist-J-anticommute": "d(twist) J = -J d(twist)",
-        "twist-P-twist": "d(twist) P = (-P/2 + sqrt(3)/2 JP) d(twist)",
-        "differential-vs-fd": "closed-form differentials match central differences",
-    }
-    checks = []
-    for cid, anchor in anchors.items():
-        tol = 1e-6 if cid == "differential-vs-fd" else 1e-10
-        checks.append(CheckResult(cid, anchor, samples, _sanitize(res[cid]), tol))
-    comp_anchors = {
-        "swap-involution": "swap o swap = id",
-        "twist-involution": "twist o twist = id",
-        "translation-through-swap": "T(a,b,c) o swap = swap o T(b,a,c)",
-        "translation-through-twist": "T(a,b,c) o twist = twist o T(c,b,a)",
-    }
-    for cid, val in comp.items():
-        checks.append(CheckResult(cid, comp_anchors[cid], samples, _sanitize(val), 1e-10))
-
+    n = samples
+    checks = [
+        _check("pullback-swap", "g(d(swap) Z, d(swap) Z') = g(Z, Z')",
+               n, 1e-10, pullback("swap")),
+        _check("pullback-twist", "g(d(twist) Z, d(twist) Z') = g(Z, Z')",
+               n, 1e-10, pullback("twist")),
+        _check("pullback-translation", "g(d(translation) Z, d(translation) Z') = g(Z, Z')",
+               n, 1e-10, pullback("translation")),
+        _check("swap-J-anticommute", "d(swap) J = -J d(swap)",
+               n, 1e-10, anticommute("swap")),
+        _check("swap-P-commute", "d(swap) P = P d(swap)",
+               n, 1e-10, g_dist(image["swap"], maps["swap"].differential_components(*pt, *pz),
+                                P(image["swap"], dz["swap"]))),
+        _check("twist-J-anticommute", "d(twist) J = -J d(twist)",
+               n, 1e-10, anticommute("twist")),
+        _check("twist-P-twist", "d(twist) P = (-P/2 + sqrt(3)/2 JP) d(twist)",
+               n, 1e-10, g_dist(image["twist"],
+                                maps["twist"].differential_components(*pt, *pz), twisted)),
+        _check("differential-vs-fd", "closed-form differentials match central differences",
+               n, 1e-6, *fd_gap("swap"), *fd_gap("twist"), *fd_gap("translation")),
+        _check("swap-involution", "swap o swap = id",
+               n, 1e-10, comp["swap-involution"]),
+        _check("twist-involution", "twist o twist = id",
+               n, 1e-10, comp["twist-involution"]),
+        _check("translation-through-swap", "T(a,b,c) o swap = swap o T(b,a,c)",
+               n, 1e-10, comp["translation-through-swap"]),
+        _check("translation-through-twist", "T(a,b,c) o twist = twist o T(c,b,a)",
+               n, 1e-10, comp["translation-through-twist"]),
+    ]
     return _finalize("isometry", seed, checks, started)
 
 
@@ -349,28 +337,6 @@ DEFAULT_BATTERY = (
     ("m5", {"k": 0.6, "l": 0.8}),
     ("m6", {"k": 0.6, "l": 0.8}),
 )
-
-# (check id, anchor, tolerance) of the hypersurface checks whose residual is
-# the worst over the samples, in report order; {pattern} in an anchor is the
-# family's expected multiplicity pattern
-_SAMPLE_CHECKS = (
-    ("hopf", "A U = alpha U (Hopf condition)", 1e-6),
-    ("alpha-zero", "alpha = 0 on the example families", 1e-6),
-    ("shape-symmetric", "shape operator symmetric in an orthonormal frame", 1e-6),
-    ("almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew", 1e-8),
-    ("spectrum-closed-form",
-     "principal curvatures match their closed forms up to one global sign", 1e-6),
-    ("multiplicity-pattern", "multiplicity pattern {pattern}", 0.0),
-    ("distribution-dim", "P xi lies in span(xi, U)", 1e-6),
-    ("P-preserves-complement",
-     "P maps the structure-vector complement to itself", 1e-8),
-    ("reeb-transport", "D_X U = phi A X - G(X, xi)", 1e-5),
-    ("gauss", "induced curvature matches the Gauss relation", 1e-3),
-    ("codazzi", "shape-operator derivative matches the Codazzi relation", 1e-3),
-    ("hopf-identity",
-     "pointwise identity tying A, phi, G on the structure-vector complement", 1e-5),
-)
-
 
 def run_hypersurface_suite(family: str, params: dict, seed: int,
                            samples: int) -> SuiteReport:
@@ -391,7 +357,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     M = hs.make_example(family, **params)
-    label = family + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + ")"
+    prefix = family + "(" + ",".join(f"{k}={v:g}" for k, v in sorted(params.items())) + "):"
 
     expected = hs.expected_spectrum(family, **params)
     three_family = family in hs.THREE_CURVATURE_FAMILIES
@@ -416,52 +382,54 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     # evaluated once over its batch
     analysed = hs.analyze_points(M, np.concatenate([U, U2]))
     data, extra = analysed[:samples], analysed[samples:]
+    n, n_extra = samples, len(extra)
 
     rep = hs.spectral_report(data)
     spectra = rep.eigenvalues
-    # P maps the structure-vector complement into itself
+    mult_off = np.any(rep.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
+                      axis=-1)
     basis = _structure_complement(data)
-    pres = [np.abs(_g(_mv(t.P, data.from_components(basis[:, j])), data.structure_vector))
-            for j in range(4)]
     XP = _unit(basis[:, 0] + 0.3 * basis[:, 2])
     YP = _unit(basis[:, 1] - 0.5 * basis[:, 3])
-
-    # almost contact relations in the orthonormal tangent frame
     phi, eta = data.phi, data.eta
-    almost = (np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
-              np.abs((eta[:, None, :] @ phi)[:, 0]),
-              np.abs(phi + np.swapaxes(phi, 1, 2)))
 
-    worst = {
-        "hopf": _worst(data.hopf_residual),
-        "alpha-zero": _worst(np.abs(data.alpha)),
-        "shape-symmetric": _worst(data.symmetry_residual),
-        "almost-contact": _worst(*almost),
-        "spectrum-closed-form": _worst(hs.spectra_match(spectra, expected)),
-        "multiplicity-pattern": _worst(
-            np.any(rep.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
-                   axis=-1).astype(float)),
-        "distribution-dim": _worst(data.c),
-        "P-preserves-complement": _worst(*pres),
-        "reeb-transport": _worst(hs.reeb_transport_residual(data, X5)),
-        "codazzi": _worst(hs.codazzi_residual(data, X5, Y5)),
-        "gauss": _worst(hs.gauss_residual(data, X5, Y5, Z5)),
-        "hopf-identity": _worst(hs.hopf_identity_residual(data, XP, YP)),
-    }
-    spread = float(np.max(np.ptp(spectra, axis=0)))
-    trace = float(np.mean(rep.trace))
-
-    checks = []
-
-    def add(cid, anchor, residual, tol):
-        checks.append(
-            CheckResult(label + ":" + cid, anchor, samples, _sanitize(residual), tol)
-        )
-
-    for cid, anchor, tol in _SAMPLE_CHECKS:
-        add(cid, anchor.format(pattern=expected_mult), worst[cid], tol)
-    add("eigenvalue-constancy",
-        "principal curvatures constant across sample points", spread, 1e-6)
+    checks = [
+        _check(prefix + "hopf", "A U = alpha U (Hopf condition)",
+               n, 1e-6, data.hopf_residual),
+        _check(prefix + "alpha-zero", "alpha = 0 on the example families",
+               n, 1e-6, np.abs(data.alpha)),
+        _check(prefix + "shape-symmetric", "shape operator symmetric in an orthonormal frame",
+               n, 1e-6, data.symmetry_residual),
+        # the almost contact relations in the orthonormal tangent frame
+        _check(prefix + "almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew",
+               n, 1e-8,
+               np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
+               np.abs((eta[:, None, :] @ phi)[:, 0]),
+               np.abs(phi + np.swapaxes(phi, 1, 2))),
+        _check(prefix + "spectrum-closed-form",
+               "principal curvatures match their closed forms up to one global sign",
+               n, 1e-6, hs.spectra_match(spectra, expected)),
+        _check(prefix + "multiplicity-pattern", f"multiplicity pattern {expected_mult}",
+               n, 0.0, mult_off.astype(float)),
+        _check(prefix + "distribution-dim", "P xi lies in span(xi, U)",
+               n, 1e-6, data.c),
+        _check(prefix + "P-preserves-complement",
+               "P maps the structure-vector complement to itself",
+               n, 1e-8, *(np.abs(_g(_mv(t.P, data.from_components(basis[:, j])),
+                                    data.structure_vector)) for j in range(4))),
+        _check(prefix + "reeb-transport", "D_X U = phi A X - G(X, xi)",
+               n, 1e-5, hs.reeb_transport_residual(data, X5)),
+        _check(prefix + "gauss", "induced curvature matches the Gauss relation",
+               n, 1e-3, hs.gauss_residual(data, X5, Y5, Z5)),
+        _check(prefix + "codazzi", "shape-operator derivative matches the Codazzi relation",
+               n, 1e-3, hs.codazzi_residual(data, X5, Y5)),
+        _check(prefix + "hopf-identity",
+               "pointwise identity tying A, phi, G on the structure-vector complement",
+               n, 1e-5, hs.hopf_identity_residual(data, XP, YP)),
+        _check(prefix + "eigenvalue-constancy",
+               "principal curvatures constant across sample points",
+               n, 1e-6, np.ptp(spectra, axis=0)),
+    ]
 
     # normal action, and for the round-sphere families the moduli relations
     # and leaf geometry, at the further points
@@ -469,31 +437,37 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         r = params["r"]
         tc = hs.theta_r_consistency(extra)
         lg = hs.leaf_geometry(extra)
-        add("normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
-            _worst(hs.normal_action_residual(extra, EXPECTED_CLASS[family])), 1e-6)
-        add("theta-r",
-            "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
-            _worst(tc.r_residual, tc.spectrum_residual),
-            1e-6)
-        add("double-eigenvalue-product", "product of double curvatures = -1/12",
-            _worst(tc.product_residual), 1e-8)
-        add("leaf-geometry",
-            "factor leaves carry 4/3 and 4r^2/3 round metrics; curvatures 3/4 and (1+2 theta^2)/(4 theta^2)",
-            _worst(lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
+        trace = float(np.mean(rep.trace))
+        checks += [
+            _check(prefix + "normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
+                   n_extra, 1e-6, hs.normal_action_residual(extra, EXPECTED_CLASS[family])),
+            _check(prefix + "theta-r",
+                   "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
+                   n_extra, 1e-6, tc.r_residual, tc.spectrum_residual),
+            _check(prefix + "double-eigenvalue-product",
+                   "product of double curvatures = -1/12",
+                   n_extra, 1e-8, tc.product_residual),
+            _check(prefix + "leaf-geometry",
+                   "factor leaves carry 4/3 and 4r^2/3 round metrics; curvatures 3/4 and (1+2 theta^2)/(4 theta^2)",
+                   n_extra, 1e-3,
+                   lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
                    np.abs(lg.sphere3_sectional - 0.75),
                    lg.sphere2_metric_residual * 1e3,
-                   lg.sphere2_curvature_residual * 1e3), 1e-3)
+                   lg.sphere2_curvature_residual * 1e3),
+        ]
         if abs(r - 1.0) < 1e-12:
-            add("minimal-at-r1", "trace A = 0 exactly at r = 1", abs(trace), 1e-6)
+            checks.append(_check(prefix + "minimal-at-r1", "trace A = 0 exactly at r = 1",
+                                 n, 1e-6, abs(trace)))
         else:
-            add("nonminimal-below-r1", "trace A bounded away from 0 for r < 1",
-                _worst(0.1 - abs(trace)), 0.0)
+            checks.append(_check(prefix + "nonminimal-below-r1",
+                                 "trace A bounded away from 0 for r < 1",
+                                 n, 0.0, 0.1 - abs(trace)))
     else:
         classes = set(hs.classify_normal_action(extra).tolist())
         consistent = len(classes) == 1 and not classes & {hs.OTHER, hs.UNDEFINED}
-        add("normal-action-defined",
-            "normal action falls in one consistent class",
-            0.0 if consistent else 1.0, 0.0)
+        checks.append(_check(prefix + "normal-action-defined",
+                             "normal action falls in one consistent class",
+                             n_extra, 0.0, 0.0 if consistent else 1.0))
 
     return _finalize("hypersurface", seed, checks, started)
 

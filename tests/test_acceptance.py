@@ -156,7 +156,7 @@ def test_c08_connection_cross_validation():
     for _ in range(100):
         at = pw.random_point(rng)
         worst_rel = max(worst_rel, frames.connection_relation_residual(
-            T, at, rng.standard_normal(6), rng.standard_normal(6)))
+            T, at.p, at.q, rng.standard_normal(6), rng.standard_normal(6)))
     X, Y, Z = (rng.standard_normal((100, 6)) for _ in range(3))
     diff = frames.curvature(T, X, Y, Z) - frames.curvature_closed_form(T, X, Y, Z)
     worst_curv = float(np.max(frames.g_norm(T, diff)))

@@ -12,7 +12,6 @@ import pytest
 
 from nks3 import cli
 from nks3 import hypersurfaces as hs
-from nks3.pointwise import AmbientPoint
 
 
 def _run(capsys, argv):
@@ -253,6 +252,16 @@ def test_sweep_unallocatable_samples_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_isometry_unallocatable_samples_usage_error(capsys):
+    # the isometry suite draws its samples into arrays allocated before the
+    # first draw
+    code, out, err = _run(capsys, ["verify", "--suite", "isometry",
+                                   "--samples", "100000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_hypersurface_unallocatable_samples_usage_error(capsys):
     # each hypersurface suite draws its samples into arrays allocated
     # before the first draw
@@ -282,11 +291,8 @@ def test_sweep_batch_matches_point_by_point_analysis(capsys, monkeypatch, grid):
         # each point analysed as its own batch of one, then stacked row by row
         rows = [original(M, u[None], *args, **kwargs) for u in U]
         stacked = {f.name: np.concatenate([getattr(row, f.name) for row in rows])
-                   for f in dataclasses.fields(rows[0])[3:]}
-        point = AmbientPoint(np.concatenate([row.point.p for row in rows]),
-                             np.concatenate([row.point.q for row in rows]))
-        return dataclasses.replace(rows[0], u=np.asarray(U, dtype=float), point=point,
-                                   **stacked)
+                   for f in dataclasses.fields(rows[0])[2:]}
+        return dataclasses.replace(rows[0], u=np.asarray(U, dtype=float), **stacked)
 
     monkeypatch.setattr(hs, "analyze_points", point_by_point)
     assert sweeps() == batched

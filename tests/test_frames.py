@@ -85,24 +85,25 @@ class TestFrameCoordinates:
             at = pw.random_point(rng)
             x = rng.standard_normal(6)
             npt.assert_allclose(
-                frames.r8_to_frame(at, frames.frame_to_r8(at, x)), x, atol=1e-12
+                frames.r8_to_frame(at.p, at.q, frames.frame_to_r8(at.p, at.q, x)), x,
+                atol=1e-12
             )
 
     def test_flat_conversions_broadcast_over_batches(self):
         rng = _rng(4)
         pts = [pw.random_point(rng) for _ in range(6)]
-        batch = pw.AmbientPoint(np.stack([a.p for a in pts]), np.stack([a.q for a in pts]))
+        p, q = np.stack([a.p for a in pts]), np.stack([a.q for a in pts])
         x = rng.standard_normal((6, 6))
         w = rng.standard_normal((6, 8))
-        flat = frames.frame_to_r8(batch, x)
-        back = frames.r8_to_frame(batch, w)
+        flat = frames.frame_to_r8(p, q, x)
+        back = frames.r8_to_frame(p, q, w)
         assert flat.shape == (6, 8) and back.shape == (6, 6)
         for i, at in enumerate(pts):
-            npt.assert_array_equal(flat[i], frames.frame_to_r8(at, x[i]))
-            npt.assert_array_equal(back[i], frames.r8_to_frame(at, w[i]))
+            npt.assert_array_equal(flat[i], frames.frame_to_r8(at.p, at.q, x[i]))
+            npt.assert_array_equal(back[i], frames.r8_to_frame(at.p, at.q, w[i]))
         # one point against a stack of vectors
-        npt.assert_array_equal(frames.frame_to_r8(pts[0], x)[2],
-                               frames.frame_to_r8(pts[0], x[2]))
+        npt.assert_array_equal(frames.frame_to_r8(p[0], q[0], x)[2],
+                               frames.frame_to_r8(p[0], q[0], x[2]))
 
     def test_agreement_with_pointwise(self):
         rng = _rng(3)
@@ -179,13 +180,12 @@ class TestJDerivativeTensor:
 class TestFlatConnectionRelation:
     def test_hand_case(self):
         # at (1, 1) the flat derivative of the E2 field along E1 projects to E3
-        at = pw.AmbientPoint(qt.ONE, qt.ONE)
         e1 = np.eye(6)[0]
         e2 = np.eye(6)[1]
         npt.assert_allclose(
-            frames.euclidean_connection(at, e1, e2), np.eye(6)[2], atol=1e-15
+            frames.euclidean_connection(qt.ONE, qt.ONE, e1, e2), np.eye(6)[2], atol=1e-15
         )
-        assert frames.connection_relation_residual(T, at, e1, e2) <= 1e-14
+        assert frames.connection_relation_residual(T, qt.ONE, qt.ONE, e1, e2) <= 1e-14
 
     def test_random_fields(self):
         rng = _rng(7)
@@ -195,7 +195,7 @@ class TestFlatConnectionRelation:
             worst = max(
                 worst,
                 frames.connection_relation_residual(
-                    T, at, rng.standard_normal(6), rng.standard_normal(6)
+                    T, at.p, at.q, rng.standard_normal(6), rng.standard_normal(6)
                 ),
             )
         assert worst <= 1e-10

@@ -100,7 +100,7 @@ class TestMakeExample:
                 step[a] = h
                 plus, minus = M.point(u + step), M.point(u - step)
                 d8 = np.concatenate([plus.p - minus.p, plus.q - minus.q]) / (2.0 * h)
-                npt.assert_allclose(frames.r8_to_frame(pt, d8), T[a], atol=1e-8)
+                npt.assert_allclose(frames.r8_to_frame(pt.p, pt.q, d8), T[a], atol=1e-8)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_batched_pushforward_equals_single_points(self, family, kw):
@@ -556,7 +556,8 @@ class TestIdentityResiduals:
         errors = []
         for h in (1e-3, 5e-4, 2.5e-4):
             ends = M.point(hs._segments(d.u, vel, h))
-            step = hs._covariant_fd(d.point, d.xi, ends, np.stack([z, z]), X, z, h)
+            step = hs._covariant_fd((d.p, d.q), d.xi, (ends.p, ends.q), np.stack([z, z]),
+                                    X, z, h)
             errors.append(frames.g_norm(t, step - exact))
         assert errors[0] > 1e-9
         for coarse, fine in zip(errors, errors[1:]):
@@ -645,8 +646,8 @@ class TestBatchedResiduals:
         rng = np.random.default_rng(32)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
         p, q, T = M.pushforward(data.u)
-        npt.assert_array_equal(p, data.point.p)
-        npt.assert_array_equal(q, data.point.q)
+        npt.assert_array_equal(p, data.p)
+        npt.assert_array_equal(q, data.q)
         npt.assert_array_equal(T, data.push_coords)
         xi = hs._unit_normal(T)
         assert all((n == x).all() or (n == -x).all() for n, x in zip(xi, data.xi))

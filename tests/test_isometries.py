@@ -161,3 +161,9 @@ def test_composition_identities():
     worst = iso.composition_checks(rng, samples=100)
     for name, residual in worst.items():
         assert residual <= 1e-12, name
+
+
+def test_composition_checks_allocate_before_drawing():
+    # a sample count too large to hold fails at once, before any draw
+    with pytest.raises(MemoryError):
+        iso.composition_checks(np.random.default_rng(0), samples=100000000000000)

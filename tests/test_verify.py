@@ -279,3 +279,63 @@ def test_structure_nan_residual_fails_its_check(monkeypatch):
 def test_environment_fingerprint_keys():
     env = verify.environment_fingerprint()
     assert {"python", "numpy", "platform", "machine", "float_eps"} <= set(env)
+
+
+def test_composition_nan_in_second_factor_fails_its_check(monkeypatch):
+    # a NaN in the second factor of the swap image reaches the report as
+    # inf; a reduction through the builtin max dropped it and gave 0.0
+    swap = iso.factor_swap()
+
+    class NanSwap(iso.IsometryMap):
+        def apply_components(self, p, q):
+            image_p, image_q = swap.apply_components(p, q)
+            image_q = np.array(image_q)
+            image_q[..., 1, 0] = math.nan
+            return image_p, image_q
+
+    monkeypatch.setattr(iso, "factor_swap", lambda: NanSwap(iso.SWAP))
+    comp = iso.composition_checks(np.random.default_rng(5), samples=4)
+    assert isinstance(comp["translation-through-swap"], float)
+    assert math.isnan(comp["translation-through-swap"])
+    rep = verify.run_isometry_suite(seed=5, samples=4)
+    check = {c.check_id: c for c in rep.checks}["translation-through-swap"]
+    assert check.max_residual == math.inf
+    assert not check.passed
+
+
+@pytest.mark.parametrize("family,params,further", [
+    ("m1", {"r": 0.6}, {"normal-action", "theta-r", "double-eigenvalue-product",
+                        "leaf-geometry"}),
+    ("m6", {"k": 0.6, "l": 0.8}, {"normal-action-defined"}),
+])
+@pytest.mark.parametrize("samples", [2, 5])
+def test_further_point_checks_report_their_own_count(family, params, further, samples):
+    # the checks on the further points see at most three of them, and say so
+    rep = verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
+    counts = {c.check_id.split(":", 1)[1]: c.samples for c in rep.checks}
+    assert further <= set(counts)
+    for name, count in counts.items():
+        assert count == (min(samples, 3) if name in further else samples), name
+
+
+def test_suites_build_no_ambient_point(monkeypatch):
+    # below the object API points travel as (p, q) arrays, so no suite and
+    # no analysis pays for the unit-norm validation of an AmbientPoint
+    built = []
+    validate = pw.AmbientPoint.__post_init__
+
+    def counting_validate(self):
+        built.append(1)
+        validate(self)
+
+    monkeypatch.setattr(pw.AmbientPoint, "__post_init__", counting_validate)
+    pw.AmbientPoint(qt.ONE, qt.ONE)
+    assert len(built) == 1  # the count sees a construction
+    verify.run_structure_suite(seed=0, samples=20)
+    verify.run_isometry_suite(seed=0, samples=5)
+    rng = np.random.default_rng(0)
+    for family, params in (("m3", {"r": 0.6}), ("m6", {"k": 0.6, "l": 0.8})):
+        verify.run_hypersurface_suite(family, params, seed=0, samples=2)
+        hs.analyze_points(hs.make_example(family, **params),
+                          np.stack([hs.random_chart_point(rng) for _ in range(3)]))
+    assert len(built) == 1
