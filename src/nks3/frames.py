@@ -207,8 +207,18 @@ def nabla(tables: StructureTables, x, y):
 
 
 def curvature(tables: StructureTables, x, y, z):
-    """Curvature R(X, Y) Z through the structure-constant table."""
-    return np.einsum("abcd,...a,...b,...c->...d", tables.R, x, y, z)
+    """Curvature R(X, Y) Z through the structure-constant table; broadcasts
+    over rows of x, y and z.
+
+    The contraction is staged: the outer product x (x) y is flattened to
+    (..., 36), multiplied by R reshaped to (36, 36) over the pair index
+    (a, b), and the (..., 6, 6) result over (c, d) is contracted with z.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xy = x[..., :, None] * y[..., None, :]
+    rz = xy.reshape(xy.shape[:-2] + (36,)) @ tables.R.reshape(36, 36)
+    return np.einsum("...cd,...c->...d", rz.reshape(xy.shape), z)
 
 
 def curvature_closed_form(tables: StructureTables, x, y, z):
@@ -243,7 +253,7 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
 
 def euclidean_connection(p, q, x, y) -> np.ndarray:
     """Product-round-metric connection of a constant-frame-coefficient field
-    at the point (p, q).
+    at the point (p, q); broadcasts over rows of x, y and of the points.
 
     The field Y(p, q) = (p u, q v) with fixed imaginary u, v is linear in the
     point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly;
@@ -252,11 +262,11 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xu = qt.mul(p, qt.pure(x[:3]))
-    xv = qt.mul(q, qt.pure(x[3:]))
-    du = qt.mul(xu, qt.pure(y[:3]))
-    dv = qt.mul(xv, qt.pure(y[3:]))
-    return r8_to_frame(p, q, np.concatenate([du, dv]))
+    xu = qt.mul(p, qt.pure(x[..., :3]))
+    xv = qt.mul(q, qt.pure(x[..., 3:]))
+    du = qt.mul(xu, qt.pure(y[..., :3]))
+    dv = qt.mul(xv, qt.pure(y[..., 3:]))
+    return frame_coords_components(p, q, *project_components(p, q, du, dv))
 
 
 def connection_gap(tables: StructureTables, x, y):

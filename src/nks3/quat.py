@@ -7,11 +7,13 @@ arrays of shape (..., 4).  Imaginary quaternions (w == 0) double as
 
 `mul` has two routes, chosen by the rank of its operands.  Single
 quaternions and flat ``(n, 4)`` batches (both operands of ndim <= 2) take
-the component-column formula, which on single quaternions works on numpy
-scalars.  Stacked batches (either operand of ndim >= 3, as in the chart
+the component-column formula, which unpacks a single quaternion to Python
+floats.  Stacked batches (either operand of ndim >= 3, as in the chart
 layer) form all sixteen products in one array through a signed
 permutation of q2.  Both routes form the same products and add them in
-the same order, so they agree bitwise.
+the same order, so they agree bitwise.  Python float arithmetic raises no
+numpy floating-point warnings, so ``np.errstate`` does not reach a product
+of two single quaternions.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ def mul(q1, q2) -> np.ndarray:
     On both routes output component i is the sum of q1_j * (±q2_k) over
     j = 0, 1, 2, 3, added in that order.  x * (-y) equals -(x * y) and
     a + (-b) equals a - b bitwise, so the routes agree bitwise, signed
-    zeros included.
+    zeros included.  A single quaternion (ndim 1) on the component-column
+    route unpacks to Python floats, which give the same IEEE results as
+    numpy but raise no numpy floating-point warnings: a product of two
+    single quaternions ignores ``np.errstate``.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
@@ -62,10 +67,10 @@ def mul(q1, q2) -> np.ndarray:
         # stacked batches: all sixteen products in one (..., 4, 4) array
         t = np.multiply(q1[..., :, None], q2[..., _PERM] * _SIGNS, order="C")
         return t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
-    # at most one batch axis: the component columns, numpy scalars for a
+    # at most one batch axis: the component columns, Python floats for a
     # single quaternion
-    w1, x1, y1, z1 = q1.T
-    w2, x2, y2, z2 = q2.T
+    w1, x1, y1, z1 = q1.tolist() if q1.ndim == 1 else q1.T
+    w2, x2, y2, z2 = q2.tolist() if q2.ndim == 1 else q2.T
     return np.ascontiguousarray(
         np.array(
             [
@@ -96,7 +101,7 @@ def unit_defect(q):
 
 def dot(q1, q2) -> np.ndarray:
     """Euclidean inner product of R^4."""
-    return np.sum(np.asarray(q1, dtype=float) * np.asarray(q2, dtype=float), axis=-1)
+    return np.add.reduce(np.asarray(q1, dtype=float) * np.asarray(q2, dtype=float), axis=-1)
 
 
 def exp_pure(v) -> np.ndarray:

@@ -187,6 +187,29 @@ class TestFlatConnectionRelation:
         )
         assert frames.connection_relation_residual(T, qt.ONE, qt.ONE, e1, e2) <= 1e-14
 
+    def test_flat_derivative_is_the_cross_product(self):
+        # (p x, q x') differentiated along (p y, q y') is (p x y, q x' y');
+        # projecting off the radial part -(x . y) p leaves p (x cross y)
+        rng = _rng(17)
+        for _ in range(200):
+            p, q = qt.sample_unit(rng), qt.sample_unit(rng)
+            x, y = rng.standard_normal((2, 6))
+            expected = np.concatenate([np.cross(x[:3], y[:3]), np.cross(x[3:], y[3:])])
+            npt.assert_allclose(frames.euclidean_connection(p, q, x, y), expected,
+                                rtol=0.0, atol=1e-14)
+
+    def test_euclidean_connection_batches_rowwise(self):
+        rng = _rng(18)
+        n = 200
+        p = np.array([qt.sample_unit(rng) for _ in range(n)])
+        q = np.array([qt.sample_unit(rng) for _ in range(n)])
+        X, Y = rng.standard_normal((2, n, 6))
+        batched = frames.euclidean_connection(p, q, X, Y)
+        assert batched.shape == (n, 6)
+        rows = np.array([frames.euclidean_connection(p[i], q[i], X[i], Y[i])
+                         for i in range(n)])
+        assert batched.tobytes() == rows.tobytes()
+
     def test_random_fields(self):
         rng = _rng(7)
         worst = 0.0
@@ -221,6 +244,14 @@ class TestFlatConnectionRelation:
 
 
 class TestCurvature:
+    def test_table_on_basis_triples(self):
+        e = np.eye(6)
+        for a in range(6):
+            for b in range(6):
+                for c in range(6):
+                    r = frames.curvature(T, e[a], e[b], e[c])
+                    assert r.tobytes() == T.R[a, b, c].tobytes(), (a, b, c)
+
     def test_antisymmetry(self):
         rng = _rng(8)
         X = rng.standard_normal((100, 6))

@@ -72,7 +72,8 @@ def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
 
 
 def test_mul_routes_agree_bitwise_on_special_values():
-    # (n, 4) takes the component-column route, (n, 1, 1, 4) the stacked one
+    # (n, 4) takes the component-column route, (n, 1, 1, 4) the stacked one;
+    # a single quaternion unpacks to Python floats
     rng = np.random.default_rng(12)
     values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e-300, -1e300])
     n = 5000
@@ -81,11 +82,24 @@ def test_mul_routes_agree_bitwise_on_special_values():
     with np.errstate(all="ignore"):
         flat = qt.mul(a, b)
         stacked = qt.mul(a.reshape(n, 1, 1, 4), b.reshape(n, 1, 1, 4)).reshape(n, 4)
+        single = np.array([qt.mul(a[i], b[i]) for i in range(n)])
+        one_flat = qt.mul(a[0], b)
+        one_stacked = qt.mul(a[0], b.reshape(n, 1, 1, 4)).reshape(n, 4)
     assert np.isnan(flat).any() and (flat == 0).any() and np.isinf(flat).any()
-    assert flat.tobytes() == stacked.tobytes()
-    # assert_array_equal counts -0 equal to 0, so the signs are held apart
-    npt.assert_array_equal(flat, stacked)
-    npt.assert_array_equal(np.signbit(flat), np.signbit(stacked))
+    for x, y in ((flat, stacked), (flat, single), (one_flat, one_stacked)):
+        assert x.tobytes() == y.tobytes()
+        # assert_array_equal counts -0 equal to 0, so the signs are held apart
+        npt.assert_array_equal(x, y)
+        npt.assert_array_equal(np.signbit(x), np.signbit(y))
+
+
+def test_single_quaternion_product_raises_no_floating_point_error():
+    # Python float arithmetic ignores np.errstate; a batch still obeys it
+    inf = np.array([np.inf, 0.0, 0.0, 0.0])
+    with np.errstate(all="raise"):
+        assert np.isnan(qt.mul(inf, np.zeros(4))).all()
+        with pytest.raises(FloatingPointError):
+            qt.mul(inf[None], np.zeros((1, 4)))
 
 
 def test_mul_accepts_non_contiguous_operands():
