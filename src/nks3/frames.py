@@ -21,6 +21,13 @@ which is solved exactly, once, for the connection coefficients.  The
 J-derivative tensor G(X, Y) = (D_X J) Y and the full curvature tensor then
 come out as finite contractions with no numerical differentiation.
 
+The bilinear tensors, the connection D_X Y, G(X, Y) and the connection gap
+below, are evaluated as staged per-row products (`_bilinear`): x (x) y as
+a (..., 1, 36) row times the table reshaped to (36, 6), so a batched row
+equals its single-row call bitwise.  The gap has a table of its own,
+composed once from G, P and J in `build_tables`; `curvature` stages its
+contraction the same way through a (36, 36) table.
+
 The one computation here that leaves the frame algebra is
 `euclidean_connection`: for a field with constant frame coefficients the
 Levi-Civita connection of the ordinary product round metric equals the flat
@@ -67,6 +74,7 @@ class StructureTables:
     gamma: np.ndarray    # (6, 6, 6) connection coefficients
     G: np.ndarray        # (6, 6, 6) J-derivative tensor
     R: np.ndarray        # (6, 6, 6, 6) curvature tensor
+    gap: np.ndarray      # (6, 6, 6) connection gap, composed from G, P and J
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -122,6 +130,11 @@ def build_tables() -> StructureTables:
         - np.einsum("abe,ecd->abcd", C, gamma)
     )
 
+    # connection gap (J G(X, PY) + J G(Y, PX)) / 2 as one bilinear table:
+    # K[a, b, c] = sum G[a, e, d] P[e, b] J[c, d] is J G(B_a, P B_b)
+    K = np.einsum("aed,eb,cd->abc", G, P, J)
+    gap = 0.5 * (K + np.swapaxes(K, 0, 1))
+
     return StructureTables(
         g=_freeze(g),
         g_inv=_freeze(g_inv),
@@ -132,6 +145,7 @@ def build_tables() -> StructureTables:
         gamma=_freeze(gamma),
         G=_freeze(G),
         R=_freeze(R),
+        gap=_freeze(gap),
     )
 
 
@@ -196,14 +210,28 @@ def g_norm(tables: StructureTables, x):
     return np.sqrt(np.maximum(g_inner(tables, x, x), 0.0))
 
 
+def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
+    """sum_ab T[a, b, :] x_a y_b for a (6, 6, 6) table T; broadcasts over
+    rows of x and y.
+
+    The outer product x (x) y is formed as a (..., 1, 36) row and multiplied
+    by T reshaped to (36, 6), so each row is its own matrix product and a
+    batched row equals the single-row result bitwise.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xy = x[..., :, None] * y[..., None, :]
+    return (xy.reshape(xy.shape[:-2] + (1, 36)) @ T.reshape(36, 6))[..., 0, :]
+
+
 def tensor_G(tables: StructureTables, x, y):
     """J-derivative tensor G(X, Y); broadcasts over rows of x and y."""
-    return np.einsum("abc,...a,...b->...c", tables.G, x, y)
+    return _bilinear(tables.G, x, y)
 
 
 def nabla(tables: StructureTables, x, y):
     """Connection applied to a field with constant frame coefficients y."""
-    return np.einsum("abc,...a,...b->...c", tables.gamma, x, y)
+    return _bilinear(tables.gamma, x, y)
 
 
 def curvature(tables: StructureTables, x, y, z):
@@ -256,9 +284,11 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
     at the point (p, q); broadcasts over rows of x, y and of the points.
 
     The field Y(p, q) = (p u, q v) with fixed imaginary u, v is linear in the
-    point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly;
-    projecting back to the tangent space gives the connection with no
-    differencing error.
+    point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly, and
+    its tangent projection is the connection, with no differencing error.
+    Taking frame coefficients is that projection: the coefficients of
+    (du, dv) are vec(p-bar du) and vec(q-bar dv), and the real parts they
+    drop, <p, du> and <q, dv>, are the radial components.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -266,18 +296,15 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
     xv = qt.mul(q, qt.pure(x[..., 3:]))
     du = qt.mul(xu, qt.pure(y[..., :3]))
     dv = qt.mul(xv, qt.pure(y[..., 3:]))
-    return frame_coords_components(p, q, *project_components(p, q, du, dv))
+    return frame_coords_components(p, q, du, dv)
 
 
 def connection_gap(tables: StructureTables, x, y):
     """(J G(X, P Y) + J G(Y, P X)) / 2, the gap nablaE_X Y - D_X Y between
-    the product-round-metric and nearly Kaehler connections; broadcasts
-    over rows of x and y."""
-    px = np.asarray(x) @ tables.P.T
-    py = np.asarray(y) @ tables.P.T
-    return 0.5 * (
-        tensor_G(tables, x, py) @ tables.J.T + tensor_G(tables, y, px) @ tables.J.T
-    )
+    the product-round-metric and nearly Kaehler connections, through the
+    table `tables.gap` composed from G, P and J; broadcasts over rows of x
+    and y, each row bitwise equal to its single-row call."""
+    return _bilinear(tables.gap, x, y)
 
 
 def connection_relation_residual(tables: StructureTables, p, q, x, y) -> float:

@@ -40,10 +40,13 @@ structure-vector transport identities) works in frame coordinates, where
 the structure tensors are constant matrices.  The residuals broadcast over
 the batch axis of the point data: each evaluates its finite-difference
 stencils for all rows in one chart call, and its products keep each row's
-vectors one-row matrices (`_vm`, `_mv`, `_rowwise`), so a batched row
-equals the residual of that row's one-point view bitwise.  The spectral
-report, the theta-r relation and the normal-action class take a batch the
-same way, with one `eigh` call for all rows.  Normals are held and
+vectors one-row matrices (`_vm`, `_mv`, and `_rowwise` for
+`frames.curvature_closed_form`, the one frame function that multiplies its
+arguments by constant matrices; the bilinear frame tensors are per-row
+products already), so a batched row equals the residual of that row's
+one-point view bitwise.  The spectral report, the theta-r relation and the
+normal-action class take a batch the same way, with one `eigh` call for
+all rows.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
 the finite differences of `_weingarten` and `_covariant_fd`.
 
@@ -374,8 +377,8 @@ def _g(x, y):
 
 def _rowwise(f, *vectors):
     """f(tables, *vectors) with each frame vector (..., 6) passed as a
-    one-row matrix, for the frame functions that multiply their arguments
-    by constant matrices."""
+    one-row matrix, for `frames.curvature_closed_form`, which multiplies its
+    arguments by constant matrices."""
     return f(get_tables(), *(v[..., None, :] for v in vectors))[..., 0, :]
 
 
@@ -742,7 +745,8 @@ def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
     the normal part.  Broadcasts."""
     f8 = frame_to_r8(*ends, values)
     d8 = (f8[..., 0, :] - f8[..., 1, :]) / (2.0 * h)
-    return _tangential(r8_to_frame(*at, d8) - _rowwise(connection_gap, x6, value), xi)
+    return _tangential(r8_to_frame(*at, d8) - connection_gap(get_tables(), x6, value),
+                       xi)
 
 
 def reeb_transport_residual(data: HypersurfacePointData, x5,

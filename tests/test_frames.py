@@ -2,6 +2,7 @@
 tensor identities, curvature routes, and agreement with the pointwise
 formulas."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -19,6 +20,11 @@ T = frames.get_tables()
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _structure_check_table():
+    path = pathlib.Path(__file__).parent / "data" / "check_table.json"
+    return json.loads(path.read_text())["structure"]
 
 
 class TestTables:
@@ -225,10 +231,8 @@ class TestFlatConnectionRelation:
 
     def test_connection_gap_batches_rowwise(self):
         # the hypersurface code subtracts the gap from stacks of frame rows
-        # against one field value, the structure suite one row at a time.
-        # The G contraction is bitwise per row; the final product with J
-        # goes through BLAS, whose batched and single-row kernels may round
-        # the last bit differently.
+        # against one field value, the structure suite one row at a time;
+        # both evaluate the same per-row product, to the last bit
         rng = _rng(8)
         X = rng.standard_normal((4, 5, 6))
         Y = rng.standard_normal((4, 1, 6))
@@ -236,11 +240,84 @@ class TestFlatConnectionRelation:
         assert batched.shape == (4, 5, 6)
         rows = np.array([[frames.connection_gap(T, X[m, i], Y[m, 0]) for i in range(5)]
                          for m in range(4)])
-        npt.assert_allclose(batched, rows, rtol=0.0,
-                            atol=4.0 * np.finfo(float).eps * np.max(np.abs(rows)))
-        npt.assert_array_equal(frames.tensor_G(T, X, Y @ T.P.T),
-                               [[frames.tensor_G(T, X[m, i], Y[m, 0] @ T.P.T)
-                                 for i in range(5)] for m in range(4)])
+        assert batched.tobytes() == rows.tobytes()
+        G_rows = np.array([[frames.tensor_G(T, X[m, i], Y[m, 0] @ T.P.T)
+                            for i in range(5)] for m in range(4)])
+        assert frames.tensor_G(T, X, Y @ T.P.T).tobytes() == G_rows.tobytes()
+
+    def test_frame_coefficients_are_the_tangent_projection(self):
+        # frame coefficients drop the real parts <p, u> and <q, v>, which
+        # are the radial components, so a raw pair and its tangent
+        # projection have the same coefficients
+        rng = _rng(19)
+        n = 200
+        p = np.array([qt.sample_unit(rng) for _ in range(n)])
+        q = np.array([qt.sample_unit(rng) for _ in range(n)])
+        u, v = rng.standard_normal((2, n, 4))
+        raw = frames.frame_coords_components(p, q, u, v)
+        projected = frames.frame_coords_components(p, q, *pw.project_components(p, q, u, v))
+        scale = np.maximum(np.abs(u).max(-1), np.abs(v).max(-1))[:, None]
+        assert np.all(np.abs(raw - projected) <= 8.0 * np.finfo(float).eps * scale)
+
+    def test_negative_control_scaled_tables_fail(self):
+        # the gap and connection tables are precomputed; scaling either by
+        # 1 + 1e-9 must break the relation against the flat derivative, so
+        # the check does not hold by construction
+        tol = next(c["tolerance"] for c in _structure_check_table()
+                   if c["id"] == "flat-connection-relation")
+        rng = _rng(20)
+        samples = [(qt.sample_unit(rng), qt.sample_unit(rng), *rng.standard_normal((2, 6)))
+                   for _ in range(100)]
+
+        def worst(tables):
+            return max(frames.connection_relation_residual(tables, *s) for s in samples)
+
+        assert worst(T) <= 1e-14
+        for name in ("gap", "gamma"):
+            scaled = dataclasses.replace(T, **{name: (1.0 + 1e-9) * getattr(T, name)})
+            assert worst(scaled) > tol, name
+
+
+class TestStagedBilinearKernels:
+    """`tensor_G`, `nabla` and `connection_gap` against their written-out
+    definitions, with the gap composed from G, P and J at call time."""
+
+    @staticmethod
+    def _G(x, y):
+        return np.einsum("abc,...a,...b->...c", T.G, x, y)
+
+    @classmethod
+    def _gap(cls, x, y):
+        return 0.5 * (cls._G(x, y @ T.P.T) @ T.J.T + cls._G(y, x @ T.P.T) @ T.J.T)
+
+    @classmethod
+    def _cases(cls):
+        return [
+            (frames.tensor_G, cls._G, T.G),
+            (frames.nabla, lambda x, y: np.einsum("abc,...a,...b->...c", T.gamma, x, y),
+             T.gamma),
+            (frames.connection_gap, cls._gap, T.gap),
+        ]
+
+    @staticmethod
+    def _assert_close(out, expected, table, x, y):
+        # a few ulp of the largest term max|table| |x|_1 |y|_1 of either sum
+        scale = np.max(np.abs(table)) * np.abs(x).sum(-1) * np.abs(y).sum(-1)
+        assert np.all(np.abs(out - expected) <= 8.0 * np.finfo(float).eps * scale[..., None])
+
+    def test_all_basis_pairs(self):
+        e = np.eye(6)
+        for f, oracle, table in self._cases():
+            for a in range(6):
+                for b in range(6):
+                    self._assert_close(f(T, e[a], e[b]), oracle(e[a], e[b]), table,
+                                       e[a], e[b])
+
+    def test_random_rows(self):
+        rng = _rng(21)
+        X, Y = rng.standard_normal((2, 500, 6))
+        for f, oracle, table in self._cases():
+            self._assert_close(f(T, X, Y), oracle(X, Y), table, X, Y)
 
 
 class TestCurvature:

@@ -1,5 +1,6 @@
-"""Property test of `frames.curvature` over broadcast-compatible shapes
-(hypothesis)."""
+"""Property tests of the staged frame kernels over broadcast-compatible
+shapes (hypothesis): `frames.curvature` against its written-out
+contraction, and the bilinear tensors batched against row by row."""
 
 import numpy as np
 import pytest
@@ -40,3 +41,29 @@ def test_curvature_matches_the_written_out_contraction(triple):
     scale = (np.max(np.abs(T.R)) * np.abs(x).sum(-1) * np.abs(y).sum(-1)
              * np.abs(z).sum(-1))
     assert np.all(np.abs(out - expected) <= 1e-13 * scale[..., None])
+
+
+@st.composite
+def _operand_pair(draw):
+    # (6,) x (6,), (n, 6) x (n, 6), (n, 6) x (6,) and (a, b, 6) x (a, 1, 6):
+    # the layouts of the structure suite and the hypersurface code
+    n, a, b = (draw(st.integers(1, 5)) for _ in range(3))
+    shapes = draw(st.sampled_from([((), ()), ((n,), (n,)), ((n,), ()), ((a, b), (a, 1))]))
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return tuple(draw(hnp.arrays(np.float64, shape + (6,), elements=elements))
+                 for shape in shapes)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_operand_pair(), st.sampled_from(["tensor_G", "nabla", "connection_gap"]))
+def test_bilinear_kernels_batch_rowwise_bitwise(pair, name):
+    f = getattr(frames, name)
+    x, y = pair
+    out = f(T, x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    assert out.shape == shape
+    xb, yb = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+    rows = np.empty(shape)
+    for idx in np.ndindex(shape[:-1]):
+        rows[idx] = f(T, xb[idx], yb[idx])
+    assert out.tobytes() == rows.tobytes()
