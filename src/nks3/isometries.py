@@ -127,15 +127,13 @@ def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
     Checked: both involutions square to the identity, and a two-sided
     translation slides through either involution with its parameters
     permuted (a, b swapped through the factor swap; a, c reversed through
-    the conjugation twist).  Each sample draws p, q, a, b, c in turn; the
-    identities are evaluated on the whole batch at once.
+    the conjugation twist).  Each sample draws p, q, a, b, c in turn, all
+    samples in one array scaled by `quat.unit_rows` (the same points as
+    `sample_unit` calls in sequence); the identities are evaluated on the
+    whole batch at once.
     """
-    # allocated before the first draw, so a sample count too large to hold
-    # fails at once
-    p, q, a, b, c = draws = np.empty((5, samples, 4))
-    for i in range(samples):
-        for col in draws:
-            col[i] = qt.sample_unit(rng)
+    draws = qt.unit_rows(rng, rng.standard_normal((samples, 5, 4)))
+    p, q, a, b, c = draws.transpose(1, 0, 2).copy()
     pt = (p, q)
     swap = factor_swap().apply_components
     twist = conjugation_twist().apply_components

@@ -25,6 +25,9 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# a Gaussian draw of at most this norm is redrawn before it is scaled to
+# a unit quaternion
+MIN_DRAW_NORM = 1e-6
 # Row j lists, for each output component, the component of q2 that
 # multiplies component j of q1 in the Hamilton product, and its sign.
 _PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -115,10 +118,38 @@ def exp_pure(v) -> np.ndarray:
     return out
 
 
+def _row_norm(v) -> np.ndarray:
+    # each row's dot product on its own, as np.linalg.norm of a single
+    # row forms it; a row sum rounds differently for some rows
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def unit_rows(rng: np.random.Generator, v) -> np.ndarray:
+    """Scale the rows of Gaussian draws v (..., 4), ndim >= 2, in place to
+    uniform points of the unit 3-sphere; returns v.
+
+    Each row is divided by its norm, which equals `np.linalg.norm` of the
+    row bitwise, so drawing k quaternions per sample as one
+    ``rng.standard_normal((samples, k, 4))`` and scaling the rows gives
+    the same points as ``samples * k`` calls of `sample_unit`.  A row of
+    norm at most `MIN_DRAW_NORM` is redrawn from ``rng`` after the whole
+    batch (in row order, until none is left); that is the one case where
+    the stream differs from the calls in sequence, which redraw at once.
+    """
+    n = _row_norm(v)
+    bad = n <= MIN_DRAW_NORM
+    while bad.any():
+        v[bad] = rng.standard_normal((np.count_nonzero(bad), 4))
+        n[bad] = _row_norm(v[bad])
+        bad = n <= MIN_DRAW_NORM
+    v /= n[..., None]
+    return v
+
+
 def sample_unit(rng: np.random.Generator) -> np.ndarray:
     """Uniform point of the unit 3-sphere (normalized 4D Gaussian)."""
     while True:
         v = rng.standard_normal(4)
         n = np.linalg.norm(v)
-        if n > 1e-6:
+        if n > MIN_DRAW_NORM:
             return v / n

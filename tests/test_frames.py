@@ -216,6 +216,21 @@ class TestFlatConnectionRelation:
                          for i in range(n)])
         assert batched.tobytes() == rows.tobytes()
 
+    def test_connection_relation_residual_batches_rowwise(self):
+        # the structure suite evaluates the relation once over all samples;
+        # each row is its single-point residual, to the last bit
+        rng = _rng(21)
+        n = 200
+        p = np.array([qt.sample_unit(rng) for _ in range(n)])
+        q = np.array([qt.sample_unit(rng) for _ in range(n)])
+        X, Y = rng.standard_normal((2, n, 6))
+        batched = frames.connection_relation_residual(T, p, q, X, Y)
+        assert batched.shape == (n,)
+        rows = [frames.connection_relation_residual(T, p[i], q[i], X[i], Y[i])
+                for i in range(n)]
+        assert all(type(r) is float for r in rows)
+        assert batched.tobytes() == np.array(rows).tobytes()
+
     def test_random_fields(self):
         rng = _rng(7)
         worst = 0.0

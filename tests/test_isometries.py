@@ -163,6 +163,29 @@ def test_composition_identities():
         assert residual <= 1e-12, name
 
 
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_composition_draws_equal_sequential_draws_bitwise(monkeypatch, seed):
+    # p, q, a, b, c of all samples come from one array; they are the points
+    # of five single draws per sample, in turn
+    seen = []
+    translation = iso.two_sided_translation
+
+    def recording_translation(a, b, c):
+        seen.append((a, b, c))
+        return translation(a, b, c)
+
+    monkeypatch.setattr(iso, "two_sided_translation", recording_translation)
+    rng = np.random.default_rng(seed)
+    iso.composition_checks(rng, samples=40)
+    ref_rng = np.random.default_rng(seed)
+    expected = np.array([[qt.sample_unit(ref_rng) for _ in range(5)]
+                         for _ in range(40)])
+    a, b, c = seen[0]
+    for got, slot in ((a, 2), (b, 3), (c, 4)):
+        assert got.tobytes() == np.ascontiguousarray(expected[:, slot]).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_composition_checks_allocate_before_drawing():
     # a sample count too large to hold fails at once, before any draw
     with pytest.raises(MemoryError):

@@ -171,3 +171,60 @@ def test_sample_unit_mean_component():
     for _ in range(n):
         total += qt.sample_unit(rng)[0]
     assert abs(total / n) < 0.005
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("k", [1, 5, 9])
+def test_unit_rows_equal_sequential_draws_bitwise(seed, k):
+    # (samples, k, 4) draws in one array, scaled row by row, are the points
+    # of samples * k single draws, and leave the generator in the same state
+    rng = np.random.default_rng(seed)
+    batch = qt.unit_rows(rng, rng.standard_normal((300, k, 4)))
+    ref_rng = np.random.default_rng(seed)
+    expected = np.array([[qt.sample_unit(ref_rng) for _ in range(k)]
+                         for _ in range(300)])
+    assert batch.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_unit_rows_scale_a_strided_view_in_place():
+    # the isometry suite scales some slots of each sample and keeps the rest
+    rng = np.random.default_rng(4)
+    draws = rng.standard_normal((50, 9, 4))
+    raw = draws.copy()
+    qt.unit_rows(rng, draws[:, 6:])
+    assert draws[:, :6].tobytes() == raw[:, :6].tobytes()
+    ref_rng = np.random.default_rng(4)
+    expected = []
+    for _ in range(50):
+        ref_rng.standard_normal((6, 4))
+        expected.append([qt.sample_unit(ref_rng) for _ in range(3)])
+    assert draws[:, 6:].tobytes() == np.array(expected).tobytes()
+
+
+class _ZeroFirstRow:
+    """A generator whose first draw has an all-zero first row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.first:
+            out.reshape(-1, 4)[0] = 0.0
+            self.first = False
+        return out
+
+
+def test_unit_rows_redraw_a_rejected_row():
+    rng = _ZeroFirstRow(6)
+    draws = rng.standard_normal((20, 5, 4))
+    assert not draws[0, 0].any()
+    qt.unit_rows(rng, draws)
+    assert np.all(np.isfinite(draws))
+    npt.assert_allclose(qt.norm(draws), 1.0, atol=1e-15)
+    # the other rows are scaled as they were drawn
+    ref = np.random.default_rng(6).standard_normal((20, 5, 4)).reshape(-1, 4)
+    expected = np.array([v / np.linalg.norm(v) for v in ref[1:]])
+    assert draws.reshape(-1, 4)[1:].tobytes() == expected.tobytes()

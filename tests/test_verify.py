@@ -99,9 +99,47 @@ def _isometry_residuals_per_sample(seed, samples):
 
 
 def test_isometry_suite_matches_per_sample_recomputation_bitwise():
-    rep = verify.run_isometry_suite(seed=11, samples=30)
-    expected = _isometry_residuals_per_sample(11, 30)
-    assert {c.check_id: c.max_residual for c in rep.checks} == expected
+    # the suite draws all samples as one array and scales the unit slots;
+    # the residuals equal those of the draws made one sample at a time
+    for seed in (0, 11, 29):
+        rep = verify.run_isometry_suite(seed=seed, samples=30)
+        expected = _isometry_residuals_per_sample(seed, 30)
+        assert {c.check_id: c.max_residual for c in rep.checks} == expected, seed
+
+
+@pytest.mark.parametrize("samples", [1, 5, 200])
+def test_structure_suite_makes_one_connection_call(monkeypatch, samples):
+    # the flat-connection relation is evaluated once over the whole batch
+    calls = []
+    conn = verify.connection_relation_residual
+
+    def counting_conn(*args):
+        calls.append(1)
+        return conn(*args)
+
+    monkeypatch.setattr(verify, "connection_relation_residual", counting_conn)
+    rep = verify.run_structure_suite(seed=4, samples=samples)
+    assert len(calls) == 1
+    assert rep.all_pass
+
+
+def test_isometry_draws_make_no_single_quaternion_draws(monkeypatch):
+    # the isometry suite and the composition checks draw each set as one
+    # array, never one unit quaternion at a time
+    calls = []
+    sample_unit = qt.sample_unit
+
+    def counting_sample_unit(rng):
+        calls.append(1)
+        return sample_unit(rng)
+
+    monkeypatch.setattr(qt, "sample_unit", counting_sample_unit)
+    counting_sample_unit(np.random.default_rng(0))
+    assert len(calls) == 1  # the count sees a draw
+    calls.clear()
+    verify.run_isometry_suite(seed=3, samples=20)
+    iso.composition_checks(np.random.default_rng(3), samples=20)
+    assert calls == []
 
 
 def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
@@ -262,14 +300,15 @@ def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
 
 
 def test_structure_nan_residual_fails_its_check(monkeypatch):
-    calls = []
+    # a NaN in any row of the batched residual reaches the report as inf
     conn = verify.connection_relation_residual
 
-    def nan_at_sample_1(*args):
-        calls.append(1)
-        return math.nan if len(calls) == 2 else conn(*args)
+    def nan_in_row_1(*args):
+        res = conn(*args).copy()
+        res[1] = math.nan
+        return res
 
-    monkeypatch.setattr(verify, "connection_relation_residual", nan_at_sample_1)
+    monkeypatch.setattr(verify, "connection_relation_residual", nan_in_row_1)
     rep = verify.run_structure_suite(seed=7, samples=5)
     failed = [c for c in rep.checks if not c.passed]
     assert [c.check_id for c in failed] == ["flat-connection-relation"]
