@@ -33,7 +33,11 @@ structure suite checks against the flat derivative.  The transport,
 Codazzi and Gauss residuals take every induced derivative through one
 step, `_covariant_fd`: the central difference of a field's flat R^8 form
 along a chart segment, in frame coefficients, minus the same gap of the
-direction and the field's value, minus the normal part.
+direction and the field's value, minus the normal part.  Gauss and
+Codazzi share one nested stencil of two such steps, `_nested_fd`: Gauss
+differences the chart-constant extension of Z on it, and Codazzi the
+unit normal, whose inner step is -A Y by the Weingarten relation, so
+neither builds a shape operator away from the point itself.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -446,12 +450,12 @@ class _Weingarten(NamedTuple):
 
 
 def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten:
-    """The Weingarten data at the chart points centres (..., 5), from one
-    chart call on their stencils of 11 points each.
+    """The Weingarten data of `analyze_points` at the chart points centres
+    (m, 5), from one chart call on their stencils of 11 points each.
 
-    The normal at each centre is aligned with ref_normal (broadcasting
-    against (..., 6)) when given; the normals of its ten neighbours are
-    aligned with it and differenced.
+    The normal at each centre is aligned with ref_normal ((6,) or (m, 6))
+    when given; the normals of its ten neighbours are aligned with it and
+    differenced.
     """
     t = get_tables()
     c = centres[..., None, :]
@@ -776,43 +780,60 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
     y5 = np.asarray(y5, dtype=float)
     X = data.from_components(x5)
     Y = data.from_components(y5)
-    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
 
-    # the shape operator along both chart lines, from the stencils of the
-    # four neighbouring points of every row in one chart call; A Y is
-    # differenced along X and A X along Y
-    w = _weingarten(data.immersion, _segments(data.u[..., None, :], vels, h),
-                    NORMAL_H, data.xi[..., None, None, :])
-    A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
-    w6 = np.einsum("...a,...ac->...c", vels[..., ::-1, None, :], w.T)
-    comps = np.einsum("...ic,cd,...d->...i", w.frame, t.g, w6)
-    shaped = np.einsum("...i,...ij,...jc->...c", comps, A, w.frame)
-    d = _covariant_fd((data.p[..., None, :], data.q[..., None, :]),
-                      data.xi[..., None, :], (w.p, w.q), shaped, np.stack([X, Y], axis=-2),
-                      np.stack([data.apply_shape(Y), data.apply_shape(X)], axis=-2), h)
+    lhs = _shape_derivative(data, x5, y5, h)
     rhs = -data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return _out(g_norm(t, d[..., 0, :] - d[..., 1, :] - rhs))
+    return _out(g_norm(t, lhs - rhs))
 
 
-# the chart points (direction, prime, stencil slot) of `_induced_curvature`
-# that its chart call evaluates: all but the point itself, slot [d, 2, 0]
+def _shape_derivative(data: HypersurfacePointData, x5, y5,
+                      h: float) -> np.ndarray:
+    """(D_X A) Y - (D_Y A) X (..., 6), for X, Y given by their tangent-frame
+    components x5, y5 (..., 5): `_nested_fd` of the unit normal.
+
+    Its inner steps give (D_Y xi)^T = -A Y at the primes along X (and -A X
+    along Y), and the outer steps differentiate those; the chart-constant
+    extensions of X and Y commute, so no A [X, Y] term enters.  The normals
+    of the 16 fresh chart points of each row come from one `_unit_normal`
+    call, aligned with the point data's normal, which the point itself
+    takes.
+    """
+    ref = data.xi[..., None, :]
+
+    def unit_normal(T):
+        xi = np.empty(T.shape[:-2] + (6,))
+        xi[..., _FRESH, :] = _aligned(_unit_normal(T[..., _FRESH, :, :]), ref)
+        xi[..., 2, 0, :] = ref
+        return xi, xi[..., 0, :]
+
+    return -_nested_fd(data, x5, y5, unit_normal, h)
+
+
+# the chart points (direction, prime, stencil slot) of `_nested_fd` that its
+# chart call evaluates: all but the point itself, slot [d, 2, 0]
 _FRESH = np.ones((2, 3, 3), dtype=bool)
 _FRESH[:, 2, 0] = False
 
 
-def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
-                       h: float) -> np.ndarray:
-    """R(X, Y) Z of the induced connection, two stacked central differences,
-    for X, Y, Z given by their tangent-frame components x5, y5, z5 (..., 5).
+def _nested_fd(data: HypersurfacePointData, x5, y5, field: Callable,
+               h: float) -> np.ndarray:
+    """D_X D_Y F - D_Y D_X F (..., 6) of a field F along the chart-constant
+    extensions of X and Y, given by their tangent-frame components x5, y5
+    (..., 5): two stacked central differences of step h.  The extensions
+    commute, so for a tangent field this is R(X, Y) F of the induced
+    connection.
 
     The inner derivatives along Y (and X) are taken in frame coefficients at
-    the point and at its two neighbours along X (and Y): six points with
-    three chart points each per row.  The point itself (prime 2 of either
-    direction) takes its chart data and normal from the point data; the
-    other 16 chart points of all rows are evaluated in one chart call.
+    the point and at its two neighbours along X (and Y), the primes: six
+    primes with three chart points each per row, indexed (direction, prime,
+    slot) with slot 0 the prime itself.  The point itself (prime 2 of
+    either direction) takes its chart data from the point data; the other
+    16 chart points of all rows are evaluated in one chart call.  field(T)
+    gives, from the stencil's pushforwards T (..., 2, 3, 3, 5, 6), the frame
+    values (..., 2, 3, 3, 6) of F there and unit normals (..., 2, 3, 6) at
+    the primes.
     """
     vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
-    zchart = _vm(z5, data.chart_weights)[..., None, None, :]
     u = data.u[..., None, None, :]
     primes = np.concatenate([_segments(u[..., 0, :], vels, h),
                              np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
@@ -827,21 +848,33 @@ def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
     p[..., 2, 0, :] = data.p[..., None, :]
     q[..., 2, 0, :] = data.q[..., None, :]
     T[..., 2, 0, :, :] = data.push_coords[..., None, :, :]
-    T_p = T[..., 0, :, :]
-    # the normal at the point is data.xi up to sign, which _tangential ignores
-    xi_p = np.empty(T_p.shape[:-2] + (6,))
-    xi_p[..., :2, :] = _unit_normal(T_p[..., :2, :, :])
-    xi_p[..., 2, :] = data.xi[..., None, :]
+    values, xi_p = field(T)
     inner = _covariant_fd((p[..., 0, :], q[..., 0, :]), xi_p,
-                          (p[..., 1:, :], q[..., 1:, :]),
-                          _vm(zchart[..., None, :], T[..., 1:, :, :]),
-                          _vm(inner_vels, T_p), _vm(zchart, T_p), h)
+                          (p[..., 1:, :], q[..., 1:, :]), values[..., 1:, :],
+                          _vm(inner_vels, T[..., 0, :, :]), values[..., 0, :], h)
     # the outer differences along X and Y, centred at prime 2, the point itself
     XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
     outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), data.xi[..., None, :],
                           (p[..., :2, 0, :], q[..., :2, 0, :]),
                           inner[..., :2, :], XY, inner[..., 2, :], h)
     return outer[..., 0, :] - outer[..., 1, :]
+
+
+def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
+                       h: float) -> np.ndarray:
+    """R(X, Y) Z of the induced connection, for X, Y, Z given by their
+    tangent-frame components x5, y5, z5 (..., 5): `_nested_fd` of the
+    chart-constant extension of Z."""
+    zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
+
+    def chart_constant(T):
+        # the normal at the point is data.xi up to sign, which _tangential ignores
+        xi_p = np.empty(T.shape[:-3] + (6,))
+        xi_p[..., :2, :] = _unit_normal(T[..., :2, 0, :, :])
+        xi_p[..., 2, :] = data.xi[..., None, :]
+        return _vm(zchart, T), xi_p
+
+    return _nested_fd(data, x5, y5, chart_constant, h)
 
 
 def gauss_residual(data: HypersurfacePointData, x5, y5, z5, h: float = 1e-4):

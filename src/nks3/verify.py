@@ -420,7 +420,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         _check(prefix + "gauss", "induced curvature matches the Gauss relation",
                n, 1e-3, hs.gauss_residual(data, X5, Y5, Z5)),
         _check(prefix + "codazzi", "shape-operator derivative matches the Codazzi relation",
-               n, 1e-3, hs.codazzi_residual(data, X5, Y5)),
+               n, 1e-6, hs.codazzi_residual(data, X5, Y5)),
         _check(prefix + "hopf-identity",
                "pointwise identity tying A, phi, G on the structure-vector complement",
                n, 1e-5, hs.hopf_identity_residual(data, XP, YP)),

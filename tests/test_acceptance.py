@@ -192,7 +192,7 @@ def test_c09_hypersurface_identity_residuals():
                 worst_hopfid, hs.hopf_identity_residual(d, xp, yp)
             )
     _report("C09a reeb-transport", worst_reeb, 1e-5)
-    _report("C09b codazzi", worst_codazzi, 1e-3)
+    _report("C09b codazzi", worst_codazzi, 1e-6)
     _report("C09c gauss", worst_gauss, 1e-3)
     _report("C09d hopf-pointwise-identity", worst_hopfid, 1e-5)
 

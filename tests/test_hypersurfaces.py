@@ -525,9 +525,26 @@ class TestIdentityResiduals:
             d = hs.analyze_point(M, u)
             x5 = _unit(rng.standard_normal(5))
             y5 = _unit(rng.standard_normal(5))
-            assert hs.codazzi_residual(d, x5, y5) <= 1e-3
+            assert hs.codazzi_residual(d, x5, y5) <= 1e-6
             # both sides are antisymmetric, so equal arguments give zero
             assert hs.codazzi_residual(d, x5, x5) <= 1e-12
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_codazzi_agrees_with_the_weingarten_route(self, family, kw):
+        # the nested difference of the normal against the shape operator
+        # of full analyses at the four neighbours; the gap is the
+        # reference's own error (up to 5.1e-7 at these points), while a
+        # sign or transpose slip in either derivation shows as an O(1) gap
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(34)
+        t = frames.get_tables()
+        for _ in range(2):
+            d = hs.analyze_point(M, hs.random_chart_point(rng))
+            x5 = _unit(rng.standard_normal(5))
+            y5 = _unit(rng.standard_normal(5))
+            gap = hs._shape_derivative(d, x5, y5, 1e-4) - _shape_derivative_weingarten(
+                d, x5, y5, 1e-4)
+            assert frames.g_norm(t, gap) <= 1e-6
 
     def test_gauss(self):
         rng = np.random.default_rng(14)
@@ -598,6 +615,24 @@ class TestIdentityResiduals:
             hs.hopf_identity_residual(d, x5, x5)
 
 
+def _shape_derivative_weingarten(d, x5, y5, h):
+    """(D_X A) Y - (D_Y A) X at a one-point view, from full `_weingarten`
+    analyses at its four neighbours u +- h X and u +- h Y: A Y there is
+    differenced along X, and A X along Y."""
+    t = frames.get_tables()
+    vels = np.stack([x5 @ d.chart_weights, y5 @ d.chart_weights])
+    w = hs._weingarten(d.immersion, hs._segments(d.u, vels, h), hs.NORMAL_H, d.xi)
+    A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
+    # the chart-constant extensions of Y (along X) and X (along Y)
+    w6 = np.einsum("da,dkac->dkc", vels[::-1], w.T)
+    comps = np.einsum("dkic,cf,dkf->dki", w.frame, t.g, w6)
+    shaped = np.einsum("dki,dkij,dkjc->dkc", comps, A, w.frame)
+    X, Y = d.from_components(x5), d.from_components(y5)
+    steps = hs._covariant_fd((d.p, d.q), d.xi, (w.p, w.q), shaped, np.stack([X, Y]),
+                             np.stack([d.apply_shape(Y), d.apply_shape(X)]), h)
+    return steps[0] - steps[1]
+
+
 def _hopf_directions(data, rng):
     """Unit directions orthogonal to the structure vector, one per row."""
     eta = data.eta / np.linalg.norm(data.eta, axis=-1, keepdims=True)
@@ -639,9 +674,10 @@ class TestBatchedResiduals:
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_induced_curvature_reuses_the_point_data(self, monkeypatch, family, kw):
-        # the Gauss stencil takes the chart data and normal of the point itself
-        # from the point data, which must equal a fresh chart call bitwise (the
-        # normal up to its orientation); the chart call then has 16 points a row
+        # the nested stencil of Gauss and Codazzi takes the chart data and
+        # normal of the point itself from the point data, which must equal a
+        # fresh chart call bitwise (the normal up to its orientation); each
+        # residual's one chart call then has 16 points a row
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(32)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
@@ -663,7 +699,8 @@ class TestBatchedResiduals:
         X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
                       for v in rng.standard_normal((3, 4, 5)))
         hs.gauss_residual(data, X5, Y5, Z5)
-        assert shapes == [(4, 16, 5)]
+        hs.codazzi_residual(data, X5, Y5)
+        assert shapes == [(4, 16, 5), (4, 16, 5)]
 
     def test_hopf_error_names_the_failing_row(self):
         M = hs.make_example("m1", r=0.6)

@@ -192,6 +192,8 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert all(n > 0 for n in counts[0].values())
+    # analysis, transport, Gauss, Codazzi, and leaf geometry for m1-m3
+    assert counts[0]["pushforward"] == (5 if family in hs.THREE_CURVATURE_FAMILIES else 4)
 
 
 def _structure_complement_loop(row):
@@ -297,6 +299,18 @@ def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
     failed = [c for c in rep.checks if not c.passed]
     assert [c.check_id for c in failed] == ["m1(r=0.6):codazzi"]
     assert failed[0].max_residual == math.inf
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-5])
+def test_codazzi_check_catches_a_scaled_curvature(monkeypatch, scale):
+    # the Codazzi tolerance sits close enough to its finite-difference error
+    # that a curvature tensor off by 1e-5 of itself fails the check
+    curvature = hs.curvature_closed_form
+    monkeypatch.setattr(hs, "curvature_closed_form",
+                        lambda tables, *args: scale * curvature(tables, *args))
+    rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
+    codazzi = next(c for c in rep.checks if c.check_id == "m1(r=0.6):codazzi")
+    assert codazzi.passed == (scale == 1.0), codazzi.max_residual
 
 
 def test_structure_nan_residual_fails_its_check(monkeypatch):

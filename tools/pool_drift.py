@@ -11,7 +11,9 @@ workload it prints
 * how many outcomes equal their reference residual bitwise, and how many
   moved;
 * per check id, the number moved and the largest residual/reference ratio
-  (`inf` where a zero reference became nonzero), with that residual.
+  (`inf` where a zero reference became nonzero), with that residual, and
+  the largest residual over the pool, moved or not, which is the figure a
+  tolerance is set against.
 
 The tier-1 guard `tests/test_benchmark_reference.py` judges pool seed 0
 only, while a change that re-rolls noise-level residuals can fail the
@@ -49,7 +51,8 @@ def drift(W, name: str) -> int:
     reference = workload.reference()
     failures = failed_passes = 0
     identical = moved = 0
-    per_check: dict = {}  # check id -> [moved, entries, worst ratio, residual]
+    # check id -> [moved, entries, worst ratio, its residual, largest residual]
+    per_check: dict = {}
     print(f"== {name}")
     for seed in range(W.POOL_SIZE):
         ref = reference[str(seed)]
@@ -62,8 +65,9 @@ def drift(W, name: str) -> int:
         for cid, residual, _ in outcomes:
             if cid not in ref:
                 continue  # an id added since the reference has nothing to drift from
-            row = per_check.setdefault(cid, [0, 0, 0.0, 0.0])
+            row = per_check.setdefault(cid, [0, 0, 0.0, 0.0, 0.0])
             row[1] += 1
+            row[4] = max(row[4], residual)
             if residual == ref[cid]:
                 identical += 1
                 continue
@@ -74,15 +78,16 @@ def drift(W, name: str) -> int:
                 row[2], row[3] = ratio, residual
     print(f"  judge failures: {failures}, in {failed_passes} of {W.POOL_SIZE} passes")
     print(f"  identical {identical}, moved {moved} of {identical + moved} entries")
-    if not moved:
+    if moved:
+        cid = max(per_check, key=lambda c: per_check[c][2])
+        print(f"  largest ratio {per_check[cid][2]:.4g} ({cid})")
+    if not per_check:
         return failures
-    cid = max(per_check, key=lambda c: per_check[c][2])
-    print(f"  largest ratio {per_check[cid][2]:.4g} ({cid})")
     width = max(len(cid) for cid in per_check)
-    print(f"  {'check':<{width}}  moved  largest ratio  its residual")
-    for cid, (n_moved, n, ratio, residual) in per_check.items():
-        if n_moved:
-            print(f"  {cid:<{width}}  {n_moved:>2}/{n:<2}  {ratio:>13.4g}  {residual:.3g}")
+    print(f"  {'check':<{width}}  moved  largest ratio  its residual  largest residual")
+    for cid, (n_moved, n, ratio, residual, largest) in per_check.items():
+        worst = f"{ratio:>13.4g}  {residual:>12.3g}" if n_moved else f"{'-':>13}  {'-':>12}"
+        print(f"  {cid:<{width}}  {n_moved:>2}/{n:<2}  {worst}  {largest:>16.3g}")
     return failures
 
 
