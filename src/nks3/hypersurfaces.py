@@ -29,11 +29,13 @@ corrected by the exact frame tensors:
     D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
 
 the correction being `frames.connection_gap`, the same function the
-structure suite checks against the flat derivative.  The transport,
-Codazzi and Gauss residuals take every induced derivative through one
-step, `_covariant_fd`: the central difference of a field's flat R^8 form
-along a chart segment, in frame coefficients, minus the same gap of the
-direction and the field's value, minus the normal part.  Gauss and
+structure suite checks against the flat derivative.  The analysis and the
+transport, Codazzi and Gauss residuals take every such derivative through
+one step, `_covariant_fd`: the central difference of a field's flat R^8
+form along a chart segment, in frame coefficients, minus the same gap of
+the direction and the field's value, minus the normal part.  The analysis
+takes it along the five chart lines through each point, from one chart
+call on the point and its ten segment ends.  Gauss and
 Codazzi share one nested stencil of two such steps, `_nested_fd`: Gauss
 differences the chart-constant extension of Z on it, and Codazzi the
 unit normal, whose inner step is -A Y by the Weingarten relation, so
@@ -52,7 +54,7 @@ one-point view bitwise.  The spectral report, the theta-r relation and the
 normal-action class take a batch the same way, with one `eigh` call for
 all rows.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
-the finite differences of `_weingarten` and `_covariant_fd`.
+the finite-difference step `_covariant_fd`.
 
 Orientation convention: the normal sign is chosen so that trace(A) >= 0,
 with a lexicographic tie-break on the frame coefficients of xi when the
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,7 +85,6 @@ from .frames import (
     tensor_G,
 )
 from .isometries import IsometryMap, conjugation_twist, factor_swap
-from .pointwise import AmbientPoint
 
 SQRT3 = math.sqrt(3.0)
 
@@ -136,11 +137,6 @@ class Immersion:
                 p[..., None, :], q[..., None, :], U, V)
             p, q = self._isometry.apply_components(p, q)
         return p, q, U, V
-
-    def point(self, u) -> AmbientPoint:
-        """The ambient point (a batch of them for u of shape (..., 5))."""
-        p, q, _, _ = self._components(u)
-        return AmbientPoint(p, q)
 
     def pushforward(self, u) -> tuple:
         """Points and chart pushforwards at the chart points u (..., 5).
@@ -436,51 +432,17 @@ def _aligned(x, ref):
     return np.where(np.sum(x * ref, axis=-1, keepdims=True) < 0.0, -x, x)
 
 
-class _Weingarten(NamedTuple):
-    """Chart data, normal and unsymmetrized shape operator at chart points
-    of leading shape (...)."""
-
-    p: np.ndarray      # (..., 4)
-    q: np.ndarray      # (..., 4)
-    T: np.ndarray      # (..., 5, 6)
-    frame: np.ndarray  # (..., 5, 6)
-    W: np.ndarray      # (..., 5, 5)
-    xi: np.ndarray     # (..., 6)
-    A: np.ndarray      # (..., 5, 5)
-
-
-def _weingarten(M: Immersion, centres, h: float, ref_normal=None) -> _Weingarten:
-    """The Weingarten data of `analyze_points` at the chart points centres
-    (m, 5), from one chart call on their stencils of 11 points each.
-
-    The normal at each centre is aligned with ref_normal ((6,) or (m, 6))
-    when given; the normals of its ten neighbours are aligned with it and
-    differenced.
-    """
-    t = get_tables()
-    c = centres[..., None, :]
-    steps = h * np.eye(5)
-    p, q, T = _chart_data(M, np.concatenate([c, c + steps, c - steps], axis=-2))
-    xi = _unit_normal(T)
-    xi0 = xi[..., 0, :] if ref_normal is None else _aligned(xi[..., 0, :], ref_normal)
-    nb8 = frame_to_r8(p[..., 1:, :], q[..., 1:, :],
-                      _aligned(xi[..., 1:, :], xi0[..., None, :]))
-
-    # product-round-metric derivative of the normal along each chart line
-    nablaE_chart = r8_to_frame(p[..., :1, :], q[..., :1, :],
-                               (nb8[..., :5, :] - nb8[..., 5:, :]) / (2.0 * h))
-    frame0, W0 = _orthonormal_frame(T[..., 0, :, :])
-    nabla_xi = W0 @ nablaE_chart - connection_gap(t, frame0, xi0[..., None, :])
-    A = -(nabla_xi @ t.g @ np.swapaxes(frame0, -1, -2))
-    return _Weingarten(p[..., 0, :], q[..., 0, :], T[..., 0, :, :], frame0, W0, xi0, A)
-
-
 def analyze_points(M: Immersion, U, h: float = NORMAL_H,
                    ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at the chart points U
-    (m, 5), as one batch of point data, from one `_weingarten` call on all
-    their stencils.
+    (m, 5), as one batch of point data, from one chart call on their
+    stencils of 11 points each: the point and the ends of its chart
+    segments of half-length h along the five chart directions.
 
+    The shape operator comes from the Weingarten relation A X = -(D_X xi)^T:
+    the normals at the segment ends are aligned with the point's and
+    differenced by `_covariant_fd` along each chart direction, and the
+    chart weights take those derivatives to the orthonormal tangent frame.
     The normals are aligned with the frame vectors ref_normal ((6,) or
     (m, 6)) when given, and otherwise oriented by the trace rule.  The
     data's `u` is a read-only copy of U.
@@ -489,8 +451,19 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
     if U.ndim != 2 or U.shape[1] != 5:
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
-    w = _weingarten(M, U, h, ref_normal)
-    xi, A = w.xi, w.A
+    t = get_tables()
+    ends = _segments(U[:, None, :], np.eye(5), h).reshape(-1, 10, 5)
+    p, q, T = _chart_data(M, np.concatenate([U[:, None, :], ends], axis=1))
+    normals = _unit_normal(T)
+    xi = normals[:, 0] if ref_normal is None else _aligned(normals[:, 0], ref_normal)
+    push = T[:, 0]
+    frame, W = _orthonormal_frame(push)
+    # (D xi)^T along the five chart directions, then along the tangent frame
+    values = _aligned(normals[:, 1:], xi[:, None]).reshape(-1, 5, 2, 6)
+    chart_dxi = _covariant_fd((p[:, :1], q[:, :1]), xi[:, None],
+                              (p[:, 1:].reshape(-1, 5, 2, 4), q[:, 1:].reshape(-1, 5, 2, 4)),
+                              values, push, xi[:, None], h)
+    A = -(W @ chart_dxi @ t.g @ np.swapaxes(frame, -1, -2))
 
     if ref_normal is None:
         tr = np.trace(A, axis1=-2, axis2=-1)
@@ -502,20 +475,8 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
 
     At = np.swapaxes(A, -1, -2)
     symmetry = np.max(np.abs(A - At), axis=(-2, -1))
-    return _point_data(M, U, w, xi, 0.5 * (A + At), symmetry)
+    A = 0.5 * (A + At)
 
-
-def analyze_point(M: Immersion, u, h: float = NORMAL_H,
-                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
-    """`analyze_points` at the one chart point u (5,), as a one-point view."""
-    return analyze_points(M, np.asarray(u, dtype=float)[None], h, ref_normal)[0]
-
-
-def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
-    """The point data from the oriented normals xi and the symmetrized shape
-    operators A at the chart points U."""
-    t = get_tables()
-    frame = w.frame
     uvec = -_mv(t.J, xi)
     eta = _mv(frame @ t.g, uvec)
     phi_rows = (_tangential(frame @ t.J.T, xi[:, None, :]) @ t.g
@@ -535,11 +496,11 @@ def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
     return HypersurfacePointData(
         immersion=M,
         u=U,
-        p=w.p,
-        q=w.q,
-        push_coords=w.T,
+        p=p[:, 0],
+        q=q[:, 0],
+        push_coords=push,
         tangent_frame=frame,
-        chart_weights=w.W,
+        chart_weights=W,
         xi=xi,
         structure_vector=uvec,
         alpha=alpha,
@@ -552,6 +513,12 @@ def _point_data(M, U, w: _Weingarten, xi, A, symmetry) -> HypersurfacePointData:
         b=b_coef,
         c=c_coef,
     )
+
+
+def analyze_point(M: Immersion, u, h: float = NORMAL_H,
+                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+    """`analyze_points` at the one chart point u (5,), as a one-point view."""
+    return analyze_points(M, np.asarray(u, dtype=float)[None], h, ref_normal)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -133,14 +133,6 @@ def _check(check_id: str, anchor: str, samples: int, tol: float,
 # structure suite
 # ---------------------------------------------------------------------------
 
-def _random_points(rng, n):
-    p = rng.standard_normal((n, 4))
-    q = rng.standard_normal((n, 4))
-    p /= np.linalg.norm(p, axis=-1, keepdims=True)
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    return p, q
-
-
 def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     """Identity checks for the ambient structure tensors.
 
@@ -179,7 +171,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     rhs28 = tensor_G(t, X, py) @ t.J.T + gxy @ (t.J @ t.P).T
 
     # pointwise factor involution against its P, J expression
-    p, q = _random_points(rng, n)
+    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
     u_raw = rng.standard_normal((n, 4))
     v_raw = rng.standard_normal((n, 4))
     u, v = pw.project_components(p, q, u_raw, v_raw)

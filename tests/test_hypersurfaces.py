@@ -32,21 +32,22 @@ def _unit(v):
 class TestMakeExample:
     def test_m1_point_at_r1(self):
         M = hs.make_example("m1", r=1.0)
-        pt = M.point(ORIGIN5)
-        npt.assert_allclose(pt.p, qt.ONE, atol=1e-15)
-        npt.assert_allclose(pt.q, qt.E1, atol=1e-15)
+        p, q = M.pushforward(ORIGIN5)[:2]
+        npt.assert_allclose(p, qt.ONE, atol=1e-15)
+        npt.assert_allclose(q, qt.E1, atol=1e-15)
 
     def test_m1_point_formula(self):
         M = hs.make_example("m1", r=0.6)
-        pt = M.point(ORIGIN5)
-        npt.assert_allclose(pt.p, qt.ONE, atol=1e-15)
-        npt.assert_allclose(pt.q, np.array([0.8, 0.6, 0.0, 0.0]), atol=1e-15)
+        p, q = M.pushforward(ORIGIN5)[:2]
+        npt.assert_allclose(p, qt.ONE, atol=1e-15)
+        npt.assert_allclose(q, np.array([0.8, 0.6, 0.0, 0.0]), atol=1e-15)
 
     def test_m4_second_factor_constraints(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            q = M.point(hs.random_chart_point(rng)).q
+            p, q = M.pushforward(hs.random_chart_point(rng))[:2]
+            assert qt.unit_defect(p) < 1e-12 and qt.unit_defect(q) < 1e-12
             assert q[0] ** 2 + q[1] ** 2 == pytest.approx(0.36, abs=1e-12)
             assert q[2] ** 2 + q[3] ** 2 == pytest.approx(0.64, abs=1e-12)
 
@@ -93,14 +94,13 @@ class TestMakeExample:
         h = 1e-6
         for _ in range(3):
             u = hs.random_chart_point(rng)
-            pt = M.point(u)
-            _, _, T = M.pushforward(u)
+            p, q, T = M.pushforward(u)
             for a in range(5):
                 step = np.zeros(5)
                 step[a] = h
-                plus, minus = M.point(u + step), M.point(u - step)
-                d8 = np.concatenate([plus.p - minus.p, plus.q - minus.q]) / (2.0 * h)
-                npt.assert_allclose(frames.r8_to_frame(pt.p, pt.q, d8), T[a], atol=1e-8)
+                (p1, q1), (p2, q2) = M.pushforward(u + step)[:2], M.pushforward(u - step)[:2]
+                d8 = np.concatenate([p1 - p2, q1 - q2]) / (2.0 * h)
+                npt.assert_allclose(frames.r8_to_frame(p, q, d8), T[a], atol=1e-8)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_batched_pushforward_equals_single_points(self, family, kw):
@@ -115,9 +115,7 @@ class TestMakeExample:
             npt.assert_array_equal(p[i], p1)
             npt.assert_array_equal(q[i], q1)
             npt.assert_array_equal(T[i], T1)
-            pt = M.point(u)
-            npt.assert_array_equal(pt.p, p1)
-            npt.assert_array_equal(pt.q, q1)
+        assert qt.unit_defect(p) < 1e-12 and qt.unit_defect(q) < 1e-12
         # a stencil with two leading axes
         p2, _, T2 = M.pushforward(us.reshape(2, 2, 5))
         npt.assert_array_equal(p2.reshape(4, 4), p)
@@ -219,7 +217,7 @@ class TestAnalyzePoints:
             len(batch[0])
         # the batch mixes normals the orientation rule flips with normals
         # it keeps, so the rule is applied row by row
-        raw = hs._weingarten(M, U, hs.NORMAL_H).xi
+        raw = hs._unit_normal(hs._chart_data(M, U)[2])
         flipped = [bool(np.array_equal(d.xi, -x)) for d, x in zip(batch, raw)]
         assert any(flipped) and not all(flipped)
 
@@ -246,6 +244,28 @@ class TestAnalyzePoints:
         M = hs.make_example("m1", r=0.6)
         with pytest.raises(DomainError):
             hs.analyze_points(M, ORIGIN5)
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_one_chart_call_and_one_difference_step(self, monkeypatch, m):
+        # the point and its ten segment ends come from one chart call, and
+        # the normal's derivatives along all five chart lines from one step
+        M, U = self._batch("m1", dict(r=0.6), n=m)
+        shapes, steps = [], []
+        pushforward, covariant_fd = hs.Immersion.pushforward, hs._covariant_fd
+
+        def recording_pushforward(self, u):
+            shapes.append(np.shape(u))
+            return pushforward(self, u)
+
+        def recording_covariant_fd(*args):
+            steps.append(np.shape(args[3]))
+            return covariant_fd(*args)
+
+        monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
+        monkeypatch.setattr(hs, "_covariant_fd", recording_covariant_fd)
+        hs.analyze_points(M, U)
+        assert shapes == [(m, 11, 5)]
+        assert steps == [(m, 5, 2, 6)]
 
 
 class TestSpectra:
@@ -572,9 +592,8 @@ class TestIdentityResiduals:
         exact = hs._tangential(frames.nabla(t, X, z), d.xi)
         errors = []
         for h in (1e-3, 5e-4, 2.5e-4):
-            ends = M.point(hs._segments(d.u, vel, h))
-            step = hs._covariant_fd((d.p, d.q), d.xi, (ends.p, ends.q), np.stack([z, z]),
-                                    X, z, h)
+            ends = M.pushforward(hs._segments(d.u, vel, h))[:2]
+            step = hs._covariant_fd((d.p, d.q), d.xi, ends, np.stack([z, z]), X, z, h)
             errors.append(frames.g_norm(t, step - exact))
         assert errors[0] > 1e-9
         for coarse, fine in zip(errors, errors[1:]):
@@ -616,19 +635,21 @@ class TestIdentityResiduals:
 
 
 def _shape_derivative_weingarten(d, x5, y5, h):
-    """(D_X A) Y - (D_Y A) X at a one-point view, from full `_weingarten`
-    analyses at its four neighbours u +- h X and u +- h Y: A Y there is
-    differenced along X, and A X along Y."""
+    """(D_X A) Y - (D_Y A) X at a one-point view, from full analyses at its
+    four neighbours u +- h X and u +- h Y: A Y there is differenced along
+    X, and A X along Y."""
     t = frames.get_tables()
     vels = np.stack([x5 @ d.chart_weights, y5 @ d.chart_weights])
-    w = hs._weingarten(d.immersion, hs._segments(d.u, vels, h), hs.NORMAL_H, d.xi)
-    A = 0.5 * (w.A + np.swapaxes(w.A, -1, -2))
+    ends = hs._segments(d.u, vels, h)
+    e = hs.analyze_points(d.immersion, ends.reshape(-1, 5), ref_normal=d.xi)
+    frame, A = e.tangent_frame.reshape(2, 2, 5, 6), e.shape.reshape(2, 2, 5, 5)
     # the chart-constant extensions of Y (along X) and X (along Y)
-    w6 = np.einsum("da,dkac->dkc", vels[::-1], w.T)
-    comps = np.einsum("dkic,cf,dkf->dki", w.frame, t.g, w6)
-    shaped = np.einsum("dki,dkij,dkjc->dkc", comps, A, w.frame)
+    w6 = np.einsum("da,dkac->dkc", vels[::-1], e.push_coords.reshape(2, 2, 5, 6))
+    comps = np.einsum("dkic,cf,dkf->dki", frame, t.g, w6)
+    shaped = np.einsum("dki,dkij,dkjc->dkc", comps, A, frame)
     X, Y = d.from_components(x5), d.from_components(y5)
-    steps = hs._covariant_fd((d.p, d.q), d.xi, (w.p, w.q), shaped, np.stack([X, Y]),
+    steps = hs._covariant_fd((d.p, d.q), d.xi, (e.p.reshape(2, 2, 4), e.q.reshape(2, 2, 4)),
+                             shaped, np.stack([X, Y]),
                              np.stack([d.apply_shape(Y), d.apply_shape(X)]), h)
     return steps[0] - steps[1]
 
