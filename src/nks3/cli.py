@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hypersurfaces as hs
 from . import verify
-from .errors import DegenerateImmersionError, DomainError, PreconditionError
+from .errors import DegenerateImmersionError, DomainError, PreconditionError, allocation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -158,29 +158,39 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_rows(args, seed: int):
+    """The CSV rows of the sweep, and the largest eigenvalue spread of a
+    grid value over its samples.  All grid values' samples are analysed as
+    one batch, of one immersion with a parameter value per row; each row of
+    the CSV comes from its grid value's slice of that batch."""
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
     rng = np.random.default_rng(seed)
-    rows = []
-    spreads = []
     if args.family in hs.THREE_CURVATURE_FAMILIES and not args.r_values:
         raise DomainError("sweep over m1..m3 requires --r with a comma list")
     if args.family in hs.FIVE_CURVATURE_FAMILIES and not args.k_values:
         raise DomainError("sweep over m4..m6 requires --k with a comma list")
     grid = [_family_params(args.family, r, k)
             for r in args.r_values or [None] for k in args.k_values or [None]]
-    for params in grid:
-        M = hs.make_example(args.family, **params)
-        # allocated before the first draw, so a sample count too large to
-        # hold fails at once
-        U = np.empty((args.samples, 5))
-        for i in range(args.samples):
-            U[i] = hs.random_chart_point(rng)
-        data = hs.analyze_points(M, U)
-        rep = hs.spectral_report(data)
-        spectra = rep.eigenvalues
-        thetas = rep.theta[~np.isnan(rep.theta)]
-        classes = set(hs.classify_normal_action(data).tolist())
+    n = args.samples
+    # allocated before the first draw, so a sample count too large to hold
+    # fails at once
+    with allocation(f"{n} samples per grid value"):
+        U = np.empty((len(grid) * n, 5))
+    for i in range(len(U)):
+        U[i] = hs.random_chart_point(rng)
+    M = hs.make_example(args.family, **{
+        name: np.repeat([params[name] for params in grid], n) for name in grid[0]})
+    data = hs.analyze_points(M, U)
+    rep = hs.spectral_report(data)
+    all_classes = hs.classify_normal_action(data)
+    rows = []
+    spreads = []
+    for j, params in enumerate(grid):
+        rows_j = slice(j * n, (j + 1) * n)
+        spectra = rep.eigenvalues[rows_j]
+        theta = rep.theta[rows_j]
+        thetas = theta[~np.isnan(theta)]
+        classes = set(all_classes[rows_j].tolist())
         spreads.append(np.max(np.ptp(spectra, axis=0)))
         mean_spec = np.mean(spectra, axis=0)
         mult = tuple(

@@ -14,7 +14,9 @@ exp(u0 i) exp(u1 j) exp(u2 k); u[3:5] are latitude/longitude on the
 2-sphere factor of m1 (kept away from the poles), or the two torus angles
 of m4.  All pushforwards are closed form, and the chart layer takes whole
 arrays of chart points (`Immersion.pushforward`), so each
-finite-difference stencil below is evaluated in one chart call.
+finite-difference stencil below is evaluated in one chart call.  The
+family parameters are floats, or arrays of one value per chart-point row,
+so one chart call can serve a grid of parameter values.
 
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
 batch of chart points, as one `HypersurfacePointData` whose fields carry
@@ -121,17 +123,43 @@ class Immersion:
     point (..., 4) on each factor and the raw chart velocities (..., 5, 4)
     of each factor.  A composed family pushes these through an ambient
     isometry.
+
+    The family parameters `params` are floats, one value for every chart
+    point, or read-only (m,) arrays, one value per row: then u has m rows
+    along its first axis, (m, ..., 5), and each row's stencil is charted
+    with its own parameters.  `M[index]` is the immersion of those rows:
+    floats for one row, sub-arrays for a slice; an immersion with float
+    parameters is its own row.
     """
 
     def __init__(self, family: str, params: tuple, chart: Callable,
                  isometry: Optional[IsometryMap] = None):
         self.family = family
         self.params = params
+        self.rows = None if isinstance(params[0], float) else len(params[0])
         self._chart = chart
         self._isometry = isometry
 
+    def __getitem__(self, index) -> "Immersion":
+        if self.rows is None:
+            return self
+        return Immersion(self.family, tuple(_parameter(x[index]) for x in self.params),
+                         self._chart, self._isometry)
+
+    def _row_params(self, u: np.ndarray) -> tuple:
+        """The parameters shaped (m, 1, ..., 1) to broadcast along the row
+        axis of the leading axes of u (m, ..., 5); floats as they are."""
+        if self.rows is None:
+            return self.params
+        if u.ndim < 2 or len(u) != self.rows:
+            raise DomainError(f"chart points of shape {u.shape} do not have the "
+                              f"{self.rows} rows of the family parameters")
+        shape = (self.rows,) + (1,) * (u.ndim - 2)
+        return tuple(x.reshape(shape) for x in self.params)
+
     def _components(self, u):
-        p, q, U, V = self._chart(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        p, q, U, V = self._chart(u, *self._row_params(u))
         if self._isometry is not None:
             U, V = self._isometry.differential_components(
                 p[..., None, :], q[..., None, :], U, V)
@@ -160,43 +188,44 @@ def _sphere_factor(u):
     return x, np.stack([d0, d1, d2], axis=-2)
 
 
-def _round_sphere(r: float) -> Callable:
+def _trailing(x, n: int):
+    """A family parameter with n unit axes appended, to scale arrays with n
+    more axes than the chart's leading ones; a float as it is."""
+    return x if isinstance(x, float) else x[(...,) + (None,) * n]
+
+
+def _round_sphere(psi, chi, r):
     """Second factor sqrt(1 - r^2) + r y of m1, with y on the unit sphere of
     imaginaries at latitude psi and longitude chi; returns q and its two
     partials (..., 2, 4)."""
-    c = math.sqrt(max(1.0 - r * r, 0.0))
-
-    def second_factor(psi, chi):
-        cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
-        zero = np.zeros_like(psi)
-        y = np.stack([zero, cp * cc, cp * sc, sp], axis=-1)
-        dpsi = np.stack([zero, -sp * cc, -sp * sc, cp], axis=-1)
-        dchi = np.stack([zero, -cp * sc, cp * cc, zero], axis=-1)
-        return c * qt.ONE + r * y, r * np.stack([dpsi, dchi], axis=-2)
-
-    return second_factor
+    c = np.sqrt(np.maximum(1.0 - r * r, 0.0))
+    cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
+    zero = np.zeros_like(psi)
+    y = np.stack([zero, cp * cc, cp * sc, sp], axis=-1)
+    dpsi = np.stack([zero, -sp * cc, -sp * sc, cp], axis=-1)
+    dchi = np.stack([zero, -cp * sc, cp * cc, zero], axis=-1)
+    return (_trailing(c, 1) * qt.ONE + _trailing(r, 1) * y,
+            _trailing(r, 2) * np.stack([dpsi, dchi], axis=-2))
 
 
-def _torus(k: float, l: float) -> Callable:
+def _torus(phi1, phi2, k, l):
     """Second factor k e^{i phi1} + l e^{i phi2} j of m4; returns q and its
     two partials (..., 2, 4)."""
-
-    def second_factor(phi1, phi2):
-        angles = np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1)
-        e1, e2 = np.moveaxis(qt.exp_pure(angles), -2, 0)
-        e2j = qt.mul(e2, qt.E2)
-        dq = np.stack([k * qt.mul(qt.E1, e1), l * qt.mul(qt.E1, e2j)], axis=-2)
-        return k * e1 + l * e2j, dq
-
-    return second_factor
+    k, l = _trailing(k, 1), _trailing(l, 1)
+    angles = np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1)
+    e1, e2 = np.moveaxis(qt.exp_pure(angles), -2, 0)
+    e2j = qt.mul(e2, qt.E2)
+    dq = np.stack([k * qt.mul(qt.E1, e1), l * qt.mul(qt.E1, e2j)], axis=-2)
+    return k * e1 + l * e2j, dq
 
 
 def _product_chart(second_factor: Callable) -> Callable:
-    """Chart u -> (p, q, U, V) of (x(u0, u1, u2), second_factor(u3, u4))."""
+    """Chart (u, *params) -> (p, q, U, V) of (x(u0, u1, u2),
+    second_factor(u3, u4, *params))."""
 
-    def chart(u):
+    def chart(u, *params):
         x, dx = _sphere_factor(u)
-        q, dq = second_factor(u[..., 3], u[..., 4])
+        q, dq = second_factor(u[..., 3], u[..., 4], *params)
         U = np.zeros(u.shape[:-1] + (5, 4))
         V = np.zeros_like(U)
         U[..., :3, :] = dx
@@ -210,27 +239,57 @@ _ISOMETRY = {"m2": factor_swap, "m3": conjugation_twist,
              "m5": factor_swap, "m6": conjugation_twist}
 
 
-def make_example(family: str, r: Optional[float] = None,
-                 k: Optional[float] = None, l: Optional[float] = None) -> Immersion:
-    """Build one of the six example hypersurface families."""
+def _parameter(x):
+    """A family parameter as a float, or a 1-D array as a read-only copy."""
+    a = np.array(x, dtype=float)
+    if a.ndim == 0:
+        return float(a)
+    if a.ndim != 1:
+        raise DomainError(f"a family parameter must be a float or a 1-D array, "
+                          f"got shape {a.shape}")
+    a.flags.writeable = False
+    return a
+
+
+def _validate(*checks) -> None:
+    """Raise the message of the first failing (ok, message) check, in the
+    order of the parameter rows and then of the checks, as checking each row
+    on its own in turn would."""
+    failing = [(int(np.argmin(ok)), message) for ok, message in checks if not np.all(ok)]
+    if failing:
+        raise DomainError(min(failing, key=lambda f: f[0])[1])
+
+
+def make_example(family: str, r=None, k=None, l=None) -> Immersion:
+    """Build one of the six example hypersurface families.
+
+    Each parameter is a float, or a 1-D array of one value per chart-point
+    row (k and l then of one length): the immersion of such arrays charts
+    row i of its chart points with the family at the parameters' element i,
+    as `make_example` at those floats would.  Each element is validated as
+    a float is.
+    """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if family in THREE_CURVATURE_FAMILIES:
         if r is None or k is not None or l is not None:
             raise DomainError(f"family {family} takes the single parameter r")
-        if not 0.0 < r <= 1.0:
-            raise DomainError("r must lie in (0, 1]")
-        params = (float(r),)
-        second_factor = _round_sphere(float(r))
+        params = (_parameter(r),)
+        r = params[0]
+        _validate(((0.0 < r) & (r <= 1.0), "r must lie in (0, 1]"))
+        second_factor = _round_sphere
     else:
         if r is not None or k is None or l is None:
             raise DomainError(f"family {family} takes the parameter pair (k, l)")
-        if not (0.0 < k < 1.0 and 0.0 < l < 1.0):
-            raise DomainError("k and l must lie in (0, 1)")
-        if abs(k * k + l * l - 1.0) > 1e-12:
-            raise DomainError("k and l must satisfy k^2 + l^2 = 1")
-        params = (float(k), float(l))
-        second_factor = _torus(float(k), float(l))
+        params = (_parameter(k), _parameter(l))
+        k, l = params
+        if np.shape(k) != np.shape(l):
+            raise DomainError("k and l must be two floats or two arrays of one length")
+        _validate(((0.0 < k) & (k < 1.0) & (0.0 < l) & (l < 1.0),
+                   "k and l must lie in (0, 1)"),
+                  (~(np.abs(k * k + l * l - 1.0) > 1e-12),
+                   "k and l must satisfy k^2 + l^2 = 1"))
+        second_factor = _torus
     isometry = _ISOMETRY[family]() if family in _ISOMETRY else None
     return Immersion(family, params, _product_chart(second_factor), isometry)
 
@@ -290,9 +349,10 @@ class HypersurfacePointData:
 
     Every field but `immersion` carries the batch axis first: array fields
     are (m, ...) and the scalar fields (m,).  `data[i]` is the one-point
-    view of row i, with the batch axis dropped and the scalar fields as
-    floats; the residuals take a batch (one value per row) or a view (a
-    float).  The shapes below are those of a view.
+    view of row i, with the batch axis dropped, the scalar fields as
+    floats and the immersion of its row; the residuals take a batch (one
+    value per row) or a view (a float).  The shapes below are those of a
+    view.
     """
 
     immersion: Immersion
@@ -323,7 +383,8 @@ class HypersurfacePointData:
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, index) -> "HypersurfacePointData":
-        """Row `index` as a one-point view (a batch for a slice)."""
+        """Row `index` as a one-point view (a batch for a slice), with the
+        immersion of its rows, `immersion[index]`."""
         len(self)  # a one-point view has no rows to index
 
         def row(v):
@@ -331,7 +392,7 @@ class HypersurfacePointData:
             return float(v) if v.ndim == 0 else v
 
         return HypersurfacePointData(
-            self.immersion, *(row(getattr(self, f.name)) for f in fields(self)[1:]))
+            self.immersion[index], *(row(getattr(self, f.name)) for f in fields(self)[1:]))
 
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
@@ -445,7 +506,9 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
     chart weights take those derivatives to the orthonormal tangent frame.
     The normals are aligned with the frame vectors ref_normal ((6,) or
     (m, 6)) when given, and otherwise oriented by the trace rule.  The
-    data's `u` is a read-only copy of U.
+    data's `u` is a read-only copy of U.  An immersion with per-row
+    parameters takes one chart point per parameter row; U of another row
+    count raises DomainError.
     """
     U = np.array(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != 5:
@@ -923,7 +986,8 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     of the double principal curvatures, and their exact product -1/12.
     sqrt(1 - theta^2) is the spectral report's `theta_sine`, so the closed
     forms keep full accuracy at r = 1, where theta = 1.  Each field holds
-    one value per row of the data (a float for a one-point view).
+    one value per row of the data (a float for a one-point view), against
+    the immersion's r of that row.
     """
     M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -966,7 +1030,8 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     carries 4 r^2 / 3 times the round metric, so its curvature is
     3 / (4 r^2), which in terms of the eigenspace invariant theta reads
     (1 + 2 theta^2) / (4 theta^2).  Each field holds one value per row of
-    the data (a float for a one-point view).
+    the data (a float for a one-point view), against the immersion's r of
+    that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -983,7 +1048,8 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     round2 = np.zeros(u.shape[:-1] + (2, 2))
     round2[..., 0, 0] = 1.0
     round2[..., 1, 1] = np.cos(u[..., 3]) ** 2
-    res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r * r * round2),
+    r2 = _trailing(r, 2)
+    res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2),
                   axis=(-2, -1))
 
     # orthonormal pair spanning two 3-sphere-factor directions

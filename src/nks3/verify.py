@@ -22,7 +22,7 @@ from . import hypersurfaces as hs
 from . import isometries as iso
 from . import pointwise as pw
 from . import quat as qt
-from .errors import DomainError
+from .errors import DomainError, allocation
 from .hypersurfaces import _dot, _g, _mv
 from .frames import (
     connection_relation_residual,
@@ -152,10 +152,11 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     n = samples
 
-    X = rng.standard_normal((n, 6))
-    Y = rng.standard_normal((n, 6))
-    Z = rng.standard_normal((n, 6))
-    W = rng.standard_normal((n, 6))
+    with allocation(f"{n} samples"):
+        X = rng.standard_normal((n, 6))
+        Y = rng.standard_normal((n, 6))
+        Z = rng.standard_normal((n, 6))
+        W = rng.standard_normal((n, 6))
 
     gxy = tensor_G(t, X, Y)
     jx = X @ t.J.T
@@ -239,7 +240,8 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     # per sample: p, q, the raw (U, V) of two tangent vectors, then a, b, c,
     # all samples in one array; the unit slots are scaled as `sample_unit`
     # scales its draw
-    draws = rng.standard_normal((samples, 9, 4))
+    with allocation(f"{samples} samples"):
+        draws = rng.standard_normal((samples, 9, 4))
     qt.unit_rows(rng, draws[:, :2])
     qt.unit_rows(rng, draws[:, 6:])
     p, q, u1, v1, u2, v2, a, b, c = draws.transpose(1, 0, 2).copy()
@@ -359,7 +361,8 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     # transport, Codazzi and Gauss residuals; then up to three further
     # points for the normal action, the moduli relations and the leaf
     # geometry, from their own generator
-    U, X5, Y5, Z5 = (np.empty((samples, 5)) for _ in range(4))
+    with allocation(f"{samples} samples"):
+        U, X5, Y5, Z5 = (np.empty((samples, 5)) for _ in range(4))
     for i in range(samples):
         U[i] = hs.random_chart_point(rng)
         X5[i], Y5[i], Z5[i] = (_unit(rng.standard_normal(5)) for _ in range(3))

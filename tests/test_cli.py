@@ -232,44 +232,42 @@ def test_verify_zero_samples_usage_error(capsys):
     assert "samples" in err
 
 
+# a count whose arrays numpy cannot allocate, and one whose byte size it
+# cannot even represent (it raises ValueError there, not MemoryError)
+_UNALLOCATABLE_SAMPLES = ("100000000000000", "2000000000000000000")
+
+
+def _assert_unallocatable_usage_error(capsys, argv):
+    for samples in _UNALLOCATABLE_SAMPLES:
+        code, out, err = _run(capsys, [*argv, "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unallocatable_samples_usage_error(capsys):
     # the structure suite draws all samples in one array, so the allocation
     # fails at once and nothing is allocated
-    code, out, err = _run(capsys, ["verify", "--suite", "structure",
-                                   "--samples", "100000000000000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    _assert_unallocatable_usage_error(capsys, ["verify", "--suite", "structure"])
 
 
 def test_sweep_unallocatable_samples_usage_error(capsys):
-    # the sweep draws each grid value's samples into one array allocated
+    # the sweep draws all grid values' samples into one array allocated
     # before the first draw, so the allocation fails at once
-    code, out, err = _run(capsys, ["sweep", "--family", "m1", "--r", "0.5",
-                                   "--samples", "100000000000000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    _assert_unallocatable_usage_error(capsys, ["sweep", "--family", "m1", "--r", "0.5"])
+    _assert_unallocatable_usage_error(capsys, ["sweep", "--family", "m4", "--k", "0.5,0.6"])
 
 
 def test_verify_isometry_unallocatable_samples_usage_error(capsys):
     # the isometry suite draws its samples into arrays allocated before the
     # first draw
-    code, out, err = _run(capsys, ["verify", "--suite", "isometry",
-                                   "--samples", "100000000000000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    _assert_unallocatable_usage_error(capsys, ["verify", "--suite", "isometry"])
 
 
 def test_verify_hypersurface_unallocatable_samples_usage_error(capsys):
     # each hypersurface suite draws its samples into arrays allocated
     # before the first draw
-    code, out, err = _run(capsys, ["verify", "--suite", "hypersurface",
-                                   "--samples", "100000000000000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    _assert_unallocatable_usage_error(capsys, ["verify", "--suite", "hypersurface"])
 
 
 _BENCHMARK_GRIDS = (["--family", "m3", "--r", "0.3,0.6,1"],
@@ -288,11 +286,14 @@ def test_sweep_batch_matches_point_by_point_analysis(capsys, monkeypatch, grid):
     original = hs.analyze_points
 
     def point_by_point(M, U, *args, **kwargs):
-        # each point analysed as its own batch of one, then stacked row by row
-        rows = [original(M, u[None], *args, **kwargs) for u in U]
+        # each point analysed as its own batch of one, by the immersion of
+        # its own row (float parameters), then stacked row by row
+        rows = [original(M[i], u[None], *args, **kwargs) for i, u in enumerate(U)]
+        assert all(isinstance(x, float) for row in rows for x in row.immersion.params)
         stacked = {f.name: np.concatenate([getattr(row, f.name) for row in rows])
                    for f in dataclasses.fields(rows[0])[2:]}
-        return dataclasses.replace(rows[0], u=np.asarray(U, dtype=float), **stacked)
+        return dataclasses.replace(rows[0], immersion=M, u=np.asarray(U, dtype=float),
+                                   **stacked)
 
     monkeypatch.setattr(hs, "analyze_points", point_by_point)
     assert sweeps() == batched
@@ -314,40 +315,47 @@ def test_sweep_nan_principal_curvature_fails(capsys, monkeypatch):
     assert "spread nan" in err
 
 
-def test_sweep_one_spectral_report_per_grid_value(capsys, monkeypatch):
+def test_sweep_one_analysis_and_spectral_report_per_sweep(capsys, monkeypatch):
+    # all grid values' samples are analysed and reported as one batch
     calls = []
-    original = hs.spectral_report
+    analyze_points, spectral_report = hs.analyze_points, hs.spectral_report
 
-    def counting(data):
-        calls.append(len(data))
-        return original(data)
+    def counting_analysis(M, U, *args, **kwargs):
+        calls.append(("analyze_points", len(U), M.rows))
+        return analyze_points(M, U, *args, **kwargs)
 
-    monkeypatch.setattr(hs, "spectral_report", counting)
+    def counting_report(data):
+        calls.append(("spectral_report", len(data)))
+        return spectral_report(data)
+
+    monkeypatch.setattr(hs, "analyze_points", counting_analysis)
+    monkeypatch.setattr(hs, "spectral_report", counting_report)
     for samples in (2, 9):
         calls.clear()
         code, _, _ = _run(capsys, ["sweep", "--family", "m3", "--r", "0.3,0.6,1",
                                    "--samples", str(samples), "--seed", "0"])
         assert code == 0
-        assert calls == [samples] * 3
+        assert calls == [("analyze_points", 3 * samples, 3 * samples),
+                         ("spectral_report", 3 * samples)]
 
 
 def test_sweep_chart_calls_do_not_grow_with_samples(capsys, monkeypatch):
-    calls = []
+    # nor with the grid: one chart call of 11 points per sample
+    shapes = []
     pushforward = hs.Immersion.pushforward
 
-    def counting_pushforward(self, u):
-        calls.append(1)
+    def recording_pushforward(self, u):
+        shapes.append(np.shape(u))
         return pushforward(self, u)
 
-    monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
-    counts = []
-    for samples in ("2", "9"):
-        calls.clear()
-        code, _, _ = _run(capsys, ["sweep", "--family", "m3", "--r", "0.6",
-                                   "--samples", samples, "--seed", "0"])
-        assert code == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
+    for grid in ("0.6", "0.3,0.6,1"):
+        for samples in (2, 9):
+            shapes.clear()
+            code, _, _ = _run(capsys, ["sweep", "--family", "m3", "--r", grid,
+                                       "--samples", str(samples), "--seed", "0"])
+            assert code == 0
+            assert shapes == [(len(grid.split(",")) * samples, 11, 5)]
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -268,6 +268,104 @@ class TestAnalyzePoints:
         assert steps == [(m, 5, 2, 6)]
 
 
+def _per_row_params(family):
+    """Four parameter values per family, one per chart-point row, as arrays."""
+    if family in hs.THREE_CURVATURE_FAMILIES:
+        return dict(r=np.array([0.3, 0.6, 1.0, 0.45]))
+    k = np.array([0.5, 0.6, 0.8, 0.3])
+    return dict(k=k, l=np.sqrt(1.0 - k * k))
+
+
+def _row_kw(kw, i):
+    return {name: float(v[i]) for name, v in kw.items()}
+
+
+class TestPerRowParameters:
+    """An immersion with one family parameter per chart-point row charts
+    and analyses each row as the immersion of that row's floats does."""
+
+    @pytest.mark.parametrize("family", hs.FAMILIES)
+    def test_pushforward_rows_equal_single_value_immersions(self, family):
+        kw = _per_row_params(family)
+        M = hs.make_example(family, **kw)
+        assert M.rows == 4
+        rng = np.random.default_rng(41)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
+        for width in (11, 2, 16):  # the analysis, transport and nested stencils
+            stencil = U[:, None, :] + 1e-3 * rng.standard_normal((4, width, 5))
+            p, q, T = M.pushforward(stencil)
+            assert T.shape == (4, width, 5, 6)
+            for i in range(4):
+                single = hs.make_example(family, **_row_kw(kw, i))
+                assert M[i].params == single.params
+                for a, b in zip((p[i], q[i], T[i]), single.pushforward(stencil[i])):
+                    npt.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family", hs.FAMILIES)
+    def test_analysis_rows_equal_single_value_analyses(self, family):
+        kw = _per_row_params(family)
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(42)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
+        batch = hs.analyze_points(M, U)
+        for i, d in enumerate(batch):
+            e = hs.analyze_point(hs.make_example(family, **_row_kw(kw, i)), U[i])
+            assert (d.immersion.family, d.immersion.params) == (family, e.immersion.params)
+            _assert_same_point_data(dataclasses.replace(d, immersion=e.immersion), e)
+        # a slice keeps its rows' parameters, as arrays
+        npt.assert_array_equal(batch[1:3].immersion.params[0],
+                               next(iter(kw.values()))[1:3])
+
+    def test_row_count_mismatch_raises(self):
+        M = hs.make_example("m2", r=np.array([0.3, 0.6, 1.0]))
+        rng = np.random.default_rng(43)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
+        with pytest.raises(DomainError, match="3 rows"):
+            hs.analyze_points(M, U)
+        with pytest.raises(DomainError, match="3 rows"):
+            M.pushforward(U[0])  # a single chart point has no rows
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(r=[0.5, 0.0, 1.5]), "r must lie in (0, 1]"),
+        (dict(r=[0.5, math.nan]), "r must lie in (0, 1]"),
+        (dict(k=[0.6, 1.2], l=[0.8, 0.3]), "k and l must lie in (0, 1)"),
+        (dict(k=[0.6, 0.5], l=[0.8, 0.5]), "k and l must satisfy k^2 + l^2 = 1"),
+        # the first failing row decides, as validating row by row would
+        (dict(k=[0.6, 0.5, 1.2], l=[0.8, 0.5, 0.3]), "k and l must satisfy k^2 + l^2 = 1"),
+        (dict(k=[0.6, 1.2, 0.5], l=[0.8, 0.3, 0.5]), "k and l must lie in (0, 1)"),
+        (dict(k=[0.6, 0.8], l=0.8), "k and l must be two floats or two arrays"),
+        (dict(r=[[0.5]]), "a float or a 1-D array"),
+    ])
+    def test_array_validation(self, kw, message):
+        family = "m1" if "r" in kw else "m4"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            hs.make_example(family, **kw)
+
+    def test_parameters_are_read_only_copies(self):
+        rs = np.array([0.3, 0.6])
+        M = hs.make_example("m3", r=rs)
+        rs[0] = 0.9  # the caller reuses its array
+        assert M.params[0][0] == 0.3 and not M.params[0].flags.writeable
+        assert isinstance(M[0].params[0], float)
+
+    @pytest.mark.parametrize("family", hs.THREE_CURVATURE_FAMILIES)
+    def test_moduli_residuals_read_each_rows_r(self, family):
+        # the further points of a hypersurface suite, with two values of r
+        rs = np.array([0.6, 1.0, 0.6])
+        rng = np.random.default_rng(44)
+        U = np.stack([hs.random_chart_point(rng) for _ in range(3)])
+        data = hs.analyze_points(hs.make_example(family, r=rs), U)
+        batched = [dataclasses.astuple(f(data))
+                   for f in (hs.theta_r_consistency, hs.leaf_geometry)]
+        for i in range(3):
+            row = hs.analyze_point(hs.make_example(family, r=float(rs[i])), U[i])
+            single = [dataclasses.astuple(f(row))
+                      for f in (hs.theta_r_consistency, hs.leaf_geometry)]
+            assert single == [tuple(field[i] for field in b) for b in batched]
+            # the residuals that read r: r_residual, sphere2_metric_residual
+            assert single[0][1] < 1e-6 and single[1][1] < 1e-9
+
+
 class TestSpectra:
     def test_m1_expected_values(self):
         # closed forms at r = 0.6
