@@ -141,6 +141,11 @@ def cmd_analyze(args) -> int:
     M = hs.make_example(args.family, **params)
     if args.at is not None:
         u = np.asarray(args.at, dtype=float)
+        # chart coordinates are angles; far beyond one turn the
+        # finite-difference steps round away
+        if np.any(np.abs(u) > 2.0 * math.pi):
+            raise DomainError(f"chart point {u.tolist()} is out of range: "
+                              "each coordinate is an angle, at most 2 pi in size")
     else:
         u = hs.random_chart_point(np.random.default_rng(seed))
     try:
@@ -287,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--k", type=float, default=None)
     pa.add_argument("--l", type=float, default=None)
     pa.add_argument("--at", type=_at_list, default=None,
-                    help="chart point, 5 comma-separated reals")
+                    help="chart point, 5 comma-separated reals, each an angle "
+                         "with |u_i| <= 2 pi")
     pa.add_argument("--seed", type=int, default=None)
     pa.set_defaults(func=cmd_analyze)
 

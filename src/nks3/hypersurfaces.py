@@ -37,11 +37,14 @@ one step, `_covariant_fd`: the central difference of a field's flat R^8
 form along a chart segment, in frame coefficients, minus the same gap of
 the direction and the field's value, minus the normal part.  The analysis
 takes it along the five chart lines through each point, from one chart
-call on the point and its ten segment ends.  Gauss and
-Codazzi share one nested stencil of two such steps, `_nested_fd`: Gauss
-differences the chart-constant extension of Z on it, and Codazzi the
-unit normal, whose inner step is -A Y by the Weingarten relation, so
-neither builds a shape operator away from the point itself.
+call on the point and its ten segment ends.  `stencil_residuals` takes
+the transport, Gauss and Codazzi residuals together, from one chart call
+and one normal computation on the transport's two segment ends and a
+nested stencil of two such steps, `_nested_fd`.  On the nested stencil
+two fields are differenced at once: the chart-constant extension of Z
+(Gauss) and the unit normal (Codazzi), whose inner step is -A Y by the
+Weingarten relation, so no shape operator is built away from the point
+itself.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -98,6 +101,7 @@ HOPF_TOL = 1e-6
 ORTHO_TOL = 1e-8
 
 NORMAL_H = 1e-5  # central-difference step for the normal and structure vector
+NESTED_H = 1e-4  # step of both levels of the Gauss, Codazzi and leaf-curvature stencil
 
 FAMILIES = ("m1", "m2", "m3", "m4", "m5", "m6")
 THREE_CURVATURE_FAMILIES = ("m1", "m2", "m3")
@@ -783,149 +787,148 @@ def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
                        xi)
 
 
-def reeb_transport_residual(data: HypersurfacePointData, x5,
-                            h: float = NORMAL_H):
-    """Residual of the structure-vector transport law D_X U = phi A X - G(X, xi),
-    per row of the directions x5 (..., 5), from one chart call on the 2
-    points of each row's stencil."""
-    t = get_tables()
-    x5 = np.asarray(x5, dtype=float)
-    X = data.from_components(x5)
-    chart_vel = _vm(x5, data.chart_weights)
+@dataclass
+class StencilResiduals:
+    """The residuals of `stencil_residuals`, one value per row of the
+    directions (a float for a one-point view)."""
 
-    p, q, T = _chart_data(data.immersion, _segments(data.u, chart_vel, h))
-    xi = _aligned(_unit_normal(T), data.xi[..., None, :])
-    lhs = _covariant_fd((data.p, data.q), data.xi, (p, q), -(xi @ t.J.T),
-                        X, data.structure_vector, h)
-    rhs = data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi)
-    return _out(g_norm(t, lhs - rhs))
+    transport: float
+    gauss: float
+    codazzi: float
 
 
-def codazzi_residual(data: HypersurfacePointData, x5, y5, h: float = 1e-4):
-    """Residual of the Codazzi relation (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T,
-    with the ambient curvature R from `frames.curvature_closed_form`, per
-    row of the directions x5, y5 (..., 5)."""
-    t = get_tables()
-    x5 = np.asarray(x5, dtype=float)
-    y5 = np.asarray(y5, dtype=float)
-    X = data.from_components(x5)
-    Y = data.from_components(y5)
+def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResiduals:
+    """Residuals of the three finite-difference identities, per row of the
+    directions x5, y5, z5 (..., 5):
 
-    lhs = _shape_derivative(data, x5, y5, h)
-    rhs = -data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return _out(g_norm(t, lhs - rhs))
+    - transport of the structure vector, D_X U = phi A X - G(X, xi), from
+      the central difference of U = -J xi along X of half-length
+      NORMAL_H;
+    - Gauss, R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y;
+    - Codazzi, (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T;
 
-
-def _shape_derivative(data: HypersurfacePointData, x5, y5,
-                      h: float) -> np.ndarray:
-    """(D_X A) Y - (D_Y A) X (..., 6), for X, Y given by their tangent-frame
-    components x5, y5 (..., 5): `_nested_fd` of the unit normal.
-
-    Its inner steps give (D_Y xi)^T = -A Y at the primes along X (and -A X
-    along Y), and the outer steps differentiate those; the chart-constant
-    extensions of X and Y commute, so no A [X, Y] term enters.  The normals
-    of the 16 fresh chart points of each row come from one `_unit_normal`
-    call, aligned with the point data's normal, which the point itself
-    takes.
+    with the ambient curvature R from `frames.curvature_closed_form`.  The
+    transport's two segment ends and the 16 fresh points of the nested
+    stencil of step NESTED_H (`_nested_fd`) are evaluated in one chart call
+    of 18 points a row, with one `_unit_normal` call, so a normal that is
+    undefined at any of the 18 points raises DegenerateImmersionError.
     """
-    ref = data.xi[..., None, :]
+    t = get_tables()
+    x5, y5, z5 = (np.asarray(v, dtype=float) for v in (x5, y5, z5))
+    X, Y, Z = (data.from_components(v) for v in (x5, y5, z5))
+    vels, nested = _nested_points(data, x5, y5)
+    ends = _segments(data.u, vels[..., 0, :], NORMAL_H)
+    p, q, T, xi = _charted(data, np.concatenate([ends, nested], axis=-2))
 
-    def unit_normal(T):
-        xi = np.empty(T.shape[:-2] + (6,))
-        xi[..., _FRESH, :] = _aligned(_unit_normal(T[..., _FRESH, :, :]), ref)
-        xi[..., 2, 0, :] = ref
-        return xi, xi[..., 0, :]
+    dU = _covariant_fd((data.p, data.q), data.xi, (p[..., :2, :], q[..., :2, :]),
+                       -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
+    transport = dU - (data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi))
 
-    return -_nested_fd(data, x5, y5, unit_normal, h)
+    induced, dxi = _nested_fd(data, x5, y5, z5, vels,
+                              (p[..., 2:, :], q[..., 2:, :], T[..., 2:, :, :], xi[..., 2:, :]))
+    az = data.apply_shape(Z)
+    gauss = induced - (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
+                       + _g(az, Y)[..., None] * data.apply_shape(X)
+                       - _g(az, X)[..., None] * data.apply_shape(Y))
+    codazzi = -dxi + data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
+    return StencilResiduals(*(_out(g_norm(t, r)) for r in (transport, gauss, codazzi)))
 
 
-# the chart points (direction, prime, stencil slot) of `_nested_fd` that its
-# chart call evaluates: all but the point itself, slot [d, 2, 0]
+# The three one-identity residuals below are each one field of
+# `stencil_residuals`, so each charts its whole 18-point stencil; the
+# program calls `stencil_residuals` itself, and these keep the names the
+# benchmark's tracer spans.
+
+def reeb_transport_residual(data: HypersurfacePointData, x5):
+    """The transport residual of `stencil_residuals` along x5 (..., 5)."""
+    return stencil_residuals(data, x5, x5, x5).transport
+
+
+def codazzi_residual(data: HypersurfacePointData, x5, y5):
+    """The Codazzi residual of `stencil_residuals` along x5, y5 (..., 5)."""
+    return stencil_residuals(data, x5, y5, y5).codazzi
+
+
+def gauss_residual(data: HypersurfacePointData, x5, y5, z5):
+    """The Gauss residual of `stencil_residuals` along x5, y5, z5 (..., 5)."""
+    return stencil_residuals(data, x5, y5, z5).gauss
+
+
+def _charted(data: HypersurfacePointData, points) -> tuple:
+    """Points p, q (..., n, 4), pushforwards T (..., n, 5, 6) and unit
+    normals (..., n, 6), aligned with the data's normal, at the chart points
+    (..., n, 5) near each row's point, from one chart call and one
+    `_unit_normal` call."""
+    p, q, T = _chart_data(data.immersion, points)
+    return p, q, T, _aligned(_unit_normal(T), data.xi[..., None, :])
+
+
+# the chart points (direction, prime, stencil slot) of the nested stencil
+# that its chart call evaluates: all but the point itself, slot [d, 2, 0]
 _FRESH = np.ones((2, 3, 3), dtype=bool)
 _FRESH[:, 2, 0] = False
 
 
-def _nested_fd(data: HypersurfacePointData, x5, y5, field: Callable,
-               h: float) -> np.ndarray:
-    """D_X D_Y F - D_Y D_X F (..., 6) of a field F along the chart-constant
-    extensions of X and Y, given by their tangent-frame components x5, y5
-    (..., 5): two stacked central differences of step h.  The extensions
-    commute, so for a tangent field this is R(X, Y) F of the induced
-    connection.
+def _nested_points(data: HypersurfacePointData, x5, y5) -> tuple:
+    """The chart velocities vels (..., 2, 5) of X and Y, given by their
+    tangent-frame components x5, y5 (..., 5), and the 16 fresh chart points
+    (..., 16, 5) of the nested stencil of step NESTED_H along them (see
+    `_nested_fd`), in the order of `_FRESH`."""
+    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
+    u = data.u[..., None, None, :]
+    primes = np.concatenate([_segments(u[..., 0, :], vels, NESTED_H),
+                             np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
+    points = np.concatenate([primes[..., None, :],
+                             _segments(primes, vels[..., ::-1, None, :], NESTED_H)], axis=-2)
+    return vels, points[..., _FRESH, :]
+
+
+def _on_stencil(data: HypersurfacePointData, fresh, own) -> np.ndarray:
+    """An array (..., 2, 3, 3, ...) over the nested stencil, from its values
+    at the fresh points (..., 16, ...) and the point's own value (..., ...)."""
+    k = data.u.ndim - 1
+    out = np.empty(fresh.shape[:k] + _FRESH.shape + fresh.shape[k + 1:])
+    rows = (slice(None),) * k
+    out[rows + (_FRESH,)] = fresh
+    out[rows + (slice(None), 2, 0)] = np.expand_dims(own, k)
+    return out
+
+
+def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> np.ndarray:
+    """D_X D_Y F - D_Y D_X F (2, ..., 6) of two fields F along the
+    chart-constant extensions of X and Y, given by their tangent-frame
+    components x5, y5 (..., 5) and chart velocities vels (..., 2, 5): two
+    stacked central differences of step NESTED_H.  The extensions commute,
+    so this is R(X, Y) F of the induced connection for a tangent field.
+    Field 0 is the chart-constant extension of Z (components z5), which
+    gives R_ind(X, Y) Z; field 1 the unit normal, whose inner steps give
+    (D_Y xi)^T = -A Y at the primes along X (and -A X along Y), so that it
+    gives -((D_X A) Y - (D_Y A) X) with no shape operator built away from
+    the point itself.
 
     The inner derivatives along Y (and X) are taken in frame coefficients at
     the point and at its two neighbours along X (and Y), the primes: six
     primes with three chart points each per row, indexed (direction, prime,
     slot) with slot 0 the prime itself.  The point itself (prime 2 of
-    either direction) takes its chart data from the point data; the other
-    16 chart points of all rows are evaluated in one chart call.  field(T)
-    gives, from the stencil's pushforwards T (..., 2, 3, 3, 5, 6), the frame
-    values (..., 2, 3, 3, 6) of F there and unit normals (..., 2, 3, 6) at
-    the primes.
+    either direction) takes its chart data and normal from the point data;
+    fresh = (p, q, T, xi) holds those of the other 16 points
+    (`_nested_points`, `_charted`).  Both fields go through one pair of
+    `_covariant_fd` calls, stacked on a leading field axis.
     """
-    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
-    u = data.u[..., None, None, :]
-    primes = np.concatenate([_segments(u[..., 0, :], vels, h),
-                             np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
+    p, q, T, xi = (_on_stencil(data, a, own) for a, own in
+                   zip(fresh, (data.p, data.q, data.push_coords, data.xi)))
+    zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
+    values = np.stack([_vm(zchart, T), xi])
     inner_vels = vels[..., ::-1, None, :]
-    points = np.concatenate([primes[..., None, :], _segments(primes, inner_vels, h)],
-                            axis=-2)
-    p = np.empty(points.shape[:-1] + (4,))
-    q = np.empty_like(p)
-    T = np.empty(points.shape[:-1] + (5, 6))
-    p[..., _FRESH, :], q[..., _FRESH, :], T[..., _FRESH, :, :] = _chart_data(
-        data.immersion, points[..., _FRESH, :])
-    p[..., 2, 0, :] = data.p[..., None, :]
-    q[..., 2, 0, :] = data.q[..., None, :]
-    T[..., 2, 0, :, :] = data.push_coords[..., None, :, :]
-    values, xi_p = field(T)
-    inner = _covariant_fd((p[..., 0, :], q[..., 0, :]), xi_p,
+    inner = _covariant_fd((p[..., 0, :], q[..., 0, :]), xi[..., 0, :],
                           (p[..., 1:, :], q[..., 1:, :]), values[..., 1:, :],
-                          _vm(inner_vels, T[..., 0, :, :]), values[..., 0, :], h)
+                          _vm(inner_vels, T[..., 0, :, :]), values[..., 0, :], NESTED_H)
     # the outer differences along X and Y, centred at prime 2, the point itself
     XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
     outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), data.xi[..., None, :],
                           (p[..., :2, 0, :], q[..., :2, 0, :]),
-                          inner[..., :2, :], XY, inner[..., 2, :], h)
+                          inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
     return outer[..., 0, :] - outer[..., 1, :]
-
-
-def _induced_curvature(data: HypersurfacePointData, x5, y5, z5,
-                       h: float) -> np.ndarray:
-    """R(X, Y) Z of the induced connection, for X, Y, Z given by their
-    tangent-frame components x5, y5, z5 (..., 5): `_nested_fd` of the
-    chart-constant extension of Z."""
-    zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
-
-    def chart_constant(T):
-        # the normal at the point is data.xi up to sign, which _tangential ignores
-        xi_p = np.empty(T.shape[:-3] + (6,))
-        xi_p[..., :2, :] = _unit_normal(T[..., :2, 0, :, :])
-        xi_p[..., 2, :] = data.xi[..., None, :]
-        return _vm(zchart, T), xi_p
-
-    return _nested_fd(data, x5, y5, chart_constant, h)
-
-
-def gauss_residual(data: HypersurfacePointData, x5, y5, z5, h: float = 1e-4):
-    """Residual of the Gauss relation between induced and ambient curvature,
-    R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y, with the
-    ambient curvature R from `frames.curvature_closed_form`, per row of the
-    directions x5, y5, z5 (..., 5)."""
-    t = get_tables()
-    x5 = np.asarray(x5, dtype=float)
-    y5 = np.asarray(y5, dtype=float)
-    z5 = np.asarray(z5, dtype=float)
-    X = data.from_components(x5)
-    Y = data.from_components(y5)
-    Z = data.from_components(z5)
-
-    lhs = _induced_curvature(data, x5, y5, z5, h)
-    az = data.apply_shape(Z)
-    rhs = (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
-           + _g(az, Y)[..., None] * data.apply_shape(X)
-           - _g(az, X)[..., None] * data.apply_shape(Y))
-    return _out(g_norm(t, lhs - rhs))
 
 
 def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
@@ -1059,7 +1062,8 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     x5 = c0 / np.sqrt(_dot(c0, c0))[..., None]
     y5 = comp[..., :, 1] - _dot(comp[..., :, 1], x5)[..., None] * x5
     y5 = y5 / np.sqrt(_dot(y5, y5))[..., None]
-    riem = _induced_curvature(data, x5, y5, y5, 1e-4)
+    vels, nested = _nested_points(data, x5, y5)
+    riem = _nested_fd(data, x5, y5, y5, vels, _charted(data, nested))[0]
     sec3 = _g(riem, data.from_components(x5))
 
     theta = _spectra(data).theta

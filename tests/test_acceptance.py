@@ -176,15 +176,10 @@ def test_c09_hypersurface_identity_residuals():
             x5 = _unit(rng.standard_normal(5))
             y5 = _unit(rng.standard_normal(5))
             z5 = _unit(rng.standard_normal(5))
-            worst_reeb = max(
-                worst_reeb, hs.reeb_transport_residual(d, x5)
-            )
-            worst_codazzi = max(
-                worst_codazzi, hs.codazzi_residual(d, x5, y5)
-            )
-            worst_gauss = max(
-                worst_gauss, hs.gauss_residual(d, x5, y5, z5)
-            )
+            res = hs.stencil_residuals(d, x5, y5, z5)
+            worst_reeb = max(worst_reeb, res.transport)
+            worst_codazzi = max(worst_codazzi, res.codazzi)
+            worst_gauss = max(worst_gauss, res.gauss)
             eta = d.eta / np.linalg.norm(d.eta)
             xp = _unit(x5 - float(x5 @ eta) * eta)
             yp = _unit(y5 - float(y5 @ eta) * eta)

@@ -428,3 +428,21 @@ def test_overflowing_chart_point_one_line_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: chart point [1e+300, ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1e308", "7", "-7"])
+def test_analyze_chart_point_beyond_one_turn_usage_error(capsys, value):
+    # u +- 1e-5 rounds back to u = 1e308, and the analysis then reported a
+    # wrong multiplicity pattern with exit 0
+    code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
+                                   "--at", f"0,0,0,0,{value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: chart point [0.0, 0.0, 0.0, 0.0, {float(value)!r}]")
+    assert err.count("\n") == 1
+
+
+def test_analyze_chart_point_within_one_turn(capsys):
+    code, out, _ = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
+                                 "--at", "0,0,0,0,6.28"])
+    assert code == 0
+    assert json.loads(out)["multiplicities"] == [2, 1, 2]

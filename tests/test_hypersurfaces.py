@@ -618,13 +618,13 @@ class TestIdentityResiduals:
         x5 = _unit(rng.standard_normal(5))
         y5 = _unit(rng.standard_normal(5))
         d = hs.analyze_point(M, u)
-        before = hs.codazzi_residual(d, x5, y5)
+        before = dataclasses.astuple(hs.stencil_residuals(d, x5, y5, y5))
         kept = u.copy()
         u += 0.3  # the caller reuses its array
         assert d.immersion is M
         npt.assert_array_equal(d.u, kept)
         assert not d.u.flags.writeable
-        assert hs.codazzi_residual(d, x5, y5) == before
+        assert dataclasses.astuple(hs.stencil_residuals(d, x5, y5, y5)) == before
 
     def test_reeb_transport(self):
         rng = np.random.default_rng(12)
@@ -633,7 +633,8 @@ class TestIdentityResiduals:
             u = hs.random_chart_point(rng)
             d = hs.analyze_point(M, u)
             for _ in range(3):
-                assert hs.reeb_transport_residual(d, _unit(rng.standard_normal(5))) <= 1e-5
+                x5 = _unit(rng.standard_normal(5))
+                assert hs.stencil_residuals(d, x5, x5, x5).transport <= 1e-5
 
     def test_codazzi(self):
         rng = np.random.default_rng(13)
@@ -643,9 +644,9 @@ class TestIdentityResiduals:
             d = hs.analyze_point(M, u)
             x5 = _unit(rng.standard_normal(5))
             y5 = _unit(rng.standard_normal(5))
-            assert hs.codazzi_residual(d, x5, y5) <= 1e-6
+            assert hs.stencil_residuals(d, x5, y5, y5).codazzi <= 1e-6
             # both sides are antisymmetric, so equal arguments give zero
-            assert hs.codazzi_residual(d, x5, x5) <= 1e-12
+            assert hs.stencil_residuals(d, x5, x5, x5).codazzi <= 1e-12
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_codazzi_agrees_with_the_weingarten_route(self, family, kw):
@@ -660,8 +661,8 @@ class TestIdentityResiduals:
             d = hs.analyze_point(M, hs.random_chart_point(rng))
             x5 = _unit(rng.standard_normal(5))
             y5 = _unit(rng.standard_normal(5))
-            gap = hs._shape_derivative(d, x5, y5, 1e-4) - _shape_derivative_weingarten(
-                d, x5, y5, 1e-4)
+            gap = _shape_derivative(d, x5, y5) - _shape_derivative_weingarten(
+                d, x5, y5, hs.NESTED_H)
             assert frames.g_norm(t, gap) <= 1e-6
 
     def test_gauss(self):
@@ -672,8 +673,8 @@ class TestIdentityResiduals:
         x5 = _unit(rng.standard_normal(5))
         y5 = _unit(rng.standard_normal(5))
         z5 = _unit(rng.standard_normal(5))
-        assert hs.gauss_residual(d, x5, y5, z5) <= 1e-3
-        assert hs.gauss_residual(d, x5, x5, z5) <= 1e-12
+        assert hs.stencil_residuals(d, x5, y5, z5).gauss <= 1e-3
+        assert hs.stencil_residuals(d, x5, x5, z5).gauss <= 1e-12
 
     @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
                                            ("m6", dict(k=0.8, l=0.6))])
@@ -732,6 +733,13 @@ class TestIdentityResiduals:
             hs.hopf_identity_residual(d, x5, x5)
 
 
+def _shape_derivative(d, x5, y5):
+    """(D_X A) Y - (D_Y A) X at a one-point view, as the Codazzi residual
+    takes it: minus the normal field of `_nested_fd`."""
+    vels, nested = hs._nested_points(d, x5, y5)
+    return -hs._nested_fd(d, x5, y5, y5, vels, hs._charted(d, nested))[1]
+
+
 def _shape_derivative_weingarten(d, x5, y5, h):
     """(D_X A) Y - (D_Y A) X at a one-point view, from full analyses at its
     four neighbours u +- h X and u +- h Y: A Y there is differenced along
@@ -772,19 +780,23 @@ class TestBatchedResiduals:
         X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
                       for v in rng.standard_normal((3, 4, 5)))
         XP, YP = _hopf_directions(data, rng), _hopf_directions(data, rng)
-        cases = [
-            (hs.reeb_transport_residual, (X5,)),
-            (hs.codazzi_residual, (X5, Y5)),
-            (hs.gauss_residual, (X5, Y5, Z5)),
-            (hs.hopf_identity_residual, (XP, YP)),
-        ]
-        for f, args in cases:
-            batched = f(data, *args)
-            assert batched.shape == (4,), f.__name__
-            for i, row in enumerate(data):
-                single = f(row, *(a[i] for a in args))
-                assert isinstance(single, float), f.__name__
-                assert batched[i] == single, (f.__name__, i)
+        batched = hs.hopf_identity_residual(data, XP, YP)
+        assert batched.shape == (4,)
+        for i, row in enumerate(data):
+            single = hs.hopf_identity_residual(row, XP[i], YP[i])
+            assert isinstance(single, float)
+            assert batched[i] == single, i
+        joint = hs.stencil_residuals(data, X5, Y5, Z5)
+        for field in dataclasses.astuple(joint):
+            assert field.shape == (4,)
+        for i, row in enumerate(data):
+            single = dataclasses.astuple(hs.stencil_residuals(row, X5[i], Y5[i], Z5[i]))
+            assert all(isinstance(v, float) for v in single)
+            assert single == tuple(field[i] for field in dataclasses.astuple(joint)), i
+        # each one-identity residual is its field of the joint residuals
+        npt.assert_array_equal(hs.reeb_transport_residual(data, X5), joint.transport)
+        npt.assert_array_equal(hs.gauss_residual(data, X5, Y5, Z5), joint.gauss)
+        npt.assert_array_equal(hs.codazzi_residual(data, X5, Y5), joint.codazzi)
         if family in hs.THREE_CURVATURE_FAMILIES:
             batched = dataclasses.astuple(hs.leaf_geometry(data))
             for i, row in enumerate(data):
@@ -795,8 +807,9 @@ class TestBatchedResiduals:
     def test_induced_curvature_reuses_the_point_data(self, monkeypatch, family, kw):
         # the nested stencil of Gauss and Codazzi takes the chart data and
         # normal of the point itself from the point data, which must equal a
-        # fresh chart call bitwise (the normal up to its orientation); each
-        # residual's one chart call then has 16 points a row
+        # fresh chart call bitwise (the normal up to its orientation); the
+        # one chart call of the three stencil residuals then has 18 points a
+        # row, the transport's 2 and the nested stencil's 16
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(32)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
@@ -817,9 +830,8 @@ class TestBatchedResiduals:
         monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
         X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
                       for v in rng.standard_normal((3, 4, 5)))
-        hs.gauss_residual(data, X5, Y5, Z5)
-        hs.codazzi_residual(data, X5, Y5)
-        assert shapes == [(4, 16, 5), (4, 16, 5)]
+        hs.stencil_residuals(data, X5, Y5, Z5)
+        assert shapes == [(4, 18, 5)]
 
     def test_hopf_error_names_the_failing_row(self):
         M = hs.make_example("m1", r=0.6)

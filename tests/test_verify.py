@@ -167,8 +167,9 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
     # every identity is evaluated once over the suite's samples, so neither
     # the quaternion products, the chart calls nor the finite-difference
     # derivative steps grow with the sample count
-    calls = {"mul": 0, "pushforward": 0, "covariant_fd": 0}
+    calls = {"mul": 0, "pushforward": 0, "covariant_fd": 0, "unit_normal": 0}
     mul, pushforward, covariant_fd = qt.mul, hs.Immersion.pushforward, hs._covariant_fd
+    unit_normal = hs._unit_normal
 
     def counting_mul(q1, q2):
         calls["mul"] += 1
@@ -182,18 +183,26 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         calls["covariant_fd"] += 1
         return covariant_fd(*args)
 
+    def counting_unit_normal(T):
+        calls["unit_normal"] += 1
+        return unit_normal(T)
+
     monkeypatch.setattr(qt, "mul", counting_mul)
     monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
     monkeypatch.setattr(hs, "_covariant_fd", counting_covariant_fd)
+    monkeypatch.setattr(hs, "_unit_normal", counting_unit_normal)
     counts = []
     for samples in (2, 5):
-        calls.update(mul=0, pushforward=0, covariant_fd=0)
+        calls.update(mul=0, pushforward=0, covariant_fd=0, unit_normal=0)
         verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert all(n > 0 for n in counts[0].values())
-    # analysis, transport, Gauss, Codazzi, and leaf geometry for m1-m3
-    assert counts[0]["pushforward"] == (5 if family in hs.THREE_CURVATURE_FAMILIES else 4)
+    # the analysis, one stencil for transport, Gauss and Codazzi, and leaf
+    # geometry for m1-m3; each charts its points and takes their normals once
+    three = family in hs.THREE_CURVATURE_FAMILIES
+    assert counts[0]["pushforward"] == (3 if three else 2)
+    assert counts[0]["unit_normal"] == (3 if three else 2)
 
 
 def _structure_complement_loop(row):
@@ -287,14 +296,14 @@ def test_nan_residual_fails_closed():
 
 def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
     # a NaN in any row, not only the first, reaches the report as inf
-    codazzi = hs.codazzi_residual
+    stencil_residuals = hs.stencil_residuals
 
-    def nan_in_row_1(data, x5, y5):
-        res = codazzi(data, x5, y5).copy()
-        res[1] = math.nan
+    def nan_in_row_1(data, x5, y5, z5):
+        res = stencil_residuals(data, x5, y5, z5)
+        res.codazzi[1] = math.nan
         return res
 
-    monkeypatch.setattr(hs, "codazzi_residual", nan_in_row_1)
+    monkeypatch.setattr(hs, "stencil_residuals", nan_in_row_1)
     rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
     failed = [c for c in rep.checks if not c.passed]
     assert [c.check_id for c in failed] == ["m1(r=0.6):codazzi"]

@@ -1,6 +1,6 @@
 """Judge every benchmark workload on all pool seeds and show what moved.
 
-    python tools/pool_drift.py [WORKLOAD ...]
+    python tools/pool_drift.py [--dump FILE] [--against FILE] [WORKLOAD ...]
 
 Loads `perfbench/workloads.py` by path, runs one pass of each workload (all
 of them by default) at every one of its `POOL_SIZE` pool seeds, and holds
@@ -21,14 +21,24 @@ drift gate at other seeds.  A change that moves residuals cites this table,
 and a reference re-record (`perfbench/record_reference.py`) cites it too.
 Exits 1 when the judge fails any pass, else 0.  Like the benchmark, it pins
 OpenBLAS, OpenMP and MKL to one thread.
+
+`--dump FILE` writes every outcome of every pass as JSON, `{workload: {seed:
+[[check id, float.hex(residual), passed], ...]}}`.  `--against FILE` reads
+such a dump, made for example at a parent commit, and prints per workload
+how many outcomes differ from it bitwise, and the check ids that moved: the
+check that a change meant to keep every residual reproduces them.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
+import json
 import math
 import os
 import sys
+from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,8 +55,9 @@ def _workloads():
     return module
 
 
-def drift(W, name: str) -> int:
-    """Print the drift table of one workload; return its judge failures."""
+def drift(W, name: str, passes: dict) -> int:
+    """Print the drift table of one workload; return its judge failures.
+    Each pass's outcomes are stored in passes under its seed."""
     workload = W.WORKLOADS[name]
     reference = workload.reference()
     failures = failed_passes = 0
@@ -57,6 +68,8 @@ def drift(W, name: str) -> int:
     for seed in range(W.POOL_SIZE):
         ref = reference[str(seed)]
         outcomes = workload.run_pass(seed)
+        passes[str(seed)] = [[cid, float(residual).hex(), bool(passed)]
+                             for cid, residual, passed in outcomes]
         failed = W.judge(outcomes, ref)
         if failed:
             failures += len(failed)
@@ -91,16 +104,53 @@ def drift(W, name: str) -> int:
     return failures
 
 
+def against(name: str, passes: dict, dumped: dict) -> None:
+    """Print how many outcomes of one workload differ bitwise from a dump."""
+    if name not in dumped:
+        print(f"  against dump: {name} is not in it")
+        return
+    total = 0
+    moved: Counter = Counter()
+    for seed in sorted(set(passes) | set(dumped[name]), key=int):
+        for new, old in zip_longest(passes.get(seed, []), dumped[name].get(seed, [])):
+            total += 1
+            if new != old:
+                moved[(new or old)[0]] += 1
+    print(f"  against dump: {moved.total()} of {total} outcomes differ bitwise")
+    for cid, n in moved.items():
+        print(f"    {cid}: {n}")
+
+
 def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(prog="pool_drift.py", description=__doc__.split("\n")[0])
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write every pass's outcomes as (id, float.hex, passed)")
+    parser.add_argument("--against", metavar="FILE",
+                        help="count the outcomes that differ bitwise from a dump")
+    args = parser.parse_args(argv)
+    dumped = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as f:
+            dumped = json.load(f)
     W = _workloads()
     W.require_checkout_nks3()
-    names = argv or list(W.WORKLOADS)
+    names = args.workloads or list(W.WORKLOADS)
     unknown = [n for n in names if n not in W.WORKLOADS]
     if unknown:
         print(f"error: unknown workload {unknown[0]!r}; "
               f"choose from {', '.join(W.WORKLOADS)}", file=sys.stderr)
         return 2
-    failures = sum(drift(W, name) for name in names)
+    failures = 0
+    outcomes: dict = {}
+    for name in names:
+        outcomes[name] = {}
+        failures += drift(W, name, outcomes[name])
+        if dumped is not None:
+            against(name, outcomes[name], dumped)
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as f:
+            json.dump(outcomes, f)
     return 1 if failures else 0
 
 
