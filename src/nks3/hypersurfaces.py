@@ -44,7 +44,8 @@ nested stencil of two such steps, `_nested_fd`.  On the nested stencil
 two fields are differenced at once: the chart-constant extension of Z
 (Gauss) and the unit normal (Codazzi), whose inner step is -A Y by the
 Weingarten relation, so no shape operator is built away from the point
-itself.
+itself.  The Gauss field also gives the sectional value g(R_ind(X, Y) Z, X)
+that the leaf geometry reads along its 3-sphere pair (`leaf_directions`).
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -55,9 +56,10 @@ vectors one-row matrices (`_vm`, `_mv`, and `_rowwise` for
 `frames.curvature_closed_form`, the one frame function that multiplies its
 arguments by constant matrices; the bilinear frame tensors are per-row
 products already), so a batched row equals the residual of that row's
-one-point view bitwise.  The spectral report, the theta-r relation and the
-normal-action class take a batch the same way, with one `eigh` call for
-all rows.  Normals are held and
+one-point view bitwise.  The spectral report and the normal-action class
+take a batch the same way, the report with one `eigh` call for all rows;
+the theta-r relation and the leaf geometry read the rows of a report and
+of `stencil_residuals` instead of computing their own.  Normals are held and
 sign-aligned in frame coefficients; the flat R^8 form appears only inside
 the finite-difference step `_covariant_fd`.
 
@@ -789,12 +791,14 @@ def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
 
 @dataclass
 class StencilResiduals:
-    """The residuals of `stencil_residuals`, one value per row of the
-    directions (a float for a one-point view)."""
+    """The residuals of `stencil_residuals` and the induced sectional value
+    g(R_ind(X, Y) Z, X), one value per row of the directions (a float for a
+    one-point view)."""
 
     transport: float
     gauss: float
     codazzi: float
+    sectional: float
 
 
 def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResiduals:
@@ -807,18 +811,21 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     - Gauss, R_ind(X, Y) Z = (R(X, Y) Z)^T + g(A Z, Y) A X - g(A Z, X) A Y;
     - Codazzi, (D_X A) Y - (D_Y A) X = -(R(X, Y) xi)^T;
 
-    with the ambient curvature R from `frames.curvature_closed_form`.  The
-    transport's two segment ends and the 16 fresh points of the nested
-    stencil of step NESTED_H (`_nested_fd`) are evaluated in one chart call
-    of 18 points a row, with one `_unit_normal` call, so a normal that is
-    undefined at any of the 18 points raises DegenerateImmersionError.
+    with the ambient curvature R from `frames.curvature_closed_form`; and
+    g(R_ind(X, Y) Z, X), which along an orthonormal pair X, Y with Z = Y is
+    the induced sectional curvature of their plane.  The transport's two
+    segment ends and the 16 fresh points of the nested stencil of step
+    NESTED_H (`_nested_fd`) are evaluated in one chart call of 18 points a
+    row, with one `_unit_normal` call, so a normal that is undefined at any
+    of the 18 points raises DegenerateImmersionError.
     """
     t = get_tables()
     x5, y5, z5 = (np.asarray(v, dtype=float) for v in (x5, y5, z5))
     X, Y, Z = (data.from_components(v) for v in (x5, y5, z5))
     vels, nested = _nested_points(data, x5, y5)
     ends = _segments(data.u, vels[..., 0, :], NORMAL_H)
-    p, q, T, xi = _charted(data, np.concatenate([ends, nested], axis=-2))
+    p, q, T = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
+    xi = _aligned(_unit_normal(T), data.xi[..., None, :])
 
     dU = _covariant_fd((data.p, data.q), data.xi, (p[..., :2, :], q[..., :2, :]),
                        -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
@@ -831,7 +838,8 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
                        + _g(az, Y)[..., None] * data.apply_shape(X)
                        - _g(az, X)[..., None] * data.apply_shape(Y))
     codazzi = -dxi + data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return StencilResiduals(*(_out(g_norm(t, r)) for r in (transport, gauss, codazzi)))
+    return StencilResiduals(*(_out(g_norm(t, r)) for r in (transport, gauss, codazzi)),
+                            _out(_g(induced, X)))
 
 
 # The three one-identity residuals below are each one field of
@@ -852,15 +860,6 @@ def codazzi_residual(data: HypersurfacePointData, x5, y5):
 def gauss_residual(data: HypersurfacePointData, x5, y5, z5):
     """The Gauss residual of `stencil_residuals` along x5, y5, z5 (..., 5)."""
     return stencil_residuals(data, x5, y5, z5).gauss
-
-
-def _charted(data: HypersurfacePointData, points) -> tuple:
-    """Points p, q (..., n, 4), pushforwards T (..., n, 5, 6) and unit
-    normals (..., n, 6), aligned with the data's normal, at the chart points
-    (..., n, 5) near each row's point, from one chart call and one
-    `_unit_normal` call."""
-    p, q, T = _chart_data(data.immersion, points)
-    return p, q, T, _aligned(_unit_normal(T), data.xi[..., None, :])
 
 
 # the chart points (direction, prime, stencil slot) of the nested stencil
@@ -912,8 +911,9 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> n
     slot) with slot 0 the prime itself.  The point itself (prime 2 of
     either direction) takes its chart data and normal from the point data;
     fresh = (p, q, T, xi) holds those of the other 16 points
-    (`_nested_points`, `_charted`).  Both fields go through one pair of
-    `_covariant_fd` calls, stacked on a leading field axis.
+    (`_nested_points`), with the normals aligned with the point's.  Both
+    fields go through one pair of `_covariant_fd` calls, stacked on a
+    leading field axis.
     """
     p, q, T, xi = (_on_stencil(data, a, own) for a, own in
                    zip(fresh, (data.p, data.q, data.push_coords, data.xi)))
@@ -981,23 +981,25 @@ class ThetaConsistency:
     product_residual: float
 
 
-def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
+def theta_r_consistency(data: HypersurfacePointData,
+                        rep: SpectralReport) -> ThetaConsistency:
     """Consistency of the eigenspace invariant theta with the modulus r.
 
     Checks r = sqrt(3) theta / sqrt(1 + 2 theta^2), the closed forms
     (1 +/- sqrt(1 - theta^2)) / (2 sqrt(3) theta) for the absolute values
     of the double principal curvatures, and their exact product -1/12.
-    sqrt(1 - theta^2) is the spectral report's `theta_sine`, so the closed
-    forms keep full accuracy at r = 1, where theta = 1.  Each field holds
-    one value per row of the data (a float for a one-point view), against
-    the immersion's r of that row.
+    The spectrum is read from rep, the spectral report of the same rows
+    (`spectral_report(data)` or rows of a larger one); sqrt(1 - theta^2) is
+    its `theta_sine`, so the closed forms keep full accuracy at r = 1, where
+    theta = 1.  Each field holds one value per row of the data (a float for
+    a one-point view), against the immersion's r of that row.
     """
     M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    rep = _spectra(data)
-    double = rep.multiplicities == 2
+    # a one-point report keeps its clusters as tuples, a batch as padded rows
+    double = np.asarray(rep.multiplicities) == 2
     bad = np.count_nonzero(double, axis=-1) != 2
     if np.any(bad):
         raise DegenerateImmersionError(
@@ -1008,7 +1010,7 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     s = rep.theta_sine
     scale = 2.0 * SQRT3 * theta
     closed = np.sort(np.stack([(1.0 + s) / scale, (1.0 - s) / scale], axis=-1), axis=-1)
-    doubles = rep.cluster_means[double].reshape(double.shape[:-1] + (2,))
+    doubles = np.asarray(rep.cluster_means)[double].reshape(double.shape[:-1] + (2,))
     observed = np.sort(np.abs(doubles), axis=-1)
     spec_res = np.max(np.abs(observed - closed), axis=-1)
 
@@ -1024,22 +1026,36 @@ class LeafGeometry:
     sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
-def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
+def leaf_directions(data: HypersurfacePointData) -> tuple:
+    """Tangent-frame components x5, y5 (..., 5) of a g-orthonormal pair
+    spanning the first two chart directions, both tangent to the 3-sphere
+    factor leaf: the plane whose sectional curvature `leaf_geometry` reads,
+    as `stencil_residuals(data, x5, y5, y5).sectional`."""
+    comp = data.tangent_frame @ get_tables().g @ np.swapaxes(data.push_coords, -1, -2)
+    # a contiguous copy: BLAS sums a strided vector in another order
+    c0 = np.ascontiguousarray(comp[..., :, 0])
+    x5 = c0 / np.sqrt(_dot(c0, c0))[..., None]
+    y5 = comp[..., :, 1] - _dot(comp[..., :, 1], x5)[..., None] * x5
+    return x5, y5 / np.sqrt(_dot(y5, y5))[..., None]
+
+
+def leaf_geometry(data: HypersurfacePointData, sectional,
+                  rep: SpectralReport) -> LeafGeometry:
     """Geometry of the two product-factor leaves through each chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
-    sectional curvature is 3/4; the value is also recomputed from the
-    induced curvature by finite differences.  The 2-sphere factor leaf
-    carries 4 r^2 / 3 times the round metric, so its curvature is
-    3 / (4 r^2), which in terms of the eigenspace invariant theta reads
-    (1 + 2 theta^2) / (4 theta^2).  Each field holds one value per row of
-    the data (a float for a one-point view), against the immersion's r of
-    that row.
+    sectional curvature is 3/4; sectional is that value recomputed from the
+    induced curvature by finite differences, the `StencilResiduals` field
+    along the pair of `leaf_directions` of the same rows.  The 2-sphere
+    factor leaf carries 4 r^2 / 3 times the round metric, so its curvature
+    is 3 / (4 r^2), which in terms of the eigenspace invariant theta of
+    rep, the spectral report of the same rows, reads (1 + 2 theta^2) /
+    (4 theta^2).  Each field holds one value per row of the data (a float
+    for a one-point view), against the immersion's r of that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("leaf geometry applies to m1, m2, m3")
-    t = get_tables()
     r = M.params[0]
     gram = _gram(data.push_coords)
 
@@ -1055,22 +1071,12 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2),
                   axis=(-2, -1))
 
-    # orthonormal pair spanning two 3-sphere-factor directions
-    comp = data.tangent_frame @ t.g @ np.swapaxes(data.push_coords, -1, -2)
-    # a contiguous copy: BLAS sums a strided vector in another order
-    c0 = np.ascontiguousarray(comp[..., :, 0])
-    x5 = c0 / np.sqrt(_dot(c0, c0))[..., None]
-    y5 = comp[..., :, 1] - _dot(comp[..., :, 1], x5)[..., None] * x5
-    y5 = y5 / np.sqrt(_dot(y5, y5))[..., None]
-    vels, nested = _nested_points(data, x5, y5)
-    riem = _nested_fd(data, x5, y5, y5, vels, _charted(data, nested))[0]
-    sec3 = _g(riem, data.from_components(x5))
-
-    theta = _spectra(data).theta
+    # a one-point report has None where a batch has NaN
+    theta = np.asarray(rep.theta, dtype=float)
     bad = np.isnan(theta)
     if np.any(bad):
         raise DegenerateImmersionError(
             f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
-    return LeafGeometry(_out(res3), _out(res2), _out(sec3), _out(res_k2))
+    return LeafGeometry(_out(res3), _out(res2), _out(sectional), _out(res_k2))

@@ -29,6 +29,19 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _theta_r(data):
+    """theta_r_consistency of the point data from its own spectral report."""
+    return hs.theta_r_consistency(data, hs.spectral_report(data))
+
+
+def _leaf_geometry(data):
+    """leaf_geometry of the point data from its own stencil along its leaf
+    directions and its own spectral report."""
+    x5, y5 = hs.leaf_directions(data)
+    return hs.leaf_geometry(data, hs.stencil_residuals(data, x5, y5, y5).sectional,
+                            hs.spectral_report(data))
+
+
 class TestMakeExample:
     def test_m1_point_at_r1(self):
         M = hs.make_example("m1", r=1.0)
@@ -355,12 +368,10 @@ class TestPerRowParameters:
         rng = np.random.default_rng(44)
         U = np.stack([hs.random_chart_point(rng) for _ in range(3)])
         data = hs.analyze_points(hs.make_example(family, r=rs), U)
-        batched = [dataclasses.astuple(f(data))
-                   for f in (hs.theta_r_consistency, hs.leaf_geometry)]
+        batched = [dataclasses.astuple(f(data)) for f in (_theta_r, _leaf_geometry)]
         for i in range(3):
             row = hs.analyze_point(hs.make_example(family, r=float(rs[i])), U[i])
-            single = [dataclasses.astuple(f(row))
-                      for f in (hs.theta_r_consistency, hs.leaf_geometry)]
+            single = [dataclasses.astuple(f(row)) for f in (_theta_r, _leaf_geometry)]
             assert single == [tuple(field[i] for field in b) for b in batched]
             # the residuals that read r: r_residual, sphere2_metric_residual
             assert single[0][1] < 1e-6 and single[1][1] < 1e-9
@@ -536,9 +547,9 @@ class TestBatchedSpectra:
                         assert got == expected, f.name
             assert names[i] == hs.classify_normal_action(row)
         if three:
-            batched = dataclasses.astuple(hs.theta_r_consistency(data))
+            batched = dataclasses.astuple(hs.theta_r_consistency(data, rep))
             for i, row in enumerate(data):
-                assert dataclasses.astuple(hs.theta_r_consistency(row)) == tuple(
+                assert dataclasses.astuple(_theta_r(row)) == tuple(
                     field[i] for field in batched)
 
     def test_slice_is_a_batch(self):
@@ -564,7 +575,7 @@ class TestBatchedSpectra:
         assert rep[0].multiplicities == rep[2].multiplicities == (2, 1, 2)
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspaces at u={U[1].tolist()}")):
-            hs.theta_r_consistency(dataclasses.replace(data, shape=shape))
+            _theta_r(dataclasses.replace(data, shape=shape))
 
     def test_normal_action_batch_marks_undefined_rows(self):
         M = hs.make_example("m3", r=0.6)
@@ -673,7 +684,7 @@ class TestIdentityResiduals:
         x5 = _unit(rng.standard_normal(5))
         y5 = _unit(rng.standard_normal(5))
         z5 = _unit(rng.standard_normal(5))
-        assert hs.stencil_residuals(d, x5, y5, z5).gauss <= 1e-3
+        assert hs.stencil_residuals(d, x5, y5, z5).gauss <= 1e-5
         assert hs.stencil_residuals(d, x5, x5, z5).gauss <= 1e-12
 
     @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
@@ -737,7 +748,9 @@ def _shape_derivative(d, x5, y5):
     """(D_X A) Y - (D_Y A) X at a one-point view, as the Codazzi residual
     takes it: minus the normal field of `_nested_fd`."""
     vels, nested = hs._nested_points(d, x5, y5)
-    return -hs._nested_fd(d, x5, y5, y5, vels, hs._charted(d, nested))[1]
+    p, q, T = hs._chart_data(d.immersion, nested)
+    xi = hs._aligned(hs._unit_normal(T), d.xi)
+    return -hs._nested_fd(d, x5, y5, y5, vels, (p, q, T, xi))[1]
 
 
 def _shape_derivative_weingarten(d, x5, y5, h):
@@ -797,10 +810,18 @@ class TestBatchedResiduals:
         npt.assert_array_equal(hs.reeb_transport_residual(data, X5), joint.transport)
         npt.assert_array_equal(hs.gauss_residual(data, X5, Y5, Z5), joint.gauss)
         npt.assert_array_equal(hs.codazzi_residual(data, X5, Y5), joint.codazzi)
+        # the induced sectional value along the leaf pair, as leaf geometry
+        # reads it, row by row too
+        LX5, LY5 = hs.leaf_directions(data)
+        leaf = hs.stencil_residuals(data, LX5, LY5, LY5).sectional
+        for i, row in enumerate(data):
+            lx5, ly5 = hs.leaf_directions(row)
+            assert lx5.tobytes() == LX5[i].tobytes() and ly5.tobytes() == LY5[i].tobytes()
+            assert hs.stencil_residuals(row, lx5, ly5, ly5).sectional == leaf[i], i
         if family in hs.THREE_CURVATURE_FAMILIES:
-            batched = dataclasses.astuple(hs.leaf_geometry(data))
+            batched = dataclasses.astuple(_leaf_geometry(data))
             for i, row in enumerate(data):
-                assert dataclasses.astuple(hs.leaf_geometry(row)) == tuple(
+                assert dataclasses.astuple(_leaf_geometry(row)) == tuple(
                     field[i] for field in batched)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
@@ -853,8 +874,7 @@ class TestBatchedResiduals:
 class TestModuliRelations:
     def test_theta_at_r1(self):
         M = hs.make_example("m1", r=1.0)
-        tc = hs.theta_r_consistency(
-            hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(17))))
+        tc = _theta_r(hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(17))))
         assert tc.theta == pytest.approx(1.0, abs=1e-6)
         assert tc.r_residual <= 1e-6
         assert tc.product_residual <= 1e-8
@@ -867,16 +887,16 @@ class TestModuliRelations:
             for family in ("m1", "m2", "m3"):
                 M = hs.make_example(family, r=1.0)
                 u = hs.random_chart_point(rng)
-                tc = hs.theta_r_consistency(hs.analyze_point(M, u))
+                tc = _theta_r(hs.analyze_point(M, u))
                 assert max(tc.r_residual, tc.spectrum_residual) < 1e-10, (seed, family)
 
     def test_theta_at_r06(self):
         # inverting r = sqrt(3) theta / sqrt(1 + 2 theta^2) at r = 0.6
         M = hs.make_example("m1", r=0.6)
         data = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(18)))
-        tc = hs.theta_r_consistency(data)
-        assert tc.theta == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
         rep = hs.spectral_report(data)
+        tc = hs.theta_r_consistency(data, rep)
+        assert tc.theta == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
         assert rep.theta_sine == pytest.approx(math.sqrt(1.0 - rep.theta ** 2), abs=1e-12)
         assert tc.r_residual <= 1e-6
         assert tc.spectrum_residual <= 1e-6
@@ -888,15 +908,15 @@ class TestModuliRelations:
         simple = dataclasses.replace(d, shape=np.diag([0.0, 1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspaces at u={d.u.tolist()}")):
-            hs.theta_r_consistency(simple)
+            _theta_r(simple)
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspace at u={d.u.tolist()}")):
-            hs.leaf_geometry(simple)
+            _leaf_geometry(simple)
 
     def test_rejects_torus_families(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
         with pytest.raises(PreconditionError):
-            hs.theta_r_consistency(hs.analyze_point(M, ORIGIN5))
+            _theta_r(hs.analyze_point(M, ORIGIN5))
 
     def test_minimality_exactly_at_r1(self):
         rng = np.random.default_rng(19)
@@ -912,7 +932,7 @@ class TestModuliRelations:
         rng = np.random.default_rng(20)
         for family in ("m1", "m3"):
             M = hs.make_example(family, r=0.6)
-            lg = hs.leaf_geometry(hs.analyze_point(M, hs.random_chart_point(rng)))
+            lg = _leaf_geometry(hs.analyze_point(M, hs.random_chart_point(rng)))
             assert lg.sphere3_metric_residual <= 1e-9
             assert lg.sphere2_metric_residual <= 1e-9
             assert lg.sphere3_sectional == pytest.approx(0.75, abs=1e-3)

@@ -198,11 +198,11 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert all(n > 0 for n in counts[0].values())
-    # the analysis, one stencil for transport, Gauss and Codazzi, and leaf
-    # geometry for m1-m3; each charts its points and takes their normals once
-    three = family in hs.THREE_CURVATURE_FAMILIES
-    assert counts[0]["pushforward"] == (3 if three else 2)
-    assert counts[0]["unit_normal"] == (3 if three else 2)
+    # the analysis, and one stencil for transport, Gauss, Codazzi and for
+    # m1-m3 the leaf curvature; each charts its points and takes their
+    # normals once
+    assert counts[0]["pushforward"] == 2
+    assert counts[0]["unit_normal"] == 2
 
 
 def _structure_complement_loop(row):
@@ -233,12 +233,12 @@ def test_structure_complement_rows_equal_per_point_loop_bitwise():
         assert basis[i].tobytes() == np.stack(_structure_complement_loop(row)).tobytes()
 
 
-@pytest.mark.parametrize("family,params,spectra", [("m3", {"r": 0.6}, 3),
-                                                   ("m6", {"k": 0.6, "l": 0.8}, 1)])
+@pytest.mark.parametrize("family,params", [("m3", {"r": 0.6}), ("m6", {"k": 0.6, "l": 0.8})])
 def test_hypersurface_suite_makes_no_per_sample_spectral_reports(monkeypatch, family,
-                                                                 params, spectra):
-    # one spectral report for the samples, and for m1-m3 one each inside
-    # the theta-r relation and the leaf geometry, whatever the sample count
+                                                                 params):
+    # one spectral report for the samples and the further points, which the
+    # theta-r relation and the leaf geometry of m1-m3 read, whatever the
+    # sample count
     calls = {"spectral_report": 0, "_spectra": 0}
     report, arrays = hs.spectral_report, hs._spectra
 
@@ -255,7 +255,7 @@ def test_hypersurface_suite_makes_no_per_sample_spectral_reports(monkeypatch, fa
     for samples in (2, 5):
         calls.update(spectral_report=0, _spectra=0)
         verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
-        assert calls == {"spectral_report": 1, "_spectra": spectra}, samples
+        assert calls == {"spectral_report": 1, "_spectra": 1}, samples
 
 
 def test_hypersurface_suite_single_family():
@@ -320,6 +320,53 @@ def test_codazzi_check_catches_a_scaled_curvature(monkeypatch, scale):
     rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
     codazzi = next(c for c in rep.checks if c.check_id == "m1(r=0.6):codazzi")
     assert codazzi.passed == (scale == 1.0), codazzi.max_residual
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-4])
+def test_gauss_check_catches_a_scaled_curvature(monkeypatch, scale):
+    # the Gauss tolerance sits close enough to its finite-difference error
+    # that a curvature tensor off by 1e-4 of itself fails the check
+    curvature = hs.curvature_closed_form
+    monkeypatch.setattr(hs, "curvature_closed_form",
+                        lambda tables, *args: scale * curvature(tables, *args))
+    rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=7, samples=3)
+    gauss = next(c for c in rep.checks if c.check_id == "m1(r=0.6):gauss")
+    assert gauss.passed == (scale == 1.0), gauss.max_residual
+
+
+def _further_point_residuals(family, params, seed, samples):
+    """The theta-r, double-eigenvalue-product and leaf-geometry residuals of
+    a suite, recomputed on its further points alone: their own analysis,
+    stencil along their leaf directions and spectral report."""
+    M = hs.make_example(family, **params)
+    rng2 = np.random.default_rng(seed + 1)
+    extra = hs.analyze_points(M, np.stack([hs.random_chart_point(rng2)
+                                           for _ in range(min(samples, 3))]))
+    rep = hs.spectral_report(extra)
+    x5, y5 = hs.leaf_directions(extra)
+    tc = hs.theta_r_consistency(extra, rep)
+    lg = hs.leaf_geometry(extra, hs.stencil_residuals(extra, x5, y5, y5).sectional, rep)
+    return {
+        "theta-r": verify._worst(tc.r_residual, tc.spectrum_residual),
+        "double-eigenvalue-product": verify._worst(tc.product_residual),
+        "leaf-geometry": verify._worst(lg.sphere3_metric_residual * 1e3,
+                                       np.abs(lg.sphere3_sectional - 0.75),
+                                       lg.sphere2_metric_residual * 1e3,
+                                       lg.sphere2_curvature_residual * 1e3),
+    }
+
+
+@pytest.mark.parametrize("family,params", [("m1", {"r": 0.6}), ("m2", {"r": 1.0}),
+                                           ("m3", {"r": 0.6})])
+@pytest.mark.parametrize("samples", [1, 4])
+def test_further_point_residuals_equal_their_own_batch_bitwise(family, params, samples):
+    # the suite takes the further points' leaf curvature from the samples'
+    # stencil call and their spectra from one report over all its points;
+    # every row of both equals its own, so the residuals do not move
+    rep = verify.run_hypersurface_suite(family, params, seed=5, samples=samples)
+    got = {c.check_id.split(":", 1)[1]: c.max_residual for c in rep.checks}
+    for name, residual in _further_point_residuals(family, params, 5, samples).items():
+        assert got[name].hex() == residual.hex(), name
 
 
 def test_structure_nan_residual_fails_its_check(monkeypatch):
