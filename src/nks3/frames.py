@@ -28,6 +28,13 @@ equals its single-row call bitwise.  The gap has a table of its own,
 composed once from G, P and J in `build_tables`; `curvature` stages its
 contraction the same way through a (36, 36) table.
 
+The metric pairing has one definition, `g_inner`: lower x to x^flat = x g
+(`lower`, a row-wise product), then take the row dot with y, so it too is
+bitwise the same batched and row by row.  Where several pairings share one
+vector, that vector is lowered once and each pairing is a row dot with it
+(`curvature_closed_form` lowers z for its eight pairings against z), which
+is bitwise `g_inner` with the shared vector first.
+
 The one computation here that leaves the frame algebra is
 `euclidean_connection`: for a field with constant frame coefficients the
 Levi-Civita connection of the ordinary product round metric equals the flat
@@ -201,9 +208,40 @@ def r8_to_frame(p, q, w) -> np.ndarray:
 # tensor evaluation
 # ---------------------------------------------------------------------------
 
+# Row-wise products of a batch.  Each keeps the vector a one-row (or
+# one-column) matrix, so numpy's matmul makes the same BLAS call for every
+# row of a batch as for a single vector, and a batched row equals the
+# single-point result bitwise; an (m, 6) @ (6, 6) product would instead be
+# one matrix-matrix call that rounds differently.
+
+def _vm(x, A):
+    """Row vectors x (..., k) times matrices A (..., k, n)."""
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def _mv(A, x):
+    """Matrices A (..., n, k) times column vectors x (..., k)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """Inner products of the rows of x and y (..., k)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def lower(tables: StructureTables, x):
+    """The lowered vectors x g (..., 6) of frame vectors x (..., 6), as
+    row-wise products: g(x, y) is the row dot of x g with y."""
+    return _vm(np.asarray(x, dtype=float), tables.g)
+
+
 def g_inner(tables: StructureTables, x, y):
-    """Metric pairing of frame coefficient vectors; broadcasts over rows."""
-    return np.einsum("...i,ij,...j->...", x, tables.g, y)
+    """Metric pairing g(x, y) of frame vectors, the row dot of `lower(x)`
+    with y; broadcasts over rows, each row bitwise equal to its single-row
+    call.  Several pairings against one vector lower it once and take row
+    dots (`_dot`) with the lowered vector, which is bitwise this pairing
+    with that vector first."""
+    return _dot(lower(tables, x), np.asarray(y, dtype=float))
 
 
 def g_norm(tables: StructureTables, x):
@@ -267,15 +305,16 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
     py = y @ P.T
     jpx = px @ J.T
     jpy = py @ J.T
+    # eight of the nine pairings are against z: lower it once
+    zl = lower(tables, z)
 
-    def g_(u, v):
-        return g_inner(tables, u, v)[..., None]
+    def gz(u):
+        return _dot(zl, u)[..., None]
 
-    term1 = (5.0 / 12.0) * (g_(y, z) * x - g_(x, z) * y)
-    term2 = (1.0 / 12.0) * (g_(jy, z) * jx - g_(jx, z) * jy - 2.0 * g_(jx, y) * jz)
-    term3 = (1.0 / 3.0) * (
-        g_(py, z) * px - g_(px, z) * py + g_(jpy, z) * jpx - g_(jpx, z) * jpy
-    )
+    term1 = (5.0 / 12.0) * (gz(y) * x - gz(x) * y)
+    term2 = (1.0 / 12.0) * (gz(jy) * jx - gz(jx) * jy
+                            - 2.0 * g_inner(tables, jx, y)[..., None] * jz)
+    term3 = (1.0 / 3.0) * (gz(py) * px - gz(px) * py + gz(jpy) * jpx - gz(jpx) * jpy)
     return term1 + term2 + term3
 
 

@@ -52,16 +52,23 @@ structure-vector transport identities) works in frame coordinates, where
 the structure tensors are constant matrices.  The residuals broadcast over
 the batch axis of the point data: each evaluates its finite-difference
 stencils for all rows in one chart call, and its products keep each row's
-vectors one-row matrices (`_vm`, `_mv`, and `_rowwise` for
+vectors one-row matrices (`frames._vm`, `frames._mv`, and `_rowwise` for
 `frames.curvature_closed_form`, the one frame function that multiplies its
-arguments by constant matrices; the bilinear frame tensors are per-row
-products already), so a batched row equals the residual of that row's
-one-point view bitwise.  The spectral report and the normal-action class
-take a batch the same way, the report with one `eigh` call for all rows;
-the theta-r relation and the leaf geometry read the rows of a report and
-of `stencil_residuals` instead of computing their own.  Normals are held and
-sign-aligned in frame coefficients; the flat R^8 form appears only inside
-the finite-difference step `_covariant_fd`.
+arguments by constant matrices; the bilinear frame tensors and the metric
+pairing are per-row products already), so a batched row equals the
+residual of that row's one-point view bitwise.  The spectral report and
+the normal-action class take a batch the same way, the report with one
+`eigh` call for all rows; the theta-r relation and the leaf geometry read
+the rows of a report and of `stencil_residuals` instead of computing their
+own.  Normals are held and sign-aligned in frame coefficients; the flat
+R^8 form appears only inside the finite-difference step `_covariant_fd`.
+
+Every chart call tests the rank of its pushforwards (`_chart_data`) by one
+batched Cholesky factorization of the Gram matrices T g T^T shifted by
+-RANK_TOL I, which succeeds exactly when each smallest eigenvalue exceeds
+RANK_TOL, up to rounding near RANK_TOL.  Only when it fails do the
+eigenvalues of the Gram matrices name the first chart point at or below
+RANK_TOL.
 
 Orientation convention: the normal sign is chosen so that trace(A) >= 0,
 with a lexicographic tie-break on the frame coefficients of xi when the
@@ -81,6 +88,9 @@ import numpy as np
 from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
 from .frames import (
+    _dot,
+    _mv,
+    _vm,
     connection_gap,
     curvature_closed_form,
     frame_coords_components,
@@ -416,32 +426,6 @@ class HypersurfacePointData:
         return self.tangential(_mv(get_tables().J, w6))
 
 
-# Row-wise products of a batch.  Each keeps the vector a one-row (or
-# one-column) matrix, so numpy's matmul makes the same BLAS call for every
-# row of a batch as for a single vector, and a batched row equals the
-# single-point result bitwise; an (m, 6) @ (6, 6) product would instead be
-# one matrix-matrix call that rounds differently.
-
-def _vm(x, A):
-    """Row vectors x (..., k) times matrices A (..., k, n)."""
-    return (x[..., None, :] @ A)[..., 0, :]
-
-
-def _mv(A, x):
-    """Matrices A (..., n, k) times column vectors x (..., k)."""
-    return (A @ x[..., None])[..., 0]
-
-
-def _dot(x, y):
-    """Inner products of the rows of x and y (..., k)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _g(x, y):
-    """g(x, y) of frame vectors (..., 6), as the products x @ g @ y."""
-    return _dot(_vm(x, get_tables().g), y)
-
-
 def _rowwise(f, *vectors):
     """f(tables, *vectors) with each frame vector (..., 6) passed as a
     one-row matrix, for `frames.curvature_closed_form`, which multiplies its
@@ -469,14 +453,34 @@ def _gram(T: np.ndarray) -> np.ndarray:
     return T @ t.g @ np.swapaxes(T, -1, -2)
 
 
+def _above_rank_tol(gram: np.ndarray) -> bool:
+    """Whether every Gram matrix (..., 5, 5) has its smallest eigenvalue
+    above RANK_TOL, up to rounding near RANK_TOL: one batched Cholesky
+    factorization of gram - RANK_TOL I, which succeeds with a finite factor
+    exactly when that shifted matrix is positive definite."""
+    try:
+        factor = np.linalg.cholesky(gram - RANK_TOL * np.eye(5))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.isfinite(factor)))
+
+
 def _chart_data(M: Immersion, u) -> tuple:
     """Points p, q (..., 4) and pushforwards T (..., 5, 6) at the chart
     points u (..., 5), from one pushforward call; raises where the
-    pushforward loses rank."""
+    pushforward loses rank.
+
+    The rank test is `_above_rank_tol`; only where it fails do the
+    eigenvalues of the Gram matrices name the first chart point whose
+    smallest eigenvalue is at most RANK_TOL (a non-finite Gram matrix
+    raises LinAlgError there)."""
     p, q, T = M.pushforward(u)
-    low = np.linalg.eigvalsh(_gram(T))[..., 0] <= RANK_TOL
-    if np.any(low):
-        raise DegenerateImmersionError(f"pushforward rank below 5 at u={_first_row(u, low)}")
+    gram = _gram(T)
+    if not _above_rank_tol(gram):
+        low = np.linalg.eigvalsh(gram)[..., 0] <= RANK_TOL
+        if np.any(low):
+            raise DegenerateImmersionError(
+                f"pushforward rank below 5 at u={_first_row(u, low)}")
     return p, q, T
 
 
@@ -557,10 +561,10 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
     hopf_residual = np.sqrt(_dot(off, off))
 
     pxi = _mv(t.P, xi)
-    a_coef = _g(pxi, xi)
-    b_coef = _g(pxi, uvec)
+    a_coef = g_inner(t, pxi, xi)
+    b_coef = g_inner(t, pxi, uvec)
     rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
-    c_coef = np.sqrt(np.maximum(_g(rem, rem), 0.0))
+    c_coef = g_norm(t, rem)
 
     return HypersurfacePointData(
         immersion=M,
@@ -835,11 +839,11 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
                               (p[..., 2:, :], q[..., 2:, :], T[..., 2:, :, :], xi[..., 2:, :]))
     az = data.apply_shape(Z)
     gauss = induced - (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
-                       + _g(az, Y)[..., None] * data.apply_shape(X)
-                       - _g(az, X)[..., None] * data.apply_shape(Y))
+                       + g_inner(t, az, Y)[..., None] * data.apply_shape(X)
+                       - g_inner(t, az, X)[..., None] * data.apply_shape(Y))
     codazzi = -dxi + data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
     return StencilResiduals(*(_out(g_norm(t, r)) for r in (transport, gauss, codazzi)),
-                            _out(_g(induced, X)))
+                            _out(g_inner(t, induced, X)))
 
 
 # The three one-identity residuals below are each one field of
@@ -954,8 +958,9 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
     alpha = np.asarray(data.alpha)[..., None]
     px, py = _mv(t.P, X), _mv(t.P, Y)
 
-    lhs = (1.0 / 6.0) * _g(data.apply_phi(X), Y) - (2.0 / 3.0) * (
-        _g(px, xi) * _g(py, uvec) - _g(px, uvec) * _g(py, xi)
+    lhs = (1.0 / 6.0) * g_inner(t, data.apply_phi(X), Y) - (2.0 / 3.0) * (
+        g_inner(t, px, xi) * g_inner(t, py, uvec)
+        - g_inner(t, px, uvec) * g_inner(t, py, xi)
     )
 
     gxxi = tensor_G(t, X, xi)
@@ -966,7 +971,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
         - alpha * (data.apply_shape(data.apply_phi(X)) + data.apply_phi(ax))
         + 2.0 * data.apply_shape(data.apply_phi(ax))
     )
-    return _out(np.abs(lhs - _g(rhs_vec, Y)))
+    return _out(np.abs(lhs - g_inner(t, rhs_vec, Y)))
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,14 @@ def metric_g_hermitian_form(z1: TangentVector, z2: TangentVector) -> float:
 
 
 def g_norm_components(p, q, u, v):
-    """g-norm of tangent pairs given as component arrays; broadcasts."""
-    return np.sqrt(np.maximum(metric_components(p, q, u, v, u, v), 0.0))
+    """g-norm of tangent pairs given as component arrays; broadcasts.
+
+    The cross term <p^-1 U, q^-1 V> of g(Z, Z) is formed once and added to
+    itself, which is bitwise `metric_components(p, q, u, v, u, v)`, where
+    both cross terms are that one product."""
+    cross = qt.dot(qt.mul(qt.conj(p), u), qt.mul(qt.conj(q), v))
+    gzz = (4.0 / 3.0) * (qt.dot(u, u) + qt.dot(v, v)) - (2.0 / 3.0) * (cross + cross)
+    return np.sqrt(np.maximum(gzz, 0.0))
 
 
 def g_norm(z: TangentVector) -> float:

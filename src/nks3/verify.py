@@ -23,8 +23,9 @@ from . import isometries as iso
 from . import pointwise as pw
 from . import quat as qt
 from .errors import DomainError, allocation
-from .hypersurfaces import _dot, _g, _mv
 from .frames import (
+    _dot,
+    _mv,
     connection_relation_residual,
     curvature,
     curvature_closed_form,
@@ -32,6 +33,7 @@ from .frames import (
     g_inner,
     g_norm,
     get_tables,
+    lower,
     nabla,
     tensor_G,
 )
@@ -160,12 +162,14 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
 
     gxy = tensor_G(t, X, Y)
     jx = X @ t.J.T
+    # the pairings against Y, Z and W take each of them lowered once
+    yl, zl, wl = (lower(t, v) for v in (Y, Z, W))
     lhs26 = g_inner(t, gxy, tensor_G(t, Z, W))
     rhs26 = (1.0 / 3.0) * (
-        g_inner(t, X, Z) * g_inner(t, Y, W)
-        - g_inner(t, X, W) * g_inner(t, Y, Z)
-        + g_inner(t, jx, Z) * g_inner(t, W @ t.J.T, Y)
-        - g_inner(t, jx, W) * g_inner(t, Z @ t.J.T, Y)
+        _dot(zl, X) * _dot(wl, Y)
+        - _dot(wl, X) * _dot(zl, Y)
+        + _dot(zl, jx) * _dot(yl, W @ t.J.T)
+        - _dot(wl, jx) * _dot(yl, Z @ t.J.T)
     )
     py = Y @ t.P.T
     lhs28 = 2.0 * (nabla(t, X, py) - nabla(t, X, Y) @ t.P.T)
@@ -193,7 +197,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         _check("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0", n, 1e-10,
                g_norm(t, tensor_G(t, X, Y @ t.J.T) + gxy @ t.J.T)),
         _check("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0", n, 1e-10,
-               np.abs(g_inner(t, gxy, Z) + g_inner(t, tensor_G(t, X, Z), Y))),
+               np.abs(_dot(zl, gxy) + _dot(yl, tensor_G(t, X, Z)))),
         _check("G-inner-product",
                "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
                n, 1e-10, np.abs(lhs26 - rhs26)),
@@ -263,10 +267,11 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     def g_dist(at, w1, w2):
         return pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])
 
+    base = pw.metric_components(*pt, *z, *z2)  # g(Z, Z') at the base point
+
     def pullback(name):
         dz2 = maps[name].differential_components(*pt, *z2)
-        return np.abs(pw.metric_components(*image[name], *dz[name], *dz2)
-                      - pw.metric_components(*pt, *z, *z2))
+        return np.abs(pw.metric_components(*image[name], *dz[name], *dz2) - base)
 
     def fd_gap(name):
         fd = iso.differential_fd_components(maps[name], *pt, *z)
@@ -419,8 +424,8 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                n, 1e-6, data.c),
         _check(prefix + "P-preserves-complement",
                "P maps the structure-vector complement to itself",
-               n, 1e-8, *(np.abs(_g(_mv(t.P, data.from_components(basis[:, j])),
-                                    data.structure_vector)) for j in range(4))),
+               n, 1e-8, *(np.abs(g_inner(t, _mv(t.P, data.from_components(basis[:, j])),
+                                         data.structure_vector)) for j in range(4))),
         _check(prefix + "reeb-transport", "D_X U = phi A X - G(X, xi)",
                n, 1e-5, stencil.transport[:n]),
         _check(prefix + "gauss", "induced curvature matches the Gauss relation",

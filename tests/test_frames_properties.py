@@ -1,6 +1,11 @@
 """Property tests of the staged frame kernels over broadcast-compatible
-shapes (hypothesis): `frames.curvature` against its written-out
-contraction, and the bilinear tensors batched against row by row."""
+shapes (hypothesis): `frames.curvature` and `frames.g_inner` against their
+written-out sums; the bilinear tensors, the metric pairing, its lowered
+vectors and norm, and the closed-form curvature batched against row by
+row; the pairing against the row dot of its lowered vector; and the
+pointwise g-norm against the metric it squares."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from nks3 import frames  # noqa: E402
+from nks3 import frames, pointwise as pw  # noqa: E402
 
 T = frames.get_tables()
 # zero or of magnitude 1e-3..1e3: no product underflows, so the relative
@@ -67,3 +72,87 @@ def test_bilinear_kernels_batch_rowwise_bitwise(pair, name):
     for idx in np.ndindex(shape[:-1]):
         rows[idx] = f(T, xb[idx], yb[idx])
     assert out.tobytes() == rows.tobytes()
+
+
+def _rows_of(f, shape, *args):
+    """f applied to one row of the broadcast operands at a time."""
+    args = [np.broadcast_to(a, shape) for a in args]
+    out = None
+    for idx in np.ndindex(shape[:-1]):
+        row = np.asarray(f(*(a[idx] for a in args)))
+        if out is None:
+            out = np.empty(shape[:-1] + row.shape)
+        out[idx] = row
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_operand_pair())
+def test_pairings_batch_rowwise_bitwise(pair):
+    x, y = pair
+    for f, args in ((lambda a, b: frames.g_inner(T, a, b), (x, y)),
+                    (lambda a: frames.lower(T, a), (x,)),
+                    (lambda a: frames.g_norm(T, a), (x,))):
+        out = np.asarray(f(*args))
+        expected = _rows_of(f, np.broadcast_shapes(*(a.shape for a in args)), *args)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_operand_triple())
+def test_closed_form_curvature_batch_rowwise_bitwise(triple):
+    # in the layout the hypersurface code passes it, each frame vector a
+    # one-row matrix (..., 1, 6), so its constant-matrix products are per row
+    shape = np.broadcast_shapes(*(v.shape for v in triple))
+    rows = tuple(v[..., None, :] for v in triple)
+    out = frames.curvature_closed_form(T, *rows)[..., 0, :]
+    expected = _rows_of(lambda *v: frames.curvature_closed_form(T, *v), shape, *triple)
+    assert out.shape == shape
+    assert out.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_operand_triple())
+def test_g_inner_matches_the_written_out_double_sum(triple):
+    x, y, _ = triple
+    out = frames.g_inner(T, x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    xb, yb = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+    for idx in np.ndindex(shape[:-1]):
+        terms = [xb[idx][i] * T.g[i, j] * yb[idx][j] for i in range(6) for j in range(6)]
+        scale = sum(abs(xb[idx][i] * T.g[i, j] * yb[idx][j])
+                    for i in range(6) for j in range(6))
+        # six lowered entries of at most six terms each, then a dot of six:
+        # at most twelve roundings in a row, about 1.3e-15 of the sum of the
+        # absolute products; the bound leaves room for the reference's own
+        # rounded products
+        assert abs(float(np.asarray(out)[idx]) - math.fsum(terms)) <= 1e-14 * scale
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_operand_pair())
+def test_g_inner_is_the_row_dot_of_the_lowered_vector(pair):
+    # the contract that lets several pairings share one lowered vector
+    x, y = pair
+    out = np.asarray(frames.g_inner(T, x, y))
+    assert out.tobytes() == np.asarray(frames._dot(frames.lower(T, x), y)).tobytes()
+
+
+@st.composite
+def _tangent_pairs(draw):
+    # p, q, u, v of broadcast-compatible shapes (..., 4), signed zeros
+    # included; the formulas are algebraic, so no point need be unit
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=4, min_dims=0, max_dims=2))
+    return tuple(draw(hnp.arrays(np.float64, shape + (4,), elements=_ELEMENTS))
+                 for shape in shapes.input_shapes)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_tangent_pairs())
+def test_g_norm_components_is_the_square_root_of_the_metric_bitwise(quad):
+    p, q, u, v = quad
+    expected = np.sqrt(np.maximum(pw.metric_components(p, q, u, v, u, v), 0.0))
+    out = pw.g_norm_components(p, q, u, v)
+    assert np.shape(out) == np.shape(expected)
+    assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()

@@ -937,3 +937,81 @@ class TestModuliRelations:
             assert lg.sphere2_metric_residual <= 1e-9
             assert lg.sphere3_sectional == pytest.approx(0.75, abs=1e-3)
             assert lg.sphere2_curvature_residual <= 1e-6
+
+
+class TestRankTest:
+    """The pushforward rank test is one Cholesky factorization of
+    gram - RANK_TOL I; it must decide as the smallest Gram eigenvalue does,
+    except within rounding of RANK_TOL."""
+
+    @staticmethod
+    def _grams():
+        """Gram matrices (n, 5, 5) of random chart points, and of marches
+        and bisections toward the chart locks: u1 -> pi/4 on m1 and m3, and
+        k -> 1 (l -> 0) on m4, where the torus factor collapses."""
+        def gram(family, u, **kw):
+            return hs._gram(hs.make_example(family, **kw).pushforward(u)[2])
+
+        def lock_gram(family):
+            return lambda gap: gram(family, np.array(
+                [[0.2, math.pi / 4.0 - gap, 0.1, 0.3, 0.4]]), r=0.6)
+
+        def torus_gram(l):
+            return gram("m4", np.array([[0.2, 0.3, 0.1, 0.5, 0.7]]),
+                        k=math.sqrt(1.0 - l * l), l=l)
+
+        rng = np.random.default_rng(11)
+        grams = [gram(family, np.array([hs.random_chart_point(rng) for _ in range(40)]), **kw)
+                 for family, kw in (("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
+                                    ("m4", dict(k=0.6, l=0.8)))]
+        for family in ("m1", "m3"):
+            grams += [lock_gram(family)(gap) for gap in np.logspace(-1, -9, 81)]
+            grams += TestRankTest._bisection(lock_gram(family), 1e-1, 1e-9)
+        grams += [torus_gram(float(l)) for l in np.logspace(-1, -7, 61)]
+        grams += TestRankTest._bisection(torus_gram, 1e-1, 1e-7)
+        return np.concatenate(grams)
+
+    @staticmethod
+    def _bisection(gram, far, near, steps=48):
+        """The Gram matrices (1, 5, 5) of a geometric bisection between a
+        chart parameter far from a lock and one near it, toward the value
+        where the smallest eigenvalue is RANK_TOL: they close in on the
+        threshold from both sides, to well within 1e-12 of it."""
+        out = []
+        for _ in range(steps):
+            mid = math.sqrt(far * near)
+            out.append(gram(mid))
+            if np.linalg.eigvalsh(out[-1])[0, 0] > hs.RANK_TOL:
+                far = mid
+            else:
+                near = mid
+        return out
+
+    def test_cholesky_decision_matches_the_smallest_eigenvalue(self):
+        grams = self._grams()
+        lam = np.linalg.eigvalsh(grams)[:, 0]
+        ok = np.array([hs._above_rank_tol(g[None]) for g in grams])
+        clear = np.abs(lam - hs.RANK_TOL) > 1e-12
+        npt.assert_array_equal(ok[clear], lam[clear] > hs.RANK_TOL)
+        # the bisections bring the decided matrices close to the threshold
+        assert np.sum(clear & (np.abs(lam - hs.RANK_TOL) < 1e-10)) >= 10
+        # the marches cross the threshold, so both decisions are exercised
+        assert np.any(ok) and not np.all(ok)
+        # the batch passes only when every matrix does
+        assert not hs._above_rank_tol(grams)
+        assert hs._above_rank_tol(grams[ok])
+
+    def test_non_finite_gram_raises_as_the_eigenvalue_test_did(self):
+        M = hs.make_example("m1", r=0.6)
+        u = np.array([[0.1, 0.2, 0.3, np.nan, 0.4]])
+        assert not hs._above_rank_tol(hs._gram(M.pushforward(u)[2]))
+        with pytest.raises(np.linalg.LinAlgError):
+            hs._chart_data(M, u)
+
+    def test_first_low_row_is_named(self):
+        M = hs.make_example("m1", r=0.6)
+        us = np.array([[0.1, 0.2, 0.3, 0.4, 0.5], [0.0, 0.785, 0.0, 0.0, 0.0],
+                       [0.0, 0.7853, 0.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateImmersionError,
+                           match=re.escape("rank below 5 at u=[0.0, 0.785, 0.0, 0.0, 0.0]")):
+            hs._chart_data(M, us)

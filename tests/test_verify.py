@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nks3 import hypersurfaces as hs, isometries as iso, pointwise as pw, quat as qt, verify
-from nks3.errors import DomainError
+from nks3.errors import DegenerateImmersionError, DomainError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -448,3 +448,23 @@ def test_suites_build_no_ambient_point(monkeypatch):
         hs.analyze_points(hs.make_example(family, **params),
                           np.stack([hs.random_chart_point(rng) for _ in range(3)]))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("family,params", [("m1", {"r": 0.6}), ("m3", {"r": 1.0}),
+                                           ("m6", {"k": 0.6, "l": 0.8})])
+def test_hypersurface_suite_makes_no_eigenvalue_rank_test(monkeypatch, family, params):
+    # the rank test is one Cholesky factorization per chart call; eigvalsh
+    # runs only to name a degenerate chart point
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert verify.run_hypersurface_suite(family, params, seed=3, samples=3).all_pass
+    assert calls == []
+    with pytest.raises(DegenerateImmersionError):
+        hs.analyze_point(hs.make_example(family, **params), [0.0, 0.785, 0.0, 0.0, 0.0])
+    assert len(calls) == 1
