@@ -111,27 +111,28 @@ def cmd_verify(args) -> int:
 
 def _report_dict(family: str, params: dict, rep: hs.SpectralReport,
                  data: hs.HypersurfacePointData) -> dict:
-    try:
-        pxi_class = hs.classify_normal_action(data)
-    except PreconditionError:
-        pxi_class = None
+    """The JSON of the analysed point, row 0 of the data and of its report:
+    the multiplicities are the nonzero cluster sizes, theta is null unless
+    they include a 2, and pxi_class is null where the class is UNDEFINED."""
+    mult = [int(n) for n in rep.multiplicities[0] if n]
+    pxi_class = str(hs.classify_normal_action(data)[0])
     return {
         "family": family,
         **params,
-        "at": [float(x) for x in data.u],
-        "alpha": data.alpha,
-        "eigenvalues": [float(v) for v in rep.eigenvalues],
-        "multiplicities": list(rep.multiplicities),
-        "trace_A": rep.trace,
-        "mean_curvature": rep.mean_curvature,
-        "hopf_residual": data.hopf_residual,
-        "shape_symmetry_residual": data.symmetry_residual,
-        "dim_distribution": rep.dim_distribution,
-        "a": data.a,
-        "b": data.b,
-        "c": data.c,
-        "theta": rep.theta,
-        "pxi_class": pxi_class,
+        "at": data.u[0].tolist(),
+        "alpha": float(data.alpha[0]),
+        "eigenvalues": rep.eigenvalues[0].tolist(),
+        "multiplicities": mult,
+        "trace_A": float(rep.trace[0]),
+        "mean_curvature": float(rep.mean_curvature[0]),
+        "hopf_residual": float(data.hopf_residual[0]),
+        "shape_symmetry_residual": float(data.symmetry_residual[0]),
+        "dim_distribution": int(rep.dim_distribution[0]),
+        "a": float(data.a[0]),
+        "b": float(data.b[0]),
+        "c": float(data.c[0]),
+        "theta": float(rep.theta[0]) if 2 in mult else None,
+        "pxi_class": None if pxi_class == hs.UNDEFINED else pxi_class,
     }
 
 

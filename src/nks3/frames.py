@@ -347,17 +347,15 @@ def connection_gap(tables: StructureTables, x, y):
 
 
 def connection_relation_residual(
-        tables: StructureTables, p, q, x, y) -> float | np.ndarray:
+        tables: StructureTables, p, q, x, y) -> np.ndarray:
     """Residual of the flat-vs-frame connection relation at the points
     (p, q); broadcasts over rows of x, y and of the points.
 
-    One residual per row, each bitwise equal to its single-row call; a
-    single point gives a float.
+    One residual per row, each bitwise equal to its single-row call.
     """
     lhs = euclidean_connection(p, q, x, y)
     rhs = nabla(tables, x, y) + connection_gap(tables, x, y)
-    res = g_norm(tables, lhs - rhs)
-    return float(res) if res.ndim == 0 else res
+    return g_norm(tables, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

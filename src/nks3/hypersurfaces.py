@@ -20,8 +20,8 @@ so one chart call can serve a grid of parameter values.
 
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
 batch of chart points, as one `HypersurfacePointData` whose fields carry
-the batch axis (`analyze_point` returns the one-point view of a batch of
-one): the metric normal xi, the structure vector U = -J xi, the induced
+the batch axis (`analyze_point` returns the batch of one row): the metric
+normal xi, the structure vector U = -J xi, the induced
 almost contact tensors, and the shape operator via the Weingarten
 relation A X = -(D_X xi)^T.  The ambient covariant derivative of xi is
 assembled from the product-round-metric derivative (central differences
@@ -49,15 +49,16 @@ that the leaf geometry reads along its 3-sphere pair (`leaf_directions`).
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
-the structure tensors are constant matrices.  The residuals broadcast over
-the batch axis of the point data: each evaluates its finite-difference
-stencils for all rows in one chart call, and its products keep each row's
-vectors one-row matrices (`frames._vm`, `frames._mv`, and `_rowwise` for
+the structure tensors are constant matrices.  Every result has one layout,
+the batch: each residual returns one value per row of the point data, and
+each evaluates its finite-difference stencils for all rows in one chart
+call.  Its products keep each row's vectors one-row matrices
+(`frames._vm`, `frames._mv`, and `_rowwise` for
 `frames.curvature_closed_form`, the one frame function that multiplies its
 arguments by constant matrices; the bilinear frame tensors and the metric
-pairing are per-row products already), so a batched row equals the
-residual of that row's one-point view bitwise.  The spectral report and
-the normal-action class take a batch the same way, the report with one
+pairing are per-row products already), so each row of a batch equals the
+residual of that row alone, a batch of one, bitwise.  The spectral report
+and the normal-action class take a batch the same way, the report with one
 `eigh` call for all rows; the theta-r relation and the leaf geometry read
 the rows of a report and of `stencil_residuals` instead of computing their
 own.  Normals are held and sign-aligned in frame coefficients; the flat
@@ -114,6 +115,11 @@ ORTHO_TOL = 1e-8
 
 NORMAL_H = 1e-5  # central-difference step for the normal and structure vector
 NESTED_H = 1e-4  # step of both levels of the Gauss, Codazzi and leaf-curvature stencil
+
+# eigenvalues within max(CLUSTER_REL_TOL * max |eigenvalue|, CLUSTER_ABS_FLOOR)
+# of each other form one principal-curvature cluster
+CLUSTER_REL_TOL = 1e-6
+CLUSTER_ABS_FLOOR = 1e-9
 
 FAMILIES = ("m1", "m2", "m3", "m4", "m5", "m6")
 THREE_CURVATURE_FAMILIES = ("m1", "m2", "m3")
@@ -350,8 +356,8 @@ def spectra_match(computed, reference):
     Broadcasts over the leading axes of both spectra (..., n)."""
     a = np.sort(np.asarray(computed, dtype=float), axis=-1)
     b = np.sort(np.asarray(reference, dtype=float), axis=-1)
-    return _out(np.minimum(np.max(np.abs(a - b), axis=-1),
-                           np.max(np.abs(np.sort(-a, axis=-1) - b), axis=-1)))
+    return np.minimum(np.max(np.abs(a - b), axis=-1),
+                      np.max(np.abs(np.sort(-a, axis=-1) - b), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,54 +367,44 @@ def spectra_match(computed, reference):
 @dataclass
 class HypersurfacePointData:
     """Frame-coordinate hypersurface apparatus at a batch of m chart points;
-    the one handle every identity residual below takes.
+    the one handle every identity residual below takes, each returning one
+    value per row.
 
-    Every field but `immersion` carries the batch axis first: array fields
-    are (m, ...) and the scalar fields (m,).  `data[i]` is the one-point
-    view of row i, with the batch axis dropped, the scalar fields as
-    floats and the immersion of its row; the residuals take a batch (one
-    value per row) or a view (a float).  The shapes below are those of a
-    view.
+    Every field but `immersion` carries the batch axis first, with the
+    shapes below.  `data[a:b]` is the batch of those rows, with the
+    immersion of its rows, `immersion[a:b]`; a batch of one row is the
+    data of a single point.  An integer index raises TypeError, so the
+    data is not iterable row by row.
     """
 
     immersion: Immersion
-    u: np.ndarray                # (5,) chart point, read-only copy
-    p: np.ndarray                # (4,) ambient point, first factor
-    q: np.ndarray                # (4,) ambient point, second factor
-    push_coords: np.ndarray      # (5, 6) chart pushforwards
-    tangent_frame: np.ndarray    # (5, 6) rows g-orthonormal
-    chart_weights: np.ndarray    # (5, 5): frame_i = sum_a W[i, a] push_a
-    xi: np.ndarray               # (6,) unit normal
-    structure_vector: np.ndarray  # (6,) U = -J xi
-    alpha: float                 # g(A U, U)
-    shape: np.ndarray            # (5, 5) symmetrized shape operator
-    symmetry_residual: float
-    phi: np.ndarray              # (5, 5): phi t_i = sum_j phi[i, j] t_j
-    eta: np.ndarray              # (5,) frame components of U
-    hopf_residual: float
-    a: float                     # g(P xi, xi)
-    b: float                     # g(P xi, U)
-    c: float                     # |P xi - a xi - b U|_g
+    u: np.ndarray                # (m, 5) chart points, read-only copy
+    p: np.ndarray                # (m, 4) ambient points, first factor
+    q: np.ndarray                # (m, 4) ambient points, second factor
+    push_coords: np.ndarray      # (m, 5, 6) chart pushforwards
+    tangent_frame: np.ndarray    # (m, 5, 6) rows g-orthonormal
+    chart_weights: np.ndarray    # (m, 5, 5): frame_i = sum_a W[i, a] push_a
+    xi: np.ndarray               # (m, 6) unit normals
+    structure_vector: np.ndarray  # (m, 6) U = -J xi
+    alpha: np.ndarray            # (m,) g(A U, U)
+    shape: np.ndarray            # (m, 5, 5) symmetrized shape operators
+    symmetry_residual: np.ndarray  # (m,)
+    phi: np.ndarray              # (m, 5, 5): phi t_i = sum_j phi[i, j] t_j
+    eta: np.ndarray              # (m, 5) frame components of U
+    hopf_residual: np.ndarray    # (m,)
+    a: np.ndarray                # (m,) g(P xi, xi)
+    b: np.ndarray                # (m,) g(P xi, U)
+    c: np.ndarray                # (m,) |P xi - a xi - b U|_g
 
     def __len__(self) -> int:
-        if self.u.ndim != 2:
-            raise TypeError("a one-point view has no rows")
         return len(self.u)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, index) -> "HypersurfacePointData":
-        """Row `index` as a one-point view (a batch for a slice), with the
-        immersion of its rows, `immersion[index]`."""
-        len(self)  # a one-point view has no rows to index
-
-        def row(v):
-            v = v[index]
-            return float(v) if v.ndim == 0 else v
-
+    def __getitem__(self, index: slice) -> "HypersurfacePointData":
+        """The rows `index` (a slice) as a batch."""
+        if not isinstance(index, slice):
+            raise TypeError(f"point data takes a slice of rows, not {type(index).__name__}")
         return HypersurfacePointData(
-            self.immersion[index], *(row(getattr(self, f.name)) for f in fields(self)[1:]))
+            self.immersion[index], *(getattr(self, f.name)[index] for f in fields(self)[1:]))
 
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
@@ -433,14 +429,9 @@ def _rowwise(f, *vectors):
     return f(get_tables(), *(v[..., None, :] for v in vectors))[..., 0, :]
 
 
-def _out(x):
-    """A residual of a one-point view as a float; a batch's as its array."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _first_row(u, bad) -> list:
+def _first_row(u: np.ndarray, bad) -> list:
     """The first chart point of u (..., 5) where the mask bad (...) holds."""
-    return np.asarray(u, dtype=float)[bad][0].tolist()
+    return u[bad][0].tolist()
 
 
 def _tangential(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -503,12 +494,12 @@ def _aligned(x, ref):
     return np.where(np.sum(x * ref, axis=-1, keepdims=True) < 0.0, -x, x)
 
 
-def analyze_points(M: Immersion, U, h: float = NORMAL_H,
+def analyze_points(M: Immersion, U,
                    ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at the chart points U
     (m, 5), as one batch of point data, from one chart call on their
     stencils of 11 points each: the point and the ends of its chart
-    segments of half-length h along the five chart directions.
+    segments of half-length NORMAL_H along the five chart directions.
 
     The shape operator comes from the Weingarten relation A X = -(D_X xi)^T:
     the normals at the segment ends are aligned with the point's and
@@ -525,7 +516,7 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
     t = get_tables()
-    ends = _segments(U[:, None, :], np.eye(5), h).reshape(-1, 10, 5)
+    ends = _segments(U[:, None, :], np.eye(5), NORMAL_H).reshape(-1, 10, 5)
     p, q, T = _chart_data(M, np.concatenate([U[:, None, :], ends], axis=1))
     normals = _unit_normal(T)
     xi = normals[:, 0] if ref_normal is None else _aligned(normals[:, 0], ref_normal)
@@ -535,7 +526,7 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
     values = _aligned(normals[:, 1:], xi[:, None]).reshape(-1, 5, 2, 6)
     chart_dxi = _covariant_fd((p[:, :1], q[:, :1]), xi[:, None],
                               (p[:, 1:].reshape(-1, 5, 2, 4), q[:, 1:].reshape(-1, 5, 2, 4)),
-                              values, push, xi[:, None], h)
+                              values, push, xi[:, None], NORMAL_H)
     A = -(W @ chart_dxi @ t.g @ np.swapaxes(frame, -1, -2))
 
     if ref_normal is None:
@@ -588,10 +579,10 @@ def analyze_points(M: Immersion, U, h: float = NORMAL_H,
     )
 
 
-def analyze_point(M: Immersion, u, h: float = NORMAL_H,
+def analyze_point(M: Immersion, u,
                   ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
-    """`analyze_points` at the one chart point u (5,), as a one-point view."""
-    return analyze_points(M, np.asarray(u, dtype=float)[None], h, ref_normal)[0]
+    """`analyze_points` at the one chart point u (5,), as a batch of one row."""
+    return analyze_points(M, np.asarray(u, dtype=float)[None], ref_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -612,79 +603,54 @@ def _cluster_starts(values: np.ndarray, rel_tol: float,
                           axis=-1)
 
 
-def cluster_eigenvalues(values, rel_tol: float = 1e-6,
-                        abs_floor: float = 1e-9) -> list:
+def cluster_eigenvalues(values) -> list:
     """Group ascending eigenvalues into clusters of nearly equal values."""
     values = np.sort(np.asarray(values, dtype=float))
-    starts = _cluster_starts(values, rel_tol, abs_floor)
+    starts = _cluster_starts(values, CLUSTER_REL_TOL, CLUSTER_ABS_FLOOR)
     return [list(c) for c in np.split(values, np.flatnonzero(starts)[1:])]
 
 
 @dataclass
 class SpectralReport:
-    """Shape-operator spectrum and distribution diagnostics.
+    """Shape-operator spectra and distribution diagnostics of a batch of
+    point data, with the batch axis first.
 
-    The report of a batch of point data carries the batch axis first, and
-    `rep[i]` is the one-point report of row i (a batch for a slice).  The
-    shapes and types below are those of a one-point report; in a batch the
-    cluster sizes and means are (m, 5) arrays in cluster order, padded with
-    zeros, and theta and theta_sine (m,) arrays, NaN where the row has no
-    two-dimensional eigenspace.
+    The cluster sizes and means are in cluster order, padded with zeros;
+    theta and theta_sine are NaN where the row has no two-dimensional
+    eigenspace.  `rep[a:b]` is the report of those rows.
     """
 
-    eigenvalues: np.ndarray        # (5,) ascending
-    multiplicities: tuple
-    cluster_means: tuple
-    trace: float
-    mean_curvature: float
-    dim_distribution: int          # 2 or 4
-    theta: Optional[float]
+    eigenvalues: np.ndarray        # (m, 5) ascending
+    multiplicities: np.ndarray     # (m, 5) cluster sizes
+    cluster_means: np.ndarray      # (m, 5)
+    trace: np.ndarray              # (m,)
+    mean_curvature: np.ndarray     # (m,)
+    dim_distribution: np.ndarray   # (m,) 2 or 4
+    theta: np.ndarray              # (m,)
     # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
     # eigenvectors; well conditioned at theta = 1 where the square root of
     # 1 - theta^2 is not
-    theta_sine: Optional[float]
+    theta_sine: np.ndarray         # (m,)
 
-    def __getitem__(self, index) -> "SpectralReport":
-        """Row `index` as a one-point report (a batch for a slice)."""
-        rep = SpectralReport(*(getattr(self, f.name)[index] for f in fields(self)))
-        if np.ndim(rep.trace):
-            return rep
-        mult = tuple(int(n) for n in rep.multiplicities if n)
-        double = 2 in mult
-        return SpectralReport(
-            eigenvalues=rep.eigenvalues,
-            multiplicities=mult,
-            cluster_means=tuple(float(v) for v in rep.cluster_means[:len(mult)]),
-            trace=float(rep.trace),
-            mean_curvature=float(rep.mean_curvature),
-            dim_distribution=int(rep.dim_distribution),
-            theta=float(rep.theta) if double else None,
-            theta_sine=float(rep.theta_sine) if double else None,
-        )
+    def __getitem__(self, index: slice) -> "SpectralReport":
+        """The report of the rows `index` (a slice)."""
+        if not isinstance(index, slice):
+            raise TypeError(f"a spectral report takes a slice of rows, "
+                            f"not {type(index).__name__}")
+        return SpectralReport(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def spectral_report(data: HypersurfacePointData, rel_tol: float = 1e-6,
-                    abs_floor: float = 1e-9) -> SpectralReport:
-    """The spectral report of the point data: one report with a batch axis
-    for a batch, the one-point report for a one-point view."""
-    rep = _spectra(data, rel_tol, abs_floor)
-    return rep if np.ndim(rep.trace) else rep[()]
-
-
-def _spectra(data: HypersurfacePointData, rel_tol: float = 1e-6,
-             abs_floor: float = 1e-9) -> SpectralReport:
-    """The spectral report in its array form, over the leading shape of the
-    point data (() for a one-point view), from one `eigh` call.
+def spectral_report(data: HypersurfacePointData) -> SpectralReport:
+    """The spectral report of the point data, from one `eigh` call.
 
     Cluster sums run left to right from 0.0, the order in which numpy sums
     a short row, and every product keeps each row's vectors one-row
-    matrices, so each row equals the report of its one-point view bitwise.
+    matrices, so each row equals the report of that row alone bitwise.
     """
     t = get_tables()
-    lead = data.shape.shape[:-2]  # the batch axis, () for a one-point view
-    evals, evecs = np.linalg.eigh(data.shape.reshape(-1, 5, 5))
+    evals, evecs = np.linalg.eigh(data.shape)
     rows, pos = np.arange(len(evals)), np.arange(5)
-    starts = _cluster_starts(evals, rel_tol, abs_floor)
+    starts = _cluster_starts(evals, CLUSTER_REL_TOL, CLUSTER_ABS_FLOOR)
     ends = np.append(starts[:, 1:], np.ones((len(evals), 1), dtype=bool), axis=-1)
 
     # each value's cluster, and the size and running sum of that cluster up
@@ -710,24 +676,23 @@ def _spectra(data: HypersurfacePointData, rel_tol: float = 1e-6,
     # the pair of eigenvector columns it ends at
     double = mult == 2
     first = last[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 1
-    frame = data.tangent_frame.reshape(-1, 5, 6)
-    X = np.stack([_vm(evecs[:, :, k], frame) for k in pos], axis=1)
+    X = np.stack([_vm(evecs[:, :, k], data.tangent_frame) for k in pos], axis=1)
     x1, x2 = X[rows, first], X[rows, first + 1]
     theta = np.abs(_dot(_vm(x1, t.g), _mv(t.J, x2)))
     jx1 = _mv(t.J, x1)
     theta_sine = g_norm(t, jx1 - _dot(_vm(jx1, t.g), x2)[:, None] * x2)
     no_double = ~np.any(double, axis=-1)
 
-    trace = np.sum(evals, axis=-1).reshape(lead)
+    trace = np.sum(evals, axis=-1)
     return SpectralReport(
-        eigenvalues=evals.reshape(lead + (5,)),
-        multiplicities=mult.reshape(lead + (5,)),
-        cluster_means=means.reshape(lead + (5,)),
+        eigenvalues=evals,
+        multiplicities=mult,
+        cluster_means=means,
         trace=trace,
         mean_curvature=trace / 5.0,
-        dim_distribution=np.where(np.asarray(data.c) <= DIM_TOL, 2, 4),
-        theta=np.where(no_double, np.nan, theta).reshape(lead),
-        theta_sine=np.where(no_double, np.nan, theta_sine).reshape(lead),
+        dim_distribution=np.where(data.c <= DIM_TOL, 2, 4),
+        theta=np.where(no_double, np.nan, theta),
+        theta_sine=np.where(no_double, np.nan, theta_sine),
     )
 
 
@@ -738,34 +703,26 @@ _CLASS_TABLE = (
 )
 
 
-def classify_normal_action(data: HypersurfacePointData):
-    """Which of the three product-structure actions the normal realizes.
+def classify_normal_action(data: HypersurfacePointData) -> np.ndarray:
+    """Which of the three product-structure actions the normal realizes,
+    as an (m,) array of class names.
 
-    Reads the coefficients a, b, c of P xi from the point data.  Defined
-    only when P xi lies in span(xi, U), that is when the canonical
+    Reads the coefficients a, b, c of P xi from the point data.  A class is
+    defined only when P xi lies in span(xi, U), that is when the canonical
     distribution spanned by xi, U and their images under P is
-    2-dimensional.  A batch gives an (m,) array of class names, UNDEFINED
-    on the rows where the class is not defined; a one-point view gives the
-    name, and raises PreconditionError where it is not defined.
+    2-dimensional; the rows where it is not are UNDEFINED.
     """
-    a, b, c = (np.asarray(v) for v in (data.a, data.b, data.c))
-    conditions = [c > DIM_TOL] + [(np.abs(a - a0) <= CLASS_TOL) & (np.abs(b - b0) <= CLASS_TOL)
-                                  for _, a0, b0 in _CLASS_TABLE]
-    names = np.select(conditions, [UNDEFINED] + [name for name, _, _ in _CLASS_TABLE], OTHER)
-    if names.ndim:
-        return names
-    if names == UNDEFINED:
-        raise PreconditionError(
-            "normal-action classes are defined only when P xi lies in span(xi, U)"
-        )
-    return str(names)
+    a, b = data.a, data.b
+    conditions = [data.c > DIM_TOL] + [(np.abs(a - a0) <= CLASS_TOL) & (np.abs(b - b0) <= CLASS_TOL)
+                                       for _, a0, b0 in _CLASS_TABLE]
+    return np.select(conditions, [UNDEFINED] + [name for name, _, _ in _CLASS_TABLE], OTHER)
 
 
-def normal_action_residual(data: HypersurfacePointData, name: str):
+def normal_action_residual(data: HypersurfacePointData, name: str) -> np.ndarray:
     """Distance of the point data's (a, b) from the named class, per row."""
     for cname, a0, b0 in _CLASS_TABLE:
         if cname == name:
-            return _out(np.maximum(np.abs(data.a - a0), np.abs(data.b - b0)))
+            return np.maximum(np.abs(data.a - a0), np.abs(data.b - b0))
     raise DomainError(f"unknown class {name!r}")
 
 
@@ -796,18 +753,17 @@ def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
 @dataclass
 class StencilResiduals:
     """The residuals of `stencil_residuals` and the induced sectional value
-    g(R_ind(X, Y) Z, X), one value per row of the directions (a float for a
-    one-point view)."""
+    g(R_ind(X, Y) Z, X), one value per row of the directions."""
 
-    transport: float
-    gauss: float
-    codazzi: float
-    sectional: float
+    transport: np.ndarray
+    gauss: np.ndarray
+    codazzi: np.ndarray
+    sectional: np.ndarray
 
 
 def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResiduals:
     """Residuals of the three finite-difference identities, per row of the
-    directions x5, y5, z5 (..., 5):
+    directions x5, y5, z5 (m, 5):
 
     - transport of the structure vector, D_X U = phi A X - G(X, xi), from
       the central difference of U = -J xi along X of half-length
@@ -842,8 +798,8 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
                        + g_inner(t, az, Y)[..., None] * data.apply_shape(X)
                        - g_inner(t, az, X)[..., None] * data.apply_shape(Y))
     codazzi = -dxi + data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return StencilResiduals(*(_out(g_norm(t, r)) for r in (transport, gauss, codazzi)),
-                            _out(g_inner(t, induced, X)))
+    return StencilResiduals(*(g_norm(t, r) for r in (transport, gauss, codazzi)),
+                            g_inner(t, induced, X))
 
 
 # The three one-identity residuals below are each one field of
@@ -851,18 +807,18 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
 # program calls `stencil_residuals` itself, and these keep the names the
 # benchmark's tracer spans.
 
-def reeb_transport_residual(data: HypersurfacePointData, x5):
-    """The transport residual of `stencil_residuals` along x5 (..., 5)."""
+def reeb_transport_residual(data: HypersurfacePointData, x5) -> np.ndarray:
+    """The transport residual of `stencil_residuals` along x5 (m, 5)."""
     return stencil_residuals(data, x5, x5, x5).transport
 
 
-def codazzi_residual(data: HypersurfacePointData, x5, y5):
-    """The Codazzi residual of `stencil_residuals` along x5, y5 (..., 5)."""
+def codazzi_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
+    """The Codazzi residual of `stencil_residuals` along x5, y5 (m, 5)."""
     return stencil_residuals(data, x5, y5, y5).codazzi
 
 
-def gauss_residual(data: HypersurfacePointData, x5, y5, z5):
-    """The Gauss residual of `stencil_residuals` along x5, y5, z5 (..., 5)."""
+def gauss_residual(data: HypersurfacePointData, x5, y5, z5) -> np.ndarray:
+    """The Gauss residual of `stencil_residuals` along x5, y5, z5 (m, 5)."""
     return stencil_residuals(data, x5, y5, z5).gauss
 
 
@@ -873,9 +829,9 @@ _FRESH[:, 2, 0] = False
 
 
 def _nested_points(data: HypersurfacePointData, x5, y5) -> tuple:
-    """The chart velocities vels (..., 2, 5) of X and Y, given by their
-    tangent-frame components x5, y5 (..., 5), and the 16 fresh chart points
-    (..., 16, 5) of the nested stencil of step NESTED_H along them (see
+    """The chart velocities vels (m, 2, 5) of X and Y, given by their
+    tangent-frame components x5, y5 (m, 5), and the 16 fresh chart points
+    (m, 16, 5) of the nested stencil of step NESTED_H along them (see
     `_nested_fd`), in the order of `_FRESH`."""
     vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
     u = data.u[..., None, None, :]
@@ -886,21 +842,19 @@ def _nested_points(data: HypersurfacePointData, x5, y5) -> tuple:
     return vels, points[..., _FRESH, :]
 
 
-def _on_stencil(data: HypersurfacePointData, fresh, own) -> np.ndarray:
-    """An array (..., 2, 3, 3, ...) over the nested stencil, from its values
-    at the fresh points (..., 16, ...) and the point's own value (..., ...)."""
-    k = data.u.ndim - 1
-    out = np.empty(fresh.shape[:k] + _FRESH.shape + fresh.shape[k + 1:])
-    rows = (slice(None),) * k
-    out[rows + (_FRESH,)] = fresh
-    out[rows + (slice(None), 2, 0)] = np.expand_dims(own, k)
+def _on_stencil(fresh, own) -> np.ndarray:
+    """An array (m, 2, 3, 3, ...) over the nested stencil, from its values
+    at the fresh points (m, 16, ...) and the point's own value (m, ...)."""
+    out = np.empty(fresh.shape[:1] + _FRESH.shape + fresh.shape[2:])
+    out[:, _FRESH] = fresh
+    out[:, :, 2, 0] = own[:, None]
     return out
 
 
 def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> np.ndarray:
-    """D_X D_Y F - D_Y D_X F (2, ..., 6) of two fields F along the
+    """D_X D_Y F - D_Y D_X F (2, m, 6) of two fields F along the
     chart-constant extensions of X and Y, given by their tangent-frame
-    components x5, y5 (..., 5) and chart velocities vels (..., 2, 5): two
+    components x5, y5 (m, 5) and chart velocities vels (m, 2, 5): two
     stacked central differences of step NESTED_H.  The extensions commute,
     so this is R(X, Y) F of the induced connection for a tangent field.
     Field 0 is the chart-constant extension of Z (components z5), which
@@ -919,7 +873,7 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> n
     fields go through one pair of `_covariant_fd` calls, stacked on a
     leading field axis.
     """
-    p, q, T, xi = (_on_stencil(data, a, own) for a, own in
+    p, q, T, xi = (_on_stencil(a, own) for a, own in
                    zip(fresh, (data.p, data.q, data.push_coords, data.xi)))
     zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
     values = np.stack([_vm(zchart, T), xi])
@@ -935,12 +889,12 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> n
     return outer[..., 0, :] - outer[..., 1, :]
 
 
-def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
+def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     """Residual of the pointwise identity tying A, phi and G on the
     structure-vector complement of a Hopf hypersurface, per row of the
-    directions x5, y5 (..., 5)."""
+    directions x5, y5 (m, 5)."""
     t = get_tables()
-    bad = np.asarray(data.hopf_residual) > HOPF_TOL
+    bad = data.hopf_residual > HOPF_TOL
     if np.any(bad):
         raise PreconditionError(
             f"point fails the Hopf condition at u={_first_row(data.u, bad)}")
@@ -955,7 +909,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
     X = data.from_components(x5)
     Y = data.from_components(y5)
     xi, uvec = data.xi, data.structure_vector
-    alpha = np.asarray(data.alpha)[..., None]
+    alpha = data.alpha[..., None]
     px, py = _mv(t.P, X), _mv(t.P, Y)
 
     lhs = (1.0 / 6.0) * g_inner(t, data.apply_phi(X), Y) - (2.0 / 3.0) * (
@@ -971,7 +925,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
         - alpha * (data.apply_shape(data.apply_phi(X)) + data.apply_phi(ax))
         + 2.0 * data.apply_shape(data.apply_phi(ax))
     )
-    return _out(np.abs(lhs - g_inner(t, rhs_vec, Y)))
+    return np.abs(lhs - g_inner(t, rhs_vec, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -980,10 +934,10 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5):
 
 @dataclass
 class ThetaConsistency:
-    theta: float
-    r_residual: float
-    spectrum_residual: float
-    product_residual: float
+    theta: np.ndarray
+    r_residual: np.ndarray
+    spectrum_residual: np.ndarray
+    product_residual: np.ndarray
 
 
 def theta_r_consistency(data: HypersurfacePointData,
@@ -996,15 +950,14 @@ def theta_r_consistency(data: HypersurfacePointData,
     The spectrum is read from rep, the spectral report of the same rows
     (`spectral_report(data)` or rows of a larger one); sqrt(1 - theta^2) is
     its `theta_sine`, so the closed forms keep full accuracy at r = 1, where
-    theta = 1.  Each field holds one value per row of the data (a float for
-    a one-point view), against the immersion's r of that row.
+    theta = 1.  Each field holds one value per row of the data, against the
+    immersion's r of that row.
     """
     M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    # a one-point report keeps its clusters as tuples, a batch as padded rows
-    double = np.asarray(rep.multiplicities) == 2
+    double = rep.multiplicities == 2
     bad = np.count_nonzero(double, axis=-1) != 2
     if np.any(bad):
         raise DegenerateImmersionError(
@@ -1015,24 +968,24 @@ def theta_r_consistency(data: HypersurfacePointData,
     s = rep.theta_sine
     scale = 2.0 * SQRT3 * theta
     closed = np.sort(np.stack([(1.0 + s) / scale, (1.0 - s) / scale], axis=-1), axis=-1)
-    doubles = np.asarray(rep.cluster_means)[double].reshape(double.shape[:-1] + (2,))
+    doubles = rep.cluster_means[double].reshape(-1, 2)
     observed = np.sort(np.abs(doubles), axis=-1)
     spec_res = np.max(np.abs(observed - closed), axis=-1)
 
     prod_res = np.abs(doubles[..., 0] * doubles[..., 1] + 1.0 / 12.0)
-    return ThetaConsistency(_out(theta), _out(r_res), _out(spec_res), _out(prod_res))
+    return ThetaConsistency(theta, r_res, spec_res, prod_res)
 
 
 @dataclass
 class LeafGeometry:
-    sphere3_metric_residual: float     # factor pullback vs 4/3 of round
-    sphere2_metric_residual: float     # factor pullback vs 4 r^2 / 3 of round
-    sphere3_sectional: float           # finite-difference sectional curvature
-    sphere2_curvature_residual: float  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
+    sphere3_metric_residual: np.ndarray     # factor pullback vs 4/3 of round
+    sphere2_metric_residual: np.ndarray     # factor pullback vs 4 r^2 / 3 of round
+    sphere3_sectional: np.ndarray           # finite-difference sectional curvature
+    sphere2_curvature_residual: np.ndarray  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
 def leaf_directions(data: HypersurfacePointData) -> tuple:
-    """Tangent-frame components x5, y5 (..., 5) of a g-orthonormal pair
+    """Tangent-frame components x5, y5 (m, 5) of a g-orthonormal pair
     spanning the first two chart directions, both tangent to the 3-sphere
     factor leaf: the plane whose sectional curvature `leaf_geometry` reads,
     as `stencil_residuals(data, x5, y5, y5).sectional`."""
@@ -1055,8 +1008,8 @@ def leaf_geometry(data: HypersurfacePointData, sectional,
     factor leaf carries 4 r^2 / 3 times the round metric, so its curvature
     is 3 / (4 r^2), which in terms of the eigenspace invariant theta of
     rep, the spectral report of the same rows, reads (1 + 2 theta^2) /
-    (4 theta^2).  Each field holds one value per row of the data (a float
-    for a one-point view), against the immersion's r of that row.
+    (4 theta^2).  Each field holds one value per row of the data, against
+    the immersion's r of that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -1076,12 +1029,11 @@ def leaf_geometry(data: HypersurfacePointData, sectional,
     res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2),
                   axis=(-2, -1))
 
-    # a one-point report has None where a batch has NaN
-    theta = np.asarray(rep.theta, dtype=float)
+    theta = rep.theta
     bad = np.isnan(theta)
     if np.any(bad):
         raise DegenerateImmersionError(
             f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
-    return LeafGeometry(_out(res3), _out(res2), _out(sectional), _out(res_k2))
+    return LeafGeometry(res3, res2, sectional, res_k2)

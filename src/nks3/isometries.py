@@ -34,6 +34,8 @@ SWAP = "swap"
 TWIST = "twist"
 TRANSLATION = "translation"
 
+FD_H = 1e-6  # central-difference step of `differential_fd_components`
+
 
 @dataclass(frozen=True)
 class IsometryMap:
@@ -94,9 +96,9 @@ def two_sided_translation(a, b, c) -> IsometryMap:
     return IsometryMap(TRANSLATION, a, b, c)
 
 
-def differential_fd_components(m: IsometryMap, p, q, u, v, h: float = 1e-6):
-    """Differential by central differences of the point map, on component
-    arrays; broadcasts over leading axes.
+def differential_fd_components(m: IsometryMap, p, q, u, v):
+    """Differential by central differences of step FD_H of the point map,
+    on component arrays; broadcasts over leading axes.
 
     Moves along the great-circle curves p exp(t pbar U), q exp(t qbar V),
     which stay on the spheres and have velocity (U, V) at t = 0; both
@@ -104,20 +106,20 @@ def differential_fd_components(m: IsometryMap, p, q, u, v, h: float = 1e-6):
     """
     wu = qt.vec(qt.mul(qt.conj(p), u))
     wv = qt.vec(qt.mul(qt.conj(q), v))
-    t = np.array([h, -h]).reshape((2,) + (1,) * wu.ndim)
+    t = np.array([FD_H, -FD_H]).reshape((2,) + (1,) * wu.ndim)
     ends_p, ends_q = m.apply_components(
         qt.mul(p, qt.exp_pure(t * wu)), qt.mul(q, qt.exp_pure(t * wv))
     )
-    du = (ends_p[0] - ends_p[1]) / (2.0 * h)
-    dv = (ends_q[0] - ends_q[1]) / (2.0 * h)
+    du = (ends_p[0] - ends_p[1]) / (2.0 * FD_H)
+    dv = (ends_q[0] - ends_q[1]) / (2.0 * FD_H)
     return project_components(*m.apply_components(p, q), du, dv)
 
 
-def differential_fd(m: IsometryMap, z: TangentVector, h: float = 1e-6) -> TangentVector:
+def differential_fd(m: IsometryMap, z: TangentVector) -> TangentVector:
     """Single-point form of `differential_fd_components`."""
     at = z.at
     return TangentVector(
-        m.apply(at), *differential_fd_components(m, at.p, at.q, z.u, z.v, h)
+        m.apply(at), *differential_fd_components(m, at.p, at.q, z.u, z.v)
     )
 
 

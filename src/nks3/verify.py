@@ -411,7 +411,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                n, 1e-6, data.symmetry_residual),
         # the almost contact relations in the orthonormal tangent frame
         _check(prefix + "almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew",
-               n, 1e-8,
+               n, 1e-12,
                np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
                np.abs((eta[:, None, :] @ phi)[:, 0]),
                np.abs(phi + np.swapaxes(phi, 1, 2))),
@@ -421,7 +421,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         _check(prefix + "multiplicity-pattern", f"multiplicity pattern {expected_mult}",
                n, 0.0, mult_off.astype(float)),
         _check(prefix + "distribution-dim", "P xi lies in span(xi, U)",
-               n, 1e-6, data.c),
+               n, 1e-12, data.c),
         _check(prefix + "P-preserves-complement",
                "P maps the structure-vector complement to itself",
                n, 1e-8, *(np.abs(g_inner(t, _mv(t.P, data.from_components(basis[:, j])),
@@ -449,7 +449,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         trace = float(np.mean(rep.trace))
         checks += [
             _check(prefix + "normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
-                   n_extra, 1e-6, hs.normal_action_residual(extra, EXPECTED_CLASS[family])),
+                   n_extra, 1e-12, hs.normal_action_residual(extra, EXPECTED_CLASS[family])),
             _check(prefix + "theta-r",
                    "r = sqrt(3) theta / sqrt(1 + 2 theta^2) and the theta closed forms",
                    n_extra, 1e-6, tc.r_residual, tc.spectrum_residual),

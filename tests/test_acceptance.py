@@ -66,10 +66,9 @@ def test_c03_three_curvature_spectra():
                 rep = hs.spectral_report(
                     hs.analyze_point(M, hs.random_chart_point(rng))
                 )
-                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected))
+                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected)[0])
                 if r == 1.0:
-                    doubles = [m for m, n in zip(rep.cluster_means,
-                                                 rep.multiplicities) if n == 2]
+                    doubles = rep.cluster_means[rep.multiplicities == 2]
                     for val in doubles:
                         worst = max(worst, abs(abs(val) - SQRT3 / 6.0))
     elapsed = time.perf_counter() - started
@@ -89,7 +88,7 @@ def test_c04_five_curvature_spectra():
                 rep = hs.spectral_report(
                     hs.analyze_point(M, hs.random_chart_point(rng))
                 )
-                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected))
+                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected)[0])
     _report("C04 spectra-m4-m6", worst, 1e-6)
 
 
@@ -103,19 +102,19 @@ def test_c05_hopf_and_holomorphic_distribution():
         M = hs.make_example(family, **kw)
         for _ in range(20):
             d = hs.analyze_point(M, hs.random_chart_point(rng))
-            worst_hopf = max(worst_hopf, d.hopf_residual)
-            worst_alpha = max(worst_alpha, abs(d.alpha))
-            worst_dim = max(worst_dim, d.c)
-            eta = d.eta / np.linalg.norm(d.eta)
+            worst_hopf = max(worst_hopf, d.hopf_residual[0])
+            worst_alpha = max(worst_alpha, abs(d.alpha[0]))
+            worst_dim = max(worst_dim, d.c[0])
+            eta = _unit(d.eta[0])
             for i in range(5):
                 v = np.zeros(5)
                 v[i] = 1.0
                 v = v - float(v @ eta) * eta
                 if np.linalg.norm(v) < 1e-8:
                     continue
-                px = T.P @ d.from_components(_unit(v))
+                px = T.P @ d.from_components(_unit(v))[0]
                 worst_eta = max(
-                    worst_eta, abs(float(px @ T.g @ d.structure_vector))
+                    worst_eta, abs(float(px @ T.g @ d.structure_vector[0]))
                 )
     _report("C05a hopf-residual", worst_hopf, 1e-6)
     _report("C05b alpha-zero", worst_alpha, 1e-6)
@@ -130,8 +129,8 @@ def test_c06_normal_action_trichotomy():
         for r in (0.3, 0.7, 1.0):
             M = hs.make_example(family, r=r)
             d = hs.analyze_point(M, hs.random_chart_point(rng))
-            assert hs.classify_normal_action(d) == expected
-            worst = max(worst, hs.normal_action_residual(d, expected))
+            assert hs.classify_normal_action(d)[0] == expected
+            worst = max(worst, hs.normal_action_residual(d, expected)[0])
     _report("C06 normal-action-trichotomy", worst, 1e-6)
 
 
@@ -142,10 +141,10 @@ def test_c07_minimality_boundary():
     for family in ("m1", "m2", "m3"):
         M = hs.make_example(family, r=1.0)
         rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
-        worst_min = max(worst_min, abs(rep.trace))
+        worst_min = max(worst_min, abs(rep.trace[0]))
         M = hs.make_example(family, r=0.6)
         rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
-        worst_nonmin = max(worst_nonmin, max(0.0, 0.1 - abs(rep.trace)))
+        worst_nonmin = max(worst_nonmin, max(0.0, 0.1 - abs(rep.trace[0])))
     _report("C07a minimal-at-r1", worst_min, 1e-6)
     _report("C07b nonminimal-at-r06", worst_nonmin, 0.0)
 
@@ -155,8 +154,8 @@ def test_c08_connection_cross_validation():
     worst_rel = 0.0
     for _ in range(100):
         at = pw.random_point(rng)
-        worst_rel = max(worst_rel, frames.connection_relation_residual(
-            T, at.p, at.q, rng.standard_normal(6), rng.standard_normal(6)))
+        worst_rel = max(worst_rel, float(frames.connection_relation_residual(
+            T, at.p, at.q, rng.standard_normal(6), rng.standard_normal(6))))
     X, Y, Z = (rng.standard_normal((100, 6)) for _ in range(3))
     diff = frames.curvature(T, X, Y, Z) - frames.curvature_closed_form(T, X, Y, Z)
     worst_curv = float(np.max(frames.g_norm(T, diff)))
@@ -177,14 +176,14 @@ def test_c09_hypersurface_identity_residuals():
             y5 = _unit(rng.standard_normal(5))
             z5 = _unit(rng.standard_normal(5))
             res = hs.stencil_residuals(d, x5, y5, z5)
-            worst_reeb = max(worst_reeb, res.transport)
-            worst_codazzi = max(worst_codazzi, res.codazzi)
-            worst_gauss = max(worst_gauss, res.gauss)
-            eta = d.eta / np.linalg.norm(d.eta)
+            worst_reeb = max(worst_reeb, res.transport[0])
+            worst_codazzi = max(worst_codazzi, res.codazzi[0])
+            worst_gauss = max(worst_gauss, res.gauss[0])
+            eta = _unit(d.eta[0])
             xp = _unit(x5 - float(x5 @ eta) * eta)
             yp = _unit(y5 - float(y5 @ eta) * eta)
             worst_hopfid = max(
-                worst_hopfid, hs.hopf_identity_residual(d, xp, yp)
+                worst_hopfid, hs.hopf_identity_residual(d, xp, yp)[0]
             )
     _report("C09a reeb-transport", worst_reeb, 1e-5)
     _report("C09b codazzi", worst_codazzi, 1e-6)
@@ -199,8 +198,8 @@ def test_c10_theta_r_relation():
         M = hs.make_example("m1", r=r)
         d = hs.analyze_point(M, hs.random_chart_point(rng))
         tc = hs.theta_r_consistency(d, hs.spectral_report(d))
-        worst_theta = max(worst_theta, tc.r_residual, tc.spectrum_residual)
-        worst_prod = max(worst_prod, tc.product_residual)
+        worst_theta = max(worst_theta, tc.r_residual[0], tc.spectrum_residual[0])
+        worst_prod = max(worst_prod, tc.product_residual[0])
     _report("C10a theta-r-relation", worst_theta, 1e-6)
     _report("C10b double-eigenvalue-product", worst_prod, 1e-8)
 

@@ -75,6 +75,28 @@ def test_analyze_swap_family_class(capsys):
     assert json.loads(out)["pxi_class"] == "MINUS"
 
 
+@pytest.mark.parametrize("family", ["m4", "m5", "m6"])
+def test_analyze_theta_is_null_without_a_double_curvature(capsys, family):
+    code, out, _ = _run(capsys, ["analyze", "--family", family, "--k", "0.6", "--seed", "0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["multiplicities"] == [1, 1, 1, 1, 1]
+    assert doc["theta"] is None
+
+
+def test_analyze_pxi_class_is_null_where_undefined(capsys, monkeypatch):
+    # with a negative DIM_TOL no point has a 2-dimensional distribution, so
+    # the normal-action class is undefined
+    monkeypatch.setattr(hs, "DIM_TOL", -1.0)
+    code, out, _ = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
+                                 "--at", "0,0,0,0,0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pxi_class"] is None
+    assert doc["dim_distribution"] == 4
+    assert doc["multiplicities"] == [2, 1, 2] and doc["theta"] is not None
+
+
 def test_analyze_malformed_at(capsys):
     code, _, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.5",
                                  "--at", "0,0"])

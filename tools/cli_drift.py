@@ -1,0 +1,126 @@
+"""Run a fixed matrix of `nks3 analyze` and `nks3 sweep` calls and show what moved.
+
+    python tools/cli_drift.py [--dump FILE] [--against FILE]
+
+Each invocation of `MATRIX` goes through `nks3.cli.main` in-process, with
+the nks3 of this checkout's src/, and its record is its exit code, stdout
+and stderr.  The matrix holds
+
+* `analyze` of each of the six families at seeds 0-3, and at the chart
+  origin;
+* `sweep` of the two point-sweep grids of the benchmark at seeds 0-3;
+* `analyze` at the near-lock point u1 = 0.7845, 9e-4 from the u1 = pi/4
+  chart lock;
+* degenerate and out-of-range inputs, which exit 2.
+
+It prints one line per invocation, its exit code and its arguments.
+`--dump FILE` writes every record as JSON, `{invocation: [exit code,
+stdout, stderr]}`.  `--against FILE` reads such a dump, made for example
+at a parent commit, names every invocation whose record differs from it
+byte for byte and counts them: the check that a change meant to keep the
+command-line output reproduces it.  Exits 1 when any invocation differs,
+else 0.  Like the benchmark, it pins OpenBLAS, OpenMP and MKL to one
+thread, and it ignores NKS3_SEED.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+FAMILY_PARAMS = (("m1", "--r", "0.6"), ("m2", "--r", "0.6"), ("m3", "--r", "1"),
+                 ("m4", "--k", "0.6"), ("m5", "--k", "0.6"), ("m6", "--k", "0.8"))
+SWEEP_GRIDS = (("m3", "--r", "0.3,0.6,1"), ("m4", "--k", "0.5,0.6,0.8"))
+SEEDS = range(4)
+
+MATRIX = (
+    [["analyze", "--family", f, p, v, "--seed", str(s)]
+     for f, p, v in FAMILY_PARAMS for s in SEEDS]
+    + [["analyze", "--family", f, p, v, "--at", "0,0,0,0,0"] for f, p, v in FAMILY_PARAMS]
+    + [["sweep", "--family", f, p, v, "--samples", "10", "--seed", str(s)]
+       for f, p, v in SWEEP_GRIDS for s in SEEDS]
+    + [
+        # near the u1 = pi/4 lock, and on it
+        ["analyze", "--family", "m1", "--r", "0.6", "--at", "0.2,0.7845,0.1,0.3,0.4"],
+        ["analyze", "--family", "m3", "--r", "0.6", "--at", "0,0.785398,0,0,0"],
+        ["sweep", "--family", "m4", "--k", "0.999999999999", "--seed", "0"],
+        # chart points and parameters out of range
+        ["analyze", "--family", "m1", "--r", "0.6", "--at", "0,0,0,0,7"],
+        ["analyze", "--family", "m1", "--r", "0.6", "--at", "1e300,0,0,0,0"],
+        ["analyze", "--family", "m1", "--r", "0.5", "--at", "nan,0,0,0,0"],
+        ["analyze", "--family", "m1", "--r", "0.5", "--at", "0,0"],
+        ["analyze", "--family", "m1", "--r", "0.01", "--seed", "0"],
+        ["analyze", "--family", "m4", "--k", "1.2", "--seed", "0"],
+        ["analyze", "--family", "m4", "--k", "0.6", "--r", "0.5", "--seed", "0"],
+        ["sweep", "--family", "m1", "--r", "0.5,nan", "--seed", "0"],
+        ["sweep", "--family", "m1", "--r", "0.5", "--samples", "0", "--seed", "0"],
+        ["sweep", "--family", "m3", "--r", "0.5", "--samples", "1", "--seed", "-2"],
+    ]
+)
+
+
+def _main_of_checkout():
+    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
+    os.environ.pop("NKS3_SEED", None)
+    sys.path.insert(0, str(ROOT / "src"))
+    import nks3.cli
+    if not Path(nks3.cli.__file__).resolve().is_relative_to(ROOT / "src"):
+        raise SystemExit(f"error: nks3 imported from {nks3.cli.__file__}, not from {ROOT / 'src'}")
+    return nks3.cli.main
+
+
+def run(main, argv: list) -> list:
+    """[exit code, stdout, stderr] of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def against(records: dict, dumped: dict) -> int:
+    """Print the invocations whose records differ from a dump, or that only
+    one of them has; return how many."""
+    moved = [name for name in list(records) + [n for n in dumped if n not in records]
+             if records.get(name) != dumped.get(name)]
+    print(f"against dump: {len(moved)} of {len(set(records) | set(dumped))} "
+          f"invocations differ")
+    for name in moved:
+        print(f"  {name}")
+    return len(moved)
+
+
+def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(prog="cli_drift.py", description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="FILE",
+                        help="write every invocation's exit code, stdout and stderr")
+    parser.add_argument("--against", metavar="FILE",
+                        help="name the invocations that differ from a dump")
+    args = parser.parse_args(argv)
+    dumped = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as f:
+            dumped = json.load(f)
+    cli_main = _main_of_checkout()
+    records = {}
+    for invocation in MATRIX:
+        name = " ".join(invocation)
+        records[name] = run(cli_main, invocation)
+        print(f"exit {records[name][0]}  {name}")
+    if args.dump:
+        with open(args.dump, "w", encoding="utf-8") as f:
+            json.dump(records, f, indent=1)
+    if dumped is not None and against(records, dumped):
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
