@@ -178,12 +178,8 @@ def _sweep_rows(args, seed: int):
     grid = [_family_params(args.family, r, k)
             for r in args.r_values or [None] for k in args.k_values or [None]]
     n = args.samples
-    # allocated before the first draw, so a sample count too large to hold
-    # fails at once
     with allocation(f"{n} samples per grid value"):
-        U = np.empty((len(grid) * n, 5))
-    for i in range(len(U)):
-        U[i] = hs.random_chart_point(rng)
+        U = hs.random_chart_points(rng, len(grid) * n)
     M = hs.make_example(args.family, **{
         name: np.repeat([params[name] for params in grid], n) for name in grid[0]})
     data = hs.analyze_points(M, U)

@@ -165,19 +165,21 @@ def get_tables() -> StructureTables:
 # frame coordinate conversions
 # ---------------------------------------------------------------------------
 
+def factor_coords(p, u) -> np.ndarray:
+    """Frame coefficients vec(pbar u) (..., 3) of velocities u (..., 4) of
+    one factor at its points p (..., 4); broadcasts."""
+    return qt.vec(qt.mul(qt.conj(p), u))
+
+
 def frame_coords(z: TangentVector) -> np.ndarray:
     """Coefficients of a tangent vector in the left-invariant frame."""
     at = z.at
-    return np.concatenate(
-        [qt.vec(qt.mul(qt.conj(at.p), z.u)), qt.vec(qt.mul(qt.conj(at.q), z.v))]
-    )
+    return np.concatenate([factor_coords(at.p, z.u), factor_coords(at.q, z.v)])
 
 
 def frame_coords_components(p, q, u, v) -> np.ndarray:
     """Batched frame coefficients for raw component arrays."""
-    return np.concatenate(
-        [qt.vec(qt.mul(qt.conj(p), u)), qt.vec(qt.mul(qt.conj(q), v))], axis=-1
-    )
+    return np.concatenate([factor_coords(p, u), factor_coords(q, v)], axis=-1)
 
 
 def frame_vector(at: AmbientPoint, x) -> TangentVector:

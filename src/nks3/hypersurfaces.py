@@ -18,6 +18,17 @@ finite-difference stencil below is evaluated in one chart call.  The
 family parameters are floats, or arrays of one value per chart-point row,
 so one chart call can serve a grid of parameter values.
 
+Both factors and their partials are written out from the cosines and sines
+of one `quat.exp_pure` call each (`_sphere_factor`, `_torus`), and the
+pushforward multiplies out only the blocks that a factor's partials reach:
+the 3-sphere block of u[0:3] and the second factor's block of u[3:5], which
+the factor swap exchanges and the conjugation twist
+(`isometries.twist_blocks`) mixes without its products of zero factors.
+Every product left out is an exact zero, so each nonzero entry equals the
+chained `quat.mul` products of the zero-padded velocities bit for bit, and
+the signs of zero entries agree too wherever neither factor has a
+negative real part, as at every sampled chart point.
+
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
 batch of chart points, as one `HypersurfacePointData` whose fields carry
 the batch axis (`analyze_point` returns the batch of one row): the metric
@@ -94,7 +105,7 @@ from .frames import (
     _vm,
     connection_gap,
     curvature_closed_form,
-    frame_coords_components,
+    factor_coords,
     frame_to_r8,
     g_inner,
     g_norm,
@@ -102,7 +113,7 @@ from .frames import (
     r8_to_frame,
     tensor_G,
 )
-from .isometries import IsometryMap, conjugation_twist, factor_swap
+from .isometries import SWAP, TWIST, twist_blocks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -141,10 +152,11 @@ class Immersion:
 
     Every method takes chart points as an array u of shape (..., 5) and
     broadcasts over its leading axes, so a whole finite-difference stencil
-    is one call.  The chart maps u to component arrays (p, q, U, V): the
-    point (..., 4) on each factor and the raw chart velocities (..., 5, 4)
-    of each factor.  A composed family pushes these through an ambient
-    isometry.
+    is one call.  The chart maps u to the point (x, y) (..., 4) of the
+    product and the partials of each factor along its own coordinates,
+    dx (..., 3, 4) along u[0:3] and dy (..., 2, 4) along u[3:5]; the other
+    partials vanish.  A composed family pushes these through the factor swap
+    or the conjugation twist (`isometry`, SWAP or TWIST).
 
     The family parameters `params` are floats, one value for every chart
     point, or read-only (m,) arrays, one value per row: then u has m rows
@@ -155,7 +167,7 @@ class Immersion:
     """
 
     def __init__(self, family: str, params: tuple, chart: Callable,
-                 isometry: Optional[IsometryMap] = None):
+                 isometry: Optional[str] = None):
         self.family = family
         self.params = params
         self.rows = None if isinstance(params[0], float) else len(params[0])
@@ -179,35 +191,62 @@ class Immersion:
         shape = (self.rows,) + (1,) * (u.ndim - 2)
         return tuple(x.reshape(shape) for x in self.params)
 
-    def _components(self, u):
-        u = np.asarray(u, dtype=float)
-        p, q, U, V = self._chart(u, *self._row_params(u))
-        if self._isometry is not None:
-            U, V = self._isometry.differential_components(
-                p[..., None, :], q[..., None, :], U, V)
-            p, q = self._isometry.apply_components(p, q)
-        return p, q, U, V
-
     def pushforward(self, u) -> tuple:
         """Points and chart pushforwards at the chart points u (..., 5).
 
         Returns (p, q, T) of shapes (..., 4), (..., 4) and (..., 5, 6):
         T[..., a, :] holds the frame coefficients of the a-th chart direction.
+        Only the blocks that the factor partials reach are multiplied out;
+        the rest of T is +0.0.  Each nonzero entry equals the frame
+        coefficients of the chart velocities padded with zero rows to (5, 4)
+        and pushed through `IsometryMap.differential_components` bit for bit;
+        a zero entry there may be -0.0 where the real part of a factor is
+        negative.
         """
-        p, q, U, V = self._components(u)
-        return p, q, frame_coords_components(p[..., None, :], q[..., None, :], U, V)
+        u = np.asarray(u, dtype=float)
+        x, y, dx, dy = self._chart(u, *self._row_params(u))
+        T = np.zeros(u.shape[:-1] + (5, 6))
+        if self._isometry == TWIST:
+            p, q, du, dv = twist_blocks(x, y, dx, dy)
+            T[..., :3, :3] = factor_coords(p[..., None, :], du)
+            T[..., :, 3:] = factor_coords(q[..., None, :], dv)
+            return p, q, T
+        if self._isometry == SWAP:
+            T[..., :3, 3:] = factor_coords(x[..., None, :], dx)
+            T[..., 3:, :3] = factor_coords(y[..., None, :], dy)
+            return y, x, T
+        T[..., :3, :3] = factor_coords(x[..., None, :], dx)
+        T[..., 3:, 3:] = factor_coords(y[..., None, :], dy)
+        return x, y, T
 
 
 def _sphere_factor(u):
-    """x and its three partials (..., 3, 4) at the chart coordinates
-    u[..., 0:3]; each partial is (imaginary) * x."""
-    g1, g2, g3 = np.moveaxis(qt.exp_pure(u[..., :3, None] * np.eye(3)), -2, 0)
-    g12 = qt.mul(g1, g2)
-    x = qt.mul(g12, g3)
-    d0 = qt.mul(qt.E1, x)
-    d1 = qt.mul(qt.mul(qt.mul(g1, qt.E2), g2), g3)
-    d2 = qt.mul(qt.mul(g12, qt.E3), g3)
-    return x, np.stack([d0, d1, d2], axis=-2)
+    """x = e^{u0 i} e^{u1 j} e^{u2 k} and its three partials (..., 3, 4) at
+    the chart coordinates u[..., 0:3]: i x, e^{u0 i} j e^{u1 j} e^{u2 k}
+    and x k.
+
+    Closed forms in the cosines c_a and sines s_a of the three factors,
+    read from one `quat.exp_pure` call.  Each component adds the products of
+    `quat.mul`'s Hamilton formula for the chained products that are not
+    zero by construction, in that formula's order; the products left out
+    are exact zeros, so each nonzero component equals the chained products
+    bit for bit.  A component that can vanish (at a zero coordinate) is
+    written with 0.0 added or as 0.0 minus its terms, which turns -0.0 into
+    +0.0 as the zeros left out do wherever the cosines are positive.
+    """
+    g = qt.exp_pure(u[..., :3, None] * np.eye(3))
+    c0, c1, c2 = g[..., 0, 0], g[..., 1, 0], g[..., 2, 0]
+    s0, s1, s2 = g[..., 0, 1], g[..., 1, 2], g[..., 2, 3]
+    # e^{u0 i} e^{u1 j} = a + b i + c j + d k
+    a, b, c, d = c0 * c1, s0 * c1, c0 * s1, s0 * s1
+    w = a * c2 - d * s2
+    xi, xj, xk = b * c2 + c * s2 + 0.0, c * c2 - b * s2 + 0.0, a * s2 + d * c2 + 0.0
+    out = np.stack([w, xi, xj, xk,
+                    0.0 - xi, w, 0.0 - xk, xj,
+                    0.0 - c * c2 - b * s2, a * s2 - d * c2 + 0.0, a * c2 + d * s2,
+                    b * c2 - c * s2 + 0.0,
+                    0.0 - xk, xj, 0.0 - xi, w], axis=-1).reshape(u.shape[:-1] + (4, 4))
+    return out[..., 0, :], out[..., 1:, :]
 
 
 def _trailing(x, n: int):
@@ -232,33 +271,37 @@ def _round_sphere(psi, chi, r):
 
 def _torus(phi1, phi2, k, l):
     """Second factor k e^{i phi1} + l e^{i phi2} j of m4; returns q and its
-    two partials (..., 2, 4)."""
-    k, l = _trailing(k, 1), _trailing(l, 1)
-    angles = np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1)
-    e1, e2 = np.moveaxis(qt.exp_pure(angles), -2, 0)
-    e2j = qt.mul(e2, qt.E2)
-    dq = np.stack([k * qt.mul(qt.E1, e1), l * qt.mul(qt.E1, e2j)], axis=-2)
-    return k * e1 + l * e2j, dq
+    two partials (..., 2, 4), k i e^{i phi1} and l i e^{i phi2} j.
+
+    e^{i phi2} j and the products with i are signed permutations of the
+    cosines and sines of one `quat.exp_pure` call; as in `_sphere_factor`,
+    a component that can vanish adds 0.0 or is subtracted from 0.0, so
+    every component equals the `quat.mul` products bit for bit, signed
+    zeros included.
+    """
+    e = qt.exp_pure(np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1))
+    c1, s1, c2, s2 = e[..., 0, 0], e[..., 0, 1], e[..., 1, 0], e[..., 1, 1]
+    zero = np.zeros_like(c1)
+    q = np.stack([k * c1, k * s1 + 0.0, l * c2, l * s2 + 0.0], axis=-1)
+    dq = np.stack([k * (0.0 - s1), k * c1, zero, zero,
+                   zero, zero, l * (0.0 - s2), l * c2], axis=-1)
+    return q, dq.reshape(c1.shape + (2, 4))
 
 
 def _product_chart(second_factor: Callable) -> Callable:
-    """Chart (u, *params) -> (p, q, U, V) of (x(u0, u1, u2),
-    second_factor(u3, u4, *params))."""
+    """Chart (u, *params) -> (x, y, dx, dy) of the point (x(u0, u1, u2),
+    y = second_factor(u3, u4, *params)) and the partials of each factor
+    along its own coordinates, dx (..., 3, 4) and dy (..., 2, 4)."""
 
     def chart(u, *params):
         x, dx = _sphere_factor(u)
-        q, dq = second_factor(u[..., 3], u[..., 4], *params)
-        U = np.zeros(u.shape[:-1] + (5, 4))
-        V = np.zeros_like(U)
-        U[..., :3, :] = dx
-        V[..., 3:, :] = dq
-        return x, q, U, V
+        y, dy = second_factor(u[..., 3], u[..., 4], *params)
+        return x, y, dx, dy
 
     return chart
 
 
-_ISOMETRY = {"m2": factor_swap, "m3": conjugation_twist,
-             "m5": factor_swap, "m6": conjugation_twist}
+_ISOMETRY = {"m2": SWAP, "m3": TWIST, "m5": SWAP, "m6": TWIST}
 
 
 def _parameter(x):
@@ -312,20 +355,31 @@ def make_example(family: str, r=None, k=None, l=None) -> Immersion:
                   (~(np.abs(k * k + l * l - 1.0) > 1e-12),
                    "k and l must satisfy k^2 + l^2 = 1"))
         second_factor = _torus
-    isometry = _ISOMETRY[family]() if family in _ISOMETRY else None
-    return Immersion(family, params, _product_chart(second_factor), isometry)
+    return Immersion(family, params, _product_chart(second_factor), _ISOMETRY.get(family))
+
+
+def random_chart_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n chart points (n, 5) away from the coordinate degeneracies.
+
+    The 3-sphere coordinates lock at u1 = +-pi/4 and the latitude at
+    u3 = +-pi/2, so sampling stays well inside both bounds.  One call of
+    `rng.random` draws seven uniforms a point, scaled as
+    `Generator.uniform` scales them, low + (high - low) d: five for
+    u[0:5] in (-0.6, 0.6), of which u[3] and u[4] are then redrawn in
+    (-1.2, 1.2) and (-pi, pi) from the last two.  So the points and the
+    generator's state equal those of drawing the points one at a time,
+    bit for bit.
+    """
+    d = rng.random((n, 7))
+    u = -0.6 + (0.6 - -0.6) * d[:, :5]
+    u[:, 3] = -1.2 + (1.2 - -1.2) * d[:, 5]
+    u[:, 4] = -math.pi + (math.pi - -math.pi) * d[:, 6]
+    return u
 
 
 def random_chart_point(rng: np.random.Generator) -> np.ndarray:
-    """A chart point away from the coordinate degeneracies.
-
-    The 3-sphere coordinates lock at u1 = +-pi/4 and the latitude at
-    u3 = +-pi/2, so sampling stays well inside both bounds.
-    """
-    u = rng.uniform(-0.6, 0.6, size=5)
-    u[3] = rng.uniform(-1.2, 1.2)
-    u[4] = rng.uniform(-math.pi, math.pi)
-    return u
+    """One chart point (5,) of `random_chart_points`."""
+    return random_chart_points(rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,10 @@ def test_c09_hypersurface_identity_residuals():
             worst_hopfid = max(
                 worst_hopfid, hs.hopf_identity_residual(d, xp, yp)[0]
             )
-    _report("C09a reeb-transport", worst_reeb, 1e-5)
+    _report("C09a reeb-transport", worst_reeb, 1e-8)
     _report("C09b codazzi", worst_codazzi, 1e-6)
     _report("C09c gauss", worst_gauss, 1e-5)
-    _report("C09d hopf-pointwise-identity", worst_hopfid, 1e-5)
+    _report("C09d hopf-pointwise-identity", worst_hopfid, 1e-8)
 
 
 def test_c10_theta_r_relation():

@@ -763,6 +763,27 @@ class TestIdentityResiduals:
         assert np.any(above)
         assert np.all((0.2 <= ratio[above]) & (ratio[above] <= 0.3)), ratio
 
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_analysis_shape_operator_converges_at_second_order(self, monkeypatch,
+                                                               family, kw):
+        # the principal curvatures of the analysis differ from their closed
+        # forms by the truncation error of the normal's central difference,
+        # which quarters when NORMAL_H halves; at these steps it is about
+        # 1e-6, far above the round-off
+        M = hs.make_example(family, **kw)
+        U = hs.random_chart_points(np.random.default_rng(36), 4)
+        expected = hs.expected_spectrum(family, **kw)
+
+        def error(h):
+            monkeypatch.setattr(hs, "NORMAL_H", h)
+            rep = hs.spectral_report(hs.analyze_points(M, U))
+            return hs.spectra_match(rep.eigenvalues, expected)
+
+        coarse, fine = error(2e-3), error(1e-3)
+        assert np.all(fine > 1e-8)
+        ratio = fine / coarse
+        assert np.all((0.2 <= ratio) & (ratio <= 0.3)), ratio
+
     def test_hopf_identity(self):
         rng = np.random.default_rng(15)
         for family, kw in [("m1", dict(r=0.6)), ("m3", dict(r=0.8))]:

@@ -121,6 +121,27 @@ def test_batched_differential_fd_matches_single_points_bitwise():
             npt.assert_array_equal(fd.v, dv[i])
 
 
+def test_differential_fd_converges_at_second_order(monkeypatch):
+    # the central difference along a great circle is off by its truncation
+    # error, which quarters when FD_H halves; at these steps that error
+    # (about 1e-5) is far above the round-off of about 1e-16 / FD_H
+    rng = np.random.default_rng(8)
+    p, q, u, v, a, b, c = qt.unit_rows(rng, rng.standard_normal((7, 20, 4)))
+    u, v = pw.project_components(p, q, u, v)
+    for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
+        exact = np.concatenate(m.differential_components(p, q, u, v), axis=-1)
+
+        def error(h):
+            monkeypatch.setattr(iso, "FD_H", h)
+            fd = np.concatenate(iso.differential_fd_components(m, p, q, u, v), axis=-1)
+            return np.max(np.abs(fd - exact), axis=-1)
+
+        coarse, fine = error(1e-2), error(5e-3)
+        assert np.all(fine > 1e-7), m.tag
+        ratio = fine / coarse
+        assert np.all((0.2 <= ratio) & (ratio <= 0.3)), (m.tag, ratio)
+
+
 def _max_component_diff(z1, z2):
     return max(float(np.max(np.abs(z1.u - z2.u))), float(np.max(np.abs(z1.v - z2.v))))
 

@@ -6,9 +6,12 @@ Each invocation of `MATRIX` goes through `nks3.cli.main` in-process, with
 the nks3 of this checkout's src/, and its record is its exit code, stdout
 and stderr.  The matrix holds
 
-* `analyze` of each of the six families at seeds 0-3, and at the chart
-  origin;
-* `sweep` of the two point-sweep grids of the benchmark at seeds 0-3;
+* `analyze` of each of the six families at seeds 0-3, at the chart
+  origin, and at chart points with -0.0 coordinates (`SIGNED_ZEROS`), some
+  with a coordinate beyond pi/2, where a cosine of the chart is negative;
+* `sweep` of the two point-sweep grids of the benchmark at seeds 0-3, and
+  of grids of m1, m2, m5 and m6 at seeds 0-1, which chart a parameter
+  value per row through no isometry, the factor swap and the twist;
 * `analyze` at the near-lock point u1 = 0.7845, 9e-4 from the u1 = pi/4
   chart lock;
 * degenerate and out-of-range inputs, which exit 2.
@@ -40,13 +43,22 @@ FAMILY_PARAMS = (("m1", "--r", "0.6"), ("m2", "--r", "0.6"), ("m3", "--r", "1"),
                  ("m4", "--k", "0.6"), ("m5", "--k", "0.6"), ("m6", "--k", "0.8"))
 SWEEP_GRIDS = (("m3", "--r", "0.3,0.6,1"), ("m4", "--k", "0.5,0.6,0.8"))
 SEEDS = range(4)
+# the isometry cases of the chart not in the benchmark's grids
+FAMILY_GRIDS = (("m1", "--r", "0.3,0.6,1"), ("m2", "--r", "0.4,0.8"),
+                ("m5", "--k", "0.5,0.6,0.8"), ("m6", "--k", "0.5,0.8"))
+SIGNED_ZEROS = ("-0,-0,-0,-0,-0", "0,-0,0,-0,0", "-0,0.3,-0,0.5,-0",
+                "-0,0,2,-0,0", "0,-2,0,-2,0", "0.2,-0,-0,2.5,-0")
 
 MATRIX = (
     [["analyze", "--family", f, p, v, "--seed", str(s)]
      for f, p, v in FAMILY_PARAMS for s in SEEDS]
     + [["analyze", "--family", f, p, v, "--at", "0,0,0,0,0"] for f, p, v in FAMILY_PARAMS]
+    + [["analyze", "--family", f, p, v, f"--at={u}"]
+       for f, p, v in FAMILY_PARAMS for u in SIGNED_ZEROS]
     + [["sweep", "--family", f, p, v, "--samples", "10", "--seed", str(s)]
        for f, p, v in SWEEP_GRIDS for s in SEEDS]
+    + [["sweep", "--family", f, p, v, "--samples", "5", "--seed", str(s)]
+       for f, p, v in FAMILY_GRIDS for s in range(2)]
     + [
         # near the u1 = pi/4 lock, and on it
         ["analyze", "--family", "m1", "--r", "0.6", "--at", "0.2,0.7845,0.1,0.3,0.4"],
