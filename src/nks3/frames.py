@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quat as qt
-from .pointwise import AmbientPoint, TangentVector, project_components
+from .pointwise import TangentVector, project_components
 
 SQRT3 = np.sqrt(3.0)
 
@@ -180,12 +180,6 @@ def frame_coords(z: TangentVector) -> np.ndarray:
 def frame_coords_components(p, q, u, v) -> np.ndarray:
     """Batched frame coefficients for raw component arrays."""
     return np.concatenate([factor_coords(p, u), factor_coords(q, v)], axis=-1)
-
-
-def frame_vector(at: AmbientPoint, x) -> TangentVector:
-    """Tangent vector with the given frame coefficients."""
-    x = np.asarray(x, dtype=float)
-    return TangentVector(at, qt.mul(at.p, qt.pure(x[:3])), qt.mul(at.q, qt.pure(x[3:])))
 
 
 def frame_to_r8(p, q, x) -> np.ndarray:

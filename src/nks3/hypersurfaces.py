@@ -84,9 +84,10 @@ RANK_TOL.
 
 Orientation convention: the normal sign is chosen so that trace(A) >= 0,
 with a lexicographic tie-break on the frame coefficients of xi when the
-trace vanishes.  Spectra of a hypersurface and of its image under an
-ambient isometry then agree as multisets up to one global sign, and that
-is how spectra are compared throughout.
+trace vanishes; it is the one orientation `analyze_points` gives.
+Spectra of a hypersurface and of its image under an ambient isometry then
+agree as multisets up to one global sign, and that is how spectra are
+compared throughout.
 """
 
 from __future__ import annotations
@@ -155,7 +156,9 @@ class Immersion:
     is one call.  The chart maps u to the point (x, y) (..., 4) of the
     product and the partials of each factor along its own coordinates,
     dx (..., 3, 4) along u[0:3] and dy (..., 2, 4) along u[3:5]; the other
-    partials vanish.  A composed family pushes these through the factor swap
+    partials vanish.  x and dx are `_sphere_factor(u)`, y and dy
+    `second_factor(u[..., 3], u[..., 4], *params)` (`_round_sphere` or
+    `_torus`).  A composed family pushes these through the factor swap
     or the conjugation twist (`isometry`, SWAP or TWIST).
 
     The family parameters `params` are floats, one value for every chart
@@ -166,19 +169,19 @@ class Immersion:
     parameters is its own row.
     """
 
-    def __init__(self, family: str, params: tuple, chart: Callable,
+    def __init__(self, family: str, params: tuple, second_factor: Callable,
                  isometry: Optional[str] = None):
         self.family = family
         self.params = params
         self.rows = None if isinstance(params[0], float) else len(params[0])
-        self._chart = chart
+        self._second_factor = second_factor
         self._isometry = isometry
 
     def __getitem__(self, index) -> "Immersion":
         if self.rows is None:
             return self
         return Immersion(self.family, tuple(_parameter(x[index]) for x in self.params),
-                         self._chart, self._isometry)
+                         self._second_factor, self._isometry)
 
     def _row_params(self, u: np.ndarray) -> tuple:
         """The parameters shaped (m, 1, ..., 1) to broadcast along the row
@@ -204,7 +207,8 @@ class Immersion:
         negative.
         """
         u = np.asarray(u, dtype=float)
-        x, y, dx, dy = self._chart(u, *self._row_params(u))
+        x, dx = _sphere_factor(u)
+        y, dy = self._second_factor(u[..., 3], u[..., 4], *self._row_params(u))
         T = np.zeros(u.shape[:-1] + (5, 6))
         if self._isometry == TWIST:
             p, q, du, dv = twist_blocks(x, y, dx, dy)
@@ -288,19 +292,6 @@ def _torus(phi1, phi2, k, l):
     return q, dq.reshape(c1.shape + (2, 4))
 
 
-def _product_chart(second_factor: Callable) -> Callable:
-    """Chart (u, *params) -> (x, y, dx, dy) of the point (x(u0, u1, u2),
-    y = second_factor(u3, u4, *params)) and the partials of each factor
-    along its own coordinates, dx (..., 3, 4) and dy (..., 2, 4)."""
-
-    def chart(u, *params):
-        x, dx = _sphere_factor(u)
-        y, dy = second_factor(u[..., 3], u[..., 4], *params)
-        return x, y, dx, dy
-
-    return chart
-
-
 _ISOMETRY = {"m2": SWAP, "m3": TWIST, "m5": SWAP, "m6": TWIST}
 
 
@@ -355,7 +346,7 @@ def make_example(family: str, r=None, k=None, l=None) -> Immersion:
                   (~(np.abs(k * k + l * l - 1.0) > 1e-12),
                    "k and l must satisfy k^2 + l^2 = 1"))
         second_factor = _torus
-    return Immersion(family, params, _product_chart(second_factor), _ISOMETRY.get(family))
+    return Immersion(family, params, second_factor, _ISOMETRY.get(family))
 
 
 def random_chart_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -548,8 +539,7 @@ def _aligned(x, ref):
     return np.where(np.sum(x * ref, axis=-1, keepdims=True) < 0.0, -x, x)
 
 
-def analyze_points(M: Immersion, U,
-                   ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at the chart points U
     (m, 5), as one batch of point data, from one chart call on their
     stencils of 11 points each: the point and the ends of its chart
@@ -559,11 +549,10 @@ def analyze_points(M: Immersion, U,
     the normals at the segment ends are aligned with the point's and
     differenced by `_covariant_fd` along each chart direction, and the
     chart weights take those derivatives to the orthonormal tangent frame.
-    The normals are aligned with the frame vectors ref_normal ((6,) or
-    (m, 6)) when given, and otherwise oriented by the trace rule.  The
-    data's `u` is a read-only copy of U.  An immersion with per-row
-    parameters takes one chart point per parameter row; U of another row
-    count raises DomainError.
+    The normals are oriented by the trace rule.  The data's `u` is a
+    read-only copy of U.  An immersion with per-row parameters takes one
+    chart point per parameter row; U of another row count raises
+    DomainError.
     """
     U = np.array(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != 5:
@@ -573,7 +562,7 @@ def analyze_points(M: Immersion, U,
     ends = _segments(U[:, None, :], np.eye(5), NORMAL_H).reshape(-1, 10, 5)
     p, q, T = _chart_data(M, np.concatenate([U[:, None, :], ends], axis=1))
     normals = _unit_normal(T)
-    xi = normals[:, 0] if ref_normal is None else _aligned(normals[:, 0], ref_normal)
+    xi = normals[:, 0]
     push = T[:, 0]
     frame, W = _orthonormal_frame(push)
     # (D xi)^T along the five chart directions, then along the tangent frame
@@ -583,13 +572,12 @@ def analyze_points(M: Immersion, U,
                               values, push, xi[:, None], NORMAL_H)
     A = -(W @ chart_dxi @ t.g @ np.swapaxes(frame, -1, -2))
 
-    if ref_normal is None:
-        tr = np.trace(A, axis1=-2, axis2=-1)
-        lead_idx = np.argmax(np.abs(xi) > TRACE_TIE_TOL, axis=-1)
-        lead = np.take_along_axis(xi, lead_idx[:, None], axis=-1)[:, 0]
-        flip = np.where(np.abs(tr) > TRACE_TIE_TOL, tr < 0.0, lead < 0.0)
-        xi = np.where(flip[:, None], -xi, xi)
-        A = np.where(flip[:, None, None], -A, A)
+    tr = np.trace(A, axis1=-2, axis2=-1)
+    lead_idx = np.argmax(np.abs(xi) > TRACE_TIE_TOL, axis=-1)
+    lead = np.take_along_axis(xi, lead_idx[:, None], axis=-1)[:, 0]
+    flip = np.where(np.abs(tr) > TRACE_TIE_TOL, tr < 0.0, lead < 0.0)
+    xi = np.where(flip[:, None], -xi, xi)
+    A = np.where(flip[:, None, None], -A, A)
 
     At = np.swapaxes(A, -1, -2)
     symmetry = np.max(np.abs(A - At), axis=(-2, -1))
@@ -633,10 +621,9 @@ def analyze_points(M: Immersion, U,
     )
 
 
-def analyze_point(M: Immersion, u,
-                  ref_normal: Optional[np.ndarray] = None) -> HypersurfacePointData:
+def analyze_point(M: Immersion, u) -> HypersurfacePointData:
     """`analyze_points` at the one chart point u (5,), as a batch of one row."""
-    return analyze_points(M, np.asarray(u, dtype=float)[None], ref_normal)
+    return analyze_points(M, np.asarray(u, dtype=float)[None])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ This module is the formula-literal route.  The constant-coefficient frame
 route in `frames` must reproduce it pointwise; the two implementations are
 held against each other in the verification suites.
 
-The low-level ``*_components`` helpers broadcast over leading axes and are
-used by the batched identity checks; the TangentVector API wraps them for
-single points.
+The ``*_components`` functions take points (p, q) and tangent pairs as
+component arrays and broadcast over leading axes.  `TangentVector`,
+`project_tangent` and `metric_g`, the single-point object form, wrap
+them for the benchmark's tracer alone.
 """
 
 from __future__ import annotations
@@ -103,23 +104,6 @@ def metric_components(p, q, u1, v1, u2, v2):
     )
 
 
-def apply_J(z: TangentVector) -> TangentVector:
-    at = z.at
-    u, v = j_components(at.p, at.q, z.u, z.v)
-    return project_tangent(at, u, v)
-
-
-def apply_P(z: TangentVector) -> TangentVector:
-    at = z.at
-    u, v = p_components(at.p, at.q, z.u, z.v)
-    return project_tangent(at, u, v)
-
-
-def apply_Q(z: TangentVector) -> TangentVector:
-    u, v = q_components(z.u, z.v)
-    return project_tangent(z.at, u, v)
-
-
 def _check_same_anchor(z1: TangentVector, z2: TangentVector):
     at1, at2 = z1.at, z2.at
     if (
@@ -136,14 +120,14 @@ def metric_g(z1: TangentVector, z2: TangentVector) -> float:
     return float(metric_components(at.p, at.q, z1.u, z1.v, z2.u, z2.v))
 
 
-def metric_g_hermitian_form(z1: TangentVector, z2: TangentVector) -> float:
-    """Same metric through (<Z,Z'> + <JZ,JZ'>) / 2; used as a cross-check."""
-    _check_same_anchor(z1, z2)
-    jz1 = apply_J(z1)
-    jz2 = apply_J(z2)
-    flat = qt.dot(z1.u, z2.u) + qt.dot(z1.v, z2.v)
-    jflat = qt.dot(jz1.u, jz2.u) + qt.dot(jz1.v, jz2.v)
-    return float(0.5 * (flat + jflat))
+def metric_hermitian_components(p, q, u1, v1, u2, v2):
+    """g as (<Z,Z'> + <JZ,JZ'>) / 2, the J images projected to the tangent
+    space; broadcasts.  The tests hold `metric_components` against it."""
+    ju1, jv1 = project_components(p, q, *j_components(p, q, u1, v1))
+    ju2, jv2 = project_components(p, q, *j_components(p, q, u2, v2))
+    flat = qt.dot(u1, u2) + qt.dot(v1, v2)
+    jflat = qt.dot(ju1, ju2) + qt.dot(jv1, jv2)
+    return 0.5 * (flat + jflat)
 
 
 def g_norm_components(p, q, u, v):
@@ -155,16 +139,3 @@ def g_norm_components(p, q, u, v):
     cross = qt.dot(qt.mul(qt.conj(p), u), qt.mul(qt.conj(q), v))
     gzz = (4.0 / 3.0) * (qt.dot(u, u) + qt.dot(v, v)) - (2.0 / 3.0) * (cross + cross)
     return np.sqrt(np.maximum(gzz, 0.0))
-
-
-def g_norm(z: TangentVector) -> float:
-    at = z.at
-    return float(g_norm_components(at.p, at.q, z.u, z.v))
-
-
-def random_point(rng: np.random.Generator) -> AmbientPoint:
-    return AmbientPoint(qt.sample_unit(rng), qt.sample_unit(rng))
-
-
-def random_tangent(rng: np.random.Generator, at: AmbientPoint) -> TangentVector:
-    return project_tangent(at, rng.standard_normal(4), rng.standard_normal(4))

@@ -59,31 +59,33 @@ def mul(q1, q2) -> np.ndarray:
     On both routes output component i is the sum of q1_j * (±q2_k) over
     j = 0, 1, 2, 3, added in that order.  x * (-y) equals -(x * y) and
     a + (-b) equals a - b bitwise, so the routes agree bitwise, signed
-    zeros included.  A single quaternion (ndim 1) on the component-column
-    route unpacks to Python floats, which give the same IEEE results as
-    numpy but raise no numpy floating-point warnings: a product of two
-    single quaternions ignores ``np.errstate``.
+    zeros included, and every NaN is ``np.nan``.  A single quaternion
+    (ndim 1) on the component-column route unpacks to Python floats, which
+    give the same IEEE results as numpy but raise no numpy floating-point
+    warnings: a product of two single quaternions ignores ``np.errstate``.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     if q1.ndim >= 3 or q2.ndim >= 3:
         # stacked batches: all sixteen products in one (..., 4, 4) array
         t = np.multiply(q1[..., :, None], q2[..., _PERM] * _SIGNS, order="C")
-        return t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
-    # at most one batch axis: the component columns, Python floats for a
-    # single quaternion
-    w1, x1, y1, z1 = q1.tolist() if q1.ndim == 1 else q1.T
-    w2, x2, y2, z2 = q2.tolist() if q2.ndim == 1 else q2.T
-    return np.ascontiguousarray(
-        np.array(
-            [
-                w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            ]
-        ).T
-    )
+        out = t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
+    else:
+        # at most one batch axis: the component columns, Python floats for
+        # a single quaternion
+        w1, x1, y1, z1 = q1.tolist() if q1.ndim == 1 else q1.T
+        w2, x2, y2, z2 = q2.tolist() if q2.ndim == 1 else q2.T
+        out = np.ascontiguousarray(np.array([
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]).T)
+    # the order of additions does not fix the sign of a NaN: where a
+    # positive NaN meets the negative NaN of inf * 0, numpy's vector and
+    # scalar loops keep different ones, chosen by the array's address
+    out[np.isnan(out)] = np.nan
+    return out
 
 
 def conj(q) -> np.ndarray:

@@ -9,7 +9,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 import platform
 import sys
@@ -84,9 +83,6 @@ class SuiteReport:
             "duration_ms": self.duration_ms,
             "environment": self.environment,
         }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def environment_fingerprint() -> dict:
@@ -194,27 +190,27 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     checks = [
         _check("G-antisymmetry", "G(X,Y) + G(Y,X) = 0", n, 1e-12,
                g_norm(t, gxy + tensor_G(t, Y, X))),
-        _check("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0", n, 1e-10,
+        _check("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0", n, 1e-12,
                g_norm(t, tensor_G(t, X, Y @ t.J.T) + gxy @ t.J.T)),
-        _check("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0", n, 1e-10,
+        _check("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0", n, 1e-12,
                np.abs(_dot(zl, gxy) + _dot(yl, tensor_G(t, X, Z)))),
         _check("G-inner-product",
                "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
-               n, 1e-10, np.abs(lhs26 - rhs26)),
-        _check("P-derivative", "2 (D_X P) Y = J G(X,PY) + J P G(X,Y)", n, 1e-10,
+               n, 1e-12, np.abs(lhs26 - rhs26)),
+        _check("P-derivative", "2 (D_X P) Y = J G(X,PY) + J P G(X,Y)", n, 1e-12,
                g_norm(t, lhs28 - rhs28)),
-        _check("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0", n, 1e-10,
+        _check("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0", n, 1e-12,
                g_norm(t, gxy @ t.P.T + tensor_G(t, X @ t.P.T, Y @ t.P.T))),
-        _check("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", n, 1e-10,
+        _check("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", n, 1e-12,
                np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))),
         _check("flat-connection-relation",
-               "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2", n, 1e-10,
+               "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2", n, 1e-12,
                connection_relation_residual(t, p, q, X, Y)),
         _check("curvature-two-routes",
-               "R(X,Y)Z from connection coefficients = closed form in g, J, P", n, 1e-10,
+               "R(X,Y)Z from connection coefficients = closed form in g, J, P", n, 1e-12,
                g_norm(t, curvature(t, X, Y, Z) - curvature_closed_form(t, X, Y, Z))),
         _check("frame-vs-pointwise", "frame tables reproduce the pointwise J, P, g",
-               n, 1e-10,
+               n, 1e-12,
                np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
                np.abs(frame_coords_components(p, q, *pw.p_components(p, q, u, v))
                       - xf @ t.P.T),
@@ -291,31 +287,31 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     n = samples
     checks = [
         _check("pullback-swap", "g(d(swap) Z, d(swap) Z') = g(Z, Z')",
-               n, 1e-10, pullback("swap")),
+               n, 1e-12, pullback("swap")),
         _check("pullback-twist", "g(d(twist) Z, d(twist) Z') = g(Z, Z')",
-               n, 1e-10, pullback("twist")),
+               n, 1e-12, pullback("twist")),
         _check("pullback-translation", "g(d(translation) Z, d(translation) Z') = g(Z, Z')",
-               n, 1e-10, pullback("translation")),
+               n, 1e-12, pullback("translation")),
         _check("swap-J-anticommute", "d(swap) J = -J d(swap)",
-               n, 1e-10, anticommute("swap")),
+               n, 1e-12, anticommute("swap")),
         _check("swap-P-commute", "d(swap) P = P d(swap)",
-               n, 1e-10, g_dist(image["swap"], maps["swap"].differential_components(*pt, *pz),
+               n, 1e-12, g_dist(image["swap"], maps["swap"].differential_components(*pt, *pz),
                                 P(image["swap"], dz["swap"]))),
         _check("twist-J-anticommute", "d(twist) J = -J d(twist)",
-               n, 1e-10, anticommute("twist")),
+               n, 1e-12, anticommute("twist")),
         _check("twist-P-twist", "d(twist) P = (-P/2 + sqrt(3)/2 JP) d(twist)",
-               n, 1e-10, g_dist(image["twist"],
+               n, 1e-12, g_dist(image["twist"],
                                 maps["twist"].differential_components(*pt, *pz), twisted)),
         _check("differential-vs-fd", "closed-form differentials match central differences",
                n, 1e-6, *fd_gap("swap"), *fd_gap("twist"), *fd_gap("translation")),
         _check("swap-involution", "swap o swap = id",
-               n, 1e-10, comp["swap-involution"]),
+               n, 1e-12, comp["swap-involution"]),
         _check("twist-involution", "twist o twist = id",
-               n, 1e-10, comp["twist-involution"]),
+               n, 1e-12, comp["twist-involution"]),
         _check("translation-through-swap", "T(a,b,c) o swap = swap o T(b,a,c)",
-               n, 1e-10, comp["translation-through-swap"]),
+               n, 1e-12, comp["translation-through-swap"]),
         _check("translation-through-twist", "T(a,b,c) o twist = twist o T(c,b,a)",
-               n, 1e-10, comp["translation-through-twist"]),
+               n, 1e-12, comp["translation-through-twist"]),
     ]
     return _finalize("isometry", seed, checks, started)
 
@@ -465,9 +461,10 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
             checks.append(_check(prefix + "minimal-at-r1", "trace A = 0 exactly at r = 1",
                                  n, 1e-6, abs(trace)))
         else:
+            bound = math.sqrt(1.0 - r * r) / r  # half the closed-form trace
             checks.append(_check(prefix + "nonminimal-below-r1",
-                                 "trace A bounded away from 0 for r < 1",
-                                 n, 0.0, 0.1 - abs(trace)))
+                                 "|trace A| >= sqrt(1 - r^2) / r, half its closed form, for r < 1",
+                                 n, 0.0, bound - abs(trace)))
     else:
         classes = set(hs.classify_normal_action(extra).tolist())
         consistent = len(classes) == 1 and not classes & {hs.OTHER, hs.UNDEFINED}

@@ -58,7 +58,8 @@ def _five_row_pushforward(M, u):
     """The pushforward of the chart's factors with zero-padded (5, 4)
     velocity arrays U and V, through the isometry's differential."""
     u = np.asarray(u, dtype=float)
-    x, y, dx, dy = M._chart(u, *M._row_params(u))
+    x, dx = hs._sphere_factor(u)
+    y, dy = M._second_factor(u[..., 3], u[..., 4], *M._row_params(u))
     U = np.zeros(u.shape[:-1] + (5, 4))
     V = np.zeros_like(U)
     U[..., :3, :] = dx

@@ -22,6 +22,11 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _points(rng, n):
+    """n points (p, q) of the product, each factor (n, 4)."""
+    return tuple(qt.unit_rows(rng, rng.standard_normal((2, n, 4))))
+
+
 def _structure_check_table():
     path = pathlib.Path(__file__).parent / "data" / "check_table.json"
     return json.loads(path.read_text())["structure"]
@@ -79,58 +84,57 @@ class TestTables:
 class TestFrameCoordinates:
     def test_round_trip_identity(self):
         rng = _rng(1)
-        for _ in range(50):
-            at = pw.random_point(rng)
-            x = rng.standard_normal(6)
-            z = frames.frame_vector(at, x)
-            npt.assert_allclose(frames.frame_coords(z), x, atol=1e-12)
+        p, q = _points(rng, 50)
+        x = rng.standard_normal((50, 6))
+        w = frames.frame_to_r8(p, q, x)
+        npt.assert_allclose(frames.frame_coords_components(p, q, w[:, :4], w[:, 4:]), x,
+                            atol=1e-12)
+
+    def test_object_form_is_the_component_form(self):
+        rng = _rng(5)
+        p, q = _points(rng, 1)
+        u, v = pw.project_components(p[0], q[0], *rng.standard_normal((2, 4)))
+        z = pw.TangentVector(pw.AmbientPoint(p[0], q[0]), u, v)
+        assert (frames.frame_coords(z).tobytes()
+                == frames.frame_coords_components(p[0], q[0], u, v).tobytes())
 
     def test_r8_projection_round_trip(self):
         rng = _rng(2)
-        for _ in range(50):
-            at = pw.random_point(rng)
-            x = rng.standard_normal(6)
-            npt.assert_allclose(
-                frames.r8_to_frame(at.p, at.q, frames.frame_to_r8(at.p, at.q, x)), x,
-                atol=1e-12
-            )
+        p, q = _points(rng, 50)
+        x = rng.standard_normal((50, 6))
+        npt.assert_allclose(frames.r8_to_frame(p, q, frames.frame_to_r8(p, q, x)), x,
+                            atol=1e-12)
 
     def test_flat_conversions_broadcast_over_batches(self):
         rng = _rng(4)
-        pts = [pw.random_point(rng) for _ in range(6)]
-        p, q = np.stack([a.p for a in pts]), np.stack([a.q for a in pts])
+        p, q = _points(rng, 6)
         x = rng.standard_normal((6, 6))
         w = rng.standard_normal((6, 8))
         flat = frames.frame_to_r8(p, q, x)
         back = frames.r8_to_frame(p, q, w)
         assert flat.shape == (6, 8) and back.shape == (6, 6)
-        for i, at in enumerate(pts):
-            npt.assert_array_equal(flat[i], frames.frame_to_r8(at.p, at.q, x[i]))
-            npt.assert_array_equal(back[i], frames.r8_to_frame(at.p, at.q, w[i]))
+        for i in range(6):
+            npt.assert_array_equal(flat[i], frames.frame_to_r8(p[i], q[i], x[i]))
+            npt.assert_array_equal(back[i], frames.r8_to_frame(p[i], q[i], w[i]))
         # one point against a stack of vectors
         npt.assert_array_equal(frames.frame_to_r8(p[0], q[0], x)[2],
                                frames.frame_to_r8(p[0], q[0], x[2]))
 
     def test_agreement_with_pointwise(self):
         rng = _rng(3)
-        for _ in range(100):
-            at = pw.random_point(rng)
-            z1 = pw.random_tangent(rng, at)
-            z2 = pw.random_tangent(rng, at)
-            x1 = frames.frame_coords(z1)
-            x2 = frames.frame_coords(z2)
+        p, q = _points(rng, 100)
+        z1 = pw.project_components(p, q, *rng.standard_normal((2, 100, 4)))
+        z2 = pw.project_components(p, q, *rng.standard_normal((2, 100, 4)))
+        x1 = frames.frame_coords_components(p, q, *z1)
+        x2 = frames.frame_coords_components(p, q, *z2)
+        for image, table in ((pw.j_components(p, q, *z1), T.J),
+                             (pw.p_components(p, q, *z1), T.P),
+                             (pw.q_components(*z1), T.Q)):
             npt.assert_allclose(
-                frames.frame_coords(pw.apply_J(z1)), T.J @ x1, atol=1e-10
-            )
-            npt.assert_allclose(
-                frames.frame_coords(pw.apply_P(z1)), T.P @ x1, atol=1e-10
-            )
-            npt.assert_allclose(
-                frames.frame_coords(pw.apply_Q(z1)), T.Q @ x1, atol=1e-10
-            )
-            assert pw.metric_g(z1, z2) == pytest.approx(
-                float(x1 @ T.g @ x2), abs=1e-10
-            )
+                frames.frame_coords_components(p, q, *pw.project_components(p, q, *image)),
+                x1 @ table.T, atol=1e-10)
+        npt.assert_allclose(pw.metric_components(p, q, *z1, *z2),
+                            np.einsum("na,ab,nb->n", x1, T.g, x2), rtol=0.0, atol=1e-10)
 
 
 class TestJDerivativeTensor:
@@ -233,16 +237,9 @@ class TestFlatConnectionRelation:
 
     def test_random_fields(self):
         rng = _rng(7)
-        worst = 0.0
-        for _ in range(200):
-            at = pw.random_point(rng)
-            worst = max(
-                worst,
-                frames.connection_relation_residual(
-                    T, at.p, at.q, rng.standard_normal(6), rng.standard_normal(6)
-                ),
-            )
-        assert worst <= 1e-10
+        p, q = _points(rng, 200)
+        X, Y = rng.standard_normal((2, 200, 6))
+        assert np.max(frames.connection_relation_residual(T, p, q, X, Y)) <= 1e-10
 
     def test_connection_gap_batches_rowwise(self):
         # the hypersurface code subtracts the gap from stacks of frame rows

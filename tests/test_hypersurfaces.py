@@ -180,21 +180,6 @@ class TestAnalyzePoint:
             assert np.max(np.abs(eta @ phi)) <= 1e-8
             assert np.max(np.abs(phi + phi.T)) <= 1e-8
 
-    def test_normal_flip_negates_shape(self):
-        M = hs.make_example("m1", r=0.6)
-        u = hs.random_chart_point(np.random.default_rng(6))
-        d = hs.analyze_point(M, u)
-        flipped = hs.analyze_point(M, u, ref_normal=-d.xi)
-        npt.assert_allclose(flipped.shape, -d.shape, atol=1e-8)
-        npt.assert_allclose(
-            np.sort(np.abs(np.linalg.eigvalsh(flipped.shape))),
-            np.sort(np.abs(np.linalg.eigvalsh(d.shape))),
-            atol=1e-8,
-        )
-        # the product-structure coefficients do not depend on the sign
-        npt.assert_allclose(flipped.a, d.a, rtol=0.0, atol=1e-12)
-        npt.assert_allclose(flipped.b, d.b, rtol=0.0, atol=1e-12)
-
 
 def _assert_same_point_data(d, e):
     """Every field of two batches of point data bitwise equal, the immersion
@@ -227,16 +212,6 @@ class TestAnalyzePoints:
         raw = hs._unit_normal(hs._chart_data(M, U)[2])
         flipped = [bool(np.array_equal(xi, -x)) for xi, x in zip(batch.xi, raw)]
         assert any(flipped) and not all(flipped)
-
-    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
-    def test_batch_reference_normals(self, family, kw):
-        M, U = self._batch(family, kw)
-        ref = -hs.analyze_points(M, U).xi
-        ref[::2] *= -1.0
-        batch = hs.analyze_points(M, U, ref_normal=ref)
-        for i, (u, r) in enumerate(zip(U, ref)):
-            _assert_same_point_data(batch[i:i + 1], hs.analyze_point(M, u, ref_normal=r))
-            assert float(batch.xi[i] @ r) > 0.0
 
     def test_point_data_keep_their_own_chart_points(self):
         M, U = self._batch("m4", dict(k=0.6, l=0.8))
@@ -735,6 +710,23 @@ class TestIdentityResiduals:
         for coarse, fine in zip(errors, errors[1:]):
             assert abs(coarse / fine - 4.0) <= 0.01
 
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_covariant_fd_is_odd_in_the_field(self, family, kw):
+        # negating the field's values at the segment ends and its value at
+        # the point negates the step bit for bit; the Codazzi oracle
+        # `_shape_derivative_weingarten` aligns its neighbours' normals by it
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(37)
+        d = hs.analyze_points(M, hs.random_chart_points(rng, 4))
+        vels = rng.standard_normal((4, 5))
+        X = frames._vm(vels, d.push_coords)
+        ends = M.pushforward(hs._segments(d.u, vels, hs.NORMAL_H))[:2]
+        values, value = rng.standard_normal((4, 2, 6)), rng.standard_normal((4, 6))
+        step = hs._covariant_fd((d.p, d.q), d.xi, ends, values, X, value, hs.NORMAL_H)
+        flipped = hs._covariant_fd((d.p, d.q), d.xi, ends, -values, X, -value, hs.NORMAL_H)
+        assert np.all(step != 0.0)
+        assert flipped.tobytes() == (-step).tobytes()
+
     @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
                                            ("m4", dict(k=0.6, l=0.8)), ("m6", dict(k=0.8, l=0.6))])
     def test_stencil_residuals_converge_at_second_order(self, monkeypatch, family, kw):
@@ -831,13 +823,21 @@ def _shape_derivative(d, x5, y5):
 def _shape_derivative_weingarten(d, x5, y5, h):
     """(D_X A) Y - (D_Y A) X (6,) at a batch of one row, from full analyses
     at its four neighbours u +- h X and u +- h Y: A Y there is differenced
-    along X, and A X along Y."""
+    along X, and A X along Y.
+
+    Each neighbour's shape operator is taken for its normal aligned with
+    the point's, as s A with s = -1 where the two normals point apart (the
+    test of `hs._aligned`) and 1 elsewhere: every step from the normal to A
+    is odd in the normal's sign (`_covariant_fd` among them), so s A is
+    bitwise the shape operator of the aligned normal."""
     t = frames.get_tables()
     W, xi = d.chart_weights[0], d.xi[0]
     vels = np.stack([x5 @ W, y5 @ W])
     ends = hs._segments(d.u[0], vels, h)
-    e = hs.analyze_points(d.immersion, ends.reshape(-1, 5), ref_normal=xi)
-    frame, A = e.tangent_frame.reshape(2, 2, 5, 6), e.shape.reshape(2, 2, 5, 5)
+    e = hs.analyze_points(d.immersion, ends.reshape(-1, 5))
+    s = np.where(np.sum(e.xi * xi, axis=-1) < 0.0, -1.0, 1.0)
+    frame = e.tangent_frame.reshape(2, 2, 5, 6)
+    A = (s[:, None, None] * e.shape).reshape(2, 2, 5, 5)
     # the chart-constant extensions of Y (along X) and X (along Y)
     w6 = np.einsum("da,dkac->dkc", vels[::-1], e.push_coords.reshape(2, 2, 5, 6))
     comps = np.einsum("dkic,cf,dkf->dki", frame, t.g, w6)

@@ -29,10 +29,24 @@ def test_twist_point_map():
     npt.assert_array_equal(out.q, qt.E3)
 
 
+def _tangents(rng, n):
+    """n points p, q (n, 4) and a tangent pair u, v (n, 4) at each."""
+    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
+    return (p, q) + pw.project_components(p, q, *rng.standard_normal((2, n, 4)))
+
+
+def _J(p, q, u, v):
+    return pw.project_components(p, q, *pw.j_components(p, q, u, v))
+
+
+def _P(p, q, u, v):
+    return pw.project_components(p, q, *pw.p_components(p, q, u, v))
+
+
 def test_trivial_translation_is_identity():
     m = iso.two_sided_translation(qt.ONE, qt.ONE, qt.ONE)
     rng = np.random.default_rng(0)
-    at = pw.random_point(rng)
+    at = pw.AmbientPoint(qt.sample_unit(rng), qt.sample_unit(rng))
     out = m.apply(at)
     npt.assert_allclose(out.p, at.p, atol=1e-15)
     npt.assert_allclose(out.q, at.q, atol=1e-15)
@@ -67,36 +81,32 @@ def _all_maps(rng):
 def test_metric_pullback():
     rng = np.random.default_rng(1)
     for m in _all_maps(rng):
-        for _ in range(50):
-            at = pw.random_point(rng)
-            z1 = pw.random_tangent(rng, at)
-            z2 = pw.random_tangent(rng, at)
-            assert pw.metric_g(m.differential(z1), m.differential(z2)) == pytest.approx(
-                pw.metric_g(z1, z2), abs=1e-10
-            )
+        p, q, u1, v1 = _tangents(rng, 50)
+        u2, v2 = pw.project_components(p, q, *rng.standard_normal((2, 50, 4)))
+        image = m.apply_components(p, q)
+        pulled = pw.metric_components(*image, *m.differential_components(p, q, u1, v1),
+                                      *m.differential_components(p, q, u2, v2))
+        npt.assert_allclose(pulled, pw.metric_components(p, q, u1, v1, u2, v2),
+                            rtol=0.0, atol=1e-10)
 
 
 def test_differential_against_central_differences():
     rng = np.random.default_rng(2)
     for m in _all_maps(rng):
-        for _ in range(25):
-            z = pw.random_tangent(rng, pw.random_point(rng))
-            closed = m.differential(z)
-            fd = iso.differential_fd(m, z)
-            npt.assert_allclose(closed.u, fd.u, atol=1e-6)
-            npt.assert_allclose(closed.v, fd.v, atol=1e-6)
+        p, q, u, v = _tangents(rng, 25)
+        closed = m.differential_components(p, q, u, v)
+        fd = iso.differential_fd_components(m, p, q, u, v)
+        npt.assert_allclose(closed, fd, atol=1e-6)
 
 
 def test_component_maps_broadcast_and_match_single_points():
     rng = np.random.default_rng(5)
-    zs = [pw.random_tangent(rng, pw.random_point(rng)) for _ in range(5)]
-    p, q = np.stack([z.at.p for z in zs]), np.stack([z.at.q for z in zs])
-    u, v = np.stack([z.u for z in zs]), np.stack([z.v for z in zs])
+    p, q, u, v = _tangents(rng, 5)
     for m in _all_maps(rng):
         p2, q2 = m.apply_components(p, q)
         du, dv = m.differential_components(p, q, u, v)
-        for i, z in enumerate(zs):
-            d = m.differential(z)
+        for i in range(5):
+            d = m.differential(pw.TangentVector(pw.AmbientPoint(p[i], q[i]), u[i], v[i]))
             npt.assert_array_equal(d.at.p, p2[i])
             npt.assert_array_equal(d.at.q, q2[i])
             npt.assert_array_equal(d.u, du[i])
@@ -105,17 +115,16 @@ def test_component_maps_broadcast_and_match_single_points():
 
 def test_batched_differential_fd_matches_single_points_bitwise():
     rng = np.random.default_rng(7)
-    zs = [pw.random_tangent(rng, pw.random_point(rng)) for _ in range(6)]
-    p, q = np.stack([z.at.p for z in zs]), np.stack([z.at.q for z in zs])
-    u, v = np.stack([z.u for z in zs]), np.stack([z.v for z in zs])
-    a, b, c = (np.stack([qt.sample_unit(rng) for _ in zs]) for _ in range(3))
+    p, q, u, v = _tangents(rng, 6)
+    a, b, c = qt.unit_rows(rng, rng.standard_normal((3, 6, 4)))
     batched_translation = iso.two_sided_translation(a, b, c)
     for m in _all_maps(rng) + [batched_translation]:
         du, dv = iso.differential_fd_components(m, p, q, u, v)
-        for i, z in enumerate(zs):
+        for i in range(6):
             single = m
             if m is batched_translation:
                 single = iso.two_sided_translation(a[i], b[i], c[i])
+            z = pw.TangentVector(pw.AmbientPoint(p[i], q[i]), u[i], v[i])
             fd = iso.differential_fd(single, z)
             npt.assert_array_equal(fd.u, du[i])
             npt.assert_array_equal(fd.v, dv[i])
@@ -142,39 +151,35 @@ def test_differential_fd_converges_at_second_order(monkeypatch):
         assert np.all((0.2 <= ratio) & (ratio <= 0.3)), (m.tag, ratio)
 
 
-def _max_component_diff(z1, z2):
-    return max(float(np.max(np.abs(z1.u - z2.u))), float(np.max(np.abs(z1.v - z2.v))))
-
-
 def test_swap_differential_relations():
     # d(swap) anticommutes with J and commutes with P
     m = iso.factor_swap()
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        z = pw.random_tangent(rng, pw.random_point(rng))
-        a = m.differential(pw.apply_J(z))
-        b = pw.apply_J(m.differential(z))
-        assert max(np.max(np.abs(a.u + b.u)), np.max(np.abs(a.v + b.v))) <= 1e-10
-        a = m.differential(pw.apply_P(z))
-        b = pw.apply_P(m.differential(z))
-        assert _max_component_diff(a, b) <= 1e-10
+    p, q, u, v = _tangents(rng, 100)
+    image = m.apply_components(p, q)
+    dz = m.differential_components(p, q, u, v)
+    a = m.differential_components(p, q, *_J(p, q, u, v))
+    b = _J(*image, *dz)
+    assert np.max(np.abs(np.add(a, b))) <= 1e-10
+    a = m.differential_components(p, q, *_P(p, q, u, v))
+    b = _P(*image, *dz)
+    assert np.max(np.abs(np.subtract(a, b))) <= 1e-10
 
 
 def test_twist_differential_relations():
     # d(twist) anticommutes with J; through P it picks up -P/2 + sqrt(3)/2 JP
     m = iso.conjugation_twist()
     rng = np.random.default_rng(4)
-    for _ in range(100):
-        z = pw.random_tangent(rng, pw.random_point(rng))
-        a = m.differential(pw.apply_J(z))
-        b = pw.apply_J(m.differential(z))
-        assert max(np.max(np.abs(a.u + b.u)), np.max(np.abs(a.v + b.v))) <= 1e-10
-        a = m.differential(pw.apply_P(z))
-        dz = m.differential(z)
-        pdz = pw.apply_P(dz)
-        jpdz = pw.apply_J(pdz)
-        npt.assert_allclose(a.u, -0.5 * pdz.u + (SQRT3 / 2.0) * jpdz.u, atol=1e-10)
-        npt.assert_allclose(a.v, -0.5 * pdz.v + (SQRT3 / 2.0) * jpdz.v, atol=1e-10)
+    p, q, u, v = _tangents(rng, 100)
+    image = m.apply_components(p, q)
+    dz = m.differential_components(p, q, u, v)
+    a = m.differential_components(p, q, *_J(p, q, u, v))
+    b = _J(*image, *dz)
+    assert np.max(np.abs(np.add(a, b))) <= 1e-10
+    a = m.differential_components(p, q, *_P(p, q, u, v))
+    pdz = _P(*image, *dz)
+    jpdz = _J(*image, *pdz)
+    npt.assert_allclose(a, -0.5 * np.array(pdz) + (SQRT3 / 2.0) * np.array(jpdz), atol=1e-10)
 
 
 def test_composition_identities():

@@ -93,6 +93,18 @@ def test_mul_routes_agree_bitwise_on_special_values():
         npt.assert_array_equal(np.signbit(x), np.signbit(y))
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (17, 4), (2, 1, 3, 4)])
+def test_nan_products_are_positive_nan_on_every_route(shape):
+    # inf * 0 gives a negative NaN, np.nan is positive; where the two meet,
+    # the sign numpy keeps depends on its loop, so a product returns np.nan
+    a = np.broadcast_to([1.5, -np.inf, np.nan, np.inf], shape)
+    b = np.broadcast_to([0.0, np.inf, np.nan, np.nan], shape)
+    with np.errstate(all="ignore"):
+        out = qt.mul(a, b)
+    assert np.isnan(out).all()
+    assert out.tobytes() == np.full(shape, np.nan).tobytes()
+
+
 def test_single_quaternion_product_raises_no_floating_point_error():
     # Python float arithmetic ignores np.errstate; a batch still obeys it
     inf = np.array([np.inf, 0.0, 0.0, 0.0])

@@ -41,8 +41,8 @@ def test_isometry_suite_passes():
 
 
 def _isometry_residuals_per_sample(seed, samples):
-    """The isometry suite's residuals, one sample at a time through the
-    single-point TangentVector API, with the suite's draw order."""
+    """The isometry suite's residuals, one sample at a time on single-point
+    component arrays, with the suite's draw order."""
     rng = np.random.default_rng(seed)
     swap, twist = iso.factor_swap(), iso.conjugation_twist()
     res = {}
@@ -50,51 +50,58 @@ def _isometry_residuals_per_sample(seed, samples):
     def worst(cid, value):
         res[cid] = max(res.get(cid, 0.0), float(value))
 
-    def gdist(z1, z2):
-        return pw.g_norm(pw.TangentVector(z1.at, z1.u - z2.u, z1.v - z2.v))
+    def J(at, w):
+        return pw.project_components(*at, *pw.j_components(*at, *w))
 
-    def negated(z):
-        return pw.TangentVector(z.at, -z.u, -z.v)
+    def P(at, w):
+        return pw.project_components(*at, *pw.p_components(*at, *w))
+
+    def gdist(at, w1, w2):
+        return pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])
 
     for _ in range(samples):
-        at = pw.random_point(rng)
-        z = pw.random_tangent(rng, at)
-        z2 = pw.random_tangent(rng, at)
+        at = (qt.sample_unit(rng), qt.sample_unit(rng))
+        z = pw.project_components(*at, rng.standard_normal(4), rng.standard_normal(4))
+        z2 = pw.project_components(*at, rng.standard_normal(4), rng.standard_normal(4))
         trans = iso.two_sided_translation(*(qt.sample_unit(rng) for _ in range(3)))
         for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
-            d1, d2 = m.differential(z), m.differential(z2)
-            worst("pullback-" + name, abs(pw.metric_g(d1, d2) - pw.metric_g(z, z2)))
-            fd = iso.differential_fd(m, z)
-            worst("differential-vs-fd", np.max(np.abs(fd.u - d1.u)))
-            worst("differential-vs-fd", np.max(np.abs(fd.v - d1.v)))
+            image = m.apply_components(*at)
+            d1, d2 = m.differential_components(*at, *z), m.differential_components(*at, *z2)
+            worst("pullback-" + name, abs(pw.metric_components(*image, *d1, *d2)
+                                          - pw.metric_components(*at, *z, *z2)))
+            fd = iso.differential_fd_components(m, *at, *z)
+            worst("differential-vs-fd", np.max(np.abs(fd[0] - d1[0])))
+            worst("differential-vs-fd", np.max(np.abs(fd[1] - d1[1])))
         for name, m in (("swap", swap), ("twist", twist)):
+            image = m.apply_components(*at)
+            jdz = J(image, m.differential_components(*at, *z))
             worst(name + "-J-anticommute", gdist(
-                m.differential(pw.apply_J(z)), negated(pw.apply_J(m.differential(z)))))
-        worst("swap-P-commute", gdist(swap.differential(pw.apply_P(z)),
-                                      pw.apply_P(swap.differential(z))))
-        dz = twist.differential(z)
-        pdz = pw.apply_P(dz)
-        jpdz = pw.apply_J(pdz)
-        target = pw.TangentVector(dz.at, -0.5 * pdz.u + (SQRT3 / 2.0) * jpdz.u,
-                                  -0.5 * pdz.v + (SQRT3 / 2.0) * jpdz.v)
-        worst("twist-P-twist", gdist(twist.differential(pw.apply_P(z)), target))
+                image, m.differential_components(*at, *J(at, z)), [-x for x in jdz]))
+        image = swap.apply_components(*at)
+        worst("swap-P-commute", gdist(image, swap.differential_components(*at, *P(at, z)),
+                                      P(image, swap.differential_components(*at, *z))))
+        image = twist.apply_components(*at)
+        pdz = P(image, twist.differential_components(*at, *z))
+        jpdz = J(image, pdz)
+        target = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
+        worst("twist-P-twist", gdist(image, twist.differential_components(*at, *P(at, z)),
+                                     target))
 
     for _ in range(samples):
-        pt = pw.AmbientPoint(qt.sample_unit(rng), qt.sample_unit(rng))
+        pt = (qt.sample_unit(rng), qt.sample_unit(rng))
         a, b, c = (qt.sample_unit(rng) for _ in range(3))
 
         def dist(x, y):
-            return max(np.max(np.abs(x.p - y.p)), np.max(np.abs(x.q - y.q)))
+            return max(np.max(np.abs(x[0] - y[0])), np.max(np.abs(x[1] - y[1])))
 
-        worst("swap-involution", dist(swap.apply(swap.apply(pt)), pt))
-        worst("twist-involution", dist(twist.apply(twist.apply(pt)), pt))
-        t_abc = iso.two_sided_translation(a, b, c)
+        sw, tw = swap.apply_components, twist.apply_components
+        worst("swap-involution", dist(sw(*sw(*pt)), pt))
+        worst("twist-involution", dist(tw(*tw(*pt)), pt))
+        t_abc = iso.two_sided_translation(a, b, c).apply_components
         worst("translation-through-swap", dist(
-            t_abc.apply(swap.apply(pt)),
-            swap.apply(iso.two_sided_translation(b, a, c).apply(pt))))
+            t_abc(*sw(*pt)), sw(*iso.two_sided_translation(b, a, c).apply_components(*pt))))
         worst("translation-through-twist", dist(
-            t_abc.apply(twist.apply(pt)),
-            twist.apply(iso.two_sided_translation(c, b, a).apply(pt))))
+            t_abc(*tw(*pt)), tw(*iso.two_sided_translation(c, b, a).apply_components(*pt))))
     return res
 
 
@@ -278,9 +285,32 @@ def test_hypersurface_suite_twist_at_r1():
     assert by_id["m3(r=1):normal-action"].anchor.endswith("REFLECT")
 
 
+@pytest.mark.parametrize("r", [0.999, 0.9999])
+def test_nonminimal_check_holds_near_r1(r):
+    # the trace 2 sqrt(1 - r^2) / r falls below any fixed bound as r -> 1;
+    # the check's bound is half of it
+    rep = verify.run_hypersurface_suite("m1", {"r": r}, seed=0, samples=3)
+    check = next(c for c in rep.checks if c.check_id.endswith(":nonminimal-below-r1"))
+    assert check.passed, check.max_residual
+
+
+def test_nonminimal_check_fails_on_a_zero_trace(monkeypatch):
+    report = hs.spectral_report
+
+    def zero_trace(data):
+        rep = report(data)
+        return dataclasses.replace(rep, trace=np.zeros_like(rep.trace))
+
+    monkeypatch.setattr(hs, "spectral_report", zero_trace)
+    rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=0, samples=3)
+    check = next(c for c in rep.checks if c.check_id.endswith(":nonminimal-below-r1"))
+    assert not check.passed
+    assert check.max_residual == math.sqrt(1.0 - 0.6 * 0.6) / 0.6
+
+
 def test_report_json_schema():
     rep = verify.run_structure_suite(seed=1, samples=10)
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict(), indent=2))
     assert set(doc) == {"suite", "seed", "checks", "duration_ms", "environment"}
     for check in doc["checks"]:
         assert set(check) == {"id", "anchor", "samples", "max_residual",

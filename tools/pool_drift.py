@@ -19,14 +19,18 @@ The tier-1 guard `tests/test_benchmark_reference.py` judges pool seed 0
 only, while a change that re-rolls noise-level residuals can fail the
 drift gate at other seeds.  A change that moves residuals cites this table,
 and a reference re-record (`perfbench/record_reference.py`) cites it too.
-Exits 1 when the judge fails any pass, else 0.  Like the benchmark, it pins
-OpenBLAS, OpenMP and MKL to one thread.
+Like the benchmark, it pins OpenBLAS, OpenMP and MKL to one thread.
 
 `--dump FILE` writes every outcome of every pass as JSON, `{workload: {seed:
 [[check id, float.hex(residual), passed], ...]}}`.  `--against FILE` reads
 such a dump, made for example at a parent commit, and prints per workload
 how many outcomes differ from it bitwise, and the check ids that moved: the
 check that a change meant to keep every residual reproduces them.
+
+Exits 1 when the judge fails any pass or, with `--against`, when any
+outcome differs from the dump (a workload missing from the dump counts
+all its outcomes), else 0, so a claim of bitwise parity with a parent is
+the exit code 0 of this tool and of `tools/cli_drift.py --against`.
 """
 
 from __future__ import annotations
@@ -104,11 +108,13 @@ def drift(W, name: str, passes: dict) -> int:
     return failures
 
 
-def against(name: str, passes: dict, dumped: dict) -> None:
-    """Print how many outcomes of one workload differ bitwise from a dump."""
+def against(name: str, passes: dict, dumped: dict) -> int:
+    """Print how many outcomes of one workload differ bitwise from a dump,
+    and return that count; a workload missing from the dump counts all its
+    outcomes."""
     if name not in dumped:
         print(f"  against dump: {name} is not in it")
-        return
+        return sum(len(outcomes) for outcomes in passes.values())
     total = 0
     moved: Counter = Counter()
     for seed in sorted(set(passes) | set(dumped[name]), key=int):
@@ -119,6 +125,7 @@ def against(name: str, passes: dict, dumped: dict) -> None:
     print(f"  against dump: {moved.total()} of {total} outcomes differ bitwise")
     for cid, n in moved.items():
         print(f"    {cid}: {n}")
+    return moved.total()
 
 
 def main(argv: list) -> int:
@@ -141,17 +148,17 @@ def main(argv: list) -> int:
         print(f"error: unknown workload {unknown[0]!r}; "
               f"choose from {', '.join(W.WORKLOADS)}", file=sys.stderr)
         return 2
-    failures = 0
+    failures = differing = 0
     outcomes: dict = {}
     for name in names:
         outcomes[name] = {}
         failures += drift(W, name, outcomes[name])
         if dumped is not None:
-            against(name, outcomes[name], dumped)
+            differing += against(name, outcomes[name], dumped)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as f:
             json.dump(outcomes, f)
-    return 1 if failures else 0
+    return 1 if failures or differing else 0
 
 
 if __name__ == "__main__":
