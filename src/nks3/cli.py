@@ -124,10 +124,10 @@ def _report_dict(family: str, params: dict, rep: hs.SpectralReport,
         "eigenvalues": rep.eigenvalues[0].tolist(),
         "multiplicities": mult,
         "trace_A": float(rep.trace[0]),
-        "mean_curvature": float(rep.mean_curvature[0]),
+        "mean_curvature": float(rep.trace[0]) / 5.0,
         "hopf_residual": float(data.hopf_residual[0]),
         "shape_symmetry_residual": float(data.symmetry_residual[0]),
-        "dim_distribution": int(rep.dim_distribution[0]),
+        "dim_distribution": 2 if data.c[0] <= hs.DIM_TOL else 4,
         "a": float(data.a[0]),
         "b": float(data.b[0]),
         "c": float(data.c[0]),
@@ -167,7 +167,7 @@ def _sweep_rows(args, seed: int):
     """The CSV rows of the sweep, and the largest eigenvalue spread of a
     grid value over its samples.  All grid values' samples are analysed as
     one batch, of one immersion with a parameter value per row; each row of
-    the CSV comes from its grid value's slice of that batch."""
+    the CSV comes from its grid value's block of that batch."""
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
     rng = np.random.default_rng(seed)
@@ -184,35 +184,30 @@ def _sweep_rows(args, seed: int):
         name: np.repeat([params[name] for params in grid], n) for name in grid[0]})
     data = hs.analyze_points(M, U)
     rep = hs.spectral_report(data)
-    all_classes = hs.classify_normal_action(data)
+    spectra = rep.eigenvalues.reshape(len(grid), n, 5)
+    theta = rep.theta.reshape(len(grid), n)
+    classes = hs.classify_normal_action(data).reshape(len(grid), n)
+    # column means of ascending rows stay ascending
+    mean_spec = np.mean(spectra, axis=1)
+    mult = hs.cluster_sizes(mean_spec)
     rows = []
-    spreads = []
     for j, params in enumerate(grid):
-        rows_j = slice(j * n, (j + 1) * n)
-        spectra = rep.eigenvalues[rows_j]
-        theta = rep.theta[rows_j]
-        thetas = theta[~np.isnan(theta)]
-        classes = set(all_classes[rows_j].tolist())
-        spreads.append(np.max(np.ptp(spectra, axis=0)))
-        mean_spec = np.mean(spectra, axis=0)
-        mult = tuple(
-            len(c) for c in hs.cluster_eigenvalues(mean_spec)
-        )
+        thetas = theta[j][~np.isnan(theta[j])]
+        kinds = set(classes[j].tolist())
         row = {
             "family": args.family,
             "r": _fmt(params["r"]) if "r" in params else "",
             "k": _fmt(params["k"]) if "k" in params else "",
             "l": _fmt(params["l"]) if "l" in params else "",
-            "mult_pattern": "-".join(str(m) for m in mult),
-            "traceA": _fmt(float(np.sum(mean_spec))),
-            "pxi_class": classes.pop() if len(classes) == 1 else "MIXED",
+            "mult_pattern": "-".join(str(m) for m in mult[j] if m),
+            "traceA": _fmt(float(np.sum(mean_spec[j]))),
+            "pxi_class": kinds.pop() if len(kinds) == 1 else "MIXED",
             "theta": _fmt(float(np.mean(thetas))) if len(thetas) else "",
+            **{f"ev{i + 1}": _fmt(float(v)) for i, v in enumerate(mean_spec[j])},
         }
-        for i in range(5):
-            row[f"ev{i + 1}"] = _fmt(float(mean_spec[i]))
         rows.append(row)
     # NaN if any spread is NaN, which then fails the spread test
-    return rows, float(np.max(spreads))
+    return rows, float(np.max(np.ptp(spectra, axis=1)))
 
 
 def cmd_sweep(args) -> int:

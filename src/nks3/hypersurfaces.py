@@ -170,7 +170,7 @@ class Immersion:
     """
 
     def __init__(self, family: str, params: tuple, second_factor: Callable,
-                 isometry: Optional[str] = None):
+                 isometry: Optional[str]):
         self.family = family
         self.params = params
         self.rows = None if isinstance(params[0], float) else len(params[0])
@@ -644,17 +644,18 @@ def _cluster_starts(values: np.ndarray, rel_tol: float,
                           axis=-1)
 
 
-def cluster_eigenvalues(values) -> list:
-    """Group ascending eigenvalues into clusters of nearly equal values."""
-    values = np.sort(np.asarray(values, dtype=float))
+def cluster_sizes(values: np.ndarray) -> np.ndarray:
+    """The cluster sizes (..., n) of each row of ascending values (..., n) at
+    the default tolerances, in cluster order and padded with zeros."""
     starts = _cluster_starts(values, CLUSTER_REL_TOL, CLUSTER_ABS_FLOOR)
-    return [list(c) for c in np.split(values, np.flatnonzero(starts)[1:])]
+    labels = np.cumsum(starts, axis=-1) - 1
+    return np.count_nonzero(labels[..., None, :] == np.arange(starts.shape[-1])[:, None],
+                            axis=-1)
 
 
 @dataclass
 class SpectralReport:
-    """Shape-operator spectra and distribution diagnostics of a batch of
-    point data, with the batch axis first.
+    """Shape-operator spectra of a batch of point data, batch axis first.
 
     The cluster sizes and means are in cluster order, padded with zeros;
     theta and theta_sine are NaN where the row has no two-dimensional
@@ -665,8 +666,6 @@ class SpectralReport:
     multiplicities: np.ndarray     # (m, 5) cluster sizes
     cluster_means: np.ndarray      # (m, 5)
     trace: np.ndarray              # (m,)
-    mean_curvature: np.ndarray     # (m,)
-    dim_distribution: np.ndarray   # (m,) 2 or 4
     theta: np.ndarray              # (m,)
     # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
     # eigenvectors; well conditioned at theta = 1 where the square root of
@@ -682,56 +681,37 @@ class SpectralReport:
 
 
 def spectral_report(data: HypersurfacePointData) -> SpectralReport:
-    """The spectral report of the point data, from one `eigh` call.
-
-    Cluster sums run left to right from 0.0, the order in which numpy sums
-    a short row, and every product keeps each row's vectors one-row
-    matrices, so each row equals the report of that row alone bitwise.
-    """
+    """The spectral report of the point data, from one `eigh` call.  Each
+    cluster sums left to right, the order in which numpy sums a short row,
+    and every product keeps each row's vectors one-row matrices, so each
+    row equals the report of that row alone bitwise."""
     t = get_tables()
     evals, evecs = np.linalg.eigh(data.shape)
-    rows, pos = np.arange(len(evals)), np.arange(5)
-    starts = _cluster_starts(evals, CLUSTER_REL_TOL, CLUSTER_ABS_FLOOR)
-    ends = np.append(starts[:, 1:], np.ones((len(evals), 1), dtype=bool), axis=-1)
+    rows = np.arange(len(evals))
+    mult = cluster_sizes(evals)
+    ends = np.cumsum(mult, axis=-1)
 
-    # each value's cluster, and the size and running sum of that cluster up
-    # to and including the value
-    cluster = np.cumsum(starts, axis=-1) - 1
-    sizes = pos + 1 - np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-    sums = np.empty_like(evals)
-    total = np.zeros(len(evals))
-    for j in pos:
-        total = np.where(starts[:, j], 0.0, total) + evals[:, j]
-        sums[:, j] = total
-
-    # sizes and means in cluster order, read at each cluster's last value
-    r, j = np.nonzero(ends)
-    mult = np.zeros(evals.shape, dtype=int)
+    # each cluster's sum over the row-major values, from its opening
+    real = mult > 0
+    openings = (ends - mult + 5 * rows[:, None])[real]
     means = np.zeros_like(evals)
-    last = np.zeros(evals.shape, dtype=int)
-    mult[r, cluster[r, j]] = sizes[r, j]
-    means[r, cluster[r, j]] = sums[r, j] / sizes[r, j]
-    last[r, cluster[r, j]] = j
+    means[real] = np.add.reduceat(evals.ravel(), openings) / mult[real]
 
     # invariant |g(J X1, X2)| of the top two-dimensional eigenspace, from
-    # the pair of eigenvector columns it ends at
+    # the pair of eigenvector columns it starts at
     double = mult == 2
-    first = last[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 1
-    X = np.stack([_vm(evecs[:, :, k], data.tangent_frame) for k in pos], axis=1)
-    x1, x2 = X[rows, first], X[rows, first + 1]
+    first = ends[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 2
+    x1, x2 = (_vm(evecs[rows, :, first + k], data.tangent_frame) for k in (0, 1))
     theta = np.abs(_dot(_vm(x1, t.g), _mv(t.J, x2)))
     jx1 = _mv(t.J, x1)
     theta_sine = g_norm(t, jx1 - _dot(_vm(jx1, t.g), x2)[:, None] * x2)
     no_double = ~np.any(double, axis=-1)
 
-    trace = np.sum(evals, axis=-1)
     return SpectralReport(
         eigenvalues=evals,
         multiplicities=mult,
         cluster_means=means,
-        trace=trace,
-        mean_curvature=trace / 5.0,
-        dim_distribution=np.where(data.c <= DIM_TOL, 2, 4),
+        trace=np.sum(evals, axis=-1),
         theta=np.where(no_double, np.nan, theta),
         theta_sine=np.where(no_double, np.nan, theta_sine),
     )

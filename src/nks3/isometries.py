@@ -149,7 +149,7 @@ def differential_fd(m: IsometryMap, z: TangentVector) -> TangentVector:
     )
 
 
-def composition_checks(rng: np.random.Generator, samples: int = 100) -> dict:
+def composition_checks(rng: np.random.Generator, samples: int) -> dict:
     """Max pointwise residuals of the composition identities.
 
     Checked: both involutions square to the identity, and a two-sided

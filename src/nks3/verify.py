@@ -356,8 +356,6 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     three_family = family in hs.THREE_CURVATURE_FAMILIES
     expected_mult = (2, 1, 2) if three_family else (1, 1, 1, 1, 1)
 
-    t = get_tables()
-
     # per sample: the chart point, then the three directions of the
     # transport, Codazzi and Gauss residuals; then up to three further
     # points for the normal action, the moduli relations and the leaf
@@ -417,8 +415,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                n, 1e-12, data.c),
         _check(prefix + "P-preserves-complement",
                "P maps the structure-vector complement to itself",
-               n, 1e-8, *(np.abs(g_inner(t, _mv(t.P, data.from_components(basis[:, j])),
-                                         data.structure_vector)) for j in range(4))),
+               n, 1e-12, _complement_residual(data)),
         _check(prefix + "reeb-transport", "D_X U = phi A X - G(X, xi)",
                n, 1e-8, stencil.transport[:n]),
         _check(prefix + "gauss", "induced curvature matches the Gauss relation",
@@ -473,6 +470,13 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                              n_extra, 0.0, 0.0 if consistent else 1.0))
 
     return _finalize("hypersurface", seed, checks, started)
+
+
+def _complement_residual(data: hs.HypersurfacePointData) -> np.ndarray:
+    """|(P U)^T - g(P U, U) U|_g per row, zero iff g(P X, U) = 0 for all X ⊥ U."""
+    pu = data.tangent_components(_mv(get_tables().P, data.structure_vector))
+    off = pu - _dot(pu, data.eta)[:, None] * data.eta
+    return np.sqrt(_dot(off, off))
 
 
 def _structure_complement(data: hs.HypersurfacePointData) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_c05_hopf_and_holomorphic_distribution():
     _report("C05a hopf-residual", worst_hopf, 1e-6)
     _report("C05b alpha-zero", worst_alpha, 1e-6)
     _report("C05c distribution-dim-2", worst_dim, 1e-6)
-    _report("C05d P-preserves-complement", worst_eta, 1e-8)
+    _report("C05d P-preserves-complement", worst_eta, 1e-12)
 
 
 def test_c06_normal_action_trichotomy():

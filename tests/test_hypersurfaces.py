@@ -436,11 +436,10 @@ class TestSpectra:
     def test_cluster_tolerances(self):
         assert (hs.CLUSTER_REL_TOL, hs.CLUSTER_ABS_FLOOR) == (1e-6, 1e-9)
         vals = np.array([1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-8, 3.0])
-        clusters = hs.cluster_eigenvalues(vals)
-        assert [len(c) for c in clusters] == [2, 2, 1]
+        assert hs.cluster_sizes(vals).tolist() == [2, 2, 1, 0, 0]
         # a gap above 3e-6, the relative threshold of these values, splits
-        clusters = hs.cluster_eigenvalues(np.array([1.0, 2.0, 2.0 + 4e-6, 3.0, 3.0]))
-        assert [len(c) for c in clusters] == [1, 1, 1, 2]
+        vals = np.array([1.0, 2.0, 2.0 + 4e-6, 3.0, 3.0])
+        assert hs.cluster_sizes(vals).tolist() == [1, 1, 1, 2, 0]
 
 
 def _cluster_loop(values, rel_tol, abs_floor):
@@ -480,8 +479,6 @@ def _spectral_report_loop(data):
     pad = [0] * (5 - len(mult))
     return hs.SpectralReport(evals[None], np.array([mult + pad]),
                              np.array([means + pad], dtype=float), np.array([trace]),
-                             np.array([trace / 5.0]),
-                             np.array([2 if data.c[0] <= hs.DIM_TOL else 4]),
                              np.array([theta]), np.array([theta_sine]))
 
 
@@ -508,17 +505,22 @@ class TestBatchedSpectra:
         sizes = np.diff(np.flatnonzero(np.append(starts, True))).tolist()
         assert sizes == [len(c) for c in expected]
         if (rel_tol, abs_floor) == (hs.CLUSTER_REL_TOL, hs.CLUSTER_ABS_FLOOR):
-            got = hs.cluster_eigenvalues(values)
-            assert [len(c) for c in got] == sizes
-            npt.assert_array_equal(np.concatenate(got), np.concatenate(expected))
+            got = hs.cluster_sizes(np.sort(np.asarray(values)))
+            assert got.tolist() == sizes + [0] * (len(values) - len(sizes))
 
     def test_clustering_rows_are_independent(self):
+        # the crafted spectra at the default tolerances, the NaN row included
         rows = np.sort(np.array([v for v, rel, floor in CRAFTED_SPECTRA if rel == 1e-6]),
                        axis=-1)
         starts = hs._cluster_starts(rows, 1e-6, 1e-9)
-        for row, row_starts in zip(rows, starts):
+        batch = hs.cluster_sizes(rows)
+        assert batch.shape == rows.shape
+        for row, row_starts, row_sizes in zip(rows, starts, batch):
             sizes = [len(c) for c in _cluster_loop(row, 1e-6, 1e-9)]
             assert np.diff(np.flatnonzero(np.append(row_starts, True))).tolist() == sizes
+            assert row_sizes.tolist() == sizes + [0] * (5 - len(sizes))
+            # a 1-D input is one row
+            assert hs.cluster_sizes(row).tolist() == row_sizes.tolist()
 
     @pytest.mark.parametrize("family,kw", [
         ("m1", dict(r=0.6)), ("m1", dict(r=1.0)), ("m2", dict(r=0.6)), ("m2", dict(r=1.0)),
@@ -611,7 +613,6 @@ class TestNormalAction:
             M = hs.make_example(family, **kw)
             d = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(5)]))
             assert np.max(d.c) <= 1e-6
-            assert hs.spectral_report(d).dim_distribution.tolist() == [2] * 5
             npt.assert_allclose(d.a ** 2 + d.b ** 2 + d.c ** 2, 1.0, rtol=0.0, atol=1e-8)
 
     def test_requires_two_dimensional_distribution(self):

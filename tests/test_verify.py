@@ -242,6 +242,33 @@ def test_structure_complement_rows_equal_per_point_loop_bitwise():
             _structure_complement_loop(data[i:i + 1])).tobytes()
 
 
+ALL_FAMILIES = [("m1", {"r": 0.6}), ("m2", {"r": 0.6}), ("m3", {"r": 1.0}),
+                ("m4", {"k": 0.6, "l": 0.8}), ("m5", {"k": 0.6, "l": 0.8}),
+                ("m6", {"k": 0.8, "l": 0.6})]
+
+
+@pytest.mark.parametrize("family,params", ALL_FAMILIES)
+def test_complement_residual_is_the_distribution_coefficient(family, params):
+    # P U = J P xi, so both measure the part of P xi outside span(xi, U)
+    data = hs.analyze_points(hs.make_example(family, **params),
+                             hs.random_chart_points(np.random.default_rng(13), 5))
+    res = verify._complement_residual(data)
+    assert np.max(np.abs(res - data.c)) <= 1e-14
+
+
+@pytest.mark.parametrize("family,params", [("m1", {"r": 0.6}), ("m4", {"k": 0.6, "l": 0.8})])
+def test_complement_residual_fails_off_the_structure_vector(family, params):
+    # the frame vector t_3 in place of U: P does not keep its complement
+    U = hs.random_chart_points(np.random.default_rng(14), 5)
+    U[0] = 0.0
+    data = hs.analyze_points(hs.make_example(family, **params), U)
+    t3 = dataclasses.replace(data, eta=np.tile(np.eye(5)[2], (5, 1)),
+                             structure_vector=data.tangent_frame[:, 2])
+    res = verify._complement_residual(t3)
+    assert abs(res[0] - math.sqrt(3.0) / 2.0) <= 1e-12
+    assert not verify._check("control", "", 5, 1e-12, res).passed
+
+
 @pytest.mark.parametrize("family,params", [("m3", {"r": 0.6}), ("m6", {"k": 0.6, "l": 0.8})])
 def test_hypersurface_suite_makes_no_per_sample_spectral_reports(monkeypatch, family,
                                                                  params):

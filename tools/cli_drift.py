@@ -12,6 +12,9 @@ and stderr.  The matrix holds
 * `sweep` of the two point-sweep grids of the benchmark at seeds 0-3, and
   of grids of m1, m2, m5 and m6 at seeds 0-1, which chart a parameter
   value per row through no isometry, the factor swap and the twist;
+* `sweep` at the edges of its grid blocks (`SWEEP_EDGES`): one sample per
+  grid value, a grid of one value, a repeated value, and an m4 grid of one
+  sample each, where no row has a theta;
 * `analyze` at the near-lock point u1 = 0.7845, 9e-4 from the u1 = pi/4
   chart lock;
 * degenerate and out-of-range inputs, which exit 2.
@@ -46,6 +49,10 @@ SEEDS = range(4)
 # the isometry cases of the chart not in the benchmark's grids
 FAMILY_GRIDS = (("m1", "--r", "0.3,0.6,1"), ("m2", "--r", "0.4,0.8"),
                 ("m5", "--k", "0.5,0.6,0.8"), ("m6", "--k", "0.5,0.8"))
+# (family, option, values, samples) at the edges of the sweep's grid blocks
+SWEEP_EDGES = (("m3", "--r", "0.3,0.6,1", "1"), ("m4", "--k", "0.5,0.6,0.8", "1"),
+               ("m2", "--r", "0.7", "5"), ("m6", "--k", "0.7", "1"),
+               ("m1", "--r", "1,1", "1"))
 SIGNED_ZEROS = ("-0,-0,-0,-0,-0", "0,-0,0,-0,0", "-0,0.3,-0,0.5,-0",
                 "-0,0,2,-0,0", "0,-2,0,-2,0", "0.2,-0,-0,2.5,-0")
 
@@ -59,6 +66,8 @@ MATRIX = (
        for f, p, v in SWEEP_GRIDS for s in SEEDS]
     + [["sweep", "--family", f, p, v, "--samples", "5", "--seed", str(s)]
        for f, p, v in FAMILY_GRIDS for s in range(2)]
+    + [["sweep", "--family", f, p, v, "--samples", n, "--seed", "0"]
+       for f, p, v, n in SWEEP_EDGES]
     + [
         # near the u1 = pi/4 lock, and on it
         ["analyze", "--family", "m1", "--r", "0.6", "--at", "0.2,0.7845,0.1,0.3,0.4"],
