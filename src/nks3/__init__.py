@@ -6,12 +6,10 @@ from .frames import StructureTables, build_tables, get_tables, tables_to_json
 from .hypersurfaces import (
     HypersurfacePointData,
     Immersion,
-    SpectralReport,
     analyze_point,
     classify_normal_action,
     expected_spectrum,
     make_example,
-    spectral_report,
 )
 from .isometries import (
     IsometryMap,
@@ -39,7 +37,6 @@ __all__ = [
     "Immersion",
     "IsometryMap",
     "PreconditionError",
-    "SpectralReport",
     "StructureTables",
     "SuiteReport",
     "TangentVector",
@@ -54,7 +51,6 @@ __all__ = [
     "run_hypersurface_suite",
     "run_isometry_suite",
     "run_structure_suite",
-    "spectral_report",
     "tables_to_json",
     "two_sided_translation",
     "__version__",

@@ -109,29 +109,29 @@ def cmd_verify(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _report_dict(family: str, params: dict, rep: hs.SpectralReport,
-                 data: hs.HypersurfacePointData) -> dict:
-    """The JSON of the analysed point, row 0 of the data and of its report:
-    the multiplicities are the nonzero cluster sizes, theta is null unless
-    they include a 2, and pxi_class is null where the class is UNDEFINED."""
-    mult = [int(n) for n in rep.multiplicities[0] if n]
+def _report_dict(family: str, params: dict, data: hs.HypersurfacePointData) -> dict:
+    """The JSON of the analysed point, row 0 of the data: the
+    multiplicities are the nonzero cluster sizes, theta is null unless they
+    include a 2, and pxi_class is null where the class is UNDEFINED."""
+    mult = [int(n) for n in data.multiplicities[0] if n]
+    trace = float(np.sum(data.eigenvalues, axis=-1)[0])
     pxi_class = str(hs.classify_normal_action(data)[0])
     return {
         "family": family,
         **params,
         "at": data.u[0].tolist(),
         "alpha": float(data.alpha[0]),
-        "eigenvalues": rep.eigenvalues[0].tolist(),
+        "eigenvalues": data.eigenvalues[0].tolist(),
         "multiplicities": mult,
-        "trace_A": float(rep.trace[0]),
-        "mean_curvature": float(rep.trace[0]) / 5.0,
+        "trace_A": trace,
+        "mean_curvature": trace / 5.0,
         "hopf_residual": float(data.hopf_residual[0]),
         "shape_symmetry_residual": float(data.symmetry_residual[0]),
         "dim_distribution": 2 if data.c[0] <= hs.DIM_TOL else 4,
         "a": float(data.a[0]),
         "b": float(data.b[0]),
         "c": float(data.c[0]),
-        "theta": float(rep.theta[0]) if 2 in mult else None,
+        "theta": float(data.theta[0]) if 2 in mult else None,
         "pxi_class": None if pxi_class == hs.UNDEFINED else pxi_class,
     }
 
@@ -152,10 +152,9 @@ def cmd_analyze(args) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             data = hs.analyze_point(M, u)
-            rep = hs.spectral_report(data)
     except FloatingPointError as exc:
         raise DomainError(f"chart point {u.tolist()} is out of range: {exc}") from exc
-    print(json.dumps(_report_dict(args.family, params, rep, data), indent=2))
+    print(json.dumps(_report_dict(args.family, params, data), indent=2))
     return EXIT_OK
 
 
@@ -183,9 +182,8 @@ def _sweep_rows(args, seed: int):
     M = hs.make_example(args.family, **{
         name: np.repeat([params[name] for params in grid], n) for name in grid[0]})
     data = hs.analyze_points(M, U)
-    rep = hs.spectral_report(data)
-    spectra = rep.eigenvalues.reshape(len(grid), n, 5)
-    theta = rep.theta.reshape(len(grid), n)
+    spectra = data.eigenvalues.reshape(len(grid), n, 5)
+    theta = data.theta.reshape(len(grid), n)
     classes = hs.classify_normal_action(data).reshape(len(grid), n)
     # column means of ascending rows stay ascending
     mean_spec = np.mean(spectra, axis=1)

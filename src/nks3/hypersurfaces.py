@@ -32,12 +32,12 @@ negative real part, as at every sampled chart point.
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
 batch of chart points, as one `HypersurfacePointData` whose fields carry
 the batch axis (`analyze_point` returns the batch of one row): the metric
-normal xi, the structure vector U = -J xi, the induced
-almost contact tensors, and the shape operator via the Weingarten
-relation A X = -(D_X xi)^T.  The ambient covariant derivative of xi is
-assembled from the product-round-metric derivative (central differences
-of the normal field along chart lines, projected to the tangent space)
-corrected by the exact frame tensors:
+normal xi, the structure vector U = -J xi, the induced almost contact
+tensors, the shape operator via the Weingarten relation
+A X = -(D_X xi)^T, and its spectrum.  The ambient covariant derivative of
+xi is assembled from the product-round-metric derivative (central
+differences of the normal field along chart lines, projected to the
+tangent space) corrected by the exact frame tensors:
 
     D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
 
@@ -68,12 +68,14 @@ call.  Its products keep each row's vectors one-row matrices
 `frames.curvature_closed_form`, the one frame function that multiplies its
 arguments by constant matrices; the bilinear frame tensors and the metric
 pairing are per-row products already), so each row of a batch equals the
-residual of that row alone, a batch of one, bitwise.  The spectral report
-and the normal-action class take a batch the same way, the report with one
-`eigh` call for all rows; the theta-r relation and the leaf geometry read
-the rows of a report and of `stencil_residuals` instead of computing their
-own.  Normals are held and sign-aligned in frame coefficients; the flat
-R^8 form appears only inside the finite-difference step `_covariant_fd`.
+residual of that row alone, a batch of one, bitwise.  The spectrum
+(`spectral_report`, on plain arrays of shape operators and frames) and the
+normal-action class take a batch the same way, the spectrum with one `eigh`
+call for all rows; the theta-r relation and the leaf geometry read the
+spectrum from the point data and the rows of `stencil_residuals` instead of
+computing their own.  Normals are held and sign-aligned in frame
+coefficients; the flat R^8 form appears only inside the finite-difference
+step `_covariant_fd`.
 
 Every chart call tests the rank of its pushforwards (`_chart_data`) by one
 batched Cholesky factorization of the Gram matrices T g T^T shifted by
@@ -94,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -156,10 +158,11 @@ class Immersion:
     is one call.  The chart maps u to the point (x, y) (..., 4) of the
     product and the partials of each factor along its own coordinates,
     dx (..., 3, 4) along u[0:3] and dy (..., 2, 4) along u[3:5]; the other
-    partials vanish.  x and dx are `_sphere_factor(u)`, y and dy
-    `second_factor(u[..., 3], u[..., 4], *params)` (`_round_sphere` or
-    `_torus`).  A composed family pushes these through the factor swap
-    or the conjugation twist (`isometry`, SWAP or TWIST).
+    partials vanish.  x and dx are `_sphere_factor(u)`, y and dy the
+    family's second factor at (u[..., 3], u[..., 4], *params):
+    `_round_sphere` for m1-m3, `_torus` for m4-m6.  A composed family
+    pushes these through the factor swap or the conjugation twist (SWAP or
+    TWIST of `_ISOMETRY`).
 
     The family parameters `params` are floats, one value for every chart
     point, or read-only (m,) arrays, one value per row: then u has m rows
@@ -169,19 +172,18 @@ class Immersion:
     parameters is its own row.
     """
 
-    def __init__(self, family: str, params: tuple, second_factor: Callable,
-                 isometry: Optional[str]):
+    def __init__(self, family: str, params: tuple):
         self.family = family
         self.params = params
         self.rows = None if isinstance(params[0], float) else len(params[0])
-        self._second_factor = second_factor
-        self._isometry = isometry
+        self._second_factor = (_round_sphere if family in THREE_CURVATURE_FAMILIES
+                               else _torus)
+        self._isometry = _ISOMETRY.get(family)
 
     def __getitem__(self, index) -> "Immersion":
         if self.rows is None:
             return self
-        return Immersion(self.family, tuple(_parameter(x[index]) for x in self.params),
-                         self._second_factor, self._isometry)
+        return Immersion(self.family, tuple(_parameter(x[index]) for x in self.params))
 
     def _row_params(self, u: np.ndarray) -> tuple:
         """The parameters shaped (m, 1, ..., 1) to broadcast along the row
@@ -333,7 +335,6 @@ def make_example(family: str, r=None, k=None, l=None) -> Immersion:
         params = (_parameter(r),)
         r = params[0]
         _validate(((0.0 < r) & (r <= 1.0), "r must lie in (0, 1]"))
-        second_factor = _round_sphere
     else:
         if r is not None or k is None or l is None:
             raise DomainError(f"family {family} takes the parameter pair (k, l)")
@@ -345,8 +346,7 @@ def make_example(family: str, r=None, k=None, l=None) -> Immersion:
                    "k and l must lie in (0, 1)"),
                   (~(np.abs(k * k + l * l - 1.0) > 1e-12),
                    "k and l must satisfy k^2 + l^2 = 1"))
-        second_factor = _torus
-    return Immersion(family, params, second_factor, _ISOMETRY.get(family))
+    return Immersion(family, params)
 
 
 def random_chart_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -440,6 +440,17 @@ class HypersurfacePointData:
     a: np.ndarray                # (m,) g(P xi, xi)
     b: np.ndarray                # (m,) g(P xi, U)
     c: np.ndarray                # (m,) |P xi - a xi - b U|_g
+    # the spectrum of the shape operator (`spectral_report`): cluster sizes
+    # and means in cluster order, padded with zeros; theta and theta_sine
+    # NaN where the row has no two-dimensional eigenspace
+    eigenvalues: np.ndarray      # (m, 5) ascending
+    multiplicities: np.ndarray   # (m, 5) cluster sizes
+    cluster_means: np.ndarray    # (m, 5)
+    theta: np.ndarray            # (m,) |g(J X1, X2)| on the top double eigenspace
+    # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
+    # eigenvectors; well conditioned at theta = 1 where the square root of
+    # 1 - theta^2 is not
+    theta_sine: np.ndarray       # (m,)
 
     def __len__(self) -> int:
         return len(self.u)
@@ -549,7 +560,8 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     the normals at the segment ends are aligned with the point's and
     differenced by `_covariant_fd` along each chart direction, and the
     chart weights take those derivatives to the orthonormal tangent frame.
-    The normals are oriented by the trace rule.  The data's `u` is a
+    The normals are oriented by the trace rule, and the spectrum is
+    `spectral_report` of the symmetrized A.  The data's `u` is a
     read-only copy of U.  An immersion with per-row parameters takes one
     chart point per parameter row; U of another row count raises
     DomainError.
@@ -598,6 +610,7 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     b_coef = g_inner(t, pxi, uvec)
     rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
     c_coef = g_norm(t, rem)
+    evals, mult, means, theta, theta_sine = spectral_report(A, frame)
 
     return HypersurfacePointData(
         immersion=M,
@@ -618,6 +631,11 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
         a=a_coef,
         b=b_coef,
         c=c_coef,
+        eigenvalues=evals,
+        multiplicities=mult,
+        cluster_means=means,
+        theta=theta,
+        theta_sine=theta_sine,
     )
 
 
@@ -653,40 +671,15 @@ def cluster_sizes(values: np.ndarray) -> np.ndarray:
                             axis=-1)
 
 
-@dataclass
-class SpectralReport:
-    """Shape-operator spectra of a batch of point data, batch axis first.
-
-    The cluster sizes and means are in cluster order, padded with zeros;
-    theta and theta_sine are NaN where the row has no two-dimensional
-    eigenspace.  `rep[a:b]` is the report of those rows.
-    """
-
-    eigenvalues: np.ndarray        # (m, 5) ascending
-    multiplicities: np.ndarray     # (m, 5) cluster sizes
-    cluster_means: np.ndarray      # (m, 5)
-    trace: np.ndarray              # (m,)
-    theta: np.ndarray              # (m,)
-    # sqrt(1 - theta^2), computed as |J X1 - g(J X1, X2) X2|_g from the same
-    # eigenvectors; well conditioned at theta = 1 where the square root of
-    # 1 - theta^2 is not
-    theta_sine: np.ndarray         # (m,)
-
-    def __getitem__(self, index: slice) -> "SpectralReport":
-        """The report of the rows `index` (a slice)."""
-        if not isinstance(index, slice):
-            raise TypeError(f"a spectral report takes a slice of rows, "
-                            f"not {type(index).__name__}")
-        return SpectralReport(*(getattr(self, f.name)[index] for f in fields(self)))
-
-
-def spectral_report(data: HypersurfacePointData) -> SpectralReport:
-    """The spectral report of the point data, from one `eigh` call.  Each
-    cluster sums left to right, the order in which numpy sums a short row,
-    and every product keeps each row's vectors one-row matrices, so each
-    row equals the report of that row alone bitwise."""
+def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
+    """The spectrum fields of the point data (eigenvalues, multiplicities,
+    cluster_means, theta, theta_sine) of the shape operators shape
+    (m, 5, 5) in the tangent frames frame (m, 5, 6), from one `eigh` call.
+    Each cluster sums left to right, the order in which numpy sums a short
+    row, and every product keeps each row's vectors one-row matrices, so
+    each row equals the spectrum of that row alone bitwise."""
     t = get_tables()
-    evals, evecs = np.linalg.eigh(data.shape)
+    evals, evecs = np.linalg.eigh(shape)
     rows = np.arange(len(evals))
     mult = cluster_sizes(evals)
     ends = np.cumsum(mult, axis=-1)
@@ -701,20 +694,13 @@ def spectral_report(data: HypersurfacePointData) -> SpectralReport:
     # the pair of eigenvector columns it starts at
     double = mult == 2
     first = ends[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 2
-    x1, x2 = (_vm(evecs[rows, :, first + k], data.tangent_frame) for k in (0, 1))
+    x1, x2 = (_vm(evecs[rows, :, first + k], frame) for k in (0, 1))
     theta = np.abs(_dot(_vm(x1, t.g), _mv(t.J, x2)))
     jx1 = _mv(t.J, x1)
     theta_sine = g_norm(t, jx1 - _dot(_vm(jx1, t.g), x2)[:, None] * x2)
     no_double = ~np.any(double, axis=-1)
-
-    return SpectralReport(
-        eigenvalues=evals,
-        multiplicities=mult,
-        cluster_means=means,
-        trace=np.sum(evals, axis=-1),
-        theta=np.where(no_double, np.nan, theta),
-        theta_sine=np.where(no_double, np.nan, theta_sine),
-    )
+    return (evals, mult, means, np.where(no_double, np.nan, theta),
+            np.where(no_double, np.nan, theta_sine))
 
 
 _CLASS_TABLE = (
@@ -955,22 +941,19 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
 
 @dataclass
 class ThetaConsistency:
-    theta: np.ndarray
     r_residual: np.ndarray
     spectrum_residual: np.ndarray
     product_residual: np.ndarray
 
 
-def theta_r_consistency(data: HypersurfacePointData,
-                        rep: SpectralReport) -> ThetaConsistency:
+def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     """Consistency of the eigenspace invariant theta with the modulus r.
 
     Checks r = sqrt(3) theta / sqrt(1 + 2 theta^2), the closed forms
     (1 +/- sqrt(1 - theta^2)) / (2 sqrt(3) theta) for the absolute values
     of the double principal curvatures, and their exact product -1/12.
-    The spectrum is read from rep, the spectral report of the same rows
-    (`spectral_report(data)` or rows of a larger one); sqrt(1 - theta^2) is
-    its `theta_sine`, so the closed forms keep full accuracy at r = 1, where
+    The spectrum is read from the data; sqrt(1 - theta^2) is its
+    `theta_sine`, so the closed forms keep full accuracy at r = 1, where
     theta = 1.  Each field holds one value per row of the data, against the
     immersion's r of that row.
     """
@@ -978,23 +961,23 @@ def theta_r_consistency(data: HypersurfacePointData,
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
     r = M.params[0]
-    double = rep.multiplicities == 2
+    double = data.multiplicities == 2
     bad = np.count_nonzero(double, axis=-1) != 2
     if np.any(bad):
         raise DegenerateImmersionError(
             f"no two-dimensional principal eigenspaces at u={_first_row(data.u, bad)}")
-    theta = rep.theta
+    theta = data.theta
     r_res = np.abs(r - SQRT3 * theta / np.sqrt(1.0 + 2.0 * theta * theta))
 
-    s = rep.theta_sine
+    s = data.theta_sine
     scale = 2.0 * SQRT3 * theta
     closed = np.sort(np.stack([(1.0 + s) / scale, (1.0 - s) / scale], axis=-1), axis=-1)
-    doubles = rep.cluster_means[double].reshape(-1, 2)
+    doubles = data.cluster_means[double].reshape(-1, 2)
     observed = np.sort(np.abs(doubles), axis=-1)
     spec_res = np.max(np.abs(observed - closed), axis=-1)
 
     prod_res = np.abs(doubles[..., 0] * doubles[..., 1] + 1.0 / 12.0)
-    return ThetaConsistency(theta, r_res, spec_res, prod_res)
+    return ThetaConsistency(r_res, spec_res, prod_res)
 
 
 @dataclass
@@ -1018,8 +1001,7 @@ def leaf_directions(data: HypersurfacePointData) -> tuple:
     return x5, y5 / np.sqrt(_dot(y5, y5))[..., None]
 
 
-def leaf_geometry(data: HypersurfacePointData, sectional,
-                  rep: SpectralReport) -> LeafGeometry:
+def leaf_geometry(data: HypersurfacePointData, sectional) -> LeafGeometry:
     """Geometry of the two product-factor leaves through each chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
@@ -1027,10 +1009,9 @@ def leaf_geometry(data: HypersurfacePointData, sectional,
     induced curvature by finite differences, the `StencilResiduals` field
     along the pair of `leaf_directions` of the same rows.  The 2-sphere
     factor leaf carries 4 r^2 / 3 times the round metric, so its curvature
-    is 3 / (4 r^2), which in terms of the eigenspace invariant theta of
-    rep, the spectral report of the same rows, reads (1 + 2 theta^2) /
-    (4 theta^2).  Each field holds one value per row of the data, against
-    the immersion's r of that row.
+    is 3 / (4 r^2), which in terms of the data's eigenspace invariant
+    theta reads (1 + 2 theta^2) / (4 theta^2).  Each field holds one value
+    per row of the data, against the immersion's r of that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -1050,7 +1031,7 @@ def leaf_geometry(data: HypersurfacePointData, sectional,
     res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2),
                   axis=(-2, -1))
 
-    theta = rep.theta
+    theta = data.theta
     bad = np.isnan(theta)
     if np.any(bad):
         raise DegenerateImmersionError(

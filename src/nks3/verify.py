@@ -367,12 +367,11 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         X5[i], Y5[i], Z5[i] = (_unit(rng.standard_normal(5)) for _ in range(3))
     U2 = hs.random_chart_points(np.random.default_rng(seed + 1), min(samples, 3))
 
-    # both point sets in one analysis and one spectral report; each
-    # identity below is then evaluated once over its batch
+    # both point sets in one analysis; each identity below is then
+    # evaluated once over its batch
     analysed = hs.analyze_points(M, np.concatenate([U, U2]))
     data, extra = analysed[:samples], analysed[samples:]
     n, n_extra = samples, len(extra)
-    reports = hs.spectral_report(analysed)
 
     # for m1-m3 the further points ride the samples' stencil, along their
     # leaf's 3-sphere pair with Z = Y, for the leaf's sectional curvature
@@ -384,9 +383,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                            zip(directions, (lx5, ly5, ly5)))
     stencil = hs.stencil_residuals(stencil_data, *directions)
 
-    rep = reports[:n]
-    spectra = rep.eigenvalues
-    mult_off = np.any(rep.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
+    mult_off = np.any(data.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
                       axis=-1)
     basis = _structure_complement(data)
     XP = _unit(basis[:, 0] + 0.3 * basis[:, 2])
@@ -408,7 +405,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                np.abs(phi + np.swapaxes(phi, 1, 2))),
         _check(prefix + "spectrum-closed-form",
                "principal curvatures match their closed forms up to one global sign",
-               n, 1e-6, hs.spectra_match(spectra, expected)),
+               n, 1e-6, hs.spectra_match(data.eigenvalues, expected)),
         _check(prefix + "multiplicity-pattern", f"multiplicity pattern {expected_mult}",
                n, 0.0, mult_off.astype(float)),
         _check(prefix + "distribution-dim", "P xi lies in span(xi, U)",
@@ -427,16 +424,16 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                n, 1e-8, hs.hopf_identity_residual(data, XP, YP)),
         _check(prefix + "eigenvalue-constancy",
                "principal curvatures constant across sample points",
-               n, 1e-6, np.ptp(spectra, axis=0)),
+               n, 1e-6, np.ptp(data.eigenvalues, axis=0)),
     ]
 
     # normal action, and for the round-sphere families the moduli relations
     # and leaf geometry, at the further points
     if three_family:
         r = params["r"]
-        tc = hs.theta_r_consistency(extra, reports[n:])
-        lg = hs.leaf_geometry(extra, stencil.sectional[n:], reports[n:])
-        trace = float(np.mean(rep.trace))
+        tc = hs.theta_r_consistency(extra)
+        lg = hs.leaf_geometry(extra, stencil.sectional[n:])
+        trace = float(np.mean(np.sum(data.eigenvalues, axis=-1)))
         checks += [
             _check(prefix + "normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
                    n_extra, 1e-12, hs.normal_action_residual(extra, EXPECTED_CLASS[family])),

@@ -63,12 +63,10 @@ def test_c03_three_curvature_spectra():
             M = hs.make_example(family, r=r)
             expected = hs.expected_spectrum(family, r=r)
             for _ in range(3):
-                rep = hs.spectral_report(
-                    hs.analyze_point(M, hs.random_chart_point(rng))
-                )
-                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected)[0])
+                d = hs.analyze_point(M, hs.random_chart_point(rng))
+                worst = max(worst, hs.spectra_match(d.eigenvalues, expected)[0])
                 if r == 1.0:
-                    doubles = rep.cluster_means[rep.multiplicities == 2]
+                    doubles = d.cluster_means[d.multiplicities == 2]
                     for val in doubles:
                         worst = max(worst, abs(abs(val) - SQRT3 / 6.0))
     elapsed = time.perf_counter() - started
@@ -85,10 +83,8 @@ def test_c04_five_curvature_spectra():
             M = hs.make_example(family, k=k, l=l)
             expected = hs.expected_spectrum(family, k=k, l=l)
             for _ in range(3):
-                rep = hs.spectral_report(
-                    hs.analyze_point(M, hs.random_chart_point(rng))
-                )
-                worst = max(worst, hs.spectra_match(rep.eigenvalues, expected)[0])
+                d = hs.analyze_point(M, hs.random_chart_point(rng))
+                worst = max(worst, hs.spectra_match(d.eigenvalues, expected)[0])
     _report("C04 spectra-m4-m6", worst, 1e-6)
 
 
@@ -140,13 +136,13 @@ def test_c07_minimality_boundary():
     worst_nonmin = 0.0
     for family in ("m1", "m2", "m3"):
         M = hs.make_example(family, r=1.0)
-        rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
-        worst_min = max(worst_min, abs(rep.trace[0]))
+        d = hs.analyze_point(M, hs.random_chart_point(rng))
+        worst_min = max(worst_min, abs(np.sum(d.eigenvalues[0])))
         M = hs.make_example(family, r=0.6)
-        rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
+        d = hs.analyze_point(M, hs.random_chart_point(rng))
         # at least half the closed form 2 sqrt(1 - r^2) / r of the trace
         bound = math.sqrt(1.0 - 0.6 * 0.6) / 0.6
-        worst_nonmin = max(worst_nonmin, max(0.0, bound - abs(rep.trace[0])))
+        worst_nonmin = max(worst_nonmin, max(0.0, bound - abs(np.sum(d.eigenvalues[0]))))
     _report("C07a minimal-at-r1", worst_min, 1e-6)
     _report("C07b nonminimal-at-r06", worst_nonmin, 0.0)
 
@@ -197,7 +193,7 @@ def test_c10_theta_r_relation():
     for r in (0.3, 0.6, 0.9, 1.0):
         M = hs.make_example("m1", r=r)
         d = hs.analyze_point(M, hs.random_chart_point(rng))
-        tc = hs.theta_r_consistency(d, hs.spectral_report(d))
+        tc = hs.theta_r_consistency(d)
         worst_theta = max(worst_theta, tc.r_residual[0], tc.spectrum_residual[0])
         worst_prod = max(worst_prod, tc.product_residual[0])
     _report("C10a theta-r-relation", worst_theta, 1e-6)

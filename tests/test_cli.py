@@ -324,10 +324,10 @@ def test_sweep_batch_matches_point_by_point_analysis(capsys, monkeypatch, grid):
 def test_sweep_nan_principal_curvature_fails(capsys, monkeypatch):
     original = hs.spectral_report
 
-    def nan_in_one_row(data):
-        rep = original(data)
-        rep.eigenvalues[1, 2] = math.nan
-        return rep
+    def nan_in_one_row(shape, frame):
+        spectrum = original(shape, frame)
+        spectrum[0][1, 2] = math.nan  # an eigenvalue of row 1
+        return spectrum
 
     monkeypatch.setattr(hs, "spectral_report", nan_in_one_row)
     code, out, err = _run(capsys, ["sweep", "--family", "m3", "--r", "0.6,1",
@@ -338,7 +338,7 @@ def test_sweep_nan_principal_curvature_fails(capsys, monkeypatch):
 
 
 def test_sweep_one_analysis_and_spectral_report_per_sweep(capsys, monkeypatch):
-    # all grid values' samples are analysed and reported as one batch
+    # all grid values' samples are analysed as one batch, with one spectrum
     calls = []
     analyze_points, spectral_report = hs.analyze_points, hs.spectral_report
 
@@ -346,9 +346,9 @@ def test_sweep_one_analysis_and_spectral_report_per_sweep(capsys, monkeypatch):
         calls.append(("analyze_points", len(U), M.rows))
         return analyze_points(M, U, *args, **kwargs)
 
-    def counting_report(data):
-        calls.append(("spectral_report", len(data)))
-        return spectral_report(data)
+    def counting_report(shape, frame):
+        calls.append(("spectral_report", len(shape)))
+        return spectral_report(shape, frame)
 
     monkeypatch.setattr(hs, "analyze_points", counting_analysis)
     monkeypatch.setattr(hs, "spectral_report", counting_report)

@@ -29,17 +29,22 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _theta_r(data):
-    """theta_r_consistency of the point data from its own spectral report."""
-    return hs.theta_r_consistency(data, hs.spectral_report(data))
+# the spectrum fields of the point data, in the order `spectral_report` returns them
+SPECTRUM = ("eigenvalues", "multiplicities", "cluster_means", "theta", "theta_sine")
 
 
 def _leaf_geometry(data):
     """leaf_geometry of the point data from its own stencil along its leaf
-    directions and its own spectral report."""
+    directions."""
     x5, y5 = hs.leaf_directions(data)
-    return hs.leaf_geometry(data, hs.stencil_residuals(data, x5, y5, y5).sectional,
-                            hs.spectral_report(data))
+    return hs.leaf_geometry(data, hs.stencil_residuals(data, x5, y5, y5).sectional)
+
+
+def _with_shape(data, shape):
+    """The point data with the shape operators shape (m, 5, 5) and their
+    spectrum in its frames."""
+    return dataclasses.replace(
+        data, shape=shape, **dict(zip(SPECTRUM, hs.spectral_report(shape, data.tangent_frame))))
 
 
 def _row_bytes(result, rows=slice(None)):
@@ -222,23 +227,18 @@ class TestAnalyzePoints:
         assert not batch.u.flags.writeable and not batch[2:4].u.flags.writeable
 
     def test_rows_are_taken_by_slices_only(self):
-        # an integer index raises, so the point data and its spectral report
-        # cannot be iterated row by row (the legacy protocol indexes 0, 1, ...)
+        # an integer index raises, so the point data cannot be iterated row
+        # by row (the legacy protocol indexes 0, 1, ...)
         M, U = self._batch("m3", dict(r=0.6), n=3)
         batch = hs.analyze_points(M, U)
-        rep = hs.spectral_report(batch)
         for index in (0, -1, np.int64(1)):
             with pytest.raises(TypeError, match="slice"):
                 batch[index]
-            with pytest.raises(TypeError, match="slice"):
-                rep[index]
         with pytest.raises(TypeError):
             list(batch)
-        with pytest.raises(TypeError):
-            list(rep)
         part = batch[1:]
         assert len(part) == 2 and part.xi.shape == (2, 6)
-        assert rep[1:].eigenvalues.shape == (2, 5)
+        assert part.eigenvalues.shape == (2, 5) and part.theta.shape == (2,)
 
     def test_rejects_a_single_point(self):
         M = hs.make_example("m1", r=0.6)
@@ -357,10 +357,10 @@ class TestPerRowParameters:
         rng = np.random.default_rng(44)
         U = np.stack([hs.random_chart_point(rng) for _ in range(3)])
         data = hs.analyze_points(hs.make_example(family, r=rs), U)
-        batched = [f(data) for f in (_theta_r, _leaf_geometry)]
+        batched = [f(data) for f in (hs.theta_r_consistency, _leaf_geometry)]
         for i in range(3):
             row = hs.analyze_point(hs.make_example(family, r=float(rs[i])), U[i])
-            single = [f(row) for f in (_theta_r, _leaf_geometry)]
+            single = [f(row) for f in (hs.theta_r_consistency, _leaf_geometry)]
             assert [_row_bytes(s) for s in single] == [_row_bytes(b, slice(i, i + 1))
                                                        for b in batched]
             # the residuals that read r
@@ -405,10 +405,9 @@ class TestSpectra:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(7)
         expected = hs.expected_spectrum(family, **kw)
-        rep = hs.spectral_report(
-            hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(3)])))
-        assert np.max(hs.spectra_match(rep.eigenvalues, expected)) <= 1e-6
-        assert rep.multiplicities.tolist() == [[2, 1, 2, 0, 0]] * 3
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(3)]))
+        assert np.max(hs.spectra_match(data.eigenvalues, expected)) <= 1e-6
+        assert data.multiplicities.tolist() == [[2, 1, 2, 0, 0]] * 3
 
     @pytest.mark.parametrize("family,kw", [
         ("m4", dict(k=0.6, l=0.8)),
@@ -419,19 +418,34 @@ class TestSpectra:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(8)
         expected = hs.expected_spectrum(family, **kw)
-        rep = hs.spectral_report(
-            hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(3)])))
-        assert np.max(hs.spectra_match(rep.eigenvalues, expected)) <= 1e-6
-        assert rep.multiplicities.tolist() == [[1, 1, 1, 1, 1]] * 3
+        data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(3)]))
+        assert np.max(hs.spectra_match(data.eigenvalues, expected)) <= 1e-6
+        assert data.multiplicities.tolist() == [[1, 1, 1, 1, 1]] * 3
 
     def test_swap_image_spectra_agree_with_base(self):
         rng = np.random.default_rng(9)
         m1 = hs.make_example("m1", r=0.45)
         m2 = hs.make_example("m2", r=0.45)
         u = hs.random_chart_point(rng)
-        s1 = hs.spectral_report(hs.analyze_point(m1, u)).eigenvalues
-        s2 = hs.spectral_report(hs.analyze_point(m2, u)).eigenvalues
+        s1 = hs.analyze_point(m1, u).eigenvalues
+        s2 = hs.analyze_point(m2, u).eigenvalues
         assert hs.spectra_match(s1, s2)[0] <= 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="at k = 0.999999 the largest principal curvature "
+                       "is 707.1, so the cluster threshold 1e-6 max|lambda| = 7.07e-4 joins "
+                       "the distinct curvatures -1.18e-4 and 0 into one cluster; a threshold "
+                       "from an error model (ROADMAP items 7 and 8) is to mend it")
+    @pytest.mark.parametrize("family", hs.FIVE_CURVATURE_FAMILIES)
+    def test_five_distinct_curvatures_at_large_curvature(self, family):
+        k = 0.999999
+        kw = dict(k=k, l=math.sqrt(1.0 - k * k))
+        expected = hs.expected_spectrum(family, **kw)
+        assert np.min(np.diff(expected)) == pytest.approx(1.1785e-4, rel=1e-4)
+        data = hs.analyze_points(hs.make_example(family, **kw),
+                                 hs.random_chart_points(np.random.default_rng(0), 20))
+        # the computed curvatures resolve the gap by an order of magnitude
+        assert np.max(hs.spectra_match(data.eigenvalues, expected)) <= 1e-5
+        assert data.multiplicities.tolist() == [[1, 1, 1, 1, 1]] * 20
 
     def test_cluster_tolerances(self):
         assert (hs.CLUSTER_REL_TOL, hs.CLUSTER_ABS_FLOOR) == (1e-6, 1e-9)
@@ -458,7 +472,8 @@ def _cluster_loop(values, rel_tol, abs_floor):
 
 
 def _spectral_report_loop(data):
-    """The spectral report of a batch of one row, cluster by cluster."""
+    """The spectrum fields of a batch of one row, by name, cluster by
+    cluster."""
     t = frames.get_tables()
     evals, evecs = np.linalg.eigh(data.shape[0])
     clusters = _cluster_loop(evals, hs.CLUSTER_REL_TOL, hs.CLUSTER_ABS_FLOOR)
@@ -475,11 +490,10 @@ def _spectral_report_loop(data):
             jx1 = t.J @ x1
             theta_sine = float(frames.g_norm(t, jx1 - float(jx1 @ t.g @ x2) * x2))
             break
-    trace = float(np.sum(evals))
     pad = [0] * (5 - len(mult))
-    return hs.SpectralReport(evals[None], np.array([mult + pad]),
-                             np.array([means + pad], dtype=float), np.array([trace]),
-                             np.array([theta]), np.array([theta_sine]))
+    return dict(zip(SPECTRUM, (evals[None], np.array([mult + pad]),
+                               np.array([means + pad], dtype=float),
+                               np.array([theta]), np.array([theta_sine]))))
 
 
 # (values, rel_tol, abs_floor) that probe the edges of the clustering rule
@@ -495,8 +509,8 @@ CRAFTED_SPECTRA = [
 
 
 class TestBatchedSpectra:
-    """The spectral report of a batch against the reports of its rows, and
-    the vectorised clustering against the one-value-at-a-time rule."""
+    """The spectrum of a batch against the spectra of its rows, and the
+    vectorised clustering against the one-value-at-a-time rule."""
 
     @pytest.mark.parametrize("values,rel_tol,abs_floor", CRAFTED_SPECTRA)
     def test_clustering_matches_loop(self, values, rel_tol, abs_floor):
@@ -531,39 +545,37 @@ class TestBatchedSpectra:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(41)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(6)]))
-        rep = hs.spectral_report(data)
-        assert rep.eigenvalues.shape == (6, 5)
+        assert data.eigenvalues.shape == (6, 5)
         three = family in hs.THREE_CURVATURE_FAMILIES
         names = hs.classify_normal_action(data)
         for i in range(6):
             rows = slice(i, i + 1)
             row = data[rows]
-            single = hs.spectral_report(row)
-            assert single.multiplicities.tolist() == (
+            single = dict(zip(SPECTRUM, hs.spectral_report(row.shape, row.tangent_frame)))
+            assert single["multiplicities"].tolist() == (
                 [[2, 1, 2, 0, 0]] if three else [[1, 1, 1, 1, 1]])
-            assert np.isnan(single.theta[0]) == (not three)
+            assert np.isnan(single["theta"][0]) == (not three)
             for want in (single, _spectral_report_loop(row)):
-                for f in dataclasses.fields(hs.SpectralReport):
-                    got, expected = getattr(rep[rows], f.name), getattr(want, f.name)
-                    assert (got.shape, got.dtype) == (expected.shape, expected.dtype), f.name
-                    assert got.tobytes() == expected.tobytes(), f.name
+                for name in SPECTRUM:
+                    got, expected = getattr(row, name), want[name]
+                    assert (got.shape, got.dtype) == (expected.shape, expected.dtype), name
+                    assert got.tobytes() == expected.tobytes(), name
             assert names[rows].tolist() == hs.classify_normal_action(row).tolist()
         if three:
-            batched = hs.theta_r_consistency(data, rep)
+            batched = hs.theta_r_consistency(data)
             for i in range(6):
                 rows = slice(i, i + 1)
-                assert _row_bytes(_theta_r(data[rows])) == _row_bytes(batched, rows)
+                assert _row_bytes(hs.theta_r_consistency(data[rows])) == _row_bytes(batched, rows)
 
     def test_slice_is_a_batch(self):
         M = hs.make_example("m2", r=0.6)
         rng = np.random.default_rng(42)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
-        rep = hs.spectral_report(data)
-        part = rep[1:3]
+        part = data[1:3]
         assert part.eigenvalues.shape == (2, 5)
-        for f in dataclasses.fields(hs.SpectralReport):
-            assert (getattr(part[1:], f.name).tobytes()
-                    == getattr(rep[2:3], f.name).tobytes()), f.name
+        for name in SPECTRUM:
+            assert (getattr(part[1:], name).tobytes()
+                    == getattr(data[2:3], name).tobytes()), name
 
     def test_degenerate_row_is_named(self):
         M = hs.make_example("m1", r=0.6)
@@ -572,14 +584,14 @@ class TestBatchedSpectra:
         data = hs.analyze_points(M, U)
         shape = data.shape.copy()
         shape[1] = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
-        rep = hs.spectral_report(dataclasses.replace(data, shape=shape))
-        assert rep.multiplicities.tolist() == [[2, 1, 2, 0, 0], [1, 1, 1, 1, 1],
-                                               [2, 1, 2, 0, 0]]
-        assert math.isnan(rep.theta[1]) and math.isnan(rep.theta_sine[1])
-        assert not np.any(np.isnan(rep.theta[::2]))
+        degenerate = _with_shape(data, shape)
+        assert degenerate.multiplicities.tolist() == [[2, 1, 2, 0, 0], [1, 1, 1, 1, 1],
+                                                      [2, 1, 2, 0, 0]]
+        assert math.isnan(degenerate.theta[1]) and math.isnan(degenerate.theta_sine[1])
+        assert not np.any(np.isnan(degenerate.theta[::2]))
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspaces at u={U[1].tolist()}")):
-            _theta_r(dataclasses.replace(data, shape=shape))
+            hs.theta_r_consistency(degenerate)
 
     def test_normal_action_batch_marks_undefined_rows(self):
         M = hs.make_example("m3", r=0.6)
@@ -769,8 +781,7 @@ class TestIdentityResiduals:
 
         def error(h):
             monkeypatch.setattr(hs, "NORMAL_H", h)
-            rep = hs.spectral_report(hs.analyze_points(M, U))
-            return hs.spectra_match(rep.eigenvalues, expected)
+            return hs.spectra_match(hs.analyze_points(M, U).eigenvalues, expected)
 
         coarse, fine = error(2e-3), error(1e-3)
         assert np.all(fine > 1e-8)
@@ -955,8 +966,9 @@ class TestBatchedResiduals:
 class TestModuliRelations:
     def test_theta_at_r1(self):
         M = hs.make_example("m1", r=1.0)
-        tc = _theta_r(hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(17))))
-        assert tc.theta[0] == pytest.approx(1.0, abs=1e-6)
+        data = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(17)))
+        tc = hs.theta_r_consistency(data)
+        assert data.theta[0] == pytest.approx(1.0, abs=1e-6)
         assert tc.r_residual[0] <= 1e-6
         assert tc.product_residual[0] <= 1e-8
 
@@ -968,17 +980,17 @@ class TestModuliRelations:
             for family in ("m1", "m2", "m3"):
                 M = hs.make_example(family, r=1.0)
                 u = hs.random_chart_point(rng)
-                tc = _theta_r(hs.analyze_point(M, u))
+                tc = hs.theta_r_consistency(hs.analyze_point(M, u))
                 assert max(tc.r_residual[0], tc.spectrum_residual[0]) < 1e-10, (seed, family)
 
     def test_theta_at_r06(self):
         # inverting r = sqrt(3) theta / sqrt(1 + 2 theta^2) at r = 0.6
         M = hs.make_example("m1", r=0.6)
         data = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(18)))
-        rep = hs.spectral_report(data)
-        tc = hs.theta_r_consistency(data, rep)
-        assert tc.theta[0] == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
-        assert rep.theta_sine[0] == pytest.approx(math.sqrt(1.0 - rep.theta[0] ** 2), abs=1e-12)
+        tc = hs.theta_r_consistency(data)
+        assert data.theta[0] == pytest.approx(math.sqrt(0.36 / 2.28), abs=1e-6)
+        assert data.theta_sine[0] == pytest.approx(math.sqrt(1.0 - data.theta[0] ** 2),
+                                                   abs=1e-12)
         assert tc.r_residual[0] <= 1e-6
         assert tc.spectrum_residual[0] <= 1e-6
         assert tc.product_residual[0] <= 1e-8
@@ -986,10 +998,10 @@ class TestModuliRelations:
     def test_degenerate_spectrum_error_names_the_chart_point(self):
         M = hs.make_example("m1", r=0.6)
         d = hs.analyze_point(M, hs.random_chart_point(np.random.default_rng(33)))
-        simple = dataclasses.replace(d, shape=np.diag([0.0, 1.0, 2.0, 3.0, 4.0])[None])
+        simple = _with_shape(d, np.diag([0.0, 1.0, 2.0, 3.0, 4.0])[None])
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspaces at u={d.u[0].tolist()}")):
-            _theta_r(simple)
+            hs.theta_r_consistency(simple)
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspace at u={d.u[0].tolist()}")):
             _leaf_geometry(simple)
@@ -997,17 +1009,17 @@ class TestModuliRelations:
     def test_rejects_torus_families(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
         with pytest.raises(PreconditionError):
-            _theta_r(hs.analyze_point(M, ORIGIN5))
+            hs.theta_r_consistency(hs.analyze_point(M, ORIGIN5))
 
     def test_minimality_exactly_at_r1(self):
         rng = np.random.default_rng(19)
         for family in ("m1", "m2", "m3"):
             M = hs.make_example(family, r=1.0)
-            rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
-            assert abs(rep.trace[0]) <= 1e-6
+            data = hs.analyze_point(M, hs.random_chart_point(rng))
+            assert abs(np.sum(data.eigenvalues[0])) <= 1e-6
             M = hs.make_example(family, r=0.6)
-            rep = hs.spectral_report(hs.analyze_point(M, hs.random_chart_point(rng)))
-            assert abs(rep.trace[0]) >= 0.1
+            data = hs.analyze_point(M, hs.random_chart_point(rng))
+            assert abs(np.sum(data.eigenvalues[0])) >= 0.1
 
     def test_leaf_geometry(self):
         rng = np.random.default_rng(20)

@@ -272,15 +272,15 @@ def test_complement_residual_fails_off_the_structure_vector(family, params):
 @pytest.mark.parametrize("family,params", [("m3", {"r": 0.6}), ("m6", {"k": 0.6, "l": 0.8})])
 def test_hypersurface_suite_makes_no_per_sample_spectral_reports(monkeypatch, family,
                                                                  params):
-    # one spectral report, with one eigh call, for the samples and the
-    # further points, which the theta-r relation and the leaf geometry of
-    # m1-m3 read, whatever the sample count
+    # one spectrum, with one eigh call, for the samples and the further
+    # points, which the theta-r relation and the leaf geometry of m1-m3
+    # read, whatever the sample count
     calls = {"spectral_report": 0, "eigh": 0}
     report, eigh = hs.spectral_report, np.linalg.eigh
 
-    def counting_report(data):
+    def counting_report(shape, frame):
         calls["spectral_report"] += 1
-        return report(data)
+        return report(shape, frame)
 
     def counting_eigh(*args, **kwargs):
         calls["eigh"] += 1
@@ -324,9 +324,10 @@ def test_nonminimal_check_holds_near_r1(r):
 def test_nonminimal_check_fails_on_a_zero_trace(monkeypatch):
     report = hs.spectral_report
 
-    def zero_trace(data):
-        rep = report(data)
-        return dataclasses.replace(rep, trace=np.zeros_like(rep.trace))
+    def zero_trace(shape, frame):
+        # eigenvalues of sum zero, the rest of the spectrum as it is
+        evals, *rest = report(shape, frame)
+        return (np.zeros_like(evals), *rest)
 
     monkeypatch.setattr(hs, "spectral_report", zero_trace)
     rep = verify.run_hypersurface_suite("m1", {"r": 0.6}, seed=0, samples=3)
@@ -393,18 +394,31 @@ def test_gauss_check_catches_a_scaled_curvature(monkeypatch, scale):
     assert gauss.passed == (scale == 1.0), gauss.max_residual
 
 
+@pytest.mark.xfail(strict=True, reason="the finite-difference truncation error grows with "
+                   "the principal curvatures, roughly as their cube: at m1, r = 0.05 "
+                   "(curvatures up to 20) reeb-transport reads 4.6e-7, gauss 5.9e-4 and "
+                   "codazzi 3.2e-4, and at m4, k = 0.999999 (up to 707) gauss reads 0.040; "
+                   "tolerances from an error model in the curvature and the step (ROADMAP "
+                   "item 7) are to mend it")
+@pytest.mark.parametrize("family,params", [
+    ("m1", {"r": 0.05}), ("m4", {"k": 0.999999, "l": math.sqrt(1.0 - 0.999999 ** 2)})])
+def test_stencil_checks_hold_at_large_curvature(family, params):
+    rep = verify.run_hypersurface_suite(family, params, seed=0, samples=5)
+    failed = {c.check_id.split(":", 1)[1] for c in rep.checks if not c.passed}
+    assert not failed & {"reeb-transport", "gauss", "codazzi"}, failed
+
+
 def _further_point_residuals(family, params, seed, samples):
     """The theta-r, double-eigenvalue-product and leaf-geometry residuals of
     a suite, recomputed on its further points alone: their own analysis,
-    stencil along their leaf directions and spectral report."""
+    spectrum and stencil along their leaf directions."""
     M = hs.make_example(family, **params)
     rng2 = np.random.default_rng(seed + 1)
     extra = hs.analyze_points(M, np.stack([hs.random_chart_point(rng2)
                                            for _ in range(min(samples, 3))]))
-    rep = hs.spectral_report(extra)
     x5, y5 = hs.leaf_directions(extra)
-    tc = hs.theta_r_consistency(extra, rep)
-    lg = hs.leaf_geometry(extra, hs.stencil_residuals(extra, x5, y5, y5).sectional, rep)
+    tc = hs.theta_r_consistency(extra)
+    lg = hs.leaf_geometry(extra, hs.stencil_residuals(extra, x5, y5, y5).sectional)
     return {
         "theta-r": verify._worst(tc.r_residual, tc.spectrum_residual),
         "double-eigenvalue-product": verify._worst(tc.product_residual),

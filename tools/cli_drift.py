@@ -17,6 +17,9 @@ and stderr.  The matrix holds
   sample each, where no row has a theta;
 * `analyze` at the near-lock point u1 = 0.7845, 9e-4 from the u1 = pi/4
   chart lock;
+* `analyze` and `sweep` of m6 at k = 0.999999, where the largest principal
+  curvature is 707 and two distinct ones 1.2e-4 apart are reported as one
+  cluster;
 * degenerate and out-of-range inputs, which exit 2.
 
 It prints one line per invocation, its exit code and its arguments.
@@ -73,6 +76,9 @@ MATRIX = (
         ["analyze", "--family", "m1", "--r", "0.6", "--at", "0.2,0.7845,0.1,0.3,0.4"],
         ["analyze", "--family", "m3", "--r", "0.6", "--at", "0,0.785398,0,0,0"],
         ["sweep", "--family", "m4", "--k", "0.999999999999", "--seed", "0"],
+        # large curvature: two distinct curvatures within one cluster threshold
+        ["analyze", "--family", "m6", "--k", "0.999999", "--seed", "3"],
+        ["sweep", "--family", "m6", "--k", "0.999999", "--samples", "3"],
         # chart points and parameters out of range
         ["analyze", "--family", "m1", "--r", "0.6", "--at", "0,0,0,0,7"],
         ["analyze", "--family", "m1", "--r", "0.6", "--at", "1e300,0,0,0,0"],
