@@ -50,13 +50,14 @@ the direction and the field's value, minus the normal part.  The analysis
 takes it along the five chart lines through each point, from one chart
 call on the point and its ten segment ends.  `stencil_residuals` takes
 the transport, Gauss and Codazzi residuals together, from one chart call
-and one normal computation on the transport's two segment ends and a
-nested stencil of two such steps, `_nested_fd`.  On the nested stencil
-two fields are differenced at once: the chart-constant extension of Z
-(Gauss) and the unit normal (Codazzi), whose inner step is -A Y by the
-Weingarten relation, so no shape operator is built away from the point
-itself.  The Gauss field also gives the sectional value g(R_ind(X, Y) Z, X)
-that the leaf geometry reads along its 3-sphere pair (`leaf_directions`).
+and one normal computation on 20 points a row: the transport's two
+segment ends and a nested stencil of two such steps, `_nested_fd`, the
+point among its 18.  On the nested stencil two fields are differenced at
+once: the chart-constant extension of Z (Gauss) and the unit normal
+(Codazzi), whose inner step is -A Y by the Weingarten relation, so no
+shape operator is built away from the point itself.  The Gauss field also
+gives the sectional value g(R_ind(X, Y) Z, X) that the leaf geometry reads
+along its 3-sphere pair, the first two tangent-frame vectors.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -781,10 +782,10 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     with the ambient curvature R from `frames.curvature_closed_form`; and
     g(R_ind(X, Y) Z, X), which along an orthonormal pair X, Y with Z = Y is
     the induced sectional curvature of their plane.  The transport's two
-    segment ends and the 16 fresh points of the nested stencil of step
-    NESTED_H (`_nested_fd`) are evaluated in one chart call of 18 points a
-    row, with one `_unit_normal` call, so a normal that is undefined at any
-    of the 18 points raises DegenerateImmersionError.
+    segment ends and the 18 points of the nested stencil of step NESTED_H
+    (`_nested_fd`), the point itself among them, are evaluated in one chart
+    call of 20 points a row, with one `_unit_normal` call, so a normal that
+    is undefined at any of the 20 points raises DegenerateImmersionError.
     """
     t = get_tables()
     x5, y5, z5 = (np.asarray(v, dtype=float) for v in (x5, y5, z5))
@@ -810,7 +811,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
 
 
 # The three one-identity residuals below are each one field of
-# `stencil_residuals`, so each charts its whole 18-point stencil; the
+# `stencil_residuals`, so each charts its whole 20-point stencil; the
 # program calls `stencil_residuals` itself, and these keep the names the
 # benchmark's tracer spans.
 
@@ -829,36 +830,21 @@ def gauss_residual(data: HypersurfacePointData, x5, y5, z5) -> np.ndarray:
     return stencil_residuals(data, x5, y5, z5).gauss
 
 
-# the chart points (direction, prime, stencil slot) of the nested stencil
-# that its chart call evaluates: all but the point itself, slot [d, 2, 0]
-_FRESH = np.ones((2, 3, 3), dtype=bool)
-_FRESH[:, 2, 0] = False
-
-
 def _nested_points(data: HypersurfacePointData, x5, y5) -> tuple:
     """The chart velocities vels (m, 2, 5) of X and Y, given by their
-    tangent-frame components x5, y5 (m, 5), and the 16 fresh chart points
-    (m, 16, 5) of the nested stencil of step NESTED_H along them (see
-    `_nested_fd`), in the order of `_FRESH`."""
+    tangent-frame components x5, y5 (m, 5), and the 18 chart points
+    (m, 18, 5) of the nested stencil of step NESTED_H along them (see
+    `_nested_fd`), in (direction, prime, slot) order."""
     vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
     u = data.u[..., None, None, :]
     primes = np.concatenate([_segments(u[..., 0, :], vels, NESTED_H),
                              np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
     points = np.concatenate([primes[..., None, :],
                              _segments(primes, vels[..., ::-1, None, :], NESTED_H)], axis=-2)
-    return vels, points[..., _FRESH, :]
+    return vels, points.reshape(len(points), 18, 5)
 
 
-def _on_stencil(fresh, own) -> np.ndarray:
-    """An array (m, 2, 3, 3, ...) over the nested stencil, from its values
-    at the fresh points (m, 16, ...) and the point's own value (m, ...)."""
-    out = np.empty(fresh.shape[:1] + _FRESH.shape + fresh.shape[2:])
-    out[:, _FRESH] = fresh
-    out[:, :, 2, 0] = own[:, None]
-    return out
-
-
-def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> np.ndarray:
+def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, charted: tuple) -> np.ndarray:
     """D_X D_Y F - D_Y D_X F (2, m, 6) of two fields F along the
     chart-constant extensions of X and Y, given by their tangent-frame
     components x5, y5 (m, 5) and chart velocities vels (m, 2, 5): two
@@ -873,15 +859,13 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> n
     The inner derivatives along Y (and X) are taken in frame coefficients at
     the point and at its two neighbours along X (and Y), the primes: six
     primes with three chart points each per row, indexed (direction, prime,
-    slot) with slot 0 the prime itself.  The point itself (prime 2 of
-    either direction) takes its chart data and normal from the point data;
-    fresh = (p, q, T, xi) holds those of the other 16 points
-    (`_nested_points`), with the normals aligned with the point's.  Both
-    fields go through one pair of `_covariant_fd` calls, stacked on a
-    leading field axis.
+    slot) with slot 0 the prime itself, and prime 2 of either direction the
+    point itself.  charted = (p, q, T, xi) holds the chart data and normals
+    of the 18 points (m, 18, ...) of `_nested_points`, in that order, with
+    the normals aligned with the point's.  Both fields go through one pair
+    of `_covariant_fd` calls, stacked on a leading field axis.
     """
-    p, q, T, xi = (_on_stencil(a, own) for a, own in
-                   zip(fresh, (data.p, data.q, data.push_coords, data.xi)))
+    p, q, T, xi = (a.reshape(len(a), 2, 3, 3, *a.shape[2:]) for a in charted)
     zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
     values = np.stack([_vm(zchart, T), xi])
     inner_vels = vels[..., ::-1, None, :]
@@ -890,7 +874,7 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, fresh: tuple) -> n
                           _vm(inner_vels, T[..., 0, :, :]), values[..., 0, :], NESTED_H)
     # the outer differences along X and Y, centred at prime 2, the point itself
     XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
-    outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), data.xi[..., None, :],
+    outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), xi[..., 2, 0, :],
                           (p[..., :2, 0, :], q[..., :2, 0, :]),
                           inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
     return outer[..., 0, :] - outer[..., 1, :]
@@ -988,30 +972,19 @@ class LeafGeometry:
     sphere2_curvature_residual: np.ndarray  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
-def leaf_directions(data: HypersurfacePointData) -> tuple:
-    """Tangent-frame components x5, y5 (m, 5) of a g-orthonormal pair
-    spanning the first two chart directions, both tangent to the 3-sphere
-    factor leaf: the plane whose sectional curvature `leaf_geometry` reads,
-    as `stencil_residuals(data, x5, y5, y5).sectional`."""
-    comp = data.tangent_frame @ get_tables().g @ np.swapaxes(data.push_coords, -1, -2)
-    # a contiguous copy: BLAS sums a strided vector in another order
-    c0 = np.ascontiguousarray(comp[..., :, 0])
-    x5 = c0 / np.sqrt(_dot(c0, c0))[..., None]
-    y5 = comp[..., :, 1] - _dot(comp[..., :, 1], x5)[..., None] * x5
-    return x5, y5 / np.sqrt(_dot(y5, y5))[..., None]
-
-
 def leaf_geometry(data: HypersurfacePointData, sectional) -> LeafGeometry:
     """Geometry of the two product-factor leaves through each chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
     sectional curvature is 3/4; sectional is that value recomputed from the
     induced curvature by finite differences, the `StencilResiduals` field
-    along the pair of `leaf_directions` of the same rows.  The 2-sphere
-    factor leaf carries 4 r^2 / 3 times the round metric, so its curvature
-    is 3 / (4 r^2), which in terms of the data's eigenspace invariant
-    theta reads (1 + 2 theta^2) / (4 theta^2).  Each field holds one value
-    per row of the data, against the immersion's r of that row.
+    of the same rows along X = e0, Y = Z = e1: the frame is the
+    Gram-Schmidt of the chart directions, so its first two vectors span the
+    leaf's.  The 2-sphere factor leaf carries 4 r^2 / 3 times the round
+    metric, so its curvature is 3 / (4 r^2), which in terms of the data's
+    eigenspace invariant theta reads (1 + 2 theta^2) / (4 theta^2).  Each
+    field holds one value per row of the data, against the immersion's r of
+    that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:

@@ -374,13 +374,13 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     n, n_extra = samples, len(extra)
 
     # for m1-m3 the further points ride the samples' stencil, along their
-    # leaf's 3-sphere pair with Z = Y, for the leaf's sectional curvature
+    # leaf's 3-sphere pair e0, e1 with Z = Y, for the leaf's sectional curvature
     stencil_data, directions = data, (X5, Y5, Z5)
     if three_family:
-        lx5, ly5 = hs.leaf_directions(extra)
+        e0, e1 = np.eye(5)[:2]
         stencil_data = analysed
-        directions = tuple(np.concatenate([v, w]) for v, w in
-                           zip(directions, (lx5, ly5, ly5)))
+        directions = tuple(np.concatenate([v, np.broadcast_to(w, (n_extra, 5))])
+                           for v, w in zip(directions, (e0, e1, e1)))
     stencil = hs.stencil_residuals(stencil_data, *directions)
 
     mult_off = np.any(data.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
@@ -479,28 +479,22 @@ def _complement_residual(data: hs.HypersurfacePointData) -> np.ndarray:
 def _structure_complement(data: hs.HypersurfacePointData) -> np.ndarray:
     """Orthonormal bases (m, 4, 5) of the tangent directions orthogonal to U.
 
-    Gram-Schmidt on the coordinate vectors with U projected out, row by row
-    in the same order: a vector of norm at most 1e-8 after the projections
-    is skipped in its row, and a row left with fewer than four vectors has
-    NaN in their place.
+    Gram-Schmidt on the coordinate vectors with U projected out, in order,
+    without the one that depends on those before it: the last coordinate k
+    along which U has a component, |eta_k| > 1e-8.
     """
     eta = data.eta
     rows = np.arange(len(eta))
-    basis = np.full((len(eta), 4, 5), np.nan)
-    found = np.zeros(len(eta), dtype=int)
-    for i in range(5):
+    k = 4 - np.argmax(np.abs(eta[:, ::-1]) > 1e-8, axis=-1)
+    basis = np.empty((len(eta), 4, 5))
+    for j in range(4):
         v = np.zeros_like(eta)
-        v[:, i] = 1.0
+        v[rows, j + (j >= k)] = 1.0
         v = v - _dot(v, eta)[:, None] * eta / _dot(eta, eta)[:, None]
-        for j in range(i):
-            b = basis[:, j]
-            v = np.where((found > j)[:, None], v - _dot(v, b)[:, None] * b, v)
-        n = np.sqrt(_dot(v, v))
-        keep = (n > 1e-8) & (found < 4)
-        slot = np.minimum(found, 3)
-        scale = np.where(keep, n, 1.0)[:, None]  # a skipped vector may be 0
-        basis[rows, slot] = np.where(keep[:, None], v / scale, basis[rows, slot])
-        found += keep
+        for i in range(j):
+            b = basis[:, i]
+            v = v - _dot(v, b)[:, None] * b
+        basis[:, j] = v / np.sqrt(_dot(v, v))[:, None]
     return basis
 
 

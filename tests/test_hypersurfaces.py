@@ -33,10 +33,16 @@ def _unit(v):
 SPECTRUM = ("eigenvalues", "multiplicities", "cluster_means", "theta", "theta_sine")
 
 
+def _leaf_pair(data):
+    """The tangent-frame components (m, 5) of the leaf's 3-sphere pair, the
+    frame vectors e0 and e1, one row per row of the point data."""
+    return (np.broadcast_to(e, (len(data), 5)) for e in np.eye(5)[:2])
+
+
 def _leaf_geometry(data):
     """leaf_geometry of the point data from its own stencil along its leaf
-    directions."""
-    x5, y5 = hs.leaf_directions(data)
+    pair."""
+    x5, y5 = _leaf_pair(data)
     return hs.leaf_geometry(data, hs.stencil_residuals(data, x5, y5, y5).sectional)
 
 
@@ -902,13 +908,12 @@ class TestBatchedResiduals:
         npt.assert_array_equal(hs.codazzi_residual(data, X5, Y5), joint.codazzi)
         # the induced sectional value along the leaf pair, as leaf geometry
         # reads it, row by row too
-        LX5, LY5 = hs.leaf_directions(data)
+        LX5, LY5 = _leaf_pair(data)
         leaf = hs.stencil_residuals(data, LX5, LY5, LY5).sectional
         for i in range(4):
             rows = slice(i, i + 1)
-            lx5, ly5 = hs.leaf_directions(data[rows])
-            assert lx5.tobytes() == LX5[rows].tobytes() and ly5.tobytes() == LY5[rows].tobytes()
-            sectional = hs.stencil_residuals(data[rows], lx5, ly5, ly5).sectional
+            sectional = hs.stencil_residuals(data[rows], LX5[rows], LY5[rows],
+                                             LY5[rows]).sectional
             assert sectional.tobytes() == leaf[rows].tobytes(), i
         if family in hs.THREE_CURVATURE_FAMILIES:
             batched = _leaf_geometry(data)
@@ -917,12 +922,12 @@ class TestBatchedResiduals:
                 assert _row_bytes(_leaf_geometry(data[rows])) == _row_bytes(batched, rows)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
-    def test_induced_curvature_reuses_the_point_data(self, monkeypatch, family, kw):
-        # the nested stencil of Gauss and Codazzi takes the chart data and
-        # normal of the point itself from the point data, which must equal a
-        # fresh chart call bitwise (the normal up to its orientation); the
-        # one chart call of the three stencil residuals then has 18 points a
-        # row, the transport's 2 and the nested stencil's 16
+    def test_stencil_charts_the_point_with_its_stencil(self, monkeypatch, family, kw):
+        # the nested stencil of Gauss and Codazzi charts the point itself
+        # again, which gives the chart data and normal of the point data
+        # bitwise (the normal up to its orientation); the one chart call of
+        # the three stencil residuals has 20 points a row, the transport's 2
+        # and the nested stencil's 18
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(32)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
@@ -944,7 +949,7 @@ class TestBatchedResiduals:
         X5, Y5, Z5 = (v / np.linalg.norm(v, axis=-1, keepdims=True)
                       for v in rng.standard_normal((3, 4, 5)))
         hs.stencil_residuals(data, X5, Y5, Z5)
-        assert shapes == [(4, 18, 5)]
+        assert shapes == [(4, 20, 5)]
 
     def test_hopf_error_names_the_failing_row(self):
         M = hs.make_example("m1", r=0.6)
@@ -1030,6 +1035,31 @@ class TestModuliRelations:
             assert lg.sphere2_metric_residual[0] <= 1e-9
             assert lg.sphere3_sectional[0] == pytest.approx(0.75, abs=1e-3)
             assert lg.sphere2_curvature_residual[0] <= 1e-6
+
+
+def _gram_schmidt_leaf_pair(data):
+    """The g-orthonormal pair (x5, y5) (m, 5) spanning the first two chart
+    directions, by Gram-Schmidt of their tangent-frame components: the
+    oracle for the frame vectors e0, e1 that the leaf geometry reads."""
+    comp = data.tangent_frame @ frames.get_tables().g @ np.swapaxes(data.push_coords, -1, -2)
+    c0 = np.ascontiguousarray(comp[..., :, 0])
+    x5 = c0 / np.sqrt(frames._dot(c0, c0))[..., None]
+    y5 = comp[..., :, 1] - frames._dot(comp[..., :, 1], x5)[..., None] * x5
+    return x5, y5 / np.sqrt(frames._dot(y5, y5))[..., None]
+
+
+@pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+def test_frame_is_the_gram_schmidt_of_the_chart_directions(family, kw):
+    # the chart weights W (frame = W T) are lower triangular, so frame
+    # vector i lies in the span of chart directions 0..i: e0 and e1 are the
+    # Gram-Schmidt pair of the first two chart directions, the 3-sphere leaf
+    data = hs.analyze_points(hs.make_example(family, **kw),
+                             hs.random_chart_points(np.random.default_rng(40), 200))
+    assert np.max(np.abs(np.triu(data.chart_weights, 1))) <= 1e-14
+    x5, y5 = _gram_schmidt_leaf_pair(data)
+    e0, e1 = np.eye(5)[:2]
+    assert np.max(np.abs(x5 - e0)) <= 1e-14
+    assert np.max(np.abs(y5 - e1)) <= 1e-14
 
 
 class TestRankTest:

@@ -1,5 +1,6 @@
 """`tools/pool_drift.py --against` counts the outcomes that differ bitwise
-from a dump, by check id, and returns the count that sets the exit code."""
+from a dump, by check id with the spread of their residual ratios, and
+returns the count that sets the exit code."""
 
 import importlib.util
 from pathlib import Path
@@ -16,19 +17,26 @@ def _tool():
 
 def test_against_counts_bitwise_differences(capsys):
     tool = _tool()
-    dumped = {"w": {"0": [["a", (0.1).hex(), True], ["b", (1e-12).hex(), True]],
-                    "1": [["a", (0.2).hex(), True]]}}
-    passes = {"0": [["a", (0.1).hex(), True], ["b", (1e-12 * (1 + 2 ** -52)).hex(), True]],
-              "1": [["a", (0.2).hex(), False], ["c", (0.0).hex(), True]]}
-    assert tool.against("w", passes, dumped) == 3
+    dumped = {"w": {"0": [["a", (0.1).hex(), True], ["b", (1e-12).hex(), True],
+                          ["d", (0.0).hex(), True]],
+                    "1": [["a", (0.2).hex(), True], ["b", (2e-12).hex(), True]]}}
+    passes = {"0": [["a", (0.1).hex(), True], ["b", (1e-12 * (1 + 2 ** -52)).hex(), True],
+                    ["d", (3e-16).hex(), True]],
+              "1": [["a", (0.2).hex(), False], ["b", (1e-12).hex(), True],
+                    ["c", (0.0).hex(), True]]}
+    assert tool.against("w", passes, dumped) == 5
+    # each moved id with the smallest and largest ratio of its residual to
+    # the dumped one: a flag that flips keeps ratio 1, a dumped 0 gives inf,
+    # and an outcome with no dumped counterpart has no ratio
     assert capsys.readouterr().out.splitlines() == [
-        "  against dump: 3 of 4 outcomes differ bitwise",
-        "    b: 1",
-        "    a: 1",
+        "  against dump: 5 of 6 outcomes differ bitwise",
+        "    b: 2, ratio 0.5 to 1",
+        "    d: 1, ratio inf to inf",
+        "    a: 1, ratio 1 to 1",
         "    c: 1",
     ]
     assert tool.against("w", dumped["w"], dumped) == 0
-    assert capsys.readouterr().out == "  against dump: 0 of 3 outcomes differ bitwise\n"
+    assert capsys.readouterr().out == "  against dump: 0 of 5 outcomes differ bitwise\n"
 
 
 def test_against_counts_a_workload_missing_from_the_dump(capsys):

@@ -229,22 +229,36 @@ def _structure_complement_loop(row):
     return basis[:4]
 
 
-def test_structure_complement_rows_equal_per_point_loop_bitwise():
-    M = hs.make_example("m2", r=0.6)
-    rng = np.random.default_rng(12)
-    data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(6)]))
-    eta = data.eta.copy()
-    eta[5] = [1.0, 0.0, 0.0, 0.0, 0.0]  # the first coordinate vector is skipped
-    data = dataclasses.replace(data, eta=eta)
-    basis = verify._structure_complement(data)
-    for i in range(6):
-        assert basis[i].tobytes() == np.stack(
-            _structure_complement_loop(data[i:i + 1])).tobytes()
+# structure-vector components with a dependent coordinate each: the
+# first coordinate vector, the last, all five components nonzero, two, and a
+# last component at 1e-12, below the 1e-8 that counts a component
+CONSTRUCTED_ETA = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0, 1.0],
+                            [0.1, -0.5, 0.3, 0.7, -0.4],
+                            [0.6, -0.8, 0.0, 0.0, 0.0],
+                            [0.48, 0.6, 0.0, 0.64, 1e-12]])
 
 
 ALL_FAMILIES = [("m1", {"r": 0.6}), ("m2", {"r": 0.6}), ("m3", {"r": 1.0}),
                 ("m4", {"k": 0.6, "l": 0.8}), ("m5", {"k": 0.6, "l": 0.8}),
                 ("m6", {"k": 0.8, "l": 0.6})]
+
+
+def test_structure_complement_rows_equal_per_point_loop_bitwise():
+    # 20 sampled rows of each family, then the constructed components in
+    # place of the structure vector's on five more
+    constructed = CONSTRUCTED_ETA / np.linalg.norm(CONSTRUCTED_ETA, axis=-1, keepdims=True)
+    assert constructed[4, 4] == pytest.approx(1e-12, rel=1e-9)
+    for family, params in ALL_FAMILIES:
+        data = hs.analyze_points(hs.make_example(family, **params),
+                                 hs.random_chart_points(np.random.default_rng(12), 25))
+        eta = data.eta.copy()
+        eta[20:] = constructed
+        data = dataclasses.replace(data, eta=eta)
+        basis = verify._structure_complement(data)
+        for i in range(25):
+            assert basis[i].tobytes() == np.stack(
+                _structure_complement_loop(data[i:i + 1])).tobytes(), (family, i)
 
 
 @pytest.mark.parametrize("family,params", ALL_FAMILIES)
@@ -411,12 +425,12 @@ def test_stencil_checks_hold_at_large_curvature(family, params):
 def _further_point_residuals(family, params, seed, samples):
     """The theta-r, double-eigenvalue-product and leaf-geometry residuals of
     a suite, recomputed on its further points alone: their own analysis,
-    spectrum and stencil along their leaf directions."""
+    spectrum and stencil along their leaf pair, the frame vectors e0, e1."""
     M = hs.make_example(family, **params)
     rng2 = np.random.default_rng(seed + 1)
     extra = hs.analyze_points(M, np.stack([hs.random_chart_point(rng2)
                                            for _ in range(min(samples, 3))]))
-    x5, y5 = hs.leaf_directions(extra)
+    x5, y5 = (np.broadcast_to(e, (len(extra), 5)) for e in np.eye(5)[:2])
     tc = hs.theta_r_consistency(extra)
     lg = hs.leaf_geometry(extra, hs.stencil_residuals(extra, x5, y5, y5).sectional)
     return {

@@ -24,8 +24,11 @@ Like the benchmark, it pins OpenBLAS, OpenMP and MKL to one thread.
 `--dump FILE` writes every outcome of every pass as JSON, `{workload: {seed:
 [[check id, float.hex(residual), passed], ...]}}`.  `--against FILE` reads
 such a dump, made for example at a parent commit, and prints per workload
-how many outcomes differ from it bitwise, and the check ids that moved: the
-check that a change meant to keep every residual reproduces them.
+how many outcomes differ from it bitwise, and the check ids that moved, each
+with its count and the smallest and largest ratio of its new residual to the
+dumped one (`inf` where the dumped residual is 0): the check that a change
+meant to keep every residual reproduces them, and how far a change that
+moves some moved them.
 
 Exits 1 when the judge fails any pass or, with `--against`, when any
 outcome differs from the dump (a workload missing from the dump counts
@@ -59,6 +62,14 @@ def _workloads():
     return module
 
 
+def _ratio(new: float, old: float) -> float:
+    """A residual over its reference or dumped value: 1 where they are
+    equal, inf where only the reference is 0."""
+    if new == old:
+        return 1.0
+    return new / old if old != 0.0 else math.inf
+
+
 def drift(W, name: str, passes: dict) -> int:
     """Print the drift table of one workload; return its judge failures.
     Each pass's outcomes are stored in passes under its seed."""
@@ -90,7 +101,7 @@ def drift(W, name: str, passes: dict) -> int:
                 continue
             moved += 1
             row[0] += 1
-            ratio = residual / ref[cid] if ref[cid] != 0.0 else math.inf
+            ratio = _ratio(residual, ref[cid])
             if ratio > row[2]:
                 row[2], row[3] = ratio, residual
     print(f"  judge failures: {failures}, in {failed_passes} of {W.POOL_SIZE} passes")
@@ -117,14 +128,21 @@ def against(name: str, passes: dict, dumped: dict) -> int:
         return sum(len(outcomes) for outcomes in passes.values())
     total = 0
     moved: Counter = Counter()
+    ratios: dict = {}  # check id -> ratios of its moved residuals to the dumped ones
     for seed in sorted(set(passes) | set(dumped[name]), key=int):
         for new, old in zip_longest(passes.get(seed, []), dumped[name].get(seed, [])):
             total += 1
-            if new != old:
-                moved[(new or old)[0]] += 1
+            if new == old:
+                continue
+            moved[(new or old)[0]] += 1
+            if new and old and new[0] == old[0]:
+                ratios.setdefault(new[0], []).append(_ratio(float.fromhex(new[1]),
+                                                            float.fromhex(old[1])))
     print(f"  against dump: {moved.total()} of {total} outcomes differ bitwise")
     for cid, n in moved.items():
-        print(f"    {cid}: {n}")
+        spread = (f", ratio {min(ratios[cid]):.6g} to {max(ratios[cid]):.6g}"
+                  if cid in ratios else "")
+        print(f"    {cid}: {n}{spread}")
     return moved.total()
 
 
