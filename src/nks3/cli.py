@@ -1,9 +1,10 @@
 """Command-line interface: verification suites, point analyses, sweeps.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error (an input
-too large to allocate included), 3 I/O failure.  The seed resolves as
-flag > NKS3_SEED environment variable > default 0.  Reals in CSV output
-use 12 significant digits and a '.' decimal point.
+too large to allocate included), 3 I/O failure (any OSError, a failed
+``--out`` write included, which `main` reports on one stderr line).  The
+seed resolves as flag > NKS3_SEED environment variable > default 0.  Reals
+in CSV output use 12 significant digits and a '.' decimal point.
 """
 
 from __future__ import annotations
@@ -95,12 +96,8 @@ def cmd_verify(args) -> int:
     payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
     text = json.dumps(payload, indent=2)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     print(text)
     return EXIT_OK if all(r.all_pass for r in reports) else EXIT_CHECK_FAILURE
 
@@ -217,12 +214,8 @@ def cmd_sweep(args) -> int:
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     if not worst_spread <= 1e-6:

@@ -320,15 +320,14 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
 
     The field Y(p, q) = (p u, q v) with fixed imaginary u, v is linear in the
     point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly, and
-    its tangent projection is the connection, with no differencing error.
+    its tangent projection is the connection, with no differencing error;
+    X's flat form (X_p, X_q) is `frame_to_r8(p, q, x)`.
     Taking frame coefficients is that projection: the coefficients of
     (du, dv) are vec(p-bar du) and vec(q-bar dv), and the real parts they
     drop, <p, du> and <q, dv>, are the radial components.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xu = qt.mul(p, qt.pure(x[..., :3]))
-    xv = qt.mul(q, qt.pure(x[..., 3:]))
+    xu, xv = np.split(frame_to_r8(p, q, x), 2, axis=-1)
     du = qt.mul(xu, qt.pure(y[..., :3]))
     dv = qt.mul(xv, qt.pure(y[..., 3:]))
     return frame_coords_components(p, q, du, dv)

@@ -203,11 +203,12 @@ class Immersion:
         Returns (p, q, T) of shapes (..., 4), (..., 4) and (..., 5, 6):
         T[..., a, :] holds the frame coefficients of the a-th chart direction.
         Only the blocks that the factor partials reach are multiplied out;
-        the rest of T is +0.0.  Each nonzero entry equals the frame
-        coefficients of the chart velocities padded with zero rows to (5, 4)
-        and pushed through `IsometryMap.differential_components` bit for bit;
-        a zero entry there may be -0.0 where the real part of a factor is
-        negative.
+        the rest of T is +0.0.  A swap family's T is the unswapped chart's
+        with its two frame blocks exchanged.  Each nonzero entry equals the
+        frame coefficients of the chart velocities padded with zero rows to
+        (5, 4) and pushed through `IsometryMap.differential_components` bit
+        for bit; a zero entry there may be -0.0 where the real part of a
+        factor is negative.
         """
         u = np.asarray(u, dtype=float)
         x, dx = _sphere_factor(u)
@@ -218,12 +219,11 @@ class Immersion:
             T[..., :3, :3] = factor_coords(p[..., None, :], du)
             T[..., :, 3:] = factor_coords(q[..., None, :], dv)
             return p, q, T
-        if self._isometry == SWAP:
-            T[..., :3, 3:] = factor_coords(x[..., None, :], dx)
-            T[..., 3:, :3] = factor_coords(y[..., None, :], dy)
-            return y, x, T
         T[..., :3, :3] = factor_coords(x[..., None, :], dx)
         T[..., 3:, 3:] = factor_coords(y[..., None, :], dy)
+        if self._isometry == SWAP:
+            # `take` keeps T C-contiguous, which fancy indexing would not
+            return y, x, T.take(_SWAP_COLUMNS, axis=-1)
         return x, y, T
 
 
@@ -296,6 +296,8 @@ def _torus(phi1, phi2, k, l):
 
 
 _ISOMETRY = {"m2": SWAP, "m3": TWIST, "m5": SWAP, "m6": TWIST}
+# the factor swap exchanges the two factors' frame blocks
+_SWAP_COLUMNS = (3, 4, 5, 0, 1, 2)
 
 
 def _parameter(x):
@@ -704,11 +706,11 @@ def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
             np.where(no_double, np.nan, theta_sine))
 
 
-_CLASS_TABLE = (
-    (PLUS, 0.5, -SQRT3 / 2.0),
-    (MINUS, 0.5, SQRT3 / 2.0),
-    (REFLECT, -1.0, 0.0),
-)
+_CLASS_TABLE = {
+    PLUS: (0.5, -SQRT3 / 2.0),
+    MINUS: (0.5, SQRT3 / 2.0),
+    REFLECT: (-1.0, 0.0),
+}
 
 
 def classify_normal_action(data: HypersurfacePointData) -> np.ndarray:
@@ -720,18 +722,17 @@ def classify_normal_action(data: HypersurfacePointData) -> np.ndarray:
     distribution spanned by xi, U and their images under P is
     2-dimensional; the rows where it is not are UNDEFINED.
     """
-    a, b = data.a, data.b
-    conditions = [data.c > DIM_TOL] + [(np.abs(a - a0) <= CLASS_TOL) & (np.abs(b - b0) <= CLASS_TOL)
-                                       for _, a0, b0 in _CLASS_TABLE]
-    return np.select(conditions, [UNDEFINED] + [name for name, _, _ in _CLASS_TABLE], OTHER)
+    conditions = [data.c > DIM_TOL] + [normal_action_residual(data, name) <= CLASS_TOL
+                                       for name in _CLASS_TABLE]
+    return np.select(conditions, [UNDEFINED, *_CLASS_TABLE], OTHER)
 
 
 def normal_action_residual(data: HypersurfacePointData, name: str) -> np.ndarray:
     """Distance of the point data's (a, b) from the named class, per row."""
-    for cname, a0, b0 in _CLASS_TABLE:
-        if cname == name:
-            return np.maximum(np.abs(data.a - a0), np.abs(data.b - b0))
-    raise DomainError(f"unknown class {name!r}")
+    if name not in _CLASS_TABLE:
+        raise DomainError(f"unknown class {name!r}")
+    a0, b0 = _CLASS_TABLE[name]
+    return np.maximum(np.abs(data.a - a0), np.abs(data.b - b0))
 
 
 # ---------------------------------------------------------------------------

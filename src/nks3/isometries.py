@@ -17,10 +17,12 @@ The point maps and differentials act on component arrays
 `differential_fd_components`), broadcasting over leading axes, so the
 isometry suite pushes whole batches through them; the translation
 parameters may be batches too.  `apply`, `differential` and
-`differential_fd` wrap them for single points.  The chart layer of the
-hypersurface families takes the swap as an exchange of its two factors'
-blocks, and the twist through `twist_blocks`, which leaves out the
-products of zero factors.
+`differential_fd` wrap them for single points.  The swap and the
+translations are linear maps of R^8, so `differential_components` returns
+their point maps of (U, V); only the twist has a differential formula of
+its own.  The chart layer of the hypersurface families takes the swap as
+an exchange of its two factors' blocks, and the twist through
+`twist_blocks`, which leaves out the products of zero factors.
 """
 
 from __future__ import annotations
@@ -59,17 +61,15 @@ class IsometryMap:
 
     def differential_components(self, p, q, u, v):
         """Image (U', V') of tangent pairs (U, V) at (p, q), as component
-        arrays; broadcasts over leading axes."""
-        if self.tag == SWAP:
-            return v, u
-        if self.tag == TWIST:
-            pbar = qt.conj(p)
-            qpbar = qt.mul(q, pbar)
-            du = -qt.mul(qt.mul(pbar, u), pbar)
-            dv = qt.mul(v, pbar) - qt.mul(qpbar, qt.mul(u, pbar))
-            return project_components(pbar, qpbar, du, dv)
-        cbar = qt.conj(self.c)
-        return qt.mul(qt.mul(self.a, u), cbar), qt.mul(qt.mul(self.b, v), cbar)
+        arrays; broadcasts over leading axes.  The swap and the translations
+        are linear maps of R^8, so each is its own differential."""
+        if self.tag != TWIST:
+            return self.apply_components(u, v)
+        pbar = qt.conj(p)
+        qpbar = qt.mul(q, pbar)
+        du = -qt.mul(qt.mul(pbar, u), pbar)
+        dv = qt.mul(v, pbar) - qt.mul(qpbar, qt.mul(u, pbar))
+        return project_components(pbar, qpbar, du, dv)
 
     def apply(self, pt: AmbientPoint) -> AmbientPoint:
         return AmbientPoint(*self.apply_components(pt.p, pt.q))

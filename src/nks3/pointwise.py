@@ -129,13 +129,3 @@ def metric_hermitian_components(p, q, u1, v1, u2, v2):
     jflat = qt.dot(ju1, ju2) + qt.dot(jv1, jv2)
     return 0.5 * (flat + jflat)
 
-
-def g_norm_components(p, q, u, v):
-    """g-norm of tangent pairs given as component arrays; broadcasts.
-
-    The cross term <p^-1 U, q^-1 V> of g(Z, Z) is formed once and added to
-    itself, which is bitwise `metric_components(p, q, u, v, u, v)`, where
-    both cross terms are that one product."""
-    cross = qt.dot(qt.mul(qt.conj(p), u), qt.mul(qt.conj(q), v))
-    gzz = (4.0 / 3.0) * (qt.dot(u, u) + qt.dot(v, v)) - (2.0 / 3.0) * (cross + cross)
-    return np.sqrt(np.maximum(gzz, 0.0))

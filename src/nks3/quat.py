@@ -7,13 +7,11 @@ arrays of shape (..., 4).  Imaginary quaternions (w == 0) double as
 
 `mul` has two routes, chosen by the rank of its operands.  Single
 quaternions and flat ``(n, 4)`` batches (both operands of ndim <= 2) take
-the component-column formula, which unpacks a single quaternion to Python
-floats.  Stacked batches (either operand of ndim >= 3, as in the chart
-layer) form all sixteen products in one array through a signed
-permutation of q2.  Both routes form the same products and add them in
-the same order, so they agree bitwise.  Python float arithmetic raises no
-numpy floating-point warnings, so ``np.errstate`` does not reach a product
-of two single quaternions.
+the component-column formula.  Stacked batches (either operand of
+ndim >= 3, as in the chart layer) form all sixteen products in one array
+through a signed permutation of q2.  Both routes form the same products
+and add them in the same order, so they agree bitwise, and both obey
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -59,10 +57,7 @@ def mul(q1, q2) -> np.ndarray:
     On both routes output component i is the sum of q1_j * (±q2_k) over
     j = 0, 1, 2, 3, added in that order.  x * (-y) equals -(x * y) and
     a + (-b) equals a - b bitwise, so the routes agree bitwise, signed
-    zeros included, and every NaN is ``np.nan``.  A single quaternion
-    (ndim 1) on the component-column route unpacks to Python floats, which
-    give the same IEEE results as numpy but raise no numpy floating-point
-    warnings: a product of two single quaternions ignores ``np.errstate``.
+    zeros included, and every NaN is ``np.nan``.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
@@ -71,10 +66,9 @@ def mul(q1, q2) -> np.ndarray:
         t = np.multiply(q1[..., :, None], q2[..., _PERM] * _SIGNS, order="C")
         out = t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
     else:
-        # at most one batch axis: the component columns, Python floats for
-        # a single quaternion
-        w1, x1, y1, z1 = q1.tolist() if q1.ndim == 1 else q1.T
-        w2, x2, y2, z2 = q2.tolist() if q2.ndim == 1 else q2.T
+        # at most one batch axis: the component columns
+        w1, x1, y1, z1 = q1.T
+        w2, x2, y2, z2 = q2.T
         out = np.ascontiguousarray(np.array([
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -98,10 +92,7 @@ def norm(q) -> np.ndarray:
 
 def unit_defect(q):
     """Largest deviation | |q| - 1 | over a quaternion or a batch of them."""
-    err = abs(norm(q) - 1.0)
-    # a single quaternion skips the reduction: the scalar paths make
-    # thousands of points per suite
-    return err.max() if err.ndim else err
+    return np.max(abs(norm(q) - 1.0))
 
 
 def dot(q1, q2) -> np.ndarray:

@@ -49,12 +49,23 @@ def test_verify_all_writes_file(tmp_path, capsys):
     assert json.loads(out) == doc
 
 
+def _assert_io_error(code, out, err, path):
+    # exit 3, nothing on stdout, one stderr line that names the path
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
+
+
 def test_verify_out_path_io_error(tmp_path, capsys):
     bad = tmp_path / "no" / "such" / "dir" / "r.json"
-    code, _, err = _run(capsys, ["verify", "--suite", "structure",
-                                 "--samples", "5", "--out", str(bad)])
-    assert code == 3
-    assert "cannot write" in err
+    _assert_io_error(*_run(capsys, ["verify", "--suite", "structure",
+                                    "--samples", "5", "--out", str(bad)]), bad)
+
+
+def test_sweep_out_path_io_error(tmp_path, capsys):
+    bad = tmp_path / "no" / "such" / "dir" / "sweep.csv"
+    _assert_io_error(*_run(capsys, ["sweep", "--family", "m1", "--r", "0.5",
+                                    "--samples", "2", "--out", str(bad)]), bad)
 
 
 def test_analyze_reference_point(capsys):

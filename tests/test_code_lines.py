@@ -1,0 +1,50 @@
+"""`tools/code_lines.py`: line and code-line counts of a crafted file."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+# 19 lines; code lines 5, 8, 12-14 (a call over three lines), 17 and 19
+SOURCE = b'''"""Module docstring,
+over two lines."""
+
+# a comment
+import math  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+    # a comment in the body
+
+    return math.hypot(
+        x,
+        1.0)
+
+
+class K:
+    """Class docstring."""
+    y = """not a docstring"""
+'''
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("nks3_code_lines", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_of_a_crafted_file():
+    assert _tool().count(SOURCE) == (19, 7)
+
+
+def test_prints_each_file_and_the_totals(tmp_path, capsys):
+    (tmp_path / "a.py").write_bytes(SOURCE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_bytes(b"x = 1\n\n# note\n")
+    assert _tool().main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[1:] == [["19", "7", str(tmp_path / "a.py")],
+                        ["3", "1", str(tmp_path / "sub" / "b.py")],
+                        ["22", "8", "total"]]

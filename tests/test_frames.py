@@ -376,6 +376,26 @@ class TestCurvature:
         denom = frames.g_inner(T, e1, e1) * frames.g_inner(T, e2, e2)
         assert k / denom == pytest.approx(0.75, abs=1e-14)
 
+    def test_einstein(self):
+        # a strict nearly Kaehler 6-manifold is Einstein: the Ricci tensor,
+        # the trace of X -> R(X, Y) Z, is 5/3 g
+        def gap(R):
+            return np.max(np.abs(np.einsum("abca->bc", R) - (5.0 / 3.0) * T.g))
+
+        assert gap(T.R) <= 1e-14
+        assert gap(T.R * (1.0 + 1e-9)) > 1e-14
+
+    def test_gray_identity(self):
+        # g(R(W,X)Y, Z) - g(R(W,X)JY, JZ) = -g(G(W,X), G(Y,Z)) in the
+        # table's convention; the opposite sign misses by far
+        W, X, Y, Z = _rng(17).standard_normal((4, 200, 6))
+        J = T.J
+        lhs = (frames.g_inner(T, frames.curvature(T, W, X, Y), Z)
+               - frames.g_inner(T, frames.curvature(T, W, X, Y @ J.T), Z @ J.T))
+        rhs = -frames.g_inner(T, frames.tensor_G(T, W, X), frames.tensor_G(T, Y, Z))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        assert np.max(np.abs(lhs + rhs)) > 1.0
+
 
 def test_json_dump_matches_golden_file():
     golden_path = pathlib.Path(__file__).parent / "data" / "structure_tables.json"

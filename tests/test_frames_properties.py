@@ -2,8 +2,7 @@
 shapes (hypothesis): `frames.curvature` and `frames.g_inner` against their
 written-out sums; the bilinear tensors, the metric pairing, its lowered
 vectors and norm, and the closed-form curvature batched against row by
-row; the pairing against the row dot of its lowered vector; and the
-pointwise g-norm against the metric it squares."""
+row; and the pairing against the row dot of its lowered vector."""
 
 import math
 
@@ -14,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from nks3 import frames, pointwise as pw  # noqa: E402
+from nks3 import frames  # noqa: E402
 
 T = frames.get_tables()
 # zero or of magnitude 1e-3..1e3: no product underflows, so the relative
@@ -137,22 +136,3 @@ def test_g_inner_is_the_row_dot_of_the_lowered_vector(pair):
     x, y = pair
     out = np.asarray(frames.g_inner(T, x, y))
     assert out.tobytes() == np.asarray(frames._dot(frames.lower(T, x), y)).tobytes()
-
-
-@st.composite
-def _tangent_pairs(draw):
-    # p, q, u, v of broadcast-compatible shapes (..., 4), signed zeros
-    # included; the formulas are algebraic, so no point need be unit
-    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=4, min_dims=0, max_dims=2))
-    return tuple(draw(hnp.arrays(np.float64, shape + (4,), elements=_ELEMENTS))
-                 for shape in shapes.input_shapes)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(_tangent_pairs())
-def test_g_norm_components_is_the_square_root_of_the_metric_bitwise(quad):
-    p, q, u, v = quad
-    expected = np.sqrt(np.maximum(pw.metric_components(p, q, u, v, u, v), 0.0))
-    out = pw.g_norm_components(p, q, u, v)
-    assert np.shape(out) == np.shape(expected)
-    assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()

@@ -1138,3 +1138,60 @@ class TestRankTest:
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape("rank below 5 at u=[0.0, 0.785, 0.0, 0.0, 0.0]")):
             hs._chart_data(M, us)
+
+
+def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution():
+    """The (alpha, lambda) case of the paper's first theorem, from the
+    frame tables.
+
+    Let A U = alpha U and A = lambda on {U}^perp, with U = -J xi.  On
+    {xi, U}^perp the pointwise Hopf identity then reads
+
+        (1/6 - 2 lambda (lambda - alpha)) w_phi - 2 (alpha - lambda) w_G
+            - (2/3) w_P = 0
+
+    in the skew forms w_phi(X, Y) = g(JX, Y), w_G(X, Y) = g(G(X, xi), Y)
+    and w_P = g(PX, xi) g(PY, U) - g(PX, U) g(PY, xi).  w_G is nonzero and
+    Frobenius-orthogonal to w_phi and w_P, so its coefficient forces
+    alpha = lambda.  What is left is w_phi / 6 - (2/3) w_P, and it cannot
+    vanish: w_phi is orthogonal (all singular values 1) and w_P has rank
+    at most 2, so the remainder is at least sqrt(2)/6 in Frobenius norm.
+    The test holds each of these facts on 3000 random g-unit xi.
+    """
+    t = frames.get_tables()
+    n = 3000
+    rng = np.random.default_rng(11)
+    xi = rng.standard_normal((n, 6))
+    xi /= frames.g_norm(t, xi)[:, None]
+    u = -(xi @ t.J.T)
+    # a g-orthonormal basis (n, 4, 6) of {xi, U}^perp: in the Euclidean
+    # coordinates L^T x, g = L L^T, the last four columns of the QR factor
+    # of [xi, U, e0, e1, e2, e3]
+    low = np.linalg.cholesky(t.g)
+    cols = np.concatenate([xi[:, :, None], u[:, :, None],
+                           np.broadcast_to(np.eye(6)[:, :4], (n, 6, 4))], axis=-1)
+    q = np.linalg.qr(low.T @ cols)[0]
+    e = np.swapaxes(np.linalg.solve(low.T, q[..., 2:]), -1, -2)
+
+    def form(x, y):
+        # the (n, 4, 4) matrices of g(x_a, y_b)
+        return np.einsum("nai,ij,nbj->nab", x, t.g, y)
+
+    w_phi = form(e @ t.J.T, e)
+    w_g = form(frames.tensor_G(t, e, xi[:, None, :]), e)
+    pe = e @ t.P.T
+    p_xi = frames.g_inner(t, pe, xi[:, None, :])
+    p_u = frames.g_inner(t, pe, u[:, None, :])
+    w_p = p_xi[:, :, None] * p_u[:, None, :] - p_u[:, :, None] * p_xi[:, None, :]
+
+    def frobenius(a, b):
+        return np.einsum("nab,nab->n", a, b)
+
+    assert np.max(np.abs(form(e, e) - np.eye(4))) <= 1e-14
+    assert np.min(frobenius(w_g, w_g)) >= 1.0
+    assert np.max(np.abs(frobenius(w_g, w_phi))) <= 1e-14
+    assert np.max(np.abs(frobenius(w_g, w_p))) <= 1e-11
+    assert np.max(np.abs(np.linalg.svd(w_phi, compute_uv=False) - 1.0)) <= 1e-12
+    assert np.max(np.linalg.svd(w_p, compute_uv=False)[:, 2]) <= 1e-14
+    rest = w_phi / 6.0 - (2.0 / 3.0) * w_p
+    assert np.min(np.sqrt(frobenius(rest, rest))) >= math.sqrt(2.0) / 6.0 - 1e-12

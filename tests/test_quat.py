@@ -72,8 +72,8 @@ def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
 
 
 def test_mul_routes_agree_bitwise_on_special_values():
-    # (n, 4) takes the component-column route, (n, 1, 1, 4) the stacked one;
-    # a single quaternion unpacks to Python floats
+    # (n, 4) and single quaternions take the component-column route,
+    # (n, 1, 1, 4) the stacked one
     rng = np.random.default_rng(12)
     values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e-300, -1e300])
     n = 5000
@@ -105,13 +105,14 @@ def test_nan_products_are_positive_nan_on_every_route(shape):
     assert out.tobytes() == np.full(shape, np.nan).tobytes()
 
 
-def test_single_quaternion_product_raises_no_floating_point_error():
-    # Python float arithmetic ignores np.errstate; a batch still obeys it
+def test_single_quaternion_product_obeys_errstate_like_a_batch():
     inf = np.array([np.inf, 0.0, 0.0, 0.0])
     with np.errstate(all="raise"):
+        for a, b in ((inf, np.zeros(4)), (inf[None], np.zeros((1, 4)))):
+            with pytest.raises(FloatingPointError):
+                qt.mul(a, b)
+    with np.errstate(all="ignore"):
         assert np.isnan(qt.mul(inf, np.zeros(4))).all()
-        with pytest.raises(FloatingPointError):
-            qt.mul(inf[None], np.zeros((1, 4)))
 
 
 def test_mul_accepts_non_contiguous_operands():

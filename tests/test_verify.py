@@ -57,7 +57,8 @@ def _isometry_residuals_per_sample(seed, samples):
         return pw.project_components(*at, *pw.p_components(*at, *w))
 
     def gdist(at, w1, w2):
-        return pw.g_norm_components(*at, w1[0] - w2[0], w1[1] - w2[1])
+        d = (w1[0] - w2[0], w1[1] - w2[1])
+        return np.sqrt(np.maximum(pw.metric_components(*at, *d, *d), 0.0))
 
     for _ in range(samples):
         at = (qt.sample_unit(rng), qt.sample_unit(rng))
@@ -365,7 +366,7 @@ def test_nan_residual_fails_closed():
     assert not check.passed
     check = verify.CheckResult("x", "y", 1, math.inf, 1.0)
     assert not check.passed
-    assert verify._sanitize(math.nan) == math.inf
+    assert verify._worst(math.nan) == math.inf
 
 
 def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
