@@ -33,31 +33,37 @@ negative real part, as at every sampled chart point.
 batch of chart points, as one `HypersurfacePointData` whose fields carry
 the batch axis (`analyze_point` returns the batch of one row): the metric
 normal xi, the structure vector U = -J xi, the induced almost contact
-tensors, the shape operator via the Weingarten relation
-A X = -(D_X xi)^T, and its spectrum.  The ambient covariant derivative of
-xi is assembled from the product-round-metric derivative (central
-differences of the normal field along chart lines, projected to the
-tangent space) corrected by the exact frame tensors:
+tensors, the shape operator and its spectrum.  Each family is a level set
+F = level of a polynomial F on R^8 (the table is in `analyze_points`), so
+the normal and the shape operator are closed forms, `_level_set`:
+xi = g^-1 dF / |dF|_g and A = -Hess F / |dF|_g on the tangent space, with
+dF and Hess F in frame coefficients from the Euclidean gradient and
+Hessian of F, the flat derivatives of the frame fields and the connection
+table.  The analysis charts its points alone, for their pushforwards and
+tangent frames, and differences nothing.
+
+The transport, Codazzi and Gauss residuals difference along the chart.
+The ambient covariant derivative of a field is assembled from the
+product-round-metric derivative (central differences along chart lines,
+projected to the tangent space) corrected by the exact frame tensors:
 
     D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
 
 the correction being `frames.connection_gap`, the same function the
-structure suite checks against the flat derivative.  The analysis and the
-transport, Codazzi and Gauss residuals take every such derivative through
-one step, `_covariant_fd`: the central difference of a field's flat R^8
-form along a chart segment, in frame coefficients, minus the same gap of
-the direction and the field's value, minus the normal part.  The analysis
-takes it along the five chart lines through each point, from one chart
-call on the point and its ten segment ends.  `stencil_residuals` takes
-the transport, Gauss and Codazzi residuals together, from one chart call
-and one normal computation on 20 points a row: the transport's two
-segment ends and a nested stencil of two such steps, `_nested_fd`, the
-point among its 18.  On the nested stencil two fields are differenced at
-once: the chart-constant extension of Z (Gauss) and the unit normal
-(Codazzi), whose inner step is -A Y by the Weingarten relation, so no
-shape operator is built away from the point itself.  The Gauss field also
-gives the sectional value g(R_ind(X, Y) Z, X) that the leaf geometry reads
-along its 3-sphere pair, the first two tangent-frame vectors.
+structure suite checks against the flat derivative.  Every such derivative
+goes through one step, `_covariant_fd`: the central difference of a
+field's flat R^8 form along a chart segment, in frame coefficients, minus
+the same gap of the direction and the field's value, minus the normal
+part.  `stencil_residuals` takes the three residuals together, from one
+chart call and one `_level_set` normal computation on 20 points a row: the
+transport's two segment ends and a nested stencil of two such steps,
+`_nested_fd`, the point among its 18.  On the nested stencil two fields
+are differenced at once: the chart-constant extension of Z (Gauss) and the
+unit normal (Codazzi), whose inner step is -A Y by the Weingarten relation
+A X = -(D_X xi)^T, so no shape operator is built away from the point
+itself.  The Gauss field also gives the sectional value g(R_ind(X, Y) Z, X)
+that the leaf geometry reads along its 3-sphere pair, the first two
+tangent-frame vectors.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
 structure-vector transport identities) works in frame coordinates, where
@@ -76,7 +82,7 @@ call for all rows; the theta-r relation and the leaf geometry read the
 spectrum from the point data and the rows of `stencil_residuals` instead of
 computing their own.  Normals are held and sign-aligned in frame
 coefficients; the flat R^8 form appears only inside the finite-difference
-step `_covariant_fd`.
+step `_covariant_fd` and, for the Hessian of F, inside `_level_set`.
 
 Every chart call tests the rank of its pushforwards (`_chart_data`) by one
 batched Cholesky factorization of the Gram matrices T g T^T shifted by
@@ -105,6 +111,7 @@ from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
 from .frames import (
     _dot,
+    _freeze,
     _mv,
     _vm,
     connection_gap,
@@ -128,7 +135,7 @@ CLASS_TOL = 1e-6
 HOPF_TOL = 1e-6
 ORTHO_TOL = 1e-8
 
-NORMAL_H = 1e-5  # central-difference step for the normal and structure vector
+NORMAL_H = 1e-5  # central-difference step for the transport of the structure vector
 NESTED_H = 1e-4  # step of both levels of the Gauss, Codazzi and leaf-curvature stencil
 
 # eigenvalues within max(CLUSTER_REL_TOL * max |eigenvalue|, CLUSTER_ABS_FLOOR)
@@ -541,11 +548,80 @@ def _orthonormal_frame(T: np.ndarray) -> tuple:
     return W @ T, W
 
 
-def _unit_normal(T: np.ndarray) -> np.ndarray:
-    """Unit normals (..., 6) of the pushforwards T (..., 5, 6)."""
+def _second_factor_forms(isometry) -> tuple:
+    """The first two coordinates y = (y0, y1) of the base family's second
+    factor under the family's isometry, as forms on R^8 of z = (p, q):
+    y_k = a_k . z + z S_k z / 2, returned as (a, S) of shapes (2, 8) and
+    (2, 8, 8).  y is q itself (m1, m4) or p (the swaps), both linear, or
+    w = q pbar (the twists), bilinear, with w_k the sum of p_i q_j
+    (e_j conj(e_i))_k."""
+    a, S = np.zeros((2, 8)), np.zeros((2, 8, 8))
+    if isometry == TWIST:
+        basis = np.eye(4)
+        C = np.moveaxis(qt.mul(basis[None, :, :], qt.conj(basis)[:, None, :])[..., :2], -1, 0)
+        S[:, :4, 4:] = C
+        S[:, 4:, :4] = np.swapaxes(C, -1, -2)
+    else:
+        first = 0 if isometry == SWAP else 4
+        a[(0, 1), (first, first + 1)] = 1.0
+    return _freeze(a), _freeze(S)
+
+
+_FORMS = {isometry: _second_factor_forms(isometry) for isometry in (None, SWAP, TWIST)}
+_E6 = _freeze(np.eye(6))  # the frame vectors B_a as coefficient rows
+
+
+def _level_set(M: Immersion, p, q, hessian: bool = False):
+    """The unit normals xi = g^-1 dF / |dF|_g (..., 6) of the family's level
+    set F at the points (p, q) (..., 4) of it; with hessian, also
+    -Hess F / |dF|_g (..., 6, 6) in the frame, whose restriction to the
+    tangent space is the shape operator of xi.
+
+    F is y0 (m1-m3) or y0^2 + y1^2 (m4-m6) of `_second_factor_forms`, whose
+    derivatives are closed forms: dy(B_a) = grad y . b_a with b_a = (p e_a,
+    0) or (0, q e_a), which is the vector part of pbar or qbar times the
+    gradient block; B_a B_b y = S(b_a, b_b) + grad y . d_{b_a} b_b with
+    d_{E_a} E_b = (p e_a e_b, 0), d_{F_a} F_b = (0, q e_a e_b) and the mixed
+    derivatives 0, and e_a e_b = -delta_ab + eps_abc e_c, so that
+    grad y . d_{b_a} b_b = -delta_ab rho + (C_ab^c / 2) dy(B_c), with rho
+    the real part of that same product and C the bracket table; and
+    Hess y = B B y - Gamma dy.  For F = y0^2 + y1^2 the factor 2 of every
+    derivative cancels in xi and in the shape operator, so they are taken
+    of F / 2: dF = sum y_k dy_k and Hess F = sum (y_k Hess y_k + dy_k dy_k).
+    Every product keeps each point's vectors and matrices its own, so each
+    point's result does not depend on the batch it is in, bitwise.
+    """
     t = get_tables()
-    xi = np.linalg.svd(T @ t.g)[2][..., -1, :]
-    return xi / np.sqrt(xi[..., None, :] @ t.g @ xi[..., :, None])[..., 0]
+    a, S = _FORMS[M._isometry]
+    z = np.concatenate([p, q], axis=-1)[..., None, :]
+    grad = a + _mv(S, z)
+    # pbar and qbar times the gradient blocks, (..., 2, 8): real parts rho,
+    # vector parts the frame differentials dy
+    left = np.concatenate([qt.mul(qt.conj(p)[..., None, :], grad[..., :4]),
+                           qt.mul(qt.conj(q)[..., None, :], grad[..., 4:])], axis=-1)
+    dy = left[..., (1, 2, 3, 5, 6, 7)]
+    squares = M.family in FIVE_CURVATURE_FAMILIES
+    if squares:
+        y = _dot(0.5 * (a + grad), z)
+        dF = _vm(y, dy)
+    else:
+        dF = dy[..., 0, :]
+    lowered = _vm(dF, t.g_inv)
+    length = g_norm(t, lowered)[..., None]
+    xi = lowered / length
+    if not hessian:
+        return xi
+    rho = np.repeat(left[..., (0, 4)], 3, axis=-1)[..., None] * _E6
+    c_gamma = (0.5 * t.bracket - t.gamma).reshape(36, 6)
+    b = frame_to_r8(p[..., None, :], q[..., None, :], _E6)[..., None, :, :]
+    hess = (b @ S @ np.swapaxes(b, -1, -2) - rho
+            + _mv(c_gamma, dy).reshape(dy.shape[:-1] + (6, 6)))
+    if squares:
+        hess = (_vm(y, hess.reshape(dy.shape[:-1] + (36,))).reshape(dy.shape[:-2] + (6, 6))
+                + np.swapaxes(dy, -1, -2) @ dy)
+    else:
+        hess = hess[..., 0, :, :]
+    return xi, -hess / length[..., None]
 
 
 def _aligned(x, ref):
@@ -555,37 +631,37 @@ def _aligned(x, ref):
 
 def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     """Full pointwise apparatus of the hypersurface at the chart points U
-    (m, 5), as one batch of point data, from one chart call on their
-    stencils of 11 points each: the point and the ends of its chart
-    segments of half-length NORMAL_H along the five chart directions.
+    (m, 5), as one batch of point data, from one chart call on the m points
+    themselves, for their pushforwards, tangent frames and chart weights.
 
-    The shape operator comes from the Weingarten relation A X = -(D_X xi)^T:
-    the normals at the segment ends are aligned with the point's and
-    differenced by `_covariant_fd` along each chart direction, and the
-    chart weights take those derivatives to the orthonormal tangent frame.
-    The normals are oriented by the trace rule, and the spectrum is
-    `spectral_report` of the symmetrized A.  The data's `u` is a
-    read-only copy of U.  An immersion with per-row parameters takes one
-    chart point per parameter row; U of another row count raises
-    DomainError.
+    The normal and the shape operator are closed forms of the family's
+    level set F = level (`_level_set`):
+
+        family  F                         level
+        m1      Re q                      sqrt(1 - r^2)
+        m2      Re p                      sqrt(1 - r^2)
+        m3      <p, q> = Re(q pbar)       sqrt(1 - r^2)
+        m4      q0^2 + q1^2               k^2
+        m5      p0^2 + p1^2               k^2
+        m6      w0^2 + w1^2, w = q pbar   k^2
+
+    xi = g^-1 dF / |dF|_g, and A = -frame Hess F frame^T / |dF|_g on the
+    g-orthonormal tangent frame, with Hess F taken with the nearly Kaehler
+    connection; no chart direction is differenced.  The normals are
+    oriented by the trace rule, and the spectrum is `spectral_report` of
+    the symmetrized A.  The data's `u` is a read-only copy of U.  An
+    immersion with per-row parameters takes one chart point per parameter
+    row; U of another row count raises DomainError.
     """
     U = np.array(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != 5:
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
     t = get_tables()
-    ends = _segments(U[:, None, :], np.eye(5), NORMAL_H).reshape(-1, 10, 5)
-    p, q, T = _chart_data(M, np.concatenate([U[:, None, :], ends], axis=1))
-    normals = _unit_normal(T)
-    xi = normals[:, 0]
-    push = T[:, 0]
+    p, q, push = _chart_data(M, U)
     frame, W = _orthonormal_frame(push)
-    # (D xi)^T along the five chart directions, then along the tangent frame
-    values = _aligned(normals[:, 1:], xi[:, None]).reshape(-1, 5, 2, 6)
-    chart_dxi = _covariant_fd((p[:, :1], q[:, :1]), xi[:, None],
-                              (p[:, 1:].reshape(-1, 5, 2, 4), q[:, 1:].reshape(-1, 5, 2, 4)),
-                              values, push, xi[:, None], NORMAL_H)
-    A = -(W @ chart_dxi @ t.g @ np.swapaxes(frame, -1, -2))
+    xi, weingarten = _level_set(M, p, q, hessian=True)
+    A = frame @ weingarten @ np.swapaxes(frame, -1, -2)
 
     tr = np.trace(A, axis1=-2, axis2=-1)
     lead_idx = np.argmax(np.abs(xi) > TRACE_TIE_TOL, axis=-1)
@@ -618,8 +694,8 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     return HypersurfacePointData(
         immersion=M,
         u=U,
-        p=p[:, 0],
-        q=q[:, 0],
+        p=p,
+        q=q,
         push_coords=push,
         tangent_frame=frame,
         chart_weights=W,
@@ -785,8 +861,9 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     the induced sectional curvature of their plane.  The transport's two
     segment ends and the 18 points of the nested stencil of step NESTED_H
     (`_nested_fd`), the point itself among them, are evaluated in one chart
-    call of 20 points a row, with one `_unit_normal` call, so a normal that
-    is undefined at any of the 20 points raises DegenerateImmersionError.
+    call of 20 points a row, with one `_level_set` call for their normals,
+    so a pushforward that loses rank at any of the 20 points raises
+    DegenerateImmersionError.
     """
     t = get_tables()
     x5, y5, z5 = (np.asarray(v, dtype=float) for v in (x5, y5, z5))
@@ -794,7 +871,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     vels, nested = _nested_points(data, x5, y5)
     ends = _segments(data.u, vels[..., 0, :], NORMAL_H)
     p, q, T = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
-    xi = _aligned(_unit_normal(T), data.xi[..., None, :])
+    xi = _aligned(_level_set(data.immersion, p, q), data.xi[..., None, :])
 
     dU = _covariant_fd((data.p, data.q), data.xi, (p[..., :2, :], q[..., :2, :]),
                        -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)

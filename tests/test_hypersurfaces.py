@@ -201,6 +201,18 @@ def _assert_same_point_data(d, e):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
 
 
+def _per_row_params(family):
+    """Four parameter values per family, one per chart-point row, as arrays."""
+    if family in hs.THREE_CURVATURE_FAMILIES:
+        return dict(r=np.array([0.3, 0.6, 1.0, 0.45]))
+    k = np.array([0.5, 0.6, 0.8, 0.3])
+    return dict(k=k, l=np.sqrt(1.0 - k * k))
+
+
+def _row_kw(kw, i):
+    return {name: float(v[i]) for name, v in kw.items()}
+
+
 class TestAnalyzePoints:
     @staticmethod
     def _batch(family, kw, n=6):
@@ -218,11 +230,25 @@ class TestAnalyzePoints:
             row = batch[i:i + 1]
             assert len(row) == 1
             _assert_same_point_data(row, hs.analyze_point(M, u))
-        # the batch mixes normals the orientation rule flips with normals
-        # it keeps, so the rule is applied row by row
-        raw = hs._unit_normal(hs._chart_data(M, U)[2])
+
+    @pytest.mark.parametrize("family,kw", [("m3", dict(r=1.0))] + [
+        (family, _per_row_params(family)) for family in hs.FIVE_CURVATURE_FAMILIES])
+    def test_orientation_rule_is_applied_row_by_row(self, family, kw):
+        # the level-set normal has one sign on a hypersurface, so a batch
+        # mixes normals the orientation rule flips with normals it keeps
+        # where the trace vanishes (m3 at r = 1, the tie-break) or changes
+        # sign across parameter rows (the trace k/l - l/k of m4-m6, at k
+        # on both sides of l); each row is still the analysis of that row
+        # alone, bitwise
+        M, U = self._batch(family, kw, n=4)
+        batch = hs.analyze_points(M, U)
+        raw = hs._level_set(M, *hs._chart_data(M, U)[:2])
         flipped = [bool(np.array_equal(xi, -x)) for xi, x in zip(batch.xi, raw)]
         assert any(flipped) and not all(flipped)
+        for i, u in enumerate(U):
+            row = hs.analyze_point(M[i:i + 1], u)
+            _assert_same_point_data(dataclasses.replace(batch[i:i + 1],
+                                                        immersion=row.immersion), row)
 
     def test_point_data_keep_their_own_chart_points(self):
         M, U = self._batch("m4", dict(k=0.6, l=0.8))
@@ -252,12 +278,14 @@ class TestAnalyzePoints:
             hs.analyze_points(M, ORIGIN5)
 
     @pytest.mark.parametrize("m", [1, 7])
-    def test_one_chart_call_and_one_difference_step(self, monkeypatch, m):
-        # the point and its ten segment ends come from one chart call, and
-        # the normal's derivatives along all five chart lines from one step
+    def test_one_chart_call_and_no_difference_step(self, monkeypatch, m):
+        # the analysis charts its m points alone, in one call, and takes the
+        # normal and the shape operator from one level-set call on them,
+        # with no finite-difference step
         M, U = self._batch("m1", dict(r=0.6), n=m)
-        shapes, steps = [], []
-        pushforward, covariant_fd = hs.Immersion.pushforward, hs._covariant_fd
+        shapes, steps, level_sets = [], [], []
+        pushforward, covariant_fd, level_set = (hs.Immersion.pushforward, hs._covariant_fd,
+                                                hs._level_set)
 
         def recording_pushforward(self, u):
             shapes.append(np.shape(u))
@@ -267,23 +295,17 @@ class TestAnalyzePoints:
             steps.append(np.shape(args[3]))
             return covariant_fd(*args)
 
+        def recording_level_set(M, p, q, hessian=False):
+            level_sets.append((np.shape(p), hessian))
+            return level_set(M, p, q, hessian)
+
         monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
         monkeypatch.setattr(hs, "_covariant_fd", recording_covariant_fd)
+        monkeypatch.setattr(hs, "_level_set", recording_level_set)
         hs.analyze_points(M, U)
-        assert shapes == [(m, 11, 5)]
-        assert steps == [(m, 5, 2, 6)]
-
-
-def _per_row_params(family):
-    """Four parameter values per family, one per chart-point row, as arrays."""
-    if family in hs.THREE_CURVATURE_FAMILIES:
-        return dict(r=np.array([0.3, 0.6, 1.0, 0.45]))
-    k = np.array([0.5, 0.6, 0.8, 0.3])
-    return dict(k=k, l=np.sqrt(1.0 - k * k))
-
-
-def _row_kw(kw, i):
-    return {name: float(v[i]) for name, v in kw.items()}
+        assert shapes == [(m, 5)]
+        assert steps == []
+        assert level_sets == [((m, 4), True)]
 
 
 class TestPerRowParameters:
@@ -775,24 +797,26 @@ class TestIdentityResiduals:
         assert np.all((0.2 <= ratio[above]) & (ratio[above] <= 0.3)), ratio
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
-    def test_analysis_shape_operator_converges_at_second_order(self, monkeypatch,
-                                                               family, kw):
-        # the principal curvatures of the analysis differ from their closed
-        # forms by the truncation error of the normal's central difference,
-        # which quarters when NORMAL_H halves; at these steps it is about
-        # 1e-6, far above the round-off
+    def test_weingarten_route_converges_to_the_level_set_shape_operator(self, family, kw):
+        # the finite-difference Weingarten route, A X = -(D_X xi)^T from the
+        # central differences of SVD normals along the five chart lines,
+        # differs from the closed-form shape operator by its truncation
+        # error, which quarters when the step halves (about 8.9e-7 at
+        # h = 2e-3); at NORMAL_H the largest gap over 1200 points of the six
+        # families was 2.5e-10, truncation and round-off, so 1e-9 holds it
+        # with a margin of 4
         M = hs.make_example(family, **kw)
-        U = hs.random_chart_points(np.random.default_rng(36), 4)
-        expected = hs.expected_spectrum(family, **kw)
+        data = hs.analyze_points(M, hs.random_chart_points(np.random.default_rng(36), 4))
 
-        def error(h):
-            monkeypatch.setattr(hs, "NORMAL_H", h)
-            return hs.spectra_match(hs.analyze_points(M, U).eigenvalues, expected)
+        def gap(h):
+            A = _weingarten_shape_operator(data, h)
+            return np.max(np.abs(A - data.shape), axis=(-2, -1))
 
-        coarse, fine = error(2e-3), error(1e-3)
+        coarse, fine = gap(2e-3), gap(1e-3)
         assert np.all(fine > 1e-8)
         ratio = fine / coarse
         assert np.all((0.2 <= ratio) & (ratio <= 0.3)), ratio
+        assert np.max(gap(hs.NORMAL_H)) <= 1e-9
 
     def test_hopf_identity(self):
         rng = np.random.default_rng(15)
@@ -829,12 +853,72 @@ class TestIdentityResiduals:
             hs.hopf_identity_residual(d, x5, x5)
 
 
+def _svd_normal(T):
+    """Unit normals (..., 6) of the pushforwards T (..., 5, 6), the null
+    vectors of T g from an SVD: the normal with no level-set function."""
+    t = frames.get_tables()
+    xi = np.linalg.svd(T @ t.g)[2][..., -1, :]
+    return xi / frames.g_norm(t, xi)[..., None]
+
+
+def _weingarten_shape_operator(data, h):
+    """Shape operators (m, 5, 5) of the point data's normals in its tangent
+    frames by the Weingarten relation A X = -(D_X xi)^T: SVD normals at the
+    ends of the chart segments of half-length h along the five chart
+    directions, aligned with the point's normal, differenced by
+    `_covariant_fd` and taken to the frame by the chart weights."""
+    t = frames.get_tables()
+    ends = hs._segments(data.u[:, None, :], np.eye(5), h)
+    p, q, T = hs._chart_data(data.immersion, ends)
+    values = hs._aligned(_svd_normal(T), data.xi[:, None, None, :])
+    chart_dxi = hs._covariant_fd((data.p[:, None], data.q[:, None]), data.xi[:, None],
+                                 (p, q), values, data.push_coords, data.xi[:, None], h)
+    return -(data.chart_weights @ chart_dxi @ t.g
+             @ np.swapaxes(data.tangent_frame, -1, -2))
+
+
+def _level_set_function(family, p, q):
+    """The function F on R^8 whose level set holds the family: Re q, Re p,
+    <p, q>, q0^2 + q1^2, p0^2 + p1^2 and w0^2 + w1^2 with w = q pbar."""
+    if family in ("m1", "m2"):
+        return (q if family == "m1" else p)[..., 0]
+    if family == "m3":
+        return np.sum(p * q, axis=-1)
+    y = {"m4": q, "m5": p, "m6": qt.mul(q, qt.conj(p))}[family]
+    return y[..., 0] ** 2 + y[..., 1] ** 2
+
+
+def _level(family, kw):
+    """The level of F on the family: sqrt(1 - r^2), or k^2."""
+    if family in hs.THREE_CURVATURE_FAMILIES:
+        return np.sqrt(1.0 - np.asarray(kw["r"]) ** 2)
+    return np.asarray(kw["k"]) ** 2
+
+
+@pytest.mark.parametrize("family", hs.FAMILIES)
+def test_chart_on_level_set(family):
+    # every chart point lies on its family's level set: over 1000 random
+    # points of each of four parameter values, as floats and as one
+    # immersion with a value per row, |F - level| was at most 7.8e-16
+    # (m6), so 4e-15 holds it with a margin of 5
+    kw = _per_row_params(family)
+    U = hs.random_chart_points(np.random.default_rng(37), 4000).reshape(4, 1000, 5)
+    for i in range(4):
+        row_kw = _row_kw(kw, i)
+        p, q, _ = hs.make_example(family, **row_kw).pushforward(U[i])
+        assert np.max(np.abs(_level_set_function(family, p, q)
+                             - _level(family, row_kw))) <= 4e-15
+    p, q, _ = hs.make_example(family, **kw).pushforward(U)
+    assert np.max(np.abs(_level_set_function(family, p, q)
+                         - _level(family, kw)[:, None])) <= 4e-15
+
+
 def _shape_derivative(d, x5, y5):
     """(D_X A) Y - (D_Y A) X (1, 6) at a batch of one row, as the Codazzi
     residual takes it: minus the normal field of `_nested_fd`."""
     vels, nested = hs._nested_points(d, x5, y5)
     p, q, T = hs._chart_data(d.immersion, nested)
-    xi = hs._aligned(hs._unit_normal(T), d.xi[:, None, :])
+    xi = hs._aligned(hs._level_set(d.immersion, p, q), d.xi[:, None, :])
     return -hs._nested_fd(d, x5, y5, y5, vels, (p, q, T, xi))[1]
 
 
@@ -935,7 +1019,7 @@ class TestBatchedResiduals:
         npt.assert_array_equal(p, data.p)
         npt.assert_array_equal(q, data.q)
         npt.assert_array_equal(T, data.push_coords)
-        xi = hs._unit_normal(T)
+        xi = hs._level_set(M, p, q)
         assert all((n == x).all() or (n == -x).all() for n, x in zip(xi, data.xi))
 
         shapes = []

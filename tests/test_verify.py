@@ -173,11 +173,11 @@ def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
                                            ("m6", {"k": 0.6, "l": 0.8})])
 def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family, params):
     # every identity is evaluated once over the suite's samples, so neither
-    # the quaternion products, the chart calls nor the finite-difference
-    # derivative steps grow with the sample count
-    calls = {"mul": 0, "pushforward": 0, "covariant_fd": 0, "unit_normal": 0}
+    # the quaternion products, the chart calls, the level-set normals nor
+    # the finite-difference derivative steps grow with the sample count
+    calls = {"mul": 0, "pushforward": 0, "covariant_fd": 0, "level_set": 0}
     mul, pushforward, covariant_fd = qt.mul, hs.Immersion.pushforward, hs._covariant_fd
-    unit_normal = hs._unit_normal
+    level_set = hs._level_set
 
     def counting_mul(q1, q2):
         calls["mul"] += 1
@@ -191,17 +191,17 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         calls["covariant_fd"] += 1
         return covariant_fd(*args)
 
-    def counting_unit_normal(T):
-        calls["unit_normal"] += 1
-        return unit_normal(T)
+    def counting_level_set(M, p, q, hessian=False):
+        calls["level_set"] += 1
+        return level_set(M, p, q, hessian)
 
     monkeypatch.setattr(qt, "mul", counting_mul)
     monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
     monkeypatch.setattr(hs, "_covariant_fd", counting_covariant_fd)
-    monkeypatch.setattr(hs, "_unit_normal", counting_unit_normal)
+    monkeypatch.setattr(hs, "_level_set", counting_level_set)
     counts = []
     for samples in (2, 5):
-        calls.update(mul=0, pushforward=0, covariant_fd=0, unit_normal=0)
+        calls.update(mul=0, pushforward=0, covariant_fd=0, level_set=0)
         verify.run_hypersurface_suite(family, params, seed=3, samples=samples)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
@@ -210,7 +210,24 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
     # m1-m3 the leaf curvature; each charts its points and takes their
     # normals once
     assert counts[0]["pushforward"] == 2
-    assert counts[0]["unit_normal"] == 2
+    assert counts[0]["level_set"] == 2
+
+
+@pytest.mark.parametrize("family,params", verify.DEFAULT_BATTERY)
+def test_hypersurface_suite_takes_no_svd(monkeypatch, family, params):
+    # the normal and the shape operator come from the family's level set,
+    # at the analysed points and on the stencils alike
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rep = verify.run_hypersurface_suite(family, params, seed=5, samples=3)
+    assert all(c.passed for c in rep.checks)
+    assert calls == []
 
 
 def _structure_complement_loop(row):
