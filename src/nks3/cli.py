@@ -139,8 +139,9 @@ def cmd_analyze(args) -> int:
     M = hs.make_example(args.family, **params)
     if args.at is not None:
         u = np.asarray(args.at, dtype=float)
-        # chart coordinates are angles; far beyond one turn the
-        # finite-difference steps round away
+        # chart coordinates are angles, held to one turn: a larger value
+        # holds its angle less precisely, and from 2**55 on adjacent floats
+        # lie more than a turn apart
         if np.any(np.abs(u) > 2.0 * math.pi):
             raise DomainError(f"chart point {u.tolist()} is out of range: "
                               "each coordinate is an angle, at most 2 pi in size")

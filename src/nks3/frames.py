@@ -43,9 +43,10 @@ It provides an independent oracle for the relation
 
     nablaE_X Y = D_X Y + (J G(X, PY) + J G(Y, PX)) / 2
 
-between the two connections.  `connection_gap` is the one copy of that
-gap: the structure suite checks it here, and the hypersurface apparatus
-subtracts it from its flat finite differences.
+between the two connections.  `connection_gap` is that gap, and it serves
+the structure suite's `flat-connection-relation` check alone
+(`connection_relation_residual`): the hypersurface apparatus differences
+frame coefficients and adds `nabla`, with no flat derivative to correct.
 """
 
 from __future__ import annotations

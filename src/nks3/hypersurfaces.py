@@ -43,19 +43,19 @@ table.  The analysis charts its points alone, for their pushforwards and
 tangent frames, and differences nothing.
 
 The transport, Codazzi and Gauss residuals difference along the chart.
-The ambient covariant derivative of a field is assembled from the
-product-round-metric derivative (central differences along chart lines,
-projected to the tangent space) corrected by the exact frame tensors:
+A field F = F^a B_a is held by its frame coefficients, and its ambient
+covariant derivative splits as
 
-    D_X xi = nablaE_X xi - (J G(X, P xi) + J G(xi, P X)) / 2,
+    D_X F = X(F^a) B_a + F^a D_X B_a,
 
-the correction being `frames.connection_gap`, the same function the
-structure suite checks against the flat derivative.  Every such derivative
-goes through one step, `_covariant_fd`: the central difference of a
-field's flat R^8 form along a chart segment, in frame coefficients, minus
-the same gap of the direction and the field's value, minus the normal
-part.  `stencil_residuals` takes the three residuals together, from one
-chart call and one `_level_set` normal computation on 20 points a row: the
+the derivative of the coefficients along X and the connection of the
+frame, `frames.nabla`, the one table Gamma that `_level_set` also takes
+its Hessians with.  Every such derivative goes through one step,
+`_covariant_fd`: the central difference of a field's coefficients along a
+chart segment, plus `frames.nabla` of the direction and the field's value
+at the centre, minus the normal part; it reads no chart point.
+`stencil_residuals` takes the three residuals together, from one chart
+call and one `_level_set` normal computation on 20 points a row: the
 transport's two segment ends and a nested stencil of two such steps,
 `_nested_fd`, the point among its 18.  On the nested stencil two fields
 are differenced at once: the chart-constant extension of Z (Gauss) and the
@@ -80,9 +80,9 @@ residual of that row alone, a batch of one, bitwise.  The spectrum
 normal-action class take a batch the same way, the spectrum with one `eigh`
 call for all rows; the theta-r relation and the leaf geometry read the
 spectrum from the point data and the rows of `stencil_residuals` instead of
-computing their own.  Normals are held and sign-aligned in frame
-coefficients; the flat R^8 form appears only inside the finite-difference
-step `_covariant_fd` and, for the Hessian of F, inside `_level_set`.
+computing their own.  Normals are held, sign-aligned and differenced in
+frame coefficients; the flat R^8 form appears only inside `_level_set`, for
+the derivatives of F.
 
 Every chart call tests the rank of its pushforwards (`_chart_data`) by one
 batched Cholesky factorization of the Gram matrices T g T^T shifted by
@@ -114,14 +114,13 @@ from .frames import (
     _freeze,
     _mv,
     _vm,
-    connection_gap,
     curvature_closed_form,
     factor_coords,
     frame_to_r8,
     g_inner,
     g_norm,
     get_tables,
-    r8_to_frame,
+    nabla,
     tensor_G,
 )
 from .isometries import SWAP, TWIST, twist_blocks
@@ -821,18 +820,15 @@ def _segments(u, vels, h: float) -> np.ndarray:
     return np.stack([u + h * vels, u - h * vels], axis=-2)
 
 
-def _covariant_fd(at: tuple, xi, ends: tuple, values, x6, value,
-                  h: float) -> np.ndarray:
-    """Induced derivative D_X F (..., 6) at the points at = (p, q) (..., 4)
-    with unit normals xi of a field F, from its frame values (..., 2, 6) at
-    the ends = (p, q) (..., 2, 4) of the chart segments of half-length h
-    along X = x6 and its value there: the flat R^8 central difference in
-    frame coefficients, minus the connection gap of X and that value, minus
-    the normal part.  Broadcasts."""
-    f8 = frame_to_r8(*ends, values)
-    d8 = (f8[..., 0, :] - f8[..., 1, :]) / (2.0 * h)
-    return _tangential(r8_to_frame(*at, d8) - connection_gap(get_tables(), x6, value),
-                       xi)
+def _covariant_fd(xi, values, x6, value, h: float) -> np.ndarray:
+    """Induced derivative D_X F (..., 6) of a field F with unit normals xi
+    at the centres of chart segments of half-length h along X = x6, from
+    its frame coefficients values (..., 2, 6) at the segment ends and value
+    at the centres: D_X (F^a B_a) = X(F^a) B_a + F^a D_X B_a, that is the
+    central difference of the coefficients plus the connection
+    `frames.nabla` of X and the value, minus the normal part.  Broadcasts."""
+    d = (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
+    return _tangential(d + nabla(get_tables(), x6, value), xi)
 
 
 @dataclass
@@ -873,12 +869,10 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     p, q, T = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
     xi = _aligned(_level_set(data.immersion, p, q), data.xi[..., None, :])
 
-    dU = _covariant_fd((data.p, data.q), data.xi, (p[..., :2, :], q[..., :2, :]),
-                       -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
+    dU = _covariant_fd(data.xi, -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
     transport = dU - (data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi))
 
-    induced, dxi = _nested_fd(data, x5, y5, z5, vels,
-                              (p[..., 2:, :], q[..., 2:, :], T[..., 2:, :, :], xi[..., 2:, :]))
+    induced, dxi = _nested_fd(data, x5, y5, z5, vels, (T[..., 2:, :, :], xi[..., 2:, :]))
     az = data.apply_shape(Z)
     gauss = induced - (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
                        + g_inner(t, az, Y)[..., None] * data.apply_shape(X)
@@ -938,23 +932,23 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, charted: tuple) ->
     the point and at its two neighbours along X (and Y), the primes: six
     primes with three chart points each per row, indexed (direction, prime,
     slot) with slot 0 the prime itself, and prime 2 of either direction the
-    point itself.  charted = (p, q, T, xi) holds the chart data and normals
-    of the 18 points (m, 18, ...) of `_nested_points`, in that order, with
-    the normals aligned with the point's.  Both fields go through one pair
-    of `_covariant_fd` calls, stacked on a leading field axis.
+    point itself.  charted = (T, xi) holds the pushforwards and normals of
+    the 18 points (m, 18, ...) of `_nested_points`, in that order, with the
+    normals aligned with the point's; the pushforwards give the inner
+    directions and the Z field at each prime.  Both fields go through one
+    pair of `_covariant_fd` calls, stacked on a leading field axis: the
+    inner differences their frame coefficients, the outer those of the
+    inner derivatives.
     """
-    p, q, T, xi = (a.reshape(len(a), 2, 3, 3, *a.shape[2:]) for a in charted)
+    T, xi = (a.reshape(len(a), 2, 3, 3, *a.shape[2:]) for a in charted)
     zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
     values = np.stack([_vm(zchart, T), xi])
     inner_vels = vels[..., ::-1, None, :]
-    inner = _covariant_fd((p[..., 0, :], q[..., 0, :]), xi[..., 0, :],
-                          (p[..., 1:, :], q[..., 1:, :]), values[..., 1:, :],
-                          _vm(inner_vels, T[..., 0, :, :]), values[..., 0, :], NESTED_H)
+    inner = _covariant_fd(xi[..., 0, :], values[..., 1:, :], _vm(inner_vels, T[..., 0, :, :]),
+                          values[..., 0, :], NESTED_H)
     # the outer differences along X and Y, centred at prime 2, the point itself
     XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
-    outer = _covariant_fd((p[..., 2, 0, :], q[..., 2, 0, :]), xi[..., 2, 0, :],
-                          (p[..., :2, 0, :], q[..., :2, 0, :]),
-                          inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
+    outer = _covariant_fd(xi[..., 2, 0, :], inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
     return outer[..., 0, :] - outer[..., 1, :]
 
 

@@ -483,8 +483,8 @@ def test_overflowing_chart_point_one_line_usage_error(capsys):
 
 @pytest.mark.parametrize("value", ["1e308", "7", "-7"])
 def test_analyze_chart_point_beyond_one_turn_usage_error(capsys, value):
-    # u +- 1e-5 rounds back to u = 1e308, and the analysis then reported a
-    # wrong multiplicity pattern with exit 0
+    # a coordinate beyond one turn is outside input to reject, not to reduce:
+    # at 1e308 adjacent floats lie far more than a turn apart
     code, out, err = _run(capsys, ["analyze", "--family", "m1", "--r", "0.6",
                                    "--at", f"0,0,0,0,{value}"])
     assert (code, out) == (2, "")

@@ -23,6 +23,9 @@ ALL_FAMILIES = [
     ("m4", dict(k=0.6, l=0.8)), ("m5", dict(k=0.6, l=0.8)),
     ("m6", dict(k=0.8, l=0.6)),
 ]
+# m1 and m4 and their twists m3 and m6, for the finite-difference tests
+FD_FAMILIES = [("m1", dict(r=0.6)), ("m3", dict(r=0.6)), ("m4", dict(k=0.6, l=0.8)),
+               ("m6", dict(k=0.8, l=0.6))]
 
 
 def _unit(v):
@@ -292,7 +295,7 @@ class TestAnalyzePoints:
             return pushforward(self, u)
 
         def recording_covariant_fd(*args):
-            steps.append(np.shape(args[3]))
+            steps.append(np.shape(args[1]))
             return covariant_fd(*args)
 
         def recording_level_set(M, p, q, hessian=False):
@@ -729,53 +732,66 @@ class TestIdentityResiduals:
         assert hs.stencil_residuals(d, x5, y5, z5).gauss[0] <= 1e-5
         assert hs.stencil_residuals(d, x5, x5, z5).gauss[0] <= 1e-12
 
-    @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
-                                           ("m6", dict(k=0.8, l=0.6))])
+    @pytest.mark.parametrize("family,kw", FD_FAMILIES)
+    def test_covariant_fd_is_exact_on_constant_coefficients(self, family, kw):
+        # a field Z with constant frame coefficients z has the ambient
+        # derivative D_X Z = frames.nabla(X, z): the step's difference of
+        # the coefficients is 0, so the step is that connection term exactly
+        t = frames.get_tables()
+        M = hs.make_example(family, **kw)
+        rng = np.random.default_rng(17)
+        d = hs.analyze_points(M, hs.random_chart_points(rng, 4))
+        X = frames._vm(rng.standard_normal((4, 5)), d.push_coords)
+        z = rng.standard_normal((4, 6))
+        step = hs._covariant_fd(d.xi, np.stack([z, z], axis=-2), X, z, hs.NORMAL_H)
+        npt.assert_array_equal(step, hs._tangential(frames.nabla(t, X, z), d.xi))
+
+    @pytest.mark.parametrize("family,kw", FD_FAMILIES)
     def test_covariant_fd_converges_at_second_order(self, family, kw):
-        # a field Z with constant frame coefficients z has the exact ambient
-        # derivative D_X Z = frames.nabla(X, z), so the step's error is its
-        # central-difference error alone and quarters when h halves
+        # the unit normal's coefficients vary along the chart: differenced
+        # from the level-set normals at the segment ends, aligned with the
+        # point's, the step converges to D_X xi = -A X, the closed-form
+        # shape operator, and its error quarters when h halves (m1: from
+        # 1.9e-6 at h = 1e-3 to 3.0e-8 at h = 1.25e-4, ratios 4.000)
         t = frames.get_tables()
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(17)
         d = hs.analyze_point(M, hs.random_chart_point(rng))
-        vel, z = rng.standard_normal(5), rng.standard_normal(6)
+        vel = rng.standard_normal(5)
         X = vel @ d.push_coords
-        exact = hs._tangential(frames.nabla(t, X, z), d.xi)
+        exact = -d.apply_shape(X)
         errors = []
-        for h in (1e-3, 5e-4, 2.5e-4):
-            ends = M.pushforward(hs._segments(d.u, vel, h))[:2]
-            step = hs._covariant_fd((d.p, d.q), d.xi, ends, np.stack([z, z]), X, z, h)
+        for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
+            p, q, _ = M.pushforward(hs._segments(d.u, vel, h))
+            ends = hs._aligned(hs._level_set(M, p, q), d.xi[:, None, :])
+            step = hs._covariant_fd(d.xi, ends, X, d.xi, h)
             errors.append(frames.g_norm(t, step - exact)[0])
-        assert errors[0] > 1e-9
+        assert errors[-1] > 1e-9
         for coarse, fine in zip(errors, errors[1:]):
             assert abs(coarse / fine - 4.0) <= 0.01
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_covariant_fd_is_odd_in_the_field(self, family, kw):
         # negating the field's values at the segment ends and its value at
-        # the point negates the step bit for bit; the Codazzi oracle
-        # `_shape_derivative_weingarten` aligns its neighbours' normals by it
+        # the point negates the step bit for bit, so a normal field and its
+        # opposite give opposite derivatives exactly
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(37)
         d = hs.analyze_points(M, hs.random_chart_points(rng, 4))
-        vels = rng.standard_normal((4, 5))
-        X = frames._vm(vels, d.push_coords)
-        ends = M.pushforward(hs._segments(d.u, vels, hs.NORMAL_H))[:2]
+        X = frames._vm(rng.standard_normal((4, 5)), d.push_coords)
         values, value = rng.standard_normal((4, 2, 6)), rng.standard_normal((4, 6))
-        step = hs._covariant_fd((d.p, d.q), d.xi, ends, values, X, value, hs.NORMAL_H)
-        flipped = hs._covariant_fd((d.p, d.q), d.xi, ends, -values, X, -value, hs.NORMAL_H)
+        step = hs._covariant_fd(d.xi, values, X, value, hs.NORMAL_H)
+        flipped = hs._covariant_fd(d.xi, -values, X, -value, hs.NORMAL_H)
         assert np.all(step != 0.0)
         assert flipped.tobytes() == (-step).tobytes()
 
-    @pytest.mark.parametrize("family,kw", [("m1", dict(r=0.6)), ("m3", dict(r=0.6)),
-                                           ("m4", dict(k=0.6, l=0.8)), ("m6", dict(k=0.8, l=0.6))])
+    @pytest.mark.parametrize("family,kw", FD_FAMILIES)
     def test_stencil_residuals_converge_at_second_order(self, monkeypatch, family, kw):
         # each finite-difference residual is the truncation error of central
         # differences, so it quarters when its step halves: Gauss and Codazzi
-        # along NESTED_H, the transport along NORMAL_H, which the analysis's
-        # shape operator shares; a transport residual below 1e-10 at the
-        # finer step is at its round-off floor, where the ratio says nothing
+        # along NESTED_H, the transport along NORMAL_H; a transport residual
+        # below 1e-10 at the finer step is at its round-off floor, where the
+        # ratio says nothing
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(35)
         U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
@@ -801,9 +817,9 @@ class TestIdentityResiduals:
         # the finite-difference Weingarten route, A X = -(D_X xi)^T from the
         # central differences of SVD normals along the five chart lines,
         # differs from the closed-form shape operator by its truncation
-        # error, which quarters when the step halves (about 8.9e-7 at
+        # error, which quarters when the step halves (at most 4.6e-6 at
         # h = 2e-3); at NORMAL_H the largest gap over 1200 points of the six
-        # families was 2.5e-10, truncation and round-off, so 1e-9 holds it
+        # families was 2.6e-10, truncation and round-off, so 1e-9 holds it
         # with a margin of 4
         M = hs.make_example(family, **kw)
         data = hs.analyze_points(M, hs.random_chart_points(np.random.default_rng(36), 4))
@@ -869,10 +885,10 @@ def _weingarten_shape_operator(data, h):
     `_covariant_fd` and taken to the frame by the chart weights."""
     t = frames.get_tables()
     ends = hs._segments(data.u[:, None, :], np.eye(5), h)
-    p, q, T = hs._chart_data(data.immersion, ends)
+    T = hs._chart_data(data.immersion, ends)[2]
     values = hs._aligned(_svd_normal(T), data.xi[:, None, None, :])
-    chart_dxi = hs._covariant_fd((data.p[:, None], data.q[:, None]), data.xi[:, None],
-                                 (p, q), values, data.push_coords, data.xi[:, None], h)
+    chart_dxi = hs._covariant_fd(data.xi[:, None], values, data.push_coords,
+                                 data.xi[:, None], h)
     return -(data.chart_weights @ chart_dxi @ t.g
              @ np.swapaxes(data.tangent_frame, -1, -2))
 
@@ -919,7 +935,7 @@ def _shape_derivative(d, x5, y5):
     vels, nested = hs._nested_points(d, x5, y5)
     p, q, T = hs._chart_data(d.immersion, nested)
     xi = hs._aligned(hs._level_set(d.immersion, p, q), d.xi[:, None, :])
-    return -hs._nested_fd(d, x5, y5, y5, vels, (p, q, T, xi))[1]
+    return -hs._nested_fd(d, x5, y5, y5, vels, (T, xi))[1]
 
 
 def _shape_derivative_weingarten(d, x5, y5, h):
@@ -929,9 +945,9 @@ def _shape_derivative_weingarten(d, x5, y5, h):
 
     Each neighbour's shape operator is taken for its normal aligned with
     the point's, as s A with s = -1 where the two normals point apart (the
-    test of `hs._aligned`) and 1 elsewhere: every step from the normal to A
-    is odd in the normal's sign (`_covariant_fd` among them), so s A is
-    bitwise the shape operator of the aligned normal."""
+    test of `hs._aligned`) and 1 elsewhere: the analysis orients the normal
+    and A by one and the same negation, so s A is bitwise the shape
+    operator of the aligned normal."""
     t = frames.get_tables()
     W, xi = d.chart_weights[0], d.xi[0]
     vels = np.stack([x5 @ W, y5 @ W])
@@ -945,9 +961,7 @@ def _shape_derivative_weingarten(d, x5, y5, h):
     comps = np.einsum("dkic,cf,dkf->dki", frame, t.g, w6)
     shaped = np.einsum("dki,dkij,dkjc->dkc", comps, A, frame)
     X, Y = d.from_components(x5)[0], d.from_components(y5)[0]
-    steps = hs._covariant_fd((d.p[0], d.q[0]), xi,
-                             (e.p.reshape(2, 2, 4), e.q.reshape(2, 2, 4)),
-                             shaped, np.stack([X, Y]),
+    steps = hs._covariant_fd(xi, shaped, np.stack([X, Y]),
                              np.stack([d.apply_shape(Y)[0], d.apply_shape(X)[0]]), h)
     return steps[0] - steps[1]
 
