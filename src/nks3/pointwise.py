@@ -83,8 +83,7 @@ def project_tangent(at: AmbientPoint, u, v) -> TangentVector:
 
 
 def j_components(p, q, u, v):
-    pu = qt.mul(qt.mul(p, qt.conj(q)), v)
-    qu = qt.mul(qt.mul(q, qt.conj(p)), u)
+    pu, qu = p_components(p, q, u, v)
     return (2.0 * pu - u) / SQRT3, (-2.0 * qu + v) / SQRT3
 
 

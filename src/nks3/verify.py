@@ -349,7 +349,8 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     expected_mult = (2, 1, 2) if three_family else (1, 1, 1, 1, 1)
 
     # per sample: the chart point, then the three directions of the
-    # transport, Codazzi and Gauss residuals; then up to three further
+    # transport, Codazzi and Gauss residuals, of which X and Y with U
+    # projected out also give the Hopf identity's; then up to three further
     # points for the normal action, the moduli relations and the leaf
     # geometry, from their own generator
     with allocation(f"{samples} samples"):
@@ -377,10 +378,9 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
 
     mult_off = np.any(data.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
                       axis=-1)
-    basis = _structure_complement(data)
-    XP = _unit(basis[:, 0] + 0.3 * basis[:, 2])
-    YP = _unit(basis[:, 1] - 0.5 * basis[:, 3])
     phi, eta = data.phi, data.eta
+    u_hat = _unit(eta)
+    XP, YP = (_unit(v - _dot(v, u_hat)[:, None] * u_hat) for v in (X5, Y5))
 
     checks = [
         _check(prefix + "hopf", "A U = alpha U (Hopf condition)",
@@ -466,28 +466,6 @@ def _complement_residual(data: hs.HypersurfacePointData) -> np.ndarray:
     pu = data.tangent_components(_mv(get_tables().P, data.structure_vector))
     off = pu - _dot(pu, data.eta)[:, None] * data.eta
     return np.sqrt(_dot(off, off))
-
-
-def _structure_complement(data: hs.HypersurfacePointData) -> np.ndarray:
-    """Orthonormal bases (m, 4, 5) of the tangent directions orthogonal to U.
-
-    Gram-Schmidt on the coordinate vectors with U projected out, in order,
-    without the one that depends on those before it: the last coordinate k
-    along which U has a component, |eta_k| > 1e-8.
-    """
-    eta = data.eta
-    rows = np.arange(len(eta))
-    k = 4 - np.argmax(np.abs(eta[:, ::-1]) > 1e-8, axis=-1)
-    basis = np.empty((len(eta), 4, 5))
-    for j in range(4):
-        v = np.zeros_like(eta)
-        v[rows, j + (j >= k)] = 1.0
-        v = v - _dot(v, eta)[:, None] * eta / _dot(eta, eta)[:, None]
-        for i in range(j):
-            b = basis[:, i]
-            v = v - _dot(v, b)[:, None] * b
-        basis[:, j] = v / np.sqrt(_dot(v, v))[:, None]
-    return basis
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -230,53 +230,60 @@ def test_hypersurface_suite_takes_no_svd(monkeypatch, family, params):
     assert calls == []
 
 
-def _structure_complement_loop(row):
-    """Gram-Schmidt of one point's coordinate vectors with U projected out,
-    for a batch of one row."""
-    eta = row.eta[0]
-    basis = []
-    for i in range(5):
-        v = np.zeros(5)
-        v[i] = 1.0
-        v = v - float(v @ eta) * eta / float(eta @ eta)
-        for b in basis:
-            v = v - float(v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-    return basis[:4]
-
-
-# structure-vector components with a dependent coordinate each: the
-# first coordinate vector, the last, all five components nonzero, two, and a
-# last component at 1e-12, below the 1e-8 that counts a component
-CONSTRUCTED_ETA = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, 0.0, 1.0],
-                            [0.1, -0.5, 0.3, 0.7, -0.4],
-                            [0.6, -0.8, 0.0, 0.0, 0.0],
-                            [0.48, 0.6, 0.0, 0.64, 1e-12]])
-
-
 ALL_FAMILIES = [("m1", {"r": 0.6}), ("m2", {"r": 0.6}), ("m3", {"r": 1.0}),
                 ("m4", {"k": 0.6, "l": 0.8}), ("m5", {"k": 0.6, "l": 0.8}),
                 ("m6", {"k": 0.8, "l": 0.6})]
 
 
-def test_structure_complement_rows_equal_per_point_loop_bitwise():
-    # 20 sampled rows of each family, then the constructed components in
-    # place of the structure vector's on five more
-    constructed = CONSTRUCTED_ETA / np.linalg.norm(CONSTRUCTED_ETA, axis=-1, keepdims=True)
-    assert constructed[4, 4] == pytest.approx(1e-12, rel=1e-9)
-    for family, params in ALL_FAMILIES:
-        data = hs.analyze_points(hs.make_example(family, **params),
-                                 hs.random_chart_points(np.random.default_rng(12), 25))
-        eta = data.eta.copy()
-        eta[20:] = constructed
-        data = dataclasses.replace(data, eta=eta)
-        basis = verify._structure_complement(data)
-        for i in range(25):
-            assert basis[i].tobytes() == np.stack(
-                _structure_complement_loop(data[i:i + 1])).tobytes(), (family, i)
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to hs.<name>, from now on."""
+    calls = []
+    function = getattr(hs, name)
+
+    def spy(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(hs, name, spy)
+    return calls
+
+
+def test_hopf_identity_directions_are_the_samples_x_and_y_off_u(monkeypatch):
+    # the suite's X and Y reach the stencil first; the Hopf identity takes
+    # them with U projected out, unit and in span(X, U), span(Y, U)
+    stencils = _spy(monkeypatch, "stencil_residuals")
+    hopfs = _spy(monkeypatch, "hopf_identity_residual")
+    for seed in range(2):
+        verify.run_default_hypersurface_suites(seed=seed, samples=5)
+    assert len(stencils) == len(hopfs) == 2 * len(verify.DEFAULT_BATTERY)
+    for (_, x5, y5, _), (data, xp, yp) in zip(stencils, hopfs):
+        u_hat = data.eta / np.linalg.norm(data.eta, axis=-1, keepdims=True)
+        for v, d in ((x5[:len(data)], xp), (y5[:len(data)], yp)):
+            assert np.max(np.abs(np.linalg.norm(d, axis=-1) - 1.0)) <= 1e-15
+            assert np.max(np.abs(np.sum(d * u_hat, axis=-1))) <= 1e-14
+            w = v - np.sum(v * u_hat, axis=-1, keepdims=True) * u_hat
+            w /= np.linalg.norm(w, axis=-1, keepdims=True)
+            off = (d - np.sum(d * u_hat, axis=-1, keepdims=True) * u_hat
+                   - np.sum(d * w, axis=-1, keepdims=True) * w)
+            assert np.max(np.abs(off)) <= 1e-14
+
+
+@pytest.mark.parametrize("family,params", [("m1", {"r": 0.6}), ("m3", {"r": 1.0}),
+                                           ("m4", {"k": 0.6, "l": 0.8}),
+                                           ("m6", {"k": 0.6, "l": 0.8})])
+def test_hopf_identity_fails_on_a_scaled_shape_operator(monkeypatch, family, params):
+    # negative control: A scaled by 1 + 1e-5 at the suite's points and
+    # directions breaks the identity on every row.  Measured at seed 0 with
+    # 20 samples: the smallest scaled residual is 4.1e-8 (m4, m6) to
+    # 2.4e-7 (m1), 4.1x to 24x the 1e-8 tolerance, with medians
+    # 1.5e-6 to 4.5e-6; the unscaled rows are at most 7.2e-16
+    hopfs = _spy(monkeypatch, "hopf_identity_residual")
+    rep = verify.run_hypersurface_suite(family, params, seed=0, samples=20)
+    (tolerance,) = [c.tolerance for c in rep.checks if c.check_id.endswith(":hopf-identity")]
+    (data, xp, yp), = hopfs
+    assert np.max(hs.hopf_identity_residual(data, xp, yp)) <= 1e-14
+    scaled = dataclasses.replace(data, shape=data.shape * (1.0 + 1e-5))
+    assert np.min(hs.hopf_identity_residual(scaled, xp, yp)) > tolerance
 
 
 @pytest.mark.parametrize("family,params", ALL_FAMILIES)
