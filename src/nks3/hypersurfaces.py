@@ -18,16 +18,11 @@ finite-difference stencil below is evaluated in one chart call.  The
 family parameters are floats, or arrays of one value per chart-point row,
 so one chart call can serve a grid of parameter values.
 
-Both factors and their partials are written out from the cosines and sines
-of one `quat.exp_pure` call each (`_sphere_factor`, `_torus`), and the
-pushforward multiplies out only the blocks that a factor's partials reach:
-the 3-sphere block of u[0:3] and the second factor's block of u[3:5], which
-the factor swap exchanges and the conjugation twist
-(`isometries.twist_blocks`) mixes without its products of zero factors.
-Every product left out is an exact zero, so each nonzero entry equals the
-chained `quat.mul` products of the zero-padded velocities bit for bit, and
-the signs of zero entries agree too wherever neither factor has a
-negative real part, as at every sampled chart point.
+The pushforward's frame rows are closed forms in the cosines and sines of
+the chart angles: xbar d_a x of the base 3-sphere in one block and ybar d_b y
+of the second factor in the other, which the factor swap exchanges and the
+conjugation twist mixes; the twist's point y xbar is the chart's one
+quaternion product.
 
 `analyze_points` produces the pointwise apparatus of a hypersurface at a
 batch of chart points, as one `HypersurfacePointData` whose fields carry
@@ -115,15 +110,13 @@ from .frames import (
     _mv,
     _vm,
     curvature_closed_form,
-    factor_coords,
-    frame_to_r8,
     g_inner,
     g_norm,
     get_tables,
     nabla,
     tensor_G,
 )
-from .isometries import SWAP, TWIST, twist_blocks
+from .isometries import SWAP, TWIST
 
 SQRT3 = math.sqrt(3.0)
 
@@ -163,13 +156,10 @@ class Immersion:
     Every method takes chart points as an array u of shape (..., 5) and
     broadcasts over its leading axes, so a whole finite-difference stencil
     is one call.  The chart maps u to the point (x, y) (..., 4) of the
-    product and the partials of each factor along its own coordinates,
-    dx (..., 3, 4) along u[0:3] and dy (..., 2, 4) along u[3:5]; the other
-    partials vanish.  x and dx are `_sphere_factor(u)`, y and dy the
-    family's second factor at (u[..., 3], u[..., 4], *params):
-    `_round_sphere` for m1-m3, `_torus` for m4-m6.  A composed family
-    pushes these through the factor swap or the conjugation twist (SWAP or
-    TWIST of `_ISOMETRY`).
+    product: x = `_base_point` of u[0:3], and y the family's second factor
+    at (u[..., 3], u[..., 4], *params), `_round_sphere` for m1-m3 and
+    `_torus` for m4-m6.  A composed family takes these through the factor
+    swap or the conjugation twist (SWAP or TWIST of `_ISOMETRY`).
 
     The family parameters `params` are floats, one value for every chart
     point, or read-only (m,) arrays, one value per row: then u has m rows
@@ -207,59 +197,87 @@ class Immersion:
         """Points and chart pushforwards at the chart points u (..., 5).
 
         Returns (p, q, T) of shapes (..., 4), (..., 4) and (..., 5, 6):
-        T[..., a, :] holds the frame coefficients of the a-th chart direction.
-        Only the blocks that the factor partials reach are multiplied out;
-        the rest of T is +0.0.  A swap family's T is the unswapped chart's
-        with its two frame blocks exchanged.  Each nonzero entry equals the
-        frame coefficients of the chart velocities padded with zero rows to
-        (5, 4) and pushed through `IsometryMap.differential_components` bit
-        for bit; a zero entry there may be -0.0 where the real part of a
-        factor is negative.
+        T[..., a, :] holds the frame coefficients of the a-th chart direction:
+        xbar d_a x (`_base_rows`) in the first block, ybar d_b y of the
+        second factor in the second, 0 elsewhere; the swap exchanges the
+        blocks.  The twist maps (x, y) to (xbar, y xbar) and the chart
+        directions to (-rho_a, -rho_a), rho_a = (d_a x) xbar (`_twist_rows`),
+        and (0, R(x) ybar d_b y), R(x) v = x v xbar (`_rotate`).  The row
+        helpers write into their blocks of T.
         """
         u = np.asarray(u, dtype=float)
-        x, dx = _sphere_factor(u)
-        y, dy = self._second_factor(u[..., 3], u[..., 4], *self._row_params(u))
+        cos, sin = np.cos(u[..., :3]), np.sin(u[..., :3])
+        C, S = cos * cos - sin * sin, 2.0 * sin * cos  # cos 2u_a, sin 2u_a
+        x = _base_point(cos, sin)
         T = np.zeros(u.shape[:-1] + (5, 6))
+        # the factor swap exchanges the two factors' frame blocks
+        swap = self._isometry == SWAP
+        first, second = (slice(3, 6), slice(0, 3)) if swap else (slice(0, 3), slice(3, 6))
+        y = self._second_factor(T[..., 3:, second], u[..., 3], u[..., 4], *self._row_params(u))
         if self._isometry == TWIST:
-            p, q, du, dv = twist_blocks(x, y, dx, dy)
-            T[..., :3, :3] = factor_coords(p[..., None, :], du)
-            T[..., :, 3:] = factor_coords(q[..., None, :], dv)
-            return p, q, T
-        T[..., :3, :3] = factor_coords(x[..., None, :], dx)
-        T[..., 3:, 3:] = factor_coords(y[..., None, :], dy)
-        if self._isometry == SWAP:
-            # `take` keeps T C-contiguous, which fancy indexing would not
-            return y, x, T.take(_SWAP_COLUMNS, axis=-1)
-        return x, y, T
+            _rotate(T[..., 3:, 3:], C, S)
+            T[..., :3, 3:] = _twist_rows(T[..., :3, :3], C, S)
+            xbar = qt.conj(x)
+            return xbar, qt.mul(y, xbar), T
+        _base_rows(T[..., :3, first], C, S)
+        return (y, x, T) if swap else (x, y, T)
 
 
-def _sphere_factor(u):
-    """x = e^{u0 i} e^{u1 j} e^{u2 k} and its three partials (..., 3, 4) at
-    the chart coordinates u[..., 0:3]: i x, e^{u0 i} j e^{u1 j} e^{u2 k}
-    and x k.
-
-    Closed forms in the cosines c_a and sines s_a of the three factors,
-    read from one `quat.exp_pure` call.  Each component adds the products of
-    `quat.mul`'s Hamilton formula for the chained products that are not
-    zero by construction, in that formula's order; the products left out
-    are exact zeros, so each nonzero component equals the chained products
-    bit for bit.  A component that can vanish (at a zero coordinate) is
-    written with 0.0 added or as 0.0 minus its terms, which turns -0.0 into
-    +0.0 as the zeros left out do wherever the cosines are positive.
-    """
-    g = qt.exp_pure(u[..., :3, None] * np.eye(3))
-    c0, c1, c2 = g[..., 0, 0], g[..., 1, 0], g[..., 2, 0]
-    s0, s1, s2 = g[..., 0, 1], g[..., 1, 2], g[..., 2, 3]
+def _base_point(cos, sin):
+    """x = e^{u0 i} e^{u1 j} e^{u2 k} (..., 4) from the cosines and sines
+    (..., 3) of the chart angles u[..., 0:3]."""
+    c0, c1, c2 = cos[..., 0], cos[..., 1], cos[..., 2]
+    s0, s1, s2 = sin[..., 0], sin[..., 1], sin[..., 2]
     # e^{u0 i} e^{u1 j} = a + b i + c j + d k
     a, b, c, d = c0 * c1, s0 * c1, c0 * s1, s0 * s1
-    w = a * c2 - d * s2
-    xi, xj, xk = b * c2 + c * s2 + 0.0, c * c2 - b * s2 + 0.0, a * s2 + d * c2 + 0.0
-    out = np.stack([w, xi, xj, xk,
-                    0.0 - xi, w, 0.0 - xk, xj,
-                    0.0 - c * c2 - b * s2, a * s2 - d * c2 + 0.0, a * c2 + d * s2,
-                    b * c2 - c * s2 + 0.0,
-                    0.0 - xk, xj, 0.0 - xi, w], axis=-1).reshape(u.shape[:-1] + (4, 4))
-    return out[..., 0, :], out[..., 1:, :]
+    x = np.empty(cos.shape[:-1] + (4,))
+    x[..., 0] = a * c2 - d * s2
+    x[..., 1] = b * c2 + c * s2
+    x[..., 2] = c * c2 - b * s2
+    x[..., 3] = a * s2 + d * c2
+    return x
+
+
+def _base_rows(out, C, S):
+    """Write the frame rows xbar d_a x of the base chart into the zero block
+    out (..., 3, 3), from C = cos 2u and S = sin 2u (..., 3): d_0 x = i x,
+    d_1 x = e^{u0 i} j e^{u1 j} e^{u2 k} and d_2 x = x k give
+    (C1 C2, -C1 S2, S1), (S2, C2, 0) and (0, 0, 1), independent of u0."""
+    C1, C2, S1, S2 = C[..., 1], C[..., 2], S[..., 1], S[..., 2]
+    out[..., 0, 0] = C1 * C2
+    out[..., 0, 1] = -(C1 * S2)
+    out[..., 0, 2] = S1
+    out[..., 1, 0] = S2
+    out[..., 1, 1] = C2
+    out[..., 2, 2] = 1.0
+
+
+def _twist_rows(out, C, S):
+    """Write -rho_a, rho_a = (d_a x) xbar, into the zero block out
+    (..., 3, 3) and return it: rho_a is (1, 0, 0), (0, C0, S0) and
+    (S1, -C1 S0, C1 C0), with C = cos 2u and S = sin 2u (..., 3)."""
+    C0, C1, S0, S1 = C[..., 0], C[..., 1], S[..., 0], S[..., 1]
+    out[..., 0, 0] = -1.0
+    out[..., 1, 1] = -C0
+    out[..., 1, 2] = -S0
+    out[..., 2, 0] = -S1
+    out[..., 2, 1] = C1 * S0
+    out[..., 2, 2] = -(C1 * C0)
+    return out
+
+
+def _rotate(out, C, S):
+    """Replace the frame rows v of out (..., n, 3) by R(x) v, the rotation
+    v |-> x v xbar of x = e^{u0 i} e^{u1 j} e^{u2 k}: R_i(2u0) R_j(2u1)
+    R_k(2u2), applied one axis at a time, with C = cos 2u and S = sin 2u
+    (..., 3)."""
+    c0, c1, c2 = (C[..., None, a] for a in range(3))
+    s0, s1, s2 = (S[..., None, a] for a in range(3))
+    v0, v1, v2 = out[..., 0], out[..., 1], out[..., 2]
+    v0, v1 = c2 * v0 - s2 * v1, s2 * v0 + c2 * v1
+    v0, v2 = c1 * v0 + s1 * v2, c1 * v2 - s1 * v0
+    v1, v2 = c0 * v1 - s0 * v2, s0 * v1 + c0 * v2
+    out[..., 0], out[..., 1], out[..., 2] = v0, v1, v2
 
 
 def _trailing(x, n: int):
@@ -268,42 +286,48 @@ def _trailing(x, n: int):
     return x if isinstance(x, float) else x[(...,) + (None,) * n]
 
 
-def _round_sphere(psi, chi, r):
-    """Second factor sqrt(1 - r^2) + r y of m1, with y on the unit sphere of
-    imaginaries at latitude psi and longitude chi; returns q and its two
-    partials (..., 2, 4)."""
+def _round_sphere(out, psi, chi, r):
+    """Second factor y = c + r n of m1, c = sqrt(1 - r^2), with n on the
+    unit sphere of imaginaries at latitude psi and longitude chi.  Writes
+    its frame rows ybar d_b y = r (c d_b n - r n x d_b n) into the zero
+    block out (..., 2, 3) and returns y (..., 4); here
+    n x d_psi n = (sin chi, -cos chi, 0) and n x d_chi n = cos psi d_psi n."""
     c = np.sqrt(np.maximum(1.0 - r * r, 0.0))
     cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
-    zero = np.zeros_like(psi)
-    y = np.stack([zero, cp * cc, cp * sc, sp], axis=-1)
-    dpsi = np.stack([zero, -sp * cc, -sp * sc, cp], axis=-1)
-    dchi = np.stack([zero, -cp * sc, cp * cc, zero], axis=-1)
-    return (_trailing(c, 1) * qt.ONE + _trailing(r, 1) * y,
-            _trailing(r, 2) * np.stack([dpsi, dchi], axis=-2))
+    y = np.empty(psi.shape + (4,))
+    y[..., 0] = c
+    y[..., 1] = r * (cp * cc)
+    y[..., 2] = r * (cp * sc)
+    y[..., 3] = r * sp
+    csp, rsp, rcp = c * sp, r * sp, r * cp
+    out[..., 0, 0] = -r * (csp * cc + r * sc)
+    out[..., 0, 1] = r * (r * cc - csp * sc)
+    out[..., 0, 2] = c * rcp
+    out[..., 1, 0] = rcp * (rsp * cc - c * sc)
+    out[..., 1, 1] = rcp * (c * cc + rsp * sc)
+    out[..., 1, 2] = -(rcp * rcp)
+    return y
 
 
-def _torus(phi1, phi2, k, l):
-    """Second factor k e^{i phi1} + l e^{i phi2} j of m4; returns q and its
-    two partials (..., 2, 4), k i e^{i phi1} and l i e^{i phi2} j.
-
-    e^{i phi2} j and the products with i are signed permutations of the
-    cosines and sines of one `quat.exp_pure` call; as in `_sphere_factor`,
-    a component that can vanish adds 0.0 or is subtracted from 0.0, so
-    every component equals the `quat.mul` products bit for bit, signed
-    zeros included.
-    """
-    e = qt.exp_pure(np.stack([phi1, phi2], axis=-1)[..., None] * qt.vec(qt.E1))
-    c1, s1, c2, s2 = e[..., 0, 0], e[..., 0, 1], e[..., 1, 0], e[..., 1, 1]
-    zero = np.zeros_like(c1)
-    q = np.stack([k * c1, k * s1 + 0.0, l * c2, l * s2 + 0.0], axis=-1)
-    dq = np.stack([k * (0.0 - s1), k * c1, zero, zero,
-                   zero, zero, l * (0.0 - s2), l * c2], axis=-1)
-    return q, dq.reshape(c1.shape + (2, 4))
+def _torus(out, phi1, phi2, k, l):
+    """Second factor y = k e^{i phi1} + l e^{i phi2} j of m4.  Writes its
+    frame rows ybar d_b y, (k^2, kl sin delta, kl cos delta) and
+    (-l^2, kl sin delta, kl cos delta) with delta = phi1 - phi2, into the
+    zero block out (..., 2, 3) and returns y (..., 4)."""
+    y = np.empty(phi1.shape + (4,))
+    y[..., 0] = k * np.cos(phi1)
+    y[..., 1] = k * np.sin(phi1)
+    y[..., 2] = l * np.cos(phi2)
+    y[..., 3] = l * np.sin(phi2)
+    delta = phi1 - phi2
+    out[..., 0, 0] = k * k
+    out[..., 1, 0] = -(l * l)
+    out[..., 0, 1] = out[..., 1, 1] = (k * l) * np.sin(delta)
+    out[..., 0, 2] = out[..., 1, 2] = (k * l) * np.cos(delta)
+    return y
 
 
 _ISOMETRY = {"m2": SWAP, "m3": TWIST, "m5": SWAP, "m6": TWIST}
-# the factor swap exchanges the two factors' frame blocks
-_SWAP_COLUMNS = (3, 4, 5, 0, 1, 2)
 
 
 def _parameter(x):
@@ -522,9 +546,9 @@ def _above_rank_tol(gram: np.ndarray) -> bool:
 
 
 def _chart_data(M: Immersion, u) -> tuple:
-    """Points p, q (..., 4) and pushforwards T (..., 5, 6) at the chart
-    points u (..., 5), from one pushforward call; raises where the
-    pushforward loses rank.
+    """Points p, q (..., 4), pushforwards T (..., 5, 6) and their Gram
+    matrices T g T^T (..., 5, 5) at the chart points u (..., 5), from one
+    pushforward call; raises where the pushforward loses rank.
 
     The rank test is `_above_rank_tol`; only where it fails do the
     eigenvalues of the Gram matrices name the first chart point whose
@@ -537,12 +561,13 @@ def _chart_data(M: Immersion, u) -> tuple:
         if np.any(low):
             raise DegenerateImmersionError(
                 f"pushforward rank below 5 at u={_first_row(u, low)}")
-    return p, q, T
+    return p, q, T, gram
 
 
-def _orthonormal_frame(T: np.ndarray) -> tuple:
-    """g-orthonormal tangent frames W T and chart weights W (..., 5, 5)."""
-    L = np.linalg.cholesky(_gram(T))
+def _orthonormal_frame(T: np.ndarray, gram: np.ndarray) -> tuple:
+    """g-orthonormal tangent frames W T and chart weights W (..., 5, 5) of
+    the pushforwards T, from their Gram matrices gram = T g T^T."""
+    L = np.linalg.cholesky(gram)
     W = np.linalg.solve(L, np.broadcast_to(np.eye(5), L.shape))
     return W @ T, W
 
@@ -568,6 +593,21 @@ def _second_factor_forms(isometry) -> tuple:
 
 _FORMS = {isometry: _second_factor_forms(isometry) for isometry in (None, SWAP, TWIST)}
 _E6 = _freeze(np.eye(6))  # the frame vectors B_a as coefficient rows
+# p e_c = sign * p[index], row c for e_c = i, j, k: a signed permutation of p
+_UNIT_INDEX = _freeze(np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]))
+_UNIT_SIGN = _freeze(np.array([[-1.0, 1.0, 1.0, -1.0],
+                               [-1.0, -1.0, 1.0, 1.0],
+                               [-1.0, 1.0, -1.0, 1.0]]))
+
+
+def _frame_rows(p, q) -> np.ndarray:
+    """The frame vectors B_a (..., 6, 8) at the points (p, q) (..., 4) as
+    vectors of R^8: (p e_c, 0) and then (0, q e_c), each a signed
+    permutation of p or q."""
+    b = np.zeros(p.shape[:-1] + (6, 8))
+    b[..., :3, :4] = p[..., _UNIT_INDEX] * _UNIT_SIGN
+    b[..., 3:, 4:] = q[..., _UNIT_INDEX] * _UNIT_SIGN
+    return b
 
 
 def _level_set(M: Immersion, p, q, hessian: bool = False):
@@ -578,12 +618,12 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
 
     F is y0 (m1-m3) or y0^2 + y1^2 (m4-m6) of `_second_factor_forms`, whose
     derivatives are closed forms: dy(B_a) = grad y . b_a with b_a = (p e_a,
-    0) or (0, q e_a), which is the vector part of pbar or qbar times the
-    gradient block; B_a B_b y = S(b_a, b_b) + grad y . d_{b_a} b_b with
-    d_{E_a} E_b = (p e_a e_b, 0), d_{F_a} F_b = (0, q e_a e_b) and the mixed
-    derivatives 0, and e_a e_b = -delta_ab + eps_abc e_c, so that
-    grad y . d_{b_a} b_b = -delta_ab rho + (C_ab^c / 2) dy(B_c), with rho
-    the real part of that same product and C the bracket table; and
+    0) or (0, q e_a), the rows of `_frame_rows`, built once a call;
+    B_a B_b y = S(b_a, b_b) + grad y . d_{b_a} b_b with d_{E_a} E_b =
+    (p e_a e_b, 0), d_{F_a} F_b = (0, q e_a e_b) and the mixed derivatives 0,
+    and e_a e_b = -delta_ab + eps_abc e_c, so that grad y . d_{b_a} b_b =
+    -delta_ab rho + (C_ab^c / 2) dy(B_c), with rho = <p, grad_p y> or
+    <q, grad_q y> and C the bracket table; and
     Hess y = B B y - Gamma dy.  For F = y0^2 + y1^2 the factor 2 of every
     derivative cancels in xi and in the shape operator, so they are taken
     of F / 2: dF = sum y_k dy_k and Hess F = sum (y_k Hess y_k + dy_k dy_k).
@@ -594,11 +634,8 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
     a, S = _FORMS[M._isometry]
     z = np.concatenate([p, q], axis=-1)[..., None, :]
     grad = a + _mv(S, z)
-    # pbar and qbar times the gradient blocks, (..., 2, 8): real parts rho,
-    # vector parts the frame differentials dy
-    left = np.concatenate([qt.mul(qt.conj(p)[..., None, :], grad[..., :4]),
-                           qt.mul(qt.conj(q)[..., None, :], grad[..., 4:])], axis=-1)
-    dy = left[..., (1, 2, 3, 5, 6, 7)]
+    b = _frame_rows(p, q)
+    dy = grad @ np.swapaxes(b, -1, -2)  # (..., 2, 6)
     squares = M.family in FIVE_CURVATURE_FAMILIES
     if squares:
         y = _dot(0.5 * (a + grad), z)
@@ -610,9 +647,11 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
     xi = lowered / length
     if not hessian:
         return xi
-    rho = np.repeat(left[..., (0, 4)], 3, axis=-1)[..., None] * _E6
+    rho = np.stack([_dot(grad[..., :4], p[..., None, :]), _dot(grad[..., 4:], q[..., None, :])],
+                   axis=-1)
+    rho = np.repeat(rho, 3, axis=-1)[..., None] * _E6
     c_gamma = (0.5 * t.bracket - t.gamma).reshape(36, 6)
-    b = frame_to_r8(p[..., None, :], q[..., None, :], _E6)[..., None, :, :]
+    b = b[..., None, :, :]
     hess = (b @ S @ np.swapaxes(b, -1, -2) - rho
             + _mv(c_gamma, dy).reshape(dy.shape[:-1] + (6, 6)))
     if squares:
@@ -657,8 +696,8 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
     t = get_tables()
-    p, q, push = _chart_data(M, U)
-    frame, W = _orthonormal_frame(push)
+    p, q, push, gram = _chart_data(M, U)
+    frame, W = _orthonormal_frame(push, gram)
     xi, weingarten = _level_set(M, p, q, hessian=True)
     A = frame @ weingarten @ np.swapaxes(frame, -1, -2)
 
@@ -866,7 +905,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     X, Y, Z = (data.from_components(v) for v in (x5, y5, z5))
     vels, nested = _nested_points(data, x5, y5)
     ends = _segments(data.u, vels[..., 0, :], NORMAL_H)
-    p, q, T = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
+    p, q, T, _ = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
     xi = _aligned(_level_set(data.immersion, p, q), data.xi[..., None, :])
 
     dU = _covariant_fd(data.xi, -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
@@ -1064,10 +1103,12 @@ def leaf_geometry(data: HypersurfacePointData, sectional) -> LeafGeometry:
     r = M.params[0]
     gram = _gram(data.push_coords)
 
-    # round-metric reference grams come from the base chart; the induced
-    # gram is unchanged under the ambient isometries of m2 and m3
-    _, dx = _sphere_factor(u)
-    round3 = dx @ np.swapaxes(dx, -1, -2)
+    # the round metrics in the base chart's coordinates, [[1, 0, sin 2u1],
+    # [0, 1, 0], [sin 2u1, 0, 1]] and diag(1, cos^2 u3); the induced gram
+    # is unchanged under the ambient isometries of m2 and m3
+    round3 = np.zeros(u.shape[:-1] + (3, 3))
+    round3[..., (0, 1, 2), (0, 1, 2)] = 1.0
+    round3[..., 0, 2] = round3[..., 2, 0] = np.sin(2.0 * u[..., 1])
     res3 = np.max(np.abs(gram[..., :3, :3] - (4.0 / 3.0) * round3), axis=(-2, -1))
     round2 = np.zeros(u.shape[:-1] + (2, 2))
     round2[..., 0, 0] = 1.0

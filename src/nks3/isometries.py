@@ -20,9 +20,10 @@ parameters may be batches too.  `apply`, `differential` and
 `differential_fd` wrap them for single points.  The swap and the
 translations are linear maps of R^8, so `differential_components` returns
 their point maps of (U, V); only the twist has a differential formula of
-its own.  The chart layer of the hypersurface families takes the swap as
-an exchange of its two factors' blocks, and the twist through
-`twist_blocks`, which leaves out the products of zero factors.
+its own.  The chart layer of the hypersurface families writes both out in
+frame coefficients (`hypersurfaces.Immersion.pushforward`): the swap
+exchanges its two factors' blocks, and the twist's rows are closed forms
+in the chart angles, which `differential_components` checks in the tests.
 """
 
 from __future__ import annotations
@@ -97,29 +98,6 @@ def two_sided_translation(a, b, c) -> IsometryMap:
         if qt.unit_defect(x) > 1e-10:
             raise DomainError("translation parameters must be unit quaternions")
     return IsometryMap(TRANSLATION, a, b, c)
-
-
-def twist_blocks(p, q, dp, dq):
-    """The conjugation twist of the point (p, q) (..., 4) and of the tangent
-    pairs (dp_a, 0) and (0, dq_b) there, given by the rows of dp (..., m, 4)
-    and dq (..., n, 4).
-
-    Returns the image point (pbar, q pbar) and the image pairs as du
-    (..., m, 4), the first factor of the images of (dp_a, 0), and dv
-    (..., m + n, 4), the second factor of the images of (dp_a, 0) and then
-    of (0, dq_b); the first factor of the image of (0, dq_b) is zero.  These
-    are `differential_components` of the pairs with the products of their
-    zero factors left out: dv is 0.0 - (q pbar)(dp pbar) on the first rows,
-    where `differential_components` subtracts that product from the zero
-    product 0 pbar, and dq pbar on the last.  So each nonzero component
-    equals that of `differential_components` bit for bit.
-    """
-    pbar = qt.conj(p)
-    qpbar = qt.mul(q, pbar)
-    pb, qpb = pbar[..., None, :], qpbar[..., None, :]
-    du = -qt.mul(qt.mul(pb, dp), pb)
-    dv = np.concatenate([0.0 - qt.mul(qpb, qt.mul(dp, pb)), qt.mul(dq, pb)], axis=-2)
-    return (pbar, qpbar) + project_components(pb, qpb, du, dv)
 
 
 def differential_fd_components(m: IsometryMap, p, q, u, v):

@@ -1,36 +1,43 @@
 """The chart layer against the quaternion products it writes out.
 
-`hypersurfaces._sphere_factor` and `_torus` are closed forms of chained
-`quat.mul` products, and `Immersion.pushforward` multiplies out only the
-blocks of the pushforward that the factor partials reach.  Each is held
-here to the products it replaces, written out in full: the factors by
-`float.hex`, and the pushforward against the chart velocities padded with
-zero rows to (5, 4) and pushed through `IsometryMap.differential_components`
-and `frames.frame_coords_components`.
+`Immersion.pushforward` writes the frame rows of the chart out in the
+cosines and sines of the chart angles: xbar d_a x of the base 3-sphere,
+ybar d_b y of the second factor, and for the twist (-rho_a, -rho_a) and
+(0, R(x) ybar d_b y).  Each family is held here to the route it replaces,
+written out in full: the factors and their R^4 partials (`_sphere_products`
+and `_torus_products` as chained `quat.mul` products, `_round_sphere_r4`),
+padded with zero rows to (5, 4) velocity arrays and pushed through
+`IsometryMap.differential_components` and
+`frames.frame_coords_components`.
 
-Bit for bit, signed zeros included, holds wherever neither factor has a
-negative real part, which covers every sampled chart point; the zeros the
-products leave out are exact, so at any chart point every nonzero entry is
-the products' bit for bit and a zero entry may only carry the other sign.
+The two routes round differently, so they agree to a tolerance, `TOL`;
+two negative controls show that it would catch a closed form with two
+chart angles exchanged or with the twist's sign flipped.  What stays bit
+for bit is each row's independence of its batch.  `_level_set`'s frame
+rows are signed permutations of the points, equal to `frames.frame_to_r8`
+of the unit frame entry for entry.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nks3 import frames, hypersurfaces as hs, isometries as iso, quat as qt
+from nks3 import frames, hypersurfaces as hs, isometries as iso, quat as qt, verify
 
 FAMILY_PARAMS = {"m1": dict(r=0.6), "m2": dict(r=0.6), "m3": dict(r=1.0),
                  "m4": dict(k=0.6, l=0.8), "m5": dict(k=0.6, l=0.8),
                  "m6": dict(k=0.8, l=0.6)}
 ISOMETRY = {"m2": iso.factor_swap(), "m3": iso.conjugation_twist(),
             "m5": iso.factor_swap(), "m6": iso.conjugation_twist()}
+TWIST_FAMILIES = ("m3", "m6")
 
-
-def _hex(a) -> list:
-    return [float.hex(float(v)) for v in np.ravel(a)]
+# Over every input of `TestClosedFormPushforward` the largest difference
+# from the product route, in p, q or T, was 2.2e-15 (the twist families,
+# |u| up to 2 pi), so 1e-14 holds it with a margin of 4.5; the negative
+# controls missed by 1.8 or more.
+TOL = 1e-14
+MISS = 1e-3
 
 
 def _sphere_products(u):
@@ -44,6 +51,19 @@ def _sphere_products(u):
     return x, np.stack([d0, d1, d2], axis=-2)
 
 
+def _round_sphere_r4(psi, chi, r):
+    """sqrt(1 - r^2) + r y, y on the unit sphere of imaginaries at latitude
+    psi and longitude chi, and its two partials in R^4."""
+    c = np.sqrt(1.0 - r * r)
+    cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
+    zero = np.zeros_like(psi)
+    y = np.stack([zero, cp * cc, cp * sc, sp], axis=-1)
+    dpsi = np.stack([zero, -sp * cc, -sp * sc, cp], axis=-1)
+    dchi = np.stack([zero, -cp * sc, cp * cc, zero], axis=-1)
+    return (hs._trailing(c, 1) * qt.ONE + hs._trailing(r, 1) * y,
+            hs._trailing(r, 2) * np.stack([dpsi, dchi], axis=-2))
+
+
 def _torus_products(phi1, phi2, k, l):
     """k e^{i phi1} + l e^{i phi2} j and its partials as products."""
     k, l = hs._trailing(k, 1), hs._trailing(l, 1)
@@ -54,12 +74,14 @@ def _torus_products(phi1, phi2, k, l):
     return k * e1 + l * e2j, dq
 
 
-def _five_row_pushforward(M, u):
+def _product_route(M, u):
     """The pushforward of the chart's factors with zero-padded (5, 4)
     velocity arrays U and V, through the isometry's differential."""
     u = np.asarray(u, dtype=float)
-    x, dx = hs._sphere_factor(u)
-    y, dy = M._second_factor(u[..., 3], u[..., 4], *M._row_params(u))
+    second = (_round_sphere_r4 if M.family in hs.THREE_CURVATURE_FAMILIES
+              else _torus_products)
+    x, dx = _sphere_products(u)
+    y, dy = second(u[..., 3], u[..., 4], *M._row_params(u))
     U = np.zeros(u.shape[:-1] + (5, 4))
     V = np.zeros_like(U)
     U[..., :3, :] = dx
@@ -70,6 +92,15 @@ def _five_row_pushforward(M, u):
         U, V = m.differential_components(p[..., None, :], q[..., None, :], U, V)
         p, q = m.apply_components(p, q)
     return p, q, frames.frame_coords_components(p[..., None, :], q[..., None, :], U, V)
+
+
+def _gap(M, u, want=None) -> float:
+    """The largest difference of M's pushforward at u from the product
+    route at u (or from want), over p, q and T."""
+    want = _product_route(M, u) if want is None else want
+    got = M.pushforward(u)
+    assert all(a.shape == b.shape for a, b in zip(got, want))
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
 
 
 def _with_zeros(rng, u, share=0.4):
@@ -85,61 +116,6 @@ def _sampled(rng, shape):
     return hs.random_chart_points(rng, math.prod(shape)).reshape(shape + (5,))
 
 
-def _assert_same_values(a, b):
-    """Equal entry for entry (a zero of either sign equal to a zero), so
-    every nonzero entry bit for bit."""
-    assert a.shape == b.shape
-    assert np.array_equal(a, b)
-
-
-class TestClosedFormFactors:
-    def test_sphere_factor_equals_products_at_zero_coordinates(self):
-        # every combination of signed zeros, tiny and ordinary coordinates,
-        # with all three cosines positive
-        vals = [0.0, -0.0, 0.3, -0.3, 1.5, -1.5, 1e-200, -1e-200]
-        u = np.array([v + (0.0, 0.0) for v in itertools.product(vals, repeat=3)])
-        for got, want in zip(hs._sphere_factor(u), _sphere_products(u)):
-            assert _hex(got) == _hex(want)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_sphere_factor_equals_products_on_random_batches(self, seed):
-        rng = np.random.default_rng(seed)
-        for u in (_sampled(rng, (30, 11)),
-                  _with_zeros(rng, rng.uniform(-1.5, 1.5, (200, 5))),
-                  _with_zeros(rng, _sampled(rng, (4, 18)))):
-            for got, want in zip(hs._sphere_factor(u), _sphere_products(u)):
-                assert _hex(got) == _hex(want)
-        # a single chart point
-        u = hs.random_chart_point(rng)
-        for got, want in zip(hs._sphere_factor(u), _sphere_products(u)):
-            assert _hex(got) == _hex(want)
-
-    def test_sphere_factor_beyond_a_quarter_turn_equals_products_in_value(self):
-        # with a negative cosine a zero component may carry the other sign
-        rng = np.random.default_rng(4)
-        u = _with_zeros(rng, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (2000, 5)))
-        for got, want in zip(hs._sphere_factor(u), _sphere_products(u)):
-            _assert_same_values(got, want)
-
-    @pytest.mark.parametrize("k,l", [(0.6, 0.8), (0.999, math.sqrt(1.0 - 0.999 ** 2))])
-    def test_torus_equals_products(self, k, l):
-        rng = np.random.default_rng(5)
-        vals = [0.0, -0.0, 0.5, -0.5, 2.0, -2.0, 3.5, -3.5, 1e-200, -1e-200]
-        grid = np.array(list(itertools.product(vals, repeat=2)))
-        wide = _with_zeros(rng, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (500, 2)))
-        for phi in (grid, wide, grid[7]):
-            got = hs._torus(phi[..., 0], phi[..., 1], k, l)
-            want = _torus_products(phi[..., 0], phi[..., 1], k, l)
-            for a, b in zip(got, want):
-                assert _hex(a) == _hex(b)
-        # a parameter value per row
-        ks = rng.uniform(0.1, 0.9, len(wide))
-        got = hs._torus(wide[:, 0], wide[:, 1], ks, np.sqrt(1.0 - ks * ks))
-        want = _torus_products(wide[:, 0], wide[:, 1], ks, np.sqrt(1.0 - ks * ks))
-        for a, b in zip(got, want):
-            assert _hex(a) == _hex(b)
-
-
 def _per_row(family, rows, rng):
     if family in hs.THREE_CURVATURE_FAMILIES:
         return dict(r=rng.uniform(0.2, 1.0, rows))
@@ -147,52 +123,100 @@ def _per_row(family, rows, rng):
     return dict(k=k, l=np.sqrt(1.0 - k * k))
 
 
-class TestZeroBlockPushforward:
+class TestClosedFormPushforward:
     @pytest.mark.parametrize("family", hs.FAMILIES)
     @pytest.mark.parametrize("shape", [(4, 11), (4, 18), (30, 11)])
-    def test_equals_five_row_route_bitwise(self, family, shape):
+    def test_equals_product_route(self, family, shape):
         rng = np.random.default_rng([hs.FAMILIES.index(family), *shape])
         u = _sampled(rng, shape)
         u_zeros = _with_zeros(rng, u)
         for M in (hs.make_example(family, **FAMILY_PARAMS[family]),
                   hs.make_example(family, **_per_row(family, shape[0], rng))):
             for points in (u, u_zeros, u[:, 0]):
-                for got, want in zip(M.pushforward(points), _five_row_pushforward(M, points)):
-                    assert got.tobytes() == want.tobytes()
+                assert _gap(M, points) <= TOL
 
     @pytest.mark.parametrize("family", hs.FAMILIES)
-    def test_single_points_and_the_origin_equal_five_row_route_bitwise(self, family):
+    def test_single_points_and_the_origin_equal_product_route(self, family):
         M = hs.make_example(family, **FAMILY_PARAMS[family])
         for u in (np.zeros(5), np.full(5, -0.0), np.array([-0.0, 0.0, 0.3, -0.0, -0.5])):
-            for got, want in zip(M.pushforward(u), _five_row_pushforward(M, u)):
-                assert got.tobytes() == want.tobytes()
+            assert _gap(M, u) <= TOL
 
     @pytest.mark.parametrize("family", hs.FAMILIES)
-    def test_equals_five_row_route_in_value_over_the_whole_chart(self, family):
-        # beyond the sampling box the left-out zeros may give -0.0 where
-        # the pushforward has +0.0; every nonzero entry stays bit for bit
+    def test_equals_product_route_over_the_whole_chart(self, family):
+        # |u| up to 2 pi, past every chart lock and quarter turn, with
+        # signed zeros; the parameters per row too
         rng = np.random.default_rng(6)
         u = _with_zeros(rng, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (3000, 5)))
+        assert _gap(hs.make_example(family, **FAMILY_PARAMS[family]), u) <= TOL
+        rows = u.reshape(30, 100, 5)
+        assert _gap(hs.make_example(family, **_per_row(family, 30, rng)), rows) <= TOL
+
+    @pytest.mark.parametrize("family", hs.FAMILIES)
+    def test_batch_rows_equal_single_rows_bitwise(self, family):
+        rng = np.random.default_rng([7, hs.FAMILIES.index(family)])
+        u = _with_zeros(rng, _sampled(rng, (4, 18)))
+        for M in (hs.make_example(family, **FAMILY_PARAMS[family]),
+                  hs.make_example(family, **_per_row(family, 4, rng))):
+            batch = M.pushforward(u)
+            for i in range(4):
+                for a, b in zip(batch, M[i:i + 1].pushforward(u[i:i + 1])):
+                    assert a[i:i + 1].tobytes() == b.tobytes()
+                for j in (0, 17):
+                    for a, b in zip(batch, M[i].pushforward(u[i, j])):
+                        assert a[i, j].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("family", hs.FAMILIES)
+    def test_negative_control_exchanged_angles(self, family):
+        # a chart with u1 and u2 exchanged misses the product route
+        rng = np.random.default_rng(8)
+        u = _sampled(rng, (200,))
         M = hs.make_example(family, **FAMILY_PARAMS[family])
-        for got, want in zip(M.pushforward(u), _five_row_pushforward(M, u)):
-            _assert_same_values(got, want)
+        assert _gap(M, u[:, (0, 2, 1, 3, 4)], _product_route(M, u)) > MISS
 
-    @pytest.mark.parametrize("family,products", [
-        ("m1", 2), ("m2", 2), ("m3", 8), ("m4", 2), ("m5", 2), ("m6", 8)])
-    def test_quaternion_products_per_pushforward(self, monkeypatch, family, products):
-        # the two factors' frame coefficients, and for the twist its six
-        # products of nonzero factors; the factors themselves take none
-        calls = []
-        mul = qt.mul
-
-        def counting_mul(q1, q2):
-            calls.append(1)
-            return mul(q1, q2)
-
-        monkeypatch.setattr(qt, "mul", counting_mul)
+    @pytest.mark.parametrize("family", TWIST_FAMILIES)
+    def test_negative_control_twist_sign_flipped(self, family, monkeypatch):
+        # the twist's rows with rho_a in place of -rho_a miss it
+        rng = np.random.default_rng(9)
+        u = _sampled(rng, (200,))
         M = hs.make_example(family, **FAMILY_PARAMS[family])
-        M.pushforward(np.zeros((30, 11, 5)))
-        assert len(calls) == products
+        want = _product_route(M, u)
+        rows = hs._twist_rows
+        monkeypatch.setattr(hs, "_twist_rows",
+                            lambda out, C, S: np.negative(rows(out, C, S), out=out))
+        assert _gap(M, u, want) > MISS
+
+
+class TestFrameRows:
+    @pytest.mark.parametrize("family", hs.FAMILIES)
+    def test_equal_frame_to_r8_entry_for_entry(self, family):
+        # the rows _level_set differentiates along, against the quaternion
+        # products p e_c and q e_c of `frames.frame_to_r8`
+        rng = np.random.default_rng([10, hs.FAMILIES.index(family)])
+        points = [hs.make_example(family, **FAMILY_PARAMS[family])
+                  .pushforward(_with_zeros(rng, _sampled(rng, (3, 20))))[:2],
+                  tuple(qt.unit_rows(rng, rng.standard_normal((2, 7, 4))))]
+        for p, q in points:
+            rows = hs._frame_rows(p, q)
+            assert rows.shape == p.shape[:-1] + (6, 8)
+            assert np.array_equal(
+                rows, frames.frame_to_r8(p[..., None, :], q[..., None, :], np.eye(6)))
+
+
+@pytest.mark.parametrize("family,params", verify.DEFAULT_BATTERY)
+def test_quaternion_products_per_suite(monkeypatch, family, params):
+    # the one product left is the twist's point y xbar, once a chart call:
+    # the analysis and the stencil call
+    calls = []
+    mul = qt.mul
+
+    def counting_mul(q1, q2):
+        calls.append(1)
+        return mul(q1, q2)
+
+    monkeypatch.setattr(qt, "mul", counting_mul)
+    report = verify.run_hypersurface_suite(family, params, 0, 2)
+    assert all(c.passed for c in report.checks)
+    assert len(calls) == (2 if family in TWIST_FAMILIES else 0)
 
 
 def _uniform_point(rng):

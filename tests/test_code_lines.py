@@ -1,4 +1,4 @@
-"""`tools/code_lines.py`: line and code-line counts of a crafted file."""
+"""`tools/code_lines.py`: line, code-line and byte counts of crafted files."""
 
 import importlib.util
 from pathlib import Path
@@ -45,6 +45,7 @@ def test_prints_each_file_and_the_totals(tmp_path, capsys):
     (tmp_path / "sub" / "b.py").write_bytes(b"x = 1\n\n# note\n")
     assert _tool().main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[1:] == [["19", "7", str(tmp_path / "a.py")],
-                        ["3", "1", str(tmp_path / "sub" / "b.py")],
-                        ["22", "8", "total"]]
+    assert rows[0] == ["lines", "code", "bytes", "file"]
+    assert rows[1:] == [["19", "7", str(len(SOURCE)), str(tmp_path / "a.py")],
+                        ["3", "1", "14", str(tmp_path / "sub" / "b.py")],
+                        ["22", "8", str(len(SOURCE) + 14), "total"]]

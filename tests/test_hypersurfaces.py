@@ -158,6 +158,17 @@ class TestMakeExample:
         with pytest.raises(DegenerateImmersionError):
             hs.analyze_point(M, np.array([0.1, math.pi / 4.0, 0.2, 0.3, 0.4]))
 
+    def test_hopf_residual_near_the_chart_lock(self):
+        # u1 = 0.7845 lies 9e-4 from the lock, where the smallest Gram
+        # eigenvalue is 1.9e-6 and the Cholesky tangent frame amplifies
+        # rounding: hopf_residual reads 5.7e-13 with the chart's closed-form
+        # frame rows (4.3e-11 with the earlier quaternion products), so
+        # 5e-12 holds it with a margin of 8.7
+        M = hs.make_example("m1", r=0.6)
+        d = hs.analyze_points(M, np.array([[0.2, 0.7845, 0.1, 0.3, 0.4]]))
+        assert np.linalg.eigvalsh(hs._gram(d.push_coords))[0, 0] < 2e-6
+        assert d.hopf_residual[0] <= 5e-12
+
 
 class TestAnalyzePoint:
     def test_normal_and_structure_vector(self):
@@ -933,7 +944,7 @@ def _shape_derivative(d, x5, y5):
     """(D_X A) Y - (D_Y A) X (1, 6) at a batch of one row, as the Codazzi
     residual takes it: minus the normal field of `_nested_fd`."""
     vels, nested = hs._nested_points(d, x5, y5)
-    p, q, T = hs._chart_data(d.immersion, nested)
+    p, q, T, _ = hs._chart_data(d.immersion, nested)
     xi = hs._aligned(hs._level_set(d.immersion, p, q), d.xi[:, None, :])
     return -hs._nested_fd(d, x5, y5, y5, vels, (T, xi))[1]
 

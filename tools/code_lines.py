@@ -1,10 +1,11 @@
-"""Count the lines and the code lines of Python files.
+"""Count the lines, the code lines and the bytes of Python files.
 
     python tools/code_lines.py [PATH ...]
 
 Each PATH is a `.py` file or a directory searched recursively for them
 (default `src/nks3`, relative to the working directory).  Prints one row
-per file, its `wc -l` line count and its code lines, then the totals.
+per file, its `wc -l` line count, its code lines and its size in bytes,
+then the totals.
 
 A code line is a line that holds a token other than a comment or a
 NL, NEWLINE, INDENT or DEDENT token, outside the docstrings of the module,
@@ -61,14 +62,16 @@ def main(argv: list) -> int:
     parser.add_argument("paths", nargs="*", default=["src/nks3"], metavar="PATH",
                         help="Python files or directories (default src/nks3)")
     args = parser.parse_args(argv)
-    total_lines = total_code = 0
-    print(f"{'lines':>7} {'code':>7}  file")
+    total_lines = total_code = total_bytes = 0
+    print(f"{'lines':>7} {'code':>7} {'bytes':>8}  file")
     for path in _files(args.paths):
-        lines, code = count(path.read_bytes())
+        source = path.read_bytes()
+        lines, code = count(source)
         total_lines += lines
         total_code += code
-        print(f"{lines:7d} {code:7d}  {path}")
-    print(f"{total_lines:7d} {total_code:7d}  total")
+        total_bytes += len(source)
+        print(f"{lines:7d} {code:7d} {len(source):8d}  {path}")
+    print(f"{total_lines:7d} {total_code:7d} {total_bytes:8d}  total")
     return 0
 
 
