@@ -57,7 +57,7 @@ are differenced at once: the chart-constant extension of Z (Gauss) and the
 unit normal (Codazzi), whose inner step is -A Y by the Weingarten relation
 A X = -(D_X xi)^T, so no shape operator is built away from the point
 itself.  The Gauss field also gives the sectional value g(R_ind(X, Y) Z, X)
-that the leaf geometry reads along its 3-sphere pair, the first two
+that the leaf-geometry check reads along its 3-sphere pair, the first two
 tangent-frame vectors.
 
 Everything downstream (spectra, residuals of the Gauss, Codazzi and
@@ -1079,23 +1079,21 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
 class LeafGeometry:
     sphere3_metric_residual: np.ndarray     # factor pullback vs 4/3 of round
     sphere2_metric_residual: np.ndarray     # factor pullback vs 4 r^2 / 3 of round
-    sphere3_sectional: np.ndarray           # finite-difference sectional curvature
     sphere2_curvature_residual: np.ndarray  # (1 + 2 theta^2)/(4 theta^2) vs 3/(4 r^2)
 
 
-def leaf_geometry(data: HypersurfacePointData, sectional) -> LeafGeometry:
+def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     """Geometry of the two product-factor leaves through each chart point.
 
     The 3-sphere factor leaf carries 4/3 times its round metric, so its
-    sectional curvature is 3/4; sectional is that value recomputed from the
-    induced curvature by finite differences, the `StencilResiduals` field
-    of the same rows along X = e0, Y = Z = e1: the frame is the
-    Gram-Schmidt of the chart directions, so its first two vectors span the
-    leaf's.  The 2-sphere factor leaf carries 4 r^2 / 3 times the round
-    metric, so its curvature is 3 / (4 r^2), which in terms of the data's
-    eigenspace invariant theta reads (1 + 2 theta^2) / (4 theta^2).  Each
-    field holds one value per row of the data, against the immersion's r of
-    that row.
+    sectional curvature is 3/4; that value is the `StencilResiduals`
+    field `sectional` of the same rows along X = e0, Y = Z = e1, which the
+    caller reads: the frame is the Gram-Schmidt of the chart directions, so
+    its first two vectors span the leaf's.  The 2-sphere factor leaf
+    carries 4 r^2 / 3 times the round metric, so its curvature is
+    3 / (4 r^2), which in terms of the data's eigenspace invariant theta
+    reads (1 + 2 theta^2) / (4 theta^2).  Each field holds one value per row
+    of the data, against the immersion's r of that row.
     """
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
@@ -1124,4 +1122,4 @@ def leaf_geometry(data: HypersurfacePointData, sectional) -> LeafGeometry:
             f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
-    return LeafGeometry(res3, res2, sectional, res_k2)
+    return LeafGeometry(res3, res2, res_k2)

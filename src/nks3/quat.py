@@ -5,13 +5,9 @@ Every function broadcasts over leading axes, so batches are handled as
 arrays of shape (..., 4).  Imaginary quaternions (w == 0) double as
 3-vectors; `pure` and `vec` convert between the two layouts.
 
-`mul` has two routes, chosen by the rank of its operands.  Single
-quaternions and flat ``(n, 4)`` batches (both operands of ndim <= 2) take
-the component-column formula.  Stacked batches (either operand of
-ndim >= 3, as in the chart layer) form all sixteen products in one array
-through a signed permutation of q2.  Both routes form the same products
-and add them in the same order, so they agree bitwise, and both obey
-``np.errstate``.
+`mul` writes the Hamilton product out per component for operands of
+every rank, single quaternions included, so a product is the same bits
+whatever batch it is part of, and it obeys ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -26,15 +22,6 @@ _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # a Gaussian draw of at most this norm is redrawn before it is scaled to
 # a unit quaternion
 MIN_DRAW_NORM = 1e-6
-# Row j lists, for each output component, the component of q2 that
-# multiplies component j of q1 in the Hamilton product, and its sign.
-_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_SIGNS = np.array([
-    [1.0, 1.0, 1.0, 1.0],
-    [-1.0, 1.0, -1.0, 1.0],
-    [-1.0, 1.0, 1.0, -1.0],
-    [-1.0, -1.0, 1.0, 1.0],
-])
 
 
 def pure(v) -> np.ndarray:
@@ -54,27 +41,19 @@ def mul(q1, q2) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes; the result is
     C-contiguous.
 
-    On both routes output component i is the sum of q1_j * (±q2_k) over
-    j = 0, 1, 2, 3, added in that order.  x * (-y) equals -(x * y) and
-    a + (-b) equals a - b bitwise, so the routes agree bitwise, signed
-    zeros included, and every NaN is ``np.nan``.
+    Output component i is the sum of q1_j * (±q2_k) over j = 0, 1, 2, 3,
+    added in that order, and every NaN is ``np.nan``.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    if q1.ndim >= 3 or q2.ndim >= 3:
-        # stacked batches: all sixteen products in one (..., 4, 4) array
-        t = np.multiply(q1[..., :, None], q2[..., _PERM] * _SIGNS, order="C")
-        out = t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
-    else:
-        # at most one batch axis: the component columns
-        w1, x1, y1, z1 = q1.T
-        w2, x2, y2, z2 = q2.T
-        out = np.ascontiguousarray(np.array([
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]).T)
+    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
+    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
+    out = np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=-1)
     # the order of additions does not fix the sign of a NaN: where a
     # positive NaN meets the negative NaN of inf * 0, numpy's vector and
     # scalar loops keep different ones, chosen by the array's address

@@ -424,7 +424,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     if three_family:
         r = params["r"]
         tc = hs.theta_r_consistency(extra)
-        lg = hs.leaf_geometry(extra, stencil.sectional[n:])
+        lg = hs.leaf_geometry(extra)
         trace = float(np.mean(np.sum(data.eigenvalues, axis=-1)))
         checks += [
             _check(prefix + "normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
@@ -439,7 +439,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                    "factor leaves carry 4/3 and 4r^2/3 round metrics; curvatures 3/4 and (1+2 theta^2)/(4 theta^2)",
                    n_extra, 1e-3,
                    lg.sphere3_metric_residual * 1e3,  # scale to the curvature tolerance
-                   np.abs(lg.sphere3_sectional - 0.75),
+                   np.abs(stencil.sectional[n:] - 0.75),
                    lg.sphere2_metric_residual * 1e3,
                    lg.sphere2_curvature_residual * 1e3),
         ]

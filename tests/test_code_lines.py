@@ -1,11 +1,16 @@
-"""`tools/code_lines.py`: line, code-line and byte counts of crafted files."""
+"""`tools/code_lines.py`: line, code-line, byte and AST-node counts of
+crafted files."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
-# 19 lines; code lines 5, 8, 12-14 (a call over three lines), 17 and 19
+# 19 lines; code lines 5, 8, 12-14 (a call over three lines), 17 and 19;
+# 26 AST nodes: Module; the three docstrings, each an Expr of a Constant;
+# Import and its alias; FunctionDef, its arguments and arg; Return, Call,
+# Attribute, Name math, Name x, Constant 1.0 and the two Names' and the
+# Attribute's Load; ClassDef; Assign, Name y, its Store and the Constant
 SOURCE = b'''"""Module docstring,
 over two lines."""
 
@@ -36,7 +41,7 @@ def _tool():
 
 
 def test_counts_of_a_crafted_file():
-    assert _tool().count(SOURCE) == (19, 7)
+    assert _tool().count(SOURCE) == (19, 7, 26)
 
 
 def test_prints_each_file_and_the_totals(tmp_path, capsys):
@@ -45,7 +50,7 @@ def test_prints_each_file_and_the_totals(tmp_path, capsys):
     (tmp_path / "sub" / "b.py").write_bytes(b"x = 1\n\n# note\n")
     assert _tool().main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[0] == ["lines", "code", "bytes", "file"]
-    assert rows[1:] == [["19", "7", str(len(SOURCE)), str(tmp_path / "a.py")],
-                        ["3", "1", "14", str(tmp_path / "sub" / "b.py")],
-                        ["22", "8", str(len(SOURCE) + 14), "total"]]
+    assert rows[0] == ["lines", "code", "bytes", "nodes", "file"]
+    assert rows[1:] == [["19", "7", str(len(SOURCE)), "26", str(tmp_path / "a.py")],
+                        ["3", "1", "14", "5", str(tmp_path / "sub" / "b.py")],
+                        ["22", "8", str(len(SOURCE) + 14), "31", "total"]]

@@ -36,17 +36,12 @@ def _unit(v):
 SPECTRUM = ("eigenvalues", "multiplicities", "cluster_means", "theta", "theta_sine")
 
 
-def _leaf_pair(data):
-    """The tangent-frame components (m, 5) of the leaf's 3-sphere pair, the
-    frame vectors e0 and e1, one row per row of the point data."""
-    return (np.broadcast_to(e, (len(data), 5)) for e in np.eye(5)[:2])
-
-
-def _leaf_geometry(data):
-    """leaf_geometry of the point data from its own stencil along its leaf
-    pair."""
-    x5, y5 = _leaf_pair(data)
-    return hs.leaf_geometry(data, hs.stencil_residuals(data, x5, y5, y5).sectional)
+def _leaf_stencil(data):
+    """stencil_residuals of the point data along the leaf's 3-sphere pair,
+    the tangent-frame vectors X = e0 and Y = Z = e1 (one row of each per row
+    of the data), whose sectional value the leaf-geometry check reads."""
+    x5, y5 = (np.broadcast_to(e, (len(data), 5)) for e in np.eye(5)[:2])
+    return hs.stencil_residuals(data, x5, y5, y5)
 
 
 def _with_shape(data, shape):
@@ -399,10 +394,11 @@ class TestPerRowParameters:
         rng = np.random.default_rng(44)
         U = np.stack([hs.random_chart_point(rng) for _ in range(3)])
         data = hs.analyze_points(hs.make_example(family, r=rs), U)
-        batched = [f(data) for f in (hs.theta_r_consistency, _leaf_geometry)]
+        residuals = (hs.theta_r_consistency, hs.leaf_geometry, _leaf_stencil)
+        batched = [f(data) for f in residuals]
         for i in range(3):
             row = hs.analyze_point(hs.make_example(family, r=float(rs[i])), U[i])
-            single = [f(row) for f in (hs.theta_r_consistency, _leaf_geometry)]
+            single = [f(row) for f in residuals]
             assert [_row_bytes(s) for s in single] == [_row_bytes(b, slice(i, i + 1))
                                                        for b in batched]
             # the residuals that read r
@@ -1015,20 +1011,18 @@ class TestBatchedResiduals:
         npt.assert_array_equal(hs.reeb_transport_residual(data, X5), joint.transport)
         npt.assert_array_equal(hs.gauss_residual(data, X5, Y5, Z5), joint.gauss)
         npt.assert_array_equal(hs.codazzi_residual(data, X5, Y5), joint.codazzi)
-        # the induced sectional value along the leaf pair, as leaf geometry
-        # reads it, row by row too
-        LX5, LY5 = _leaf_pair(data)
-        leaf = hs.stencil_residuals(data, LX5, LY5, LY5).sectional
+        # the induced sectional value along the leaf pair, as the
+        # leaf-geometry check reads it, row by row too
+        leaf = _leaf_stencil(data).sectional
         for i in range(4):
             rows = slice(i, i + 1)
-            sectional = hs.stencil_residuals(data[rows], LX5[rows], LY5[rows],
-                                             LY5[rows]).sectional
+            sectional = _leaf_stencil(data[rows]).sectional
             assert sectional.tobytes() == leaf[rows].tobytes(), i
         if family in hs.THREE_CURVATURE_FAMILIES:
-            batched = _leaf_geometry(data)
+            batched = hs.leaf_geometry(data)
             for i in range(4):
                 rows = slice(i, i + 1)
-                assert _row_bytes(_leaf_geometry(data[rows])) == _row_bytes(batched, rows)
+                assert _row_bytes(hs.leaf_geometry(data[rows])) == _row_bytes(batched, rows)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_stencil_charts_the_point_with_its_stencil(self, monkeypatch, family, kw):
@@ -1118,7 +1112,7 @@ class TestModuliRelations:
             hs.theta_r_consistency(simple)
         with pytest.raises(DegenerateImmersionError,
                            match=re.escape(f"eigenspace at u={d.u[0].tolist()}")):
-            _leaf_geometry(simple)
+            hs.leaf_geometry(simple)
 
     def test_rejects_torus_families(self):
         M = hs.make_example("m4", k=0.6, l=0.8)
@@ -1139,10 +1133,11 @@ class TestModuliRelations:
         rng = np.random.default_rng(20)
         for family in ("m1", "m3"):
             M = hs.make_example(family, r=0.6)
-            lg = _leaf_geometry(hs.analyze_point(M, hs.random_chart_point(rng)))
+            data = hs.analyze_point(M, hs.random_chart_point(rng))
+            lg = hs.leaf_geometry(data)
             assert lg.sphere3_metric_residual[0] <= 1e-9
             assert lg.sphere2_metric_residual[0] <= 1e-9
-            assert lg.sphere3_sectional[0] == pytest.approx(0.75, abs=1e-3)
+            assert _leaf_stencil(data).sectional[0] == pytest.approx(0.75, abs=1e-3)
             assert lg.sphere2_curvature_residual[0] <= 1e-6
 
 

@@ -57,9 +57,15 @@ def _hamilton(q1, q2):
     ((4,), (4,)), ((500, 4), (4,)), ((4,), (7, 3, 4)), ((70, 3, 4), (70, 3, 4)),
     ((5, 1, 4), (1, 6, 4)), ((7, 3, 4), (3, 4)), ((3, 4), (7, 1, 4)),
     ((3, 3, 4), (3, 4)),
-    # the stacked shapes of a hypersurface battery pass
+    # the chart layer's batches before its frame rows were written out
     ((2, 2, 3, 3, 1, 4), (2, 2, 3, 3, 5, 4)), ((4,), (2, 2, 3, 3, 4)),
     ((2, 2, 3, 3, 4), (4,)), ((10, 11, 4), (10, 11, 4)),
+    # the twist's y x̄ in the m3 and m6 stencil charts of a battery pass
+    ((4, 20, 4), (4, 20, 4)), ((2, 20, 4), (2, 20, 4)),
+    # the isometry suite's finite-difference differential
+    ((100, 4), (2, 100, 4)), ((2, 100, 4), (100, 4)), ((2, 100, 4), (2, 100, 4)),
+    # the import-time product of hypersurfaces._second_factor_forms
+    ((1, 4, 4), (4, 1, 4)),
 ])
 def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
     rng = np.random.default_rng(10)
@@ -71,9 +77,9 @@ def test_mul_matches_written_out_formula_bitwise(shape1, shape2):
     assert out.flags.c_contiguous
 
 
-def test_mul_routes_agree_bitwise_on_special_values():
-    # (n, 4) and single quaternions take the component-column route,
-    # (n, 1, 1, 4) the stacked one
+def test_mul_agrees_bitwise_across_shapes_on_special_values():
+    # the same products as single quaternions, an (n, 4) batch and an
+    # (n, 1, 1, 4) one: numpy's loops differ by shape and address
     rng = np.random.default_rng(12)
     values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e-300, -1e300])
     n = 5000
@@ -94,7 +100,7 @@ def test_mul_routes_agree_bitwise_on_special_values():
 
 
 @pytest.mark.parametrize("shape", [(4,), (1, 4), (17, 4), (2, 1, 3, 4)])
-def test_nan_products_are_positive_nan_on_every_route(shape):
+def test_nan_products_are_positive_nan_for_every_shape(shape):
     # inf * 0 gives a negative NaN, np.nan is positive; where the two meet,
     # the sign numpy keeps depends on its loop, so a product returns np.nan
     a = np.broadcast_to([1.5, -np.inf, np.nan, np.inf], shape)
@@ -108,7 +114,8 @@ def test_nan_products_are_positive_nan_on_every_route(shape):
 def test_single_quaternion_product_obeys_errstate_like_a_batch():
     inf = np.array([np.inf, 0.0, 0.0, 0.0])
     with np.errstate(all="raise"):
-        for a, b in ((inf, np.zeros(4)), (inf[None], np.zeros((1, 4)))):
+        for a, b in ((inf, np.zeros(4)), (inf[None], np.zeros((1, 4))),
+                     (inf[None, None], np.zeros((1, 1, 4)))):
             with pytest.raises(FloatingPointError):
                 qt.mul(a, b)
     with np.errstate(all="ignore"):
@@ -122,7 +129,7 @@ def test_mul_accepts_non_contiguous_operands():
     out = qt.mul(a, b)
     npt.assert_array_equal(out, _hamilton(a, b))
     assert out.flags.c_contiguous
-    # the same operands through the stacked route
+    # and as stacked batches
     a3 = rng.standard_normal((4, 3, 6)).T   # (6, 3, 4), Fortran-ordered
     b3 = rng.standard_normal((6, 3, 8))[..., ::2]
     out = qt.mul(a3, b3)

@@ -1,11 +1,12 @@
-"""Count the lines, the code lines and the bytes of Python files.
+"""Count the lines, code lines, bytes and AST nodes of Python files.
 
     python tools/code_lines.py [PATH ...]
 
 Each PATH is a `.py` file or a directory searched recursively for them
 (default `src/nks3`, relative to the working directory).  Prints one row
-per file, its `wc -l` line count, its code lines and its size in bytes,
-then the totals.
+per file, its `wc -l` line count, its code lines, its size in bytes and
+the number of nodes of its syntax tree (as `ast.walk` yields them), then
+the totals.
 
 A code line is a line that holds a token other than a comment or a
 NL, NEWLINE, INDENT or DEDENT token, outside the docstrings of the module,
@@ -40,14 +41,15 @@ def _docstring_starts(tree: ast.AST) -> set:
 
 
 def count(source: bytes) -> tuple:
-    """(wc -l lines, code lines) of the Python source."""
-    docstrings = _docstring_starts(ast.parse(source))
+    """(wc -l lines, code lines, AST nodes) of the Python source."""
+    tree = ast.parse(source)
+    docstrings = _docstring_starts(tree)
     code = set()
     for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type in _LAYOUT or tok.start in docstrings:
             continue
         code.update(range(tok.start[0], tok.end[0] + 1))
-    return source.count(b"\n"), len(code)
+    return source.count(b"\n"), len(code), sum(1 for _ in ast.walk(tree))
 
 
 def _files(paths: list) -> list:
@@ -57,21 +59,25 @@ def _files(paths: list) -> list:
     return out
 
 
+def _row(values, name) -> str:
+    lines, code, size, nodes = values
+    return f"{lines:7d} {code:7d} {size:8d} {nodes:7d}  {name}"
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(prog="code_lines.py", description=__doc__.split("\n")[0])
     parser.add_argument("paths", nargs="*", default=["src/nks3"], metavar="PATH",
                         help="Python files or directories (default src/nks3)")
     args = parser.parse_args(argv)
-    total_lines = total_code = total_bytes = 0
-    print(f"{'lines':>7} {'code':>7} {'bytes':>8}  file")
+    totals = [0, 0, 0, 0]
+    print(f"{'lines':>7} {'code':>7} {'bytes':>8} {'nodes':>7}  file")
     for path in _files(args.paths):
         source = path.read_bytes()
-        lines, code = count(source)
-        total_lines += lines
-        total_code += code
-        total_bytes += len(source)
-        print(f"{lines:7d} {code:7d} {len(source):8d}  {path}")
-    print(f"{total_lines:7d} {total_code:7d} {total_bytes:8d}  total")
+        lines, code, nodes = count(source)
+        row = (lines, code, len(source), nodes)
+        totals = [t + v for t, v in zip(totals, row)]
+        print(_row(row, path))
+    print(_row(totals, "total"))
     return 0
 
 
