@@ -95,7 +95,7 @@ def two_sided_translation(a, b, c) -> IsometryMap:
     batches (..., 4) that broadcast against the points."""
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     for x in (a, b, c):
-        if qt.unit_defect(x) > 1e-10:
+        if not qt.unit_defect(x) <= 1e-10:  # a NaN defect fails too
             raise DomainError("translation parameters must be unit quaternions")
     return IsometryMap(TRANSLATION, a, b, c)
 
@@ -108,15 +108,26 @@ def differential_fd_components(m: IsometryMap, p, q, u, v):
     which stay on the spheres and have velocity (U, V) at t = 0; both
     stencil points go through the point map in one call.
     """
+    return _central_difference(m, m.apply_components(p, q), _stencil_ends(p, q, u, v))
+
+
+def _stencil_ends(p, q, u, v):
+    """The stencil points p exp(t pbar U), q exp(t qbar V) at t = +-FD_H,
+    stacked (2, ..., 4); they do not depend on the map, so the isometry
+    suite forms them once for all three."""
     wu = qt.vec(qt.mul(qt.conj(p), u))
     wv = qt.vec(qt.mul(qt.conj(q), v))
     t = np.array([FD_H, -FD_H]).reshape((2,) + (1,) * wu.ndim)
-    ends_p, ends_q = m.apply_components(
-        qt.mul(p, qt.exp_pure(t * wu)), qt.mul(q, qt.exp_pure(t * wv))
-    )
+    return qt.mul(p, qt.exp_pure(t * wu)), qt.mul(q, qt.exp_pure(t * wv))
+
+
+def _central_difference(m: IsometryMap, image, ends):
+    """The central difference of m over the `_stencil_ends` ends, projected
+    to the tangent space at the image (p', q') of the stencil's centre."""
+    ends_p, ends_q = m.apply_components(*ends)
     du = (ends_p[0] - ends_p[1]) / (2.0 * FD_H)
     dv = (ends_q[0] - ends_q[1]) / (2.0 * FD_H)
-    return project_components(*m.apply_components(p, q), du, dv)
+    return project_components(*image, du, dv)
 
 
 def differential_fd(m: IsometryMap, z: TangentVector) -> TangentVector:
@@ -136,7 +147,7 @@ def composition_checks(rng: np.random.Generator, samples: int) -> dict:
     the conjugation twist).  Each sample draws p, q, a, b, c in turn, all
     samples in one array scaled by `quat.unit_rows` (the same points as
     `sample_unit` calls in sequence); the identities are evaluated on the
-    whole batch at once.
+    whole batch at once, T(a, b, c) on the swap and twist images stacked.
     """
     draws = qt.unit_rows(rng, rng.standard_normal((samples, 5, 4)))
     p, q, a, b, c = draws.transpose(1, 0, 2).copy()
@@ -146,14 +157,16 @@ def composition_checks(rng: np.random.Generator, samples: int) -> dict:
     t_abc = two_sided_translation(a, b, c).apply_components
     t_bac = two_sided_translation(b, a, c).apply_components
     t_cba = two_sided_translation(c, b, a).apply_components
+    swapped, twisted = swap(*pt), twist(*pt)
+    moved_p, moved_q = t_abc(*(np.stack(x) for x in zip(swapped, twisted)))
 
     def dist(x, y) -> float:
         # NaN in either factor gives NaN
         return float(np.max(np.abs(np.concatenate([x[0] - y[0], x[1] - y[1]], axis=-1))))
 
     return {
-        "swap-involution": dist(swap(*swap(*pt)), pt),
-        "twist-involution": dist(twist(*twist(*pt)), pt),
-        "translation-through-swap": dist(t_abc(*swap(*pt)), swap(*t_bac(*pt))),
-        "translation-through-twist": dist(t_abc(*twist(*pt)), twist(*t_cba(*pt))),
+        "swap-involution": dist(swap(*swapped), pt),
+        "twist-involution": dist(twist(*twisted), pt),
+        "translation-through-swap": dist((moved_p[0], moved_q[0]), swap(*t_bac(*pt))),
+        "translation-through-twist": dist((moved_p[1], moved_q[1]), twist(*t_cba(*pt))),
     }

@@ -47,7 +47,8 @@ class AmbientPoint:
 
     def __post_init__(self):
         for comp in (self.p, self.q):
-            if qt.unit_defect(comp) > UNIT_TOL:
+            # fails closed: a NaN defect compares False
+            if not qt.unit_defect(comp) <= UNIT_TOL:
                 raise DomainError("ambient point components must be unit quaternions")
 
 
@@ -83,19 +84,27 @@ def project_tangent(at: AmbientPoint, u, v) -> TangentVector:
 
 
 def j_components(p, q, u, v):
-    pu, qu = p_components(p, q, u, v)
+    """J(U, V) at (p, q), unprojected; vectors (k, ..., 4) broadcast on points (..., 4)."""
+    return _j_from_p(u, v, *p_components(p, q, u, v))
+
+
+def _j_from_p(u, v, pu, qu):
+    """J(U, V) from (U, V) and its unprojected P image (pu, qu)."""
     return (2.0 * pu - u) / SQRT3, (-2.0 * qu + v) / SQRT3
 
 
 def p_components(p, q, u, v):
+    """P(U, V) at (p, q), unprojected; vectors (k, ..., 4) broadcast on points (..., 4)."""
     return qt.mul(qt.mul(p, qt.conj(q)), v), qt.mul(qt.mul(q, qt.conj(p)), u)
 
 
 def q_components(u, v):
+    """Q(U, V) = (-U, V), the same at every point; vectors (k, ..., 4) map as one."""
     return -np.asarray(u, dtype=float), np.asarray(v, dtype=float)
 
 
 def metric_components(p, q, u1, v1, u2, v2):
+    """g(Z, Z') at (p, q); pairs (k, ..., 4) broadcast on points (..., 4) or (k, ..., 4)."""
     cross12 = qt.dot(qt.mul(qt.conj(p), u1), qt.mul(qt.conj(q), v2))
     cross21 = qt.dot(qt.mul(qt.conj(p), u2), qt.mul(qt.conj(q), v1))
     return (4.0 / 3.0) * (qt.dot(u1, u2) + qt.dot(v1, v2)) - (2.0 / 3.0) * (

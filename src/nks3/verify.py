@@ -137,7 +137,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     connection and the frame connection, the agreement of the curvature
     table with its closed form, and the pointwise-versus-frame agreement
     of J, P and the metric.  Each identity is evaluated once over the
-    whole batch of samples.
+    whole batch of samples, and P Z once for all the identities that read it.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -167,21 +167,8 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     lhs28 = 2.0 * (nabla(t, X, py) - nabla(t, X, Y) @ t.P.T)
     rhs28 = tensor_G(t, X, py) @ t.J.T + gxy @ (t.J @ t.P).T
 
-    # pointwise factor involution against its P, J expression
     p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
-    u_raw = rng.standard_normal((n, 4))
-    v_raw = rng.standard_normal((n, 4))
-    u, v = pw.project_components(p, q, u_raw, v_raw)
-    qu, qv = pw.q_components(u, v)
-    ju, jv = pw.j_components(p, q, u, v)
-    pju, pjv = pw.p_components(p, q, ju, jv)
-    ru = (2.0 * pju - ju) / SQRT3 - qu
-    rv = (2.0 * pjv - jv) / SQRT3 - qv
-
-    xf = frame_coords_components(p, q, u, v)
-    u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
-                                   rng.standard_normal((n, 4)))
-    yf = frame_coords_components(p, q, u2, v2)
+    involution, frame_vs_pointwise = _pointwise_residuals(t, rng, p, q)
 
     checks = [
         _check("G-antisymmetry", "G(X,Y) + G(Y,X) = 0", n, 1e-12,
@@ -198,7 +185,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         _check("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0", n, 1e-12,
                g_norm(t, gxy @ t.P.T + tensor_G(t, X @ t.P.T, Y @ t.P.T))),
         _check("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", n, 1e-12,
-               np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))),
+               involution),
         _check("flat-connection-relation",
                "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2", n, 1e-12,
                connection_relation_residual(t, p, q, X, Y)),
@@ -207,12 +194,39 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
                g_norm(t, curvature(t, X, Y, Z) - curvature_closed_form(t, X, Y, Z))),
         _check("frame-vs-pointwise", "frame tables reproduce the pointwise J, P, g",
                n, 1e-12,
-               np.abs(frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
-               np.abs(frame_coords_components(p, q, *pw.p_components(p, q, u, v))
-                      - xf @ t.P.T),
-               np.abs(pw.metric_components(p, q, u, v, u2, v2) - g_inner(t, xf, yf))),
+               *frame_vs_pointwise),
     ]
     return _finalize("structure", seed, checks, started)
+
+
+def _pointwise_residuals(tables, rng, p, q) -> tuple:
+    """Residuals of `Q-from-P-J` and of `frame-vs-pointwise` (three arrays)
+    at the points (p, q), for tangent vectors Z and then Z' drawn from rng.
+
+    P Z is formed once, for J Z and for the frame check of P, and Z, Z',
+    J Z and P Z take their frame coefficients in one stacked call.  The
+    intermediates are freed on return, before the suite's frame-tensor
+    checks allocate theirs.
+    """
+    n = len(p)
+    u, v = pw.project_components(p, q, rng.standard_normal((n, 4)),
+                                 rng.standard_normal((n, 4)))
+    qu, qv = pw.q_components(u, v)
+    pu, pv = pw.p_components(p, q, u, v)
+    ju, jv = pw._j_from_p(u, v, pu, pv)
+    pju, pjv = pw.p_components(p, q, ju, jv)
+    # R = (2 P J Z - J Z)/sqrt(3) - Q Z; g(R, R) and g(Z, Z') are one call
+    ru = (2.0 * pju - ju) / SQRT3 - qu
+    rv = (2.0 * pjv - jv) / SQRT3 - qv
+    u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
+                                   rng.standard_normal((n, 4)))
+    xf, yf, jxf, pxf = frame_coords_components(p, q, np.stack([u, u2, ju, pu]),
+                                               np.stack([v, v2, jv, pv]))
+    rr, gzz2 = pw.metric_components(p, q, np.stack([ru, u]), np.stack([rv, v]),
+                                    np.stack([ru, u2]), np.stack([rv, v2]))
+    return np.sqrt(np.abs(rr)), (np.abs(jxf - xf @ tables.J.T),
+                                 np.abs(pxf - xf @ tables.P.T),
+                                 np.abs(gzz2 - g_inner(tables, xf, yf)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +240,8 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
 
     Each sample draws a point, two tangent vectors and the parameters of a
     two-sided translation; every identity is then evaluated once over the
-    whole batch.
+    whole batch, with the vectors that one map takes at one point stacked
+    on a leading axis, so that each product is formed once.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -244,11 +259,14 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     pt = (p, q)
     z = pw.project_components(p, q, u1, v1)
     z2 = pw.project_components(p, q, u2, v2)
+    pz_raw = pw.p_components(*pt, *z)  # P Z once, for J Z and P Z
+    jz = pw.project_components(*pt, *pw._j_from_p(*z, *pz_raw))
+    pz = pw.project_components(*pt, *pz_raw)
+    base = pw.metric_components(*pt, *z, *z2)  # g(Z, Z') at the base point
 
-    maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
-            "translation": iso.two_sided_translation(a, b, c)}
-    image = {name: m.apply_components(*pt) for name, m in maps.items()}
-    dz = {name: m.differential_components(*pt, *z) for name, m in maps.items()}
+    def stack(*pairs):
+        """Pairs (U, V) of (n, 4) arrays as one pair of (k, n, 4) stacks."""
+        return tuple(np.stack(x) for x in zip(*pairs))
 
     def J(at, w):
         return pw.project_components(*at, *pw.j_components(*at, *w))
@@ -256,44 +274,52 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     def P(at, w):
         return pw.project_components(*at, *pw.p_components(*at, *w))
 
-    def g_dist(at, w1, w2):
-        d = (w1[0] - w2[0], w1[1] - w2[1])
-        return np.sqrt(np.maximum(pw.metric_components(*at, *d, *d), 0.0))
+    # each map's images of Z, Z', J Z and P Z from one differential call
+    maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
+            "translation": iso.two_sided_translation(a, b, c)}
+    image = {name: m.apply_components(*pt) for name, m in maps.items()}
+    dz, dz2, djz, dpz = ({} for _ in range(4))
+    vectors = stack(z, z2, jz, pz)
+    for name, m in maps.items():
+        dz[name], dz2[name], djz[name], dpz[name] = zip(
+            *m.differential_components(*pt, *vectors))
+    pulled = pw.metric_components(*stack(*image.values()), *stack(*dz.values()),
+                                  *stack(*dz2.values()))
 
-    base = pw.metric_components(*pt, *z, *z2)  # g(Z, Z') at the base point
+    # P at the swap and twist images, then J there of d Z and of the twist's P d Z
+    at_sw, at_tw = image["swap"], image["twist"]
+    pdz_sw, pdz_tw = zip(*P(stack(at_sw, at_tw), stack(dz["swap"], dz["twist"])))
+    jdz_sw, jdz_tw, jpdz_tw = zip(*J(stack(at_sw, at_tw, at_tw),
+                                     stack(dz["swap"], dz["twist"], pdz_tw)))
+    twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz_tw, jpdz_tw)]
+
+    # g-distances of the four J and P relations, in one metric call
+    pairs = ((djz["swap"], [-x for x in jdz_sw]), (dpz["swap"], pdz_sw),
+             (djz["twist"], [-x for x in jdz_tw]), (dpz["twist"], twisted))
+    d = stack(*((w1[0] - w2[0], w1[1] - w2[1]) for w1, w2 in pairs))
+    g_dist = np.sqrt(np.maximum(
+        pw.metric_components(*stack(at_sw, at_sw, at_tw, at_tw), *d, *d), 0.0))
+
+    # the stencil ends do not depend on the map: formed once for all three
+    ends = iso._stencil_ends(*pt, *z)
 
     def fd_gap(name):
-        fd = iso.differential_fd_components(maps[name], *pt, *z)
+        fd = iso._central_difference(maps[name], image[name], ends)
         return np.abs(fd[0] - dz[name][0]), np.abs(fd[1] - dz[name][1])
 
-    jz, pz = J(pt, z), P(pt, z)
-
-    def anticommute(name):
-        return g_dist(image[name], maps[name].differential_components(*pt, *jz),
-                      [-x for x in J(image[name], dz[name])])
-
-    pdz = P(image["twist"], dz["twist"])
-    jpdz = J(image["twist"], pdz)
-    twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
     comp = iso.composition_checks(rng, samples)
 
     n = samples
     checks = [
         _check(f"pullback-{name}", f"g(d({name}) Z, d({name}) Z') = g(Z, Z')", n, 1e-12,
-               np.abs(pw.metric_components(*image[name], *dz[name],
-                                           *m.differential_components(*pt, *z2)) - base))
-        for name, m in maps.items()
+               np.abs(g - base))
+        for name, g in zip(maps, pulled)
     ] + [
-        _check("swap-J-anticommute", "d(swap) J = -J d(swap)",
-               n, 1e-12, anticommute("swap")),
-        _check("swap-P-commute", "d(swap) P = P d(swap)",
-               n, 1e-12, g_dist(image["swap"], maps["swap"].differential_components(*pt, *pz),
-                                P(image["swap"], dz["swap"]))),
-        _check("twist-J-anticommute", "d(twist) J = -J d(twist)",
-               n, 1e-12, anticommute("twist")),
+        _check("swap-J-anticommute", "d(swap) J = -J d(swap)", n, 1e-12, g_dist[0]),
+        _check("swap-P-commute", "d(swap) P = P d(swap)", n, 1e-12, g_dist[1]),
+        _check("twist-J-anticommute", "d(twist) J = -J d(twist)", n, 1e-12, g_dist[2]),
         _check("twist-P-twist", "d(twist) P = (-P/2 + sqrt(3)/2 JP) d(twist)",
-               n, 1e-12, g_dist(image["twist"],
-                                maps["twist"].differential_components(*pt, *pz), twisted)),
+               n, 1e-12, g_dist[3]),
         _check("differential-vs-fd", "closed-form differentials match central differences",
                n, 1e-6, *fd_gap("swap"), *fd_gap("twist"), *fd_gap("translation")),
         _check("swap-involution", "swap o swap = id",

@@ -1,6 +1,8 @@
 """Isometry families: point maps, closed-form differentials versus central
 differences, structure-tensor relations, composition identities."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -66,6 +68,25 @@ def test_translation_batch_rejects_one_non_unit_row():
     for params in ((a, qt.ONE, qt.ONE), (qt.ONE, a, qt.ONE), (qt.ONE, qt.ONE, a)):
         with pytest.raises(DomainError):
             iso.two_sided_translation(*params)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_translation_rejects_a_nan_parameter(slot):
+    # a NaN defect compares False with the tolerance; the test fails closed
+    params = [qt.ONE, qt.ONE, qt.ONE]
+    params[slot] = np.array([math.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        iso.two_sided_translation(*params)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_translation_batch_rejects_one_nan_row(slot):
+    rng = np.random.default_rng(6)
+    params = list(qt.unit_rows(rng, rng.standard_normal((3, 5, 4))))
+    iso.two_sided_translation(*params)
+    params[slot][2, 1] = math.nan
+    with pytest.raises(DomainError):
+        iso.two_sided_translation(*params)
 
 
 def _all_maps(rng):

@@ -54,6 +54,19 @@ def test_ambient_point_batch_validates_every_member():
         pw.AmbientPoint(np.stack([qt.ONE, 2.0 * qt.E1]), good)
 
 
+@pytest.mark.parametrize("factor", range(2))
+def test_ambient_point_rejects_nan(factor):
+    # a NaN defect compares False with the tolerance; the test fails closed
+    nan = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        pw.AmbientPoint(*((nan, qt.ONE) if factor == 0 else (qt.ONE, nan)))
+    rows = np.stack([qt.ONE, qt.E1, qt.E2])
+    rows_nan = rows.copy()
+    rows_nan[1, 3] = np.nan
+    with pytest.raises(DomainError):
+        pw.AmbientPoint(*((rows_nan, rows) if factor == 0 else (rows, rows_nan)))
+
+
 def test_tangent_vector_validates_tangency():
     with pytest.raises(DomainError):
         pw.TangentVector(ORIGIN, qt.ONE, np.zeros(4))

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from nks3 import hypersurfaces as hs, isometries as iso, pointwise as pw, quat as qt, verify
+from nks3 import frames, hypersurfaces as hs, isometries as iso, pointwise as pw, quat as qt
+from nks3 import verify
 from nks3.errors import DegenerateImmersionError, DomainError
 
 SQRT3 = math.sqrt(3.0)
@@ -115,6 +116,161 @@ def test_isometry_suite_matches_per_sample_recomputation_bitwise():
         assert {c.check_id: c.max_residual for c in rep.checks} == expected, seed
 
 
+def _vector_maps(rng, n):
+    """The pointwise, frame and differential maps of vectors (U, V) and
+    (U', V') at the points (n, 4), each returning a tuple of arrays."""
+    p, q, a, b, c = qt.unit_rows(rng, rng.standard_normal((5, n, 4)))
+    fns = {
+        "project": lambda at, u, v, u2, v2: pw.project_components(*at, u, v),
+        "P": lambda at, u, v, u2, v2: pw.p_components(*at, u, v),
+        "J": lambda at, u, v, u2, v2: pw.j_components(*at, u, v),
+        "metric": lambda at, u, v, u2, v2: (pw.metric_components(*at, u, v, u2, v2),),
+        "frame": lambda at, u, v, u2, v2: (frames.frame_coords_components(*at, u, v),),
+    }
+    for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
+        fns["d " + m.tag] = lambda at, u, v, u2, v2, m=m: m.differential_components(*at, u, v)
+    return (p, q), fns
+
+
+def _assert_stack_is_separate_calls(fns, at, at_row, k, vectors):
+    for name, f in fns.items():
+        stacked = f(at, *vectors)
+        for i in range(k):
+            single = f(at_row(i), *(w[i] for w in vectors))
+            assert len(stacked) == len(single), name
+            for s, o in zip(stacked, single):
+                assert s[i].shape == o.shape and s[i].tobytes() == o.tobytes(), (name, i)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [1, 100])
+def test_stacked_vectors_equal_separate_calls_bitwise(k, n):
+    # the ambient suites map the vectors they need at one point as one
+    # (k, n, 4) stack against the (n, 4) points; each slice of the result
+    # is the bits of its own call
+    rng = np.random.default_rng(10 * k + n)
+    at, fns = _vector_maps(rng, n)
+    vectors = tuple(rng.standard_normal((4, k, n, 4)))
+    _assert_stack_is_separate_calls(fns, at, lambda i: at, k, vectors)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n", [1, 100])
+def test_stacked_points_equal_separate_calls_bitwise(k, n):
+    # J, P and g at the stacked images of several maps, likewise
+    rng = np.random.default_rng(10 * k + n + 1)
+    _, fns = _vector_maps(rng, n)
+    at = tuple(qt.unit_rows(rng, rng.standard_normal((2, k, n, 4))))
+    vectors = tuple(rng.standard_normal((4, k, n, 4)))
+    pointwise = {name: fns[name] for name in ("project", "P", "J", "metric", "frame")}
+    _assert_stack_is_separate_calls(pointwise, at, lambda i: (at[0][i], at[1][i]), k, vectors)
+
+
+def _structure_residuals_unstacked(seed, samples):
+    """The structure suite's residuals with its draws, each identity written
+    out on its own: J Z through `j_components`, which forms P Z, then P Z,
+    the frame coefficients and the metric pairings one call each."""
+    t = frames.get_tables()
+    rng = np.random.default_rng(seed)
+    n = samples
+    X, Y, Z, W = (rng.standard_normal((n, 6)) for _ in range(4))
+    G, gn = frames.tensor_G, frames.g_norm
+
+    def g(x, y):
+        return frames.g_inner(t, x, y)
+
+    lhs26 = g(G(t, X, Y), G(t, Z, W))
+    rhs26 = (1.0 / 3.0) * (g(Z, X) * g(W, Y) - g(W, X) * g(Z, Y)
+                           + g(Z, X @ t.J.T) * g(Y, W @ t.J.T)
+                           - g(W, X @ t.J.T) * g(Y, Z @ t.J.T))
+    lhs28 = 2.0 * (frames.nabla(t, X, Y @ t.P.T) - frames.nabla(t, X, Y) @ t.P.T)
+    rhs28 = G(t, X, Y @ t.P.T) @ t.J.T + G(t, X, Y) @ (t.J @ t.P).T
+
+    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
+    u, v = pw.project_components(p, q, rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
+    ju, jv = pw.j_components(p, q, u, v)
+    pju, pjv = pw.p_components(p, q, ju, jv)
+    qu, qv = pw.q_components(u, v)
+    ru, rv = (2.0 * pju - ju) / SQRT3 - qu, (2.0 * pjv - jv) / SQRT3 - qv
+    xf = frames.frame_coords_components(p, q, u, v)
+    u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
+                                   rng.standard_normal((n, 4)))
+    yf = frames.frame_coords_components(p, q, u2, v2)
+    pu, pv = pw.p_components(p, q, u, v)
+
+    residuals = {
+        "G-antisymmetry": [gn(t, G(t, X, Y) + G(t, Y, X))],
+        "G-J-anticommute": [gn(t, G(t, X, Y @ t.J.T) + G(t, X, Y) @ t.J.T)],
+        "G-skew-adjoint": [np.abs(g(Z, G(t, X, Y)) + g(Y, G(t, X, Z)))],
+        "G-inner-product": [np.abs(lhs26 - rhs26)],
+        "P-derivative": [gn(t, lhs28 - rhs28)],
+        "P-G-compatibility": [gn(t, G(t, X, Y) @ t.P.T + G(t, X @ t.P.T, Y @ t.P.T))],
+        "Q-from-P-J": [np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))],
+        "flat-connection-relation": [frames.connection_relation_residual(t, p, q, X, Y)],
+        "curvature-two-routes": [gn(t, frames.curvature(t, X, Y, Z)
+                                    - frames.curvature_closed_form(t, X, Y, Z))],
+        "frame-vs-pointwise": [
+            np.abs(frames.frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
+            np.abs(frames.frame_coords_components(p, q, pu, pv) - xf @ t.P.T),
+            np.abs(pw.metric_components(p, q, u, v, u2, v2) - g(xf, yf))],
+    }
+    return {cid: verify._worst(*r) for cid, r in residuals.items()}
+
+
+def test_structure_suite_matches_unstacked_recomputation_bitwise():
+    # the suite forms P Z once and maps Z, Z', J Z and P Z in stacked calls;
+    # its residuals equal those of the identities written out one by one
+    for seed in (0, 11, 29):
+        rep = verify.run_structure_suite(seed=seed, samples=50)
+        expected = _structure_residuals_unstacked(seed, 50)
+        got = {c.check_id: c.max_residual for c in rep.checks}
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in expected.items()}, seed
+
+
+def _failures(margin):
+    """Ids of the failed checks of both ambient suites, each asserted to
+    miss its tolerance by more than the margin."""
+    failed = []
+    for suite in (verify.run_structure_suite, verify.run_isometry_suite):
+        for c in suite(seed=3, samples=50).checks:
+            if not c.passed:
+                assert c.max_residual > margin * c.tolerance, c.check_id
+                failed.append(c.check_id)
+    return failed
+
+
+def test_p_checks_fail_on_a_scaled_p(monkeypatch):
+    # a P with its first factor scaled by 1 + 1e-9 fails every check that
+    # reads P, and only those; a uniform scale would pass swap-P-commute,
+    # since d(swap) commutes with any multiple of P
+    p_components = pw.p_components
+
+    def scaled(p, q, u, v):
+        pu, qu = p_components(p, q, u, v)
+        return pu * (1.0 + 1e-9), qu
+
+    monkeypatch.setattr(pw, "p_components", scaled)
+    assert _failures(margin=1e3) == [
+        "Q-from-P-J", "frame-vs-pointwise", "swap-J-anticommute", "swap-P-commute",
+        "twist-J-anticommute", "twist-P-twist"]
+
+
+def test_twist_differential_checks_fail_on_a_scaled_differential(monkeypatch):
+    # the twist's differential scaled by 1 + 1e-5 fails its pullback and the
+    # central differences; its J and P relations are linear in it and hold
+    differential = iso.IsometryMap.differential_components
+
+    def scaled(self, p, q, u, v):
+        du, dv = differential(self, p, q, u, v)
+        if self.tag == iso.TWIST:
+            return du * (1.0 + 1e-5), dv * (1.0 + 1e-5)
+        return du, dv
+
+    monkeypatch.setattr(iso.IsometryMap, "differential_components", scaled)
+    assert _failures(margin=10.0) == ["pullback-twist", "differential-vs-fd"]
+
+
 @pytest.mark.parametrize("samples", [1, 5, 200])
 def test_structure_suite_makes_one_connection_call(monkeypatch, samples):
     # the flat-connection relation is evaluated once over the whole batch
@@ -150,9 +306,20 @@ def test_isometry_draws_make_no_single_quaternion_draws(monkeypatch):
     assert calls == []
 
 
-def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
-    # the suite evaluates each identity once over the batch, so the number
-    # of quaternion products does not grow with the sample count
+@pytest.mark.parametrize("suite,products", [
+    # P Z, P J Z, the frame coefficients of Z, Z', J Z and P Z in one call,
+    # g(R, R) and g(Z, Z') in one call, and the flat connection
+    (verify.run_structure_suite, 4 + 4 + 2 + 4 + 6),
+    # at the base point P Z and g(Z, Z'); the twist's and the translation's
+    # images and differentials; the pullbacks, P and J at the images and the
+    # four g-distances, one call each; the FD stencil ends and their twist
+    # and translation images; the composition checks
+    (verify.run_isometry_suite, 4 + 4 + (1 + 4) + (6 + 4) + 4 + 4 + 4 + 4 + 4 + (1 + 4) + 15),
+])
+def test_ambient_suites_make_a_fixed_number_of_products(monkeypatch, suite, products):
+    # each suite evaluates each identity once over the batch, with the
+    # vectors it maps at one point stacked, so its quaternion products are
+    # a fixed count, whatever the sample count
     calls = []
     mul = qt.mul
 
@@ -162,11 +329,11 @@ def test_isometry_suite_makes_no_per_sample_products(monkeypatch):
 
     monkeypatch.setattr(qt, "mul", counting_mul)
     counts = []
-    for samples in (10, 40):
+    for samples in (1, 10, 40):
         calls.clear()
-        verify.run_isometry_suite(seed=3, samples=samples)
+        suite(seed=3, samples=samples)
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [products] * 3
 
 
 @pytest.mark.parametrize("family,params", [("m3", {"r": 0.6}),
