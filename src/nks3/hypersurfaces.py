@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -113,6 +114,7 @@ from .frames import (
     g_inner,
     g_norm,
     get_tables,
+    lower,
     nabla,
     tensor_G,
 )
@@ -434,8 +436,8 @@ def spectra_match(computed, reference):
     Broadcasts over the leading axes of both spectra (..., n)."""
     a = np.sort(np.asarray(computed, dtype=float), axis=-1)
     b = np.sort(np.asarray(reference, dtype=float), axis=-1)
-    return np.minimum(np.max(np.abs(a - b), axis=-1),
-                      np.max(np.abs(np.sort(-a, axis=-1) - b), axis=-1))
+    return np.minimum(np.abs(a - b).max(axis=-1),
+                      np.abs(np.sort(-a, axis=-1) - b).max(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +455,11 @@ class HypersurfacePointData:
     immersion of its rows, `immersion[a:b]`; a batch of one row is the
     data of a single point.  An integer index raises TypeError, so the
     data is not iterable row by row.
+
+    The methods below map frame vectors (..., m, 6) or tangent-frame
+    components (..., m, 5) whose last axis but one is the data's rows; a
+    stack of k operands (k, m, ...) gives each slice's own call bitwise, so
+    a residual forms its vectors' images in one call.
     """
 
     immersion: Immersion
@@ -498,8 +505,13 @@ class HypersurfacePointData:
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
 
+    @cached_property
+    def _lowered_frame(self) -> np.ndarray:
+        """The tangent frames lowered, frame g (m, 5, 6), formed once a batch."""
+        return self.tangent_frame @ get_tables().g
+
     def tangent_components(self, w6: np.ndarray) -> np.ndarray:
-        return _mv(self.tangent_frame @ get_tables().g, w6)
+        return _mv(self._lowered_frame, w6)
 
     def from_components(self, x5) -> np.ndarray:
         return _vm(np.asarray(x5, dtype=float), self.tangent_frame)
@@ -530,7 +542,7 @@ def _tangential(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def _gram(T: np.ndarray) -> np.ndarray:
     t = get_tables()
-    return T @ t.g @ np.swapaxes(T, -1, -2)
+    return T @ t.g @ T.swapaxes(-1, -2)
 
 
 def _above_rank_tol(gram: np.ndarray) -> bool:
@@ -539,10 +551,10 @@ def _above_rank_tol(gram: np.ndarray) -> bool:
     factorization of gram - RANK_TOL I, which succeeds with a finite factor
     exactly when that shifted matrix is positive definite."""
     try:
-        factor = np.linalg.cholesky(gram - RANK_TOL * np.eye(5))
+        factor = np.linalg.cholesky(gram - RANK_TOL * _EYE5)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.isfinite(factor)))
+    return bool(np.isfinite(factor).all())
 
 
 def _chart_data(M: Immersion, u) -> tuple:
@@ -558,7 +570,7 @@ def _chart_data(M: Immersion, u) -> tuple:
     gram = _gram(T)
     if not _above_rank_tol(gram):
         low = np.linalg.eigvalsh(gram)[..., 0] <= RANK_TOL
-        if np.any(low):
+        if low.any():
             raise DegenerateImmersionError(
                 f"pushforward rank below 5 at u={_first_row(u, low)}")
     return p, q, T, gram
@@ -568,7 +580,7 @@ def _orthonormal_frame(T: np.ndarray, gram: np.ndarray) -> tuple:
     """g-orthonormal tangent frames W T and chart weights W (..., 5, 5) of
     the pushforwards T, from their Gram matrices gram = T g T^T."""
     L = np.linalg.cholesky(gram)
-    W = np.linalg.solve(L, np.broadcast_to(np.eye(5), L.shape))
+    W = np.linalg.solve(L, np.broadcast_to(_EYE5, L.shape))
     return W @ T, W
 
 
@@ -593,6 +605,9 @@ def _second_factor_forms(isometry) -> tuple:
 
 _FORMS = {isometry: _second_factor_forms(isometry) for isometry in (None, SWAP, TWIST)}
 _E6 = _freeze(np.eye(6))  # the frame vectors B_a as coefficient rows
+_EYE5 = _freeze(np.eye(5))
+_PAIR = _freeze(np.array([[0], [1]]))  # offsets of an eigenspace pair's two columns
+_SIGNS = _freeze(np.array([[1.0], [-1.0]]))  # the two ends of a chart segment
 # p e_c = sign * p[index], row c for e_c = i, j, k: a signed permutation of p
 _UNIT_INDEX = _freeze(np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]))
 _UNIT_SIGN = _freeze(np.array([[-1.0, 1.0, 1.0, -1.0],
@@ -635,7 +650,7 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
     z = np.concatenate([p, q], axis=-1)[..., None, :]
     grad = a + _mv(S, z)
     b = _frame_rows(p, q)
-    dy = grad @ np.swapaxes(b, -1, -2)  # (..., 2, 6)
+    dy = grad @ b.swapaxes(-1, -2)  # (..., 2, 6)
     squares = M.family in FIVE_CURVATURE_FAMILIES
     if squares:
         y = _dot(0.5 * (a + grad), z)
@@ -647,16 +662,17 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
     xi = lowered / length
     if not hessian:
         return xi
-    rho = np.stack([_dot(grad[..., :4], p[..., None, :]), _dot(grad[..., 4:], q[..., None, :])],
-                   axis=-1)
-    rho = np.repeat(rho, 3, axis=-1)[..., None] * _E6
+    # <p, grad_p y_k> and <q, grad_q y_k> as one row dot of the two blocks
+    blocks = grad.shape[:-1] + (2, 4)
+    rho = _dot(grad.reshape(blocks), z.reshape(z.shape[:-1] + (2, 4)))
+    rho = rho.repeat(3, axis=-1)[..., None] * _E6
     c_gamma = (0.5 * t.bracket - t.gamma).reshape(36, 6)
     b = b[..., None, :, :]
-    hess = (b @ S @ np.swapaxes(b, -1, -2) - rho
+    hess = (b @ S @ b.swapaxes(-1, -2) - rho
             + _mv(c_gamma, dy).reshape(dy.shape[:-1] + (6, 6)))
     if squares:
         hess = (_vm(y, hess.reshape(dy.shape[:-1] + (36,))).reshape(dy.shape[:-2] + (6, 6))
-                + np.swapaxes(dy, -1, -2) @ dy)
+                + dy.swapaxes(-1, -2) @ dy)
     else:
         hess = hess[..., 0, :, :]
     return xi, -hess / length[..., None]
@@ -664,7 +680,7 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
 
 def _aligned(x, ref):
     """Frame vectors x (..., 6), negated where they point away from ref."""
-    return np.where(np.sum(x * ref, axis=-1, keepdims=True) < 0.0, -x, x)
+    return np.where((x * ref).sum(axis=-1, keepdims=True) < 0.0, -x, x)
 
 
 def analyze_points(M: Immersion, U) -> HypersurfacePointData:
@@ -699,23 +715,23 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     p, q, push, gram = _chart_data(M, U)
     frame, W = _orthonormal_frame(push, gram)
     xi, weingarten = _level_set(M, p, q, hessian=True)
-    A = frame @ weingarten @ np.swapaxes(frame, -1, -2)
+    frame_t = frame.swapaxes(-1, -2)
+    A = frame @ weingarten @ frame_t
 
-    tr = np.trace(A, axis1=-2, axis2=-1)
-    lead_idx = np.argmax(np.abs(xi) > TRACE_TIE_TOL, axis=-1)
-    lead = np.take_along_axis(xi, lead_idx[:, None], axis=-1)[:, 0]
+    tr = A.trace(axis1=-2, axis2=-1)
+    lead = xi[np.arange(len(xi)), (np.abs(xi) > TRACE_TIE_TOL).argmax(axis=-1)]
     flip = np.where(np.abs(tr) > TRACE_TIE_TOL, tr < 0.0, lead < 0.0)
     xi = np.where(flip[:, None], -xi, xi)
     A = np.where(flip[:, None, None], -A, A)
 
-    At = np.swapaxes(A, -1, -2)
-    symmetry = np.max(np.abs(A - At), axis=(-2, -1))
+    At = A.swapaxes(-1, -2)
+    symmetry = np.abs(A - At).max(axis=(-2, -1))
     A = 0.5 * (A + At)
 
     uvec = -_mv(t.J, xi)
     eta = _mv(frame @ t.g, uvec)
     phi_rows = (_tangential(frame @ t.J.T, xi[:, None, :]) @ t.g
-                @ np.swapaxes(frame, -1, -2))
+                @ frame_t)
 
     au = _vm(eta, A)
     alpha = _dot(au, eta)
@@ -723,8 +739,9 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     hopf_residual = np.sqrt(_dot(off, off))
 
     pxi = _mv(t.P, xi)
-    a_coef = g_inner(t, pxi, xi)
-    b_coef = g_inner(t, pxi, uvec)
+    pxi_lowered = lower(t, pxi)  # for both pairings, as g_inner lowers its first vector
+    a_coef = _dot(pxi_lowered, xi)
+    b_coef = _dot(pxi_lowered, uvec)
     rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
     c_coef = g_norm(t, rem)
     evals, mult, means, theta, theta_sine = spectral_report(A, frame)
@@ -773,8 +790,8 @@ def _cluster_starts(values: np.ndarray, rel_tol: float,
     max(rel_tol * max |value|, abs_floor), taken over its row; a NaN gap or
     threshold opens a new cluster.
     """
-    threshold = np.maximum(rel_tol * np.max(np.abs(values), axis=-1), abs_floor)
-    joins = np.diff(values, axis=-1) <= threshold[..., None]
+    threshold = np.maximum(rel_tol * np.abs(values).max(axis=-1), abs_floor)
+    joins = values[..., 1:] - values[..., :-1] <= threshold[..., None]
     return np.concatenate([np.ones(values.shape[:-1] + (1,), dtype=bool), ~joins],
                           axis=-1)
 
@@ -783,7 +800,7 @@ def cluster_sizes(values: np.ndarray) -> np.ndarray:
     """The cluster sizes (..., n) of each row of ascending values (..., n) at
     the default tolerances, in cluster order and padded with zeros."""
     starts = _cluster_starts(values, CLUSTER_REL_TOL, CLUSTER_ABS_FLOOR)
-    labels = np.cumsum(starts, axis=-1) - 1
+    labels = starts.cumsum(axis=-1) - 1
     return np.count_nonzero(labels[..., None, :] == np.arange(starts.shape[-1])[:, None],
                             axis=-1)
 
@@ -799,7 +816,7 @@ def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
     evals, evecs = np.linalg.eigh(shape)
     rows = np.arange(len(evals))
     mult = cluster_sizes(evals)
-    ends = np.cumsum(mult, axis=-1)
+    ends = mult.cumsum(axis=-1)
 
     # each cluster's sum over the row-major values, from its opening
     real = mult > 0
@@ -810,12 +827,13 @@ def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
     # invariant |g(J X1, X2)| of the top two-dimensional eigenspace, from
     # the pair of eigenvector columns it starts at
     double = mult == 2
-    first = ends[rows, 4 - np.argmax(double[:, ::-1], axis=-1)] - 2
-    x1, x2 = (_vm(evecs[rows, :, first + k], frame) for k in (0, 1))
-    theta = np.abs(_dot(_vm(x1, t.g), _mv(t.J, x2)))
-    jx1 = _mv(t.J, x1)
-    theta_sine = g_norm(t, jx1 - _dot(_vm(jx1, t.g), x2)[:, None] * x2)
-    no_double = ~np.any(double, axis=-1)
+    first = ends[rows, 4 - double[:, ::-1].argmax(axis=-1)] - 2
+    x12 = _vm(evecs[rows, :, first + _PAIR], frame)
+    x1, x2 = x12
+    jx1, jx2 = _mv(t.J, x12)
+    theta = np.abs(_dot(lower(t, x1), jx2))
+    theta_sine = g_norm(t, jx1 - _dot(lower(t, jx1), x2)[:, None] * x2)
+    no_double = ~double.any(axis=-1)
     return (evals, mult, means, np.where(no_double, np.nan, theta),
             np.where(no_double, np.nan, theta_sine))
 
@@ -855,8 +873,10 @@ def normal_action_residual(data: HypersurfacePointData, name: str) -> np.ndarray
 
 def _segments(u, vels, h: float) -> np.ndarray:
     """The ends u + h vel and u - h vel (..., 2, 5) of the chart segments
-    through the chart points u along the chart velocities vels (..., 5)."""
-    return np.stack([u + h * vels, u - h * vels], axis=-2)
+    through the chart points u along the chart velocities vels (..., 5),
+    formed as u + (h vel) s for the signs s = 1, -1, which is bitwise the
+    sum and the difference."""
+    return u[..., None, :] + (h * vels)[..., None, :] * _SIGNS
 
 
 def _covariant_fd(xi, values, x6, value, h: float) -> np.ndarray:
@@ -899,26 +919,46 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     call of 20 points a row, with one `_level_set` call for their normals,
     so a pushforward that loses rank at any of the 20 points raises
     DegenerateImmersionError.
+
+    A direction may also be one (5,) vector for every row.  The three are
+    broadcast to the rows and stacked, so that their frame vectors X, Y and
+    Z, their chart velocities, their images under A, both curvature terms
+    and the three norms each take one call.
     """
     t = get_tables()
-    x5, y5, z5 = (np.asarray(v, dtype=float) for v in (x5, y5, z5))
-    X, Y, Z = (data.from_components(v) for v in (x5, y5, z5))
-    vels, nested = _nested_points(data, x5, y5)
-    ends = _segments(data.u, vels[..., 0, :], NORMAL_H)
+    directions = _directions(data, x5, y5, z5)
+    XYZ = data.from_components(directions)
+    X, Y, Z = XYZ
+    chart_vels = _vm(directions, data.chart_weights)
+    vels = chart_vels[:2].swapaxes(0, 1)  # (m, 2, 5), X's and Y's
+    ends = _segments(data.u, chart_vels[0], NORMAL_H)
+    nested = _nested_points(data.u, vels)
     p, q, T, _ = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
     xi = _aligned(_level_set(data.immersion, p, q), data.xi[..., None, :])
 
+    AX, AY, AZ = data.apply_shape(XYZ)
     dU = _covariant_fd(data.xi, -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)
-    transport = dU - (data.apply_phi(data.apply_shape(X)) - tensor_G(t, X, data.xi))
+    transport = dU - (data.apply_phi(AX) - tensor_G(t, X, data.xi))
 
-    induced, dxi = _nested_fd(data, x5, y5, z5, vels, (T[..., 2:, :, :], xi[..., 2:, :]))
-    az = data.apply_shape(Z)
-    gauss = induced - (data.tangential(_rowwise(curvature_closed_form, X, Y, Z))
-                       + g_inner(t, az, Y)[..., None] * data.apply_shape(X)
-                       - g_inner(t, az, X)[..., None] * data.apply_shape(Y))
-    codazzi = -dxi + data.tangential(_rowwise(curvature_closed_form, X, Y, data.xi))
-    return StencilResiduals(*(g_norm(t, r) for r in (transport, gauss, codazzi)),
+    induced, dxi = _nested_fd(vels, chart_vels[2], XYZ[:2].swapaxes(0, 1),
+                              (T[..., 2:, :, :], xi[..., 2:, :]))
+    # R(X, Y) Z for Gauss and R(X, Y) xi for Codazzi, in one call
+    rz, rxi = data.tangential(_rowwise(curvature_closed_form, np.array([X, X]),
+                                       np.array([Y, Y]), np.array([Z, data.xi])))
+    azy, azx = g_inner(t, AZ, XYZ[1::-1])
+    gauss = induced - (rz + azy[..., None] * AX - azx[..., None] * AY)
+    codazzi = -dxi + rxi
+    return StencilResiduals(*g_norm(t, np.array([transport, gauss, codazzi])),
                             g_inner(t, induced, X))
+
+
+def _directions(data: HypersurfacePointData, *vectors) -> np.ndarray:
+    """The k tangent-frame component vectors, each (m, 5) or one (5,) for
+    every row, broadcast to the data's m rows and stacked, (k, m, 5)."""
+    out = np.empty((len(vectors), len(data), 5))
+    for i, v in enumerate(vectors):
+        out[i] = v
+    return out
 
 
 # The three one-identity residuals below are each one field of
@@ -941,27 +981,26 @@ def gauss_residual(data: HypersurfacePointData, x5, y5, z5) -> np.ndarray:
     return stencil_residuals(data, x5, y5, z5).gauss
 
 
-def _nested_points(data: HypersurfacePointData, x5, y5) -> tuple:
-    """The chart velocities vels (m, 2, 5) of X and Y, given by their
-    tangent-frame components x5, y5 (m, 5), and the 18 chart points
-    (m, 18, 5) of the nested stencil of step NESTED_H along them (see
-    `_nested_fd`), in (direction, prime, slot) order."""
-    vels = np.stack([_vm(v, data.chart_weights) for v in (x5, y5)], axis=-2)
-    u = data.u[..., None, None, :]
+def _nested_points(u, vels) -> np.ndarray:
+    """The 18 chart points (m, 18, 5) of the nested stencil of step
+    NESTED_H through the chart points u (m, 5) along the chart velocities
+    vels (m, 2, 5) of X and Y (see `_nested_fd`), in (direction, prime,
+    slot) order."""
+    u = u[..., None, None, :]
     primes = np.concatenate([_segments(u[..., 0, :], vels, NESTED_H),
                              np.broadcast_to(u, vels.shape[:-1] + (1, 5))], axis=-2)
     points = np.concatenate([primes[..., None, :],
                              _segments(primes, vels[..., ::-1, None, :], NESTED_H)], axis=-2)
-    return vels, points.reshape(len(points), 18, 5)
+    return points.reshape(len(points), 18, 5)
 
 
-def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, charted: tuple) -> np.ndarray:
+def _nested_fd(vels, zvel, XY, charted: tuple) -> np.ndarray:
     """D_X D_Y F - D_Y D_X F (2, m, 6) of two fields F along the
-    chart-constant extensions of X and Y, given by their tangent-frame
-    components x5, y5 (m, 5) and chart velocities vels (m, 2, 5): two
-    stacked central differences of step NESTED_H.  The extensions commute,
-    so this is R(X, Y) F of the induced connection for a tangent field.
-    Field 0 is the chart-constant extension of Z (components z5), which
+    chart-constant extensions of X and Y, given by their frame vectors XY
+    (m, 2, 6) and chart velocities vels (m, 2, 5): two stacked central
+    differences of step NESTED_H.  The extensions commute, so this is
+    R(X, Y) F of the induced connection for a tangent field.  Field 0 is the
+    chart-constant extension of Z, of chart velocity zvel (m, 5), which
     gives R_ind(X, Y) Z; field 1 the unit normal, whose inner steps give
     (D_Y xi)^T = -A Y at the primes along X (and -A X along Y), so that it
     gives -((D_X A) Y - (D_Y A) X) with no shape operator built away from
@@ -980,13 +1019,11 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, charted: tuple) ->
     inner derivatives.
     """
     T, xi = (a.reshape(len(a), 2, 3, 3, *a.shape[2:]) for a in charted)
-    zchart = _vm(z5, data.chart_weights)[..., None, None, None, :]
-    values = np.stack([_vm(zchart, T), xi])
+    values = np.array([_vm(zvel[..., None, None, None, :], T), xi])
     inner_vels = vels[..., ::-1, None, :]
     inner = _covariant_fd(xi[..., 0, :], values[..., 1:, :], _vm(inner_vels, T[..., 0, :, :]),
                           values[..., 0, :], NESTED_H)
     # the outer differences along X and Y, centred at prime 2, the point itself
-    XY = np.stack([data.from_components(x5), data.from_components(y5)], axis=-2)
     outer = _covariant_fd(xi[..., 2, 0, :], inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
     return outer[..., 0, :] - outer[..., 1, :]
 
@@ -994,38 +1031,38 @@ def _nested_fd(data: HypersurfacePointData, x5, y5, z5, vels, charted: tuple) ->
 def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     """Residual of the pointwise identity tying A, phi and G on the
     structure-vector complement of a Hopf hypersurface, per row of the
-    directions x5, y5 (m, 5)."""
+    directions x5, y5 (m, 5), or one (5,) direction for every row.  X and
+    Y, then phi X and phi A X, then A G(X, xi), A phi X and A phi A X each
+    take one stacked call, and each is formed once."""
     t = get_tables()
     bad = data.hopf_residual > HOPF_TOL
-    if np.any(bad):
+    if bad.any():
         raise PreconditionError(
             f"point fails the Hopf condition at u={_first_row(data.u, bad)}")
-    x5 = np.asarray(x5, dtype=float)
-    y5 = np.asarray(y5, dtype=float)
-    bad = ((np.abs(_dot(x5, data.eta)) > ORTHO_TOL)
-           | (np.abs(_dot(y5, data.eta)) > ORTHO_TOL))
-    if np.any(bad):
+    directions = _directions(data, x5, y5)
+    bad = (np.abs(_dot(directions, data.eta)) > ORTHO_TOL).any(axis=0)
+    if bad.any():
         raise PreconditionError("arguments must be orthogonal to the structure "
                                 f"vector at u={_first_row(data.u, bad)}")
 
-    X = data.from_components(x5)
-    Y = data.from_components(y5)
+    XY = data.from_components(directions)
+    X, Y = XY
     xi, uvec = data.xi, data.structure_vector
     alpha = data.alpha[..., None]
-    px, py = _mv(t.P, X), _mv(t.P, Y)
-
-    lhs = (1.0 / 6.0) * g_inner(t, data.apply_phi(X), Y) - (2.0 / 3.0) * (
-        g_inner(t, px, xi) * g_inner(t, py, uvec)
-        - g_inner(t, px, uvec) * g_inner(t, py, xi)
-    )
+    px, py = lower(t, _mv(t.P, XY))  # P X and P Y, lowered once for their pairings
 
     gxxi = tensor_G(t, X, xi)
     ax = data.apply_shape(X)
+    phix, phiax = data.apply_phi(np.array([X, ax]))
+    agxxi, aphix, aphiax = data.apply_shape(np.array([gxxi, phix, phiax]))
+    lhs = (1.0 / 6.0) * g_inner(t, phix, Y) - (2.0 / 3.0) * (
+        _dot(px, xi) * _dot(py, uvec) - _dot(px, uvec) * _dot(py, xi)
+    )
     rhs_vec = (
-        alpha * gxxi - data.apply_shape(gxxi)
+        alpha * gxxi - agxxi
         + tensor_G(t, alpha * X - ax, xi)
-        - alpha * (data.apply_shape(data.apply_phi(X)) + data.apply_phi(ax))
-        + 2.0 * data.apply_shape(data.apply_phi(ax))
+        - alpha * (aphix + phiax)
+        + 2.0 * aphiax
     )
     return np.abs(lhs - g_inner(t, rhs_vec, Y))
 
@@ -1058,7 +1095,7 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     r = M.params[0]
     double = data.multiplicities == 2
     bad = np.count_nonzero(double, axis=-1) != 2
-    if np.any(bad):
+    if bad.any():
         raise DegenerateImmersionError(
             f"no two-dimensional principal eigenspaces at u={_first_row(data.u, bad)}")
     theta = data.theta
@@ -1069,7 +1106,7 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     closed = np.sort(np.stack([(1.0 + s) / scale, (1.0 - s) / scale], axis=-1), axis=-1)
     doubles = data.cluster_means[double].reshape(-1, 2)
     observed = np.sort(np.abs(doubles), axis=-1)
-    spec_res = np.max(np.abs(observed - closed), axis=-1)
+    spec_res = np.abs(observed - closed).max(axis=-1)
 
     prod_res = np.abs(doubles[..., 0] * doubles[..., 1] + 1.0 / 12.0)
     return ThetaConsistency(r_res, spec_res, prod_res)
@@ -1107,17 +1144,16 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     round3 = np.zeros(u.shape[:-1] + (3, 3))
     round3[..., (0, 1, 2), (0, 1, 2)] = 1.0
     round3[..., 0, 2] = round3[..., 2, 0] = np.sin(2.0 * u[..., 1])
-    res3 = np.max(np.abs(gram[..., :3, :3] - (4.0 / 3.0) * round3), axis=(-2, -1))
+    res3 = np.abs(gram[..., :3, :3] - (4.0 / 3.0) * round3).max(axis=(-2, -1))
     round2 = np.zeros(u.shape[:-1] + (2, 2))
     round2[..., 0, 0] = 1.0
     round2[..., 1, 1] = np.cos(u[..., 3]) ** 2
     r2 = _trailing(r, 2)
-    res2 = np.max(np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2),
-                  axis=(-2, -1))
+    res2 = np.abs(gram[..., 3:, 3:] - (4.0 / 3.0) * r2 * r2 * round2).max(axis=(-2, -1))
 
     theta = data.theta
     bad = np.isnan(theta)
-    if np.any(bad):
+    if bad.any():
         raise DegenerateImmersionError(
             f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)

@@ -106,13 +106,18 @@ def _finalize(suite: str, seed: int, checks: list, started: float) -> SuiteRepor
 
 
 def _worst(*residuals) -> float:
-    """The largest of the residuals (floats or arrays), and at least 0.0.
+    """The largest of the residuals (floats or arrays of any shape), and at
+    least 0.0; 0.0 for no residuals.
 
     inf if it is not finite, a NaN residual included, so that its check
     fails rather than erroring; the builtin max would drop a NaN that is
-    not its first argument.
+    not its first argument.  One `np.maximum` reduction a residual, each
+    starting from the largest value so far, so nothing is concatenated.
     """
-    worst = float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+    worst = 0.0
+    for r in residuals:
+        worst = np.maximum.reduce(r, axis=None, initial=worst)
+    worst = float(worst)
     return worst if math.isfinite(worst) else math.inf
 
 
@@ -339,6 +344,8 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 EXPECTED_CLASS = {"m1": hs.PLUS, "m2": hs.MINUS, "m3": hs.REFLECT}
+# X, Y and Z of the leaf's 3-sphere pair e0, e1 with Z = Y, (3, 1, 5)
+_LEAF_PAIR = np.eye(5)[[0, 1, 1], None]
 
 DEFAULT_BATTERY = (
     ("m1", {"r": 0.6}), ("m1", {"r": 1.0}),
@@ -378,12 +385,13 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
     # transport, Codazzi and Gauss residuals, of which X and Y with U
     # projected out also give the Hopf identity's; then up to three further
     # points for the normal action, the moduli relations and the leaf
-    # geometry, from their own generator
+    # geometry, from their own generator; a sample's three directions are
+    # one draw of three rows, the stream of three draws of one
     with allocation(f"{samples} samples"):
-        U, X5, Y5, Z5 = (np.empty((samples, 5)) for _ in range(4))
+        U, D5 = np.empty((samples, 5)), np.empty((3, samples, 5))
     for i in range(samples):
         U[i] = hs.random_chart_point(rng)
-        X5[i], Y5[i], Z5[i] = (_unit(rng.standard_normal(5)) for _ in range(3))
+        D5[:, i] = _unit(rng.standard_normal((3, 5)))
     U2 = hs.random_chart_points(np.random.default_rng(seed + 1), min(samples, 3))
 
     # both point sets in one analysis; each identity below is then
@@ -394,19 +402,17 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
 
     # for m1-m3 the further points ride the samples' stencil, along their
     # leaf's 3-sphere pair e0, e1 with Z = Y, for the leaf's sectional curvature
-    stencil_data, directions = data, (X5, Y5, Z5)
+    stencil_data, directions = data, D5
     if three_family:
-        e0, e1 = np.eye(5)[:2]
         stencil_data = analysed
-        directions = tuple(np.concatenate([v, np.broadcast_to(w, (n_extra, 5))])
-                           for v, w in zip(directions, (e0, e1, e1)))
+        directions = np.concatenate([D5, np.broadcast_to(_LEAF_PAIR, (3, n_extra, 5))], axis=1)
     stencil = hs.stencil_residuals(stencil_data, *directions)
 
-    mult_off = np.any(data.multiplicities != expected_mult + (0,) * (5 - len(expected_mult)),
-                      axis=-1)
+    mult_off = (data.multiplicities
+                != expected_mult + (0,) * (5 - len(expected_mult))).any(axis=-1)
     phi, eta = data.phi, data.eta
     u_hat = _unit(eta)
-    XP, YP = (_unit(v - _dot(v, u_hat)[:, None] * u_hat) for v in (X5, Y5))
+    XP, YP = _unit(D5[:2] - _dot(D5[:2], u_hat)[..., None] * u_hat)
 
     checks = [
         _check(prefix + "hopf", "A U = alpha U (Hopf condition)",
@@ -420,7 +426,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                n, 1e-12,
                np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
                np.abs((eta[:, None, :] @ phi)[:, 0]),
-               np.abs(phi + np.swapaxes(phi, 1, 2))),
+               np.abs(phi + phi.swapaxes(1, 2))),
         _check(prefix + "spectrum-closed-form",
                "principal curvatures match their closed forms up to one global sign",
                n, 1e-6, hs.spectra_match(data.eigenvalues, expected)),
@@ -451,7 +457,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         r = params["r"]
         tc = hs.theta_r_consistency(extra)
         lg = hs.leaf_geometry(extra)
-        trace = float(np.mean(np.sum(data.eigenvalues, axis=-1)))
+        trace = float(data.eigenvalues.sum(axis=-1).mean())
         checks += [
             _check(prefix + "normal-action", f"normal-action class {EXPECTED_CLASS[family]}",
                    n_extra, 1e-12, hs.normal_action_residual(extra, EXPECTED_CLASS[family])),

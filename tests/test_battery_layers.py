@@ -1,0 +1,48 @@
+"""`tools/battery_layers.py`: stage times and call counts of the
+benchmark's hypersurface battery pass."""
+
+import importlib.util
+from pathlib import Path
+
+from nks3 import hypersurfaces as hs
+from nks3 import verify
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "battery_layers.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("nks3_battery_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_pass_times_each_stage(capsys):
+    originals = (hs.analyze_points, hs.stencil_residuals, hs.hopf_identity_residual,
+                 verify._check)
+    tool = _tool()
+    assert tool.main(["--passes", "1"]) == 0
+    # the wrappers are gone again
+    assert (hs.analyze_points, hs.stencil_residuals, hs.hopf_identity_residual,
+            verify._check) == originals
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "hypersurface-battery: 1 passes after one warm-up"
+    assert out[1].split() == ["stage", "calls/pass", "median", "ms/pass"]
+    rows = {line[:26].strip(): line[26:].split() for line in out[2:]}
+    assert list(rows) == ["analyze_points", "stencil_residuals", "hopf_identity_residual",
+                          "_check", "rest of the suite", "pass"]
+    suites = len(verify.DEFAULT_BATTERY)
+    checks = len(tool._workloads().WORKLOADS["hypersurface-battery"].reference()["0"])
+    calls = {name: row[0] for name, row in rows.items()}
+    assert calls == {"analyze_points": str(suites), "stencil_residuals": str(suites),
+                     "hopf_identity_residual": str(suites), "_check": str(checks),
+                     "rest of the suite": "-", "pass": "-"}
+    ms = {name: float(row[1]) for name, row in rows.items()}
+    assert all(value > 0.0 for value in ms.values())
+    # with one pass each median is that pass's time, so the rows add up
+    assert abs(sum(ms.values()) - 2 * ms["pass"]) <= 0.005
+
+
+def test_rejects_fewer_than_one_pass(capsys):
+    assert _tool().main(["--passes", "0"]) == 2
+    assert "--passes must be at least 1" in capsys.readouterr().err

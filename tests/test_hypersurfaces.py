@@ -939,10 +939,14 @@ def test_chart_on_level_set(family):
 def _shape_derivative(d, x5, y5):
     """(D_X A) Y - (D_Y A) X (1, 6) at a batch of one row, as the Codazzi
     residual takes it: minus the normal field of `_nested_fd`."""
-    vels, nested = hs._nested_points(d, x5, y5)
+    directions = hs._directions(d, x5, y5, y5)
+    chart_vels = frames._vm(directions, d.chart_weights)
+    vels = chart_vels[:2].swapaxes(0, 1)
+    nested = hs._nested_points(d.u, vels)
     p, q, T, _ = hs._chart_data(d.immersion, nested)
     xi = hs._aligned(hs._level_set(d.immersion, p, q), d.xi[:, None, :])
-    return -hs._nested_fd(d, x5, y5, y5, vels, (T, xi))[1]
+    XY = d.from_components(directions[:2]).swapaxes(0, 1)
+    return -hs._nested_fd(vels, chart_vels[2], XY, (T, xi))[1]
 
 
 def _shape_derivative_weingarten(d, x5, y5, h):
@@ -979,6 +983,58 @@ def _hopf_directions(data, rng):
     v = rng.standard_normal(eta.shape)
     v -= np.sum(v * eta, axis=-1, keepdims=True) * eta
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+class TestStackedOperands:
+    """The point-data maps and the row-wise closed-form curvature on a stack
+    of k operands (k, m, ...) against each slice's own call, bitwise: the
+    premise on which the residuals form several vectors' images in one
+    call.  An operand that broadcasts against the m rows, one (5,) or (6,)
+    vector, is broadcast to them before it is stacked."""
+
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    def test_stacked_operands_equal_each_slice_bitwise(self, family, kw):
+        rng = np.random.default_rng(41)
+        data = hs.analyze_points(hs.make_example(family, **kw), hs.random_chart_points(rng, 3))
+        m = len(data)
+
+        def stack(operands, n):
+            return np.array([np.broadcast_to(v, (m, n)) for v in operands])
+
+        def assert_slices(f, stacked, operands):
+            assert stacked.shape[:2] == (len(operands), m)
+            for i, v in enumerate(operands):
+                assert stacked[i].tobytes() == f(*v).tobytes(), (f.__name__, i)
+
+        fives = [rng.standard_normal(5), rng.standard_normal((m, 5)), data.eta]
+        assert_slices(data.from_components, data.from_components(stack(fives, 5)),
+                      [(v,) for v in fives])
+        sixes = [rng.standard_normal(6), rng.standard_normal((m, 6)), data.xi,
+                 data.structure_vector]
+        for f in (data.apply_shape, data.apply_phi, data.tangential, data.tangent_components):
+            assert_slices(f, f(stack(sixes, 6)), [(v,) for v in sixes])
+
+        # R(X, Y) Z on stacked triples, as the Gauss and Codazzi terms take it
+        def curvature(x, y, z):
+            return hs._rowwise(frames.curvature_closed_form, x, y, z)
+
+        X, Y, Z = rng.standard_normal((3, m, 6))
+        triples = [(X, Y, Z), (X, Y, data.xi), (sixes[0], Y, Z)]
+        assert_slices(curvature, curvature(*(stack(v, 6) for v in zip(*triples))), triples)
+
+    @pytest.mark.parametrize("family,kw", FD_FAMILIES)
+    def test_one_direction_for_every_row(self, family, kw):
+        # the stencil stacks its directions after broadcasting them to the
+        # rows: one (5,) direction gives the residuals of that direction in
+        # every row, bitwise
+        rng = np.random.default_rng(42)
+        data = hs.analyze_points(hs.make_example(family, **kw), hs.random_chart_points(rng, 3))
+        x5, (y5, z5) = _unit(rng.standard_normal(5)), rng.standard_normal((2, 3, 5))
+        every_row = np.broadcast_to(x5, (3, 5))
+        assert (_row_bytes(hs.stencil_residuals(data, x5, y5, z5))
+                == _row_bytes(hs.stencil_residuals(data, every_row, y5, z5)))
+        assert (_row_bytes(hs.stencil_residuals(data, y5, x5, x5))
+                == _row_bytes(hs.stencil_residuals(data, y5, every_row, every_row)))
 
 
 class TestBatchedResiduals:

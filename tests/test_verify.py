@@ -560,6 +560,45 @@ def test_nan_residual_fails_closed():
     assert verify._worst(math.nan) == math.inf
 
 
+def _worst_by_concatenation(*residuals) -> float:
+    """The worst residual as one maximum over all the residuals
+    concatenated, the reduction `verify._worst` replaces."""
+    worst = float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+    return worst if math.isfinite(worst) else math.inf
+
+
+def test_worst_residual_contract():
+    nan, inf = math.nan, math.inf
+    worst = verify._worst
+    # a NaN anywhere, in a later argument or a later row, fails closed
+    assert worst(np.array([1.0, 2.0]), np.array([0.5, nan])) == inf
+    assert worst(0.5, np.array([[0.25], [nan]])) == inf
+    assert worst(np.array(nan), 2.0) == inf
+    assert worst(0.5, inf) == inf
+    # negative values and -inf are floored to 0.0; no residuals give 0.0
+    for residuals in ((-1.0, np.array([-inf, -3.0])), (np.array(-2.0),), ()):
+        value = worst(*residuals)
+        assert type(value) is float and value.hex() == (0.0).hex()
+    # floats, 0-d arrays and (m,) arrays mix
+    assert worst(0.25, np.array(0.75), np.array([0.125, 0.5]), np.array([[0.0625]])) == 0.75
+    assert type(worst(np.array([1.0]))) is float
+
+
+def test_worst_residual_equals_the_concatenated_maximum_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        residuals = []
+        for _ in range(rng.integers(1, 5)):
+            kind = rng.integers(3)
+            values = rng.standard_normal(1 if kind < 2 else rng.integers(1, 9))
+            values *= 10.0 ** rng.integers(-16, 3)
+            if rng.random() < 0.1:
+                values[rng.integers(len(values))] = rng.choice([math.nan, math.inf, -math.inf])
+            residuals.append((float(values[0]), np.array(values[0]), values)[kind])
+        assert (verify._worst(*residuals).hex()
+                == _worst_by_concatenation(*residuals).hex()), residuals
+
+
 def test_hypersurface_nan_residual_fails_its_check(monkeypatch):
     # a NaN in any row, not only the first, reaches the report as inf
     stencil_residuals = hs.stencil_residuals

@@ -28,8 +28,9 @@ stdout, stderr]}`.  `--against FILE` reads such a dump, made for example
 at a parent commit, names every invocation whose record differs from it
 byte for byte and counts them: the check that a change meant to keep the
 command-line output reproduces it.  Exits 1 when any invocation differs,
-else 0.  Like the benchmark, it pins OpenBLAS, OpenMP and MKL to one
-thread, and it ignores NKS3_SEED.
+else 0; when its output is piped into a reader that closes it early, it
+stops quietly and exits 141 (`tools/_pipe.py`).  Like the benchmark, it
+pins OpenBLAS, OpenMP and MKL to one thread, and it ignores NKS3_SEED.
 """
 
 from __future__ import annotations
@@ -150,4 +151,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    import _pipe
+    _pipe.run(main)

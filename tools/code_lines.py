@@ -12,6 +12,9 @@ A code line is a line that holds a token other than a comment or a
 NL, NEWLINE, INDENT or DEDENT token, outside the docstrings of the module,
 its classes and its functions.  A token that spans several lines, such as a
 multi-line string that is not a docstring, makes each of them a code line.
+
+Exits 0; when its output is piped into a reader that closes it early, it
+stops quietly and exits 141 (`tools/_pipe.py`).
 """
 
 from __future__ import annotations
@@ -82,4 +85,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    import _pipe
+    _pipe.run(main)

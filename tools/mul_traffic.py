@@ -9,6 +9,10 @@ it.  For each workload it prints its total call count, then one row per
 pair of operand shapes with its calls, most calls first.  The products of
 the import and of the set-up are not counted.  Like the benchmark, it pins
 OpenBLAS, OpenMP and MKL to one thread.
+
+Exits 0, or 2 on an unknown workload or seed; when its output is piped
+into a reader that closes it early, it stops quietly and exits 141
+(`tools/_pipe.py`).
 """
 
 from __future__ import annotations
@@ -92,4 +96,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    import _pipe
+    _pipe.run(main)

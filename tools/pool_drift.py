@@ -33,7 +33,9 @@ moves some moved them.
 Exits 1 when the judge fails any pass or, with `--against`, when any
 outcome differs from the dump (a workload missing from the dump counts
 all its outcomes), else 0, so a claim of bitwise parity with a parent is
-the exit code 0 of this tool and of `tools/cli_drift.py --against`.
+the exit code 0 of this tool and of `tools/cli_drift.py --against`.  When
+its output is piped into a reader that closes it early, it stops quietly
+and exits 141 (`tools/_pipe.py`).
 """
 
 from __future__ import annotations
@@ -180,4 +182,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    import _pipe
+    _pipe.run(main)
