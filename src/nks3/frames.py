@@ -24,9 +24,11 @@ come out as finite contractions with no numerical differentiation.
 The bilinear tensors, the connection D_X Y, G(X, Y) and the connection gap
 below, are evaluated as staged per-row products (`_bilinear`): x (x) y as
 a (..., 1, 36) row times the table reshaped to (36, 6), so a batched row
-equals its single-row call bitwise.  The gap has a table of its own,
-composed once from G, P and J in `build_tables`; `curvature` stages its
-contraction the same way through a (36, 36) table.
+equals its single-row call bitwise.  A stack of tables takes one outer
+product for all of them, each (table, row) pair still its own product.
+The gap has a table of its own, composed once from G, P and J in
+`build_tables`; `curvature` stages its contraction the same way through a
+(36, 36) table.
 
 The metric pairing has one definition, `g_inner`: lower x to x^flat = x g
 (`lower`, a row-wise product), then take the row dot with y, so it too is
@@ -43,7 +45,7 @@ It provides an independent oracle for the relation
 
     nablaE_X Y = D_X Y + (J G(X, PY) + J G(Y, PX)) / 2
 
-between the two connections.  `connection_gap` is that gap, and it serves
+between the two connections.  The table `gap` is that gap, and it serves
 the structure suite's `flat-connection-relation` check alone
 (`connection_relation_residual`): the hypersurface apparatus differences
 frame coefficients and adds `nabla`, with no flat derivative to correct.
@@ -245,18 +247,35 @@ def g_norm(tables: StructureTables, x):
     return np.sqrt(np.maximum(g_inner(tables, x, x), 0.0))
 
 
-def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
-    """sum_ab T[a, b, :] x_a y_b for a (6, 6, 6) table T; broadcasts over
-    rows of x and y.
+def _outer(x, y):
+    """Outer products x (x) y (..., 6, 6) of rows x and y (..., 6); broadcasts.
 
-    The outer product x (x) y is formed as a (..., 1, 36) row and multiplied
-    by T reshaped to (36, 6), so each row is its own matrix product and a
-    batched row equals the single-row result bitwise.
+    x is repeated out to whole (..., 6, 6) blocks and multiplied by y in
+    place where those blocks already span the rows of y, so a batch makes
+    one allocation and a faster multiply than the broadcast one.  Each
+    entry is still the one product x_a * y_b, so the result is bitwise
+    `x[..., :, None] * y[..., None, :]`, signed zeros and NaN payloads
+    included; `np.einsum` would not be, as it turns -0.0 into 0.0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xy = x[..., :, None] * y[..., None, :]
-    return (xy.reshape(xy.shape[:-2] + (1, 36)) @ T.reshape(36, 6))[..., 0, :]
+    xy = x[..., :, None].repeat(6, -1)
+    out = xy if xy.shape[:-2] == y.shape[:-1] else None
+    return np.multiply(xy, y[..., None, :], out=out)
+
+
+def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
+    """sum_ab T[a, b, :] x_a y_b for a (6, 6, 6) table T, or for each table
+    of a stack T (k, 6, 6, 6) as a (k, ..., 6) stack; broadcasts over rows
+    of x and y.
+
+    The outer product x (x) y is formed once, as a (..., 1, 36) row, and
+    multiplied by each table reshaped to (36, 6), so each (table, row) pair
+    is its own matrix product: a batched row equals the single-row result,
+    and slice i of a stack the single table T[i], bitwise.
+    """
+    xy = _outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    rows = xy.shape[:-2]
+    tables = T.reshape(T.shape[:-3] + (1,) * len(rows) + (36, 6))
+    return (xy.reshape(rows + (1, 36)) @ tables)[..., 0, :]
 
 
 def tensor_G(tables: StructureTables, x, y):
@@ -277,9 +296,7 @@ def curvature(tables: StructureTables, x, y, z):
     (..., 36), multiplied by R reshaped to (36, 36) over the pair index
     (a, b), and the (..., 6, 6) result over (c, d) is contracted with z.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xy = x[..., :, None] * y[..., None, :]
+    xy = _outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     rz = xy.reshape(xy.shape[:-2] + (36,)) @ tables.R.reshape(36, 36)
     return np.einsum("...cd,...c->...d", rz.reshape(xy.shape), z)
 
@@ -334,24 +351,18 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
     return frame_coords_components(p, q, du, dv)
 
 
-def connection_gap(tables: StructureTables, x, y):
-    """(J G(X, P Y) + J G(Y, P X)) / 2, the gap nablaE_X Y - D_X Y between
-    the product-round-metric and nearly Kaehler connections, through the
-    table `tables.gap` composed from G, P and J; broadcasts over rows of x
-    and y, each row bitwise equal to its single-row call."""
-    return _bilinear(tables.gap, x, y)
-
-
 def connection_relation_residual(
         tables: StructureTables, p, q, x, y) -> np.ndarray:
     """Residual of the flat-vs-frame connection relation at the points
     (p, q); broadcasts over rows of x, y and of the points.
 
-    One residual per row, each bitwise equal to its single-row call.
+    The right-hand side D_X Y + (J G(X, PY) + J G(Y, PX)) / 2 takes the
+    tables `gamma` and `gap` from one outer product.  One residual per row,
+    each bitwise equal to its single-row call.
     """
     lhs = euclidean_connection(p, q, x, y)
-    rhs = nabla(tables, x, y) + connection_gap(tables, x, y)
-    return g_norm(tables, lhs - rhs)
+    d_xy, gap = _bilinear(np.stack((tables.gamma, tables.gap)), x, y)
+    return g_norm(tables, lhs - (d_xy + gap))
 
 
 # ---------------------------------------------------------------------------

@@ -1032,8 +1032,9 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     """Residual of the pointwise identity tying A, phi and G on the
     structure-vector complement of a Hopf hypersurface, per row of the
     directions x5, y5 (m, 5), or one (5,) direction for every row.  X and
-    Y, then phi X and phi A X, then A G(X, xi), A phi X and A phi A X each
-    take one stacked call, and each is formed once."""
+    Y, then G(X, xi) and G(alpha X - A X, xi), then phi X and phi A X, then
+    A G(X, xi), A phi X and A phi A X each take one stacked call, and each
+    is formed once."""
     t = get_tables()
     bad = data.hopf_residual > HOPF_TOL
     if bad.any():
@@ -1051,8 +1052,8 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     alpha = data.alpha[..., None]
     px, py = lower(t, _mv(t.P, XY))  # P X and P Y, lowered once for their pairings
 
-    gxxi = tensor_G(t, X, xi)
     ax = data.apply_shape(X)
+    gxxi, gaxxi = tensor_G(t, np.array([X, alpha * X - ax]), xi)
     phix, phiax = data.apply_phi(np.array([X, ax]))
     agxxi, aphix, aphiax = data.apply_shape(np.array([gxxi, phix, phiax]))
     lhs = (1.0 / 6.0) * g_inner(t, phix, Y) - (2.0 / 3.0) * (
@@ -1060,7 +1061,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     )
     rhs_vec = (
         alpha * gxxi - agxxi
-        + tensor_G(t, alpha * X - ax, xi)
+        + gaxxi
         - alpha * (aphix + phiax)
         + 2.0 * aphiax
     )

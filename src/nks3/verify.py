@@ -23,6 +23,7 @@ from . import pointwise as pw
 from . import quat as qt
 from .errors import DomainError, allocation
 from .frames import (
+    _bilinear,
     _dot,
     _mv,
     connection_relation_residual,
@@ -33,7 +34,6 @@ from .frames import (
     g_norm,
     get_tables,
     lower,
-    nabla,
     tensor_G,
 )
 
@@ -157,7 +157,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         Z = rng.standard_normal((n, 6))
         W = rng.standard_normal((n, 6))
 
-    gxy = tensor_G(t, X, Y)
+    gxy, p_derivative = _g_and_p_derivative(t, X, Y)
     jx = X @ t.J.T
     # the pairings against Y, Z and W take each of them lowered once
     yl, zl, wl = (lower(t, v) for v in (Y, Z, W))
@@ -168,9 +168,6 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         + _dot(zl, jx) * _dot(yl, W @ t.J.T)
         - _dot(wl, jx) * _dot(yl, Z @ t.J.T)
     )
-    py = Y @ t.P.T
-    lhs28 = 2.0 * (nabla(t, X, py) - nabla(t, X, Y) @ t.P.T)
-    rhs28 = tensor_G(t, X, py) @ t.J.T + gxy @ (t.J @ t.P).T
 
     p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
     involution, frame_vs_pointwise = _pointwise_residuals(t, rng, p, q)
@@ -186,7 +183,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
                "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
                n, 1e-12, np.abs(lhs26 - rhs26)),
         _check("P-derivative", "2 (D_X P) Y = J G(X,PY) + J P G(X,Y)", n, 1e-12,
-               g_norm(t, lhs28 - rhs28)),
+               p_derivative),
         _check("P-G-compatibility", "P G(X,Y) + G(PX,PY) = 0", n, 1e-12,
                g_norm(t, gxy @ t.P.T + tensor_G(t, X @ t.P.T, Y @ t.P.T))),
         _check("Q-from-P-J", "Q Z = (2 P J Z - J Z)/sqrt(3)", n, 1e-12,
@@ -202,6 +199,18 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
                *frame_vs_pointwise),
     ]
     return _finalize("structure", seed, checks, started)
+
+
+def _g_and_p_derivative(t, X, Y) -> tuple:
+    """G(X, Y) and the residual of `P-derivative`.  G and the connection D
+    of (X, Y), and of (X, P Y), each take one outer product; all but G(X, Y)
+    are freed on return."""
+    g_d = np.stack((t.G, t.gamma))
+    gxy, dxy = _bilinear(g_d, X, Y)
+    gxpy, dxpy = _bilinear(g_d, X, Y @ t.P.T)
+    lhs = 2.0 * (dxpy - dxy @ t.P.T)
+    rhs = gxpy @ t.J.T + gxy @ (t.J @ t.P).T
+    return gxy.copy(), g_norm(t, lhs - rhs)
 
 
 def _pointwise_residuals(tables, rng, p, q) -> tuple:
@@ -246,7 +255,8 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     Each sample draws a point, two tangent vectors and the parameters of a
     two-sided translation; every identity is then evaluated once over the
     whole batch, with the vectors that one map takes at one point stacked
-    on a leading axis, so that each product is formed once.
+    on a leading axis, so that each product is formed once.  P at a point
+    is formed once for P and J there, and a g-distance is a self-pairing.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -273,12 +283,6 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
         """Pairs (U, V) of (n, 4) arrays as one pair of (k, n, 4) stacks."""
         return tuple(np.stack(x) for x in zip(*pairs))
 
-    def J(at, w):
-        return pw.project_components(*at, *pw.j_components(*at, *w))
-
-    def P(at, w):
-        return pw.project_components(*at, *pw.p_components(*at, *w))
-
     # each map's images of Z, Z', J Z and P Z from one differential call
     maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
             "translation": iso.two_sided_translation(a, b, c)}
@@ -291,19 +295,22 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     pulled = pw.metric_components(*stack(*image.values()), *stack(*dz.values()),
                                   *stack(*dz2.values()))
 
-    # P at the swap and twist images, then J there of d Z and of the twist's P d Z
+    # P at the swap and twist images, unprojected, for P d Z and, as at the
+    # base point, for J d Z; then J of the twist's P d Z
     at_sw, at_tw = image["swap"], image["twist"]
-    pdz_sw, pdz_tw = zip(*P(stack(at_sw, at_tw), stack(dz["swap"], dz["twist"])))
-    jdz_sw, jdz_tw, jpdz_tw = zip(*J(stack(at_sw, at_tw, at_tw),
-                                     stack(dz["swap"], dz["twist"], pdz_tw)))
+    at, dz_images = stack(at_sw, at_tw), stack(dz["swap"], dz["twist"])
+    pdz_raw = pw.p_components(*at, *dz_images)
+    pdz_sw, pdz_tw = zip(*pw.project_components(*at, *pdz_raw))
+    jdz_sw, jdz_tw = zip(*pw.project_components(*at, *pw._j_from_p(*dz_images, *pdz_raw)))
+    jpdz_tw = pw.project_components(*at_tw, *pw.j_components(*at_tw, *pdz_tw))
     twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz_tw, jpdz_tw)]
 
-    # g-distances of the four J and P relations, in one metric call
+    # g-distances of the four J and P relations, in one self-pairing call
     pairs = ((djz["swap"], [-x for x in jdz_sw]), (dpz["swap"], pdz_sw),
              (djz["twist"], [-x for x in jdz_tw]), (dpz["twist"], twisted))
     d = stack(*((w1[0] - w2[0], w1[1] - w2[1]) for w1, w2 in pairs))
     g_dist = np.sqrt(np.maximum(
-        pw.metric_components(*stack(at_sw, at_sw, at_tw, at_tw), *d, *d), 0.0))
+        pw.metric_square_components(*stack(at_sw, at_sw, at_tw, at_tw), *d), 0.0))
 
     # the stencil ends do not depend on the map: formed once for all three
     ends = iso._stencil_ends(*pt, *z)

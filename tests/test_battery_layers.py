@@ -1,11 +1,12 @@
 """`tools/battery_layers.py`: stage times and call counts of the
-benchmark's hypersurface battery pass."""
+benchmark's hypersurface battery and ambient-suites passes."""
 
 import importlib.util
 from pathlib import Path
 
+from nks3 import frames, verify
 from nks3 import hypersurfaces as hs
-from nks3 import verify
+from nks3 import isometries as iso
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "battery_layers.py"
 
@@ -46,3 +47,29 @@ def test_one_pass_times_each_stage(capsys):
 def test_rejects_fewer_than_one_pass(capsys):
     assert _tool().main(["--passes", "0"]) == 2
     assert "--passes must be at least 1" in capsys.readouterr().err
+
+
+def test_one_ambient_pass_times_each_stage(capsys):
+    originals = (frames._bilinear, verify._bilinear, verify._pointwise_residuals,
+                 verify.connection_relation_residual, frames.curvature_closed_form,
+                 iso.composition_checks, verify._check)
+    tool = _tool()
+    assert tool.main(["--workload", "ambient-suites", "--passes", "1"]) == 0
+    assert (frames._bilinear, verify._bilinear, verify._pointwise_residuals,
+            verify.connection_relation_residual, frames.curvature_closed_form,
+            iso.composition_checks, verify._check) == originals
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ambient-suites: 1 passes after one warm-up"
+    assert out[1].split() == ["stage", "calls/pass", "median", "ms/pass"]
+    rows = {line[:30].strip(): line[30:].split() for line in out[2:]}
+    checks = len(tool._workloads().WORKLOADS["ambient-suites"].reference()["0"])
+    # G and D of (X, Y) and of (X, P Y), the five other G of the structure
+    # suite, and D and the gap of the connection relation
+    assert {name: row[0] for name, row in rows.items()} == {
+        "_bilinear": "8", "_pointwise_residuals": "1", "connection_relation_residual": "1",
+        "curvature": "1", "curvature_closed_form": "1", "composition_checks": "1",
+        "_check": str(checks), "rest of the pass": "-", "pass": "-"}
+    ms = {name: float(row[1]) for name, row in rows.items()}
+    assert all(value > 0.0 for value in ms.values())
+    # a stage's time leaves out the stages it calls, so one pass adds up
+    assert abs(sum(ms.values()) - 2 * ms["pass"]) <= 0.005

@@ -248,9 +248,9 @@ class TestFlatConnectionRelation:
         rng = _rng(8)
         X = rng.standard_normal((4, 5, 6))
         Y = rng.standard_normal((4, 1, 6))
-        batched = frames.connection_gap(T, X, Y)
+        batched = frames._bilinear(T.gap, X, Y)
         assert batched.shape == (4, 5, 6)
-        rows = np.array([[frames.connection_gap(T, X[m, i], Y[m, 0]) for i in range(5)]
+        rows = np.array([[frames._bilinear(T.gap, X[m, i], Y[m, 0]) for i in range(5)]
                          for m in range(4)])
         assert batched.tobytes() == rows.tobytes()
         G_rows = np.array([[frames.tensor_G(T, X[m, i], Y[m, 0] @ T.P.T)
@@ -291,8 +291,9 @@ class TestFlatConnectionRelation:
 
 
 class TestStagedBilinearKernels:
-    """`tensor_G`, `nabla` and `connection_gap` against their written-out
-    definitions, with the gap composed from G, P and J at call time."""
+    """`tensor_G`, `nabla` and the gap table through `_bilinear` against
+    their written-out definitions, with the gap composed from G, P and J at
+    call time."""
 
     @staticmethod
     def _G(x, y):
@@ -308,7 +309,7 @@ class TestStagedBilinearKernels:
             (frames.tensor_G, cls._G, T.G),
             (frames.nabla, lambda x, y: np.einsum("abc,...a,...b->...c", T.gamma, x, y),
              T.gamma),
-            (frames.connection_gap, cls._gap, T.gap),
+            (lambda t, x, y: frames._bilinear(t.gap, x, y), cls._gap, T.gap),
         ]
 
     @staticmethod

@@ -2,7 +2,9 @@
 shapes (hypothesis): `frames.curvature` and `frames.g_inner` against their
 written-out sums; the bilinear tensors, the metric pairing, its lowered
 vectors and norm, and the closed-form curvature batched against row by
-row; and the pairing against the row dot of its lowered vector."""
+row; a stacked bilinear call against its single tables, and the outer
+product against the broadcast one, special values included; and the
+pairing against the row dot of its lowered vector."""
 
 import math
 
@@ -47,21 +49,38 @@ def test_curvature_matches_the_written_out_contraction(triple):
     assert np.all(np.abs(out - expected) <= 1e-13 * scale[..., None])
 
 
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+# every float: NaN (of any payload), +-inf, signed zeros and subnormals
+_SPECIAL = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+
+
 @st.composite
-def _operand_pair(draw):
-    # (6,) x (6,), (n, 6) x (n, 6), (n, 6) x (6,) and (a, b, 6) x (a, 1, 6):
-    # the layouts of the structure suite and the hypersurface code
+def _operand_pair(draw, elements=_FINITE):
+    # (6,) x (6,), (n, 6) x (n, 6), (n, 6) x (6,), (a, b, 6) x (a, 1, 6) and
+    # (6,) against (a, b, 6) either way round: the layouts of the structure
+    # suite and the hypersurface code, and a pair whose rows come from the
+    # second operand alone
     n, a, b = (draw(st.integers(1, 5)) for _ in range(3))
-    shapes = draw(st.sampled_from([((), ()), ((n,), (n,)), ((n,), ()), ((a, b), (a, 1))]))
-    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    shapes = draw(st.sampled_from([((), ()), ((n,), (n,)), ((n,), ()), ((a, b), (a, 1)),
+                                   ((), (a, b)), ((a, b), ())]))
     return tuple(draw(hnp.arrays(np.float64, shape + (6,), elements=elements))
                  for shape in shapes)
 
 
+# the bilinear kernels, each through `_bilinear`, and the order of their
+# tables in one stacked call
+_KERNELS = {
+    "tensor_G": frames.tensor_G,
+    "nabla": frames.nabla,
+    "gap": lambda t, x, y: frames._bilinear(t.gap, x, y),
+}
+_STACKED = np.stack((T.G, T.gamma, T.gap))
+
+
 @settings(max_examples=200, deadline=None, database=None)
-@given(_operand_pair(), st.sampled_from(["tensor_G", "nabla", "connection_gap"]))
+@given(_operand_pair(), st.sampled_from(sorted(_KERNELS)))
 def test_bilinear_kernels_batch_rowwise_bitwise(pair, name):
-    f = getattr(frames, name)
+    f = _KERNELS[name]
     x, y = pair
     out = f(T, x, y)
     shape = np.broadcast_shapes(x.shape, y.shape)
@@ -71,6 +90,21 @@ def test_bilinear_kernels_batch_rowwise_bitwise(pair, name):
     for idx in np.ndindex(shape[:-1]):
         rows[idx] = f(T, xb[idx], yb[idx])
     assert out.tobytes() == rows.tobytes()
+    # one outer product for a stack of tables: its slice is the table's own call
+    stacked = frames._bilinear(_STACKED, x, y)
+    assert stacked.shape == (len(_KERNELS),) + shape
+    assert stacked[list(_KERNELS).index(name)].tobytes() == out.tobytes()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_operand_pair(_SPECIAL))
+def test_outer_product_is_the_broadcast_product_bitwise(pair):
+    x, y = pair
+    with np.errstate(all="ignore"):
+        out = frames._outer(x, y)
+        expected = x[..., :, None] * y[..., None, :]
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def _rows_of(f, shape, *args):
