@@ -247,21 +247,6 @@ def g_norm(tables: StructureTables, x):
     return np.sqrt(np.maximum(g_inner(tables, x, x), 0.0))
 
 
-def _outer(x, y):
-    """Outer products x (x) y (..., 6, 6) of rows x and y (..., 6); broadcasts.
-
-    x is repeated out to whole (..., 6, 6) blocks and multiplied by y in
-    place where those blocks already span the rows of y, so a batch makes
-    one allocation and a faster multiply than the broadcast one.  Each
-    entry is still the one product x_a * y_b, so the result is bitwise
-    `x[..., :, None] * y[..., None, :]`, signed zeros and NaN payloads
-    included; `np.einsum` would not be, as it turns -0.0 into 0.0.
-    """
-    xy = x[..., :, None].repeat(6, -1)
-    out = xy if xy.shape[:-2] == y.shape[:-1] else None
-    return np.multiply(xy, y[..., None, :], out=out)
-
-
 def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
     """sum_ab T[a, b, :] x_a y_b for a (6, 6, 6) table T, or for each table
     of a stack T (k, 6, 6, 6) as a (k, ..., 6) stack; broadcasts over rows
@@ -272,7 +257,9 @@ def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
     is its own matrix product: a batched row equals the single-row result,
     and slice i of a stack the single table T[i], bitwise.
     """
-    xy = _outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xy = x[..., :, None] * y[..., None, :]
     rows = xy.shape[:-2]
     tables = T.reshape(T.shape[:-3] + (1,) * len(rows) + (36, 6))
     return (xy.reshape(rows + (1, 36)) @ tables)[..., 0, :]
@@ -296,7 +283,9 @@ def curvature(tables: StructureTables, x, y, z):
     (..., 36), multiplied by R reshaped to (36, 36) over the pair index
     (a, b), and the (..., 6, 6) result over (c, d) is contracted with z.
     """
-    xy = _outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xy = x[..., :, None] * y[..., None, :]
     rz = xy.reshape(xy.shape[:-2] + (36,)) @ tables.R.reshape(36, 36)
     return np.einsum("...cd,...c->...d", rz.reshape(xy.shape), z)
 

@@ -112,14 +112,6 @@ def metric_components(p, q, u1, v1, u2, v2):
     )
 
 
-def metric_square_components(p, q, u, v):
-    """g(Z, Z) at (p, q), bitwise `metric_components(p, q, u, v, u, v)`
-    with its one cross product <p^-1 U, q^-1 V> formed once; broadcasts
-    as that does."""
-    cross = qt.dot(qt.mul(qt.conj(p), u), qt.mul(qt.conj(q), v))
-    return (4.0 / 3.0) * (qt.dot(u, u) + qt.dot(v, v)) - (2.0 / 3.0) * (cross + cross)
-
-
 def _check_same_anchor(z1: TangentVector, z2: TangentVector):
     at1, at2 = z1.at, z2.at
     if (

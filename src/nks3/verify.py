@@ -255,8 +255,8 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     Each sample draws a point, two tangent vectors and the parameters of a
     two-sided translation; every identity is then evaluated once over the
     whole batch, with the vectors that one map takes at one point stacked
-    on a leading axis, so that each product is formed once.  P at a point
-    is formed once for P and J there, and a g-distance is a self-pairing.
+    on a leading axis, so that each product is formed once, and P at a
+    point is formed once for P and J there.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -305,12 +305,12 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     jpdz_tw = pw.project_components(*at_tw, *pw.j_components(*at_tw, *pdz_tw))
     twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz_tw, jpdz_tw)]
 
-    # g-distances of the four J and P relations, in one self-pairing call
+    # g-distances of the four J and P relations, in one metric call
     pairs = ((djz["swap"], [-x for x in jdz_sw]), (dpz["swap"], pdz_sw),
              (djz["twist"], [-x for x in jdz_tw]), (dpz["twist"], twisted))
     d = stack(*((w1[0] - w2[0], w1[1] - w2[1]) for w1, w2 in pairs))
     g_dist = np.sqrt(np.maximum(
-        pw.metric_square_components(*stack(at_sw, at_sw, at_tw, at_tw), *d), 0.0))
+        pw.metric_components(*stack(at_sw, at_sw, at_tw, at_tw), *d, *d), 0.0))
 
     # the stencil ends do not depend on the map: formed once for all three
     ends = iso._stencil_ends(*pt, *z)

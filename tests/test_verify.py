@@ -125,7 +125,6 @@ def _vector_maps(rng, n):
         "P": lambda at, u, v, u2, v2: pw.p_components(*at, u, v),
         "J": lambda at, u, v, u2, v2: pw.j_components(*at, u, v),
         "metric": lambda at, u, v, u2, v2: (pw.metric_components(*at, u, v, u2, v2),),
-        "metric square": lambda at, u, v, u2, v2: (pw.metric_square_components(*at, u, v),),
         "frame": lambda at, u, v, u2, v2: (frames.frame_coords_components(*at, u, v),),
     }
     for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
@@ -163,21 +162,8 @@ def test_stacked_points_equal_separate_calls_bitwise(k, n):
     _, fns = _vector_maps(rng, n)
     at = tuple(qt.unit_rows(rng, rng.standard_normal((2, k, n, 4))))
     vectors = tuple(rng.standard_normal((4, k, n, 4)))
-    pointwise = {name: fns[name] for name in ("project", "P", "J", "metric", "metric square",
-                                              "frame")}
+    pointwise = {name: fns[name] for name in ("project", "P", "J", "metric", "frame")}
     _assert_stack_is_separate_calls(pointwise, at, lambda i: (at[0][i], at[1][i]), k, vectors)
-
-
-@pytest.mark.parametrize("n", [1, 100])
-def test_metric_square_is_the_metric_of_a_vector_with_itself_bitwise(n):
-    # the self-pairing forms its one cross product once; the result is the
-    # bits of the pairing that forms it twice, on points shared or stacked
-    rng = np.random.default_rng(n + 2)
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, 3, n, 4)))
-    u, v = rng.standard_normal((2, 3, n, 4))
-    for at in ((p[0], q[0]), (p, q)):
-        square = pw.metric_square_components(*at, u, v)
-        assert square.tobytes() == pw.metric_components(*at, u, v, u, v).tobytes()
 
 
 def _structure_residuals_unstacked(seed, samples):
@@ -325,12 +311,10 @@ def test_isometry_draws_make_no_single_quaternion_draws(monkeypatch):
     # g(R, R) and g(Z, Z') in one call, and the flat connection
     (verify.run_structure_suite, 4 + 4 + 2 + 4 + 6),
     # at the base point P Z and g(Z, Z'); the twist's and the translation's
-    # images and differentials; the pullbacks, P and J at the images, one
-    # call each; the four g-distances, whose self-pairing forms the cross
-    # products p^-1 U' and q^-1 V of `metric_components` no more; the FD
-    # stencil ends and their twist and translation images; the composition
-    # checks
-    (verify.run_isometry_suite, 4 + 4 + (1 + 4) + (6 + 4) + 4 + 4 + 4 + 2 + 4 + (1 + 4) + 15),
+    # images and differentials; the pullbacks, P and J at the images and the
+    # four g-distances, one call each; the FD stencil ends and their twist
+    # and translation images; the composition checks
+    (verify.run_isometry_suite, 4 + 4 + (1 + 4) + (6 + 4) + 4 + 4 + 4 + 4 + 4 + (1 + 4) + 15),
 ])
 def test_ambient_suites_make_a_fixed_number_of_products(monkeypatch, suite, products):
     # each suite evaluates each identity once over the batch, with the
