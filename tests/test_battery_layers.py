@@ -1,28 +1,18 @@
 """`tools/battery_layers.py`: stage times and call counts of the
 benchmark's hypersurface battery and ambient-suites passes."""
 
-import importlib.util
-from pathlib import Path
+import _harness
+import battery_layers
 
 from nks3 import frames, verify
 from nks3 import hypersurfaces as hs
 from nks3 import isometries as iso
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "battery_layers.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("nks3_battery_layers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_one_pass_times_each_stage(capsys):
     originals = (hs.analyze_points, hs.stencil_residuals, hs.hopf_identity_residual,
                  verify._check)
-    tool = _tool()
-    assert tool.main(["--passes", "1"]) == 0
+    assert battery_layers.main(["--passes", "1"]) == 0
     # the wrappers are gone again
     assert (hs.analyze_points, hs.stencil_residuals, hs.hopf_identity_residual,
             verify._check) == originals
@@ -33,7 +23,7 @@ def test_one_pass_times_each_stage(capsys):
     assert list(rows) == ["analyze_points", "stencil_residuals", "hopf_identity_residual",
                           "_check", "rest of the suite", "pass"]
     suites = len(verify.DEFAULT_BATTERY)
-    checks = len(tool._workloads().WORKLOADS["hypersurface-battery"].reference()["0"])
+    checks = len(_harness.workloads().WORKLOADS["hypersurface-battery"].reference()["0"])
     calls = {name: row[0] for name, row in rows.items()}
     assert calls == {"analyze_points": str(suites), "stencil_residuals": str(suites),
                      "hopf_identity_residual": str(suites), "_check": str(checks),
@@ -45,7 +35,7 @@ def test_one_pass_times_each_stage(capsys):
 
 
 def test_rejects_fewer_than_one_pass(capsys):
-    assert _tool().main(["--passes", "0"]) == 2
+    assert battery_layers.main(["--passes", "0"]) == 2
     assert "--passes must be at least 1" in capsys.readouterr().err
 
 
@@ -53,8 +43,7 @@ def test_one_ambient_pass_times_each_stage(capsys):
     originals = (frames._bilinear, verify._bilinear, verify._pointwise_residuals,
                  verify.connection_relation_residual, frames.curvature_closed_form,
                  iso.composition_checks, verify._check)
-    tool = _tool()
-    assert tool.main(["--workload", "ambient-suites", "--passes", "1"]) == 0
+    assert battery_layers.main(["--workload", "ambient-suites", "--passes", "1"]) == 0
     assert (frames._bilinear, verify._bilinear, verify._pointwise_residuals,
             verify.connection_relation_residual, frames.curvature_closed_form,
             iso.composition_checks, verify._check) == originals
@@ -62,7 +51,7 @@ def test_one_ambient_pass_times_each_stage(capsys):
     assert out[0] == "ambient-suites: 1 passes after one warm-up"
     assert out[1].split() == ["stage", "calls/pass", "median", "ms/pass"]
     rows = {line[:30].strip(): line[30:].split() for line in out[2:]}
-    checks = len(tool._workloads().WORKLOADS["ambient-suites"].reference()["0"])
+    checks = len(_harness.workloads().WORKLOADS["ambient-suites"].reference()["0"])
     # G and D of (X, Y) and of (X, P Y), the five other G of the structure
     # suite, and D and the gap of the connection relation
     assert {name: row[0] for name, row in rows.items()} == {

@@ -1,10 +1,7 @@
 """`tools/code_lines.py`: line, code-line, byte and AST-node counts of
 crafted files."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+import code_lines
 
 # 19 lines; code lines 5, 8, 12-14 (a call over three lines), 17 and 19;
 # 26 AST nodes: Module; the three docstrings, each an Expr of a Constant;
@@ -33,22 +30,15 @@ class K:
 '''
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("nks3_code_lines", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_counts_of_a_crafted_file():
-    assert _tool().count(SOURCE) == (19, 7, 26)
+    assert code_lines.count(SOURCE) == (19, 7, 26)
 
 
 def test_prints_each_file_and_the_totals(tmp_path, capsys):
     (tmp_path / "a.py").write_bytes(SOURCE)
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.py").write_bytes(b"x = 1\n\n# note\n")
-    assert _tool().main([str(tmp_path)]) == 0
+    assert code_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0] == ["lines", "code", "bytes", "nodes", "file"]
     assert rows[1:] == [["19", "7", str(len(SOURCE)), "26", str(tmp_path / "a.py")],

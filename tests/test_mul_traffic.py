@@ -1,24 +1,14 @@
 """`tools/mul_traffic.py`: `quat.mul` calls of one benchmark pass by
 operand shapes."""
 
-import importlib.util
-from pathlib import Path
+import mul_traffic
 
 from nks3 import quat as qt
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "mul_traffic.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("nks3_mul_traffic", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_prints_the_calls_of_one_pass_by_shapes(capsys):
     mul = qt.mul
-    assert _tool().main(["ambient-suites", "point-sweep", "--seed", "3"]) == 0
+    assert mul_traffic.main(["ambient-suites", "point-sweep", "--seed", "3"]) == 0
     assert qt.mul is mul  # the spy is gone again
     out = capsys.readouterr().out.splitlines()
     heads = [i for i, line in enumerate(out) if not line.startswith(" ")]
@@ -32,8 +22,7 @@ def test_prints_the_calls_of_one_pass_by_shapes(capsys):
 
 
 def test_rejects_an_unknown_workload_and_seed(capsys):
-    tool = _tool()
-    assert tool.main(["no-such-workload"]) == 2
-    assert tool.main(["point-sweep", "--seed", "32"]) == 2
+    assert mul_traffic.main(["no-such-workload"]) == 2
+    assert mul_traffic.main(["point-sweep", "--seed", "32"]) == 2
     err = capsys.readouterr().err
     assert "unknown workload 'no-such-workload'" in err and "pool seed" in err

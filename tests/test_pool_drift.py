@@ -2,21 +2,11 @@
 from a dump, by check id with the spread of their residual ratios, and
 returns the count that sets the exit code."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "pool_drift.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("nks3_pool_drift", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import _harness
+import pool_drift
 
 
 def test_against_counts_bitwise_differences(capsys):
-    tool = _tool()
     dumped = {"w": {"0": [["a", (0.1).hex(), True], ["b", (1e-12).hex(), True],
                           ["d", (0.0).hex(), True]],
                     "1": [["a", (0.2).hex(), True], ["b", (2e-12).hex(), True]]}}
@@ -24,7 +14,7 @@ def test_against_counts_bitwise_differences(capsys):
                     ["d", (3e-16).hex(), True]],
               "1": [["a", (0.2).hex(), False], ["b", (1e-12).hex(), True],
                     ["c", (0.0).hex(), True]]}
-    assert tool.against("w", passes, dumped) == 5
+    assert pool_drift.against("w", passes, dumped) == 5
     # each moved id with the smallest and largest ratio of its residual to
     # the dumped one: a flag that flips keeps ratio 1, a dumped 0 gives inf,
     # and an outcome with no dumped counterpart has no ratio
@@ -35,21 +25,19 @@ def test_against_counts_bitwise_differences(capsys):
         "    a: 1, ratio 1 to 1",
         "    c: 1",
     ]
-    assert tool.against("w", dumped["w"], dumped) == 0
+    assert pool_drift.against("w", dumped["w"], dumped) == 0
     assert capsys.readouterr().out == "  against dump: 0 of 5 outcomes differ bitwise\n"
 
 
 def test_against_counts_a_workload_missing_from_the_dump(capsys):
-    tool = _tool()
     passes = {"0": [["a", (0.1).hex(), True]], "1": [["a", (0.2).hex(), True]]}
-    assert tool.against("w", passes, {"v": {}}) == 2
+    assert pool_drift.against("w", passes, {"v": {}}) == 2
     assert capsys.readouterr().out == "  against dump: w is not in it\n"
 
 
 def test_main_exits_one_when_an_outcome_differs(monkeypatch, tmp_path):
     # a stand-in for the workloads module: one workload of one seed whose
     # pass returns one outcome, judged clean
-    tool = _tool()
 
     class Workload:
         @staticmethod
@@ -65,17 +53,13 @@ def test_main_exits_one_when_an_outcome_differs(monkeypatch, tmp_path):
         WORKLOADS = {"w": Workload}
 
         @staticmethod
-        def require_checkout_nks3():
-            pass
-
-        @staticmethod
         def judge(outcomes, ref):
             return []
 
-    monkeypatch.setattr(tool, "_workloads", lambda: W)
+    monkeypatch.setattr(_harness, "workloads", lambda: W)
     same, moved = tmp_path / "same.json", tmp_path / "moved.json"
     same.write_text('{"w": {"0": [["a", "%s", true]]}}' % (0.1).hex())
     moved.write_text('{"w": {"0": [["a", "%s", true]]}}' % (0.2).hex())
-    assert tool.main(["--against", str(same)]) == 0
-    assert tool.main(["--against", str(moved)]) == 1
-    assert tool.main([]) == 0
+    assert pool_drift.main(["--against", str(same)]) == 0
+    assert pool_drift.main(["--against", str(moved)]) == 1
+    assert pool_drift.main([]) == 0

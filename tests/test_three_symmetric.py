@@ -10,15 +10,24 @@ sigma the cyclic shift (X1, X2, X3) -> (X2, X3, X1).  Then g = 2B,
 J = (2 sigma + 1)/sqrt(3), P exchanges X1 and X2,
 G(X, Y) = ([X, JY]_m - J[X, Y]_m)/2, and R is the curvature of a naturally
 reductive space (Besse, Einstein Manifolds, ch. 7).
+
+The geodesic through o with frame velocity x is gamma(t) =
+(e^{t X1} e^{-t X3}, e^{t X2} e^{-t X3}), with frame velocity
+v(t) = (Ad(e^{t X3}) X1 - X3, Ad(e^{t X3}) X2 - X3) (ROADMAP item 20).  In
+the frame the geodesic equation reads v' + Gamma(v, v) = 0, so Gamma(x, x)
+= -v'(0) = -([X3, X1], [X3, X2]) = (2/3)(-x_E x x_F, x_E x x_F).
 """
 
 import numpy as np
 import pytest
 
 from nks3 import frames
+from nks3 import hypersurfaces as hs
 
 T = frames.get_tables()
 TOL = 1e-12  # about a hundred ulps of the largest entries, 7 (G) and 20 (R)
+FAMILY_PARAMS = {"m1": dict(r=0.6), "m2": dict(r=0.6), "m3": dict(r=1.0),
+                 "m4": dict(k=0.6, l=0.8), "m5": dict(k=0.6, l=0.8), "m6": dict(k=0.6, l=0.8)}
 
 
 def to_m(x):
@@ -100,3 +109,39 @@ def test_every_table_matches_the_three_symmetric_route():
 ])
 def test_negative_controls_fail(scale, shift, failing):
     assert {name for name, gap in gaps(scale, shift).items() if gap > 100 * TOL} == failing
+
+
+def geodesic_acceleration(x, sign=1.0):
+    """-v'(0) of the geodesic with frame velocity x, -([X3, X1], [X3, X2]);
+    sign -1 flips it for the negative control."""
+    X = to_m(x)
+    return -sign * 2.0 * np.cross(X[..., 2:, :], X[..., :2, :]).reshape(x.shape)
+
+
+def test_connection_is_the_geodesic_acceleration():
+    x = np.random.default_rng(20).standard_normal((200, 6))
+    e, f = x[:, :3], x[:, 3:]
+    closed = (2.0 / 3.0) * np.concatenate([-np.cross(e, f), np.cross(e, f)], axis=-1)
+    gamma = frames.nabla(T, x, x)  # entries up to 4.2
+    assert np.max(np.abs(geodesic_acceleration(x) - closed)) <= TOL
+    assert np.max(np.abs(gamma - geodesic_acceleration(x))) <= TOL
+    # the opposite sign misses by 8.3
+    assert np.max(np.abs(gamma - geodesic_acceleration(x, -1.0))) > 1.0
+
+
+@pytest.mark.parametrize("family", FAMILY_PARAMS)
+def test_the_structure_vector_is_geodesic(family):
+    # Gamma(U, U) = 0 because U_E and U_F are parallel, so the Reeb orbits
+    # of the six families are the one-parameter-subgroup orbits
+    M = hs.make_example(family, **FAMILY_PARAMS[family])
+    U = hs.analyze_points(M, hs.random_chart_points(np.random.default_rng(20), 40)).structure_vector
+    assert np.max(np.abs(frames.nabla(T, U, U))) <= 1e-14
+    assert np.max(np.abs(np.cross(U[:, :3], U[:, 3:]))) <= 1e-14
+
+
+def test_a_random_unit_vector_is_not_geodesic():
+    x = np.random.default_rng(21).standard_normal((200, 6))
+    x /= frames.g_norm(T, x)[:, None]
+    # the medians read 0.34 and 0.25
+    assert np.median(frames.g_norm(T, frames.nabla(T, x, x))) > 0.1
+    assert np.median(np.linalg.norm(np.cross(x[:, :3], x[:, 3:]), axis=-1)) > 0.1

@@ -1,5 +1,5 @@
 """Every script in `tools/` ends quietly, with exit code 141, when the
-reader of its output closes the pipe early (`tools/_pipe.py`)."""
+reader of its output closes the pipe early (`tools/_harness.py`)."""
 
 import os
 import subprocess

@@ -4,9 +4,9 @@
 
 Loads `perfbench/workloads.py` by path, runs the workload's set-up and one
 untimed warm-up pass, then N timed passes (default 32) at pool seeds 0,
-1, ... (modulo `POOL_SIZE`), each pass its steps timed as the benchmark's
-worker times them.  While the passes run, the workload's stages are
-replaced by timing wrappers in every nks3 module that binds them.  For
+1, ... (modulo `POOL_SIZE`), each `Workload.run_pass` timed whole.  While
+the passes run, the workload's stages are replaced by timing wrappers in
+every nks3 module that binds them.  For
 `hypersurface-battery` (the default), the nine hypersurface suites:
 
 * `hypersurfaces.analyze_points`, the point data of a suite's samples;
@@ -34,22 +34,19 @@ over several passes the rows need not add up to the pass.  Like the
 benchmark, it pins OpenBLAS, OpenMP and MKL to one thread.
 
 Exits 0, or 2 on a bad option; when its output is piped into a reader
-that closes it early, it stops quietly and exits 141 (`tools/_pipe.py`).
+that closes it early, it stops quietly and exits 141 (`tools/_harness.py`).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import os
 import statistics
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+import _harness
+
 # (module, function) of each timed stage, and the name of the rest, by workload
 STAGES = {
     "hypersurface-battery": (
@@ -64,25 +61,6 @@ STAGES = {
         "rest of the pass"),
 }
 
-def _workloads():
-    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
-    sys.path.insert(0, str(ROOT / "src"))
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nks3_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _run_pass(workload, seed: int) -> float:
-    """The wall time of one pass, its steps timed one by one."""
-    wall = 0.0
-    for step in workload.steps(seed):
-        start = time.perf_counter()
-        step()
-        wall += time.perf_counter() - start
-    return wall
-
 
 def stage_times(W, passes: int, workload_name: str = "hypersurface-battery") -> tuple:
     """(calls, times, walls) of the timed passes of the workload: calls
@@ -91,7 +69,7 @@ def stage_times(W, passes: int, workload_name: str = "hypersurface-battery") -> 
     workload = W.WORKLOADS[workload_name]
     stages = STAGES[workload_name][0]
     workload.setup()
-    _run_pass(workload, 0)
+    workload.run_pass(0)
     calls: Counter = Counter()
     spent: Counter = Counter()
     inner = [0.0]  # the time of the stages called by the running stage
@@ -109,24 +87,16 @@ def stage_times(W, passes: int, workload_name: str = "hypersurface-battery") -> 
                 calls[name] += 1
         return wrapper
 
-    originals = {f: vars(sys.modules["nks3." + m])[f] for m, f in stages}
-    bound = [(vars(m), key, name) for module, m in list(sys.modules.items())
-             if m is not None and module.split(".")[0] == "nks3"
-             for key, value in list(vars(m).items())
-             for name, f in originals.items() if value is f]
-    for namespace, key, name in bound:
-        namespace[key] = timed(name, originals[name])
     times: dict = {f: [] for _, f in stages}
     walls = []
-    try:
+    with _harness.rebound({f: vars(sys.modules["nks3." + m])[f] for m, f in stages}, timed):
         for i in range(passes):
             spent.clear()
-            walls.append(_run_pass(workload, i % W.POOL_SIZE))
+            start = time.perf_counter()
+            workload.run_pass(i % W.POOL_SIZE)
+            walls.append(time.perf_counter() - start)
             for name in times:
                 times[name].append(spent[name])
-    finally:
-        for namespace, key, name in bound:
-            namespace[key] = originals[name]
     return calls, times, walls
 
 
@@ -140,8 +110,7 @@ def main(argv: list) -> int:
     if args.passes < 1:
         print("error: --passes must be at least 1", file=sys.stderr)
         return 2
-    W = _workloads()
-    W.require_checkout_nks3()
+    W = _harness.workloads()
     calls, times, walls = stage_times(W, args.passes, args.workload)
     rest = [w - sum(t[i] for t in times.values()) for i, w in enumerate(walls)]
     rest_name = STAGES[args.workload][1]
@@ -157,5 +126,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    import _pipe
-    _pipe.run(main)
+    _harness.run(main)

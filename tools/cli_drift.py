@@ -29,7 +29,7 @@ at a parent commit, names every invocation whose record differs from it
 byte for byte and counts them: the check that a change meant to keep the
 command-line output reproduces it.  Exits 1 when any invocation differs,
 else 0; when its output is piped into a reader that closes it early, it
-stops quietly and exits 141 (`tools/_pipe.py`).  Like the benchmark, it
+stops quietly and exits 141 (`tools/_harness.py`).  Like the benchmark, it
 pins OpenBLAS, OpenMP and MKL to one thread, and it ignores NKS3_SEED.
 """
 
@@ -39,12 +39,8 @@ import argparse
 import contextlib
 import io
 import json
-import os
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+import _harness
 
 FAMILY_PARAMS = (("m1", "--r", "0.6"), ("m2", "--r", "0.6"), ("m3", "--r", "1"),
                  ("m4", "--k", "0.6"), ("m5", "--k", "0.6"), ("m6", "--k", "0.8"))
@@ -95,16 +91,6 @@ MATRIX = (
 )
 
 
-def _main_of_checkout():
-    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
-    os.environ.pop("NKS3_SEED", None)
-    sys.path.insert(0, str(ROOT / "src"))
-    import nks3.cli
-    if not Path(nks3.cli.__file__).resolve().is_relative_to(ROOT / "src"):
-        raise SystemExit(f"error: nks3 imported from {nks3.cli.__file__}, not from {ROOT / 'src'}")
-    return nks3.cli.main
-
-
 def run(main, argv: list) -> list:
     """[exit code, stdout, stderr] of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -136,7 +122,7 @@ def main(argv: list) -> int:
     if args.against:
         with open(args.against, encoding="utf-8") as f:
             dumped = json.load(f)
-    cli_main = _main_of_checkout()
+    cli_main = _harness.cli_main()
     records = {}
     for invocation in MATRIX:
         name = " ".join(invocation)
@@ -151,5 +137,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    import _pipe
-    _pipe.run(main)
+    _harness.run(main)

@@ -14,7 +14,7 @@ its classes and its functions.  A token that spans several lines, such as a
 multi-line string that is not a docstring, makes each of them a code line.
 
 Exits 0; when its output is piped into a reader that closes it early, it
-stops quietly and exits 141 (`tools/_pipe.py`).
+stops quietly and exits 141 (`tools/_harness.py`).
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
+
+import _harness
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -85,5 +86,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    import _pipe
-    _pipe.run(main)
+    _harness.run(main)

@@ -12,30 +12,16 @@ OpenBLAS, OpenMP and MKL to one thread.
 
 Exits 0, or 2 on an unknown workload or seed; when its output is piped
 into a reader that closes it early, it stops quietly and exits 141
-(`tools/_pipe.py`).
+(`tools/_harness.py`).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import os
 import sys
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _workloads():
-    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
-    sys.path.insert(0, str(ROOT / "src"))
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nks3_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import _harness
 
 
 def traffic(workload, seed: int) -> Counter:
@@ -52,16 +38,8 @@ def traffic(workload, seed: int) -> Counter:
         calls[np.shape(q1), np.shape(q2)] += 1
         return mul(q1, q2)
 
-    bound = [(vars(m), key) for name, m in list(sys.modules.items())
-             if m is not None and name.split(".")[0] == "nks3"
-             for key, value in list(vars(m).items()) if value is mul]
-    for namespace, key in bound:
-        namespace[key] = spy
-    try:
+    with _harness.rebound({"mul": mul}, lambda name, f: spy):
         workload.run_pass(seed)
-    finally:
-        for namespace, key in bound:
-            namespace[key] = mul
     return calls
 
 
@@ -76,13 +54,9 @@ def main(argv: list) -> int:
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="the pool seed of the pass (default 0)")
     args = parser.parse_args(argv)
-    W = _workloads()
-    W.require_checkout_nks3()
-    names = args.workloads or list(W.WORKLOADS)
-    unknown = [n for n in names if n not in W.WORKLOADS]
-    if unknown:
-        print(f"error: unknown workload {unknown[0]!r}; "
-              f"choose from {', '.join(W.WORKLOADS)}", file=sys.stderr)
+    W = _harness.workloads()
+    names = _harness.workload_names(W, args.workloads)
+    if names is None:
         return 2
     if not 0 <= args.seed < W.POOL_SIZE:
         print(f"error: --seed must be a pool seed, 0 to {W.POOL_SIZE - 1}", file=sys.stderr)
@@ -96,5 +70,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    import _pipe
-    _pipe.run(main)
+    _harness.run(main)

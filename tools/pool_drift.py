@@ -35,33 +35,18 @@ outcome differs from the dump (a workload missing from the dump counts
 all its outcomes), else 0, so a claim of bitwise parity with a parent is
 the exit code 0 of this tool and of `tools/cli_drift.py --against`.  When
 its output is piped into a reader that closes it early, it stops quietly
-and exits 141 (`tools/_pipe.py`).
+and exits 141 (`tools/_harness.py`).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
-import os
-import sys
 from collections import Counter
 from itertools import zip_longest
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _workloads():
-    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
-    sys.path.insert(0, str(ROOT / "src"))
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nks3_perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import _harness
 
 
 def _ratio(new: float, old: float) -> float:
@@ -160,13 +145,9 @@ def main(argv: list) -> int:
     if args.against:
         with open(args.against, encoding="utf-8") as f:
             dumped = json.load(f)
-    W = _workloads()
-    W.require_checkout_nks3()
-    names = args.workloads or list(W.WORKLOADS)
-    unknown = [n for n in names if n not in W.WORKLOADS]
-    if unknown:
-        print(f"error: unknown workload {unknown[0]!r}; "
-              f"choose from {', '.join(W.WORKLOADS)}", file=sys.stderr)
+    W = _harness.workloads()
+    names = _harness.workload_names(W, args.workloads)
+    if names is None:
         return 2
     failures = differing = 0
     outcomes: dict = {}
@@ -182,5 +163,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    import _pipe
-    _pipe.run(main)
+    _harness.run(main)
