@@ -23,19 +23,20 @@ come out as finite contractions with no numerical differentiation.
 
 The bilinear tensors, the connection D_X Y, G(X, Y) and the connection gap
 below, are evaluated as staged per-row products (`_bilinear`): x (x) y as
-a (..., 1, 36) row times the table reshaped to (36, 6), so a batched row
-equals its single-row call bitwise.  A stack of tables takes one outer
-product for all of them, each (table, row) pair still its own product.
-The gap has a table of its own, composed once from G, P and J in
-`build_tables`; `curvature` stages its contraction the same way through a
-(36, 36) table.
+a (..., 36) row times the table reshaped to (36, 6), one `np.vecmat`, so
+a batched row equals its single-row call bitwise.  A stack of tables takes
+one outer product for all of them, each (table, row) pair still its own
+product.  The gap has a table of its own, composed once from G, P and J
+in `build_tables`; `curvature` stages its contraction the same way
+through a (36, 36) table.
 
 The metric pairing has one definition, `g_inner`: lower x to x^flat = x g
-(`lower`, a row-wise product), then take the row dot with y, so it too is
-bitwise the same batched and row by row.  Where several pairings share one
-vector, that vector is lowered once and each pairing is a row dot with it
-(`curvature_closed_form` lowers z for its eight pairings against z), which
-is bitwise `g_inner` with the shared vector first.
+(`lower`, a row-wise `np.vecmat`), then take the row dot with y
+(`np.vecdot`), so it too is bitwise the same batched and row by row.
+Where several pairings share one vector, that vector is lowered once and
+each pairing is a row dot with it (`curvature_closed_form` lowers z for
+its eight pairings against z), which is bitwise `g_inner` with the shared
+vector first.
 
 The one computation here that leaves the frame algebra is
 `euclidean_connection`: for a field with constant frame coefficients the
@@ -207,40 +208,24 @@ def r8_to_frame(p, q, w) -> np.ndarray:
 # tensor evaluation
 # ---------------------------------------------------------------------------
 
-# Row-wise products of a batch.  Each keeps the vector a one-row (or
-# one-column) matrix, so numpy's matmul makes the same BLAS call for every
-# row of a batch as for a single vector, and a batched row equals the
-# single-point result bitwise; an (m, 6) @ (6, 6) product would instead be
-# one matrix-matrix call that rounds differently.
-
-def _vm(x, A):
-    """Row vectors x (..., k) times matrices A (..., k, n)."""
-    return (x[..., None, :] @ A)[..., 0, :]
-
-
-def _mv(A, x):
-    """Matrices A (..., n, k) times column vectors x (..., k)."""
-    return (A @ x[..., None])[..., 0]
-
-
-def _dot(x, y):
-    """Inner products of the rows of x and y (..., k)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
+# Row-wise products of a batch are numpy's `vecmat`, `matvec` and `vecdot`,
+# which take one dot product per output entry of each row, so a batched row
+# equals the single-point result bitwise; an (m, 6) @ (6, 6) product would
+# instead be one matrix-matrix call that rounds differently.
 
 def lower(tables: StructureTables, x):
     """The lowered vectors x g (..., 6) of frame vectors x (..., 6), as
     row-wise products: g(x, y) is the row dot of x g with y."""
-    return _vm(np.asarray(x, dtype=float), tables.g)
+    return np.vecmat(np.asarray(x, dtype=float), tables.g)
 
 
 def g_inner(tables: StructureTables, x, y):
     """Metric pairing g(x, y) of frame vectors, the row dot of `lower(x)`
     with y; broadcasts over rows, each row bitwise equal to its single-row
     call.  Several pairings against one vector lower it once and take row
-    dots (`_dot`) with the lowered vector, which is bitwise this pairing
-    with that vector first."""
-    return _dot(lower(tables, x), np.asarray(y, dtype=float))
+    dots (`np.vecdot`) with the lowered vector, which is bitwise this
+    pairing with that vector first."""
+    return np.vecdot(lower(tables, x), np.asarray(y, dtype=float))
 
 
 def g_norm(tables: StructureTables, x):
@@ -252,17 +237,18 @@ def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
     of a stack T (k, 6, 6, 6) as a (k, ..., 6) stack; broadcasts over rows
     of x and y.
 
-    The outer product x (x) y is formed once, as a (..., 1, 36) row, and
-    multiplied by each table reshaped to (36, 6), so each (table, row) pair
-    is its own matrix product: a batched row equals the single-row result,
-    and slice i of a stack the single table T[i], bitwise.
+    The outer product x (x) y is formed once, flattened to (..., 36), and
+    multiplied by each table reshaped to (36, 6) with `np.vecmat`, so each
+    (table, row) pair is its own vector-matrix product: a batched row equals
+    the single-row result, and slice i of a stack the single table T[i],
+    bitwise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xy = x[..., :, None] * y[..., None, :]
     rows = xy.shape[:-2]
     tables = T.reshape(T.shape[:-3] + (1,) * len(rows) + (36, 6))
-    return (xy.reshape(rows + (1, 36)) @ tables)[..., 0, :]
+    return np.vecmat(xy.reshape(rows + (36,)), tables)
 
 
 def tensor_G(tables: StructureTables, x, y):
@@ -312,7 +298,7 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
     zl = lower(tables, z)
 
     def gz(u):
-        return _dot(zl, u)[..., None]
+        return np.vecdot(zl, u)[..., None]
 
     term1 = (5.0 / 12.0) * (gz(y) * x - gz(x) * y)
     term2 = (1.0 / 12.0) * (gz(jy) * jx - gz(jx) * jy

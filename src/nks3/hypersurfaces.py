@@ -65,12 +65,13 @@ structure-vector transport identities) works in frame coordinates, where
 the structure tensors are constant matrices.  Every result has one layout,
 the batch: each residual returns one value per row of the point data, and
 each evaluates its finite-difference stencils for all rows in one chart
-call.  Its products keep each row's vectors one-row matrices
-(`frames._vm`, `frames._mv`, and `_rowwise` for
+call.  Its products are per row, so each row of a batch equals the
+residual of that row alone, a batch of one, bitwise: numpy's `vecmat`,
+`matvec` and `vecdot` take one dot product per output entry of each row,
+the bilinear frame tensors and the metric pairing are per-row products
+already, and `_rowwise` passes the vectors of
 `frames.curvature_closed_form`, the one frame function that multiplies its
-arguments by constant matrices; the bilinear frame tensors and the metric
-pairing are per-row products already), so each row of a batch equals the
-residual of that row alone, a batch of one, bitwise.  The spectrum
+arguments by constant matrices, as one-row matrices.  The spectrum
 (`spectral_report`, on plain arrays of shape operators and frames) and the
 normal-action class take a batch the same way, the spectrum with one `eigh`
 call for all rows; the theta-r relation and the leaf geometry read the
@@ -106,10 +107,7 @@ import numpy as np
 from . import quat as qt
 from .errors import DegenerateImmersionError, DomainError, PreconditionError
 from .frames import (
-    _dot,
     _freeze,
-    _mv,
-    _vm,
     curvature_closed_form,
     g_inner,
     g_norm,
@@ -511,16 +509,17 @@ class HypersurfacePointData:
         return self.tangent_frame @ get_tables().g
 
     def tangent_components(self, w6: np.ndarray) -> np.ndarray:
-        return _mv(self._lowered_frame, w6)
+        return np.matvec(self._lowered_frame, w6)
 
     def from_components(self, x5) -> np.ndarray:
-        return _vm(np.asarray(x5, dtype=float), self.tangent_frame)
+        return np.vecmat(np.asarray(x5, dtype=float), self.tangent_frame)
 
     def apply_shape(self, w6: np.ndarray) -> np.ndarray:
-        return _vm(_vm(self.tangent_components(w6), self.shape), self.tangent_frame)
+        shaped = np.vecmat(self.tangent_components(w6), self.shape)
+        return np.vecmat(shaped, self.tangent_frame)
 
     def apply_phi(self, w6: np.ndarray) -> np.ndarray:
-        return self.tangential(_mv(get_tables().J, w6))
+        return self.tangential(np.matvec(get_tables().J, w6))
 
 
 def _rowwise(f, *vectors):
@@ -648,31 +647,31 @@ def _level_set(M: Immersion, p, q, hessian: bool = False):
     t = get_tables()
     a, S = _FORMS[M._isometry]
     z = np.concatenate([p, q], axis=-1)[..., None, :]
-    grad = a + _mv(S, z)
+    grad = a + np.matvec(S, z)
     b = _frame_rows(p, q)
     dy = grad @ b.swapaxes(-1, -2)  # (..., 2, 6)
     squares = M.family in FIVE_CURVATURE_FAMILIES
     if squares:
-        y = _dot(0.5 * (a + grad), z)
-        dF = _vm(y, dy)
+        y = np.vecdot(0.5 * (a + grad), z)
+        dF = np.vecmat(y, dy)
     else:
         dF = dy[..., 0, :]
-    lowered = _vm(dF, t.g_inv)
+    lowered = np.vecmat(dF, t.g_inv)
     length = g_norm(t, lowered)[..., None]
     xi = lowered / length
     if not hessian:
         return xi
     # <p, grad_p y_k> and <q, grad_q y_k> as one row dot of the two blocks
     blocks = grad.shape[:-1] + (2, 4)
-    rho = _dot(grad.reshape(blocks), z.reshape(z.shape[:-1] + (2, 4)))
+    rho = np.vecdot(grad.reshape(blocks), z.reshape(z.shape[:-1] + (2, 4)))
     rho = rho.repeat(3, axis=-1)[..., None] * _E6
     c_gamma = (0.5 * t.bracket - t.gamma).reshape(36, 6)
     b = b[..., None, :, :]
     hess = (b @ S @ b.swapaxes(-1, -2) - rho
-            + _mv(c_gamma, dy).reshape(dy.shape[:-1] + (6, 6)))
+            + np.matvec(c_gamma, dy).reshape(dy.shape[:-1] + (6, 6)))
     if squares:
-        hess = (_vm(y, hess.reshape(dy.shape[:-1] + (36,))).reshape(dy.shape[:-2] + (6, 6))
-                + dy.swapaxes(-1, -2) @ dy)
+        summed = np.vecmat(y, hess.reshape(dy.shape[:-1] + (36,)))
+        hess = summed.reshape(dy.shape[:-2] + (6, 6)) + dy.swapaxes(-1, -2) @ dy
     else:
         hess = hess[..., 0, :, :]
     return xi, -hess / length[..., None]
@@ -728,20 +727,20 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     symmetry = np.abs(A - At).max(axis=(-2, -1))
     A = 0.5 * (A + At)
 
-    uvec = -_mv(t.J, xi)
-    eta = _mv(frame @ t.g, uvec)
+    uvec = -np.matvec(t.J, xi)
+    eta = np.matvec(frame @ t.g, uvec)
     phi_rows = (_tangential(frame @ t.J.T, xi[:, None, :]) @ t.g
                 @ frame_t)
 
-    au = _vm(eta, A)
-    alpha = _dot(au, eta)
+    au = np.vecmat(eta, A)
+    alpha = np.vecdot(au, eta)
     off = au - alpha[:, None] * eta
-    hopf_residual = np.sqrt(_dot(off, off))
+    hopf_residual = np.sqrt(np.vecdot(off, off))
 
-    pxi = _mv(t.P, xi)
+    pxi = np.matvec(t.P, xi)
     pxi_lowered = lower(t, pxi)  # for both pairings, as g_inner lowers its first vector
-    a_coef = _dot(pxi_lowered, xi)
-    b_coef = _dot(pxi_lowered, uvec)
+    a_coef = np.vecdot(pxi_lowered, xi)
+    b_coef = np.vecdot(pxi_lowered, uvec)
     rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
     c_coef = g_norm(t, rem)
     evals, mult, means, theta, theta_sine = spectral_report(A, frame)
@@ -810,8 +809,8 @@ def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
     cluster_means, theta, theta_sine) of the shape operators shape
     (m, 5, 5) in the tangent frames frame (m, 5, 6), from one `eigh` call.
     Each cluster sums left to right, the order in which numpy sums a short
-    row, and every product keeps each row's vectors one-row matrices, so
-    each row equals the spectrum of that row alone bitwise."""
+    row, and every product is a row-wise gufunc, so each row equals the
+    spectrum of that row alone bitwise."""
     t = get_tables()
     evals, evecs = np.linalg.eigh(shape)
     rows = np.arange(len(evals))
@@ -828,11 +827,11 @@ def spectral_report(shape: np.ndarray, frame: np.ndarray) -> tuple:
     # the pair of eigenvector columns it starts at
     double = mult == 2
     first = ends[rows, 4 - double[:, ::-1].argmax(axis=-1)] - 2
-    x12 = _vm(evecs[rows, :, first + _PAIR], frame)
+    x12 = np.vecmat(evecs[rows, :, first + _PAIR], frame)
     x1, x2 = x12
-    jx1, jx2 = _mv(t.J, x12)
-    theta = np.abs(_dot(lower(t, x1), jx2))
-    theta_sine = g_norm(t, jx1 - _dot(lower(t, jx1), x2)[:, None] * x2)
+    jx1, jx2 = np.matvec(t.J, x12)
+    theta = np.abs(np.vecdot(lower(t, x1), jx2))
+    theta_sine = g_norm(t, jx1 - np.vecdot(lower(t, jx1), x2)[:, None] * x2)
     no_double = ~double.any(axis=-1)
     return (evals, mult, means, np.where(no_double, np.nan, theta),
             np.where(no_double, np.nan, theta_sine))
@@ -929,7 +928,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     directions = _directions(data, x5, y5, z5)
     XYZ = data.from_components(directions)
     X, Y, Z = XYZ
-    chart_vels = _vm(directions, data.chart_weights)
+    chart_vels = np.vecmat(directions, data.chart_weights)
     vels = chart_vels[:2].swapaxes(0, 1)  # (m, 2, 5), X's and Y's
     ends = _segments(data.u, chart_vels[0], NORMAL_H)
     nested = _nested_points(data.u, vels)
@@ -1019,10 +1018,10 @@ def _nested_fd(vels, zvel, XY, charted: tuple) -> np.ndarray:
     inner derivatives.
     """
     T, xi = (a.reshape(len(a), 2, 3, 3, *a.shape[2:]) for a in charted)
-    values = np.array([_vm(zvel[..., None, None, None, :], T), xi])
+    values = np.array([np.vecmat(zvel[..., None, None, None, :], T), xi])
     inner_vels = vels[..., ::-1, None, :]
-    inner = _covariant_fd(xi[..., 0, :], values[..., 1:, :], _vm(inner_vels, T[..., 0, :, :]),
-                          values[..., 0, :], NESTED_H)
+    inner = _covariant_fd(xi[..., 0, :], values[..., 1:, :],
+                          np.vecmat(inner_vels, T[..., 0, :, :]), values[..., 0, :], NESTED_H)
     # the outer differences along X and Y, centred at prime 2, the point itself
     outer = _covariant_fd(xi[..., 2, 0, :], inner[..., :2, :], XY, inner[..., 2, :], NESTED_H)
     return outer[..., 0, :] - outer[..., 1, :]
@@ -1041,7 +1040,7 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
         raise PreconditionError(
             f"point fails the Hopf condition at u={_first_row(data.u, bad)}")
     directions = _directions(data, x5, y5)
-    bad = (np.abs(_dot(directions, data.eta)) > ORTHO_TOL).any(axis=0)
+    bad = (np.abs(np.vecdot(directions, data.eta)) > ORTHO_TOL).any(axis=0)
     if bad.any():
         raise PreconditionError("arguments must be orthogonal to the structure "
                                 f"vector at u={_first_row(data.u, bad)}")
@@ -1050,14 +1049,14 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     X, Y = XY
     xi, uvec = data.xi, data.structure_vector
     alpha = data.alpha[..., None]
-    px, py = lower(t, _mv(t.P, XY))  # P X and P Y, lowered once for their pairings
+    px, py = lower(t, np.matvec(t.P, XY))  # P X and P Y, lowered once for their pairings
 
     ax = data.apply_shape(X)
     gxxi, gaxxi = tensor_G(t, np.array([X, alpha * X - ax]), xi)
     phix, phiax = data.apply_phi(np.array([X, ax]))
     agxxi, aphix, aphiax = data.apply_shape(np.array([gxxi, phix, phiax]))
     lhs = (1.0 / 6.0) * g_inner(t, phix, Y) - (2.0 / 3.0) * (
-        _dot(px, xi) * _dot(py, uvec) - _dot(px, uvec) * _dot(py, xi)
+        np.vecdot(px, xi) * np.vecdot(py, uvec) - np.vecdot(px, uvec) * np.vecdot(py, xi)
     )
     rhs_vec = (
         alpha * gxxi - agxxi

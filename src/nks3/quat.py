@@ -48,12 +48,11 @@ def mul(q1, q2) -> np.ndarray:
     q2 = np.asarray(q2, dtype=float)
     w1, x1, y1, z1 = (q1[..., i] for i in range(4))
     w2, x2, y2, z2 = (q2[..., i] for i in range(4))
-    out = np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
+    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape))
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
     # the order of additions does not fix the sign of a NaN: where a
     # positive NaN meets the negative NaN of inf * 0, numpy's vector and
     # scalar loops keep different ones, chosen by the array's address
@@ -90,12 +89,6 @@ def exp_pure(v) -> np.ndarray:
     return out
 
 
-def _row_norm(v) -> np.ndarray:
-    # each row's dot product on its own, as np.linalg.norm of a single
-    # row forms it; a row sum rounds differently for some rows
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def unit_rows(rng: np.random.Generator, v) -> np.ndarray:
     """Scale the rows of Gaussian draws v (..., 4), ndim >= 2, in place to
     uniform points of the unit 3-sphere; returns v.
@@ -108,11 +101,14 @@ def unit_rows(rng: np.random.Generator, v) -> np.ndarray:
     batch (in row order, until none is left); that is the one case where
     the stream differs from the calls in sequence, which redraw at once.
     """
-    n = _row_norm(v)
+    # each row's dot product on its own, as np.linalg.norm of a single
+    # row forms it; a row sum rounds differently for some rows
+    n = np.sqrt(np.vecdot(v, v))
     bad = n <= MIN_DRAW_NORM
     while bad.any():
-        v[bad] = rng.standard_normal((np.count_nonzero(bad), 4))
-        n[bad] = _row_norm(v[bad])
+        redrawn = rng.standard_normal((np.count_nonzero(bad), 4))
+        v[bad] = redrawn
+        n[bad] = np.sqrt(np.vecdot(redrawn, redrawn))
         bad = n <= MIN_DRAW_NORM
     v /= n[..., None]
     return v

@@ -24,8 +24,6 @@ from . import quat as qt
 from .errors import DomainError, allocation
 from .frames import (
     _bilinear,
-    _dot,
-    _mv,
     connection_relation_residual,
     curvature,
     curvature_closed_form,
@@ -163,10 +161,10 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
     yl, zl, wl = (lower(t, v) for v in (Y, Z, W))
     lhs26 = g_inner(t, gxy, tensor_G(t, Z, W))
     rhs26 = (1.0 / 3.0) * (
-        _dot(zl, X) * _dot(wl, Y)
-        - _dot(wl, X) * _dot(zl, Y)
-        + _dot(zl, jx) * _dot(yl, W @ t.J.T)
-        - _dot(wl, jx) * _dot(yl, Z @ t.J.T)
+        np.vecdot(zl, X) * np.vecdot(wl, Y)
+        - np.vecdot(wl, X) * np.vecdot(zl, Y)
+        + np.vecdot(zl, jx) * np.vecdot(yl, W @ t.J.T)
+        - np.vecdot(wl, jx) * np.vecdot(yl, Z @ t.J.T)
     )
 
     p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
@@ -178,7 +176,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         _check("G-J-anticommute", "G(X,JY) + J G(X,Y) = 0", n, 1e-12,
                g_norm(t, tensor_G(t, X, Y @ t.J.T) + gxy @ t.J.T)),
         _check("G-skew-adjoint", "g(G(X,Y),Z) + g(G(X,Z),Y) = 0", n, 1e-12,
-               np.abs(_dot(zl, gxy) + _dot(yl, tensor_G(t, X, Z)))),
+               np.abs(np.vecdot(zl, gxy) + np.vecdot(yl, tensor_G(t, X, Z)))),
         _check("G-inner-product",
                "g(G(X,Y),G(Z,W)) = [g(X,Z)g(Y,W) - g(X,W)g(Y,Z) + g(JX,Z)g(JW,Y) - g(JX,W)g(JZ,Y)]/3",
                n, 1e-12, np.abs(lhs26 - rhs26)),
@@ -419,7 +417,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                 != expected_mult + (0,) * (5 - len(expected_mult))).any(axis=-1)
     phi, eta = data.phi, data.eta
     u_hat = _unit(eta)
-    XP, YP = _unit(D5[:2] - _dot(D5[:2], u_hat)[..., None] * u_hat)
+    XP, YP = _unit(D5[:2] - np.vecdot(D5[:2], u_hat)[..., None] * u_hat)
 
     checks = [
         _check(prefix + "hopf", "A U = alpha U (Hopf condition)",
@@ -432,7 +430,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
         _check(prefix + "almost-contact", "phi^2 = -id + eta (x) U, eta o phi = 0, phi skew",
                n, 1e-12,
                np.abs(phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :]),
-               np.abs((eta[:, None, :] @ phi)[:, 0]),
+               np.abs(np.vecmat(eta, phi)),
                np.abs(phi + phi.swapaxes(1, 2))),
         _check(prefix + "spectrum-closed-form",
                "principal curvatures match their closed forms up to one global sign",
@@ -502,14 +500,14 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
 
 def _complement_residual(data: hs.HypersurfacePointData) -> np.ndarray:
     """|(P U)^T - g(P U, U) U|_g per row, zero iff g(P X, U) = 0 for all X ⊥ U."""
-    pu = data.tangent_components(_mv(get_tables().P, data.structure_vector))
-    off = pu - _dot(pu, data.eta)[:, None] * data.eta
-    return np.sqrt(_dot(off, off))
+    pu = data.tangent_components(np.matvec(get_tables().P, data.structure_vector))
+    off = pu - np.vecdot(pu, data.eta)[:, None] * data.eta
+    return np.sqrt(np.vecdot(off, off))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     """The rows of v (..., n) scaled to unit length."""
-    return v / np.sqrt(_dot(v, v))[..., None]
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
 def run_default_hypersurface_suites(seed: int, samples: int) -> SuiteReport:

@@ -2,8 +2,9 @@
 shapes (hypothesis): `frames.curvature` and `frames.g_inner` against their
 written-out sums; the bilinear tensors, the metric pairing, its lowered
 vectors and norm, and the closed-form curvature batched against row by
-row; a stacked bilinear call against its single tables; and the pairing
-against the row dot of its lowered vector."""
+row; a stacked bilinear call against its single tables; the pairing
+against the row dot of its lowered vector; and numpy's row-wise product
+gufuncs against the one-row matmul they replace."""
 
 import math
 
@@ -153,4 +154,97 @@ def test_g_inner_is_the_row_dot_of_the_lowered_vector(pair):
     # the contract that lets several pairings share one lowered vector
     x, y = pair
     out = np.asarray(frames.g_inner(T, x, y))
-    assert out.tobytes() == np.asarray(frames._dot(frames.lower(T, x), y)).tobytes()
+    assert out.tobytes() == np.asarray(np.vecdot(frames.lower(T, x), y)).tobytes()
+
+
+
+# The one-row matmul that each row-wise product of the package was before
+# numpy's gufuncs: the vector a (..., 1, k) row or (..., k, 1) column, so
+# that matmul takes each row on its own.  It is kept here as the reference.
+def _matmul_vecmat(x, A):
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def _matmul_matvec(A, x):
+    return (A @ x[..., None])[..., 0]
+
+
+def _matmul_vecdot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+# each product's gufunc, its reference, and its operands' roles
+_ROW_PRODUCTS = {
+    "vecmat": (np.vecmat, _matmul_vecmat, ("vector", "matrix")),
+    "matvec": (np.matvec, _matmul_matvec, ("matrix", "vector")),
+    "vecdot": (np.vecdot, _matmul_vecdot, ("vector", "vector")),
+}
+# (product, operand shapes) of the layouts the package passes, with m rows
+# and a stack of k: tangent-frame components times frames, stacked
+# directions, frame vectors times a constant matrix, the outer product
+# x (x) y times one bilinear table and times a stack of them, the level
+# set's weighted Hessians, the lowered frames times frame vectors, the
+# quaternion row norms, and single vectors
+_LAYOUTS = [
+    ("vecmat", ("m", 5), ("m", 5, 6)),
+    ("vecmat", ("k", "m", 5), ("m", 5, 6)),
+    ("vecmat", (5,), ("m", 5, 6)),
+    ("vecmat", ("m", 6), (6, 6)),
+    ("vecmat", ("k", "m", 6), (6, 6)),
+    ("vecmat", ("m", 36), (36, 6)),
+    ("vecmat", ("k", "m", 36), (36, 6)),
+    ("vecmat", ("m", 36), ("k", 1, 36, 6)),
+    ("vecmat", ("m", 2), ("m", 2, 36)),
+    ("vecmat", (6,), (6, 6)),
+    ("vecmat", (36,), (36, 6)),
+    ("matvec", (6, 6), ("m", 6)),
+    ("matvec", (6, 6), ("k", "m", 6)),
+    ("matvec", ("m", 5, 6), ("m", 6)),
+    ("matvec", ("m", 5, 6), ("k", "m", 6)),
+    ("matvec", (36, 6), ("m", 2, 6)),
+    ("matvec", (6, 6), (6,)),
+    ("vecdot", ("m", 6), ("m", 6)),
+    ("vecdot", ("k", "m", 5), ("m", 5)),
+    ("vecdot", ("m", 2, 4), ("m", 2, 4)),
+    ("vecdot", ("m", 4), ("m", 4)),
+    ("vecdot", (6,), (6,)),
+]
+
+
+def _strided(a: np.ndarray, role: str) -> np.ndarray:
+    """The values of a as a view that is not C-contiguous: a vector every
+    other element of a wider row, a matrix stored column by column."""
+    if role == "vector":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+@st.composite
+def _row_product_case(draw):
+    name, *layout = draw(st.sampled_from(_LAYOUTS))
+    sizes = {"m": draw(st.integers(1, 6)), "k": draw(st.integers(1, 3))}
+    # the zeros of either sign fill whole rows often enough to test the sign
+    # of a zero sum
+    elements = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    operands = []
+    for dims, role in zip(layout, _ROW_PRODUCTS[name][2]):
+        a = draw(hnp.arrays(np.float64, tuple(sizes.get(d, d) for d in dims),
+                            elements=elements))
+        operands.append(_strided(a, role) if draw(st.booleans()) else a)
+    return name, operands
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_row_product_case())
+def test_row_product_gufuncs_equal_the_one_row_matmul_bitwise(case):
+    # contiguous rows, strided vectors and column-major matrices: matmul
+    # reaches the same BLAS routine for each, so every layout the package
+    # passes keeps the bits it had
+    name, operands = case
+    gufunc, reference, _ = _ROW_PRODUCTS[name]
+    out, expected = gufunc(*operands), reference(*operands)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()

@@ -1,5 +1,8 @@
-"""`tools/_harness.py`: the workload-name check and the rebinding of nks3
-functions that the scripts of `tools/` share."""
+"""`tools/_harness.py`: the workload-name check, the rebinding of nks3
+functions and the checkout loaders that the scripts of `tools/` share."""
+
+import os
+import sys
 
 import _harness
 import pytest
@@ -56,3 +59,18 @@ def test_workload_names(capsys):
     assert capsys.readouterr().err == ""
     assert _harness.workload_names(W, ["b", "c", "d"]) is None
     assert capsys.readouterr().err == "error: unknown workload 'c'; choose from a, b\n"
+
+
+def test_loaders_put_src_first_once(monkeypatch):
+    # the environment and sys.path the loaders set are put back after
+    for var in _harness.THREAD_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.delenv("NKS3_SEED", raising=False)
+    src = str(_harness.ROOT / "src")
+    monkeypatch.setattr(sys, "path", ["elsewhere"] + list(sys.path))
+    for _ in range(2):
+        assert "hypersurface-battery" in _harness.workloads().WORKLOADS
+        assert callable(_harness.cli_main())
+    assert sys.path[0] == src
+    assert sys.path.count(src) == 1
+    assert "elsewhere" in sys.path

@@ -748,7 +748,7 @@ class TestIdentityResiduals:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(17)
         d = hs.analyze_points(M, hs.random_chart_points(rng, 4))
-        X = frames._vm(rng.standard_normal((4, 5)), d.push_coords)
+        X = np.vecmat(rng.standard_normal((4, 5)), d.push_coords)
         z = rng.standard_normal((4, 6))
         step = hs._covariant_fd(d.xi, np.stack([z, z], axis=-2), X, z, hs.NORMAL_H)
         npt.assert_array_equal(step, hs._tangential(frames.nabla(t, X, z), d.xi))
@@ -785,7 +785,7 @@ class TestIdentityResiduals:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(37)
         d = hs.analyze_points(M, hs.random_chart_points(rng, 4))
-        X = frames._vm(rng.standard_normal((4, 5)), d.push_coords)
+        X = np.vecmat(rng.standard_normal((4, 5)), d.push_coords)
         values, value = rng.standard_normal((4, 2, 6)), rng.standard_normal((4, 6))
         step = hs._covariant_fd(d.xi, values, X, value, hs.NORMAL_H)
         flipped = hs._covariant_fd(d.xi, -values, X, -value, hs.NORMAL_H)
@@ -940,7 +940,7 @@ def _shape_derivative(d, x5, y5):
     """(D_X A) Y - (D_Y A) X (1, 6) at a batch of one row, as the Codazzi
     residual takes it: minus the normal field of `_nested_fd`."""
     directions = hs._directions(d, x5, y5, y5)
-    chart_vels = frames._vm(directions, d.chart_weights)
+    chart_vels = np.vecmat(directions, d.chart_weights)
     vels = chart_vels[:2].swapaxes(0, 1)
     nested = hs._nested_points(d.u, vels)
     p, q, T, _ = hs._chart_data(d.immersion, nested)
@@ -1203,9 +1203,9 @@ def _gram_schmidt_leaf_pair(data):
     oracle for the frame vectors e0, e1 that the leaf geometry reads."""
     comp = data.tangent_frame @ frames.get_tables().g @ np.swapaxes(data.push_coords, -1, -2)
     c0 = np.ascontiguousarray(comp[..., :, 0])
-    x5 = c0 / np.sqrt(frames._dot(c0, c0))[..., None]
-    y5 = comp[..., :, 1] - frames._dot(comp[..., :, 1], x5)[..., None] * x5
-    return x5, y5 / np.sqrt(frames._dot(y5, y5))[..., None]
+    x5 = c0 / np.sqrt(np.vecdot(c0, c0))[..., None]
+    y5 = comp[..., :, 1] - np.vecdot(comp[..., :, 1], x5)[..., None] * x5
+    return x5, y5 / np.sqrt(np.vecdot(y5, y5))[..., None]
 
 
 @pytest.mark.parametrize("family,kw", ALL_FAMILIES)

@@ -8,7 +8,8 @@ pipe early.
         _harness.run(main)
 
 `workloads()` pins OpenBLAS, OpenMP and MKL to one thread, as the
-benchmark does, puts this checkout's src/ first on sys.path, loads
+benchmark does, puts this checkout's src/ first on sys.path (once, on
+any number of calls), loads
 `perfbench/workloads.py` by path and refuses an nks3 from anywhere else;
 `cli_main()` does the same for `nks3.cli.main`, with NKS3_SEED unset.
 `workload_names(W, names)` checks workload names, and `rebound(functions,
@@ -38,7 +39,9 @@ CLOSED_PIPE = 141  # 128 + SIGPIPE (13)
 
 def _checkout_first() -> None:
     os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads
-    sys.path.insert(0, str(ROOT / "src"))
+    src = str(ROOT / "src")
+    if sys.path[:1] != [src]:  # first, and only once however often it is called
+        sys.path[:] = [src] + [entry for entry in sys.path if entry != src]
 
 
 def workloads():
