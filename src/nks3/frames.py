@@ -190,7 +190,6 @@ def frame_to_r8(p, q, x) -> np.ndarray:
     """Flat R^8 representation (U, V) of frame coefficient vectors (..., 6)
     at the points (p, q) (..., 4); broadcasts over the leading axes of x and
     of the points."""
-    x = np.asarray(x, dtype=float)
     u = qt.mul(p, qt.pure(x[..., :3]))
     v = qt.mul(q, qt.pure(x[..., 3:]))
     return np.concatenate([u, v], axis=-1)
@@ -199,7 +198,6 @@ def frame_to_r8(p, q, x) -> np.ndarray:
 def r8_to_frame(p, q, w) -> np.ndarray:
     """Tangent-project flat R^8 vectors (..., 8) at the points (p, q)
     (..., 4), in frame coefficients; broadcasts."""
-    w = np.asarray(w, dtype=float)
     u, v = project_components(p, q, w[..., :4], w[..., 4:])
     return frame_coords_components(p, q, u, v)
 
@@ -216,7 +214,7 @@ def r8_to_frame(p, q, w) -> np.ndarray:
 def lower(tables: StructureTables, x):
     """The lowered vectors x g (..., 6) of frame vectors x (..., 6), as
     row-wise products: g(x, y) is the row dot of x g with y."""
-    return np.vecmat(np.asarray(x, dtype=float), tables.g)
+    return np.vecmat(x, tables.g)
 
 
 def g_inner(tables: StructureTables, x, y):
@@ -225,7 +223,7 @@ def g_inner(tables: StructureTables, x, y):
     call.  Several pairings against one vector lower it once and take row
     dots (`np.vecdot`) with the lowered vector, which is bitwise this
     pairing with that vector first."""
-    return np.vecdot(lower(tables, x), np.asarray(y, dtype=float))
+    return np.vecdot(lower(tables, x), y)
 
 
 def g_norm(tables: StructureTables, x):
@@ -243,8 +241,6 @@ def _bilinear(T: np.ndarray, x, y) -> np.ndarray:
     the single-row result, and slice i of a stack the single table T[i],
     bitwise.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     xy = x[..., :, None] * y[..., None, :]
     rows = xy.shape[:-2]
     tables = T.reshape(T.shape[:-3] + (1,) * len(rows) + (36, 6))
@@ -269,8 +265,6 @@ def curvature(tables: StructureTables, x, y, z):
     (..., 36), multiplied by R reshaped to (36, 36) over the pair index
     (a, b), and the (..., 6, 6) result over (c, d) is contracted with z.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     xy = x[..., :, None] * y[..., None, :]
     rz = xy.reshape(xy.shape[:-2] + (36,)) @ tables.R.reshape(36, 36)
     return np.einsum("...cd,...c->...d", rz.reshape(xy.shape), z)
@@ -283,9 +277,6 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
             + 1/12 [g(JY,Z) JX - g(JX,Z) JY - 2 g(JX,Y) JZ]
             + 1/3  [g(PY,Z) PX - g(PX,Z) PY + g(JPY,Z) JPX - g(JPX,Z) JPY]
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
     J, P = tables.J, tables.P
     jx = x @ J.T
     jy = y @ J.T
@@ -319,7 +310,6 @@ def euclidean_connection(p, q, x, y) -> np.ndarray:
     (du, dv) are vec(p-bar du) and vec(q-bar dv), and the real parts they
     drop, <p, du> and <q, dv>, are the radial components.
     """
-    y = np.asarray(y, dtype=float)
     xu, xv = np.split(frame_to_r8(p, q, x), 2, axis=-1)
     du = qt.mul(xu, qt.pure(y[..., :3]))
     dv = qt.mul(xv, qt.pure(y[..., 3:]))

@@ -512,7 +512,7 @@ class HypersurfacePointData:
         return np.matvec(self._lowered_frame, w6)
 
     def from_components(self, x5) -> np.ndarray:
-        return np.vecmat(np.asarray(x5, dtype=float), self.tangent_frame)
+        return np.vecmat(x5, self.tangent_frame)
 
     def apply_shape(self, w6: np.ndarray) -> np.ndarray:
         shaped = np.vecmat(self.tangent_components(w6), self.shape)
@@ -602,7 +602,12 @@ def _second_factor_forms(isometry) -> tuple:
     return _freeze(a), _freeze(S)
 
 
-_FORMS = {isometry: _second_factor_forms(isometry) for isometry in (None, SWAP, TWIST)}
+# the level-set row (a, S, squares) of each family: F is y0 of its forms, or
+# y0^2 + y1^2 where squares holds (m4-m6); the families of one isometry share
+# its forms
+_LEVEL_SETS = {family: (a, S, family in FIVE_CURVATURE_FAMILIES)
+               for isometry, a, S in ((i, *_second_factor_forms(i)) for i in (None, SWAP, TWIST))
+               for family in FAMILIES if _ISOMETRY.get(family) == isometry}
 _E6 = _freeze(np.eye(6))  # the frame vectors B_a as coefficient rows
 _EYE5 = _freeze(np.eye(5))
 _PAIR = _freeze(np.array([[0], [1]]))  # offsets of an eigenspace pair's two columns
@@ -624,33 +629,35 @@ def _frame_rows(p, q) -> np.ndarray:
     return b
 
 
-def _level_set(M: Immersion, p, q, hessian: bool = False):
-    """The unit normals xi = g^-1 dF / |dF|_g (..., 6) of the family's level
-    set F at the points (p, q) (..., 4) of it; with hessian, also
+def _level_set(level: tuple, p, q, hessian: bool = False):
+    """The unit normals xi = g^-1 dF / |dF|_g (..., 6) of the level set of F
+    at the points (p, q) (..., 4) of it; with hessian, also
     -Hess F / |dF|_g (..., 6, 6) in the frame, whose restriction to the
     tangent space is the shape operator of xi.
 
-    F is y0 (m1-m3) or y0^2 + y1^2 (m4-m6) of `_second_factor_forms`, whose
-    derivatives are closed forms: dy(B_a) = grad y . b_a with b_a = (p e_a,
-    0) or (0, q e_a), the rows of `_frame_rows`, built once a call;
+    F is given by its level-set row `level` = (a, S, squares), a family's
+    row of `_LEVEL_SETS` or any other: the forms y_k = a_k . z + z S_k z / 2
+    of z = (p, q), with a (n, 8) and S (n, 8, 8), and F = y0, or the sum of
+    the y_k^2 where squares holds (y0^2 + y1^2 for m4-m6).  The derivatives
+    of y are closed forms: dy(B_a) = grad y . b_a with b_a = (p e_a, 0) or
+    (0, q e_a), the rows of `_frame_rows`, built once a call;
     B_a B_b y = S(b_a, b_b) + grad y . d_{b_a} b_b with d_{E_a} E_b =
     (p e_a e_b, 0), d_{F_a} F_b = (0, q e_a e_b) and the mixed derivatives 0,
     and e_a e_b = -delta_ab + eps_abc e_c, so that grad y . d_{b_a} b_b =
     -delta_ab rho + (C_ab^c / 2) dy(B_c), with rho = <p, grad_p y> or
     <q, grad_q y> and C the bracket table; and
-    Hess y = B B y - Gamma dy.  For F = y0^2 + y1^2 the factor 2 of every
+    Hess y = B B y - Gamma dy.  For a sum of squares the factor 2 of every
     derivative cancels in xi and in the shape operator, so they are taken
     of F / 2: dF = sum y_k dy_k and Hess F = sum (y_k Hess y_k + dy_k dy_k).
     Every product keeps each point's vectors and matrices its own, so each
     point's result does not depend on the batch it is in, bitwise.
     """
     t = get_tables()
-    a, S = _FORMS[M._isometry]
+    a, S, squares = level
     z = np.concatenate([p, q], axis=-1)[..., None, :]
     grad = a + np.matvec(S, z)
     b = _frame_rows(p, q)
-    dy = grad @ b.swapaxes(-1, -2)  # (..., 2, 6)
-    squares = M.family in FIVE_CURVATURE_FAMILIES
+    dy = grad @ b.swapaxes(-1, -2)  # (..., n, 6)
     if squares:
         y = np.vecdot(0.5 * (a + grad), z)
         dF = np.vecmat(y, dy)
@@ -713,7 +720,7 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     t = get_tables()
     p, q, push, gram = _chart_data(M, U)
     frame, W = _orthonormal_frame(push, gram)
-    xi, weingarten = _level_set(M, p, q, hessian=True)
+    xi, weingarten = _level_set(_LEVEL_SETS[M.family], p, q, hessian=True)
     frame_t = frame.swapaxes(-1, -2)
     A = frame @ weingarten @ frame_t
 
@@ -774,7 +781,7 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
 
 def analyze_point(M: Immersion, u) -> HypersurfacePointData:
     """`analyze_points` at the one chart point u (5,), as a batch of one row."""
-    return analyze_points(M, np.asarray(u, dtype=float)[None])
+    return analyze_points(M, np.asarray(u)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +940,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     ends = _segments(data.u, chart_vels[0], NORMAL_H)
     nested = _nested_points(data.u, vels)
     p, q, T, _ = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
-    xi = _aligned(_level_set(data.immersion, p, q), data.xi[..., None, :])
+    xi = _aligned(_level_set(_LEVEL_SETS[data.immersion.family], p, q), data.xi[..., None, :])
 
     AX, AY, AZ = data.apply_shape(XYZ)
     dU = _covariant_fd(data.xi, -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)

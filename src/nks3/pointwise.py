@@ -69,8 +69,6 @@ class TangentVector:
 
 def project_components(p, q, u, v):
     """Remove the radial parts of a raw pair, broadcasting over batches."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     return (
         u - qt.dot(u, p)[..., None] * p,
         v - qt.dot(v, q)[..., None] * q,
@@ -100,7 +98,7 @@ def p_components(p, q, u, v):
 
 def q_components(u, v):
     """Q(U, V) = (-U, V), the same at every point; vectors (k, ..., 4) map as one."""
-    return -np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return -u, v
 
 
 def metric_components(p, q, u1, v1, u2, v2):

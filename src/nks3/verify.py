@@ -104,17 +104,19 @@ def _finalize(suite: str, seed: int, checks: list, started: float) -> SuiteRepor
 
 
 def _worst(*residuals) -> float:
-    """The largest of the residuals (floats or arrays of any shape), and at
-    least 0.0; 0.0 for no residuals.
+    """The largest of the residuals (floats, or arrays of any shape, a
+    boolean mask counting 1.0 where it is set), and at least 0.0; 0.0 for
+    no residuals.
 
     inf if it is not finite, a NaN residual included, so that its check
     fails rather than erroring; the builtin max would drop a NaN that is
     not its first argument.  One `np.maximum` reduction a residual, each
-    starting from the largest value so far, so nothing is concatenated.
+    starting from the largest value so far, so nothing is concatenated;
+    each reduces in float64, which is what the check reports.
     """
     worst = 0.0
     for r in residuals:
-        worst = np.maximum.reduce(r, axis=None, initial=worst)
+        worst = np.maximum.reduce(r, axis=None, initial=worst, dtype=float)
     worst = float(worst)
     return worst if math.isfinite(worst) else math.inf
 
@@ -436,7 +438,7 @@ def run_hypersurface_suite(family: str, params: dict, seed: int,
                "principal curvatures match their closed forms up to one global sign",
                n, 1e-6, hs.spectra_match(data.eigenvalues, expected)),
         _check(prefix + "multiplicity-pattern", f"multiplicity pattern {expected_mult}",
-               n, 0.0, mult_off.astype(float)),
+               n, 0.0, mult_off),
         _check(prefix + "distribution-dim", "P xi lies in span(xi, U)",
                n, 1e-12, data.c),
         _check(prefix + "P-preserves-complement",

@@ -251,7 +251,7 @@ class TestAnalyzePoints:
         # alone, bitwise
         M, U = self._batch(family, kw, n=4)
         batch = hs.analyze_points(M, U)
-        raw = hs._level_set(M, *hs._chart_data(M, U)[:2])
+        raw = hs._level_set(hs._LEVEL_SETS[family], *hs._chart_data(M, U)[:2])
         flipped = [bool(np.array_equal(xi, -x)) for xi, x in zip(batch.xi, raw)]
         assert any(flipped) and not all(flipped)
         for i, u in enumerate(U):
@@ -304,9 +304,9 @@ class TestAnalyzePoints:
             steps.append(np.shape(args[1]))
             return covariant_fd(*args)
 
-        def recording_level_set(M, p, q, hessian=False):
+        def recording_level_set(level, p, q, hessian=False):
             level_sets.append((np.shape(p), hessian))
-            return level_set(M, p, q, hessian)
+            return level_set(level, p, q, hessian)
 
         monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
         monkeypatch.setattr(hs, "_covariant_fd", recording_covariant_fd)
@@ -770,7 +770,7 @@ class TestIdentityResiduals:
         errors = []
         for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
             p, q, _ = M.pushforward(hs._segments(d.u, vel, h))
-            ends = hs._aligned(hs._level_set(M, p, q), d.xi[:, None, :])
+            ends = hs._aligned(hs._level_set(hs._LEVEL_SETS[family], p, q), d.xi[:, None, :])
             step = hs._covariant_fd(d.xi, ends, X, d.xi, h)
             errors.append(frames.g_norm(t, step - exact)[0])
         assert errors[-1] > 1e-9
@@ -944,7 +944,7 @@ def _shape_derivative(d, x5, y5):
     vels = chart_vels[:2].swapaxes(0, 1)
     nested = hs._nested_points(d.u, vels)
     p, q, T, _ = hs._chart_data(d.immersion, nested)
-    xi = hs._aligned(hs._level_set(d.immersion, p, q), d.xi[:, None, :])
+    xi = hs._aligned(hs._level_set(hs._LEVEL_SETS[d.immersion.family], p, q), d.xi[:, None, :])
     XY = d.from_components(directions[:2]).swapaxes(0, 1)
     return -hs._nested_fd(vels, chart_vels[2], XY, (T, xi))[1]
 
@@ -1094,7 +1094,7 @@ class TestBatchedResiduals:
         npt.assert_array_equal(p, data.p)
         npt.assert_array_equal(q, data.q)
         npt.assert_array_equal(T, data.push_coords)
-        xi = hs._level_set(M, p, q)
+        xi = hs._level_set(hs._LEVEL_SETS[family], p, q)
         assert all((n == x).all() or (n == -x).all() for n, x in zip(xi, data.xi))
 
         shapes = []
@@ -1300,6 +1300,18 @@ class TestRankTest:
             hs._chart_data(M, us)
 
 
+def _complement_frame(t, vectors):
+    """A g-orthonormal basis (n, 6 - k, 6) of the g-complement of the frame
+    vectors (n, k, 6): in the Euclidean coordinates L^T x, g = L L^T, the
+    last 6 - k columns of the QR factor of [vectors, e0, ..., e(5 - k)]."""
+    n, k = vectors.shape[:2]
+    low = np.linalg.cholesky(t.g)
+    cols = np.concatenate([vectors.swapaxes(-1, -2),
+                           np.broadcast_to(np.eye(6)[:, :6 - k], (n, 6, 6 - k))], axis=-1)
+    q = np.linalg.qr(low.T @ cols)[0]
+    return np.swapaxes(np.linalg.solve(low.T, q[..., k:]), -1, -2)
+
+
 def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution():
     """The (alpha, lambda) case of the paper's first theorem, from the
     frame tables.
@@ -1324,14 +1336,7 @@ def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution(
     xi = rng.standard_normal((n, 6))
     xi /= frames.g_norm(t, xi)[:, None]
     u = -(xi @ t.J.T)
-    # a g-orthonormal basis (n, 4, 6) of {xi, U}^perp: in the Euclidean
-    # coordinates L^T x, g = L L^T, the last four columns of the QR factor
-    # of [xi, U, e0, e1, e2, e3]
-    low = np.linalg.cholesky(t.g)
-    cols = np.concatenate([xi[:, :, None], u[:, :, None],
-                           np.broadcast_to(np.eye(6)[:, :4], (n, 6, 4))], axis=-1)
-    q = np.linalg.qr(low.T @ cols)[0]
-    e = np.swapaxes(np.linalg.solve(low.T, q[..., 2:]), -1, -2)
+    e = _complement_frame(t, np.stack([xi, u], axis=1))  # a basis (n, 4, 6) of {xi, U}^perp
 
     def form(x, y):
         # the (n, 4, 4) matrices of g(x_a, y_b)
@@ -1355,3 +1360,34 @@ def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution(
     assert np.max(np.linalg.svd(w_p, compute_uv=False)[:, 2]) <= 1e-14
     rest = w_phi / 6.0 - (2.0 / 3.0) * w_p
     assert np.min(np.sqrt(frobenius(rest, rest))) >= math.sqrt(2.0) / 6.0 - 1e-12
+
+
+@pytest.mark.parametrize("eps,bound", [(0.0, None), (1e-6, hs.HOPF_TOL), (1e-3, 1e-3)])
+def test_perturbed_level_set_is_not_hopf(eps, bound):
+    """A negative control for the Hopf residual, through a level-set row.
+
+    F = Re q + eps p0 q1 is the row (a, S, False) with a[0, 4] = 1 and
+    S[0, 0, 5] = S[0, 5, 0] = eps.  Each of 400 random unit points (p, q)
+    lies on its own level set of F, whose shape operator A is taken on a QR
+    frame of xi's g-complement.  At eps = 0 F is m1's Re q, and every level
+    set is Hopf to round-off: the largest residual |A U - g(A U, U) U|
+    reads 8.6e-16.  It grows with eps, to 3.8e-6 at eps = 1e-6, above the
+    `hopf` tolerance, and to 3.8e-3 at eps = 1e-3.
+    """
+    t = frames.get_tables()
+    a, S = np.zeros((1, 8)), np.zeros((1, 8, 8))
+    a[0, 4] = 1.0
+    S[0, 0, 5] = S[0, 5, 0] = eps
+    rng = np.random.default_rng(23)
+    p, q = qt.unit_rows(rng, rng.standard_normal((2, 400, 4)))
+    xi, weingarten = hs._level_set((a, S, False), p, q, hessian=True)
+    e = _complement_frame(t, xi[:, None, :])
+    A = e @ weingarten @ e.swapaxes(-1, -2)
+    eta = np.matvec(e @ t.g, -np.matvec(t.J, xi))
+    au = np.vecmat(eta, A)
+    off = au - np.vecdot(au, eta)[:, None] * eta
+    residual = np.max(np.sqrt(np.vecdot(off, off)))
+    if bound is None:
+        assert residual <= 1e-14
+    else:
+        assert residual > bound

@@ -358,9 +358,9 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         calls["covariant_fd"] += 1
         return covariant_fd(*args)
 
-    def counting_level_set(M, p, q, hessian=False):
+    def counting_level_set(level, p, q, hessian=False):
         calls["level_set"] += 1
-        return level_set(M, p, q, hessian)
+        return level_set(level, p, q, hessian)
 
     monkeypatch.setattr(qt, "mul", counting_mul)
     monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
@@ -582,6 +582,9 @@ def test_worst_residual_contract():
     # floats, 0-d arrays and (m,) arrays mix
     assert worst(0.25, np.array(0.75), np.array([0.125, 0.5]), np.array([[0.0625]])) == 0.75
     assert type(worst(np.array([1.0]))) is float
+    # a boolean mask counts 1.0 where it is set, in any position
+    assert worst(np.array([False, True]), 0.25) == 1.0
+    assert worst(0.25, np.array([False, False])) == 0.25
 
 
 def test_worst_residual_equals_the_concatenated_maximum_bitwise():
