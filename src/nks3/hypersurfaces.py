@@ -35,7 +35,11 @@ xi = g^-1 dF / |dF|_g and A = -Hess F / |dF|_g on the tangent space, with
 dF and Hess F in frame coefficients from the Euclidean gradient and
 Hessian of F, the flat derivatives of the frame fields and the connection
 table.  The analysis charts its points alone, for their pushforwards and
-tangent frames, and differences nothing.
+tangent frames, and differences nothing.  Everything after the normal and
+the shape operator (orientation, U, the almost contact tensors, the Hopf
+residual, the coefficients of P xi and the spectrum) is `_apparatus`,
+which reads no chart, so the point data of any level-set row on any
+tangent frame serves the pointwise checks as well.
 
 The transport, Codazzi and Gauss residuals difference along the chart.
 A field F = F^a B_a is held by its frame coefficients, and its ambient
@@ -454,6 +458,14 @@ class HypersurfacePointData:
     data of a single point.  An integer index raises TypeError, so the
     data is not iterable row by row.
 
+    Point data with no chart, built from a level-set row and a tangent
+    frame as `HypersurfacePointData(None, None, p, q, None, frame, None,
+    *_apparatus(xi, A, frame))`, serves every pointwise consumer: the
+    methods below, `hopf_identity_residual` (whose errors name the row by
+    its (p, q)), `classify_normal_action` and `normal_action_residual`.
+    Slicing, the finite-difference residuals, `theta_r_consistency` and
+    `leaf_geometry` read the chart and need charted data.
+
     The methods below map frame vectors (..., m, 6) or tangent-frame
     components (..., m, 5) whose last axis but one is the data's rows; a
     stack of k operands (k, m, ...) gives each slice's own call bitwise, so
@@ -491,7 +503,7 @@ class HypersurfacePointData:
     theta_sine: np.ndarray       # (m,)
 
     def __len__(self) -> int:
-        return len(self.u)
+        return len(self.xi)
 
     def __getitem__(self, index: slice) -> "HypersurfacePointData":
         """The rows `index` (a slice) as a batch."""
@@ -529,9 +541,12 @@ def _rowwise(f, *vectors):
     return f(get_tables(), *(v[..., None, :] for v in vectors))[..., 0, :]
 
 
-def _first_row(u: np.ndarray, bad) -> list:
-    """The first chart point of u (..., 5) where the mask bad (...) holds."""
-    return u[bad][0].tolist()
+def _locate(data: HypersurfacePointData, bad) -> str:
+    """The first row of the data where the mask bad (m,) holds, as its chart
+    point `u=[...]`, or as `(p, q)=[...]` for data with no chart."""
+    if data.u is None:
+        return f"(p, q)={np.concatenate([data.p, data.q], axis=-1)[bad][0].tolist()}"
+    return f"u={data.u[bad][0].tolist()}"
 
 
 def _tangential(w: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -571,7 +586,7 @@ def _chart_data(M: Immersion, u) -> tuple:
         low = np.linalg.eigvalsh(gram)[..., 0] <= RANK_TOL
         if low.any():
             raise DegenerateImmersionError(
-                f"pushforward rank below 5 at u={_first_row(u, low)}")
+                f"pushforward rank below 5 at u={u[low][0].tolist()}")
     return p, q, T, gram
 
 
@@ -707,23 +722,30 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
 
     xi = g^-1 dF / |dF|_g, and A = -frame Hess F frame^T / |dF|_g on the
     g-orthonormal tangent frame, with Hess F taken with the nearly Kaehler
-    connection; no chart direction is differenced.  The normals are
-    oriented by the trace rule, and the spectrum is `spectral_report` of
-    the symmetrized A.  The data's `u` is a read-only copy of U.  An
-    immersion with per-row parameters takes one chart point per parameter
-    row; U of another row count raises DomainError.
+    connection; no chart direction is differenced.  The rest is
+    `_apparatus` of xi, A and the frame.  The data's `u` is a read-only
+    copy of U.  An immersion with per-row parameters takes one chart point
+    per parameter row; U of another row count raises DomainError.
     """
     U = np.array(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != 5:
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
-    t = get_tables()
     p, q, push, gram = _chart_data(M, U)
     frame, W = _orthonormal_frame(push, gram)
     xi, weingarten = _level_set(_LEVEL_SETS[M.family], p, q, hessian=True)
-    frame_t = frame.swapaxes(-1, -2)
-    A = frame @ weingarten @ frame_t
+    return HypersurfacePointData(M, U, p, q, push, frame, W,
+                                 *_apparatus(xi, frame @ weingarten @ frame.swapaxes(-1, -2),
+                                             frame))
 
+
+def _apparatus(xi, A, frame) -> tuple:
+    """The pointwise fields of the point data, `xi` to `theta_sine` in field
+    order, from unit normals xi (m, 6), shape operators A (m, 5, 5) of xi
+    and the g-orthonormal tangent frames frame (m, 5, 6) they are written
+    in; no chart is read.  The normals are oriented by the trace rule, A is
+    symmetrized, and the spectrum is `spectral_report` of the result."""
+    t = get_tables()
     tr = A.trace(axis1=-2, axis2=-1)
     lead = xi[np.arange(len(xi)), (np.abs(xi) > TRACE_TIE_TOL).argmax(axis=-1)]
     flip = np.where(np.abs(tr) > TRACE_TIE_TOL, tr < 0.0, lead < 0.0)
@@ -737,7 +759,7 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     uvec = -np.matvec(t.J, xi)
     eta = np.matvec(frame @ t.g, uvec)
     phi_rows = (_tangential(frame @ t.J.T, xi[:, None, :]) @ t.g
-                @ frame_t)
+                @ frame.swapaxes(-1, -2))
 
     au = np.vecmat(eta, A)
     alpha = np.vecdot(au, eta)
@@ -749,34 +771,8 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     a_coef = np.vecdot(pxi_lowered, xi)
     b_coef = np.vecdot(pxi_lowered, uvec)
     rem = pxi - a_coef[:, None] * xi - b_coef[:, None] * uvec
-    c_coef = g_norm(t, rem)
-    evals, mult, means, theta, theta_sine = spectral_report(A, frame)
-
-    return HypersurfacePointData(
-        immersion=M,
-        u=U,
-        p=p,
-        q=q,
-        push_coords=push,
-        tangent_frame=frame,
-        chart_weights=W,
-        xi=xi,
-        structure_vector=uvec,
-        alpha=alpha,
-        shape=A,
-        symmetry_residual=symmetry,
-        phi=phi_rows,
-        eta=eta,
-        hopf_residual=hopf_residual,
-        a=a_coef,
-        b=b_coef,
-        c=c_coef,
-        eigenvalues=evals,
-        multiplicities=mult,
-        cluster_means=means,
-        theta=theta,
-        theta_sine=theta_sine,
-    )
+    return (xi, uvec, alpha, A, symmetry, phi_rows, eta, hopf_residual, a_coef, b_coef,
+            g_norm(t, rem), *spectral_report(A, frame))
 
 
 def analyze_point(M: Immersion, u) -> HypersurfacePointData:
@@ -1045,12 +1041,12 @@ def hopf_identity_residual(data: HypersurfacePointData, x5, y5) -> np.ndarray:
     bad = data.hopf_residual > HOPF_TOL
     if bad.any():
         raise PreconditionError(
-            f"point fails the Hopf condition at u={_first_row(data.u, bad)}")
+            f"point fails the Hopf condition at {_locate(data, bad)}")
     directions = _directions(data, x5, y5)
     bad = (np.abs(np.vecdot(directions, data.eta)) > ORTHO_TOL).any(axis=0)
     if bad.any():
         raise PreconditionError("arguments must be orthogonal to the structure "
-                                f"vector at u={_first_row(data.u, bad)}")
+                                f"vector at {_locate(data, bad)}")
 
     XY = data.from_components(directions)
     X, Y = XY
@@ -1104,7 +1100,7 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     bad = np.count_nonzero(double, axis=-1) != 2
     if bad.any():
         raise DegenerateImmersionError(
-            f"no two-dimensional principal eigenspaces at u={_first_row(data.u, bad)}")
+            f"no two-dimensional principal eigenspaces at {_locate(data, bad)}")
     theta = data.theta
     r_res = np.abs(r - SQRT3 * theta / np.sqrt(1.0 + 2.0 * theta * theta))
 
@@ -1162,7 +1158,7 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     bad = np.isnan(theta)
     if bad.any():
         raise DegenerateImmersionError(
-            f"no two-dimensional principal eigenspace at u={_first_row(u, bad)}")
+            f"no two-dimensional principal eigenspace at {_locate(data, bad)}")
     k2 = (1.0 + 2.0 * theta * theta) / (4.0 * theta * theta)
     res_k2 = np.abs(k2 - 3.0 / (4.0 * r * r))
     return LeafGeometry(res3, res2, res_k2)

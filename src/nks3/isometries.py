@@ -53,7 +53,7 @@ class IsometryMap:
     def apply_components(self, p, q):
         """Image (p', q') of points given as component arrays (..., 4)."""
         if self.tag == SWAP:
-            return q, p
+            return np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         if self.tag == TWIST:
             pbar = qt.conj(p)
             return pbar, qt.mul(q, pbar)

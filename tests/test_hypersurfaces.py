@@ -3,16 +3,20 @@ against closed forms, the normal-action trichotomy, identity residuals,
 moduli relations and leaf geometry."""
 
 import dataclasses
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from nks3 import hypersurfaces as hs
-from nks3 import frames, pointwise as pw, quat as qt
+from nks3 import frames, pointwise as pw, quat as qt, verify
 from nks3.errors import DegenerateImmersionError, DomainError, PreconditionError
+
+from level_sets import complement_frame, level_set_data
 
 SQRT3 = math.sqrt(3.0)
 ORIGIN5 = np.zeros(5)
@@ -1126,6 +1130,28 @@ class TestBatchedResiduals:
                            match=re.escape(f"structure vector at u={U[1].tolist()}")):
             hs.hopf_identity_residual(data, XP, YP)
 
+    def test_chart_free_errors_name_the_row_by_its_point(self):
+        rng = np.random.default_rng(33)
+        p, q = qt.unit_rows(rng, rng.standard_normal((2, 4, 4)))
+        a, S, squares = hs._LEVEL_SETS["m1"]
+        data = level_set_data((a, S, squares), p, q)
+        XP, YP = _hopf_directions(data, rng), _hopf_directions(data, rng)
+        assert np.max(hs.hopf_identity_residual(data, XP, YP)) <= 1e-14
+        XP[1] = data.eta[1] / np.linalg.norm(data.eta[1])
+        point = np.concatenate([p[1], q[1]]).tolist()
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"structure vector at (p, q)={point}")):
+            hs.hopf_identity_residual(data, XP, YP)
+        # F = Re q + p0 q1 / 10 is not Hopf at any of the points
+        S = S.copy()
+        S[0, 0, 5] = S[0, 5, 0] = 0.1
+        data = level_set_data((a, S, squares), p, q)
+        assert np.min(data.hopf_residual) > hs.HOPF_TOL
+        point = np.concatenate([p[0], q[0]]).tolist()
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"Hopf condition at (p, q)={point}")):
+            hs.hopf_identity_residual(data, XP, YP)
+
 
 class TestModuliRelations:
     def test_theta_at_r1(self):
@@ -1300,18 +1326,6 @@ class TestRankTest:
             hs._chart_data(M, us)
 
 
-def _complement_frame(t, vectors):
-    """A g-orthonormal basis (n, 6 - k, 6) of the g-complement of the frame
-    vectors (n, k, 6): in the Euclidean coordinates L^T x, g = L L^T, the
-    last 6 - k columns of the QR factor of [vectors, e0, ..., e(5 - k)]."""
-    n, k = vectors.shape[:2]
-    low = np.linalg.cholesky(t.g)
-    cols = np.concatenate([vectors.swapaxes(-1, -2),
-                           np.broadcast_to(np.eye(6)[:, :6 - k], (n, 6, 6 - k))], axis=-1)
-    q = np.linalg.qr(low.T @ cols)[0]
-    return np.swapaxes(np.linalg.solve(low.T, q[..., k:]), -1, -2)
-
-
 def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution():
     """The (alpha, lambda) case of the paper's first theorem, from the
     frame tables.
@@ -1336,7 +1350,7 @@ def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution(
     xi = rng.standard_normal((n, 6))
     xi /= frames.g_norm(t, xi)[:, None]
     u = -(xi @ t.J.T)
-    e = _complement_frame(t, np.stack([xi, u], axis=1))  # a basis (n, 4, 6) of {xi, U}^perp
+    e = complement_frame(t, np.stack([xi, u], axis=1))  # a basis (n, 4, 6) of {xi, U}^perp
 
     def form(x, y):
         # the (n, 4, 4) matrices of g(x_a, y_b)
@@ -1362,32 +1376,80 @@ def test_no_hopf_hypersurface_has_one_curvature_on_the_holomorphic_distribution(
     assert np.min(np.sqrt(frobenius(rest, rest))) >= math.sqrt(2.0) / 6.0 - 1e-12
 
 
+def _table_tolerance(check: str) -> float:
+    """The tolerance of a hypersurface check in `tests/data/check_table.json`,
+    one value for every family."""
+    table = json.loads((Path(__file__).parent / "data" / "check_table.json").read_text())
+    (tolerance,) = {c["tolerance"] for c in table["hypersurface"]
+                    if c["id"].endswith(":" + check)}
+    return tolerance
+
+
 @pytest.mark.parametrize("eps,bound", [(0.0, None), (1e-6, hs.HOPF_TOL), (1e-3, 1e-3)])
 def test_perturbed_level_set_is_not_hopf(eps, bound):
-    """A negative control for the Hopf residual, through a level-set row.
+    """A negative control for four pointwise checks, through a level-set row.
 
     F = Re q + eps p0 q1 is the row (a, S, False) with a[0, 4] = 1 and
     S[0, 0, 5] = S[0, 5, 0] = eps.  Each of 400 random unit points (p, q)
-    lies on its own level set of F, whose shape operator A is taken on a QR
-    frame of xi's g-complement.  At eps = 0 F is m1's Re q, and every level
-    set is Hopf to round-off: the largest residual |A U - g(A U, U) U|
-    reads 8.6e-16.  It grows with eps, to 3.8e-6 at eps = 1e-6, above the
-    `hopf` tolerance, and to 3.8e-3 at eps = 1e-3.
+    lies on its own level set of F; `level_set_data` takes its shape
+    operator on a QR frame of xi's g-complement and every pointwise field
+    from the package's `_apparatus`.  At eps = 0 F is m1's Re q, and every
+    level set is Hopf to round-off: the largest `hopf`, `alpha-zero`,
+    `distribution-dim` (c) and `P-preserves-complement` residuals read
+    8.6e-16, 3.6e-31, 7.5e-16 and 8.0e-16.  At eps = 1e-3 they read 3.8e-3,
+    6.9e-4, 1.7e-3 and 1.7e-3, each above its check's tolerance.  At
+    eps = 1e-6 the Hopf residual reads 3.8e-6, above `HOPF_TOL`, and c and
+    the complement residual 1.7e-6, while alpha reads 6.9e-7, below its
+    tolerance, so alpha is held at eps = 1e-3 only.
     """
-    t = frames.get_tables()
     a, S = np.zeros((1, 8)), np.zeros((1, 8, 8))
     a[0, 4] = 1.0
     S[0, 0, 5] = S[0, 5, 0] = eps
     rng = np.random.default_rng(23)
     p, q = qt.unit_rows(rng, rng.standard_normal((2, 400, 4)))
-    xi, weingarten = hs._level_set((a, S, False), p, q, hessian=True)
-    e = _complement_frame(t, xi[:, None, :])
-    A = e @ weingarten @ e.swapaxes(-1, -2)
-    eta = np.matvec(e @ t.g, -np.matvec(t.J, xi))
-    au = np.vecmat(eta, A)
-    off = au - np.vecdot(au, eta)[:, None] * eta
-    residual = np.max(np.sqrt(np.vecdot(off, off)))
+    data = level_set_data((a, S, False), p, q)
+    worst = {check: np.max(residual) for check, residual in (
+        ("hopf", data.hopf_residual), ("alpha-zero", np.abs(data.alpha)),
+        ("distribution-dim", data.c), ("P-preserves-complement", verify._complement_residual(data)))}
     if bound is None:
-        assert residual <= 1e-14
-    else:
-        assert residual > bound
+        assert max(worst.values()) <= 1e-14
+        return
+    assert worst["hopf"] > bound
+    for check, value in worst.items():
+        if check != "alpha-zero" or eps >= 1e-3:
+            assert value > _table_tolerance(check), check
+
+
+@pytest.mark.parametrize("factor", [slice(4, 8), slice(0, 4)], ids=["q", "p"])
+def test_product_type_level_sets_are_hopf_with_varying_curvatures(factor):
+    """Product-type level sets (ROADMAP item 15): F = a . z + z S z / 2 in
+    one factor alone, with random a and S = B + B^T on that factor's block.
+
+    On 3 rows of each factor, 300 random points each, the checks that need
+    only Hopf and P{U}^perp in {U}^perp hold to round-off: the largest
+    `hopf` reads 9.1e-15, |alpha| 6.4e-16, c 8.5e-16, the complement
+    residual 8.4e-16, the almost contact relations 2.0e-15 and the Hopf
+    identity on random unit X, Y orthogonal to U 3.9e-14.  The curvature
+    checks fail: the principal curvatures spread across the points of a
+    row by 9.9 to 49, and every row's pattern is (1, 1, 1, 1, 1).  So, as
+    measured here, Hopf and P{U}^perp in {U}^perp alone do not force three
+    principal curvatures.
+    """
+    rng = np.random.default_rng(15 if factor.start else 16)
+    for _ in range(3):
+        a, S = np.zeros((1, 8)), np.zeros((1, 8, 8))
+        a[0, factor] = rng.standard_normal(4)
+        B = rng.standard_normal((4, 4))
+        S[0, factor, factor] = B + B.T
+        p, q = qt.unit_rows(rng, rng.standard_normal((2, 300, 4)))
+        data = level_set_data((a, S, False), p, q)
+        phi, eta = data.phi, data.eta
+        x5, y5 = _hopf_directions(data, rng), _hopf_directions(data, rng)
+        for residual in (data.hopf_residual, data.alpha, data.c,
+                         verify._complement_residual(data),
+                         phi @ phi + np.eye(5) - eta[:, :, None] * eta[:, None, :],
+                         np.vecmat(eta, phi), phi + phi.swapaxes(1, 2),
+                         hs.hopf_identity_residual(data, x5, y5)):
+            assert np.max(np.abs(residual)) <= 1e-12
+        assert np.ptp(data.eigenvalues, axis=0).max() > 1e-6
+        assert not (data.multiplicities == (2, 1, 2, 0, 0)).all(axis=-1).any()

@@ -18,6 +18,8 @@ import pytest
 from nks3 import frames
 from nks3 import hypersurfaces as hs
 
+from level_sets import complement_frame
+
 T = frames.get_tables()
 FAMILY_PARAMS = {"m1": dict(r=0.6), "m2": dict(r=0.6), "m3": dict(r=1.0),
                  "m4": dict(k=0.6, l=0.8), "m5": dict(k=0.6, l=0.8), "m6": dict(k=0.6, l=0.8)}
@@ -53,12 +55,7 @@ def test_jacobi_operator_of_the_normal(family):
 def test_a_random_unit_normal_has_another_jacobi_spectrum():
     xi = np.random.default_rng(2).standard_normal((200, 6))
     xi /= frames.g_norm(T, xi)[:, None]
-    # a g-orthonormal basis of xi-perp: with g = L L^T, x -> L^T x is an
-    # isometry onto Euclidean R^6, where QR completes L^T xi to a basis
-    L = np.linalg.cholesky(T.g)
-    seeds = np.concatenate([(xi @ L)[:, :, None], np.broadcast_to(np.eye(6)[:, :5], (200, 6, 5))],
-                           axis=-1)
-    basis = np.linalg.qr(seeds)[0][:, :, 1:].swapaxes(-1, -2) @ np.linalg.inv(L)
+    basis = complement_frame(T, xi[:, None, :])  # a g-orthonormal basis of xi-perp
     assert np.abs(frames.g_inner(T, basis[:, :, None, :], basis[:, None, :, :])
                   - np.eye(5)).max() <= JACOBI_TOL
     assert np.abs(frames.g_inner(T, basis, xi[:, None, :])).max() <= JACOBI_TOL

@@ -11,6 +11,8 @@ from nks3 import frames, hypersurfaces as hs, isometries as iso, pointwise as pw
 from nks3 import verify
 from nks3.errors import DegenerateImmersionError, DomainError
 
+from level_sets import complement_frame
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -460,6 +462,28 @@ def test_complement_residual_is_the_distribution_coefficient(family, params):
                              hs.random_chart_points(np.random.default_rng(13), 5))
     res = verify._complement_residual(data)
     assert np.max(np.abs(res - data.c)) <= 1e-14
+
+
+def test_complement_residual_is_c_at_any_unit_normal():
+    """`P-preserves-complement` and `distribution-dim` read one quantity.
+
+    P U = -P J xi = J P xi.  Write P xi = a xi + b U + r with r g-orthogonal
+    to xi and U; then P U = -a U + b xi + J r, and J r is orthogonal to xi
+    and U too, so the tangent part of P U off U is J r, whose g-norm is
+    |r|_g = c.  Held on 2000 random g-unit xi, each with a random symmetric
+    A on a QR frame of its g-complement, as point data with no chart: c
+    spans [0.015, 1.0] and the two differ by at most 5.6e-16.
+    """
+    t = frames.get_tables()
+    rng = np.random.default_rng(17)
+    xi = rng.standard_normal((2000, 6))
+    xi /= frames.g_norm(t, xi)[:, None]
+    frame = complement_frame(t, xi[:, None, :])
+    B = rng.standard_normal((2000, 5, 5))
+    data = hs.HypersurfacePointData(None, None, None, None, None, frame, None,
+                                    *hs._apparatus(xi, B + B.swapaxes(-1, -2), frame))
+    assert np.min(data.c) > 0.01
+    assert np.max(np.abs(verify._complement_residual(data) - data.c)) <= 1e-14
 
 
 @pytest.mark.parametrize("family,params", [("m1", {"r": 0.6}), ("m4", {"k": 0.6, "l": 0.8})])
