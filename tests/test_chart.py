@@ -6,7 +6,7 @@ ybar d_b y of the second factor, and for the twist (-rho_a, -rho_a) and
 (0, R(x) ybar d_b y).  Each family is held here to the route it replaces,
 written out in full: the factors and their R^4 partials (`_sphere_products`
 and `_torus_products` as chained `quat.mul` products, `_round_sphere_r4`),
-padded with zero rows to (5, 4) velocity arrays and pushed through
+padded with zero rows to (5, 2, 4) velocity pairs and pushed through
 `IsometryMap.differential_components` and
 `frames.frame_coords_components`.
 
@@ -75,23 +75,22 @@ def _torus_products(phi1, phi2, k, l):
 
 
 def _product_route(M, u):
-    """The pushforward of the chart's factors with zero-padded (5, 4)
-    velocity arrays U and V, through the isometry's differential."""
+    """The pushforward of the chart's factors with zero-padded (5, 2, 4)
+    velocity pairs (U, V), through the isometry's differential."""
     u = np.asarray(u, dtype=float)
     second = (_round_sphere_r4 if M.family in hs.THREE_CURVATURE_FAMILIES
               else _torus_products)
     x, dx = _sphere_products(u)
     y, dy = second(u[..., 3], u[..., 4], *M._row_params(u))
-    U = np.zeros(u.shape[:-1] + (5, 4))
-    V = np.zeros_like(U)
-    U[..., :3, :] = dx
-    V[..., 3:, :] = dy
-    p, q = x, y
+    z = np.zeros(u.shape[:-1] + (5, 2, 4))
+    z[..., :3, 0, :] = dx
+    z[..., 3:, 1, :] = dy
+    pt = np.stack([x, y], axis=-2)
     m = ISOMETRY.get(M.family)
     if m is not None:
-        U, V = m.differential_components(p[..., None, :], q[..., None, :], U, V)
-        p, q = m.apply_components(p, q)
-    return p, q, frames.frame_coords_components(p[..., None, :], q[..., None, :], U, V)
+        z = m.differential_components(pt[..., None, :, :], z)
+        pt = m.apply_components(pt)
+    return pt[..., 0, :], pt[..., 1, :], frames.frame_coords_components(pt[..., None, :, :], z)
 
 
 def _gap(M, u, want=None) -> float:
@@ -198,8 +197,8 @@ class TestFrameRows:
         for p, q in points:
             rows = hs._frame_rows(p, q)
             assert rows.shape == p.shape[:-1] + (6, 8)
-            assert np.array_equal(
-                rows, frames.frame_to_r8(p[..., None, :], q[..., None, :], np.eye(6)))
+            flat = frames.frame_to_r8(np.stack([p, q], axis=-2)[..., None, :, :], np.eye(6))
+            assert np.array_equal(rows, flat.reshape(rows.shape))
 
 
 @pytest.mark.parametrize("family,params", verify.DEFAULT_BATTERY)

@@ -167,9 +167,9 @@ def test_spectra_match_takes_lists():
 
 
 QUATERNIONS = ([0.6, 0.0, 0.8, 0.0], [0, 1, 0, 0], [0.5, -0.5, 0.5, 0.5])
-POINTS = ([0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.0, -0.8])
-# tangent at POINTS: <u, p> = 0 and <v, q> = 0
-VECTORS = ([0.5, -0.5, 0.5, -0.5], [1, 0, 0, 0])
+POINT = [[0.5, 0.5, 0.5, 0.5], [0.0, 0.6, 0.0, -0.8]]
+# tangent at POINT: <u, p> = 0 and <v, q> = 0
+VECTOR = [[0.5, -0.5, 0.5, -0.5], [1, 0, 0, 0]]
 
 
 def test_two_sided_translation_takes_list_quaternions():
@@ -183,8 +183,8 @@ def test_two_sided_translation_takes_list_quaternions():
                                   lambda: iso.two_sided_translation(*QUATERNIONS)])
 def test_isometry_maps_take_list_points(make):
     m = make()
-    arrays = [np.array(x, float) for x in POINTS + VECTORS]
-    for a, b in zip(m.apply_components(*POINTS) + m.differential_components(*POINTS, *VECTORS),
-                    m.apply_components(*arrays[:2]) + m.differential_components(*arrays)):
+    x, z = np.array(POINT, float), np.array(VECTOR, float)
+    for a, b in ((m.apply_components(POINT), m.apply_components(x)),
+                 (m.differential_components(POINT, VECTOR), m.differential_components(x, z))):
         assert isinstance(a, np.ndarray)
         _same_bits(a, b)

@@ -23,8 +23,13 @@ def _rng(seed=0):
 
 
 def _points(rng, n):
-    """n points (p, q) of the product, each factor (n, 4)."""
-    return tuple(qt.unit_rows(rng, rng.standard_normal((2, n, 4))))
+    """n points (p, q) of the product, (n, 2, 4)."""
+    return qt.unit_rows(rng, rng.standard_normal((n, 2, 4)))
+
+
+def _sampled_points(rng, n):
+    """n points (p, q), (n, 2, 4), from `quat.sample_unit` calls, p and then q."""
+    return np.array([[qt.sample_unit(rng), qt.sample_unit(rng)] for _ in range(n)])
 
 
 def _structure_check_table():
@@ -84,56 +89,55 @@ class TestTables:
 class TestFrameCoordinates:
     def test_round_trip_identity(self):
         rng = _rng(1)
-        p, q = _points(rng, 50)
+        pts = _points(rng, 50)
         x = rng.standard_normal((50, 6))
-        w = frames.frame_to_r8(p, q, x)
-        npt.assert_allclose(frames.frame_coords_components(p, q, w[:, :4], w[:, 4:]), x,
-                            atol=1e-12)
+        w = frames.frame_to_r8(pts, x)
+        npt.assert_allclose(frames.frame_coords_components(pts, w), x, atol=1e-12)
 
     def test_object_form_is_the_component_form(self):
         rng = _rng(5)
-        p, q = _points(rng, 1)
-        u, v = pw.project_components(p[0], q[0], *rng.standard_normal((2, 4)))
-        z = pw.TangentVector(pw.AmbientPoint(p[0], q[0]), u, v)
+        pt = _points(rng, 1)[0]
+        w = pw.project_components(pt, rng.standard_normal((2, 4)))
+        z = pw.TangentVector(pw.AmbientPoint(*pt), *w)
         assert (frames.frame_coords(z).tobytes()
-                == frames.frame_coords_components(p[0], q[0], u, v).tobytes())
+                == frames.frame_coords_components(pt, w).tobytes())
 
     def test_r8_projection_round_trip(self):
         rng = _rng(2)
-        p, q = _points(rng, 50)
+        pts = _points(rng, 50)
         x = rng.standard_normal((50, 6))
-        npt.assert_allclose(frames.r8_to_frame(p, q, frames.frame_to_r8(p, q, x)), x,
+        npt.assert_allclose(frames.r8_to_frame(pts, frames.frame_to_r8(pts, x)), x,
                             atol=1e-12)
 
     def test_flat_conversions_broadcast_over_batches(self):
         rng = _rng(4)
-        p, q = _points(rng, 6)
+        pts = _points(rng, 6)
         x = rng.standard_normal((6, 6))
-        w = rng.standard_normal((6, 8))
-        flat = frames.frame_to_r8(p, q, x)
-        back = frames.r8_to_frame(p, q, w)
-        assert flat.shape == (6, 8) and back.shape == (6, 6)
+        w = rng.standard_normal((6, 2, 4))
+        flat = frames.frame_to_r8(pts, x)
+        back = frames.r8_to_frame(pts, w)
+        assert flat.shape == (6, 2, 4) and back.shape == (6, 6)
         for i in range(6):
-            npt.assert_array_equal(flat[i], frames.frame_to_r8(p[i], q[i], x[i]))
-            npt.assert_array_equal(back[i], frames.r8_to_frame(p[i], q[i], w[i]))
+            npt.assert_array_equal(flat[i], frames.frame_to_r8(pts[i], x[i]))
+            npt.assert_array_equal(back[i], frames.r8_to_frame(pts[i], w[i]))
         # one point against a stack of vectors
-        npt.assert_array_equal(frames.frame_to_r8(p[0], q[0], x)[2],
-                               frames.frame_to_r8(p[0], q[0], x[2]))
+        npt.assert_array_equal(frames.frame_to_r8(pts[0], x)[2],
+                               frames.frame_to_r8(pts[0], x[2]))
 
     def test_agreement_with_pointwise(self):
         rng = _rng(3)
-        p, q = _points(rng, 100)
-        z1 = pw.project_components(p, q, *rng.standard_normal((2, 100, 4)))
-        z2 = pw.project_components(p, q, *rng.standard_normal((2, 100, 4)))
-        x1 = frames.frame_coords_components(p, q, *z1)
-        x2 = frames.frame_coords_components(p, q, *z2)
-        for image, table in ((pw.j_components(p, q, *z1), T.J),
-                             (pw.p_components(p, q, *z1), T.P),
-                             (pw.q_components(*z1), T.Q)):
+        pts = _points(rng, 100)
+        z1 = pw.project_components(pts, rng.standard_normal((100, 2, 4)))
+        z2 = pw.project_components(pts, rng.standard_normal((100, 2, 4)))
+        x1 = frames.frame_coords_components(pts, z1)
+        x2 = frames.frame_coords_components(pts, z2)
+        for image, table in ((pw.j_components(pts, z1), T.J),
+                             (pw.p_components(pts, z1), T.P),
+                             (pw.q_components(z1), T.Q)):
             npt.assert_allclose(
-                frames.frame_coords_components(p, q, *pw.project_components(p, q, *image)),
+                frames.frame_coords_components(pts, pw.project_components(pts, image)),
                 x1 @ table.T, atol=1e-10)
-        npt.assert_allclose(pw.metric_components(p, q, *z1, *z2),
+        npt.assert_allclose(pw.metric_components(pts, z1, z2),
                             np.einsum("na,ab,nb->n", x1, T.g, x2), rtol=0.0, atol=1e-10)
 
 
@@ -192,32 +196,29 @@ class TestFlatConnectionRelation:
         # at (1, 1) the flat derivative of the E2 field along E1 projects to E3
         e1 = np.eye(6)[0]
         e2 = np.eye(6)[1]
-        npt.assert_allclose(
-            frames.euclidean_connection(qt.ONE, qt.ONE, e1, e2), np.eye(6)[2], atol=1e-15
-        )
-        assert frames.connection_relation_residual(T, qt.ONE, qt.ONE, e1, e2) <= 1e-14
+        one = np.stack([qt.ONE, qt.ONE])
+        npt.assert_allclose(frames.euclidean_connection(one, e1, e2), np.eye(6)[2], atol=1e-15)
+        assert frames.connection_relation_residual(T, one, e1, e2) <= 1e-14
 
     def test_flat_derivative_is_the_cross_product(self):
         # (p x, q x') differentiated along (p y, q y') is (p x y, q x' y');
         # projecting off the radial part -(x . y) p leaves p (x cross y)
         rng = _rng(17)
         for _ in range(200):
-            p, q = qt.sample_unit(rng), qt.sample_unit(rng)
+            pt = _sampled_points(rng, 1)[0]
             x, y = rng.standard_normal((2, 6))
             expected = np.concatenate([np.cross(x[:3], y[:3]), np.cross(x[3:], y[3:])])
-            npt.assert_allclose(frames.euclidean_connection(p, q, x, y), expected,
+            npt.assert_allclose(frames.euclidean_connection(pt, x, y), expected,
                                 rtol=0.0, atol=1e-14)
 
     def test_euclidean_connection_batches_rowwise(self):
         rng = _rng(18)
         n = 200
-        p = np.array([qt.sample_unit(rng) for _ in range(n)])
-        q = np.array([qt.sample_unit(rng) for _ in range(n)])
+        pts = _sampled_points(rng, n)
         X, Y = rng.standard_normal((2, n, 6))
-        batched = frames.euclidean_connection(p, q, X, Y)
+        batched = frames.euclidean_connection(pts, X, Y)
         assert batched.shape == (n, 6)
-        rows = np.array([frames.euclidean_connection(p[i], q[i], X[i], Y[i])
-                         for i in range(n)])
+        rows = np.array([frames.euclidean_connection(pts[i], X[i], Y[i]) for i in range(n)])
         assert batched.tobytes() == rows.tobytes()
 
     def test_connection_relation_residual_batches_rowwise(self):
@@ -225,21 +226,19 @@ class TestFlatConnectionRelation:
         # each row is its single-point residual, to the last bit
         rng = _rng(21)
         n = 200
-        p = np.array([qt.sample_unit(rng) for _ in range(n)])
-        q = np.array([qt.sample_unit(rng) for _ in range(n)])
+        pts = _sampled_points(rng, n)
         X, Y = rng.standard_normal((2, n, 6))
-        batched = frames.connection_relation_residual(T, p, q, X, Y)
+        batched = frames.connection_relation_residual(T, pts, X, Y)
         assert batched.shape == (n,)
-        rows = [frames.connection_relation_residual(T, p[i], q[i], X[i], Y[i])
-                for i in range(n)]
+        rows = [frames.connection_relation_residual(T, pts[i], X[i], Y[i]) for i in range(n)]
         assert all(r.shape == () for r in rows)
         assert batched.tobytes() == np.array(rows).tobytes()
 
     def test_random_fields(self):
         rng = _rng(7)
-        p, q = _points(rng, 200)
+        pts = _points(rng, 200)
         X, Y = rng.standard_normal((2, 200, 6))
-        assert np.max(frames.connection_relation_residual(T, p, q, X, Y)) <= 1e-10
+        assert np.max(frames.connection_relation_residual(T, pts, X, Y)) <= 1e-10
 
     def test_connection_gap_batches_rowwise(self):
         # the hypersurface code subtracts the gap from stacks of frame rows
@@ -263,12 +262,11 @@ class TestFlatConnectionRelation:
         # projection have the same coefficients
         rng = _rng(19)
         n = 200
-        p = np.array([qt.sample_unit(rng) for _ in range(n)])
-        q = np.array([qt.sample_unit(rng) for _ in range(n)])
-        u, v = rng.standard_normal((2, n, 4))
-        raw = frames.frame_coords_components(p, q, u, v)
-        projected = frames.frame_coords_components(p, q, *pw.project_components(p, q, u, v))
-        scale = np.maximum(np.abs(u).max(-1), np.abs(v).max(-1))[:, None]
+        pts = _sampled_points(rng, n)
+        w = rng.standard_normal((n, 2, 4))
+        raw = frames.frame_coords_components(pts, w)
+        projected = frames.frame_coords_components(pts, pw.project_components(pts, w))
+        scale = np.abs(w).max(axis=(-2, -1))[:, None]
         assert np.all(np.abs(raw - projected) <= 8.0 * np.finfo(float).eps * scale)
 
     def test_negative_control_scaled_tables_fail(self):
@@ -278,7 +276,7 @@ class TestFlatConnectionRelation:
         tol = next(c["tolerance"] for c in _structure_check_table()
                    if c["id"] == "flat-connection-relation")
         rng = _rng(20)
-        samples = [(qt.sample_unit(rng), qt.sample_unit(rng), *rng.standard_normal((2, 6)))
+        samples = [(_sampled_points(rng, 1)[0], *rng.standard_normal((2, 6)))
                    for _ in range(100)]
 
         def worst(tables):

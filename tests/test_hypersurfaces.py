@@ -130,8 +130,8 @@ class TestMakeExample:
                 step = np.zeros(5)
                 step[a] = h
                 (p1, q1), (p2, q2) = M.pushforward(u + step)[:2], M.pushforward(u - step)[:2]
-                d8 = np.concatenate([p1 - p2, q1 - q2]) / (2.0 * h)
-                npt.assert_allclose(frames.r8_to_frame(p, q, d8), T[a], atol=1e-8)
+                d = np.stack([p1 - p2, q1 - q2]) / (2.0 * h)
+                npt.assert_allclose(frames.r8_to_frame(np.stack([p, q]), d), T[a], atol=1e-8)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_batched_pushforward_equals_single_points(self, family, kw):
@@ -1151,6 +1151,27 @@ class TestBatchedResiduals:
         with pytest.raises(PreconditionError,
                            match=re.escape(f"Hopf condition at (p, q)={point}")):
             hs.hopf_identity_residual(data, XP, YP)
+
+    def test_chart_free_data_slices_and_the_chart_readers_name_the_missing_chart(self):
+        rng = np.random.default_rng(34)
+        p, q = qt.unit_rows(rng, rng.standard_normal((2, 4, 4)))
+        data = level_set_data(hs._LEVEL_SETS["m1"], p, q)
+        head = data[0:2]
+        assert len(head) == 2
+        for f in dataclasses.fields(data):
+            got, full = getattr(head, f.name), getattr(data, f.name)
+            if full is None:
+                assert got is None, f.name
+            else:
+                assert got.tobytes() == full[0:2].tobytes(), f.name
+        e = np.eye(5)
+        for what, reader in (
+                ("stencil residuals", lambda: hs.stencil_residuals(data, e[0], e[1], e[1])),
+                ("theta-r consistency", lambda: hs.theta_r_consistency(data)),
+                ("leaf geometry", lambda: hs.leaf_geometry(data))):
+            with pytest.raises(PreconditionError,
+                               match=re.escape(f"{what}: this point data has no chart")):
+                reader()
 
 
 class TestModuliRelations:

@@ -32,17 +32,17 @@ def test_twist_point_map():
 
 
 def _tangents(rng, n):
-    """n points p, q (n, 4) and a tangent pair u, v (n, 4) at each."""
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
-    return (p, q) + pw.project_components(p, q, *rng.standard_normal((2, n, 4)))
+    """n points x = (p, q) (n, 2, 4) and a tangent pair z = (U, V) (n, 2, 4) at each."""
+    x = qt.unit_rows(rng, rng.standard_normal((n, 2, 4)))
+    return x, pw.project_components(x, rng.standard_normal((n, 2, 4)))
 
 
-def _J(p, q, u, v):
-    return pw.project_components(p, q, *pw.j_components(p, q, u, v))
+def _J(x, z):
+    return pw.project_components(x, pw.j_components(x, z))
 
 
-def _P(p, q, u, v):
-    return pw.project_components(p, q, *pw.p_components(p, q, u, v))
+def _P(x, z):
+    return pw.project_components(x, pw.p_components(x, z))
 
 
 def test_trivial_translation_is_identity():
@@ -102,53 +102,50 @@ def _all_maps(rng):
 def test_metric_pullback():
     rng = np.random.default_rng(1)
     for m in _all_maps(rng):
-        p, q, u1, v1 = _tangents(rng, 50)
-        u2, v2 = pw.project_components(p, q, *rng.standard_normal((2, 50, 4)))
-        image = m.apply_components(p, q)
-        pulled = pw.metric_components(*image, *m.differential_components(p, q, u1, v1),
-                                      *m.differential_components(p, q, u2, v2))
-        npt.assert_allclose(pulled, pw.metric_components(p, q, u1, v1, u2, v2),
-                            rtol=0.0, atol=1e-10)
+        x, z1 = _tangents(rng, 50)
+        z2 = pw.project_components(x, rng.standard_normal((50, 2, 4)))
+        pulled = pw.metric_components(m.apply_components(x), m.differential_components(x, z1),
+                                      m.differential_components(x, z2))
+        npt.assert_allclose(pulled, pw.metric_components(x, z1, z2), rtol=0.0, atol=1e-10)
 
 
 def test_differential_against_central_differences():
     rng = np.random.default_rng(2)
     for m in _all_maps(rng):
-        p, q, u, v = _tangents(rng, 25)
-        closed = m.differential_components(p, q, u, v)
-        fd = iso.differential_fd_components(m, p, q, u, v)
+        x, z = _tangents(rng, 25)
+        closed = m.differential_components(x, z)
+        fd = iso.differential_fd_components(m, x, z)
         npt.assert_allclose(closed, fd, atol=1e-6)
 
 
 def test_component_maps_broadcast_and_match_single_points():
     rng = np.random.default_rng(5)
-    p, q, u, v = _tangents(rng, 5)
+    x, z = _tangents(rng, 5)
     for m in _all_maps(rng):
-        p2, q2 = m.apply_components(p, q)
-        du, dv = m.differential_components(p, q, u, v)
+        image = m.apply_components(x)
+        dz = m.differential_components(x, z)
         for i in range(5):
-            d = m.differential(pw.TangentVector(pw.AmbientPoint(p[i], q[i]), u[i], v[i]))
-            npt.assert_array_equal(d.at.p, p2[i])
-            npt.assert_array_equal(d.at.q, q2[i])
-            npt.assert_array_equal(d.u, du[i])
-            npt.assert_array_equal(d.v, dv[i])
+            d = m.differential(pw.TangentVector(pw.AmbientPoint(*x[i]), *z[i]))
+            npt.assert_array_equal(d.at.p, image[i, 0])
+            npt.assert_array_equal(d.at.q, image[i, 1])
+            npt.assert_array_equal(d.u, dz[i, 0])
+            npt.assert_array_equal(d.v, dz[i, 1])
 
 
 def test_batched_differential_fd_matches_single_points_bitwise():
     rng = np.random.default_rng(7)
-    p, q, u, v = _tangents(rng, 6)
+    x, z = _tangents(rng, 6)
     a, b, c = qt.unit_rows(rng, rng.standard_normal((3, 6, 4)))
     batched_translation = iso.two_sided_translation(a, b, c)
     for m in _all_maps(rng) + [batched_translation]:
-        du, dv = iso.differential_fd_components(m, p, q, u, v)
+        dz = iso.differential_fd_components(m, x, z)
         for i in range(6):
             single = m
             if m is batched_translation:
                 single = iso.two_sided_translation(a[i], b[i], c[i])
-            z = pw.TangentVector(pw.AmbientPoint(p[i], q[i]), u[i], v[i])
-            fd = iso.differential_fd(single, z)
-            npt.assert_array_equal(fd.u, du[i])
-            npt.assert_array_equal(fd.v, dv[i])
+            fd = iso.differential_fd(single, pw.TangentVector(pw.AmbientPoint(*x[i]), *z[i]))
+            npt.assert_array_equal(fd.u, dz[i, 0])
+            npt.assert_array_equal(fd.v, dz[i, 1])
 
 
 def test_differential_fd_converges_at_second_order(monkeypatch):
@@ -156,15 +153,16 @@ def test_differential_fd_converges_at_second_order(monkeypatch):
     # error, which quarters when FD_H halves; at these steps that error
     # (about 1e-5) is far above the round-off of about 1e-16 / FD_H
     rng = np.random.default_rng(8)
-    p, q, u, v, a, b, c = qt.unit_rows(rng, rng.standard_normal((7, 20, 4)))
-    u, v = pw.project_components(p, q, u, v)
+    x, z, abc = np.split(qt.unit_rows(rng, rng.standard_normal((20, 7, 4))), [2, 4], axis=1)
+    z = pw.project_components(x, z)
+    a, b, c = abc.transpose(1, 0, 2)
     for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
-        exact = np.concatenate(m.differential_components(p, q, u, v), axis=-1)
+        exact = m.differential_components(x, z)
 
         def error(h):
             monkeypatch.setattr(iso, "FD_H", h)
-            fd = np.concatenate(iso.differential_fd_components(m, p, q, u, v), axis=-1)
-            return np.max(np.abs(fd - exact), axis=-1)
+            fd = iso.differential_fd_components(m, x, z)
+            return np.max(np.abs(fd - exact), axis=(-2, -1))
 
         coarse, fine = error(1e-2), error(5e-3)
         assert np.all(fine > 1e-7), m.tag
@@ -176,14 +174,14 @@ def test_swap_differential_relations():
     # d(swap) anticommutes with J and commutes with P
     m = iso.factor_swap()
     rng = np.random.default_rng(3)
-    p, q, u, v = _tangents(rng, 100)
-    image = m.apply_components(p, q)
-    dz = m.differential_components(p, q, u, v)
-    a = m.differential_components(p, q, *_J(p, q, u, v))
-    b = _J(*image, *dz)
+    x, z = _tangents(rng, 100)
+    image = m.apply_components(x)
+    dz = m.differential_components(x, z)
+    a = m.differential_components(x, _J(x, z))
+    b = _J(image, dz)
     assert np.max(np.abs(np.add(a, b))) <= 1e-10
-    a = m.differential_components(p, q, *_P(p, q, u, v))
-    b = _P(*image, *dz)
+    a = m.differential_components(x, _P(x, z))
+    b = _P(image, dz)
     assert np.max(np.abs(np.subtract(a, b))) <= 1e-10
 
 
@@ -191,16 +189,16 @@ def test_twist_differential_relations():
     # d(twist) anticommutes with J; through P it picks up -P/2 + sqrt(3)/2 JP
     m = iso.conjugation_twist()
     rng = np.random.default_rng(4)
-    p, q, u, v = _tangents(rng, 100)
-    image = m.apply_components(p, q)
-    dz = m.differential_components(p, q, u, v)
-    a = m.differential_components(p, q, *_J(p, q, u, v))
-    b = _J(*image, *dz)
+    x, z = _tangents(rng, 100)
+    image = m.apply_components(x)
+    dz = m.differential_components(x, z)
+    a = m.differential_components(x, _J(x, z))
+    b = _J(image, dz)
     assert np.max(np.abs(np.add(a, b))) <= 1e-10
-    a = m.differential_components(p, q, *_P(p, q, u, v))
-    pdz = _P(*image, *dz)
-    jpdz = _J(*image, *pdz)
-    npt.assert_allclose(a, -0.5 * np.array(pdz) + (SQRT3 / 2.0) * np.array(jpdz), atol=1e-10)
+    a = m.differential_components(x, _P(x, z))
+    pdz = _P(image, dz)
+    jpdz = _J(image, pdz)
+    npt.assert_allclose(a, -0.5 * pdz + (SQRT3 / 2.0) * jpdz, atol=1e-10)
 
 
 def test_composition_identities():

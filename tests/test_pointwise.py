@@ -1,5 +1,6 @@
 """Pointwise structure tensors: frozen values at (1, 1) and random-sample
-identities for J, g, P, Q, on component arrays."""
+identities for J, g, P, Q, on points x = (p, q) and tangent pairs
+z = (U, V) of shape (..., 2, 4)."""
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from nks3.errors import DomainError
 SQRT3 = np.sqrt(3.0)
 
 ORIGIN = pw.AmbientPoint(qt.ONE, qt.ONE)
+ONE = np.stack([qt.ONE, qt.ONE])  # the point (1, 1)
 ZERO = np.zeros(4)
 
 
@@ -20,25 +22,25 @@ def _z(u, v, at=ORIGIN):
 
 
 def _points(rng, n=100):
-    """n points (p, q) of the product, each factor (n, 4)."""
-    return tuple(qt.unit_rows(rng, rng.standard_normal((2, n, 4))))
+    """n points (p, q) of the product, (n, 2, 4)."""
+    return qt.unit_rows(rng, rng.standard_normal((n, 2, 4)))
 
 
-def _tangents(rng, p, q):
-    """Random tangent pairs (U, V) at the points (p, q)."""
-    return pw.project_components(p, q, *rng.standard_normal((2,) + p.shape))
+def _tangents(rng, x):
+    """Random tangent pairs (U, V) at the points x."""
+    return pw.project_components(x, rng.standard_normal(x.shape))
 
 
-def _J(p, q, u, v):
-    return pw.project_components(p, q, *pw.j_components(p, q, u, v))
+def _J(x, z):
+    return pw.project_components(x, pw.j_components(x, z))
 
 
-def _P(p, q, u, v):
-    return pw.project_components(p, q, *pw.p_components(p, q, u, v))
+def _P(x, z):
+    return pw.project_components(x, pw.p_components(x, z))
 
 
-def _Q(p, q, u, v):
-    return pw.project_components(p, q, *pw.q_components(u, v))
+def _Q(x, z):
+    return pw.project_components(x, pw.q_components(z))
 
 
 def test_ambient_point_validates_norm():
@@ -85,39 +87,37 @@ class TestProjection:
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        p, q = _points(rng, 50)
-        once = pw.project_components(p, q, *rng.standard_normal((2, 50, 4)))
-        twice = pw.project_components(p, q, *once)
+        x = _points(rng, 50)
+        once = pw.project_components(x, rng.standard_normal((50, 2, 4)))
+        twice = pw.project_components(x, once)
         npt.assert_allclose(once, twice, atol=1e-15)
 
     def test_object_form_is_the_component_form(self):
         rng = np.random.default_rng(11)
-        p, q = _points(rng, 1)
+        x = _points(rng, 1)[0]
         u, v = rng.standard_normal((2, 4))
-        z = pw.project_tangent(pw.AmbientPoint(p[0], q[0]), u, v)
-        pu, pv = pw.project_components(p[0], q[0], u, v)
+        z = pw.project_tangent(pw.AmbientPoint(*x), u, v)
+        pu, pv = pw.project_components(x, np.stack([u, v]))
         assert z.u.tobytes() == pu.tobytes() and z.v.tobytes() == pv.tobytes()
 
 
 class TestAlmostComplexStructure:
     def test_value_at_origin_first_slot(self):
         # direct substitution: (U, V) = (i, 0) at (1, 1)
-        ju, jv = _J(qt.ONE, qt.ONE, qt.E1, ZERO)
+        ju, jv = _J(ONE, np.stack([qt.E1, ZERO]))
         npt.assert_allclose(ju, -qt.E1 / SQRT3, atol=1e-15)
         npt.assert_allclose(jv, -2.0 * qt.E1 / SQRT3, atol=1e-15)
 
     def test_value_at_origin_second_slot(self):
-        ju, jv = _J(qt.ONE, qt.ONE, ZERO, qt.E1)
+        ju, jv = _J(ONE, np.stack([ZERO, qt.E1]))
         npt.assert_allclose(ju, 2.0 * qt.E1 / SQRT3, atol=1e-15)
         npt.assert_allclose(jv, qt.E1 / SQRT3, atol=1e-15)
 
     def test_squares_to_minus_identity(self):
         rng = np.random.default_rng(1)
-        p, q = _points(rng)
-        u, v = _tangents(rng, p, q)
-        jju, jjv = _J(p, q, *_J(p, q, u, v))
-        npt.assert_allclose(jju, -u, atol=1e-12)
-        npt.assert_allclose(jjv, -v, atol=1e-12)
+        x = _points(rng)
+        z = _tangents(rng, x)
+        npt.assert_allclose(_J(x, _J(x, z)), -z, atol=1e-12)
 
 
 class TestMetric:
@@ -126,36 +126,36 @@ class TestMetric:
         z0i = _z(np.zeros(4), qt.E1)
         assert pw.metric_g(zi0, zi0) == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert pw.metric_g(zi0, z0i) == pytest.approx(-2.0 / 3.0, abs=1e-15)
-        one = (qt.ONE, qt.ONE)
-        assert pw.metric_components(*one, qt.E1, ZERO, qt.E1, ZERO) == pw.metric_g(zi0, zi0)
-        assert pw.metric_components(*one, qt.E1, ZERO, ZERO, qt.E1) == pw.metric_g(zi0, z0i)
+        i0, oi = np.stack([qt.E1, ZERO]), np.stack([ZERO, qt.E1])
+        assert pw.metric_components(ONE, i0, i0) == pw.metric_g(zi0, zi0)
+        assert pw.metric_components(ONE, i0, oi) == pw.metric_g(zi0, z0i)
 
     def test_symmetric(self):
         rng = np.random.default_rng(2)
-        p, q = _points(rng)
-        z1, z2 = _tangents(rng, p, q), _tangents(rng, p, q)
-        npt.assert_allclose(pw.metric_components(p, q, *z1, *z2),
-                            pw.metric_components(p, q, *z2, *z1), rtol=0.0, atol=1e-12)
+        x = _points(rng)
+        z1, z2 = _tangents(rng, x), _tangents(rng, x)
+        npt.assert_allclose(pw.metric_components(x, z1, z2),
+                            pw.metric_components(x, z2, z1), rtol=0.0, atol=1e-12)
 
     def test_both_forms_agree(self):
         rng = np.random.default_rng(3)
-        p, q = _points(rng)
-        z1, z2 = _tangents(rng, p, q), _tangents(rng, p, q)
-        npt.assert_allclose(pw.metric_components(p, q, *z1, *z2),
-                            pw.metric_hermitian_components(p, q, *z1, *z2),
+        x = _points(rng)
+        z1, z2 = _tangents(rng, x), _tangents(rng, x)
+        npt.assert_allclose(pw.metric_components(x, z1, z2),
+                            pw.metric_hermitian_components(x, z1, z2),
                             rtol=0.0, atol=1e-10)
 
     def test_J_invariant(self):
         rng = np.random.default_rng(4)
-        p, q = _points(rng)
-        z1, z2 = _tangents(rng, p, q), _tangents(rng, p, q)
-        npt.assert_allclose(pw.metric_components(p, q, *_J(p, q, *z1), *_J(p, q, *z2)),
-                            pw.metric_components(p, q, *z1, *z2), rtol=0.0, atol=1e-10)
+        x = _points(rng)
+        z1, z2 = _tangents(rng, x), _tangents(rng, x)
+        npt.assert_allclose(pw.metric_components(x, _J(x, z1), _J(x, z2)),
+                            pw.metric_components(x, z1, z2), rtol=0.0, atol=1e-10)
 
     def test_anchor_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        p, q = _points(rng, 2)
-        z1, z2 = (pw.project_tangent(pw.AmbientPoint(p[i], q[i]), *rng.standard_normal((2, 4)))
+        x = _points(rng, 2)
+        z1, z2 = (pw.project_tangent(pw.AmbientPoint(*x[i]), *rng.standard_normal((2, 4)))
                   for i in range(2))
         with pytest.raises(DomainError):
             pw.metric_g(z1, z2)
@@ -163,57 +163,48 @@ class TestMetric:
 
 class TestProductStructure:
     def test_value_at_origin(self):
-        pu, pv = _P(qt.ONE, qt.ONE, qt.E1, ZERO)
+        pu, pv = _P(ONE, np.stack([qt.E1, ZERO]))
         npt.assert_allclose(pu, np.zeros(4), atol=1e-15)
         npt.assert_allclose(pv, qt.E1, atol=1e-15)
 
     def test_involution(self):
         rng = np.random.default_rng(6)
-        p, q = _points(rng)
-        u, v = _tangents(rng, p, q)
-        ppu, ppv = _P(p, q, *_P(p, q, u, v))
-        npt.assert_allclose(ppu, u, atol=1e-12)
-        npt.assert_allclose(ppv, v, atol=1e-12)
+        x = _points(rng)
+        z = _tangents(rng, x)
+        npt.assert_allclose(_P(x, _P(x, z)), z, atol=1e-12)
 
     def test_g_symmetric(self):
         rng = np.random.default_rng(7)
-        p, q = _points(rng)
-        z1, z2 = _tangents(rng, p, q), _tangents(rng, p, q)
-        npt.assert_allclose(pw.metric_components(p, q, *_P(p, q, *z1), *z2),
-                            pw.metric_components(p, q, *z1, *_P(p, q, *z2)),
+        x = _points(rng)
+        z1, z2 = _tangents(rng, x), _tangents(rng, x)
+        npt.assert_allclose(pw.metric_components(x, _P(x, z1), z2),
+                            pw.metric_components(x, z1, _P(x, z2)),
                             rtol=0.0, atol=1e-10)
 
     def test_anticommutes_with_J(self):
         rng = np.random.default_rng(8)
-        p, q = _points(rng)
-        z, w = _tangents(rng, p, q), _tangents(rng, p, q)
-        pj = _P(p, q, *_J(p, q, *z))
-        jp = _J(p, q, *_P(p, q, *z))
-        s = (pj[0] + jp[0], pj[1] + jp[1])
-        assert np.max(np.abs(pw.metric_components(p, q, *s, *w))) <= 1e-10
+        x = _points(rng)
+        z, w = _tangents(rng, x), _tangents(rng, x)
+        s = _P(x, _J(x, z)) + _J(x, _P(x, z))
+        assert np.max(np.abs(pw.metric_components(x, s, w))) <= 1e-10
 
 
 class TestFactorInvolution:
     def test_definition(self):
-        qu, qv = _Q(qt.ONE, qt.ONE, qt.E1, ZERO)
+        qu, qv = _Q(ONE, np.stack([qt.E1, ZERO]))
         npt.assert_allclose(qu, -qt.E1, atol=1e-15)
         npt.assert_allclose(qv, np.zeros(4), atol=1e-15)
 
     def test_involution(self):
         rng = np.random.default_rng(9)
-        p, q = _points(rng, 1)
-        u, v = _tangents(rng, p, q)
-        qqu, qqv = _Q(p, q, *_Q(p, q, u, v))
-        npt.assert_allclose(qqu, u, atol=1e-15)
-        npt.assert_allclose(qqv, v, atol=1e-15)
+        x = _points(rng, 1)
+        z = _tangents(rng, x)
+        npt.assert_allclose(_Q(x, _Q(x, z)), z, atol=1e-15)
 
     def test_expression_through_P_and_J(self):
         # Q Z = (2 P J Z - J Z) / sqrt(3)
         rng = np.random.default_rng(10)
-        p, q = _points(rng)
-        z = _tangents(rng, p, q)
-        ju, jv = _J(p, q, *z)
-        pju, pjv = _P(p, q, ju, jv)
-        qu, qv = _Q(p, q, *z)
-        npt.assert_allclose(qu, (2.0 * pju - ju) / SQRT3, atol=1e-10)
-        npt.assert_allclose(qv, (2.0 * pjv - jv) / SQRT3, atol=1e-10)
+        x = _points(rng)
+        z = _tangents(rng, x)
+        jz = _J(x, z)
+        npt.assert_allclose(_Q(x, z), (2.0 * _P(x, jz) - jz) / SQRT3, atol=1e-10)

@@ -45,7 +45,7 @@ def test_isometry_suite_passes():
 
 def _isometry_residuals_per_sample(seed, samples):
     """The isometry suite's residuals, one sample at a time on single-point
-    component arrays, with the suite's draw order."""
+    pairs (2, 4), with the suite's draw order."""
     rng = np.random.default_rng(seed)
     swap, twist = iso.factor_swap(), iso.conjugation_twist()
     res = {}
@@ -54,58 +54,56 @@ def _isometry_residuals_per_sample(seed, samples):
         res[cid] = max(res.get(cid, 0.0), float(value))
 
     def J(at, w):
-        return pw.project_components(*at, *pw.j_components(*at, *w))
+        return pw.project_components(at, pw.j_components(at, w))
 
     def P(at, w):
-        return pw.project_components(*at, *pw.p_components(*at, *w))
+        return pw.project_components(at, pw.p_components(at, w))
 
     def gdist(at, w1, w2):
-        d = (w1[0] - w2[0], w1[1] - w2[1])
-        return np.sqrt(np.maximum(pw.metric_components(*at, *d, *d), 0.0))
+        d = w1 - w2
+        return np.sqrt(np.maximum(pw.metric_components(at, d, d), 0.0))
 
     for _ in range(samples):
-        at = (qt.sample_unit(rng), qt.sample_unit(rng))
-        z = pw.project_components(*at, rng.standard_normal(4), rng.standard_normal(4))
-        z2 = pw.project_components(*at, rng.standard_normal(4), rng.standard_normal(4))
+        at = np.stack([qt.sample_unit(rng), qt.sample_unit(rng)])
+        z = pw.project_components(at, rng.standard_normal((2, 4)))
+        z2 = pw.project_components(at, rng.standard_normal((2, 4)))
         trans = iso.two_sided_translation(*(qt.sample_unit(rng) for _ in range(3)))
         for name, m in (("swap", swap), ("twist", twist), ("translation", trans)):
-            image = m.apply_components(*at)
-            d1, d2 = m.differential_components(*at, *z), m.differential_components(*at, *z2)
-            worst("pullback-" + name, abs(pw.metric_components(*image, *d1, *d2)
-                                          - pw.metric_components(*at, *z, *z2)))
-            fd = iso.differential_fd_components(m, *at, *z)
-            worst("differential-vs-fd", np.max(np.abs(fd[0] - d1[0])))
-            worst("differential-vs-fd", np.max(np.abs(fd[1] - d1[1])))
+            image = m.apply_components(at)
+            d1, d2 = m.differential_components(at, z), m.differential_components(at, z2)
+            worst("pullback-" + name, abs(pw.metric_components(image, d1, d2)
+                                          - pw.metric_components(at, z, z2)))
+            fd = iso.differential_fd_components(m, at, z)
+            worst("differential-vs-fd", np.max(np.abs(fd - d1)))
         for name, m in (("swap", swap), ("twist", twist)):
-            image = m.apply_components(*at)
-            jdz = J(image, m.differential_components(*at, *z))
+            image = m.apply_components(at)
+            jdz = J(image, m.differential_components(at, z))
             worst(name + "-J-anticommute", gdist(
-                image, m.differential_components(*at, *J(at, z)), [-x for x in jdz]))
-        image = swap.apply_components(*at)
-        worst("swap-P-commute", gdist(image, swap.differential_components(*at, *P(at, z)),
-                                      P(image, swap.differential_components(*at, *z))))
-        image = twist.apply_components(*at)
-        pdz = P(image, twist.differential_components(*at, *z))
-        jpdz = J(image, pdz)
-        target = [-0.5 * x + (SQRT3 / 2.0) * y for x, y in zip(pdz, jpdz)]
-        worst("twist-P-twist", gdist(image, twist.differential_components(*at, *P(at, z)),
+                image, m.differential_components(at, J(at, z)), -jdz))
+        image = swap.apply_components(at)
+        worst("swap-P-commute", gdist(image, swap.differential_components(at, P(at, z)),
+                                      P(image, swap.differential_components(at, z))))
+        image = twist.apply_components(at)
+        pdz = P(image, twist.differential_components(at, z))
+        target = -0.5 * pdz + (SQRT3 / 2.0) * J(image, pdz)
+        worst("twist-P-twist", gdist(image, twist.differential_components(at, P(at, z)),
                                      target))
 
     for _ in range(samples):
-        pt = (qt.sample_unit(rng), qt.sample_unit(rng))
+        pt = np.stack([qt.sample_unit(rng), qt.sample_unit(rng)])
         a, b, c = (qt.sample_unit(rng) for _ in range(3))
 
         def dist(x, y):
-            return max(np.max(np.abs(x[0] - y[0])), np.max(np.abs(x[1] - y[1])))
+            return np.max(np.abs(x - y))
 
         sw, tw = swap.apply_components, twist.apply_components
-        worst("swap-involution", dist(sw(*sw(*pt)), pt))
-        worst("twist-involution", dist(tw(*tw(*pt)), pt))
+        worst("swap-involution", dist(sw(sw(pt)), pt))
+        worst("twist-involution", dist(tw(tw(pt)), pt))
         t_abc = iso.two_sided_translation(a, b, c).apply_components
         worst("translation-through-swap", dist(
-            t_abc(*sw(*pt)), sw(*iso.two_sided_translation(b, a, c).apply_components(*pt))))
+            t_abc(sw(pt)), sw(iso.two_sided_translation(b, a, c).apply_components(pt))))
         worst("translation-through-twist", dist(
-            t_abc(*tw(*pt)), tw(*iso.two_sided_translation(c, b, a).apply_components(*pt))))
+            t_abc(tw(pt)), tw(iso.two_sided_translation(c, b, a).apply_components(pt))))
     return res
 
 
@@ -119,19 +117,19 @@ def test_isometry_suite_matches_per_sample_recomputation_bitwise():
 
 
 def _vector_maps(rng, n):
-    """The pointwise, frame and differential maps of vectors (U, V) and
-    (U', V') at the points (n, 4), each returning a tuple of arrays."""
+    """The pointwise, frame and differential maps of vectors z and z' (..., 2, 4)
+    at the points (n, 2, 4), each returning one array."""
     p, q, a, b, c = qt.unit_rows(rng, rng.standard_normal((5, n, 4)))
     fns = {
-        "project": lambda at, u, v, u2, v2: pw.project_components(*at, u, v),
-        "P": lambda at, u, v, u2, v2: pw.p_components(*at, u, v),
-        "J": lambda at, u, v, u2, v2: pw.j_components(*at, u, v),
-        "metric": lambda at, u, v, u2, v2: (pw.metric_components(*at, u, v, u2, v2),),
-        "frame": lambda at, u, v, u2, v2: (frames.frame_coords_components(*at, u, v),),
+        "project": lambda at, z, z2: pw.project_components(at, z),
+        "P": lambda at, z, z2: pw.p_components(at, z),
+        "J": lambda at, z, z2: pw.j_components(at, z),
+        "metric": lambda at, z, z2: pw.metric_components(at, z, z2),
+        "frame": lambda at, z, z2: frames.frame_coords_components(at, z),
     }
     for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
-        fns["d " + m.tag] = lambda at, u, v, u2, v2, m=m: m.differential_components(*at, u, v)
-    return (p, q), fns
+        fns["d " + m.tag] = lambda at, z, z2, m=m: m.differential_components(at, z)
+    return np.stack([p, q], axis=-2), fns
 
 
 def _assert_stack_is_separate_calls(fns, at, at_row, k, vectors):
@@ -139,20 +137,19 @@ def _assert_stack_is_separate_calls(fns, at, at_row, k, vectors):
         stacked = f(at, *vectors)
         for i in range(k):
             single = f(at_row(i), *(w[i] for w in vectors))
-            assert len(stacked) == len(single), name
-            for s, o in zip(stacked, single):
-                assert s[i].shape == o.shape and s[i].tobytes() == o.tobytes(), (name, i)
+            assert stacked[i].shape == single.shape, name
+            assert stacked[i].tobytes() == single.tobytes(), (name, i)
 
 
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("n", [1, 100])
 def test_stacked_vectors_equal_separate_calls_bitwise(k, n):
     # the ambient suites map the vectors they need at one point as one
-    # (k, n, 4) stack against the (n, 4) points; each slice of the result
-    # is the bits of its own call
+    # (k, n, 2, 4) stack against the (n, 2, 4) points; each slice of the
+    # result is the bits of its own call
     rng = np.random.default_rng(10 * k + n)
     at, fns = _vector_maps(rng, n)
-    vectors = tuple(rng.standard_normal((4, k, n, 4)))
+    vectors = tuple(rng.standard_normal((2, k, n, 2, 4)))
     _assert_stack_is_separate_calls(fns, at, lambda i: at, k, vectors)
 
 
@@ -162,10 +159,10 @@ def test_stacked_points_equal_separate_calls_bitwise(k, n):
     # J, P and g at the stacked images of several maps, likewise
     rng = np.random.default_rng(10 * k + n + 1)
     _, fns = _vector_maps(rng, n)
-    at = tuple(qt.unit_rows(rng, rng.standard_normal((2, k, n, 4))))
-    vectors = tuple(rng.standard_normal((4, k, n, 4)))
+    at = qt.unit_rows(rng, rng.standard_normal((k, n, 2, 4)))
+    vectors = tuple(rng.standard_normal((2, k, n, 2, 4)))
     pointwise = {name: fns[name] for name in ("project", "P", "J", "metric", "frame")}
-    _assert_stack_is_separate_calls(pointwise, at, lambda i: (at[0][i], at[1][i]), k, vectors)
+    _assert_stack_is_separate_calls(pointwise, at, lambda i: at[i], k, vectors)
 
 
 def _structure_residuals_unstacked(seed, samples):
@@ -188,17 +185,16 @@ def _structure_residuals_unstacked(seed, samples):
     lhs28 = 2.0 * (frames.nabla(t, X, Y @ t.P.T) - frames.nabla(t, X, Y) @ t.P.T)
     rhs28 = G(t, X, Y @ t.P.T) @ t.J.T + G(t, X, Y) @ (t.J @ t.P).T
 
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, n, 4)))
-    u, v = pw.project_components(p, q, rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
-    ju, jv = pw.j_components(p, q, u, v)
-    pju, pjv = pw.p_components(p, q, ju, jv)
-    qu, qv = pw.q_components(u, v)
-    ru, rv = (2.0 * pju - ju) / SQRT3 - qu, (2.0 * pjv - jv) / SQRT3 - qv
-    xf = frames.frame_coords_components(p, q, u, v)
-    u2, v2 = pw.project_components(p, q, rng.standard_normal((n, 4)),
-                                   rng.standard_normal((n, 4)))
-    yf = frames.frame_coords_components(p, q, u2, v2)
-    pu, pv = pw.p_components(p, q, u, v)
+    def pairs(draws):  # (2, n, 4), factor by factor, as (n, 2, 4)
+        return np.moveaxis(draws, 0, -2)
+
+    x = pairs(qt.unit_rows(rng, rng.standard_normal((2, n, 4))))
+    z = pw.project_components(x, pairs(rng.standard_normal((2, n, 4))))
+    jz = pw.j_components(x, z)
+    r = (2.0 * pw.p_components(x, jz) - jz) / SQRT3 - pw.q_components(z)
+    xf = frames.frame_coords_components(x, z)
+    z2 = pw.project_components(x, pairs(rng.standard_normal((2, n, 4))))
+    yf = frames.frame_coords_components(x, z2)
 
     residuals = {
         "G-antisymmetry": [gn(t, G(t, X, Y) + G(t, Y, X))],
@@ -207,14 +203,14 @@ def _structure_residuals_unstacked(seed, samples):
         "G-inner-product": [np.abs(lhs26 - rhs26)],
         "P-derivative": [gn(t, lhs28 - rhs28)],
         "P-G-compatibility": [gn(t, G(t, X, Y) @ t.P.T + G(t, X @ t.P.T, Y @ t.P.T))],
-        "Q-from-P-J": [np.sqrt(np.abs(pw.metric_components(p, q, ru, rv, ru, rv)))],
-        "flat-connection-relation": [frames.connection_relation_residual(t, p, q, X, Y)],
+        "Q-from-P-J": [np.sqrt(np.abs(pw.metric_components(x, r, r)))],
+        "flat-connection-relation": [frames.connection_relation_residual(t, x, X, Y)],
         "curvature-two-routes": [gn(t, frames.curvature(t, X, Y, Z)
                                     - frames.curvature_closed_form(t, X, Y, Z))],
         "frame-vs-pointwise": [
-            np.abs(frames.frame_coords_components(p, q, ju, jv) - xf @ t.J.T),
-            np.abs(frames.frame_coords_components(p, q, pu, pv) - xf @ t.P.T),
-            np.abs(pw.metric_components(p, q, u, v, u2, v2) - g(xf, yf))],
+            np.abs(frames.frame_coords_components(x, jz) - xf @ t.J.T),
+            np.abs(frames.frame_coords_components(x, pw.p_components(x, z)) - xf @ t.P.T),
+            np.abs(pw.metric_components(x, z, z2) - g(xf, yf))],
     }
     return {cid: verify._worst(*r) for cid, r in residuals.items()}
 
@@ -248,9 +244,8 @@ def test_p_checks_fail_on_a_scaled_p(monkeypatch):
     # since d(swap) commutes with any multiple of P
     p_components = pw.p_components
 
-    def scaled(p, q, u, v):
-        pu, qu = p_components(p, q, u, v)
-        return pu * (1.0 + 1e-9), qu
+    def scaled(x, z):
+        return p_components(x, z) * np.array([[1.0 + 1e-9], [1.0]])
 
     monkeypatch.setattr(pw, "p_components", scaled)
     assert _failures(margin=1e3) == [
@@ -263,11 +258,9 @@ def test_twist_differential_checks_fail_on_a_scaled_differential(monkeypatch):
     # central differences; its J and P relations are linear in it and hold
     differential = iso.IsometryMap.differential_components
 
-    def scaled(self, p, q, u, v):
-        du, dv = differential(self, p, q, u, v)
-        if self.tag == iso.TWIST:
-            return du * (1.0 + 1e-5), dv * (1.0 + 1e-5)
-        return du, dv
+    def scaled(self, x, z):
+        dz = differential(self, x, z)
+        return dz * (1.0 + 1e-5) if self.tag == iso.TWIST else dz
 
     monkeypatch.setattr(iso.IsometryMap, "differential_components", scaled)
     assert _failures(margin=10.0) == ["pullback-twist", "differential-vs-fd"]
@@ -310,13 +303,14 @@ def test_isometry_draws_make_no_single_quaternion_draws(monkeypatch):
 
 @pytest.mark.parametrize("suite,products", [
     # P Z, P J Z, the frame coefficients of Z, Z', J Z and P Z in one call,
-    # g(R, R) and g(Z, Z') in one call, and the flat connection
-    (verify.run_structure_suite, 4 + 4 + 2 + 4 + 6),
+    # g(R, R) and g(Z, Z') in one call, and the flat connection; P and g take
+    # two products for both factors, each other map one
+    (verify.run_structure_suite, 2 + 2 + 1 + 2 + 3),
     # at the base point P Z and g(Z, Z'); the twist's and the translation's
     # images and differentials; the pullbacks, P and J at the images and the
     # four g-distances, one call each; the FD stencil ends and their twist
     # and translation images; the composition checks
-    (verify.run_isometry_suite, 4 + 4 + (1 + 4) + (6 + 4) + 4 + 4 + 4 + 4 + 4 + (1 + 4) + 15),
+    (verify.run_isometry_suite, 2 + 2 + (1 + 2) + (5 + 2) + 2 + 2 + 2 + 2 + 2 + (1 + 2) + 9),
 ])
 def test_ambient_suites_make_a_fixed_number_of_products(monkeypatch, suite, products):
     # each suite evaluates each identity once over the batch, with the
@@ -742,11 +736,10 @@ def test_composition_nan_in_second_factor_fails_its_check(monkeypatch):
     swap = iso.factor_swap()
 
     class NanSwap(iso.IsometryMap):
-        def apply_components(self, p, q):
-            image_p, image_q = swap.apply_components(p, q)
-            image_q = np.array(image_q)
-            image_q[..., 1, 0] = math.nan
-            return image_p, image_q
+        def apply_components(self, x):
+            image = np.array(swap.apply_components(x))
+            image[..., 1, 1, 0] = math.nan
+            return image
 
     monkeypatch.setattr(iso, "factor_swap", lambda: NanSwap(iso.SWAP))
     comp = iso.composition_checks(np.random.default_rng(5), samples=4)
