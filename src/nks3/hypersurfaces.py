@@ -18,9 +18,13 @@ finite-difference stencil below is evaluated in one chart call.  The
 family parameters are floats, or arrays of one value per chart-point row,
 so one chart call can serve a grid of parameter values.
 
-The pushforward's frame rows are closed forms in the cosines and sines of
-the chart angles: xbar d_a x of the base 3-sphere in one block and ybar d_b y
-of the second factor in the other, which the factor swap exchanges and the
+A point of the product is one array x = (p, q) (..., 2, 4), the factor on
+the axis before last, as in the quaternion route (`pointwise`): the chart
+returns it, `_level_set` and `_frame_rows` take it, and the point data
+holds it.  The pushforward's frame rows are closed forms in the cosines
+and sines of the chart angles: xbar d_a x of the base 3-sphere in one
+factor's block and ybar d_b y of the second factor in the other, which
+the factor swap exchanges together with the two point slots and the
 conjugation twist mixes; the twist's point y xbar is the chart's one
 quaternion product.
 
@@ -159,11 +163,12 @@ class Immersion:
 
     Every method takes chart points as an array u of shape (..., 5) and
     broadcasts over its leading axes, so a whole finite-difference stencil
-    is one call.  The chart maps u to the point (x, y) (..., 4) of the
-    product: x = `_base_point` of u[0:3], and y the family's second factor
-    at (u[..., 3], u[..., 4], *params), `_round_sphere` for m1-m3 and
-    `_torus` for m4-m6.  A composed family takes these through the factor
-    swap or the conjugation twist (SWAP or TWIST of `_ISOMETRY`).
+    is one call.  The chart maps u to the point (x, y) of the product, one
+    pair array (..., 2, 4): x = `_base_point` of u[0:3], and y the family's
+    second factor at (u[..., 3], u[..., 4], *params), `_round_sphere` for
+    m1-m3 and `_torus` for m4-m6, each written into its factor slot.  A
+    composed family takes these through the factor swap or the conjugation
+    twist (SWAP or TWIST of `_ISOMETRY`).
 
     The family parameters `params` are floats, one value for every chart
     point, or read-only (m,) arrays, one value per row: then u has m rows
@@ -200,46 +205,50 @@ class Immersion:
     def pushforward(self, u) -> tuple:
         """Points and chart pushforwards at the chart points u (..., 5).
 
-        Returns (p, q, T) of shapes (..., 4), (..., 4) and (..., 5, 6):
-        T[..., a, :] holds the frame coefficients of the a-th chart direction:
-        xbar d_a x (`_base_rows`) in the first block, ybar d_b y of the
-        second factor in the second, 0 elsewhere; the swap exchanges the
-        blocks.  The twist maps (x, y) to (xbar, y xbar) and the chart
-        directions to (-rho_a, -rho_a), rho_a = (d_a x) xbar (`_twist_rows`),
-        and (0, R(x) ybar d_b y), R(x) v = x v xbar (`_rotate`).  The row
-        helpers write into their blocks of T.
+        Returns (x, T) of shapes (..., 2, 4) and (..., 5, 6): x = (p, q) is
+        the point in the pair layout of `pointwise`, factor on the axis
+        before last, and T[..., a, :] holds the frame coefficients of the
+        a-th chart direction, filled as (..., 5, 2, 3) blocks, one per
+        factor: xbar d_a x (`_base_rows`) in the base factor's block and
+        ybar d_b y of the second factor in the other, 0 elsewhere.  The base
+        factor is the first, or for the swap the second, and one factor
+        index picks both a factor's point slot and its block, so the swap
+        exchanges points and blocks by one choice.  The twist maps (x, y)
+        to (xbar, y xbar) and the chart directions to (-rho_a, -rho_a),
+        rho_a = (d_a x) xbar (`_twist_rows`), and (0, R(x) ybar d_b y),
+        R(x) v = x v xbar (`_rotate`).  The point and row helpers write into
+        their slots of x and blocks of T.
         """
         u = np.asarray(u, dtype=float)
         cos, sin = np.cos(u[..., :3]), np.sin(u[..., :3])
         C, S = cos * cos - sin * sin, 2.0 * sin * cos  # cos 2u_a, sin 2u_a
-        x = _base_point(cos, sin)
-        T = np.zeros(u.shape[:-1] + (5, 6))
-        # the factor swap exchanges the two factors' frame blocks
-        swap = self._isometry == SWAP
-        first, second = (slice(3, 6), slice(0, 3)) if swap else (slice(0, 3), slice(3, 6))
-        y = self._second_factor(T[..., 3:, second], u[..., 3], u[..., 4], *self._row_params(u))
+        x = np.empty(u.shape[:-1] + (2, 4))
+        T = np.zeros(u.shape[:-1] + (5, 2, 3))
+        base, second = (1, 0) if self._isometry == SWAP else (0, 1)
+        _base_point(x[..., base, :], cos, sin)
+        self._second_factor(x[..., second, :], T[..., 3:, second, :], u[..., 3], u[..., 4],
+                            *self._row_params(u))
         if self._isometry == TWIST:
-            _rotate(T[..., 3:, 3:], C, S)
-            T[..., :3, 3:] = _twist_rows(T[..., :3, :3], C, S)
-            xbar = qt.conj(x)
-            return xbar, qt.mul(y, xbar), T
-        _base_rows(T[..., :3, first], C, S)
-        return (y, x, T) if swap else (x, y, T)
+            _rotate(T[..., 3:, 1, :], C, S)
+            T[..., :3, 1, :] = _twist_rows(T[..., :3, 0, :], C, S)
+            xbar = qt.conj(x[..., 0, :])
+            x[..., 0, :], x[..., 1, :] = xbar, qt.mul(x[..., 1, :], xbar)
+        else:
+            _base_rows(T[..., :3, base, :], C, S)
+        return x, T.reshape(u.shape[:-1] + (5, 6))
 
 
-def _base_point(cos, sin):
-    """x = e^{u0 i} e^{u1 j} e^{u2 k} (..., 4) from the cosines and sines
-    (..., 3) of the chart angles u[..., 0:3]."""
+def _base_point(x, cos, sin):
+    """Write x = e^{u0 i} e^{u1 j} e^{u2 k} into the point slot x (..., 4),
+    from the cosines and sines (..., 3) of the chart angles u[..., 0:3]."""
     c0, c1, c2 = cos[..., 0], cos[..., 1], cos[..., 2]
     s0, s1, s2 = sin[..., 0], sin[..., 1], sin[..., 2]
     # e^{u0 i} e^{u1 j} = a + b i + c j + d k
     a, b, c, d = c0 * c1, s0 * c1, c0 * s1, s0 * s1
-    x = np.empty(cos.shape[:-1] + (4,))
     x[..., 0] = a * c2 - d * s2
     x[..., 1] = b * c2 + c * s2
     x[..., 2] = c * c2 - b * s2
     x[..., 3] = a * s2 + d * c2
-    return x
 
 
 def _base_rows(out, C, S):
@@ -290,15 +299,15 @@ def _trailing(x, n: int):
     return x if isinstance(x, float) else x[(...,) + (None,) * n]
 
 
-def _round_sphere(out, psi, chi, r):
+def _round_sphere(y, out, psi, chi, r):
     """Second factor y = c + r n of m1, c = sqrt(1 - r^2), with n on the
-    unit sphere of imaginaries at latitude psi and longitude chi.  Writes
-    its frame rows ybar d_b y = r (c d_b n - r n x d_b n) into the zero
-    block out (..., 2, 3) and returns y (..., 4); here
-    n x d_psi n = (sin chi, -cos chi, 0) and n x d_chi n = cos psi d_psi n."""
+    unit sphere of imaginaries at latitude psi and longitude chi.  Writes y
+    into the point slot y (..., 4) and its frame rows
+    ybar d_b y = r (c d_b n - r n x d_b n) into the zero block out
+    (..., 2, 3); here n x d_psi n = (sin chi, -cos chi, 0) and
+    n x d_chi n = cos psi d_psi n."""
     c = np.sqrt(np.maximum(1.0 - r * r, 0.0))
     cp, sp, cc, sc = np.cos(psi), np.sin(psi), np.cos(chi), np.sin(chi)
-    y = np.empty(psi.shape + (4,))
     y[..., 0] = c
     y[..., 1] = r * (cp * cc)
     y[..., 2] = r * (cp * sc)
@@ -310,15 +319,13 @@ def _round_sphere(out, psi, chi, r):
     out[..., 1, 0] = rcp * (rsp * cc - c * sc)
     out[..., 1, 1] = rcp * (c * cc + rsp * sc)
     out[..., 1, 2] = -(rcp * rcp)
-    return y
 
 
-def _torus(out, phi1, phi2, k, l):
-    """Second factor y = k e^{i phi1} + l e^{i phi2} j of m4.  Writes its
-    frame rows ybar d_b y, (k^2, kl sin delta, kl cos delta) and
-    (-l^2, kl sin delta, kl cos delta) with delta = phi1 - phi2, into the
-    zero block out (..., 2, 3) and returns y (..., 4)."""
-    y = np.empty(phi1.shape + (4,))
+def _torus(y, out, phi1, phi2, k, l):
+    """Second factor y = k e^{i phi1} + l e^{i phi2} j of m4.  Writes y into
+    the point slot y (..., 4) and its frame rows ybar d_b y,
+    (k^2, kl sin delta, kl cos delta) and (-l^2, kl sin delta, kl cos delta)
+    with delta = phi1 - phi2, into the zero block out (..., 2, 3)."""
     y[..., 0] = k * np.cos(phi1)
     y[..., 1] = k * np.sin(phi1)
     y[..., 2] = l * np.cos(phi2)
@@ -328,7 +335,6 @@ def _torus(out, phi1, phi2, k, l):
     out[..., 1, 0] = -(l * l)
     out[..., 0, 1] = out[..., 1, 1] = (k * l) * np.sin(delta)
     out[..., 0, 2] = out[..., 1, 2] = (k * l) * np.cos(delta)
-    return y
 
 
 _ISOMETRY = {"m2": SWAP, "m3": TWIST, "m5": SWAP, "m6": TWIST}
@@ -453,17 +459,19 @@ class HypersurfacePointData:
     value per row.
 
     Every field but `immersion` carries the batch axis first, with the
-    shapes below.  `data[a:b]` is the batch of those rows, with the
+    shapes below; the points are one field x = (p, q) (m, 2, 4), as the
+    chart returns them.  `data[a:b]` is the batch of those rows, with the
     immersion of its rows, `immersion[a:b]`; a batch of one row is the
     data of a single point.  An integer index raises TypeError, so the
     data is not iterable row by row.
 
     Point data with no chart, built from a level-set row and a tangent
-    frame as `HypersurfacePointData(None, None, p, q, None, frame, None,
-    *_apparatus(xi, A, frame))`, serves every pointwise consumer: the
-    methods below, `hopf_identity_residual` (whose errors name the row by
-    its (p, q)), `classify_normal_action` and `normal_action_residual`.  Its
-    slices keep the chart fields None.  The finite-difference residuals,
+    frame as `HypersurfacePointData(None, None, x, None, frame, None,
+    *_apparatus(xi, A, frame))` at points x (m, 2, 4), serves every
+    pointwise consumer: the methods below, `hopf_identity_residual` (whose
+    errors name the row by the eight coordinates of its x),
+    `classify_normal_action` and `normal_action_residual`.  Its slices keep
+    the chart fields None.  The finite-difference residuals,
     `theta_r_consistency` and `leaf_geometry` read the chart, and raise
     PreconditionError on such data.
 
@@ -475,8 +483,7 @@ class HypersurfacePointData:
 
     immersion: Immersion
     u: np.ndarray                # (m, 5) chart points, read-only copy
-    p: np.ndarray                # (m, 4) ambient points, first factor
-    q: np.ndarray                # (m, 4) ambient points, second factor
+    x: np.ndarray                # (m, 2, 4) ambient points (p, q)
     push_coords: np.ndarray      # (m, 5, 6) chart pushforwards
     tangent_frame: np.ndarray    # (m, 5, 6) rows g-orthonormal
     chart_weights: np.ndarray    # (m, 5, 5): frame_i = sum_a W[i, a] push_a
@@ -544,9 +551,10 @@ def _rowwise(f, *vectors):
 
 def _locate(data: HypersurfacePointData, bad) -> str:
     """The first row of the data where the mask bad (m,) holds, as its chart
-    point `u=[...]`, or as `(p, q)=[...]` for data with no chart."""
+    point `u=[...]`, or as its eight point coordinates `(p, q)=[...]` for
+    data with no chart."""
     if data.u is None:
-        return f"(p, q)={np.concatenate([data.p, data.q], axis=-1)[bad][0].tolist()}"
+        return f"(p, q)={data.x[bad][0].ravel().tolist()}"
     return f"u={data.u[bad][0].tolist()}"
 
 
@@ -573,22 +581,22 @@ def _above_rank_tol(gram: np.ndarray) -> bool:
 
 
 def _chart_data(M: Immersion, u) -> tuple:
-    """Points p, q (..., 4), pushforwards T (..., 5, 6) and their Gram
-    matrices T g T^T (..., 5, 5) at the chart points u (..., 5), from one
-    pushforward call; raises where the pushforward loses rank.
+    """Points x = (p, q) (..., 2, 4), pushforwards T (..., 5, 6) and their
+    Gram matrices T g T^T (..., 5, 5) at the chart points u (..., 5), from
+    one pushforward call; raises where the pushforward loses rank.
 
     The rank test is `_above_rank_tol`; only where it fails do the
     eigenvalues of the Gram matrices name the first chart point whose
     smallest eigenvalue is at most RANK_TOL (a non-finite Gram matrix
     raises LinAlgError there)."""
-    p, q, T = M.pushforward(u)
+    x, T = M.pushforward(u)
     gram = _gram(T)
     if not _above_rank_tol(gram):
         low = np.linalg.eigvalsh(gram)[..., 0] <= RANK_TOL
         if low.any():
             raise DegenerateImmersionError(
                 f"pushforward rank below 5 at u={u[low][0].tolist()}")
-    return p, q, T, gram
+    return x, T, gram
 
 
 def _orthonormal_frame(T: np.ndarray, gram: np.ndarray) -> tuple:
@@ -601,11 +609,11 @@ def _orthonormal_frame(T: np.ndarray, gram: np.ndarray) -> tuple:
 
 def _second_factor_forms(isometry) -> tuple:
     """The first two coordinates y = (y0, y1) of the base family's second
-    factor under the family's isometry, as forms on R^8 of z = (p, q):
-    y_k = a_k . z + z S_k z / 2, returned as (a, S) of shapes (2, 8) and
-    (2, 8, 8).  y is q itself (m1, m4) or p (the swaps), both linear, or
-    w = q pbar (the twists), bilinear, with w_k the sum of p_i q_j
-    (e_j conj(e_i))_k."""
+    factor under the family's isometry, as forms on R^8 of z, the point
+    x = (p, q) read as (..., 8): y_k = a_k . z + z S_k z / 2, returned as
+    (a, S) of shapes (2, 8) and (2, 8, 8).  y is q itself (m1, m4) or p
+    (the swaps), both linear, or w = q pbar (the twists), bilinear, with
+    w_k the sum of p_i q_j (e_j conj(e_i))_k."""
     a, S = np.zeros((2, 8)), np.zeros((2, 8, 8))
     if isometry == TWIST:
         basis = np.eye(4)
@@ -635,33 +643,35 @@ _UNIT_SIGN = _freeze(np.array([[-1.0, 1.0, 1.0, -1.0],
                                [-1.0, 1.0, -1.0, 1.0]]))
 
 
-def _frame_rows(p, q) -> np.ndarray:
-    """The frame vectors B_a (..., 6, 8) at the points (p, q) (..., 4) as
-    vectors of R^8: (p e_c, 0) and then (0, q e_c), each a signed
-    permutation of p or q."""
-    b = np.zeros(p.shape[:-1] + (6, 8))
-    b[..., :3, :4] = p[..., _UNIT_INDEX] * _UNIT_SIGN
-    b[..., 3:, 4:] = q[..., _UNIT_INDEX] * _UNIT_SIGN
+def _frame_rows(x) -> np.ndarray:
+    """The frame vectors B_a (..., 6, 8) at the points x = (p, q)
+    (..., 2, 4) as vectors of R^8: (p e_c, 0) and then (0, q e_c), each a
+    signed permutation of p or q, both factors in one product."""
+    rows = x[..., _UNIT_INDEX] * _UNIT_SIGN  # (..., 2, 3, 4)
+    b = np.zeros(x.shape[:-2] + (6, 8))
+    b[..., :3, :4], b[..., 3:, 4:] = rows[..., 0, :, :], rows[..., 1, :, :]
     return b
 
 
-def _level_set(level: tuple, p, q, hessian: bool = False):
+def _level_set(level: tuple, x, hessian: bool = False):
     """The unit normals xi = g^-1 dF / |dF|_g (..., 6) of the level set of F
-    at the points (p, q) (..., 4) of it; with hessian, also
+    at the points x = (p, q) (..., 2, 4) of it; with hessian, also
     -Hess F / |dF|_g (..., 6, 6) in the frame, whose restriction to the
     tangent space is the shape operator of xi.
 
     F is given by its level-set row `level` = (a, S, squares), a family's
     row of `_LEVEL_SETS` or any other: the forms y_k = a_k . z + z S_k z / 2
     of z = (p, q), with a (n, 8) and S (n, 8, 8), and F = y0, or the sum of
-    the y_k^2 where squares holds (y0^2 + y1^2 for m4-m6).  The derivatives
+    the y_k^2 where squares holds (y0^2 + y1^2 for m4-m6); z is x read as
+    (..., 8), with no copy for a C-contiguous x.  The derivatives
     of y are closed forms: dy(B_a) = grad y . b_a with b_a = (p e_a, 0) or
     (0, q e_a), the rows of `_frame_rows`, built once a call;
     B_a B_b y = S(b_a, b_b) + grad y . d_{b_a} b_b with d_{E_a} E_b =
     (p e_a e_b, 0), d_{F_a} F_b = (0, q e_a e_b) and the mixed derivatives 0,
     and e_a e_b = -delta_ab + eps_abc e_c, so that grad y . d_{b_a} b_b =
     -delta_ab rho + (C_ab^c / 2) dy(B_c), with rho = <p, grad_p y> or
-    <q, grad_q y> and C the bracket table; and
+    <q, grad_q y>, one row dot of grad y in blocks (2, 4) with x, and C the
+    bracket table; and
     Hess y = B B y - Gamma dy.  For a sum of squares the factor 2 of every
     derivative cancels in xi and in the shape operator, so they are taken
     of F / 2: dF = sum y_k dy_k and Hess F = sum (y_k Hess y_k + dy_k dy_k).
@@ -670,9 +680,9 @@ def _level_set(level: tuple, p, q, hessian: bool = False):
     """
     t = get_tables()
     a, S, squares = level
-    z = np.concatenate([p, q], axis=-1)[..., None, :]
+    z = x.reshape(x.shape[:-2] + (1, 8))
     grad = a + np.matvec(S, z)
-    b = _frame_rows(p, q)
+    b = _frame_rows(x)
     dy = grad @ b.swapaxes(-1, -2)  # (..., n, 6)
     if squares:
         y = np.vecdot(0.5 * (a + grad), z)
@@ -685,8 +695,7 @@ def _level_set(level: tuple, p, q, hessian: bool = False):
     if not hessian:
         return xi
     # <p, grad_p y_k> and <q, grad_q y_k> as one row dot of the two blocks
-    blocks = grad.shape[:-1] + (2, 4)
-    rho = np.vecdot(grad.reshape(blocks), z.reshape(z.shape[:-1] + (2, 4)))
+    rho = np.vecdot(grad.reshape(grad.shape[:-1] + (2, 4)), x[..., None, :, :])
     rho = rho.repeat(3, axis=-1)[..., None] * _E6
     c_gamma = (0.5 * t.bracket - t.gamma).reshape(36, 6)
     b = b[..., None, :, :]
@@ -732,10 +741,10 @@ def analyze_points(M: Immersion, U) -> HypersurfacePointData:
     if U.ndim != 2 or U.shape[1] != 5:
         raise DomainError(f"chart points must have shape (m, 5), got {U.shape}")
     U.flags.writeable = False
-    p, q, push, gram = _chart_data(M, U)
+    x, push, gram = _chart_data(M, U)
     frame, W = _orthonormal_frame(push, gram)
-    xi, weingarten = _level_set(_LEVEL_SETS[M.family], p, q, hessian=True)
-    return HypersurfacePointData(M, U, p, q, push, frame, W,
+    xi, weingarten = _level_set(_LEVEL_SETS[M.family], x, hessian=True)
+    return HypersurfacePointData(M, U, x, push, frame, W,
                                  *_apparatus(xi, frame @ weingarten @ frame.swapaxes(-1, -2),
                                              frame))
 
@@ -943,8 +952,8 @@ def stencil_residuals(data: HypersurfacePointData, x5, y5, z5) -> StencilResidua
     vels = chart_vels[:2].swapaxes(0, 1)  # (m, 2, 5), X's and Y's
     ends = _segments(data.u, chart_vels[0], NORMAL_H)
     nested = _nested_points(data.u, vels)
-    p, q, T, _ = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
-    xi = _aligned(_level_set(_LEVEL_SETS[data.immersion.family], p, q), data.xi[..., None, :])
+    x, T, _ = _chart_data(data.immersion, np.concatenate([ends, nested], axis=-2))
+    xi = _aligned(_level_set(_LEVEL_SETS[data.immersion.family], x), data.xi[..., None, :])
 
     AX, AY, AZ = data.apply_shape(XYZ)
     dU = _covariant_fd(data.xi, -(xi[..., :2, :] @ t.J.T), X, data.structure_vector, NORMAL_H)

@@ -36,7 +36,9 @@ from . import quat as qt
 from .errors import DomainError
 
 SQRT3 = np.sqrt(3.0)
-_J_SIGNS = np.array([[1.0], [-1.0]])  # J's sign per factor
+# J's sign per factor, spelled out to the full (2, 4) shape of a pair: numpy
+# then loops over whole pairs, not once per row over (2, 1) broadcasts
+_J_SIGNS = np.array([[1.0] * 4, [-1.0] * 4])
 
 UNIT_TOL = 1e-10
 TANGENT_TOL = 1e-10

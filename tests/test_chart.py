@@ -8,7 +8,8 @@ written out in full: the factors and their R^4 partials (`_sphere_products`
 and `_torus_products` as chained `quat.mul` products, `_round_sphere_r4`),
 padded with zero rows to (5, 2, 4) velocity pairs and pushed through
 `IsometryMap.differential_components` and
-`frames.frame_coords_components`.
+`frames.frame_coords_components`.  The composed families' points are the
+isometries' point maps of their base families' points, bit for bit.
 
 The two routes round differently, so they agree to a tolerance, `TOL`;
 two negative controls show that it would catch a closed form with two
@@ -33,7 +34,7 @@ ISOMETRY = {"m2": iso.factor_swap(), "m3": iso.conjugation_twist(),
 TWIST_FAMILIES = ("m3", "m6")
 
 # Over every input of `TestClosedFormPushforward` the largest difference
-# from the product route, in p, q or T, was 2.2e-15 (the twist families,
+# from the product route, in x or T, was 2.2e-15 (the twist families,
 # |u| up to 2 pi), so 1e-14 holds it with a margin of 4.5; the negative
 # controls missed by 1.8 or more.
 TOL = 1e-14
@@ -90,12 +91,12 @@ def _product_route(M, u):
     if m is not None:
         z = m.differential_components(pt[..., None, :, :], z)
         pt = m.apply_components(pt)
-    return pt[..., 0, :], pt[..., 1, :], frames.frame_coords_components(pt[..., None, :, :], z)
+    return pt, frames.frame_coords_components(pt[..., None, :, :], z)
 
 
 def _gap(M, u, want=None) -> float:
     """The largest difference of M's pushforward at u from the product
-    route at u (or from want), over p, q and T."""
+    route at u (or from want), over x and T."""
     want = _product_route(M, u) if want is None else want
     got = M.pushforward(u)
     assert all(a.shape == b.shape for a, b in zip(got, want))
@@ -185,6 +186,24 @@ class TestClosedFormPushforward:
         assert _gap(M, u, want) > MISS
 
 
+class TestPointMaps:
+    @pytest.mark.parametrize("family", sorted(ISOMETRY))
+    def test_equal_the_isometry_point_maps_bitwise(self, family):
+        # a composed family's chart points are its isometry's point map of
+        # the base family's chart points at the same u, bit for bit, over
+        # 500 points with |u| up to 2 pi and signed zeros; the parameters as
+        # floats and per row
+        base = "m1" if family in hs.THREE_CURVATURE_FAMILIES else "m4"
+        rng = np.random.default_rng([11, hs.FAMILIES.index(family)])
+        u = _with_zeros(rng, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (20, 25, 5)))
+        for kw in (FAMILY_PARAMS[base], _per_row(base, 20, rng)):
+            points = hs.make_example(base, **kw).pushforward(u)[0]
+            want = ISOMETRY[family].apply_components(points)
+            got = hs.make_example(family, **kw).pushforward(u)[0]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestFrameRows:
     @pytest.mark.parametrize("family", hs.FAMILIES)
     def test_equal_frame_to_r8_entry_for_entry(self, family):
@@ -192,12 +211,12 @@ class TestFrameRows:
         # products p e_c and q e_c of `frames.frame_to_r8`
         rng = np.random.default_rng([10, hs.FAMILIES.index(family)])
         points = [hs.make_example(family, **FAMILY_PARAMS[family])
-                  .pushforward(_with_zeros(rng, _sampled(rng, (3, 20))))[:2],
-                  tuple(qt.unit_rows(rng, rng.standard_normal((2, 7, 4))))]
-        for p, q in points:
-            rows = hs._frame_rows(p, q)
-            assert rows.shape == p.shape[:-1] + (6, 8)
-            flat = frames.frame_to_r8(np.stack([p, q], axis=-2)[..., None, :, :], np.eye(6))
+                  .pushforward(_with_zeros(rng, _sampled(rng, (3, 20))))[0],
+                  verify._as_pairs(qt.unit_rows(rng, rng.standard_normal((2, 7, 4))))]
+        for x in points:
+            rows = hs._frame_rows(x)
+            assert rows.shape == x.shape[:-2] + (6, 8)
+            flat = frames.frame_to_r8(x[..., None, :, :], np.eye(6))
             assert np.array_equal(rows, flat.reshape(rows.shape))
 
 

@@ -75,7 +75,7 @@ def _pushforwards(M):
     u, w = _grid(M.family)
     if M.rows is not None:
         u = np.broadcast_to(u, (M.rows,) + u.shape)
-    return M.pushforward(u)[2], w
+    return M.pushforward(u)[1], w
 
 
 def _area(T, w):

@@ -16,7 +16,7 @@ from nks3 import hypersurfaces as hs
 from nks3 import frames, pointwise as pw, quat as qt, verify
 from nks3.errors import DegenerateImmersionError, DomainError, PreconditionError
 
-from level_sets import complement_frame, level_set_data
+from level_sets import complement_frame, level_set_data, random_points
 
 SQRT3 = math.sqrt(3.0)
 ORIGIN5 = np.zeros(5)
@@ -63,13 +63,13 @@ def _row_bytes(result, rows=slice(None)):
 class TestMakeExample:
     def test_m1_point_at_r1(self):
         M = hs.make_example("m1", r=1.0)
-        p, q = M.pushforward(ORIGIN5)[:2]
+        p, q = M.pushforward(ORIGIN5)[0]
         npt.assert_allclose(p, qt.ONE, atol=1e-15)
         npt.assert_allclose(q, qt.E1, atol=1e-15)
 
     def test_m1_point_formula(self):
         M = hs.make_example("m1", r=0.6)
-        p, q = M.pushforward(ORIGIN5)[:2]
+        p, q = M.pushforward(ORIGIN5)[0]
         npt.assert_allclose(p, qt.ONE, atol=1e-15)
         npt.assert_allclose(q, np.array([0.8, 0.6, 0.0, 0.0]), atol=1e-15)
 
@@ -77,7 +77,7 @@ class TestMakeExample:
         M = hs.make_example("m4", k=0.6, l=0.8)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            p, q = M.pushforward(hs.random_chart_point(rng))[:2]
+            p, q = M.pushforward(hs.random_chart_point(rng))[0]
             assert qt.unit_defect(p) < 1e-12 and qt.unit_defect(q) < 1e-12
             assert q[0] ** 2 + q[1] ** 2 == pytest.approx(0.36, abs=1e-12)
             assert q[2] ** 2 + q[3] ** 2 == pytest.approx(0.64, abs=1e-12)
@@ -109,8 +109,8 @@ class TestMakeExample:
                            ("m3", dict(r=1.0))]:
             M = hs.make_example(family, **kw)
             u = hs.random_chart_point(rng)
-            p, q, coords = M.pushforward(u)
-            assert p.shape == q.shape == (4,)
+            x, coords = M.pushforward(u)
+            assert x.shape == (2, 4)
             assert coords.shape == (5, 6)
             gram = coords @ t.g @ coords.T
             assert np.linalg.eigvalsh(gram)[0] > 1e-6
@@ -125,31 +125,29 @@ class TestMakeExample:
         h = 1e-6
         for _ in range(3):
             u = hs.random_chart_point(rng)
-            p, q, T = M.pushforward(u)
+            x, T = M.pushforward(u)
             for a in range(5):
                 step = np.zeros(5)
                 step[a] = h
-                (p1, q1), (p2, q2) = M.pushforward(u + step)[:2], M.pushforward(u - step)[:2]
-                d = np.stack([p1 - p2, q1 - q2]) / (2.0 * h)
-                npt.assert_allclose(frames.r8_to_frame(np.stack([p, q]), d), T[a], atol=1e-8)
+                d = (M.pushforward(u + step)[0] - M.pushforward(u - step)[0]) / (2.0 * h)
+                npt.assert_allclose(frames.r8_to_frame(x, d), T[a], atol=1e-8)
 
     @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
     def test_batched_pushforward_equals_single_points(self, family, kw):
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(23)
         us = np.stack([hs.random_chart_point(rng) for _ in range(4)])
-        p, q, T = M.pushforward(us)
-        assert p.shape == q.shape == (4, 4)
+        x, T = M.pushforward(us)
+        assert x.shape == (4, 2, 4)
         assert T.shape == (4, 5, 6)
         for i, u in enumerate(us):
-            p1, q1, T1 = M.pushforward(u)
-            npt.assert_array_equal(p[i], p1)
-            npt.assert_array_equal(q[i], q1)
+            x1, T1 = M.pushforward(u)
+            npt.assert_array_equal(x[i], x1)
             npt.assert_array_equal(T[i], T1)
-        assert qt.unit_defect(p) < 1e-12 and qt.unit_defect(q) < 1e-12
+        assert qt.unit_defect(x) < 1e-12
         # a stencil with two leading axes
-        p2, _, T2 = M.pushforward(us.reshape(2, 2, 5))
-        npt.assert_array_equal(p2.reshape(4, 4), p)
+        x2, T2 = M.pushforward(us.reshape(2, 2, 5))
+        npt.assert_array_equal(x2.reshape(4, 2, 4), x)
         npt.assert_array_equal(T2.reshape(4, 5, 6), T)
 
     def test_chart_lock_raises(self):
@@ -255,7 +253,7 @@ class TestAnalyzePoints:
         # alone, bitwise
         M, U = self._batch(family, kw, n=4)
         batch = hs.analyze_points(M, U)
-        raw = hs._level_set(hs._LEVEL_SETS[family], *hs._chart_data(M, U)[:2])
+        raw = hs._level_set(hs._LEVEL_SETS[family], hs._chart_data(M, U)[0])
         flipped = [bool(np.array_equal(xi, -x)) for xi, x in zip(batch.xi, raw)]
         assert any(flipped) and not all(flipped)
         for i, u in enumerate(U):
@@ -308,9 +306,9 @@ class TestAnalyzePoints:
             steps.append(np.shape(args[1]))
             return covariant_fd(*args)
 
-        def recording_level_set(level, p, q, hessian=False):
-            level_sets.append((np.shape(p), hessian))
-            return level_set(level, p, q, hessian)
+        def recording_level_set(level, x, hessian=False):
+            level_sets.append((np.shape(x), hessian))
+            return level_set(level, x, hessian)
 
         monkeypatch.setattr(hs.Immersion, "pushforward", recording_pushforward)
         monkeypatch.setattr(hs, "_covariant_fd", recording_covariant_fd)
@@ -318,7 +316,7 @@ class TestAnalyzePoints:
         hs.analyze_points(M, U)
         assert shapes == [(m, 5)]
         assert steps == []
-        assert level_sets == [((m, 4), True)]
+        assert level_sets == [((m, 2, 4), True)]
 
 
 class TestPerRowParameters:
@@ -334,12 +332,12 @@ class TestPerRowParameters:
         U = np.stack([hs.random_chart_point(rng) for _ in range(4)])
         for width in (11, 2, 16):  # the analysis, transport and nested stencils
             stencil = U[:, None, :] + 1e-3 * rng.standard_normal((4, width, 5))
-            p, q, T = M.pushforward(stencil)
+            x, T = M.pushforward(stencil)
             assert T.shape == (4, width, 5, 6)
             for i in range(4):
                 single = hs.make_example(family, **_row_kw(kw, i))
                 assert M[i].params == single.params
-                for a, b in zip((p[i], q[i], T[i]), single.pushforward(stencil[i])):
+                for a, b in zip((x[i], T[i]), single.pushforward(stencil[i])):
                     npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("family", hs.FAMILIES)
@@ -773,8 +771,8 @@ class TestIdentityResiduals:
         exact = -d.apply_shape(X)
         errors = []
         for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
-            p, q, _ = M.pushforward(hs._segments(d.u, vel, h))
-            ends = hs._aligned(hs._level_set(hs._LEVEL_SETS[family], p, q), d.xi[:, None, :])
+            x = M.pushforward(hs._segments(d.u, vel, h))[0]
+            ends = hs._aligned(hs._level_set(hs._LEVEL_SETS[family], x), d.xi[:, None, :])
             step = hs._covariant_fd(d.xi, ends, X, d.xi, h)
             errors.append(frames.g_norm(t, step - exact)[0])
         assert errors[-1] > 1e-9
@@ -896,7 +894,7 @@ def _weingarten_shape_operator(data, h):
     `_covariant_fd` and taken to the frame by the chart weights."""
     t = frames.get_tables()
     ends = hs._segments(data.u[:, None, :], np.eye(5), h)
-    T = hs._chart_data(data.immersion, ends)[2]
+    T = hs._chart_data(data.immersion, ends)[1]
     values = hs._aligned(_svd_normal(T), data.xi[:, None, None, :])
     chart_dxi = hs._covariant_fd(data.xi[:, None], values, data.push_coords,
                                  data.xi[:, None], h)
@@ -904,9 +902,11 @@ def _weingarten_shape_operator(data, h):
              @ np.swapaxes(data.tangent_frame, -1, -2))
 
 
-def _level_set_function(family, p, q):
+def _level_set_function(family, x):
     """The function F on R^8 whose level set holds the family: Re q, Re p,
-    <p, q>, q0^2 + q1^2, p0^2 + p1^2 and w0^2 + w1^2 with w = q pbar."""
+    <p, q>, q0^2 + q1^2, p0^2 + p1^2 and w0^2 + w1^2 with w = q pbar, at
+    the points x = (p, q) (..., 2, 4)."""
+    p, q = np.moveaxis(x, -2, 0)
     if family in ("m1", "m2"):
         return (q if family == "m1" else p)[..., 0]
     if family == "m3":
@@ -932,11 +932,11 @@ def test_chart_on_level_set(family):
     U = hs.random_chart_points(np.random.default_rng(37), 4000).reshape(4, 1000, 5)
     for i in range(4):
         row_kw = _row_kw(kw, i)
-        p, q, _ = hs.make_example(family, **row_kw).pushforward(U[i])
-        assert np.max(np.abs(_level_set_function(family, p, q)
+        x = hs.make_example(family, **row_kw).pushforward(U[i])[0]
+        assert np.max(np.abs(_level_set_function(family, x)
                              - _level(family, row_kw))) <= 4e-15
-    p, q, _ = hs.make_example(family, **kw).pushforward(U)
-    assert np.max(np.abs(_level_set_function(family, p, q)
+    x = hs.make_example(family, **kw).pushforward(U)[0]
+    assert np.max(np.abs(_level_set_function(family, x)
                          - _level(family, kw)[:, None])) <= 4e-15
 
 
@@ -947,8 +947,8 @@ def _shape_derivative(d, x5, y5):
     chart_vels = np.vecmat(directions, d.chart_weights)
     vels = chart_vels[:2].swapaxes(0, 1)
     nested = hs._nested_points(d.u, vels)
-    p, q, T, _ = hs._chart_data(d.immersion, nested)
-    xi = hs._aligned(hs._level_set(hs._LEVEL_SETS[d.immersion.family], p, q), d.xi[:, None, :])
+    x, T, _ = hs._chart_data(d.immersion, nested)
+    xi = hs._aligned(hs._level_set(hs._LEVEL_SETS[d.immersion.family], x), d.xi[:, None, :])
     XY = d.from_components(directions[:2]).swapaxes(0, 1)
     return -hs._nested_fd(vels, chart_vels[2], XY, (T, xi))[1]
 
@@ -1094,11 +1094,10 @@ class TestBatchedResiduals:
         M = hs.make_example(family, **kw)
         rng = np.random.default_rng(32)
         data = hs.analyze_points(M, np.stack([hs.random_chart_point(rng) for _ in range(4)]))
-        p, q, T = M.pushforward(data.u)
-        npt.assert_array_equal(p, data.p)
-        npt.assert_array_equal(q, data.q)
+        x, T = M.pushforward(data.u)
+        npt.assert_array_equal(x, data.x)
         npt.assert_array_equal(T, data.push_coords)
-        xi = hs._level_set(hs._LEVEL_SETS[family], p, q)
+        xi = hs._level_set(hs._LEVEL_SETS[family], x)
         assert all((n == x).all() or (n == -x).all() for n, x in zip(xi, data.xi))
 
         shapes = []
@@ -1132,30 +1131,29 @@ class TestBatchedResiduals:
 
     def test_chart_free_errors_name_the_row_by_its_point(self):
         rng = np.random.default_rng(33)
-        p, q = qt.unit_rows(rng, rng.standard_normal((2, 4, 4)))
+        x = random_points(rng, 4)
         a, S, squares = hs._LEVEL_SETS["m1"]
-        data = level_set_data((a, S, squares), p, q)
+        data = level_set_data((a, S, squares), x)
         XP, YP = _hopf_directions(data, rng), _hopf_directions(data, rng)
         assert np.max(hs.hopf_identity_residual(data, XP, YP)) <= 1e-14
         XP[1] = data.eta[1] / np.linalg.norm(data.eta[1])
-        point = np.concatenate([p[1], q[1]]).tolist()
+        point = x[1].ravel().tolist()
         with pytest.raises(PreconditionError,
                            match=re.escape(f"structure vector at (p, q)={point}")):
             hs.hopf_identity_residual(data, XP, YP)
         # F = Re q + p0 q1 / 10 is not Hopf at any of the points
         S = S.copy()
         S[0, 0, 5] = S[0, 5, 0] = 0.1
-        data = level_set_data((a, S, squares), p, q)
+        data = level_set_data((a, S, squares), x)
         assert np.min(data.hopf_residual) > hs.HOPF_TOL
-        point = np.concatenate([p[0], q[0]]).tolist()
+        point = x[0].ravel().tolist()
         with pytest.raises(PreconditionError,
                            match=re.escape(f"Hopf condition at (p, q)={point}")):
             hs.hopf_identity_residual(data, XP, YP)
 
     def test_chart_free_data_slices_and_the_chart_readers_name_the_missing_chart(self):
         rng = np.random.default_rng(34)
-        p, q = qt.unit_rows(rng, rng.standard_normal((2, 4, 4)))
-        data = level_set_data(hs._LEVEL_SETS["m1"], p, q)
+        data = level_set_data(hs._LEVEL_SETS["m1"], random_points(rng, 4))
         head = data[0:2]
         assert len(head) == 2
         for f in dataclasses.fields(data):
@@ -1280,7 +1278,7 @@ class TestRankTest:
         and bisections toward the chart locks: u1 -> pi/4 on m1 and m3, and
         k -> 1 (l -> 0) on m4, where the torus factor collapses."""
         def gram(family, u, **kw):
-            return hs._gram(hs.make_example(family, **kw).pushforward(u)[2])
+            return hs._gram(hs.make_example(family, **kw).pushforward(u)[1])
 
         def lock_gram(family):
             return lambda gap: gram(family, np.array(
@@ -1334,7 +1332,7 @@ class TestRankTest:
     def test_non_finite_gram_raises_as_the_eigenvalue_test_did(self):
         M = hs.make_example("m1", r=0.6)
         u = np.array([[0.1, 0.2, 0.3, np.nan, 0.4]])
-        assert not hs._above_rank_tol(hs._gram(M.pushforward(u)[2]))
+        assert not hs._above_rank_tol(hs._gram(M.pushforward(u)[1]))
         with pytest.raises(np.linalg.LinAlgError):
             hs._chart_data(M, u)
 
@@ -1427,8 +1425,7 @@ def test_perturbed_level_set_is_not_hopf(eps, bound):
     a[0, 4] = 1.0
     S[0, 0, 5] = S[0, 5, 0] = eps
     rng = np.random.default_rng(23)
-    p, q = qt.unit_rows(rng, rng.standard_normal((2, 400, 4)))
-    data = level_set_data((a, S, False), p, q)
+    data = level_set_data((a, S, False), random_points(rng, 400))
     worst = {check: np.max(residual) for check, residual in (
         ("hopf", data.hopf_residual), ("alpha-zero", np.abs(data.alpha)),
         ("distribution-dim", data.c), ("P-preserves-complement", verify._complement_residual(data)))}
@@ -1462,8 +1459,7 @@ def test_product_type_level_sets_are_hopf_with_varying_curvatures(factor):
         a[0, factor] = rng.standard_normal(4)
         B = rng.standard_normal((4, 4))
         S[0, factor, factor] = B + B.T
-        p, q = qt.unit_rows(rng, rng.standard_normal((2, 300, 4)))
-        data = level_set_data((a, S, False), p, q)
+        data = level_set_data((a, S, False), random_points(rng, 300))
         phi, eta = data.phi, data.eta
         x5, y5 = _hopf_directions(data, rng), _hopf_directions(data, rng)
         for residual in (data.hopf_residual, data.alpha, data.c,

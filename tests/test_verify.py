@@ -354,9 +354,9 @@ def test_hypersurface_suite_makes_no_per_sample_chart_calls(monkeypatch, family,
         calls["covariant_fd"] += 1
         return covariant_fd(*args)
 
-    def counting_level_set(level, p, q, hessian=False):
+    def counting_level_set(level, x, hessian=False):
         calls["level_set"] += 1
-        return level_set(level, p, q, hessian)
+        return level_set(level, x, hessian)
 
     monkeypatch.setattr(qt, "mul", counting_mul)
     monkeypatch.setattr(hs.Immersion, "pushforward", counting_pushforward)
@@ -474,7 +474,7 @@ def test_complement_residual_is_c_at_any_unit_normal():
     xi /= frames.g_norm(t, xi)[:, None]
     frame = complement_frame(t, xi[:, None, :])
     B = rng.standard_normal((2000, 5, 5))
-    data = hs.HypersurfacePointData(None, None, None, None, None, frame, None,
+    data = hs.HypersurfacePointData(None, None, None, None, frame, None,
                                     *hs._apparatus(xi, B + B.swapaxes(-1, -2), frame))
     assert np.min(data.c) > 0.01
     assert np.max(np.abs(verify._complement_residual(data) - data.c)) <= 1e-14
