@@ -3,14 +3,15 @@
 Three families, with their differentials in closed form:
 
     factor swap          (p, q) |-> (q, p)           d(U, V) = (V, U)
-    conjugation twist    (p, q) |-> (pbar, q pbar)   d(U, V) = (-pbar U pbar, V pbar - q pbar U pbar)
+    conjugation twist    (p, q) |-> (pbar, q pbar)   d(U, V) = (Ubar, V pbar + q Ubar)
     two-sided translation (p, q) |-> (a p cbar, b q cbar) for unit a, b, c
                                                      d(U, V) = (a U cbar, b V cbar)
 
-The twist differential uses conj(U) = -pbar U pbar, valid for U tangent at
-p.  Since that is a hand derivation, `differential_fd` recomputes any
-differential by central differences of the point map and the test suite
-requires agreement.
+The twist differential is the derivative of the point map, with
+d(pbar) = Ubar; for U tangent at p it equals -pbar U pbar.  Since that is
+a hand derivation, `differential_fd` recomputes any differential by
+central differences of the point map and the test suite requires
+agreement.
 
 The point maps and differentials (`apply_components`,
 `differential_components`, `differential_fd_components`) take a point
@@ -71,13 +72,11 @@ class IsometryMap:
         differential."""
         if self.tag != TWIST:
             return self.apply_components(z)
-        z = np.asarray(z)
+        x, z = np.asarray(x), np.asarray(z)
         image = self.apply_components(x)
-        pbar, qpbar = image[..., :1, :], image[..., 1:, :]
-        zpbar = qt.mul(z, pbar)  # (U pbar, V pbar)
-        du = -qt.mul(qt.mul(pbar, z[..., :1, :]), pbar)
-        dv = zpbar[..., 1:, :] - qt.mul(qpbar, zpbar[..., :1, :])
-        return project_components(image, np.concatenate((du, dv), axis=-2))
+        du = qt.conj(z[..., :1, :])  # Ubar
+        dv = qt.mul(z[..., 1:, :], image[..., :1, :]) + qt.mul(x[..., 1:, :], du)
+        return project_components(image, np.concatenate(np.broadcast_arrays(du, dv), axis=-2))
 
     def apply(self, pt: AmbientPoint) -> AmbientPoint:
         return AmbientPoint(*np.moveaxis(self.apply_components(_pair(pt.p, pt.q)), -2, 0))
@@ -112,26 +111,33 @@ def differential_fd_components(m: IsometryMap, x, z):
     on pairs (..., 2, 4); broadcasts over leading axes.
 
     Moves along the great-circle curves p exp(t pbar U), q exp(t qbar V),
-    which stay on the spheres and have velocity (U, V) at t = 0; both
-    stencil points go through the point map in one call.
+    which stay on the spheres and have velocity (U, V) at t = 0; the
+    stencil's centre and both ends go through the point map in one call.
     """
-    return _central_difference(m, m.apply_components(x), _stencil_ends(x, z))
+    return _central_difference(m.apply_components(_stencil(x, z)))
 
 
 def _stencil_ends(x, z):
     """The stencil points p exp(t pbar U), q exp(t qbar V) at t = +-FD_H,
-    stacked (2, ..., 2, 4); they do not depend on the map, so the isometry
-    suite forms them once for all three."""
+    stacked (2, ..., 2, 4)."""
     w = qt.vec(qt.mul(qt.conj(x), z))
     t = np.array([FD_H, -FD_H]).reshape((2,) + (1,) * w.ndim)
     return qt.mul(x, qt.exp_pure(t * w))
 
 
-def _central_difference(m: IsometryMap, image, ends):
-    """The central difference of m over the `_stencil_ends` ends, projected
-    to the tangent space at the image of the stencil's centre."""
-    moved = m.apply_components(ends)
-    return project_components(image, (moved[0] - moved[1]) / (2.0 * FD_H))
+def _stencil(x, z):
+    """The stencil's centre x and its `_stencil_ends`, stacked (3, ..., 2, 4);
+    they do not depend on the map, so the isometry suite forms them once and
+    each map takes all three in one call."""
+    ends = _stencil_ends(x, z)
+    return np.concatenate((np.broadcast_to(x, ends.shape[1:])[None], ends))
+
+
+def _central_difference(moved):
+    """The central difference of a map's images (3, ..., 2, 4) of a
+    `_stencil`: its ends differenced, projected to the tangent space at the
+    image of its centre."""
+    return project_components(moved[0], (moved[1] - moved[2]) / (2.0 * FD_H))
 
 
 def differential_fd(m: IsometryMap, z: TangentVector) -> TangentVector:
@@ -151,7 +157,9 @@ def composition_checks(rng: np.random.Generator, samples: int) -> dict:
     the conjugation twist).  Each sample draws p, q, a, b, c in turn, all
     samples in one array scaled by `quat.unit_rows` (the same points as
     `sample_unit` calls in sequence); the identities are evaluated on the
-    whole batch at once, T(a, b, c) on the swap and twist images stacked.
+    whole batch at once: T(a, b, c) on the swap and twist images stacked,
+    T(b, a, c) and T(c, b, a) as one translation, and the twist on its own
+    image and on T(c, b, a)'s stacked.
     """
     draws = qt.unit_rows(rng, rng.standard_normal((samples, 5, 4)))
     x = draws[:, :2].copy()
@@ -159,17 +167,19 @@ def composition_checks(rng: np.random.Generator, samples: int) -> dict:
     swap = factor_swap().apply_components
     twist = conjugation_twist().apply_components
     t_abc = two_sided_translation(a, b, c).apply_components
-    t_bac = two_sided_translation(b, a, c).apply_components
-    t_cba = two_sided_translation(c, b, a).apply_components
     swapped, twisted = swap(x), twist(x)
     moved = t_abc(np.stack((swapped, twisted)))
+    # T(b, a, c) and T(c, b, a) as one translation of stacked parameters
+    t_bac, t_cba = two_sided_translation(
+        np.stack((b, c)), np.stack((a, b)), np.stack((c, a))).apply_components(x)
+    back = twist(np.stack((twisted, t_cba)))
 
     def dist(y1, y2) -> float:
         return float(np.max(np.abs(y1 - y2)))  # NaN in either gives NaN
 
     return {
         "swap-involution": dist(swap(swapped), x),
-        "twist-involution": dist(twist(twisted), x),
-        "translation-through-swap": dist(moved[0], swap(t_bac(x))),
-        "translation-through-twist": dist(moved[1], twist(t_cba(x))),
+        "twist-involution": dist(back[0], x),
+        "translation-through-swap": dist(moved[0], swap(t_bac)),
+        "translation-through-twist": dist(moved[1], back[1]),
     }

@@ -259,7 +259,9 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     two-sided translation; every identity is then evaluated once over the
     whole batch, with the vectors that one map takes at one point stacked
     on a leading axis, so that each product is formed once, and P at a
-    point is formed once for P and J there.
+    point is formed once for P and J there.  Each map takes the base point
+    and the central-difference stencil ends in one call, and every metric
+    pairing is one `metric_components` call.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -280,18 +282,18 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     pz_raw = pw.p_components(x, z)  # P Z once, for J Z and P Z
     jz = pw.project_components(x, pw._j_from_p(z, pz_raw))
     pz = pw.project_components(x, pz_raw)
-    base = pw.metric_components(x, z, z2)  # g(Z, Z') at the base point
 
-    # each map's images of Z, Z', J Z and P Z from one differential call
+    # each map takes the base point and the central-difference stencil ends
+    # in one call, and Z, Z', J Z and P Z in one differential call
     maps = {"swap": iso.factor_swap(), "twist": iso.conjugation_twist(),
             "translation": iso.two_sided_translation(a, b, c)}
-    image = {name: m.apply_components(x) for name, m in maps.items()}
+    stencil = iso._stencil(x, z)
+    moved = {name: m.apply_components(stencil) for name, m in maps.items()}
+    image = {name: m[0] for name, m in moved.items()}
     vectors = np.stack((z, z2, jz, pz))
     dz, dz2, djz, dpz = ({} for _ in range(4))
     for name, m in maps.items():
         dz[name], dz2[name], djz[name], dpz[name] = m.differential_components(x, vectors)
-    pulled = pw.metric_components(np.stack(list(image.values())), np.stack(list(dz.values())),
-                                  np.stack(list(dz2.values())))
 
     # P at the swap and twist images, unprojected, for P d Z and, as at the
     # base point, for J d Z; then J of the twist's P d Z
@@ -303,18 +305,18 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
     jpdz_tw = pw.project_components(at_tw, pw.j_components(at_tw, pdz_tw))
     twisted = -0.5 * pdz_tw + (SQRT3 / 2.0) * jpdz_tw
 
-    # g-distances of the four J and P relations, in one metric call; d J Z
-    # less -J d Z is their sum
-    d = np.stack((djz["swap"] + jdz_sw, dpz["swap"] - pdz_sw,
-                  djz["twist"] + jdz_tw, dpz["twist"] - twisted))
-    g_dist = np.sqrt(np.maximum(
-        pw.metric_components(np.stack((at_sw, at_sw, at_tw, at_tw)), d, d), 0.0))
-
-    # the stencil ends do not depend on the map: formed once for all three
-    ends = iso._stencil_ends(x, z)
+    # one metric call: g(Z, Z') at the base point, its three pullbacks, and
+    # the squared g-distances of the four J and P relations, where d J Z less
+    # -J d Z is their sum
+    d = (djz["swap"] + jdz_sw, dpz["swap"] - pdz_sw,
+         djz["twist"] + jdz_tw, dpz["twist"] - twisted)
+    gs = pw.metric_components(np.stack((x, *image.values(), at_sw, at_sw, at_tw, at_tw)),
+                              np.stack((z, *dz.values(), *d)), np.stack((z2, *dz2.values(), *d)))
+    base, pulled = gs[0], gs[1:4]
+    g_dist = np.sqrt(np.maximum(gs[4:], 0.0))
 
     def fd_gap(name):
-        return np.abs(iso._central_difference(maps[name], image[name], ends) - dz[name])
+        return np.abs(iso._central_difference(moved[name]) - dz[name])
 
     comp = iso.composition_checks(rng, samples)
 

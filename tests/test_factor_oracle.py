@@ -117,11 +117,8 @@ def _maps(params):
         return pbar, mul(q, pbar)
 
     def twist_d(p, q, u, v):
-        pbar = conj(p)
-        qpbar = mul(q, pbar)
-        du = -mul(mul(pbar, u), pbar)
-        dv = mul(v, pbar) - mul(qpbar, mul(u, pbar))
-        return _project(pbar, qpbar, du, dv)
+        pbar, ubar = conj(p), conj(u)
+        return _project(pbar, mul(q, pbar), ubar, mul(v, pbar) + mul(q, ubar))
 
     def translation(p, q):
         return mul(mul(a, p), conj(c)), mul(mul(b, q), conj(c))

@@ -1470,3 +1470,36 @@ def test_product_type_level_sets_are_hopf_with_varying_curvatures(factor):
             assert np.max(np.abs(residual)) <= 1e-12
         assert np.ptp(data.eigenvalues, axis=0).max() > 1e-6
         assert not (data.multiplicities == (2, 1, 2, 0, 0)).all(axis=-1).any()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_hopf_residual_takes_alpha_u_out(eps):
+    """The Hopf residual |A U - alpha U| at alpha = 2, with no geometry.
+
+    Every input of the six families has alpha = 0, so there the residual
+    would read the same without its alpha U term.  Here 2000 random g-unit
+    xi each get A = 2 eta eta^T + (I - eta eta^T) B (I - eta eta^T) on a QR
+    frame of xi's g-complement, eta the frame components of U = -J xi and
+    B = C C^T / 5 positive semidefinite, so that the trace rule keeps the
+    orientation; then A eta = 2 eta.  `_apparatus` reads alpha within
+    5.8e-15 of 2 and the residual at most 3.2e-15.  Adding
+    eps (eta x^T + x eta^T), x a unit vector orthogonal to eta, moves A eta
+    by eps x and leaves alpha: the residual reads eps within 1.4e-15.
+    """
+    t = frames.get_tables()
+    rng = np.random.default_rng(23)
+    xi = rng.standard_normal((2000, 6))
+    xi /= frames.g_norm(t, xi)[:, None]
+    frame = complement_frame(t, xi[:, None, :])
+    eta = np.matvec(frame @ t.g, -np.matvec(t.J, xi))
+    off = np.eye(5) - eta[:, :, None] * eta[:, None, :]
+    C = rng.standard_normal((2000, 5, 5))
+    A = 2.0 * eta[:, :, None] * eta[:, None, :] + off @ (C @ C.swapaxes(-1, -2) / 5.0) @ off
+    x = np.matvec(off, rng.standard_normal((2000, 5)))
+    x /= np.linalg.norm(x, axis=-1)[:, None]
+    A += eps * (eta[:, :, None] * x[:, None, :] + x[:, :, None] * eta[:, None, :])
+    data = hs.HypersurfacePointData(None, None, None, None, frame, None,
+                                    *hs._apparatus(xi, A, frame))
+    assert np.max(np.abs(data.eta - eta)) <= 1e-14  # the orientation held
+    assert np.max(np.abs(data.alpha - 2.0)) <= 1e-14
+    assert np.max(np.abs(data.hopf_residual - eps)) <= 1e-14

@@ -162,7 +162,29 @@ def test_stacked_points_equal_separate_calls_bitwise(k, n):
     at = qt.unit_rows(rng, rng.standard_normal((k, n, 2, 4)))
     vectors = tuple(rng.standard_normal((2, k, n, 2, 4)))
     pointwise = {name: fns[name] for name in ("project", "P", "J", "metric", "frame")}
+    # and the point maps, which the isometry suite gives a point and its
+    # stencil ends as one stack
+    a, b, c = qt.unit_rows(rng, rng.standard_normal((3, n, 4)))
+    for m in (iso.factor_swap(), iso.conjugation_twist(), iso.two_sided_translation(a, b, c)):
+        pointwise["apply " + m.tag] = lambda at, z, z2, m=m: m.apply_components(at)
     _assert_stack_is_separate_calls(pointwise, at, lambda i: at[i], k, vectors)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("n", [1, 100])
+def test_stacked_translation_parameters_equal_separate_maps_bitwise(k, n):
+    # the composition checks build two translations as one with parameters
+    # (k, n, 4); each slice of its point map and differential is the bits
+    # of its own parameter set's map
+    rng = np.random.default_rng(10 * k + n + 2)
+    at, z = qt.unit_rows(rng, rng.standard_normal((2, n, 2, 4)))
+    params = tuple(qt.unit_rows(rng, rng.standard_normal((3, k, n, 4))))
+    fns = {
+        "apply": lambda at, a, b, c: iso.two_sided_translation(a, b, c).apply_components(at),
+        "d": lambda at, a, b, c: iso.two_sided_translation(a, b, c).differential_components(
+            at, z),
+    }
+    _assert_stack_is_separate_calls(fns, at, lambda i: at, k, params)
 
 
 def _structure_residuals_unstacked(seed, samples):
@@ -266,6 +288,22 @@ def test_twist_differential_checks_fail_on_a_scaled_differential(monkeypatch):
     assert _failures(margin=10.0) == ["pullback-twist", "differential-vs-fd"]
 
 
+def test_translation_checks_fail_on_a_scaled_translation(monkeypatch):
+    # a translation with its first factor scaled by 1 + 1e-9 is no isometry:
+    # its pullback fails, and so do both identities that slide it through an
+    # involution, which carries the scale into the other factor; its central
+    # differences are those of the scaled map and hold
+    apply = iso.IsometryMap.apply_components
+
+    def scaled(self, x):
+        image = apply(self, x)
+        return image * np.array([[1.0 + 1e-9], [1.0]]) if self.tag == iso.TRANSLATION else image
+
+    monkeypatch.setattr(iso.IsometryMap, "apply_components", scaled)
+    assert _failures(margin=100.0) == [
+        "pullback-translation", "translation-through-swap", "translation-through-twist"]
+
+
 @pytest.mark.parametrize("samples", [1, 5, 200])
 def test_structure_suite_makes_one_connection_call(monkeypatch, samples):
     # the flat-connection relation is evaluated once over the whole batch
@@ -306,11 +344,12 @@ def test_isometry_draws_make_no_single_quaternion_draws(monkeypatch):
     # g(R, R) and g(Z, Z') in one call, and the flat connection; P and g take
     # two products for both factors, each other map one
     (verify.run_structure_suite, 2 + 2 + 1 + 2 + 3),
-    # at the base point P Z and g(Z, Z'); the twist's and the translation's
-    # images and differentials; the pullbacks, P and J at the images and the
-    # four g-distances, one call each; the FD stencil ends and their twist
-    # and translation images; the composition checks
-    (verify.run_isometry_suite, 2 + 2 + (1 + 2) + (5 + 2) + 2 + 2 + 2 + 2 + 2 + (1 + 2) + 9),
+    # at the base point P Z; the FD stencil ends; the twist's and the
+    # translation's images of the base point and the stencil ends in one
+    # call each, and their differentials; P and J at the images; g(Z, Z'),
+    # the pullbacks and the four g-distances in one metric call; the
+    # composition checks
+    (verify.run_isometry_suite, 2 + 2 + (1 + 2) + (3 + 2) + 2 + 2 + 2 + 6),
 ])
 def test_ambient_suites_make_a_fixed_number_of_products(monkeypatch, suite, products):
     # each suite evaluates each identity once over the batch, with the

@@ -24,9 +24,21 @@ and the rest of the suite is the pass time less those four.  For
 * `frames.connection_relation_residual`, less its `_bilinear` call;
 * `frames.curvature` and `frames.curvature_closed_form`;
 * `isometries.composition_checks`;
+* `verify.run_isometry_suite`, the isometry suite less its stages;
+* `quat.mul`, the quaternion products of both suites;
 * `verify._check`;
 
-and the rest of the pass is the pass time less those.  A stage's time
+and the rest of the pass is the pass time less those.  For `point-sweep`,
+two `nks3 sweep` grids run in-process:
+
+* `hypersurfaces.random_chart_points`, the sweep's draws;
+* `hypersurfaces.analyze_points`, the point data of all grid values;
+* `hypersurfaces.classify_normal_action`;
+* `hypersurfaces.cluster_sizes`, in the point data's spectral report and
+  on the sweep's mean spectra;
+
+and the rest of the pass (the command line, the CSV and the workload's
+own checks) is the pass time less those.  A stage's time
 leaves out the stages it calls, so the rows of one pass add up to it.  It
 prints one row per stage with its calls per pass and its median time per
 pass in ms, then the median pass.  Each median is taken on its own, so
@@ -57,7 +69,11 @@ STAGES = {
         (("frames", "_bilinear"), ("verify", "_pointwise_residuals"),
          ("frames", "connection_relation_residual"), ("frames", "curvature"),
          ("frames", "curvature_closed_form"), ("isometries", "composition_checks"),
-         ("verify", "_check")),
+         ("verify", "run_isometry_suite"), ("quat", "mul"), ("verify", "_check")),
+        "rest of the pass"),
+    "point-sweep": (
+        (("hypersurfaces", "random_chart_points"), ("hypersurfaces", "analyze_points"),
+         ("hypersurfaces", "classify_normal_action"), ("hypersurfaces", "cluster_sizes")),
         "rest of the pass"),
 }
 
