@@ -289,7 +289,7 @@ def run_isometry_suite(seed: int, samples: int) -> SuiteReport:
             "translation": iso.two_sided_translation(a, b, c)}
     stencil = iso._stencil(x, z)
     moved = {name: m.apply_components(stencil) for name, m in maps.items()}
-    image = {name: m[0] for name, m in moved.items()}
+    image = {name: y[0] for name, y in moved.items()}
     vectors = np.stack((z, z2, jz, pz))
     dz, dz2, djz, dpz = ({} for _ in range(4))
     for name, m in maps.items():
